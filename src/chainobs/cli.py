@@ -73,7 +73,7 @@ from .simulate import (
     default_step,
     spatial_average,
     time_average_exact,
-    time_average_quadrature,
+    time_average_streamed,
 )
 
 log = logging.getLogger("chainobs")
@@ -402,9 +402,10 @@ def run_simulate(config: ExperimentConfig) -> RunReport:
 def run_timeavg(config: ExperimentConfig) -> RunReport:
     """Exact time averages on the horizon ladder T/16, T/8, T/4, T/2, T.
 
-    The exact route is cross-checked against Simpson quadrature at the
-    shortest ladder horizon; disagreement beyond 1e-8 relative fails the
-    run, since it would mean the averaging itself cannot be trusted.
+    The exact route is cross-checked against streamed Simpson quadrature
+    at the shortest ladder horizon, always on the auto step; disagreement
+    beyond 1e-8 relative fails the run, since it would mean the averaging
+    itself cannot be trusted.
     """
     built = _construct(config)
     report = _base_report(built)
@@ -415,9 +416,7 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
         (avg.horizon, consensus_error(avg)) for avg in averages
     ]
 
-    grid = TimeGrid.covering(0.0, horizons[0], default_step(built.aug))
-    trajectory = coefficient_trajectory(built.aug, grid)
-    quad = time_average_quadrature(trajectory)
+    quad = time_average_streamed(built.aug, horizons[0])
     scale = float(np.linalg.norm(averages[0].averaged_rows, ord="fro"))
     disagreement = float(
         np.linalg.norm(averages[0].averaged_rows - quad.averaged_rows, ord="fro")

@@ -3,26 +3,31 @@
 Everything simulated here is a coefficient function: the rows of
 C_a exp(A_a t) give each output's dependence on the initial quadratures, so
 no initial condition is ever sampled. The propagator itself comes from
-scaling-and-squaring (a diagonal rational approximant of fixed high order);
-trajectories reuse the single-step propagator through the recurrence
-Phi(t + h) = Phi(h) Phi(t) and re-certify the symplectic identity at every
-sample so drift cannot accumulate silently.
+scaling-and-squaring (a diagonal rational approximant of fixed high order).
+One propagation engine yields C_a Phi(t_k) sample by sample through the
+recurrence Phi(t + h) = Phi(h) Phi(t), re-certifying the symplectic
+identity at every sample so drift cannot accumulate silently; stored
+trajectories and the streamed quadrature both consume it.
 
 Time averages (1/T) int_0^T C_a exp(A_a s) ds are computed two independent
 ways: exactly, through the exponential of the doubled block matrix
 [[A_a, I], [0, 0]] whose upper-right block is the integral (this works even
 though A_a is singular, which rules out the A^{-1}(exp(AT) - I) shortcut);
-and numerically, by composite Simpson quadrature on a sampled trajectory.
-The two routes must agree to 1e-8 relative, and the CLI enforces that.
+and numerically, by composite Simpson quadrature of the sampled rows. The
+quadrature is streamed: each sample is folded into a running weighted sum
+as it is produced, so the oracle holds O(N^2) coefficient data whatever
+the horizon. The two routes must agree to 1e-8 relative, and the CLI
+enforces that.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from .builder import AugmentedSystem
@@ -42,6 +47,8 @@ QUADRATURE_STEP_FACTOR = 0.01
 DEFAULT_STEP_FACTOR = 0.005
 DEFAULT_HORIZON = 500.0
 SYMPLECTIC_DRIFT_TOL = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -138,24 +145,26 @@ def max_frequency(a: np.ndarray) -> float:
 
 def default_step(aug: AugmentedSystem) -> float:
     """Default sampling step: half the quadrature ceiling for the fastest mode."""
-    w = max_frequency(aug.a_a)
-    if w == 0.0:
+    return _auto_step(max_frequency(aug.a_a))
+
+
+def _auto_step(omega_max: float) -> float:
+    if omega_max == 0.0:
         raise InvalidParameterError("dynamics have no oscillatory modes to resolve")
-    return DEFAULT_STEP_FACTOR * (2.0 * math.pi / w)
+    return DEFAULT_STEP_FACTOR * (2.0 * math.pi / omega_max)
 
 
-def coefficient_trajectory(aug: AugmentedSystem, grid: TimeGrid) -> Trajectory:
-    """Sample C_a Phi(t) on the grid via the one-step recurrence.
+def _propagate(aug: AugmentedSystem, grid: TimeGrid) -> Iterator[np.ndarray]:
+    """Yield C_a Phi(t_k) for each grid time via the one-step recurrence.
 
-    The symplectic identity Phi Theta Phi^T = Theta is re-checked at every
-    sample against the relative tolerance 1e-9; exceeding it aborts the
-    run, since coefficients from a non-symplectic propagator are garbage.
+    The symplectic identity Phi Theta Phi^T = Theta is checked at every
+    sample, before the sample is yielded, against the relative tolerance
+    1e-9; exceeding it aborts the run, since coefficients from a
+    non-symplectic propagator are garbage.
     """
-    n_rows, dim = aug.c_a.shape
     theta_norm = float(np.linalg.norm(aug.theta.matrix, ord="fro"))
     step_phi = propagator(aug.a_a, grid.step)
-    phi = np.eye(dim) if grid.t0 == 0.0 else propagator(aug.a_a, grid.t0)
-    rows = np.empty((grid.samples, n_rows, dim))
+    phi = np.eye(aug.a_a.shape[0]) if grid.t0 == 0.0 else propagator(aug.a_a, grid.t0)
     for k in range(grid.samples):
         drift = symplectic_drift(phi, aug.theta)
         if drift > SYMPLECTIC_DRIFT_TOL * theta_norm:
@@ -163,9 +172,16 @@ def coefficient_trajectory(aug: AugmentedSystem, grid: TimeGrid) -> Trajectory:
                 f"symplectic drift {drift:.3e} exceeds {SYMPLECTIC_DRIFT_TOL:.0e} "
                 f"* ||Theta||_F at sample {k}"
             )
-        rows[k] = aug.c_a @ phi
+        yield aug.c_a @ phi
         if k + 1 < grid.samples:
             phi = step_phi @ phi
+
+
+def coefficient_trajectory(aug: AugmentedSystem, grid: TimeGrid) -> Trajectory:
+    """Sample and store C_a Phi(t) on the grid (O(samples * N^2) memory)."""
+    rows = np.empty((grid.samples, *aug.c_a.shape))
+    for k, sample in enumerate(_propagate(aug, grid)):
+        rows[k] = sample
     return Trajectory(
         grid=grid,
         coefficient_rows=rows,
@@ -205,24 +221,92 @@ def time_average_exact(aug: AugmentedSystem, horizon: float) -> TimeAverage:
     )
 
 
-def time_average_quadrature(trajectory: Trajectory) -> TimeAverage:
-    """Composite-Simpson time average of a sampled trajectory from t = 0.
+def simpson_weights(times: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights w with sum_k w_k y(t_k) ~ int y dt.
 
-    Serves as the independent cross-check for time_average_exact; demands a
-    grid that starts at zero and resolves the fastest mode (step at most
-    0.01 of its period).
+    Reproduces scipy.integrate.simpson(y, x=times): Simpson's rule for
+    possibly uneven spacing on consecutive interval pairs and, for an even
+    sample count, Cartwright's three-point correction on the last interval
+    (two samples fall back to the trapezoid).
+    """
+    x = np.asarray(times, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise InvalidParameterError(f"Simpson weights need at least 2 times, got shape {x.shape}")
+    h = np.diff(x)
+    if not (np.all(np.isfinite(x)) and np.all(h > 0.0)):
+        raise InvalidParameterError("times must be finite and strictly increasing")
+    weights = np.zeros(x.size)
+    if x.size == 2:
+        weights[:] = 0.5 * h[0]
+        return weights
+    end = 2 * ((x.size - 1) // 2)  # last sample reached by whole interval pairs
+    h0, h1 = h[0:end:2], h[1:end:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    sixth = hsum / 6.0
+    weights[0:end:2] += sixth * (2.0 - 1.0 / h0divh1)
+    weights[1:end:2] += sixth * (hsum * (hsum / (h0 * h1)))
+    weights[2 : end + 1 : 2] += sixth * (2.0 - h0divh1)
+    if end < x.size - 1:
+        h0, h1 = h[-2], h[-1]
+        weights[-1] += (2.0 * h1**2 + 3.0 * h0 * h1) / (6.0 * (h1 + h0))
+        weights[-2] += (h1**2 + 3.0 * h0 * h1) / (6.0 * h0)
+        weights[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
+    return weights
+
+
+def _check_quadrature_step(step: float, omega_max: float) -> None:
+    """Reject a step above 0.01 of the fastest mode's period."""
+    if omega_max > 0.0:
+        ceiling = QUADRATURE_STEP_FACTOR * (2.0 * math.pi / omega_max)
+        if step > ceiling * (1.0 + 1e-12):
+            raise StepTooCoarseError(
+                f"step {step:.6e} exceeds the quadrature ceiling {ceiling:.6e} "
+                f"for the fastest mode {omega_max:.6e}"
+            )
+
+
+def time_average_quadrature(trajectory: Trajectory) -> TimeAverage:
+    """Composite-Simpson time average of a stored trajectory from t = 0.
+
+    Demands a grid that starts at zero and resolves the fastest mode (step
+    at most 0.01 of its period).
     """
     grid = trajectory.grid
     if grid.t0 != 0.0:
         raise InvalidParameterError("quadrature averages must start at t0 = 0")
-    if trajectory.omega_max > 0.0:
-        ceiling = QUADRATURE_STEP_FACTOR * (2.0 * math.pi / trajectory.omega_max)
-        if grid.step > ceiling * (1.0 + 1e-12):
-            raise StepTooCoarseError(
-                f"step {grid.step:.6e} exceeds the quadrature ceiling {ceiling:.6e} "
-                f"for the fastest mode {trajectory.omega_max:.6e}"
-            )
-    integral = simpson(trajectory.coefficient_rows, x=grid.times(), axis=0)
+    _check_quadrature_step(grid.step, trajectory.omega_max)
+    integral = np.tensordot(simpson_weights(grid.times()), trajectory.coefficient_rows, axes=1)
+    return TimeAverage(
+        horizon=grid.t_end, averaged_rows=integral / grid.t_end, method="quadrature"
+    )
+
+
+def time_average_streamed(
+    aug: AugmentedSystem, horizon: float, step: float | None = None
+) -> TimeAverage:
+    """Composite-Simpson time average over [0, horizon], streamed sample by sample.
+
+    The independent cross-check for time_average_exact. Equal, up to
+    rounding, to time_average_quadrature of the trajectory on
+    TimeGrid.covering(0, horizon, step), but it holds one sample and one
+    running sum instead of the whole trajectory. The step defaults to
+    default_step; the quadrature ceiling is checked before any propagation.
+    """
+    omega_max = max_frequency(aug.a_a)
+    if step is None:
+        step = _auto_step(omega_max)
+    grid = TimeGrid.covering(0.0, horizon, step)
+    _check_quadrature_step(grid.step, omega_max)
+    weights = simpson_weights(grid.times())
+    integral = np.zeros(aug.c_a.shape)
+    for w, sample in zip(weights, _propagate(aug, grid)):
+        integral += w * sample
+    log.info(
+        "quadrature oracle: %d samples, step %.6e, %d bytes of coefficients held "
+        "(a stored trajectory would take %d)",
+        grid.samples, grid.step, 2 * integral.nbytes, grid.samples * integral.nbytes,
+    )
     return TimeAverage(
         horizon=grid.t_end, averaged_rows=integral / grid.t_end, method="quadrature"
     )

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import chainobs as co
 from conftest import build_system
 from oracles import collapse_blocks, minors_positive_definite
+from test_acceptance import systems
 
 mu_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=12
@@ -173,6 +174,16 @@ class TestExpBound:
             co.verify_exp_bound(aug.r_o, theta, [-1.0])
         with pytest.raises(co.InvalidParameterError):
             co.verify_exp_bound(aug.r_o, theta, [])
+
+    def test_observed_norm_is_numpys_spectral_norm(self):
+        """The observed maximum equals numpy's 2-norm of the same exponentials."""
+        times = np.linspace(0.0, 50.0, 500)
+        for _, (_, chain, aug) in systems():
+            theta = co.make_symplectic(chain.n_elements)
+            observed, _ = co.verify_exp_bound(aug.r_o, theta, times)
+            a = co.dynamics_from_hamiltonian(aug.r_o, theta)
+            expected = max(np.linalg.norm(co.propagator(a, t), ord=2) for t in times)
+            assert abs(observed - expected) <= 1e-12 * expected
 
     def test_violation_is_reported(self, example_system, monkeypatch):
         """A broken exponential must trip the bound check, not pass silently."""

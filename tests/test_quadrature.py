@@ -1,0 +1,201 @@
+"""The Simpson rule and the streamed quadrature oracle.
+
+scipy.integrate.simpson is the independent oracle for simpson_weights; it
+is imported here only, so the library never pays for scipy.integrate.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import simpson
+
+import chainobs as co
+from conftest import build_system
+
+SAMPLE_COUNTS = [2, 3, 4, 5, 10, 11, 4180]
+
+
+def grid_times(samples: int, uniform: bool) -> np.ndarray:
+    if uniform:
+        return co.TimeGrid.from_count(0.0, 3.0, samples).times()
+    rng = np.random.default_rng(samples)
+    return np.cumsum(rng.uniform(0.2, 1.8, size=samples)) * (3.0 / samples)
+
+
+def integrands(t: np.ndarray) -> np.ndarray:
+    """Three positive columns, so relative errors are not inflated by cancellation."""
+    return np.stack([np.exp(t), 1.0 + t**2, 2.0 + np.cos(5.0 * t)], axis=1)
+
+
+class TestSimpsonWeights:
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    def test_matches_scipy_simpson(self, samples, uniform):
+        t = grid_times(samples, uniform)
+        y = integrands(t)
+        expected = simpson(y, x=t, axis=0)
+        got = co.simpson_weights(t) @ y
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+
+    def test_even_count_uses_the_last_interval_correction(self):
+        """Cartwright's correction integrates quadratics exactly on uneven grids."""
+        t = np.array([0.0, 0.3, 1.0, 1.2, 2.0, 2.9])
+        got = co.simpson_weights(t) @ (t**2)
+        assert got == pytest.approx(2.9**3 / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "times", [[0.0], [[0.0, 1.0]], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.inf]]
+    )
+    def test_rejects_bad_times(self, times):
+        with pytest.raises(co.InvalidParameterError):
+            co.simpson_weights(np.array(times))
+
+
+def assert_close(a: co.TimeAverage, b: co.TimeAverage, rel: float) -> None:
+    scale = np.linalg.norm(b.averaged_rows, ord="fro")
+    assert a.horizon == b.horizon
+    assert np.linalg.norm(a.averaged_rows - b.averaged_rows, ord="fro") <= rel * scale
+
+
+class TestStreamedOracle:
+    @pytest.mark.parametrize(
+        "c_p,variant,omega0,n,seed,horizon",
+        [
+            ([1.0, 0.0], "odd-harmonics", 1.0, 5, None, 20.0),
+            ([0.0, 2.0], "random", 1.0, 4, 9, 3.7),
+            ([1.0, 0.0], "uniform", 2.0, 3, None, 0.05),
+        ],
+    )
+    def test_matches_the_stored_trajectory_route(self, c_p, variant, omega0, n, seed, horizon):
+        _, _, aug = build_system(c_p, variant, omega0, n, seed=seed)
+        grid = co.TimeGrid.covering(0.0, horizon, co.default_step(aug))
+        stored = co.time_average_quadrature(co.coefficient_trajectory(aug, grid))
+        streamed = co.time_average_streamed(aug, horizon)
+        assert streamed.method == stored.method == "quadrature"
+        assert_close(streamed, stored, 1e-13)
+
+    def test_explicit_step(self, example_system):
+        _, _, aug = example_system
+        grid = co.TimeGrid.covering(0.0, 2.0, 0.002)
+        stored = co.time_average_quadrature(co.coefficient_trajectory(aug, grid))
+        assert_close(co.time_average_streamed(aug, 2.0, 0.002), stored, 1e-13)
+
+    def test_coarse_step_is_rejected_before_propagation(self, example_system, monkeypatch):
+        _, _, aug = example_system
+        grid = co.TimeGrid.covering(0.0, 2.0, 0.1)
+        with pytest.raises(co.StepTooCoarseError) as stored:
+            co.time_average_quadrature(co.coefficient_trajectory(aug, grid))
+
+        def no_propagation(a, t):
+            raise AssertionError("propagated before the step ceiling was checked")
+
+        monkeypatch.setattr("chainobs.simulate.propagator", no_propagation)
+        with pytest.raises(co.StepTooCoarseError) as streamed:
+            co.time_average_streamed(aug, 2.0, 0.1)
+        assert str(streamed.value) == str(stored.value)
+
+    def test_injected_drift_fails_both_routes_at_the_same_sample(
+        self, example_system, monkeypatch
+    ):
+        _, _, aug = example_system
+        true_drift = co.symplectic_drift
+        calls = []
+
+        def drifting(phi, theta):
+            calls.append(None)
+            return 1.0 if len(calls) == 38 else true_drift(phi, theta)
+
+        monkeypatch.setattr("chainobs.simulate.symplectic_drift", drifting)
+        step = co.default_step(aug)
+        messages = []
+        for route in (
+            lambda: co.coefficient_trajectory(aug, co.TimeGrid.covering(0.0, 1.0, step)),
+            lambda: co.time_average_streamed(aug, 1.0),
+        ):
+            calls.clear()
+            with pytest.raises(co.ToleranceExceededError) as failure:
+                route()
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("at sample 37")
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        """O(N^2) memory: a fraction of what the stored trajectory would take."""
+        _, _, aug = build_system([1.0, 0.0], "odd-harmonics", 1.0, 10)
+        horizon = 10_500 * co.default_step(aug)
+        grid = co.TimeGrid.covering(0.0, horizon, co.default_step(aug))
+        stored_bytes = grid.samples * aug.c_a.nbytes
+        assert stored_bytes >= 20e6
+        tracemalloc.start()
+        try:
+            co.time_average_streamed(aug, horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stored_bytes / 10
+
+    def test_logs_one_line_with_its_size(self, example_system, caplog):
+        _, _, aug = example_system
+        grid = co.TimeGrid.covering(0.0, 1.0, co.default_step(aug))
+        with caplog.at_level(logging.INFO, logger="chainobs.simulate"):
+            co.time_average_streamed(aug, 1.0)
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert f"{grid.samples} samples" in message
+        assert f"step {grid.step:.6e}" in message
+        assert f"{2 * aug.c_a.nbytes} bytes" in message
+
+
+SRC = Path(co.__file__).resolve().parents[1]
+
+
+def run_python(args: list[str], cwd: Path, **env: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_cli_import_leaves_scipy_integrate_out(tmp_path):
+    proc = run_python(
+        ["-c", "import sys, chainobs.cli; "
+               "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])"],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_timeavg_info_log_changes_no_output(tmp_path):
+    config = {"n_elements": 3, "scheme": "uniform", "omega0": 1.0, "c_p": [1.0, 0.0],
+              "horizon": 8.0}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    runs = []
+    for level in ("WARNING", "INFO"):
+        out = tmp_path / level
+        proc = run_python(
+            ["-m", "chainobs.cli", "timeavg", "--config", "config.json", "--output-dir", level],
+            tmp_path,
+            CHAINOBS_LOG=level,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc, (out / "report.json").read_text(),
+                     (out / "time_averages.csv").read_text()))
+    (quiet, *quiet_files), (loud, *loud_files) = runs
+    assert quiet.stdout == loud.stdout
+    assert quiet_files == loud_files
+    assert "quadrature oracle" not in quiet.stderr
+    assert sum("quadrature oracle" in line for line in loud.stderr.splitlines()) == 1
