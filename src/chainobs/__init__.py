@@ -34,7 +34,6 @@ from .builder import (
     make_mu_schedule,
     omegas_from_mu,
 )
-from .cli import ExperimentConfig, RunReport, load_config, parse_config
 from .errors import (
     BoundViolatedError,
     ChainobsError,
@@ -81,6 +80,20 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
+
+# Config names live in the CLI module and are loaded on first use: importing
+# chainobs.cli eagerly would make `python -m chainobs.cli` find the module
+# already imported and warn before running it.
+_CLI_NAMES = frozenset({"ExperimentConfig", "RunReport", "load_config", "parse_config"})
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AugmentedSystem",

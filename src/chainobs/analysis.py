@@ -1,12 +1,16 @@
 """Certificates for the observer chain: definiteness and norm bounds.
 
-The full observer Hamiltonian block R_o is 2N x 2N, but its definiteness
-reduces to that of an N x N comparison matrix: collapsing each observer
-mode to the norm of its 2-block and applying Cauchy-Schwarz to the coupling
-terms leaves a symmetric tridiagonal matrix with the self-energies omega on
-the diagonal and -mu~_2 .. -mu~_N off it. That matrix splits into a rank-one
-part diag(mu~_1, 0, ..., 0) plus a weighted chain Laplacian, so it is
-positive definite whenever the chain is connected and mu~_1 > 0.
+The full observer Hamiltonian block R_o is 2N x 2N, but it splits exactly
+into an N x N reduced matrix and a diagonal. Rotate each observer mode into
+the orthonormal basis (a, J a) with a = alpha / ||alpha||: every coupling
+block -mu_i alpha alpha^T becomes -mu~_i e_a e_a^T, which couples the
+a-components of neighbouring modes alone, and the self-energies omega_i I
+stay diagonal. R_o is then orthogonally similar to R_red (+) diag(omega),
+where R_red is the symmetric tridiagonal matrix with omega on the diagonal
+and -mu~_2 .. -mu~_N off it, so spec(R_o) = spec(R_red) U {omega_i}. Every
+omega_i is positive, hence R_o is positive definite exactly when R_red is. R_red splits into a rank-one part
+diag(mu~_1, 0, ..., 0) plus a weighted chain Laplacian, so it is positive
+definite whenever the chain is connected and mu~_1 > 0.
 
 Positive definiteness of R_o in turn bounds the propagator: the flow
 exp(2 Theta R_o t) conserves the quadratic form of R_o, which traps its
@@ -55,7 +59,12 @@ class SpectralCertificate:
 
 
 def build_reduced(chain: ChainObserverParams) -> ReducedMatrix:
-    """Collapse a chain's 2N x 2N Hamiltonian block to its N x N comparison."""
+    """The N x N reduced matrix R_red of a chain's 2N x 2N Hamiltonian block.
+
+    R_red is the block R_o restricted to the alpha-direction of every mode;
+    the orthogonal complement carries diag(omega), so the spectrum of R_o
+    is that of R_red together with the omega_i.
+    """
     n = chain.n_elements
     diag = chain.omega.copy()
     off = -chain.mu_tilde[1:].copy()

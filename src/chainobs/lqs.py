@@ -150,12 +150,21 @@ def hamiltonian_drift(r: np.ndarray, phi: np.ndarray) -> float:
 
 
 def symplectic_drift(phi: np.ndarray, theta: SymplecticForm) -> float:
-    """Frobenius norm of Phi Theta Phi^T - Theta for a propagator Phi."""
+    """Frobenius norm of Phi Theta Phi^T - Theta for a propagator Phi.
+
+    Since Theta = diag(J, ..., J), Phi Theta Phi^T = M - M^T with
+    M = Phi[:, 0::2] Phi[:, 1::2]^T: one n x n/2 x n product instead of two
+    dense n x n x n ones.
+    """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (theta.dimension, theta.dimension):
         raise InvalidDimensionError(
             f"propagator shape {phi.shape} does not match symplectic dimension {theta.dimension}"
         )
     _require_finite(phi, "propagator")
-    t = theta.matrix
-    return float(np.linalg.norm(phi @ t @ phi.T - t, ord="fro"))
+    # BLAS needs a unit stride, and numpy releases differ in whether matmul
+    # copies a strided view for it or falls back to its much slower own loop
+    even = np.ascontiguousarray(phi[:, 0::2])
+    odd = np.ascontiguousarray(phi[:, 1::2])
+    m = even @ odd.T
+    return float(np.linalg.norm(m - m.T - theta.matrix, ord="fro"))

@@ -4,20 +4,21 @@ Everything simulated here is a coefficient function: the rows of
 C_a exp(A_a t) give each output's dependence on the initial quadratures, so
 no initial condition is ever sampled. The propagator itself comes from
 scaling-and-squaring (a diagonal rational approximant of fixed high order).
-One propagation engine yields C_a Phi(t_k) sample by sample through the
+One propagation engine yields Phi(t_k) sample by sample through the
 recurrence Phi(t + h) = Phi(h) Phi(t), re-certifying the symplectic
 identity at every sample so drift cannot accumulate silently; stored
-trajectories and the streamed quadrature both consume it.
+trajectories and the streamed quadrature both consume it and apply C_a
+themselves.
 
 Time averages (1/T) int_0^T C_a exp(A_a s) ds are computed two independent
 ways: exactly, through the exponential of the doubled block matrix
 [[A_a, I], [0, 0]] whose upper-right block is the integral (this works even
 though A_a is singular, which rules out the A^{-1}(exp(AT) - I) shortcut);
 and numerically, by composite Simpson quadrature of the sampled rows. The
-quadrature is streamed: each sample is folded into a running weighted sum
-as it is produced, so the oracle holds O(N^2) coefficient data whatever
-the horizon. The two routes must agree to 1e-8 relative, and the CLI
-enforces that.
+quadrature is streamed: each propagator sample is folded into a running
+weighted sum as it is produced and C_a is applied once to the sum, so the
+oracle holds O(N^2) data whatever the horizon. The two routes must agree
+to 1e-8 relative, and the CLI enforces that.
 """
 
 from __future__ import annotations
@@ -155,12 +156,12 @@ def _auto_step(omega_max: float) -> float:
 
 
 def _propagate(aug: AugmentedSystem, grid: TimeGrid) -> Iterator[np.ndarray]:
-    """Yield C_a Phi(t_k) for each grid time via the one-step recurrence.
+    """Yield Phi(t_k) for each grid time via the one-step recurrence.
 
-    The symplectic identity Phi Theta Phi^T = Theta is checked at every
-    sample, before the sample is yielded, against the relative tolerance
-    1e-9; exceeding it aborts the run, since coefficients from a
-    non-symplectic propagator are garbage.
+    Consumers apply C_a. The symplectic identity Phi Theta Phi^T = Theta is
+    checked at every sample, before the sample is yielded, against the
+    relative tolerance 1e-9; exceeding it aborts the run, since
+    coefficients from a non-symplectic propagator are garbage.
     """
     theta_norm = float(np.linalg.norm(aug.theta.matrix, ord="fro"))
     step_phi = propagator(aug.a_a, grid.step)
@@ -172,7 +173,7 @@ def _propagate(aug: AugmentedSystem, grid: TimeGrid) -> Iterator[np.ndarray]:
                 f"symplectic drift {drift:.3e} exceeds {SYMPLECTIC_DRIFT_TOL:.0e} "
                 f"* ||Theta||_F at sample {k}"
             )
-        yield aug.c_a @ phi
+        yield phi
         if k + 1 < grid.samples:
             phi = step_phi @ phi
 
@@ -180,8 +181,8 @@ def _propagate(aug: AugmentedSystem, grid: TimeGrid) -> Iterator[np.ndarray]:
 def coefficient_trajectory(aug: AugmentedSystem, grid: TimeGrid) -> Trajectory:
     """Sample and store C_a Phi(t) on the grid (O(samples * N^2) memory)."""
     rows = np.empty((grid.samples, *aug.c_a.shape))
-    for k, sample in enumerate(_propagate(aug, grid)):
-        rows[k] = sample
+    for k, phi in enumerate(_propagate(aug, grid)):
+        rows[k] = aug.c_a @ phi
     return Trajectory(
         grid=grid,
         coefficient_rows=rows,
@@ -289,8 +290,9 @@ def time_average_streamed(
 
     The independent cross-check for time_average_exact. Equal, up to
     rounding, to time_average_quadrature of the trajectory on
-    TimeGrid.covering(0, horizon, step), but it holds one sample and one
-    running sum instead of the whole trajectory. The step defaults to
+    TimeGrid.covering(0, horizon, step), but it holds one propagator and
+    one running sum of propagators instead of the whole trajectory, and
+    applies C_a once to the sum. The step defaults to
     default_step; the quadrature ceiling is checked before any propagation.
     """
     omega_max = max_frequency(aug.a_a)
@@ -299,16 +301,16 @@ def time_average_streamed(
     grid = TimeGrid.covering(0.0, horizon, step)
     _check_quadrature_step(grid.step, omega_max)
     weights = simpson_weights(grid.times())
-    integral = np.zeros(aug.c_a.shape)
-    for w, sample in zip(weights, _propagate(aug, grid)):
-        integral += w * sample
+    summed = np.zeros(aug.a_a.shape)
+    for w, phi in zip(weights, _propagate(aug, grid)):
+        summed += w * phi
     log.info(
-        "quadrature oracle: %d samples, step %.6e, %d bytes of coefficients held "
+        "quadrature oracle: %d samples, step %.6e, %d bytes of propagators held "
         "(a stored trajectory would take %d)",
-        grid.samples, grid.step, 2 * integral.nbytes, grid.samples * integral.nbytes,
+        grid.samples, grid.step, 2 * summed.nbytes, grid.samples * aug.c_a.nbytes,
     )
     return TimeAverage(
-        horizon=grid.t_end, averaged_rows=integral / grid.t_end, method="quadrature"
+        horizon=grid.t_end, averaged_rows=aug.c_a @ summed / grid.t_end, method="quadrature"
     )
 
 

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths under test: the exponential oracle
 goes through a symmetric eigendecomposition and a similarity transform
 instead of scaling-and-squaring, and the definiteness oracle runs a
-leading-principal-minor recurrence instead of an eigensolver.
+leading-principal-minor recurrence instead of an eigensolver. The drift
+oracle forms Phi Theta Phi^T with dense products, ignoring the block
+structure of Theta that the library exploits.
 """
 
 from __future__ import annotations
@@ -62,3 +64,9 @@ def collapse_blocks(x: np.ndarray) -> np.ndarray:
     """Per-mode norms: map a 2N-vector to the N-vector of its 2-block norms."""
     pairs = np.asarray(x, dtype=float).reshape(-1, 2)
     return np.linalg.norm(pairs, axis=1)
+
+
+def dense_symplectic_drift(phi: np.ndarray, theta: np.ndarray) -> float:
+    """||Phi Theta Phi^T - Theta||_F by two full products, for any Theta."""
+    phi = np.asarray(phi, dtype=float)
+    return float(np.linalg.norm(phi @ theta @ phi.T - theta, ord="fro"))

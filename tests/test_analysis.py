@@ -196,6 +196,30 @@ class TestExpBound:
             co.verify_exp_bound(aug.r_o, theta, [1.0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(co.SCHEMES),
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
+    st.floats(min_value=1e-2, max_value=1e2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_observer_spectrum_is_reduced_spectrum_plus_self_energies(
+    variant, n, angle, radius, seed
+):
+    """spec(R_o) = spec(R_red) U {omega_i}: the reduction is an exact orthogonal split."""
+    if variant == co.SCHEME_ALL_HARMONICS:
+        n += n % 2
+    c_p = radius * np.array([np.cos(angle), np.sin(angle)])
+    _, chain, aug = build_system(
+        c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
+    )
+    full = np.linalg.eigvalsh(aug.r_o)
+    split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(chain).matrix),
+                                    chain.omega]))
+    assert np.abs(full - split).max() <= 1e-12 * full[-1]
+
+
 class TestComparisonBound:
     def test_minor_oracle_matches_eigensolver_on_perturbations(self):
         """Validate the oracle itself before using it anywhere else."""

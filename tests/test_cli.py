@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,3 +306,27 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
+
+    def test_module_run_is_quiet_and_import_is_lazy(self, tmp_path):
+        """`python -m chainobs.cli` must not find the module imported by the package."""
+        env = {**os.environ, "PYTHONPATH": str(Path(co.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "chainobs.cli", "--help"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, chainobs; print('chainobs.cli' in sys.modules)"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_lazy_config_names_resolve(self):
+        namespace: dict = {}
+        exec("from chainobs import *", namespace)
+        for name in ("ExperimentConfig", "RunReport", "load_config", "parse_config"):
+            assert namespace[name] is getattr(cli, name) is getattr(co, name)
+        with pytest.raises(AttributeError):
+            co.no_such_name

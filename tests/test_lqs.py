@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from oracles import rotation
+from oracles import dense_symplectic_drift, rotation
 
 
 class TestSymplecticForm:
@@ -121,6 +121,45 @@ def test_drift_shape_mismatch():
         co.hamiltonian_drift(np.eye(4), np.eye(2))
     with pytest.raises(co.InvalidDimensionError):
         co.symplectic_drift(np.eye(4), co.make_symplectic(1))
+
+
+def random_propagator(n_modes: int, seed: int, symplectic: bool) -> np.ndarray:
+    """exp(2 Theta R t) for a random symmetric R, or an arbitrary matrix."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * n_modes
+    if not symplectic:
+        return rng.normal(size=(dim, dim)) * rng.uniform(0.1, 10.0)
+    r = rng.normal(size=(dim, dim)) / np.sqrt(dim)
+    a = co.dynamics_from_hamiltonian(r + r.T, co.make_symplectic(n_modes))
+    return co.propagator(a, rng.uniform(0.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_symplectic_drift_matches_the_dense_oracle(n_modes, seed, symplectic):
+    theta = co.make_symplectic(n_modes)
+    phi = random_propagator(n_modes, seed, symplectic)
+    expected = dense_symplectic_drift(phi, theta.matrix)
+    scale = max(1.0, float(np.linalg.norm(phi, ord="fro")) ** 2)
+    assert abs(co.symplectic_drift(phi, theta) - expected) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_symplectic_drift_rejects_non_finite_propagators(bad):
+    phi = np.eye(6)
+    phi[3, 4] = bad
+    with pytest.raises(co.InvalidInputError, match="propagator contains non-finite entries"):
+        co.symplectic_drift(phi, co.make_symplectic(3))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (4, 6), (4,), (2, 4, 4)])
+def test_symplectic_drift_rejects_wrong_shapes(shape):
+    with pytest.raises(co.InvalidDimensionError, match="does not match symplectic dimension 4"):
+        co.symplectic_drift(np.zeros(shape), co.make_symplectic(2))
 
 
 def test_augmented_dynamics_match_blockwise_product(example_system):

@@ -152,7 +152,7 @@ class TestStreamedOracle:
         message = record.getMessage()
         assert f"{grid.samples} samples" in message
         assert f"step {grid.step:.6e}" in message
-        assert f"{2 * aug.c_a.nbytes} bytes" in message
+        assert f"{2 * aug.a_a.nbytes} bytes" in message
 
 
 SRC = Path(co.__file__).resolve().parents[1]
