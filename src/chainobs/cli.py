@@ -440,9 +440,9 @@ def run_check(config: ExperimentConfig) -> RunReport:
     """Run every certificate, including the exponential bound; write nothing."""
     built = _construct(config)
     report = _base_report(built)
-    times = np.linspace(0.0, EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
+    grid = TimeGrid.from_count(0.0, EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
     theta_o = make_symplectic(built.aug.n_elements)
-    observed, bound = verify_exp_bound(built.aug.r_o, theta_o, times)
+    observed, bound = verify_exp_bound(built.aug.r_o, theta_o, grid)
     report.add("exp_norm_observed", observed, bound * (1.0 + 1e-9))
     return report
 

@@ -167,4 +167,9 @@ def symplectic_drift(phi: np.ndarray, theta: SymplecticForm) -> float:
     even = np.ascontiguousarray(phi[:, 0::2])
     odd = np.ascontiguousarray(phi[:, 1::2])
     m = even @ odd.T
-    return float(np.linalg.norm(m - m.T - theta.matrix, ord="fro"))
+    # subtract Theta on its nonzeros only: +1 at (2i, 2i+1), -1 at (2i+1, 2i)
+    n = theta.dimension
+    d = m - m.T
+    d.flat[1 :: 2 * n + 2] -= 1.0
+    d.flat[n :: 2 * n + 2] += 1.0
+    return float(np.linalg.norm(d, ord="fro"))

@@ -6,9 +6,10 @@ no initial condition is ever sampled. The propagator itself comes from
 scaling-and-squaring (a diagonal rational approximant of fixed high order).
 One propagation engine yields Phi(t_k) sample by sample through the
 recurrence Phi(t + h) = Phi(h) Phi(t), re-certifying the symplectic
-identity at every sample so drift cannot accumulate silently; stored
-trajectories and the streamed quadrature both consume it and apply C_a
-themselves.
+identity at every sample so drift cannot accumulate silently. Stored
+trajectories and the streamed quadrature consume it for the augmented
+system and apply C_a themselves; the exponential-bound sweep in analysis
+consumes it for the observer block alone.
 
 Time averages (1/T) int_0^T C_a exp(A_a s) ds are computed two independent
 ways: exactly, through the exponential of the doubled block matrix
@@ -40,7 +41,7 @@ from .errors import (
     StepTooCoarseError,
     ToleranceExceededError,
 )
-from .lqs import symplectic_drift
+from .lqs import SymplecticForm, symplectic_drift
 
 # Quadrature is trustworthy only when the fastest mode is well resolved:
 # at least 100 samples per shortest period, i.e. step <= 0.01 * (2 pi / w).
@@ -105,7 +106,6 @@ class Trajectory:
 
     grid: TimeGrid
     coefficient_rows: np.ndarray
-    dims: tuple[int, int]
     omega_max: float
 
 
@@ -155,19 +155,21 @@ def _auto_step(omega_max: float) -> float:
     return DEFAULT_STEP_FACTOR * (2.0 * math.pi / omega_max)
 
 
-def _propagate(aug: AugmentedSystem, grid: TimeGrid) -> Iterator[np.ndarray]:
-    """Yield Phi(t_k) for each grid time via the one-step recurrence.
+def _propagate(a: np.ndarray, theta: SymplecticForm, grid: TimeGrid) -> Iterator[np.ndarray]:
+    """Yield Phi(t_k) = exp(a t_k) for each grid time via the one-step recurrence.
 
-    Consumers apply C_a. The symplectic identity Phi Theta Phi^T = Theta is
-    checked at every sample, before the sample is yielded, against the
-    relative tolerance 1e-9; exceeding it aborts the run, since
-    coefficients from a non-symplectic propagator are garbage.
+    Consumers apply any output map themselves. The symplectic identity
+    Phi Theta Phi^T = Theta is checked at every sample, before the sample is
+    yielded, against the relative tolerance 1e-9; exceeding it aborts the
+    run, since anything computed from a non-symplectic propagator is
+    garbage. One exponential is taken for the step (and one for t0 when it
+    is not zero); every further sample costs one product.
     """
-    theta_norm = float(np.linalg.norm(aug.theta.matrix, ord="fro"))
-    step_phi = propagator(aug.a_a, grid.step)
-    phi = np.eye(aug.a_a.shape[0]) if grid.t0 == 0.0 else propagator(aug.a_a, grid.t0)
+    theta_norm = float(np.linalg.norm(theta.matrix, ord="fro"))
+    step_phi = propagator(a, grid.step)
+    phi = np.eye(a.shape[0]) if grid.t0 == 0.0 else propagator(a, grid.t0)
     for k in range(grid.samples):
-        drift = symplectic_drift(phi, aug.theta)
+        drift = symplectic_drift(phi, theta)
         if drift > SYMPLECTIC_DRIFT_TOL * theta_norm:
             raise ToleranceExceededError(
                 f"symplectic drift {drift:.3e} exceeds {SYMPLECTIC_DRIFT_TOL:.0e} "
@@ -181,14 +183,9 @@ def _propagate(aug: AugmentedSystem, grid: TimeGrid) -> Iterator[np.ndarray]:
 def coefficient_trajectory(aug: AugmentedSystem, grid: TimeGrid) -> Trajectory:
     """Sample and store C_a Phi(t) on the grid (O(samples * N^2) memory)."""
     rows = np.empty((grid.samples, *aug.c_a.shape))
-    for k, phi in enumerate(_propagate(aug, grid)):
+    for k, phi in enumerate(_propagate(aug.a_a, aug.theta, grid)):
         rows[k] = aug.c_a @ phi
-    return Trajectory(
-        grid=grid,
-        coefficient_rows=rows,
-        dims=(aug.n_elements, 1),
-        omega_max=max_frequency(aug.a_a),
-    )
+    return Trajectory(grid=grid, coefficient_rows=rows, omega_max=max_frequency(aug.a_a))
 
 
 def integral_of_propagator(a: np.ndarray, horizon: float) -> np.ndarray:
@@ -302,7 +299,7 @@ def time_average_streamed(
     _check_quadrature_step(grid.step, omega_max)
     weights = simpson_weights(grid.times())
     summed = np.zeros(aug.a_a.shape)
-    for w, phi in zip(weights, _propagate(aug, grid)):
+    for w, phi in zip(weights, _propagate(aug.a_a, aug.theta, grid)):
         summed += w * phi
     log.info(
         "quadrature oracle: %d samples, step %.6e, %d bytes of propagators held "

@@ -157,11 +157,11 @@ def test_criterion_4_time_averaged_consensus(example_system):
 def test_criterion_5_exponential_bound():
     ok = True
     details = []
-    times = np.linspace(0.0, 50.0, 500)
+    grid = co.TimeGrid.from_count(0.0, 50.0, 500)
     for label, (_, chain, aug) in systems():
         theta = co.make_symplectic(chain.n_elements)
         try:
-            observed, bound = co.verify_exp_bound(aug.r_o, theta, times)
+            observed, bound = co.verify_exp_bound(aug.r_o, theta, grid)
         except co.BoundViolatedError as exc:
             ok = False
             details.append(f"{label}: {exc}")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
+from chainobs.analysis import _spectral_norm
+from chainobs.simulate import _propagate
 from conftest import build_system
-from oracles import collapse_blocks, minors_positive_definite
+from oracles import collapse_blocks, minors_positive_definite, spectral_propagator
 from test_acceptance import systems
 
 mu_vectors = st.lists(
@@ -147,53 +149,110 @@ class TestCertify:
 class TestExpBound:
     def test_identity_rotation_stays_at_one(self):
         theta = co.make_symplectic(1)
-        observed, bound = co.verify_exp_bound(np.eye(2), theta, np.linspace(0.0, 10.0, 50))
+        grid = co.TimeGrid.from_count(0.0, 10.0, 50)
+        observed, bound = co.verify_exp_bound(np.eye(2), theta, grid)
         assert bound == 1.0
         assert observed <= 1.0 + 1e-12
 
     def test_time_zero_norm_is_one(self, example_system):
+        """The engine starts from the exact identity at t0 = 0, whose Gram
+        norm is exactly one."""
         _, _, aug = example_system
         theta = co.make_symplectic(5)
-        observed, bound = co.verify_exp_bound(aug.r_o, theta, [0.0])
-        assert observed == 1.0
+        a = co.dynamics_from_hamiltonian(aug.r_o, theta)
+        grid = co.TimeGrid.from_count(0.0, 1.0, 2)
+        first = next(_propagate(a, theta, grid))
+        assert np.array_equal(first, np.eye(10))
+        assert _spectral_norm(first) == 1.0
+        _, bound = co.verify_exp_bound(aug.r_o, theta, grid)
         assert bound > 1.0
 
     def test_reference_sweep(self, example_system):
         _, _, aug = example_system
         theta = co.make_symplectic(5)
-        times = np.linspace(0.0, 50.0, 500)
-        observed, bound = co.verify_exp_bound(aug.r_o, theta, times)
+        grid = co.TimeGrid.from_count(0.0, 50.0, 500)
+        observed, bound = co.verify_exp_bound(aug.r_o, theta, grid)
         assert observed <= bound * (1.0 + 1e-9)
         # the bound is meaningful: the flow really does approach it
         assert 6.0 < observed < bound
 
     def test_rejects_bad_times(self, example_system):
+        """Invalid sample times are rejected by the grid itself."""
         _, _, aug = example_system
         theta = co.make_symplectic(5)
         with pytest.raises(co.InvalidParameterError):
-            co.verify_exp_bound(aug.r_o, theta, [-1.0])
+            co.verify_exp_bound(aug.r_o, theta, co.TimeGrid.from_count(-1.0, 1.0, 2))
         with pytest.raises(co.InvalidParameterError):
-            co.verify_exp_bound(aug.r_o, theta, [])
+            co.verify_exp_bound(aug.r_o, theta, co.TimeGrid.from_count(0.0, 1.0, 0))
 
     def test_observed_norm_is_numpys_spectral_norm(self):
         """The observed maximum equals numpy's 2-norm of the same exponentials."""
-        times = np.linspace(0.0, 50.0, 500)
+        grid = co.TimeGrid.from_count(0.0, 50.0, 500)
         for _, (_, chain, aug) in systems():
             theta = co.make_symplectic(chain.n_elements)
-            observed, _ = co.verify_exp_bound(aug.r_o, theta, times)
+            observed, _ = co.verify_exp_bound(aug.r_o, theta, grid)
             a = co.dynamics_from_hamiltonian(aug.r_o, theta)
-            expected = max(np.linalg.norm(co.propagator(a, t), ord=2) for t in times)
+            expected = max(np.linalg.norm(co.propagator(a, t), ord=2) for t in grid.times())
             assert abs(observed - expected) <= 1e-12 * expected
 
     def test_violation_is_reported(self, example_system, monkeypatch):
-        """A broken exponential must trip the bound check, not pass silently."""
+        """A broken exponential must trip the bound check, not pass silently.
+
+        The stand-in step propagator is symplectic (each 2 x 2 block has
+        determinant one), so it passes the engine's drift check and reaches
+        the bound check with norm 100.
+        """
         _, _, aug = example_system
         theta = co.make_symplectic(5)
         monkeypatch.setattr(
-            "chainobs.analysis.propagator", lambda a, t: 100.0 * np.eye(a.shape[0])
+            "chainobs.simulate.propagator",
+            lambda a, t: np.kron(np.eye(a.shape[0] // 2), np.diag([100.0, 0.01])),
         )
         with pytest.raises(co.BoundViolatedError):
-            co.verify_exp_bound(aug.r_o, theta, [1.0])
+            co.verify_exp_bound(aug.r_o, theta, co.TimeGrid.from_count(0.0, 1.0, 2))
+
+    def test_non_symplectic_step_is_a_tolerance_failure(self, example_system, monkeypatch):
+        """A step propagator that breaks the symplectic identity aborts the
+        sweep in the engine, before any norm is compared with the bound."""
+        _, _, aug = example_system
+        theta = co.make_symplectic(5)
+        true_propagator = co.propagator
+        monkeypatch.setattr(
+            "chainobs.simulate.propagator",
+            lambda a, t: (1.0 + 1e-5) * true_propagator(a, t),
+        )
+        with pytest.raises(co.ToleranceExceededError):
+            co.verify_exp_bound(aug.r_o, theta, co.TimeGrid.from_count(0.0, 1.0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(co.SCHEMES),
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
+    st.floats(min_value=1e-2, max_value=1e2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-2, max_value=50.0),
+    st.integers(min_value=2, max_value=200),
+)
+def test_engine_sweep_matches_the_eigh_oracle(variant, n, angle, radius, seed, span, samples):
+    """The engine's observed maximum is the largest spectral norm of the
+    independent eigh-route exponentials on the same times, within the bound."""
+    if variant == co.SCHEME_ALL_HARMONICS:
+        n += n % 2
+    c_p = radius * np.array([np.cos(angle), np.sin(angle)])
+    _, chain, aug = build_system(
+        c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
+    )
+    theta = co.make_symplectic(chain.n_elements)
+    grid = co.TimeGrid.from_count(0.0, span, samples)
+    observed, bound = co.verify_exp_bound(aug.r_o, theta, grid)
+    expected = max(
+        np.linalg.norm(spectral_propagator(aug.r_o, theta.matrix, t), ord=2)
+        for t in grid.times()
+    )
+    assert abs(observed - expected) <= 1e-11 * expected
+    assert observed <= bound * (1.0 + 1e-9)
 
 
 @settings(max_examples=40, deadline=None)

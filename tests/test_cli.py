@@ -286,6 +286,18 @@ class TestExitCodes:
         assert cli.main(["check", "--config", str(config)]) == 1
         assert "synthetic failure" in capsys.readouterr().err
 
+    def test_non_symplectic_exp_bound_sweep_exits_one(self, tmp_path, monkeypatch, capsys):
+        true_propagator = co.propagator
+        monkeypatch.setattr(
+            "chainobs.simulate.propagator",
+            lambda a, t: (1.0 + 1e-5) * true_propagator(a, t),
+        )
+        config = write_config(tmp_path)
+        assert cli.main(["check", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: symplectic drift" in captured.err
+
     def test_unexpected_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         def broken(config):
             raise ValueError("surprise")

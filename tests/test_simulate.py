@@ -153,7 +153,6 @@ class TestTrajectory:
         trajectory = co.coefficient_trajectory(aug, grid)
         assert trajectory.coefficient_rows.shape == (101, 6, 12)
         assert np.array_equal(trajectory.coefficient_rows[0], aug.c_a)
-        assert trajectory.dims == (5, 1)
 
     def test_recurrence_matches_direct_exponentials(self, example_system):
         _, _, aug = example_system
@@ -252,7 +251,6 @@ class TestTimeAverages:
         trajectory = co.Trajectory(
             grid=grid,
             coefficient_rows=np.zeros((grid.samples, 1, 2)),
-            dims=(0, 1),
             omega_max=1000.0,
         )
         with pytest.raises(co.StepTooCoarseError):
@@ -263,7 +261,6 @@ class TestTimeAverages:
         trajectory = co.Trajectory(
             grid=grid,
             coefficient_rows=np.ones((grid.samples, 2, 3)),
-            dims=(1, 1),
             omega_max=1.0,
         )
         avg = co.time_average_quadrature(trajectory)
@@ -273,9 +270,7 @@ class TestTimeAverages:
     def test_quadrature_of_full_sine_period_cancels(self):
         grid = co.TimeGrid.from_count(0.0, math.pi, 201)
         values = np.sin(2.0 * grid.times())[:, None, None]
-        trajectory = co.Trajectory(
-            grid=grid, coefficient_rows=values, dims=(0, 1), omega_max=2.0
-        )
+        trajectory = co.Trajectory(grid=grid, coefficient_rows=values, omega_max=2.0)
         avg = co.time_average_quadrature(trajectory)
         assert np.abs(avg.averaged_rows).max() <= 1e-10
 
