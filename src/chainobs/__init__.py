@@ -76,6 +76,7 @@ from .simulate import (
     spatial_average,
     time_average_exact,
     time_average_quadrature,
+    time_average_spectral,
     time_average_streamed,
 )
 
@@ -158,6 +159,7 @@ __all__ = [
     "symplectic_drift",
     "time_average_exact",
     "time_average_quadrature",
+    "time_average_spectral",
     "time_average_streamed",
     "verify_exp_bound",
 ]

@@ -11,15 +11,20 @@ trajectories and the streamed quadrature consume it for the augmented
 system and apply C_a themselves; the exponential-bound sweep in analysis
 consumes it for the observer block alone.
 
-Time averages (1/T) int_0^T C_a exp(A_a s) ds are computed two independent
-ways: exactly, through the exponential of the doubled block matrix
-[[A_a, I], [0, 0]] whose upper-right block is the integral (this works even
-though A_a is singular, which rules out the A^{-1}(exp(AT) - I) shortcut);
-and numerically, by composite Simpson quadrature of the sampled rows. The
-quadrature is streamed: each propagator sample is folded into a running
-weighted sum as it is produced and C_a is applied once to the sum, so the
-oracle holds O(N^2) data whatever the horizon. The two routes must agree
-to 1e-8 relative, and the CLI enforces that.
+Time averages (1/T) int_0^T C_a exp(A_a s) ds are computed three
+independent ways. The exact route takes the exponential of the doubled
+block matrix [[A_a, I], [0, 0]], whose upper-right block is the integral
+(this works even though A_a is singular, which rules out the
+A^{-1}(exp(AT) - I) shortcut). The spectral route never assembles A_a:
+rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), the observer
+chain is an N x N symmetric tridiagonal oscillator chain driven by the
+constant plant quadrature, so its average has a closed form in the normal
+modes of K = Omega^(1/2) R_red Omega^(1/2), found by one tridiagonal
+eigensolve. The CLI's timeavg cross-checks the exact route against the
+spectral one and samples nothing; the two must agree to 1e-8 relative.
+Composite Simpson quadrature of the sampled rows is a third route, streamed
+through the propagation engine in O(N^2) memory, which the tests use as the
+independent sampled reference.
 """
 
 from __future__ import annotations
@@ -30,18 +35,19 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
-from .builder import AugmentedSystem
+from .builder import AugmentedSystem, ChainObserverParams
 from .errors import (
     InvalidDimensionError,
     InvalidInputError,
     InvalidParameterError,
+    NotPositiveDefiniteError,
     NumericalFailureError,
     StepTooCoarseError,
     ToleranceExceededError,
 )
-from .lqs import SymplecticForm, symplectic_drift
+from .lqs import SYMPLECTIC_UNIT, SymplecticForm, symplectic_drift
 
 # Quadrature is trustworthy only when the fastest mode is well resolved:
 # at least 100 samples per shortest period, i.e. step <= 0.01 * (2 pi / w).
@@ -219,6 +225,63 @@ def time_average_exact(aug: AugmentedSystem, horizon: float) -> TimeAverage:
     )
 
 
+def _one_minus_sinc(x: np.ndarray) -> np.ndarray:
+    """1 - sin(x)/x for x > 0, by its Taylor series below x = 1 where the
+    direct form cancels (terms through x^18 leave < 1e-16 relative)."""
+    x2 = x * x
+    series = np.zeros_like(x)
+    for k in range(9, 0, -1):
+        series = (-1.0) ** (k + 1) / math.factorial(2 * k + 1) + x2 * series
+    return np.where(x < 1.0, x2 * series, 1.0 - np.sin(x) / x)
+
+
+def time_average_spectral(chain: ChainObserverParams, horizon: float) -> TimeAverage:
+    """Closed-form time average of the coefficient rows from the chain's normal modes.
+
+    Built from alpha, mu~ and omega alone, never from the assembled A_a, so
+    it is independent of time_average_exact. Per mode, q = alpha^ . x and
+    p = J alpha^ . x give q' = -2 Omega p and p' = 2 R_red q - 2 mu~_1 q_0 e_1
+    with the plant quadrature q_0 constant, and every output is ||alpha||
+    times a q. With u = q - q_0 1 (R_red 1 = mu~_1 e_1) and
+    K = Omega^(1/2) R_red Omega^(1/2) = V diag(lambda) V^T, the normal modes
+    Omega^(-1/2) u oscillate at nu = 2 sqrt(lambda), so over [0, T]
+    q(0) is weighted by sin(nu T)/(nu T), p(0) by -2 (1 - cos nu T)/(nu^2 T)
+    and q_0 by mu~_1 sqrt(omega_1) (1 - sin(nu T)/(nu T))/lambda, each
+    pulled back through Omega^(+-1/2) V.
+    """
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise InvalidParameterError(f"horizon must be positive, got {horizon!r}")
+    alpha = chain.alpha
+    n = chain.n_elements
+    root = np.sqrt(chain.omega)
+    lam, v = eigh_tridiagonal(chain.omega**2, -chain.mu_tilde[1:] * root[:-1] * root[1:])
+    if not lam[0] > 0.0:
+        raise NotPositiveDefiniteError(
+            f"normal-mode matrix is not positive definite: lambda_min = {lam[0]:.6e}",
+            lambda_min=lam[0],
+        )
+    nu = 2.0 * np.sqrt(lam)
+    horizon = float(horizon)
+    phase = nu * horizon
+    q_weight = np.sin(phase) / phase
+    p_weight = -4.0 * np.sin(0.5 * phase) ** 2 / (nu * nu * horizon)
+    plant_weight = _one_minus_sinc(phase) / lam
+    left = root[:, None] * v
+    from_q = (left * q_weight) @ (v.T / root)
+    from_p = (left * p_weight) @ (v.T * root)
+    from_plant = chain.mu_tilde[0] * root[0] * (left @ (plant_weight * v[0]))
+    rows = np.zeros((n + 1, 2 * n + 2))
+    rows[0, :2] = alpha
+    rows[1:, :2] = np.outer(from_plant, alpha)
+    j_alpha = SYMPLECTIC_UNIT @ alpha
+    rows[1:, 2:] = (from_q[..., None] * alpha + from_p[..., None] * j_alpha).reshape(n, 2 * n)
+    log.info(
+        "normal-mode oracle: %d modes, horizon %.6e, fastest frequency nu_max %.6e",
+        n, horizon, nu[-1],
+    )
+    return TimeAverage(horizon=horizon, averaged_rows=rows, method="spectral-normal-mode")
+
+
 def simpson_weights(times: np.ndarray) -> np.ndarray:
     """Composite Simpson weights w with sum_k w_k y(t_k) ~ int y dt.
 
@@ -285,11 +348,11 @@ def time_average_streamed(
 ) -> TimeAverage:
     """Composite-Simpson time average over [0, horizon], streamed sample by sample.
 
-    The independent cross-check for time_average_exact. Equal, up to
-    rounding, to time_average_quadrature of the trajectory on
-    TimeGrid.covering(0, horizon, step), but it holds one propagator and
-    one running sum of propagators instead of the whole trajectory, and
-    applies C_a once to the sum. The step defaults to
+    The sampled route the tests hold against time_average_exact and
+    time_average_spectral. Equal, up to rounding, to time_average_quadrature
+    of the trajectory on TimeGrid.covering(0, horizon, step), but it holds
+    one propagator and one running sum of propagators instead of the whole
+    trajectory, and applies C_a once to the sum. The step defaults to
     default_step; the quadrature ceiling is checked before any propagation.
     """
     omega_max = max_frequency(aug.a_a)

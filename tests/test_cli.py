@@ -240,6 +240,26 @@ class TestTimeavgCommand:
         assert code == 1
         assert "time_average_oracle_disagreement" in capsys.readouterr().err
 
+    def test_cross_check_samples_nothing(self, tmp_path, monkeypatch):
+        """The closed-form reference replaces sampling: the propagation engine is never entered."""
+        config = write_config(tmp_path, horizon=8.0)
+        argv = ["timeavg", "--config", str(config), "--output-dir"]
+        assert cli.main([*argv, str(tmp_path / "free")]) == 0
+
+        def no_sampling(*args):
+            raise AssertionError("timeavg sampled the propagation engine")
+
+        monkeypatch.setattr("chainobs.simulate._propagate", no_sampling)
+        assert cli.main([*argv, str(tmp_path / "guarded")]) == 0
+        guarded = (tmp_path / "guarded" / "time_averages.csv").read_bytes()
+        assert guarded == (tmp_path / "free" / "time_averages.csv").read_bytes()
+
+    def test_horizon_shorter_than_a_sampling_step_passes(self, tmp_path):
+        """T/16 = 1e-3 is below one auto step, which a sampled reference cannot resolve."""
+        config = write_config(tmp_path, horizon=0.016)
+        code = cli.main(["timeavg", "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == 0
+
 
 class TestCheckCommand:
     def test_prints_report_json(self, tmp_path, capsys):

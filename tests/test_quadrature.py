@@ -197,5 +197,5 @@ def test_timeavg_info_log_changes_no_output(tmp_path):
     (quiet, *quiet_files), (loud, *loud_files) = runs
     assert quiet.stdout == loud.stdout
     assert quiet_files == loud_files
-    assert "quadrature oracle" not in quiet.stderr
-    assert sum("quadrature oracle" in line for line in loud.stderr.splitlines()) == 1
+    assert "normal-mode oracle" not in quiet.stderr
+    assert sum("normal-mode oracle" in line for line in loud.stderr.splitlines()) == 1
