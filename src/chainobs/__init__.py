@@ -1,15 +1,16 @@
 """Chain-coupled distributed observers for closed linear quantum networks.
 
 Construct an N-element observer chain that couples directly to a one-mode
-plant, and certify the construction: the internal energy matrix must be
-positive definite and the dynamics physically realizable, with the
-frequency lineup pinned by a constant-drive fixed point. The simulation
-layer then propagates the augmented coefficient dynamics to demonstrate
-time-averaged consensus of the observer outputs onto the plant output.
+static plant, from the plant output row c_p and the coupling strengths mu~
+alone (build_chain(c_p, mu_tilde), then assemble_augmented(chain)), and
+certify the construction: the internal energy matrix must be positive
+definite and the dynamics physically realizable, with the frequency lineup
+pinned by a constant-drive fixed point. The simulation layer then
+propagates the augmented coefficient dynamics to demonstrate time-averaged
+consensus of the observer outputs onto the plant output.
 """
 
 from .analysis import (
-    ReducedMatrix,
     SpectralCertificate,
     build_reduced,
     certify_positive_definite,
@@ -24,9 +25,7 @@ from .builder import (
     SCHEMES,
     AugmentedSystem,
     ChainObserverParams,
-    ConsensusTarget,
     ParameterScheme,
-    PlantSpec,
     assemble_augmented,
     build_chain,
     check_fixed_point,
@@ -48,16 +47,12 @@ from .errors import (
     NumericalFailureError,
     StepTooCoarseError,
     ToleranceExceededError,
-    UnsupportedPlantError,
     UnsupportedSchemeError,
 )
 from .lqs import (
     SYMPLECTIC_UNIT,
-    HamiltonianMatrix,
-    LinearQuantumSystem,
     SymplecticForm,
     dynamics_from_hamiltonian,
-    hamiltonian_drift,
     make_symplectic,
     realizability_residual,
     symplectic_drift,
@@ -104,19 +99,14 @@ __all__ = [
     "ConfigError",
     "ConfigSchemaError",
     "ConfigValidationError",
-    "ConsensusTarget",
     "DegenerateOutputError",
     "ExperimentConfig",
-    "HamiltonianMatrix",
     "InvalidDimensionError",
     "InvalidInputError",
     "InvalidParameterError",
-    "LinearQuantumSystem",
     "NotPositiveDefiniteError",
     "NumericalFailureError",
     "ParameterScheme",
-    "PlantSpec",
-    "ReducedMatrix",
     "RunReport",
     "SCHEMES",
     "SCHEME_ALL_HARMONICS",
@@ -131,7 +121,6 @@ __all__ = [
     "TimeGrid",
     "ToleranceExceededError",
     "Trajectory",
-    "UnsupportedPlantError",
     "UnsupportedSchemeError",
     "assemble_augmented",
     "build_chain",
@@ -143,7 +132,6 @@ __all__ = [
     "consensus_target",
     "default_step",
     "dynamics_from_hamiltonian",
-    "hamiltonian_drift",
     "integral_of_propagator",
     "laplacian_split",
     "load_config",

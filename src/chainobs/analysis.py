@@ -8,9 +8,11 @@ a-components of neighbouring modes alone, and the self-energies omega_i I
 stay diagonal. R_o is then orthogonally similar to R_red (+) diag(omega),
 where R_red is the symmetric tridiagonal matrix with omega on the diagonal
 and -mu~_2 .. -mu~_N off it, so spec(R_o) = spec(R_red) U {omega_i}. Every
-omega_i is positive, hence R_o is positive definite exactly when R_red is. R_red splits into a rank-one part
-diag(mu~_1, 0, ..., 0) plus a weighted chain Laplacian, so it is positive
-definite whenever the chain is connected and mu~_1 > 0.
+omega_i is positive, hence R_o is positive definite exactly when R_red is.
+build_reduced writes R_red as a dense array straight from the chain's omega
+and mu~. It splits into a rank-one part diag(mu~_1, 0, ..., 0) plus a
+weighted chain Laplacian, so it is positive definite whenever the chain is
+connected and mu~_1 > 0.
 
 Positive definiteness of R_o in turn bounds the propagator: the flow
 exp(2 Theta R_o t) conserves the quadratic form of R_o, which traps its
@@ -39,15 +41,6 @@ from .simulate import TimeGrid, _propagate
 
 
 @dataclass(frozen=True)
-class ReducedMatrix:
-    """Symmetric tridiagonal comparison matrix of an observer chain."""
-
-    matrix: np.ndarray
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectralCertificate:
     """Extreme eigenvalues of a positive definite matrix and the norm bound
 
@@ -60,35 +53,32 @@ class SpectralCertificate:
     exp_norm_bound: float
 
 
-def build_reduced(chain: ChainObserverParams) -> ReducedMatrix:
+def build_reduced(chain: ChainObserverParams) -> np.ndarray:
     """The N x N reduced matrix R_red of a chain's 2N x 2N Hamiltonian block.
 
-    R_red is the block R_o restricted to the alpha-direction of every mode;
-    the orthogonal complement carries diag(omega), so the spectrum of R_o
-    is that of R_red together with the omega_i.
+    R_red is the block R_o restricted to the alpha-direction of every mode:
+    omega on the diagonal and -mu~_2 .. -mu~_N off it. The orthogonal
+    complement carries diag(omega), so the spectrum of R_o is that of R_red
+    together with the omega_i.
     """
-    n = chain.n_elements
-    diag = chain.omega.copy()
-    off = -chain.mu_tilde[1:].copy()
-    matrix = np.diag(diag)
-    for i in range(n - 1):
-        matrix[i, i + 1] = off[i]
-        matrix[i + 1, i] = off[i]
-    return ReducedMatrix(matrix=matrix, diagonal=diag, off_diagonal=off)
+    matrix = np.diag(chain.omega)
+    i = np.arange(chain.n_elements - 1)
+    matrix[i, i + 1] = matrix[i + 1, i] = -chain.mu_tilde[1:]
+    return matrix
 
 
-def laplacian_split(rm: ReducedMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Split the comparison matrix into rank-one plus chain-Laplacian parts.
+def laplacian_split(reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the reduced matrix into rank-one plus chain-Laplacian parts.
 
     The rank-one part is diag(mu~_1, 0, ..., 0) with mu~_1 recovered from
     the first row sum; the remainder is the Laplacian of the weighted path
     graph, whose rows sum to zero and whose kernel is the all-ones vector.
     """
-    n = rm.matrix.shape[0]
-    mu_1 = float(rm.matrix[0].sum())
+    n = reduced.shape[0]
+    mu_1 = float(reduced[0].sum())
     rank_one = np.zeros((n, n))
     rank_one[0, 0] = mu_1
-    laplacian = rm.matrix - rank_one
+    laplacian = reduced - rank_one
     return rank_one, laplacian
 
 

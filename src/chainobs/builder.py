@@ -16,8 +16,10 @@ the stacked observer state direction (alpha; ...; alpha) is a fixed point of
 the observer dynamics driven by the constant plant output. That algebraic
 identity is what check_fixed_point certifies.
 
-The assembled plant+observer system carries a block-tridiagonal Hamiltonian
-coefficient matrix and inherits physical realizability by construction.
+A chain is stored as (alpha, mu~, omega) alone; every block above is written
+straight from them into the assembled plant+observer system, which carries a
+block-tridiagonal Hamiltonian coefficient matrix and inherits physical
+realizability by construction.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     DegenerateOutputError,
     InvalidDimensionError,
     InvalidParameterError,
-    UnsupportedPlantError,
     UnsupportedSchemeError,
 )
 from .lqs import SYMPLECTIC_UNIT, SymplecticForm, dynamics_from_hamiltonian, make_symplectic
@@ -40,35 +41,6 @@ SCHEME_ODD_HARMONICS = "odd-harmonics"
 SCHEME_ALL_HARMONICS = "all-harmonics"
 SCHEME_RANDOM = "random"
 SCHEMES = (SCHEME_UNIFORM, SCHEME_ODD_HARMONICS, SCHEME_ALL_HARMONICS, SCHEME_RANDOM)
-
-
-@dataclass(frozen=True)
-class PlantSpec:
-    """One-mode plant: dynamics a_p, output row c_p, Hamiltonian block r_p."""
-
-    a_p: np.ndarray
-    c_p: np.ndarray
-    r_p: np.ndarray
-
-    @classmethod
-    def from_hamiltonian(cls, r_p: np.ndarray, c_p: np.ndarray) -> "PlantSpec":
-        r = np.asarray(r_p, dtype=float)
-        c = np.asarray(c_p, dtype=float).reshape(-1)
-        if r.shape != (2, 2):
-            raise InvalidDimensionError(f"plant Hamiltonian block must be 2x2, got {r.shape}")
-        if not np.array_equal(r, r.T):
-            raise InvalidParameterError("plant Hamiltonian block must be symmetric")
-        if c.shape != (2,):
-            raise InvalidDimensionError(f"plant output must have exactly 2 entries, got {c.shape}")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(c))):
-            raise InvalidParameterError("plant parameters must be finite")
-        a_p = 2.0 * SYMPLECTIC_UNIT @ r
-        return cls(a_p=a_p, c_p=c, r_p=r)
-
-    @classmethod
-    def static_plant(cls, c_p: np.ndarray) -> "PlantSpec":
-        """A plant with zero Hamiltonian, so its output stays constant."""
-        return cls.from_hamiltonian(np.zeros((2, 2)), c_p)
 
 
 @dataclass(frozen=True)
@@ -102,32 +74,37 @@ class ParameterScheme:
 
 @dataclass(frozen=True)
 class ChainObserverParams:
-    """All coefficient data of a constructed N-element observer chain."""
+    """An N-element observer chain: output direction, couplings, frequencies.
 
-    n_elements: int
+    ``alpha`` is the plant output direction c_p^T and ``mu_tilde`` the
+    output-normalized coupling strengths. ``omega`` is stored rather than
+    derived so that a mistuned lineup, one that breaks
+    omega_i = mu~_i + mu~_{i+1}, stays representable (for example through
+    ``dataclasses.replace(chain, omega=...)``); build_chain always sets the
+    tuned one.
+    """
+
     alpha: np.ndarray
     mu_tilde: np.ndarray
-    mu: np.ndarray
     omega: np.ndarray
-    r_c: np.ndarray
-    r_o_blocks: np.ndarray
-    c_o_rows: np.ndarray
+
+    @property
+    def n_elements(self) -> int:
+        return self.mu_tilde.size
+
+    @property
+    def mu(self) -> np.ndarray:
+        """Raw coupling strengths mu_i = mu~_i / ||alpha||^2."""
+        return self.mu_tilde / float(self.alpha @ self.alpha)
 
 
 @dataclass(frozen=True)
 class AugmentedSystem:
-    """Plant plus observer chain as one closed linear quantum system.
-
-    ``b_o`` is the constant-drive column of the observer subsystem: the
-    observer dynamics read x_o' = a_o x_o + b_o z_p with z_p scalar, so it
-    is a length-2N vector (2 J beta_1 on element 1, zero elsewhere).
-    """
+    """Plant plus observer chain as one closed linear quantum system."""
 
     r_a: np.ndarray
     a_a: np.ndarray
     c_a: np.ndarray
-    a_o: np.ndarray
-    b_o: np.ndarray
     theta: SymplecticForm
 
     @property
@@ -140,17 +117,14 @@ class AugmentedSystem:
         return self.r_a[2:, 2:]
 
     @property
+    def a_o(self) -> np.ndarray:
+        """Observer-only dynamics block."""
+        return self.a_a[2:, 2:]
+
+    @property
     def c_o(self) -> np.ndarray:
         """Observer output rows acting on the observer state alone."""
         return self.c_a[1:, 2:]
-
-
-@dataclass(frozen=True)
-class ConsensusTarget:
-    """The stacked state the observer averages toward, per unit plant output."""
-
-    ones_vector: np.ndarray
-    alpha_stack: np.ndarray
 
 
 def make_mu_schedule(scheme: ParameterScheme, n_elements: int) -> np.ndarray:
@@ -202,85 +176,65 @@ def omegas_from_mu(mu_tilde: np.ndarray) -> np.ndarray:
     return omega
 
 
-def build_chain(plant: PlantSpec, mu_tilde: np.ndarray) -> ChainObserverParams:
-    """Construct the observer chain for a plant output and coupling strengths."""
-    alpha = np.asarray(plant.c_p, dtype=float).reshape(-1)
-    norm2 = float(alpha @ alpha)
-    if norm2 == 0.0:
+def build_chain(c_p: np.ndarray, mu_tilde: np.ndarray) -> ChainObserverParams:
+    """Construct the observer chain for a plant output row and coupling strengths."""
+    alpha = np.array(c_p, dtype=float).reshape(-1)
+    if alpha.shape != (2,):
+        raise InvalidDimensionError(f"plant output must have exactly 2 entries, got {alpha.shape}")
+    if not np.all(np.isfinite(alpha)):
+        raise InvalidParameterError("plant output c_p must be finite")
+    if float(alpha @ alpha) == 0.0:
         raise DegenerateOutputError("plant output c_p is zero; the chain cannot observe it")
     mt = np.asarray(mu_tilde, dtype=float).reshape(-1)
     omega = omegas_from_mu(mt)
-    n = mt.size
-    mu = mt / norm2
-    outer = np.outer(alpha, alpha)
-    r_c = np.stack([-mu[i] * outer for i in range(n)])
-    r_o_blocks = np.stack([omega[i] * np.eye(2) for i in range(n)])
-    c_o_rows = np.tile(alpha, (n, 1))
-    return ChainObserverParams(
-        n_elements=n,
-        alpha=alpha,
-        mu_tilde=mt.copy(),
-        mu=mu,
-        omega=omega,
-        r_c=r_c,
-        r_o_blocks=r_o_blocks,
-        c_o_rows=c_o_rows,
-    )
+    return ChainObserverParams(alpha=alpha, mu_tilde=mt.copy(), omega=omega)
 
 
-def assemble_augmented(plant: PlantSpec, chain: ChainObserverParams) -> AugmentedSystem:
+def assemble_augmented(chain: ChainObserverParams) -> AugmentedSystem:
     """Assemble the block-tridiagonal plant+observer system.
 
-    Element 1's coupling block sits between the plant and the first
-    observer mode; coupling block i+1 sits between observer modes i and
-    i+1. The diagonal carries the plant block (zero) and the self-energies
-    omega_i I. Dynamics follow as twice the symplectic form times the
-    Hamiltonian coefficient matrix.
+    Coupling block i sits between mode i-1 and mode i, where mode 0 is the
+    plant and modes 1..N are the observer elements. The diagonal carries
+    the plant block (zero) and the self-energies omega_i I; every mode's
+    output row is alpha. Dynamics follow as twice the symplectic form times
+    the Hamiltonian coefficient matrix.
     """
-    if np.any(plant.r_p != 0.0) or np.any(plant.a_p != 0.0):
-        raise UnsupportedPlantError(
-            "only static plants (r_p = 0) admit this observer construction"
-        )
-    if not np.array_equal(chain.alpha, np.asarray(plant.c_p, dtype=float).reshape(-1)):
-        raise InvalidParameterError("chain was built for a different plant output")
     n = chain.n_elements
-    dim = 2 * (n + 1)
-    r_a = np.zeros((dim, dim))
-    for i in range(n):
-        lo = 2 * (i + 1)
-        r_a[lo : lo + 2, lo : lo + 2] = chain.r_o_blocks[i]
-    for i in range(n):
-        row = 2 * i
-        col = 2 * (i + 1)
-        r_a[row : row + 2, col : col + 2] = chain.r_c[i]
-        r_a[col : col + 2, row : row + 2] = chain.r_c[i]
+    modes = np.arange(n + 1)
+    r_a = np.zeros((2 * n + 2, 2 * n + 2))
+    blocks = r_a.reshape(n + 1, 2, n + 1, 2)  # blocks[i, :, j, :] is the (i, j) block
+    coupling = -chain.mu[:, None, None] * np.outer(chain.alpha, chain.alpha)
+    blocks[modes[1:], :, modes[1:], :] = chain.omega[:, None, None] * np.eye(2)
+    blocks[modes[:-1], :, modes[1:], :] = coupling
+    blocks[modes[1:], :, modes[:-1], :] = coupling
+    c_a = np.zeros((n + 1, 2 * n + 2))
+    c_a.reshape(n + 1, n + 1, 2)[modes, modes] = chain.alpha
     theta = make_symplectic(n + 1)
-    a_a = dynamics_from_hamiltonian(r_a, theta)
-    c_a = np.zeros((n + 1, dim))
-    c_a[0, 0:2] = plant.c_p
-    for i in range(n):
-        c_a[i + 1, 2 * (i + 1) : 2 * (i + 1) + 2] = chain.c_o_rows[i]
-    a_o = a_a[2:, 2:].copy()
-    beta_1 = -chain.mu[0] * chain.alpha
-    b_o = np.zeros(2 * n)
-    b_o[0:2] = 2.0 * SYMPLECTIC_UNIT @ beta_1
-    return AugmentedSystem(r_a=r_a, a_a=a_a, c_a=c_a, a_o=a_o, b_o=b_o, theta=theta)
+    return AugmentedSystem(
+        r_a=r_a, a_a=dynamics_from_hamiltonian(r_a, theta), c_a=c_a, theta=theta
+    )
 
 
 def check_fixed_point(aug: AugmentedSystem, chain: ChainObserverParams) -> float:
     """Residual of the constant-drive fixed point of the observer chain.
 
-    Returns the norm of a_o (alpha; ...; alpha) + b_o ||alpha||^2, which
-    is zero exactly when the frequency lineup matches the coupling
-    strengths. Diagnostic only; never raises on a nonzero residual.
+    The observer dynamics read x_o' = a_o x_o + b_o z_p with z_p scalar,
+    where the drive column b_o is 2 J beta_1 on element 1 (beta_1 =
+    -mu_1 alpha) and zero elsewhere. Returns the norm of
+    a_o (alpha; ...; alpha) + b_o ||alpha||^2, which is zero exactly when
+    the frequency lineup matches the coupling strengths. Diagnostic only;
+    never raises on a nonzero residual.
     """
     stack = np.tile(chain.alpha, chain.n_elements)
     norm2 = float(chain.alpha @ chain.alpha)
-    return float(np.linalg.norm(aug.a_o @ stack + aug.b_o * norm2))
+    beta_1 = -chain.mu[0] * chain.alpha
+    b_o = np.zeros(2 * chain.n_elements)
+    b_o[0:2] = 2.0 * SYMPLECTIC_UNIT @ beta_1
+    return float(np.linalg.norm(aug.a_o @ stack + b_o * norm2))
 
 
-def consensus_target(chain: ChainObserverParams) -> ConsensusTarget:
-    """Stacked observer state whose every element output equals one."""
+def consensus_target(chain: ChainObserverParams) -> np.ndarray:
+    """Stacked observer state alpha / ||alpha||^2 per element, whose every
+    element output equals one."""
     norm2 = float(chain.alpha @ chain.alpha)
-    stack = np.tile(chain.alpha, chain.n_elements) / norm2
-    return ConsensusTarget(ones_vector=np.ones(chain.n_elements), alpha_stack=stack)
+    return np.tile(chain.alpha, chain.n_elements) / norm2

@@ -47,7 +47,6 @@ from .builder import (
     AugmentedSystem,
     ChainObserverParams,
     ParameterScheme,
-    PlantSpec,
     assemble_augmented,
     build_chain,
     check_fixed_point,
@@ -283,25 +282,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(text)
 
 
-@dataclass(frozen=True)
-class _Constructed:
-    plant: PlantSpec
-    chain: ChainObserverParams
-    aug: AugmentedSystem
-
-
-def _construct(config: ExperimentConfig) -> _Constructed:
-    plant = PlantSpec.static_plant(np.array(config.c_p))
+def _construct(config: ExperimentConfig) -> tuple[ChainObserverParams, AugmentedSystem]:
     scheme = ParameterScheme(variant=config.scheme, omega0=config.omega0, seed=config.seed)
-    mu_tilde = make_mu_schedule(scheme, config.n_elements)
-    chain = build_chain(plant, mu_tilde)
-    aug = assemble_augmented(plant, chain)
-    return _Constructed(plant=plant, chain=chain, aug=aug)
+    chain = build_chain(config.c_p, make_mu_schedule(scheme, config.n_elements))
+    return chain, assemble_augmented(chain)
 
 
-def _base_report(built: _Constructed) -> RunReport:
+def _base_report(chain: ChainObserverParams, aug: AugmentedSystem) -> RunReport:
     """Certify the construction itself; shared by every subcommand."""
-    aug, chain = built.aug, built.chain
     certificate = certify_positive_definite(aug.r_o)
     report = RunReport(
         certificate=certificate,
@@ -314,13 +302,13 @@ def _base_report(built: _Constructed) -> RunReport:
     report.add("fixed_point_residual", report.fixed_point_residual, FIXED_POINT_REL_TOL * o_norm)
 
     reduced = build_reduced(chain)
-    certify_positive_definite(reduced.matrix)
+    certify_positive_definite(reduced)
     _, laplacian = laplacian_split(reduced)
     if chain.n_elements > 1:
         lap_scale = float(np.linalg.norm(laplacian, ord=2))
         # the recovered corner weight rounds relative to the comparison
         # matrix, so that is the right scale for the row-sum residual
-        row_scale = float(np.linalg.norm(reduced.matrix, ord=2))
+        row_scale = float(np.linalg.norm(reduced, ord=2))
         row_sums = float(np.abs(laplacian.sum(axis=1)).max())
         report.add("laplacian_row_sums", row_sums, ROW_SUM_REL_TOL * row_scale)
         lap_eigs = np.linalg.eigvalsh(laplacian)
@@ -331,15 +319,14 @@ def _base_report(built: _Constructed) -> RunReport:
     plant_row = np.abs(aug.c_a @ aug.a_a)[0].max()
     report.add("plant_row_of_c_a_a_a", float(plant_row), PLANT_ROW_REL_TOL * a_norm)
 
-    target = consensus_target(chain)
-    target_residual = float(np.abs(aug.c_o @ target.alpha_stack - target.ones_vector).max())
+    target_residual = float(np.abs(aug.c_o @ consensus_target(chain) - 1.0).max())
     report.add("consensus_target_identity", target_residual, 1e-12)
     return report
 
 
-def _resolve_step(config: ExperimentConfig, built: _Constructed) -> float:
+def _resolve_step(config: ExperimentConfig, aug: AugmentedSystem) -> float:
     if config.step == "auto":
-        return default_step(built.aug)
+        return default_step(aug)
     return float(config.step)
 
 
@@ -351,15 +338,14 @@ def _out_dir(config: ExperimentConfig) -> Path:
 
 def run_build(config: ExperimentConfig) -> RunReport:
     """Construct and certify the observer, then serialize its matrices."""
-    built = _construct(config)
-    report = _base_report(built)
+    chain, aug = _construct(config)
+    report = _base_report(chain, aug)
     out = _out_dir(config)
-    reduced = build_reduced(built.chain)
     files = {
-        "r_a": built.aug.r_a,
-        "a_a": built.aug.a_a,
-        "c_a": built.aug.c_a,
-        "r_o_reduced": reduced.matrix,
+        "r_a": aug.r_a,
+        "a_a": aug.a_a,
+        "c_a": aug.c_a,
+        "r_o_reduced": build_reduced(chain),
     }
     for name, matrix in files.items():
         path = out / f"{name}.csv"
@@ -373,15 +359,13 @@ def run_build(config: ExperimentConfig) -> RunReport:
 
 def run_simulate(config: ExperimentConfig) -> RunReport:
     """Sample the coefficient trajectory and write it with its spatial average."""
-    built = _construct(config)
-    report = _base_report(built)
-    grid = TimeGrid.covering(0.0, config.horizon, _resolve_step(config, built))
-    trajectory = coefficient_trajectory(built.aug, grid)
+    chain, aug = _construct(config)
+    report = _base_report(chain, aug)
+    grid = TimeGrid.covering(0.0, config.horizon, _resolve_step(config, aug))
+    trajectory = coefficient_trajectory(aug, grid)
 
     plant_row_drift = float(
-        np.linalg.norm(
-            trajectory.coefficient_rows[:, 0, :] - built.aug.c_a[0], axis=1
-        ).max()
+        np.linalg.norm(trajectory.coefficient_rows[:, 0, :] - aug.c_a[0], axis=1).max()
     )
     report.add("plant_row_drift", plant_row_drift, PLANT_ROW_DRIFT_TOL)
 
@@ -407,16 +391,16 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
     samples nothing; disagreement beyond 1e-8 relative fails the run, since
     it would mean the averaging itself cannot be trusted.
     """
-    built = _construct(config)
-    report = _base_report(built)
+    chain, aug = _construct(config)
+    report = _base_report(chain, aug)
     horizons = [config.horizon / 16, config.horizon / 8, config.horizon / 4,
                 config.horizon / 2, config.horizon]
-    averages = [time_average_exact(built.aug, t) for t in horizons]
+    averages = [time_average_exact(aug, t) for t in horizons]
     report.consensus_error_curve = [
         (avg.horizon, consensus_error(avg)) for avg in averages
     ]
 
-    reference = time_average_spectral(built.chain, horizons[0])
+    reference = time_average_spectral(chain, horizons[0])
     scale = float(np.linalg.norm(averages[0].averaged_rows, ord="fro"))
     disagreement = float(
         np.linalg.norm(averages[0].averaged_rows - reference.averaged_rows, ord="fro")
@@ -438,11 +422,10 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
 
 def run_check(config: ExperimentConfig) -> RunReport:
     """Run every certificate, including the exponential bound; write nothing."""
-    built = _construct(config)
-    report = _base_report(built)
+    chain, aug = _construct(config)
+    report = _base_report(chain, aug)
     grid = TimeGrid.from_count(0.0, EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
-    theta_o = make_symplectic(built.aug.n_elements)
-    observed, bound = verify_exp_bound(built.aug.r_o, theta_o, grid)
+    observed, bound = verify_exp_bound(aug.r_o, make_symplectic(aug.n_elements), grid)
     report.add("exp_norm_observed", observed, bound * (1.0 + 1e-9))
     return report
 

@@ -32,10 +32,6 @@ class DegenerateOutputError(ChainobsError):
     """The plant output vector is zero, so no observer chain can see it."""
 
 
-class UnsupportedPlantError(ChainobsError):
-    """The plant has internal dynamics; only static plants are supported."""
-
-
 class NotPositiveDefiniteError(ChainobsError):
     """A matrix that must be positive definite is not.
 

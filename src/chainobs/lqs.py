@@ -6,8 +6,9 @@ J = [[0, 1], [-1, 0]]. A quadratic Hamiltonian with symmetric coefficient
 matrix R generates the linear dynamics A = 2 Theta R. Such dynamics are
 physically realizable exactly when A Theta + Theta A^T = 0, and the flow
 Phi(t) = exp(A t) then preserves both the symplectic form and the
-Hamiltonian itself. This module provides the types and the residuals that
-certify those facts numerically.
+Hamiltonian itself. This module provides the symplectic form, the dynamics
+of a Hamiltonian, and the residuals that certify realizability and
+symplecticity numerically.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidInputError, InvalidParameterError
+from .errors import InvalidDimensionError, InvalidInputError
 
 SYMPLECTIC_UNIT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -48,60 +49,6 @@ def make_symplectic(n_modes: int) -> SymplecticForm:
     return SymplecticForm(n_modes=int(n_modes), matrix=matrix)
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Symmetric coefficient matrix of a quadratic Hamiltonian.
-
-    ``dimension`` is the full quadrature dimension 2n. The matrix is
-    validated on construction: it must be square, of even dimension, exactly
-    symmetric, and finite.
-    """
-
-    matrix: np.ndarray
-    dimension: int
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "HamiltonianMatrix":
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidDimensionError(f"Hamiltonian matrix must be square, got shape {m.shape}")
-        if m.shape[0] % 2 != 0 or m.shape[0] < 2:
-            raise InvalidDimensionError(
-                f"Hamiltonian matrix dimension must be a positive even number, got {m.shape[0]}"
-            )
-        _require_finite(m, "Hamiltonian matrix")
-        if not np.array_equal(m, m.T):
-            raise InvalidParameterError("Hamiltonian matrix must be symmetric")
-        return cls(matrix=m, dimension=m.shape[0])
-
-
-@dataclass(frozen=True)
-class LinearQuantumSystem:
-    """A closed linear system: Hamiltonian, symplectic form, dynamics, output.
-
-    The dynamics matrix always equals 2 Theta R by construction, which makes
-    the system physically realizable up to floating-point roundoff.
-    """
-
-    hamiltonian: HamiltonianMatrix
-    theta: SymplecticForm
-    dynamics: np.ndarray
-    output: np.ndarray
-
-    @classmethod
-    def from_hamiltonian(cls, r: np.ndarray, output: np.ndarray) -> "LinearQuantumSystem":
-        ham = HamiltonianMatrix.from_matrix(r)
-        theta = make_symplectic(ham.dimension // 2)
-        c = np.atleast_2d(np.asarray(output, dtype=float))
-        if c.shape[1] != ham.dimension:
-            raise InvalidDimensionError(
-                f"output has {c.shape[1]} columns, expected {ham.dimension}"
-            )
-        _require_finite(c, "output matrix")
-        dynamics = dynamics_from_hamiltonian(ham.matrix, theta)
-        return cls(hamiltonian=ham, theta=theta, dynamics=dynamics, output=c)
-
-
 def dynamics_from_hamiltonian(r: np.ndarray, theta: SymplecticForm) -> np.ndarray:
     """Return A = 2 Theta R for a symmetric Hamiltonian coefficient matrix."""
     r = np.asarray(r, dtype=float)
@@ -128,25 +75,6 @@ def realizability_residual(a: np.ndarray, theta: SymplecticForm) -> float:
     _require_finite(a, "dynamics matrix")
     t = theta.matrix
     return float(np.linalg.norm(a @ t + t @ a.T, ord="fro"))
-
-
-def hamiltonian_drift(r: np.ndarray, phi: np.ndarray) -> float:
-    """Frobenius norm of Phi^T R Phi - R.
-
-    Measures how far a propagator Phi has drifted from conserving the
-    quadratic Hamiltonian with coefficient matrix R.
-    """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise InvalidDimensionError(f"Hamiltonian matrix must be square, got shape {r.shape}")
-    if phi.shape != r.shape:
-        raise InvalidDimensionError(
-            f"propagator shape {phi.shape} does not match Hamiltonian shape {r.shape}"
-        )
-    _require_finite(r, "Hamiltonian matrix")
-    _require_finite(phi, "propagator")
-    return float(np.linalg.norm(phi.T @ r @ phi - r, ord="fro"))
 
 
 def symplectic_drift(phi: np.ndarray, theta: SymplecticForm) -> float:

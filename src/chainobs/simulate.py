@@ -112,7 +112,6 @@ class Trajectory:
 
     grid: TimeGrid
     coefficient_rows: np.ndarray
-    omega_max: float
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def coefficient_trajectory(aug: AugmentedSystem, grid: TimeGrid) -> Trajectory:
     rows = np.empty((grid.samples, *aug.c_a.shape))
     for k, phi in enumerate(_propagate(aug.a_a, aug.theta, grid)):
         rows[k] = aug.c_a @ phi
-    return Trajectory(grid=grid, coefficient_rows=rows, omega_max=max_frequency(aug.a_a))
+    return Trajectory(grid=grid, coefficient_rows=rows)
 
 
 def integral_of_propagator(a: np.ndarray, horizon: float) -> np.ndarray:
@@ -327,16 +326,16 @@ def _check_quadrature_step(step: float, omega_max: float) -> None:
             )
 
 
-def time_average_quadrature(trajectory: Trajectory) -> TimeAverage:
+def time_average_quadrature(trajectory: Trajectory, omega_max: float) -> TimeAverage:
     """Composite-Simpson time average of a stored trajectory from t = 0.
 
-    Demands a grid that starts at zero and resolves the fastest mode (step
-    at most 0.01 of its period).
+    Demands a grid that starts at zero and resolves the fastest mode
+    omega_max of the sampled dynamics (step at most 0.01 of its period).
     """
     grid = trajectory.grid
     if grid.t0 != 0.0:
         raise InvalidParameterError("quadrature averages must start at t0 = 0")
-    _check_quadrature_step(grid.step, trajectory.omega_max)
+    _check_quadrature_step(grid.step, omega_max)
     integral = np.tensordot(simpson_weights(grid.times()), trajectory.coefficient_rows, axes=1)
     return TimeAverage(
         horizon=grid.t_end, averaged_rows=integral / grid.t_end, method="quadrature"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,17 @@ import chainobs as co
 
 
 def build_system(c_p, variant="odd-harmonics", omega0=1.0, n=5, seed=None):
-    """Construct (plant, chain, augmented system) in one call."""
-    plant = co.PlantSpec.static_plant(np.asarray(c_p, dtype=float))
+    """Construct (chain, augmented system) in one call."""
     scheme = co.ParameterScheme(variant=variant, omega0=omega0, seed=seed)
-    chain = co.build_chain(plant, co.make_mu_schedule(scheme, n))
-    aug = co.assemble_augmented(plant, chain)
-    return plant, chain, aug
+    chain = co.build_chain(c_p, co.make_mu_schedule(scheme, n))
+    return chain, co.assemble_augmented(chain)
+
+
+def perturb_omega(chain, index, delta):
+    """The chain with a single self-energy entry shifted."""
+    omega = chain.omega.copy()
+    omega[index] += delta
+    return dataclasses.replace(chain, omega=omega)
 
 
 @pytest.fixture(scope="session")

@@ -5,12 +5,19 @@ goes through a symmetric eigendecomposition and a similarity transform
 instead of scaling-and-squaring, and the definiteness oracle runs a
 leading-principal-minor recurrence instead of an eigensolver. The drift
 oracle forms Phi Theta Phi^T with dense products, ignoring the block
-structure of Theta that the library exploits.
+structure of Theta that the library exploits. The assembly oracle writes
+the augmented system as Kronecker products of (N+1) x (N+1) matrices with
+2 x 2 blocks instead of filling blocks in place, and the energy oracle
+measures how far a propagator is from conserving a quadratic Hamiltonian.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from chainobs.errors import InvalidDimensionError, InvalidInputError
+
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def spectral_propagator(r_o: np.ndarray, theta: np.ndarray, t: float) -> np.ndarray:
@@ -70,3 +77,47 @@ def dense_symplectic_drift(phi: np.ndarray, theta: np.ndarray) -> float:
     """||Phi Theta Phi^T - Theta||_F by two full products, for any Theta."""
     phi = np.asarray(phi, dtype=float)
     return float(np.linalg.norm(phi @ theta @ phi.T - theta, ord="fro"))
+
+
+def dense_augmented(
+    c_p: np.ndarray, mu_tilde: np.ndarray, omega: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r_a, a_a, c_a) of the plant+observer system, by Kronecker products only.
+
+    With mu = mu~ / ||alpha||^2 and S the symmetric (N+1) x (N+1) path
+    matrix carrying -mu on its first off-diagonals,
+    r_a = kron(diag(0, omega), I) + kron(S, alpha alpha^T),
+    a_a = 2 Theta r_a = 2 (kron(diag(0, omega), J) + kron(S, J alpha alpha^T))
+    and c_a = kron(I, alpha). Every entry is a single product (the other
+    term is an exact zero there) and the doubling is exact, also for
+    subnormal entries, so a correct assembly matches bit for bit.
+    """
+    alpha = np.asarray(c_p, dtype=float)
+    mu = np.asarray(mu_tilde, dtype=float) / float(alpha @ alpha)
+    n = mu.size
+    energies = np.diag(np.concatenate(([0.0], omega)))
+    path = np.diag(-mu, 1) + np.diag(-mu, -1)
+    outer = np.outer(alpha, alpha)
+    r_a = np.kron(energies, np.eye(2)) + np.kron(path, outer)
+    a_a = 2.0 * (np.kron(energies, J) + np.kron(path, J @ outer))
+    c_a = np.kron(np.eye(n + 1), alpha)
+    return r_a, a_a, c_a
+
+
+def hamiltonian_drift(r: np.ndarray, phi: np.ndarray) -> float:
+    """Frobenius norm of Phi^T R Phi - R.
+
+    Measures how far a propagator Phi has drifted from conserving the
+    quadratic Hamiltonian with coefficient matrix R.
+    """
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise InvalidDimensionError(f"Hamiltonian matrix must be square, got shape {r.shape}")
+    if phi.shape != r.shape:
+        raise InvalidDimensionError(
+            f"propagator shape {phi.shape} does not match Hamiltonian shape {r.shape}"
+        )
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(phi))):
+        raise InvalidInputError("Hamiltonian matrix or propagator contains non-finite entries")
+    return float(np.linalg.norm(phi.T @ r @ phi - r, ord="fro"))

@@ -17,32 +17,31 @@ mu_vectors = st.lists(
 
 
 def chain_from(mu):
-    plant = co.PlantSpec.static_plant([1.0, 0.0])
-    return co.build_chain(plant, np.asarray(mu, dtype=float))
+    return co.build_chain([1.0, 0.0], np.asarray(mu, dtype=float))
 
 
 class TestBuildReduced:
     def test_reference(self, example_system):
-        _, chain, _ = example_system
+        chain, _ = example_system
         reduced = co.build_reduced(chain)
-        assert np.array_equal(reduced.diagonal, [3.0, 5.0, 7.0, 9.0, 5.0])
-        assert np.array_equal(reduced.off_diagonal, [-2.0, -3.0, -4.0, -5.0])
-        assert np.array_equal(np.diag(reduced.matrix), reduced.diagonal)
-        assert np.array_equal(np.diag(reduced.matrix, 1), reduced.off_diagonal)
+        assert np.array_equal(chain.omega, [3.0, 5.0, 7.0, 9.0, 5.0])
+        assert np.array_equal(-chain.mu_tilde[1:], [-2.0, -3.0, -4.0, -5.0])
+        assert np.array_equal(np.diag(reduced), chain.omega)
+        assert np.array_equal(np.diag(reduced, 1), -chain.mu_tilde[1:])
 
     def test_single_element(self):
         reduced = co.build_reduced(chain_from([0.3]))
-        assert np.array_equal(reduced.matrix, [[0.3]])
+        assert np.array_equal(reduced, [[0.3]])
 
     def test_uniform_three(self):
         reduced = co.build_reduced(chain_from([1.0, 1.0, 1.0]))
-        assert np.array_equal(reduced.diagonal, [2.0, 2.0, 1.0])
-        assert np.array_equal(reduced.off_diagonal, [-1.0, -1.0])
+        assert np.array_equal(np.diag(reduced), [2.0, 2.0, 1.0])
+        assert np.array_equal(np.diag(reduced, 1), [-1.0, -1.0])
 
     @given(mu_vectors)
     @settings(max_examples=40, deadline=None)
     def test_tridiagonal_pattern(self, mu):
-        m = co.build_reduced(chain_from(mu)).matrix
+        m = co.build_reduced(chain_from(mu))
         n = m.shape[0]
         for i in range(n):
             for j in range(n):
@@ -53,7 +52,7 @@ class TestBuildReduced:
 
 class TestLaplacianSplit:
     def test_reference(self, example_system):
-        _, chain, _ = example_system
+        chain, _ = example_system
         rank_one, laplacian = co.laplacian_split(co.build_reduced(chain))
         assert np.array_equal(np.diag(rank_one), [1.0, 0.0, 0.0, 0.0, 0.0])
         assert np.array_equal(laplacian[0], [2.0, -2.0, 0.0, 0.0, 0.0])
@@ -71,14 +70,14 @@ class TestLaplacianSplit:
         reduced = co.build_reduced(chain_from(mu))
         rank_one, laplacian = co.laplacian_split(reduced)
         n = laplacian.shape[0]
-        assert np.array_equal(rank_one + laplacian, reduced.matrix)
+        assert np.array_equal(rank_one + laplacian, reduced)
         if n == 1:
             assert laplacian[0, 0] == 0.0
             return
         scale = np.linalg.norm(laplacian, ord=2)
         # the corner weight is recovered from a row of the comparison matrix,
         # so its rounding is relative to that matrix, not to the remainder
-        row_scale = np.linalg.norm(reduced.matrix, ord=2)
+        row_scale = np.linalg.norm(reduced, ord=2)
         assert np.abs(laplacian.sum(axis=1)).max() <= 1e-14 * row_scale
         ones = np.ones(n) / np.sqrt(n)
         assert np.linalg.norm(laplacian @ ones) <= 1e-13 * row_scale
@@ -96,7 +95,7 @@ class TestCertify:
 
     def test_reference_regression(self, example_system):
         """Extreme eigenvalues of the reference observer block, frozen."""
-        _, _, aug = example_system
+        _, aug = example_system
         cert = co.certify_positive_definite(aug.r_o)
         assert np.isclose(cert.lambda_min, 0.12976937136773573, rtol=1e-10, atol=0.0)
         assert np.isclose(cert.lambda_max, 14.260039375715447, rtol=1e-10, atol=0.0)
@@ -107,13 +106,14 @@ class TestCertify:
         for _ in range(40):
             n = int(rng.integers(1, 12))
             mu = rng.uniform(0.05, 5.0, n)
-            reduced = co.build_reduced(chain_from(mu))
-            cert = co.certify_positive_definite(reduced.matrix)
-            assert minors_positive_definite(reduced.diagonal, reduced.off_diagonal)
+            chain = chain_from(mu)
+            reduced = co.build_reduced(chain)
+            cert = co.certify_positive_definite(reduced)
+            assert minors_positive_definite(chain.omega, -chain.mu_tilde[1:])
             assert cert.lambda_min > 0.0
             # shifting just past lambda_min must flip the minor test
-            shifted = reduced.matrix - (cert.lambda_min * 1.0001) * np.eye(n)
-            assert not minors_positive_definite(np.diag(shifted), reduced.off_diagonal)
+            shifted = reduced - (cert.lambda_min * 1.0001) * np.eye(n)
+            assert not minors_positive_definite(np.diag(shifted), -chain.mu_tilde[1:])
 
     def test_laplacian_alone_is_not_definite(self):
         """Dropping the rank-one part restores the kernel, and the error
@@ -137,10 +137,9 @@ class TestCertify:
     @given(mu_vectors)
     @settings(max_examples=60, deadline=None)
     def test_reduced_and_full_certified_independently(self, mu):
-        plant = co.PlantSpec.static_plant([0.4, 1.1])
-        chain = co.build_chain(plant, mu)
-        aug = co.assemble_augmented(plant, chain)
-        reduced_cert = co.certify_positive_definite(co.build_reduced(chain).matrix)
+        chain = co.build_chain([0.4, 1.1], mu)
+        aug = co.assemble_augmented(chain)
+        reduced_cert = co.certify_positive_definite(co.build_reduced(chain))
         full_cert = co.certify_positive_definite(aug.r_o)
         assert reduced_cert.lambda_min > 0.0
         assert full_cert.lambda_min > 0.0
@@ -157,7 +156,7 @@ class TestExpBound:
     def test_time_zero_norm_is_one(self, example_system):
         """The engine starts from the exact identity at t0 = 0, whose Gram
         norm is exactly one."""
-        _, _, aug = example_system
+        _, aug = example_system
         theta = co.make_symplectic(5)
         a = co.dynamics_from_hamiltonian(aug.r_o, theta)
         grid = co.TimeGrid.from_count(0.0, 1.0, 2)
@@ -168,7 +167,7 @@ class TestExpBound:
         assert bound > 1.0
 
     def test_reference_sweep(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         theta = co.make_symplectic(5)
         grid = co.TimeGrid.from_count(0.0, 50.0, 500)
         observed, bound = co.verify_exp_bound(aug.r_o, theta, grid)
@@ -178,7 +177,7 @@ class TestExpBound:
 
     def test_rejects_bad_times(self, example_system):
         """Invalid sample times are rejected by the grid itself."""
-        _, _, aug = example_system
+        _, aug = example_system
         theta = co.make_symplectic(5)
         with pytest.raises(co.InvalidParameterError):
             co.verify_exp_bound(aug.r_o, theta, co.TimeGrid.from_count(-1.0, 1.0, 2))
@@ -188,7 +187,7 @@ class TestExpBound:
     def test_observed_norm_is_numpys_spectral_norm(self):
         """The observed maximum equals numpy's 2-norm of the same exponentials."""
         grid = co.TimeGrid.from_count(0.0, 50.0, 500)
-        for _, (_, chain, aug) in systems():
+        for _, (chain, aug) in systems():
             theta = co.make_symplectic(chain.n_elements)
             observed, _ = co.verify_exp_bound(aug.r_o, theta, grid)
             a = co.dynamics_from_hamiltonian(aug.r_o, theta)
@@ -202,7 +201,7 @@ class TestExpBound:
         determinant one), so it passes the engine's drift check and reaches
         the bound check with norm 100.
         """
-        _, _, aug = example_system
+        _, aug = example_system
         theta = co.make_symplectic(5)
         monkeypatch.setattr(
             "chainobs.simulate.propagator",
@@ -214,7 +213,7 @@ class TestExpBound:
     def test_non_symplectic_step_is_a_tolerance_failure(self, example_system, monkeypatch):
         """A step propagator that breaks the symplectic identity aborts the
         sweep in the engine, before any norm is compared with the bound."""
-        _, _, aug = example_system
+        _, aug = example_system
         theta = co.make_symplectic(5)
         true_propagator = co.propagator
         monkeypatch.setattr(
@@ -241,7 +240,7 @@ def test_engine_sweep_matches_the_eigh_oracle(variant, n, angle, radius, seed, s
     if variant == co.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
-    _, chain, aug = build_system(
+    chain, aug = build_system(
         c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
     )
     theta = co.make_symplectic(chain.n_elements)
@@ -270,11 +269,11 @@ def test_observer_spectrum_is_reduced_spectrum_plus_self_energies(
     if variant == co.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
-    _, chain, aug = build_system(
+    chain, aug = build_system(
         c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
     )
     full = np.linalg.eigvalsh(aug.r_o)
-    split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(chain).matrix),
+    split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(chain)),
                                     chain.omega]))
     assert np.abs(full - split).max() <= 1e-12 * full[-1]
 
@@ -302,8 +301,8 @@ class TestComparisonBound:
     def test_block_collapse_underestimates_energy(self, c_p, variant, n, seed):
         """Collapsing modes to their block norms can only lower the quadratic
         form: the coupling terms lose by Cauchy-Schwarz, the diagonal stays."""
-        _, chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
-        reduced = co.build_reduced(chain).matrix
+        chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
+        reduced = co.build_reduced(chain)
         rng = np.random.default_rng(101)
         x = rng.normal(size=(1000, 2 * n))
         x /= np.linalg.norm(x, axis=1, keepdims=True)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from conftest import build_system
+from conftest import build_system, perturb_omega
+from oracles import dense_augmented
 
 mu_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=10
@@ -96,40 +97,42 @@ class TestFrequencyLineup:
 
 class TestBuildChain:
     def test_reference_chain(self):
-        plant = co.PlantSpec.static_plant([1.0, 0.0])
-        chain = co.build_chain(plant, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        chain = co.build_chain([1.0, 0.0], np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        aug = co.assemble_augmented(chain)
         assert np.array_equal(chain.alpha, [1.0, 0.0])
-        assert np.array_equal(chain.r_c[0], [[-1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(aug.r_a[0:2, 2:4], [[-1.0, 0.0], [0.0, 0.0]])
         assert np.array_equal(chain.omega, [3.0, 5.0, 7.0, 9.0, 5.0])
-        assert np.array_equal(chain.c_o_rows, np.tile([1.0, 0.0], (5, 1)))
+        assert np.array_equal(aug.c_o, np.kron(np.eye(5), [1.0, 0.0]))
 
     def test_scaled_output_normalization(self):
         """A non-unit output direction rescales mu but not omega."""
-        plant = co.PlantSpec.static_plant([0.0, 2.0])
-        chain = co.build_chain(plant, np.array([4.0]))
+        chain = co.build_chain([0.0, 2.0], np.array([4.0]))
         assert chain.mu[0] == 1.0
-        assert np.array_equal(chain.r_c[0], [[0.0, 0.0], [0.0, -4.0]])
+        aug = co.assemble_augmented(chain)
+        assert np.array_equal(aug.r_a[0:2, 2:4], [[0.0, 0.0], [0.0, -4.0]])
         assert chain.omega[0] == 4.0
 
     def test_zero_output_rejected(self):
-        plant = co.PlantSpec(
-            a_p=np.zeros((2, 2)), c_p=np.zeros(2), r_p=np.zeros((2, 2))
-        )
         with pytest.raises(co.DegenerateOutputError):
-            co.build_chain(plant, np.array([1.0]))
+            co.build_chain(np.zeros(2), np.array([1.0]))
+
+    def test_output_row_shape_and_values_checked(self):
+        with pytest.raises(co.InvalidDimensionError):
+            co.build_chain([1.0, 0.0, 0.0], np.array([1.0]))
+        with pytest.raises(co.InvalidParameterError):
+            co.build_chain([np.nan, 1.0], np.array([1.0]))
 
     def test_observer_self_energy_blocks(self):
-        plant = co.PlantSpec.static_plant([1.0, 0.0])
-        chain = co.build_chain(plant, np.array([2.0, 3.0]))
-        assert np.array_equal(chain.r_o_blocks[0], 5.0 * np.eye(2))
-        assert np.array_equal(chain.r_o_blocks[1], 3.0 * np.eye(2))
+        chain = co.build_chain([1.0, 0.0], np.array([2.0, 3.0]))
+        r_o = co.assemble_augmented(chain).r_o
+        assert np.array_equal(r_o[0:2, 0:2], 5.0 * np.eye(2))
+        assert np.array_equal(r_o[2:4, 2:4], 3.0 * np.eye(2))
 
 
 class TestAssemble:
     def test_smallest_case_by_hand(self):
-        plant = co.PlantSpec.static_plant([1.0, 0.0])
-        chain = co.build_chain(plant, np.array([1.0]))
-        aug = co.assemble_augmented(plant, chain)
+        chain = co.build_chain([1.0, 0.0], np.array([1.0]))
+        aug = co.assemble_augmented(chain)
         expected = np.array(
             [
                 [0.0, 0.0, -1.0, 0.0],
@@ -141,14 +144,14 @@ class TestAssemble:
         assert np.array_equal(aug.r_a, expected)
 
     def test_reference_entries(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         assert aug.r_a.shape == (12, 12)
         assert aug.r_a[0, 2] == -1.0
         assert aug.r_a[2, 2] == 3.0
         assert np.array_equal(aug.r_a, aug.r_a.T)
 
     def test_off_tridiagonal_blocks_are_zero(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         for i in range(6):
             for j in range(6):
                 if abs(i - j) > 1:
@@ -156,31 +159,12 @@ class TestAssemble:
                     assert np.array_equal(block, np.zeros((2, 2)))
 
     def test_realizability(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         residual = co.realizability_residual(aug.a_a, aug.theta)
         assert residual <= 1e-12 * np.linalg.norm(aug.a_a, ord="fro")
 
-    def test_rejects_dynamic_plant(self):
-        plant = co.PlantSpec.from_hamiltonian(np.eye(2), [1.0, 0.0])
-        chain = co.build_chain(plant, np.array([1.0]))
-        with pytest.raises(co.UnsupportedPlantError):
-            co.assemble_augmented(plant, chain)
-
-    def test_rejects_mismatched_chain(self):
-        plant_a = co.PlantSpec.static_plant([1.0, 0.0])
-        plant_b = co.PlantSpec.static_plant([0.0, 1.0])
-        chain = co.build_chain(plant_a, np.array([1.0]))
-        with pytest.raises(co.InvalidParameterError):
-            co.assemble_augmented(plant_b, chain)
-
-    def test_drive_column(self, example_system):
-        """The constant drive hits only element 1, rotated into momentum."""
-        _, _, aug = example_system
-        assert np.array_equal(aug.b_o[:2], [0.0, 2.0])
-        assert np.array_equal(aug.b_o[2:], np.zeros(8))
-
     def test_output_rows(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         assert aug.c_a.shape == (6, 12)
         assert np.array_equal(aug.c_a[0], np.eye(12)[0])
         for i in range(1, 6):
@@ -189,92 +173,124 @@ class TestAssemble:
             assert np.array_equal(aug.c_a[i], expected)
 
     def test_observer_views(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         assert np.array_equal(aug.r_o, aug.r_a[2:, 2:])
+        assert np.array_equal(aug.a_o, aug.a_a[2:, 2:])
         assert np.array_equal(aug.c_o, aug.c_a[1:, 2:])
         assert aug.n_elements == 5
 
+    def test_mistuned_lineup_reaches_the_assembled_system(self, example_system):
+        """omega is the one stored lineup: a replaced one is what gets assembled."""
+        chain, _ = example_system
+        perturbed = perturb_omega(chain, 2, 0.25)
+        r_o = co.assemble_augmented(perturbed).r_o
+        assert np.array_equal(np.diag(r_o), np.repeat(perturbed.omega, 2))
+        assert np.array_equal(np.diag(co.build_reduced(perturbed)), perturbed.omega)
 
-def perturb_omega(chain, index, delta):
-    """Rebuild the chain data with a single self-energy entry shifted."""
-    omega = chain.omega.copy()
-    omega[index] += delta
-    blocks = chain.r_o_blocks.copy()
-    blocks[index] = omega[index] * np.eye(2)
-    return dataclasses.replace(chain, omega=omega, r_o_blocks=blocks)
+
+class TestStoredState:
+    def test_chain_stores_only_its_defining_arrays(self):
+        chain = co.build_chain([0.0, 2.0], np.array([4.0, 2.0, 1.0]))
+        fields = [f.name for f in dataclasses.fields(chain)]
+        assert fields == ["alpha", "mu_tilde", "omega"]
+        assert chain.n_elements == 3
+        assert np.array_equal(chain.mu, chain.mu_tilde / 4.0)
+
+    def test_build_chain_copies_its_inputs(self):
+        c_p = np.array([0.6, -1.3])
+        mu_tilde = np.array([1.0, 2.0])
+        chain = co.build_chain(c_p, mu_tilde)
+        c_p[0] = mu_tilde[0] = 9.0
+        assert np.array_equal(chain.alpha, [0.6, -1.3])
+        assert np.array_equal(chain.mu_tilde, [1.0, 2.0])
 
 
 class TestFixedPoint:
     def test_reference_residual(self, example_system):
-        _, chain, aug = example_system
+        chain, aug = example_system
         residual = co.check_fixed_point(aug, chain)
         assert residual <= 1e-12 * np.linalg.norm(aug.a_o, ord="fro")
 
     def test_single_element_residual(self):
-        plant, chain, aug = build_system([1.0, 0.0], "uniform", 1.0, 1)
+        chain, aug = build_system([1.0, 0.0], "uniform", 1.0, 1)
         assert co.check_fixed_point(aug, chain) <= 1e-15
 
     def test_unit_perturbation_gives_residual_two(self, example_system):
-        plant, chain, _ = example_system
+        chain, _ = example_system
         perturbed = perturb_omega(chain, 0, 1.0)
-        aug = co.assemble_augmented(plant, perturbed)
+        aug = co.assemble_augmented(perturbed)
         assert abs(co.check_fixed_point(aug, perturbed) - 2.0) <= 1e-12
 
     @given(
         st.integers(min_value=0, max_value=4),
         st.floats(min_value=1e-6, max_value=1.0),
+        st.sampled_from([(1.0, 0.0), (0.6, -1.3)]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_perturbation_sensitivity(self, index, delta):
+    def test_perturbation_sensitivity(self, index, delta, c_p):
         """Breaking any one frequency relation shows up as 2 delta ||alpha||."""
-        plant = co.PlantSpec.static_plant([1.0, 0.0])
-        chain = co.build_chain(plant, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        chain = co.build_chain(c_p, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         perturbed = perturb_omega(chain, index, delta)
-        aug = co.assemble_augmented(plant, perturbed)
+        aug = co.assemble_augmented(perturbed)
         residual = co.check_fixed_point(aug, perturbed)
-        assert abs(residual - 2.0 * delta) <= 1e-9 * max(1.0, delta)
+        expected = 2.0 * delta * float(np.linalg.norm(c_p))
+        assert abs(residual - expected) <= 1e-9 * max(1.0, delta)
 
     @given(mu_vectors)
     @settings(max_examples=40, deadline=None)
     def test_every_constructed_chain_satisfies_it(self, mu):
-        plant = co.PlantSpec.static_plant([0.7, -1.3])
-        chain = co.build_chain(plant, mu)
-        aug = co.assemble_augmented(plant, chain)
+        chain = co.build_chain([0.7, -1.3], mu)
+        aug = co.assemble_augmented(chain)
         residual = co.check_fixed_point(aug, chain)
         assert residual <= 1e-12 * np.linalg.norm(aug.a_o, ord="fro")
 
 
 class TestPlantOutputInvariance:
     def test_axis_aligned_output_row_is_exactly_zero(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         assert np.array_equal((aug.c_a @ aug.a_a)[0], np.zeros(12))
 
     def test_generic_output_row_vanishes(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             c_p = rng.normal(size=2)
-            _, _, aug = build_system(c_p, "random", 1.0, 4, seed=int(rng.integers(1 << 16)))
+            _, aug = build_system(c_p, "random", 1.0, 4, seed=int(rng.integers(1 << 16)))
             row = (aug.c_a @ aug.a_a)[0]
             assert np.abs(row).max() <= 1e-13 * np.linalg.norm(aug.a_a, ord="fro")
 
 
 def test_consensus_target_identity(example_system):
-    _, chain, aug = example_system
+    chain, aug = example_system
     target = co.consensus_target(chain)
-    assert np.array_equal(target.ones_vector, np.ones(5))
-    assert np.abs(aug.c_o @ target.alpha_stack - 1.0).max() <= 1e-15
+    assert np.abs(aug.c_o @ target - 1.0).max() <= 1e-15
 
 
 def test_consensus_target_generic_output():
-    _, chain, aug = build_system([0.6, 2.2], "uniform", 0.5, 3)
+    chain, aug = build_system([0.6, 2.2], "uniform", 0.5, 3)
     target = co.consensus_target(chain)
-    assert np.abs(aug.c_o @ target.alpha_stack - 1.0).max() <= 1e-15
+    assert np.abs(aug.c_o @ target - 1.0).max() <= 1e-15
 
 
-def test_plant_spec_factories():
-    plant = co.PlantSpec.from_hamiltonian(np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0])
-    assert np.array_equal(plant.a_p, 2.0 * co.SYMPLECTIC_UNIT @ plant.r_p)
-    with pytest.raises(co.InvalidParameterError):
-        co.PlantSpec.from_hamiltonian(np.array([[0.0, 1.0], [2.0, 0.0]]), [1.0, 0.0])
-    with pytest.raises(co.InvalidDimensionError):
-        co.PlantSpec.from_hamiltonian(np.eye(2), [1.0, 0.0, 0.0])
+@st.composite
+def assembly_cases(draw):
+    variant = draw(st.sampled_from(co.SCHEMES))
+    n = draw(st.integers(min_value=1, max_value=60))
+    if variant == co.SCHEME_ALL_HARMONICS:
+        n += n % 2
+    seed = draw(st.integers(0, 2**32 - 1)) if variant == co.SCHEME_RANDOM else None
+    # keep ||c_p|| away from 1 so a dropped 1/||alpha||^2 cannot go unseen
+    radius = draw(st.floats(0.05, 0.9) | st.floats(1.1, 20.0))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    return variant, n, seed, radius * np.array([np.cos(angle), np.sin(angle)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(assembly_cases())
+def test_assembly_matches_the_kronecker_oracle(case):
+    """r_a, a_a and c_a equal their Kronecker-product form bit for bit."""
+    variant, n, seed, c_p = case
+    chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
+    r_a, a_a, c_a = dense_augmented(c_p, chain.mu_tilde, chain.omega)
+    assert np.array_equal(aug.r_a, r_a)
+    assert np.array_equal(aug.a_a, a_a)
+    assert np.array_equal(aug.c_a, c_a)

@@ -150,7 +150,7 @@ class TestBuildCommand:
     def test_written_matrices_match_the_library_exactly(self, tmp_path):
         config = write_config(tmp_path)
         assert cli.main(["build", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
-        _, _, aug = build_system([1.0, 0.0], "uniform", 1.0, 3)
+        _, aug = build_system([1.0, 0.0], "uniform", 1.0, 3)
         assert np.array_equal(serialize.read_matrix_csv(tmp_path / "a_a.csv"), aug.a_a)
         assert np.array_equal(serialize.read_matrix_csv(tmp_path / "r_a.csv"), aug.r_a)
         assert np.array_equal(serialize.read_matrix_csv(tmp_path / "c_a.csv"), aug.c_a)
@@ -204,10 +204,24 @@ class TestSimulateCommand:
         config = write_config(tmp_path, step="auto", horizon=1.0)
         code = cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)])
         assert code == 0
-        _, _, aug = build_system([1.0, 0.0], "uniform", 1.0, 3)
+        _, aug = build_system([1.0, 0.0], "uniform", 1.0, 3)
         grid = co.TimeGrid.covering(0.0, 1.0, co.default_step(aug))
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + grid.samples * 4
+
+    def test_fastest_mode_is_solved_once(self, tmp_path, monkeypatch):
+        """The auto step needs the fastest mode; nothing else in simulate does."""
+        calls = []
+        solve = co.max_frequency
+
+        def counted(a):
+            calls.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr("chainobs.simulate.max_frequency", counted)
+        config = write_config(tmp_path, step="auto", horizon=1.0)
+        assert cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+        assert calls == [(8, 8)]
 
     def test_tolerance_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "PLANT_ROW_DRIFT_TOL", -1.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from oracles import dense_symplectic_drift, rotation
+from oracles import dense_symplectic_drift, hamiltonian_drift, rotation
 
 
 class TestSymplecticForm:
@@ -32,24 +32,6 @@ class TestSymplecticForm:
         assert np.array_equal(m.T, -m)
 
 
-class TestHamiltonianMatrix:
-    def test_accepts_symmetric_even(self):
-        ham = co.HamiltonianMatrix.from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
-        assert ham.dimension == 4
-
-    def test_rejects_odd_dimension(self):
-        with pytest.raises(co.InvalidDimensionError):
-            co.HamiltonianMatrix.from_matrix(np.eye(3))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(co.InvalidParameterError):
-            co.HamiltonianMatrix.from_matrix(np.array([[1.0, 2.0], [1.0, 1.0]]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(co.InvalidInputError):
-            co.HamiltonianMatrix.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
 def test_dynamics_of_zero_hamiltonian():
     theta = co.make_symplectic(2)
     assert np.array_equal(co.dynamics_from_hamiltonian(np.zeros((4, 4)), theta), np.zeros((4, 4)))
@@ -68,17 +50,13 @@ def test_dynamics_dimension_mismatch():
 
 def test_system_factory_is_realizable():
     rng = np.random.default_rng(42)
+    theta = co.make_symplectic(3)
     for _ in range(20):
         r = rng.normal(size=(6, 6))
         r = r + r.T
-        system = co.LinearQuantumSystem.from_hamiltonian(r, rng.normal(size=(1, 6)))
-        residual = co.realizability_residual(system.dynamics, system.theta)
-        assert residual <= 1e-12 * np.linalg.norm(system.dynamics, ord="fro")
-
-
-def test_system_factory_rejects_bad_output_width():
-    with pytest.raises(co.InvalidDimensionError):
-        co.LinearQuantumSystem.from_hamiltonian(np.eye(4), np.ones((1, 3)))
+        dynamics = co.dynamics_from_hamiltonian(r, theta)
+        residual = co.realizability_residual(dynamics, theta)
+        assert residual <= 1e-12 * np.linalg.norm(dynamics, ord="fro")
 
 
 def test_realizability_residual_of_rotation_generator_is_zero():
@@ -100,14 +78,14 @@ def test_realizability_shape_check():
 
 
 def test_hamiltonian_drift_of_identity_propagator():
-    assert co.hamiltonian_drift(np.diag([1.0, 2.0]), np.eye(2)) == 0.0
+    assert hamiltonian_drift(np.diag([1.0, 2.0]), np.eye(2)) == 0.0
 
 
 def test_hamiltonian_drift_closed_form_rotation():
     """exp(2Jt) conserves the identity Hamiltonian: rotations are isometries."""
     for t in (0.1, 0.9, 4.0):
         phi = rotation(2.0 * t)
-        assert co.hamiltonian_drift(np.eye(2), phi) <= 1e-14
+        assert hamiltonian_drift(np.eye(2), phi) <= 1e-14
 
 
 def test_symplectic_drift_closed_form_rotation():
@@ -118,7 +96,7 @@ def test_symplectic_drift_closed_form_rotation():
 
 def test_drift_shape_mismatch():
     with pytest.raises(co.InvalidDimensionError):
-        co.hamiltonian_drift(np.eye(4), np.eye(2))
+        hamiltonian_drift(np.eye(4), np.eye(2))
     with pytest.raises(co.InvalidDimensionError):
         co.symplectic_drift(np.eye(4), co.make_symplectic(1))
 
@@ -164,7 +142,7 @@ def test_symplectic_drift_rejects_wrong_shapes(shape):
 
 def test_augmented_dynamics_match_blockwise_product(example_system):
     """a_a must equal 2 Theta r_a computed block row by block row."""
-    _, _, aug = example_system
+    _, aug = example_system
     j = co.SYMPLECTIC_UNIT
     expected = np.empty_like(aug.a_a)
     for i in range(aug.theta.n_modes):
@@ -175,7 +153,7 @@ def test_augmented_dynamics_match_blockwise_product(example_system):
 
 def test_observer_dynamics_spectrum_is_imaginary(example_system):
     """With r_o positive definite the observer dynamics are oscillatory."""
-    _, _, aug = example_system
+    _, aug = example_system
     eigenvalues = np.linalg.eigvals(aug.a_o)
     scale = np.linalg.norm(aug.a_o, ord=2)
     assert np.abs(eigenvalues.real).max() <= 1e-12 * scale

@@ -76,24 +76,30 @@ class TestStreamedOracle:
         ],
     )
     def test_matches_the_stored_trajectory_route(self, c_p, variant, omega0, n, seed, horizon):
-        _, _, aug = build_system(c_p, variant, omega0, n, seed=seed)
+        _, aug = build_system(c_p, variant, omega0, n, seed=seed)
         grid = co.TimeGrid.covering(0.0, horizon, co.default_step(aug))
-        stored = co.time_average_quadrature(co.coefficient_trajectory(aug, grid))
+        stored = co.time_average_quadrature(
+            co.coefficient_trajectory(aug, grid), co.max_frequency(aug.a_a)
+        )
         streamed = co.time_average_streamed(aug, horizon)
         assert streamed.method == stored.method == "quadrature"
         assert_close(streamed, stored, 1e-13)
 
     def test_explicit_step(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         grid = co.TimeGrid.covering(0.0, 2.0, 0.002)
-        stored = co.time_average_quadrature(co.coefficient_trajectory(aug, grid))
+        stored = co.time_average_quadrature(
+            co.coefficient_trajectory(aug, grid), co.max_frequency(aug.a_a)
+        )
         assert_close(co.time_average_streamed(aug, 2.0, 0.002), stored, 1e-13)
 
     def test_coarse_step_is_rejected_before_propagation(self, example_system, monkeypatch):
-        _, _, aug = example_system
+        _, aug = example_system
         grid = co.TimeGrid.covering(0.0, 2.0, 0.1)
         with pytest.raises(co.StepTooCoarseError) as stored:
-            co.time_average_quadrature(co.coefficient_trajectory(aug, grid))
+            co.time_average_quadrature(
+                co.coefficient_trajectory(aug, grid), co.max_frequency(aug.a_a)
+            )
 
         def no_propagation(a, t):
             raise AssertionError("propagated before the step ceiling was checked")
@@ -106,7 +112,7 @@ class TestStreamedOracle:
     def test_injected_drift_fails_both_routes_at_the_same_sample(
         self, example_system, monkeypatch
     ):
-        _, _, aug = example_system
+        _, aug = example_system
         true_drift = co.symplectic_drift
         calls = []
 
@@ -130,7 +136,7 @@ class TestStreamedOracle:
 
     def test_memory_does_not_grow_with_the_horizon(self):
         """O(N^2) memory: a fraction of what the stored trajectory would take."""
-        _, _, aug = build_system([1.0, 0.0], "odd-harmonics", 1.0, 10)
+        _, aug = build_system([1.0, 0.0], "odd-harmonics", 1.0, 10)
         horizon = 10_500 * co.default_step(aug)
         grid = co.TimeGrid.covering(0.0, horizon, co.default_step(aug))
         stored_bytes = grid.samples * aug.c_a.nbytes
@@ -144,7 +150,7 @@ class TestStreamedOracle:
         assert peak < stored_bytes / 10
 
     def test_logs_one_line_with_its_size(self, example_system, caplog):
-        _, _, aug = example_system
+        _, aug = example_system
         grid = co.TimeGrid.covering(0.0, 1.0, co.default_step(aug))
         with caplog.at_level(logging.INFO, logger="chainobs.simulate"):
             co.time_average_streamed(aug, 1.0)

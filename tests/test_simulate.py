@@ -22,8 +22,6 @@ def static_augmented(n_elements: int = 1) -> co.AugmentedSystem:
         r_a=np.zeros((dim, dim)),
         a_a=np.zeros((dim, dim)),
         c_a=c_a,
-        a_o=np.zeros((dim - 2, dim - 2)),
-        b_o=np.zeros(dim - 2),
         theta=co.make_symplectic(n_elements + 1),
     )
 
@@ -95,7 +93,7 @@ class TestPropagator:
         assert np.allclose(co.propagator(a, t), rotation(2.0 * t), rtol=0.0, atol=1e-13)
 
     def test_semigroup_property(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         phi_a = co.propagator(aug.a_a, 1.3)
         phi_b = co.propagator(aug.a_a, 2.4)
         phi_ab = co.propagator(aug.a_a, 3.7)
@@ -104,7 +102,7 @@ class TestPropagator:
     def test_matches_spectral_route(self, example_system):
         """Two independent exponentials of the observer dynamics must agree:
         scaling-and-squaring versus diagonalizing the conserved quadratic."""
-        _, _, aug = example_system
+        _, aug = example_system
         theta = co.make_symplectic(5)
         for t in (0.7, 3.3, 12.0):
             direct = co.propagator(aug.a_o, t)
@@ -132,11 +130,11 @@ class TestFrequencies:
         assert abs(co.max_frequency(2.0 * co.SYMPLECTIC_UNIT) - 2.0) <= 1e-14
 
     def test_reference_regression(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         assert np.isclose(co.max_frequency(aug.a_a), 21.095207100132644, rtol=1e-12)
 
     def test_default_step_resolves_fastest_mode(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         step = co.default_step(aug)
         period = 2.0 * math.pi / co.max_frequency(aug.a_a)
         assert np.isclose(step, 0.005 * period, rtol=1e-15)
@@ -148,14 +146,14 @@ class TestFrequencies:
 
 class TestTrajectory:
     def test_first_sample_is_the_output_matrix(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         grid = co.TimeGrid(0.0, 1.0, 0.01)
         trajectory = co.coefficient_trajectory(aug, grid)
         assert trajectory.coefficient_rows.shape == (101, 6, 12)
         assert np.array_equal(trajectory.coefficient_rows[0], aug.c_a)
 
     def test_recurrence_matches_direct_exponentials(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         grid = co.TimeGrid(0.0, 2.0, 0.05)
         trajectory = co.coefficient_trajectory(aug, grid)
         scale = np.linalg.norm(aug.c_a, ord="fro")
@@ -165,7 +163,7 @@ class TestTrajectory:
             assert drift <= 1e-11 * scale
 
     def test_offset_start(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         grid = co.TimeGrid(10.0, 11.0, 0.5)
         trajectory = co.coefficient_trajectory(aug, grid)
         assert np.array_equal(
@@ -175,14 +173,14 @@ class TestTrajectory:
     def test_plant_row_is_constant(self, example_system):
         """The plant output row never moves: its coefficient row at every
         sample stays on the initial output functional."""
-        _, _, aug = example_system
+        _, aug = example_system
         grid = co.TimeGrid(0.0, 50.0, 0.5)
         trajectory = co.coefficient_trajectory(aug, grid)
         drift = np.abs(trajectory.coefficient_rows[:, 0, :] - aug.c_a[0]).max()
         assert drift <= 1e-9
 
     def test_non_symplectic_propagator_aborts(self, example_system, monkeypatch):
-        _, _, aug = example_system
+        _, aug = example_system
         true_propagator = co.propagator
         monkeypatch.setattr(
             "chainobs.simulate.propagator",
@@ -230,55 +228,49 @@ class TestTimeAverages:
         assert np.allclose(avg.averaged_rows, aug.c_a, rtol=0.0, atol=1e-14)
 
     def test_plant_row_average_stays_put(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         avg = co.time_average_exact(aug, 800.0)
         assert np.abs(avg.averaged_rows[0] - aug.c_a[0]).max() <= 1e-9
 
     def test_reference_consensus_error(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         avg = co.time_average_exact(aug, 800.0)
         assert np.isclose(co.consensus_error(avg), 0.00494399336874341, rtol=1e-9)
 
     def test_quadrature_requires_zero_start(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         grid = co.TimeGrid(1.0, 2.0, 0.0005)
         trajectory = co.coefficient_trajectory(aug, grid)
         with pytest.raises(co.InvalidParameterError):
-            co.time_average_quadrature(trajectory)
+            co.time_average_quadrature(trajectory, co.max_frequency(aug.a_a))
 
     def test_quadrature_rejects_coarse_grids(self):
         grid = co.TimeGrid(0.0, 1.0, 0.5)
-        trajectory = co.Trajectory(
-            grid=grid,
-            coefficient_rows=np.zeros((grid.samples, 1, 2)),
-            omega_max=1000.0,
-        )
+        trajectory = co.Trajectory(grid=grid, coefficient_rows=np.zeros((grid.samples, 1, 2)))
         with pytest.raises(co.StepTooCoarseError):
-            co.time_average_quadrature(trajectory)
+            co.time_average_quadrature(trajectory, 1000.0)
 
     def test_quadrature_of_constant_rows(self):
         grid = co.TimeGrid.from_count(0.0, 2.0, 401)
-        trajectory = co.Trajectory(
-            grid=grid,
-            coefficient_rows=np.ones((grid.samples, 2, 3)),
-            omega_max=1.0,
-        )
-        avg = co.time_average_quadrature(trajectory)
+        trajectory = co.Trajectory(grid=grid, coefficient_rows=np.ones((grid.samples, 2, 3)))
+        avg = co.time_average_quadrature(trajectory, 1.0)
         assert avg.method == "quadrature"
         assert np.allclose(avg.averaged_rows, 1.0, rtol=0.0, atol=1e-14)
 
     def test_quadrature_of_full_sine_period_cancels(self):
         grid = co.TimeGrid.from_count(0.0, math.pi, 201)
         values = np.sin(2.0 * grid.times())[:, None, None]
-        trajectory = co.Trajectory(grid=grid, coefficient_rows=values, omega_max=2.0)
-        avg = co.time_average_quadrature(trajectory)
+        trajectory = co.Trajectory(grid=grid, coefficient_rows=values)
+        avg = co.time_average_quadrature(trajectory, 2.0)
         assert np.abs(avg.averaged_rows).max() <= 1e-10
 
     def test_exact_and_quadrature_routes_agree(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         horizon = 20.0
         grid = co.TimeGrid.covering(0.0, horizon, co.default_step(aug))
-        quadrature = co.time_average_quadrature(co.coefficient_trajectory(aug, grid))
+        quadrature = co.time_average_quadrature(
+            co.coefficient_trajectory(aug, grid), co.max_frequency(aug.a_a)
+        )
         exact = co.time_average_exact(aug, horizon)
         scale = np.linalg.norm(exact.averaged_rows, ord="fro")
         gap = np.linalg.norm(quadrature.averaged_rows - exact.averaged_rows, ord="fro")
@@ -287,7 +279,7 @@ class TestTimeAverages:
 
 class TestSpatialAverage:
     def test_initial_sample_pattern(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         trajectory = co.coefficient_trajectory(aug, co.TimeGrid(0.0, 1.0, 0.5))
         spatial = co.spatial_average(trajectory)
         expected = np.zeros(12)
@@ -322,12 +314,10 @@ class TestBrokenFixedPointGrowsLinearly:
         drive[0:2] = alpha
         a_broken = np.zeros((dim, dim))
         a_broken[2:, 0:2] = np.outer(drive, aug.c_a[0, 0:2])
-        return dataclasses.replace(
-            aug, a_a=a_broken, a_o=a_broken[2:, 2:], r_a=np.zeros((dim, dim))
-        )
+        return dataclasses.replace(aug, a_a=a_broken, r_a=np.zeros((dim, dim)))
 
     def test_error_follows_the_linear_law(self, example_system):
-        _, chain, aug = example_system
+        chain, aug = example_system
         broken = self.broken_system(aug, chain.alpha)
         for horizon in (10.0, 20.0, 40.0):
             avg = co.time_average_exact(broken, horizon)
@@ -337,6 +327,6 @@ class TestBrokenFixedPointGrowsLinearly:
             assert np.isclose(co.consensus_error(avg), expected_error, rtol=1e-10)
 
     def test_healthy_system_does_not_grow(self, example_system):
-        _, _, aug = example_system
+        _, aug = example_system
         errors = [co.consensus_error(co.time_average_exact(aug, t)) for t in (10.0, 40.0)]
         assert errors[1] < errors[0]

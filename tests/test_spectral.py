@@ -53,7 +53,7 @@ chains = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(chains, st.floats(min_value=1e-3, max_value=50.0))
 def test_matches_the_exact_route(chain_args, horizon):
-    _, chain, aug = random_chain(*chain_args)
+    chain, aug = random_chain(*chain_args)
     spectral = co.time_average_spectral(chain, horizon)
     exact = co.time_average_exact(aug, horizon)
     assert spectral.horizon == exact.horizon == horizon
@@ -65,7 +65,7 @@ def test_matches_the_exact_route(chain_args, horizon):
 @given(chains, st.integers(min_value=2, max_value=400))
 def test_matches_streamed_quadrature_on_resolved_horizons(chain_args, intervals):
     """Short horizons of 2-400 auto steps, where Simpson's rule is in its regime."""
-    _, chain, aug = random_chain(*chain_args)
+    chain, aug = random_chain(*chain_args)
     horizon = intervals * co.default_step(aug)
     streamed = co.time_average_streamed(aug, horizon)
     spectral = co.time_average_spectral(chain, streamed.horizon)
@@ -82,14 +82,14 @@ def test_one_minus_sinc_does_not_cancel():
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
 def test_rejects_bad_horizons(example_system, horizon):
-    _, chain, _ = example_system
+    chain, _ = example_system
     with pytest.raises(co.InvalidParameterError):
         co.time_average_spectral(chain, horizon)
 
 
 def test_rejects_an_indefinite_chain(example_system):
     """Frequencies that do not dominate the couplings leave no normal modes."""
-    _, chain, _ = example_system
+    chain, _ = example_system
     with pytest.raises(co.NotPositiveDefiniteError) as failure:
         co.time_average_spectral(dataclasses.replace(chain, omega=np.ones(chain.n_elements)), 1.0)
     assert failure.value.lambda_min < 0.0
@@ -147,7 +147,7 @@ def mpmath_time_average(chain: co.ChainObserverParams, horizon: float) -> np.nda
 def test_mpmath_referee(c_p, variant, n, seed, horizon):
     """The spectral route is within 1e-12 of 40-digit arithmetic at every horizon;
     the doubled-block route drifts with T ||A_a|| but stays within 1e-9 here."""
-    _, chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
+    chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
     referee = mpmath_time_average(chain, horizon)
     assert relative_gap(co.time_average_spectral(chain, horizon).averaged_rows, referee) <= 1e-12
     assert relative_gap(co.time_average_exact(aug, horizon).averaged_rows, referee) <= 1e-9
