@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +277,17 @@ def test_observer_spectrum_is_reduced_spectrum_plus_self_energies(
     full = np.linalg.eigvalsh(aug.r_o)
     split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(chain)),
                                     chain.omega]))
+    assert np.abs(full - split).max() <= 1e-12 * full[-1]
+
+
+def test_observer_spectrum_split_holds_for_a_mistuned_lineup():
+    """assemble_augmented and build_reduced read the same stored omega, so the
+    split holds on a chain whose lineup no longer matches its couplings."""
+    chain = co.build_chain([0.6, -1.3], np.array([1.0, 2.0, 3.0, 4.0]))
+    omega = chain.omega + np.array([0.25, -0.5, 0.0, 1.5])
+    mistuned = dataclasses.replace(chain, omega=omega)
+    full = np.linalg.eigvalsh(co.assemble_augmented(mistuned).r_o)
+    split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(mistuned)), omega]))
     assert np.abs(full - split).max() <= 1e-12 * full[-1]
 
 

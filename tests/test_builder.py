@@ -179,6 +179,22 @@ class TestAssemble:
         assert np.array_equal(aug.c_o, aug.c_a[1:, 2:])
         assert aug.n_elements == 5
 
+    def test_drive_column(self):
+        """The drive check_fixed_point uses is the plant-to-observer block of a_a.
+
+        With x_p = alpha the plant output is z_p = ||alpha||^2, so the residual
+        must equal the norm of the assembled observer rows acting on
+        (alpha; alpha; ...; alpha). A mistuned lineup keeps that norm nonzero.
+        """
+        chain = perturb_omega(co.build_chain([0.6, -1.3], np.array([1.0, 2.0, 3.0])), 1, 0.5)
+        aug = co.assemble_augmented(chain)
+        drive = aug.a_a[2:, :2] @ chain.alpha
+        assert np.array_equal(drive[2:], np.zeros(4))
+        stack = np.tile(chain.alpha, chain.n_elements)
+        expected = float(np.linalg.norm(aug.a_o @ stack + drive))
+        assert expected > 0.5
+        assert abs(co.check_fixed_point(aug, chain) - expected) <= 1e-12 * expected
+
     def test_mistuned_lineup_reaches_the_assembled_system(self, example_system):
         """omega is the one stored lineup: a replaced one is what gets assembled."""
         chain, _ = example_system
@@ -195,6 +211,22 @@ class TestStoredState:
         assert fields == ["alpha", "mu_tilde", "omega"]
         assert chain.n_elements == 3
         assert np.array_equal(chain.mu, chain.mu_tilde / 4.0)
+
+    def test_augmented_system_stores_no_observer_copies(self, example_system):
+        _, aug = example_system
+        fields = [f.name for f in dataclasses.fields(aug)]
+        assert fields == ["r_a", "a_a", "c_a", "theta"]
+        assert np.shares_memory(aug.r_o, aug.r_a)
+        assert np.shares_memory(aug.a_o, aug.a_a)
+        assert np.shares_memory(aug.c_o, aug.c_a)
+
+    def test_build_chain_checks_its_coupling_strengths(self):
+        with pytest.raises(co.InvalidDimensionError):
+            co.build_chain([1.0, 0.0], np.array([]))
+        with pytest.raises(co.InvalidParameterError):
+            co.build_chain([1.0, 0.0], np.array([1.0, 0.0]))
+        with pytest.raises(co.InvalidParameterError):
+            co.build_chain([1.0, 0.0], np.array([1.0, np.inf]))
 
     def test_build_chain_copies_its_inputs(self):
         c_p = np.array([0.6, -1.3])
