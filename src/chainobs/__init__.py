@@ -45,7 +45,6 @@ from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
     NumericalFailureError,
-    StepTooCoarseError,
     ToleranceExceededError,
     UnsupportedSchemeError,
 )
@@ -58,21 +57,19 @@ from .lqs import (
     symplectic_drift,
 )
 from .simulate import (
+    NormalModes,
     TimeAverage,
     TimeGrid,
     Trajectory,
     coefficient_trajectory,
     consensus_error,
     default_step,
-    integral_of_propagator,
-    max_frequency,
+    end_rows,
+    identity_residuals,
+    normal_modes,
     propagator,
-    simpson_weights,
     spatial_average,
-    time_average_exact,
-    time_average_quadrature,
     time_average_spectral,
-    time_average_streamed,
 )
 
 __version__ = "0.1.0"
@@ -104,6 +101,7 @@ __all__ = [
     "InvalidDimensionError",
     "InvalidInputError",
     "InvalidParameterError",
+    "NormalModes",
     "NotPositiveDefiniteError",
     "NumericalFailureError",
     "ParameterScheme",
@@ -115,7 +113,6 @@ __all__ = [
     "SCHEME_UNIFORM",
     "SYMPLECTIC_UNIT",
     "SpectralCertificate",
-    "StepTooCoarseError",
     "SymplecticForm",
     "TimeAverage",
     "TimeGrid",
@@ -132,22 +129,19 @@ __all__ = [
     "consensus_target",
     "default_step",
     "dynamics_from_hamiltonian",
-    "integral_of_propagator",
+    "end_rows",
+    "identity_residuals",
     "laplacian_split",
     "load_config",
     "make_mu_schedule",
     "make_symplectic",
-    "max_frequency",
+    "normal_modes",
     "omegas_from_mu",
     "parse_config",
     "propagator",
     "realizability_residual",
-    "simpson_weights",
     "spatial_average",
     "symplectic_drift",
-    "time_average_exact",
-    "time_average_quadrature",
     "time_average_spectral",
-    "time_average_streamed",
     "verify_exp_bound",
 ]

@@ -51,10 +51,6 @@ class ToleranceExceededError(ChainobsError):
     """A conserved quantity drifted past its tolerance during propagation."""
 
 
-class StepTooCoarseError(ChainobsError):
-    """The sampling step is too large for the fastest mode present."""
-
-
 class NumericalFailureError(ChainobsError):
     """A numerical routine produced non-finite or meaningless output."""
 

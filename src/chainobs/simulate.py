@@ -7,24 +7,20 @@ scaling-and-squaring (a diagonal rational approximant of fixed high order).
 One propagation engine yields Phi(t_k) sample by sample through the
 recurrence Phi(t + h) = Phi(h) Phi(t), re-certifying the symplectic
 identity at every sample so drift cannot accumulate silently. Stored
-trajectories and the streamed quadrature consume it for the augmented
-system and apply C_a themselves; the exponential-bound sweep in analysis
-consumes it for the observer block alone.
+trajectories consume it for the augmented system and apply C_a themselves;
+the exponential-bound sweep in analysis consumes it for the observer block
+alone.
 
-Time averages (1/T) int_0^T C_a exp(A_a s) ds are computed three
-independent ways. The exact route takes the exponential of the doubled
-block matrix [[A_a, I], [0, 0]], whose upper-right block is the integral
-(this works even though A_a is singular, which rules out the
-A^{-1}(exp(AT) - I) shortcut). The spectral route never assembles A_a:
-rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), the observer
+Time averages (1/T) int_0^T C_a exp(A_a s) ds have one route, a closed form
+in the chain's normal modes that never assembles A_a and samples nothing.
+Rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), the observer
 chain is an N x N symmetric tridiagonal oscillator chain driven by the
-constant plant quadrature, so its average has a closed form in the normal
-modes of K = Omega^(1/2) R_red Omega^(1/2), found by one tridiagonal
-eigensolve. The CLI's timeavg cross-checks the exact route against the
-spectral one and samples nothing; the two must agree to 1e-8 relative.
-Composite Simpson quadrature of the sampled rows is a third route, streamed
-through the propagation engine in O(N^2) memory, which the tests use as the
-independent sampled reference.
+constant plant quadrature, so both its average over [0, T] and its end rows
+C_a Phi(T) are per-mode weights pulled back through the normal modes of
+K = Omega^(1/2) R_red Omega^(1/2). One tridiagonal eigensolve of K
+(normal_modes) serves every horizon, and its fastest frequency sets the
+default sampling step. identity_residuals holds an average against the
+assembled A_a through two identities that every true average satisfies.
 """
 
 from __future__ import annotations
@@ -44,14 +40,10 @@ from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
     NumericalFailureError,
-    StepTooCoarseError,
     ToleranceExceededError,
 )
 from .lqs import SYMPLECTIC_UNIT, SymplecticForm, symplectic_drift
 
-# Quadrature is trustworthy only when the fastest mode is well resolved:
-# at least 100 samples per shortest period, i.e. step <= 0.01 * (2 pi / w).
-QUADRATURE_STEP_FACTOR = 0.01
 DEFAULT_STEP_FACTOR = 0.005
 DEFAULT_HORIZON = 500.0
 SYMPLECTIC_DRIFT_TOL = 1e-9
@@ -120,7 +112,44 @@ class TimeAverage:
 
     horizon: float
     averaged_rows: np.ndarray
-    method: str
+
+
+@dataclass(frozen=True)
+class NormalModes:
+    """K = Omega^(1/2) R_red Omega^(1/2) = V diag(lam) V^T for one chain.
+
+    K is symmetric tridiagonal, omega_i^2 on the diagonal and
+    -mu~_(i+1) sqrt(omega_i omega_(i+1)) off it, and positive definite;
+    mode k oscillates at nu_k = 2 sqrt(lam_k).
+    """
+
+    chain: ChainObserverParams
+    lam: np.ndarray
+    v: np.ndarray
+
+    @property
+    def nu(self) -> np.ndarray:
+        return 2.0 * np.sqrt(self.lam)
+
+
+def normal_modes(chain: ChainObserverParams) -> NormalModes:
+    """The chain's normal modes, by one tridiagonal eigensolve of K."""
+    root = np.sqrt(chain.omega)
+    # MRRR (Dhillon & Parlett 2004): against 40-digit referees its worst
+    # average was about 7x more accurate than the default divide-and-conquer's
+    lam, v = eigh_tridiagonal(
+        chain.omega**2, -chain.mu_tilde[1:] * root[:-1] * root[1:], lapack_driver="stemr"
+    )
+    if not lam[0] > 0.0:
+        raise NotPositiveDefiniteError(
+            f"normal-mode matrix is not positive definite: lambda_min = {lam[0]:.6e}",
+            lambda_min=lam[0],
+        )
+    log.info(
+        "normal modes: %d modes, fastest frequency nu_max %.6e",
+        chain.n_elements, 2.0 * math.sqrt(lam[-1]),
+    )
+    return NormalModes(chain=chain, lam=lam, v=v)
 
 
 def propagator(a: np.ndarray, t: float) -> np.ndarray:
@@ -141,23 +170,9 @@ def propagator(a: np.ndarray, t: float) -> np.ndarray:
     return phi
 
 
-def max_frequency(a: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a dynamics matrix (its fastest mode)."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("dynamics matrix contains non-finite entries")
-    return float(np.abs(np.linalg.eigvals(a)).max())
-
-
-def default_step(aug: AugmentedSystem) -> float:
-    """Default sampling step: half the quadrature ceiling for the fastest mode."""
-    return _auto_step(max_frequency(aug.a_a))
-
-
-def _auto_step(omega_max: float) -> float:
-    if omega_max == 0.0:
-        raise InvalidParameterError("dynamics have no oscillatory modes to resolve")
-    return DEFAULT_STEP_FACTOR * (2.0 * math.pi / omega_max)
+def default_step(chain: ChainObserverParams) -> float:
+    """Default sampling step: 0.005 of the period of the fastest normal mode."""
+    return DEFAULT_STEP_FACTOR * (2.0 * math.pi / normal_modes(chain).nu[-1])
 
 
 def _propagate(a: np.ndarray, theta: SymplecticForm, grid: TimeGrid) -> Iterator[np.ndarray]:
@@ -193,37 +208,6 @@ def coefficient_trajectory(aug: AugmentedSystem, grid: TimeGrid) -> Trajectory:
     return Trajectory(grid=grid, coefficient_rows=rows)
 
 
-def integral_of_propagator(a: np.ndarray, horizon: float) -> np.ndarray:
-    """Exact int_0^T exp(a s) ds via the doubled block matrix.
-
-    exp([[a, I], [0, 0]] T) has the integral as its upper-right block; this
-    stays valid when a is singular.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidDimensionError(f"dynamics matrix must be square, got shape {a.shape}")
-    if not (np.isfinite(horizon) and horizon > 0.0):
-        raise InvalidParameterError(f"horizon must be positive, got {horizon!r}")
-    n = a.shape[0]
-    doubled = np.zeros((2 * n, 2 * n))
-    doubled[:n, :n] = a
-    doubled[:n, n:] = np.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = expm(doubled * float(horizon))[:n, n:]
-    if not np.all(np.isfinite(block)):
-        raise NumericalFailureError(f"propagator integral overflowed at horizon {horizon!r}")
-    return block
-
-
-def time_average_exact(aug: AugmentedSystem, horizon: float) -> TimeAverage:
-    """Exact time average of the coefficient rows up to the horizon."""
-    integral = integral_of_propagator(aug.a_a, horizon)
-    averaged = aug.c_a @ integral / float(horizon)
-    return TimeAverage(
-        horizon=float(horizon), averaged_rows=averaged, method="exact-block-exponential"
-    )
-
-
 def _one_minus_sinc(x: np.ndarray) -> np.ndarray:
     """1 - sin(x)/x for x > 0, by its Taylor series below x = 1 where the
     direct form cancels (terms through x^18 leave < 1e-16 relative)."""
@@ -234,37 +218,42 @@ def _one_minus_sinc(x: np.ndarray) -> np.ndarray:
     return np.where(x < 1.0, x2 * series, 1.0 - np.sin(x) / x)
 
 
-def time_average_spectral(chain: ChainObserverParams, horizon: float) -> TimeAverage:
-    """Closed-form time average of the coefficient rows from the chain's normal modes.
+def _average_weights(modes: NormalModes, horizon: float) -> tuple[np.ndarray, ...]:
+    """Per-mode weights of the average over [0, T] on q(0), p(0) and q_0."""
+    nu = modes.nu
+    x = nu * horizon
+    return (
+        np.sin(x) / x,
+        -4.0 * np.sin(0.5 * x) ** 2 / (nu * nu * horizon),
+        _one_minus_sinc(x) / modes.lam,
+    )
 
-    Built from alpha, mu~ and omega alone, never from the assembled A_a, so
-    it is independent of time_average_exact. Per mode, q = alpha^ . x and
-    p = J alpha^ . x give q' = -2 Omega p and p' = 2 R_red q - 2 mu~_1 q_0 e_1
-    with the plant quadrature q_0 constant, and every output is ||alpha||
-    times a q. With u = q - q_0 1 (R_red 1 = mu~_1 e_1) and
-    K = Omega^(1/2) R_red Omega^(1/2) = V diag(lambda) V^T, the normal modes
-    Omega^(-1/2) u oscillate at nu = 2 sqrt(lambda), so over [0, T]
-    q(0) is weighted by sin(nu T)/(nu T), p(0) by -2 (1 - cos nu T)/(nu^2 T)
-    and q_0 by mu~_1 sqrt(omega_1) (1 - sin(nu T)/(nu T))/lambda, each
-    pulled back through Omega^(+-1/2) V.
+
+def _end_weights(modes: NormalModes, t: float) -> tuple[np.ndarray, ...]:
+    """Per-mode weights of C_a Phi(t) on q(0), p(0) and q_0."""
+    nu = modes.nu
+    x = nu * t
+    return np.cos(x), -2.0 * np.sin(x) / nu, 2.0 * np.sin(0.5 * x) ** 2 / modes.lam
+
+
+def _rows(
+    modes: NormalModes, q_weight: np.ndarray, p_weight: np.ndarray, plant_weight: np.ndarray
+) -> np.ndarray:
+    """Coefficient rows whose observer q's carry the given per-mode weights.
+
+    Per mode, q = alpha^ . x and p = J alpha^ . x give q' = -2 Omega p and
+    p' = 2 R_red q - 2 mu~_1 q_0 e_1 with the plant quadrature q_0 constant,
+    and every output is ||alpha|| times a q. With u = q - q_0 1
+    (R_red 1 = mu~_1 e_1), the normal modes V^T Omega^(-1/2) u oscillate at
+    nu, so q(0), p(0) and q_0 reach q through Omega^(1/2) V diag(w) V^T
+    times Omega^(-1/2), Omega^(1/2) and mu~_1 sqrt(omega_1) e_1
+    (= K Omega^(-1/2) 1) respectively; the plant weights carry the 1/lambda
+    of K^(-1).
     """
-    if not (np.isfinite(horizon) and horizon > 0.0):
-        raise InvalidParameterError(f"horizon must be positive, got {horizon!r}")
+    chain, v = modes.chain, modes.v
     alpha = chain.alpha
     n = chain.n_elements
     root = np.sqrt(chain.omega)
-    lam, v = eigh_tridiagonal(chain.omega**2, -chain.mu_tilde[1:] * root[:-1] * root[1:])
-    if not lam[0] > 0.0:
-        raise NotPositiveDefiniteError(
-            f"normal-mode matrix is not positive definite: lambda_min = {lam[0]:.6e}",
-            lambda_min=lam[0],
-        )
-    nu = 2.0 * np.sqrt(lam)
-    horizon = float(horizon)
-    phase = nu * horizon
-    q_weight = np.sin(phase) / phase
-    p_weight = -4.0 * np.sin(0.5 * phase) ** 2 / (nu * nu * horizon)
-    plant_weight = _one_minus_sinc(phase) / lam
     left = root[:, None] * v
     from_q = (left * q_weight) @ (v.T / root)
     from_p = (left * p_weight) @ (v.T * root)
@@ -274,102 +263,57 @@ def time_average_spectral(chain: ChainObserverParams, horizon: float) -> TimeAve
     rows[1:, :2] = np.outer(from_plant, alpha)
     j_alpha = SYMPLECTIC_UNIT @ alpha
     rows[1:, 2:] = (from_q[..., None] * alpha + from_p[..., None] * j_alpha).reshape(n, 2 * n)
-    log.info(
-        "normal-mode oracle: %d modes, horizon %.6e, fastest frequency nu_max %.6e",
-        n, horizon, nu[-1],
-    )
-    return TimeAverage(horizon=horizon, averaged_rows=rows, method="spectral-normal-mode")
+    return rows
 
 
-def simpson_weights(times: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights w with sum_k w_k y(t_k) ~ int y dt.
+def _positive_time(t: float) -> float:
+    if not (np.isfinite(t) and t > 0.0):
+        raise InvalidParameterError(f"horizon must be positive, got {t!r}")
+    return float(t)
 
-    Reproduces scipy.integrate.simpson(y, x=times): Simpson's rule for
-    possibly uneven spacing on consecutive interval pairs and, for an even
-    sample count, Cartwright's three-point correction on the last interval
-    (two samples fall back to the trapezoid).
+
+def time_average_spectral(modes: NormalModes, horizon: float) -> TimeAverage:
+    """Time average of the coefficient rows over [0, T], in closed form.
+
+    With x = nu T, q(0) is weighted by sin(x)/x, p(0) by
+    -4 sin^2(x/2)/(nu^2 T) and q_0 by (1 - sin(x)/x)/lambda.
     """
-    x = np.asarray(times, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InvalidParameterError(f"Simpson weights need at least 2 times, got shape {x.shape}")
-    h = np.diff(x)
-    if not (np.all(np.isfinite(x)) and np.all(h > 0.0)):
-        raise InvalidParameterError("times must be finite and strictly increasing")
-    weights = np.zeros(x.size)
-    if x.size == 2:
-        weights[:] = 0.5 * h[0]
-        return weights
-    end = 2 * ((x.size - 1) // 2)  # last sample reached by whole interval pairs
-    h0, h1 = h[0:end:2], h[1:end:2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    sixth = hsum / 6.0
-    weights[0:end:2] += sixth * (2.0 - 1.0 / h0divh1)
-    weights[1:end:2] += sixth * (hsum * (hsum / (h0 * h1)))
-    weights[2 : end + 1 : 2] += sixth * (2.0 - h0divh1)
-    if end < x.size - 1:
-        h0, h1 = h[-2], h[-1]
-        weights[-1] += (2.0 * h1**2 + 3.0 * h0 * h1) / (6.0 * (h1 + h0))
-        weights[-2] += (h1**2 + 3.0 * h0 * h1) / (6.0 * h0)
-        weights[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
-    return weights
+    horizon = _positive_time(horizon)
+    rows = _rows(modes, *_average_weights(modes, horizon))
+    return TimeAverage(horizon=horizon, averaged_rows=rows)
 
 
-def _check_quadrature_step(step: float, omega_max: float) -> None:
-    """Reject a step above 0.01 of the fastest mode's period."""
-    if omega_max > 0.0:
-        ceiling = QUADRATURE_STEP_FACTOR * (2.0 * math.pi / omega_max)
-        if step > ceiling * (1.0 + 1e-12):
-            raise StepTooCoarseError(
-                f"step {step:.6e} exceeds the quadrature ceiling {ceiling:.6e} "
-                f"for the fastest mode {omega_max:.6e}"
-            )
+def end_rows(modes: NormalModes, t: float) -> np.ndarray:
+    """C_a Phi(t) in closed form.
 
-
-def time_average_quadrature(trajectory: Trajectory, omega_max: float) -> TimeAverage:
-    """Composite-Simpson time average of a stored trajectory from t = 0.
-
-    Demands a grid that starts at zero and resolves the fastest mode
-    omega_max of the sampled dynamics (step at most 0.01 of its period).
+    With x = nu t, q(0) is weighted by cos(x), p(0) by -2 sin(x)/nu and
+    q_0 by 2 sin^2(x/2)/lambda.
     """
-    grid = trajectory.grid
-    if grid.t0 != 0.0:
-        raise InvalidParameterError("quadrature averages must start at t0 = 0")
-    _check_quadrature_step(grid.step, omega_max)
-    integral = np.tensordot(simpson_weights(grid.times()), trajectory.coefficient_rows, axes=1)
-    return TimeAverage(
-        horizon=grid.t_end, averaged_rows=integral / grid.t_end, method="quadrature"
-    )
+    t = _positive_time(t)
+    return _rows(modes, *_end_weights(modes, t))
 
 
-def time_average_streamed(
-    aug: AugmentedSystem, horizon: float, step: float | None = None
-) -> TimeAverage:
-    """Composite-Simpson time average over [0, horizon], streamed sample by sample.
+def identity_residuals(
+    aug: AugmentedSystem, modes: NormalModes, avg: TimeAverage
+) -> tuple[float, float]:
+    """Residuals of two identities every average R = R(T) satisfies, in units of R.
 
-    The sampled route the tests hold against time_average_exact and
-    time_average_spectral. Equal, up to rounding, to time_average_quadrature
-    of the trajectory on TimeGrid.covering(0, horizon, step), but it holds
-    one propagator and one running sum of propagators instead of the whole
-    trajectory, and applies C_a once to the sum. The step defaults to
-    default_step; the quadrature ceiling is checked before any propagation.
+    (i) R A_a = (C_a Phi(T) - C_a) / T, with A_a the assembled dynamics and
+    C_a Phi(T) from end_rows: ||R A_a - (C_a Phi(T) - C_a) / T||_inf /
+    ||A_a||_inf. (ii) R x* = 1 for x* = (alpha, ..., alpha) / ||alpha||^2,
+    whose every output stays 1 for all t: ||R x* - 1||_inf / ||x*||_inf.
+    Both are needed. The conserved plant quadrature q_0 spans the left null
+    space of A_a, so (i) cannot see an error u alpha^T in the plant columns,
+    the term that carries consensus, and (ii) sees exactly that term; (ii)
+    in turn cannot see an error in the p(0) weights, which (i) does.
     """
-    omega_max = max_frequency(aug.a_a)
-    if step is None:
-        step = _auto_step(omega_max)
-    grid = TimeGrid.covering(0.0, horizon, step)
-    _check_quadrature_step(grid.step, omega_max)
-    weights = simpson_weights(grid.times())
-    summed = np.zeros(aug.a_a.shape)
-    for w, phi in zip(weights, _propagate(aug.a_a, aug.theta, grid)):
-        summed += w * phi
-    log.info(
-        "quadrature oracle: %d samples, step %.6e, %d bytes of propagators held "
-        "(a stored trajectory would take %d)",
-        grid.samples, grid.step, 2 * summed.nbytes, grid.samples * aug.c_a.nbytes,
-    )
-    return TimeAverage(
-        horizon=grid.t_end, averaged_rows=aug.c_a @ summed / grid.t_end, method="quadrature"
+    rows, horizon = avg.averaged_rows, avg.horizon
+    drift = rows @ aug.a_a - (end_rows(modes, horizon) - aug.c_a) / horizon
+    alpha = modes.chain.alpha
+    x_star = np.tile(alpha, modes.chain.n_elements + 1) / float(alpha @ alpha)
+    return (
+        float(np.linalg.norm(drift, np.inf) / np.linalg.norm(aug.a_a, np.inf)),
+        float(np.linalg.norm(rows @ x_star - 1.0, np.inf) / np.linalg.norm(x_star, np.inf)),
     )
 
 

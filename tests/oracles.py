@@ -9,13 +9,36 @@ structure of Theta that the library exploits. The assembly oracle writes
 the augmented system as Kronecker products of (N+1) x (N+1) matrices with
 2 x 2 blocks instead of filling blocks in place, and the energy oracle
 measures how far a propagator is from conserving a quadratic Hamiltonian.
+
+Two time-average oracles work from the assembled A_a, never from the
+normal modes the library's closed form uses. The doubled-block route takes
+the exponential of [[A_a, I], [0, 0]], whose upper-right block is the
+integral of the propagator (valid although A_a is singular, which rules
+out the A^{-1}(exp(AT) - I) shortcut). The sampled route folds the
+propagators of the library's propagation engine into a running composite
+Simpson sum in O(N^2) memory, on a step that resolves the fastest mode
+found by a dense nonsymmetric eigensolve of A_a.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from chainobs.errors import InvalidDimensionError, InvalidInputError
+import numpy as np
+from scipy.linalg import expm
+
+from chainobs.builder import AugmentedSystem
+from chainobs.errors import (
+    InvalidDimensionError,
+    InvalidInputError,
+    InvalidParameterError,
+    NumericalFailureError,
+)
+from chainobs.simulate import DEFAULT_STEP_FACTOR, TimeAverage, TimeGrid, _propagate
+
+# Quadrature is trustworthy only when the fastest mode is well resolved:
+# at least 100 samples per shortest period, i.e. step <= 0.01 * (2 pi / w).
+QUADRATURE_STEP_FACTOR = 0.01
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -121,3 +144,99 @@ def hamiltonian_drift(r: np.ndarray, phi: np.ndarray) -> float:
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(phi))):
         raise InvalidInputError("Hamiltonian matrix or propagator contains non-finite entries")
     return float(np.linalg.norm(phi.T @ r @ phi - r, ord="fro"))
+
+
+def max_frequency(a: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a dynamics matrix (its fastest mode)."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("dynamics matrix contains non-finite entries")
+    return float(np.abs(np.linalg.eigvals(a)).max())
+
+
+def integral_of_propagator(a: np.ndarray, horizon: float) -> np.ndarray:
+    """Exact int_0^T exp(a s) ds via the doubled block matrix.
+
+    exp([[a, I], [0, 0]] T) has the integral as its upper-right block; this
+    stays valid when a is singular.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidDimensionError(f"dynamics matrix must be square, got shape {a.shape}")
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise InvalidParameterError(f"horizon must be positive, got {horizon!r}")
+    n = a.shape[0]
+    doubled = np.zeros((2 * n, 2 * n))
+    doubled[:n, :n] = a
+    doubled[:n, n:] = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = expm(doubled * float(horizon))[:n, n:]
+    if not np.all(np.isfinite(block)):
+        raise NumericalFailureError(f"propagator integral overflowed at horizon {horizon!r}")
+    return block
+
+
+def time_average_exact(aug: AugmentedSystem, horizon: float) -> TimeAverage:
+    """Time average of the coefficient rows by the doubled-block exponential."""
+    integral = integral_of_propagator(aug.a_a, horizon)
+    return TimeAverage(horizon=float(horizon), averaged_rows=aug.c_a @ integral / float(horizon))
+
+
+def simpson_weights(times: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights w with sum_k w_k y(t_k) ~ int y dt.
+
+    Reproduces scipy.integrate.simpson(y, x=times): Simpson's rule for
+    possibly uneven spacing on consecutive interval pairs and, for an even
+    sample count, Cartwright's three-point correction on the last interval
+    (two samples fall back to the trapezoid).
+    """
+    x = np.asarray(times, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise InvalidParameterError(f"Simpson weights need at least 2 times, got shape {x.shape}")
+    h = np.diff(x)
+    if not (np.all(np.isfinite(x)) and np.all(h > 0.0)):
+        raise InvalidParameterError("times must be finite and strictly increasing")
+    weights = np.zeros(x.size)
+    if x.size == 2:
+        weights[:] = 0.5 * h[0]
+        return weights
+    end = 2 * ((x.size - 1) // 2)  # last sample reached by whole interval pairs
+    h0, h1 = h[0:end:2], h[1:end:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    sixth = hsum / 6.0
+    weights[0:end:2] += sixth * (2.0 - 1.0 / h0divh1)
+    weights[1:end:2] += sixth * (hsum * (hsum / (h0 * h1)))
+    weights[2 : end + 1 : 2] += sixth * (2.0 - h0divh1)
+    if end < x.size - 1:
+        h0, h1 = h[-2], h[-1]
+        weights[-1] += (2.0 * h1**2 + 3.0 * h0 * h1) / (6.0 * (h1 + h0))
+        weights[-2] += (h1**2 + 3.0 * h0 * h1) / (6.0 * h0)
+        weights[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
+    return weights
+
+
+def time_average_streamed(
+    aug: AugmentedSystem, horizon: float, step: float | None = None
+) -> TimeAverage:
+    """Composite-Simpson time average over [0, horizon], streamed sample by sample.
+
+    Runs on TimeGrid.covering(0, horizon, step) and holds one propagator and
+    one running sum of propagators, applying C_a once to the sum. The step
+    defaults to 0.005 of the fastest mode's period; a step above 0.01 of it
+    is rejected with a ValueError before any propagation.
+    """
+    omega_max = max_frequency(aug.a_a)
+    period = 2.0 * math.pi / omega_max
+    grid = TimeGrid.covering(0.0, horizon, DEFAULT_STEP_FACTOR * period if step is None else step)
+    ceiling = QUADRATURE_STEP_FACTOR * period
+    if grid.step > ceiling * (1.0 + 1e-12):
+        raise ValueError(
+            f"step {grid.step:.6e} exceeds the quadrature ceiling {ceiling:.6e} "
+            f"for the fastest mode {omega_max:.6e}"
+        )
+    weights = simpson_weights(grid.times())
+    summed = np.zeros(aug.a_a.shape)
+    for w, phi in zip(weights, _propagate(aug.a_a, aug.theta, grid)):
+        summed += w * phi
+    return TimeAverage(horizon=grid.t_end, averaged_rows=aug.c_a @ summed / grid.t_end)

@@ -14,7 +14,13 @@ import numpy as np
 
 import chainobs as co
 from conftest import build_system, perturb_omega
-from oracles import collapse_blocks, hamiltonian_drift, spectral_propagator
+from oracles import (
+    collapse_blocks,
+    hamiltonian_drift,
+    spectral_propagator,
+    time_average_exact,
+    time_average_streamed,
+)
 
 # label, c_p, scheme variant, omega0, element count, seed
 ACCEPTANCE_CONFIGS = [
@@ -108,9 +114,10 @@ def test_criterion_3_fixed_point():
 
 
 def test_criterion_4_time_averaged_consensus(example_system):
-    _, aug = example_system
+    chain, _ = example_system
     horizons = [50.0, 100.0, 200.0, 400.0, 800.0]
-    averages = {t: co.time_average_exact(aug, t) for t in horizons}
+    modes = co.normal_modes(chain)
+    averages = {t: co.time_average_spectral(modes, t) for t in horizons}
     errors = {t: co.consensus_error(averages[t]) for t in horizons}
 
     ok = True
@@ -199,16 +206,13 @@ def test_criterion_7_oracle_equivalence():
     ok = True
     details = []
 
-    # exact block-exponential averages against Simpson quadrature
+    # doubled-block exponential averages against streamed Simpson quadrature
     for k in range(20):
         n = k % 8 + 1
         _, aug = build_system([1.0, 0.0], "random", 1.0, n, seed=100 + k)
         horizon = 10.0
-        grid = co.TimeGrid.covering(0.0, horizon, co.default_step(aug))
-        quadrature = co.time_average_quadrature(
-            co.coefficient_trajectory(aug, grid), co.max_frequency(aug.a_a)
-        )
-        exact = co.time_average_exact(aug, horizon)
+        quadrature = time_average_streamed(aug, horizon)
+        exact = time_average_exact(aug, horizon)
         scale = float(np.linalg.norm(exact.averaged_rows, ord="fro"))
         gap = float(np.linalg.norm(quadrature.averaged_rows - exact.averaged_rows, ord="fro"))
         if gap > 1e-8 * scale:

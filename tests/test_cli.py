@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chainobs as co
-from chainobs import cli, serialize
+from chainobs import cli, serialize, simulate
 from conftest import build_system
 
 BASE_CONFIG = {
@@ -120,9 +120,7 @@ class TestSerialize:
 
     def test_averages_summary_lines(self, tmp_path):
         avg = co.TimeAverage(
-            horizon=4.0,
-            averaged_rows=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-            method="exact-block-exponential",
+            horizon=4.0, averaged_rows=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         )
         path = tmp_path / "avg.csv"
         serialize.write_averages_csv(path, [avg], [0.5])
@@ -204,24 +202,24 @@ class TestSimulateCommand:
         config = write_config(tmp_path, step="auto", horizon=1.0)
         code = cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)])
         assert code == 0
-        _, aug = build_system([1.0, 0.0], "uniform", 1.0, 3)
-        grid = co.TimeGrid.covering(0.0, 1.0, co.default_step(aug))
+        chain, _ = build_system([1.0, 0.0], "uniform", 1.0, 3)
+        grid = co.TimeGrid.covering(0.0, 1.0, co.default_step(chain))
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + grid.samples * 4
 
     def test_fastest_mode_is_solved_once(self, tmp_path, monkeypatch):
         """The auto step needs the fastest mode; nothing else in simulate does."""
         calls = []
-        solve = co.max_frequency
+        solve = simulate.eigh_tridiagonal
 
-        def counted(a):
-            calls.append(a.shape)
-            return solve(a)
+        def counted(d, e, **kwargs):
+            calls.append(d.shape)
+            return solve(d, e, **kwargs)
 
-        monkeypatch.setattr("chainobs.simulate.max_frequency", counted)
+        monkeypatch.setattr("chainobs.simulate.eigh_tridiagonal", counted)
         config = write_config(tmp_path, step="auto", horizon=1.0)
         assert cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
-        assert calls == [(8, 8)]
+        assert calls == [(3,)]
 
     def test_tolerance_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "PLANT_ROW_DRIFT_TOL", -1.0)
@@ -255,7 +253,8 @@ class TestTimeavgCommand:
         assert "time_average_oracle_disagreement" in capsys.readouterr().err
 
     def test_cross_check_samples_nothing(self, tmp_path, monkeypatch):
-        """The closed-form reference replaces sampling: the propagation engine is never entered."""
+        """timeavg never enters the propagation engine nor takes a matrix exponential,
+        and one eigensolve serves the whole ladder."""
         config = write_config(tmp_path, horizon=8.0)
         argv = ["timeavg", "--config", str(config), "--output-dir"]
         assert cli.main([*argv, str(tmp_path / "free")]) == 0
@@ -263,10 +262,61 @@ class TestTimeavgCommand:
         def no_sampling(*args):
             raise AssertionError("timeavg sampled the propagation engine")
 
+        def no_exponential(*args):
+            raise AssertionError("timeavg took a matrix exponential")
+
+        solves = []
+        solve = simulate.eigh_tridiagonal
+
+        def counted(d, e, **kwargs):
+            solves.append(d.shape)
+            return solve(d, e, **kwargs)
+
         monkeypatch.setattr("chainobs.simulate._propagate", no_sampling)
+        monkeypatch.setattr("chainobs.simulate.expm", no_exponential)
+        monkeypatch.setattr("chainobs.simulate.eigh_tridiagonal", counted)
         assert cli.main([*argv, str(tmp_path / "guarded")]) == 0
+        assert solves == [(3,)]
         guarded = (tmp_path / "guarded" / "time_averages.csv").read_bytes()
         assert guarded == (tmp_path / "free" / "time_averages.csv").read_bytes()
+
+    def test_long_horizon_random_chain_passes(self, tmp_path, capsys):
+        """A correct run at T = 12800, where a doubled-block exponential at T/16
+        strayed 1.45e-7 from the closed form, against a bound of 5.2e-8."""
+        config = write_config(
+            tmp_path, scheme="random", seed=7, n_elements=12, c_p=[0.6, -1.3], horizon=12800.0
+        )
+        code = cli.main(["timeavg", "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutant", ["q", "p", "plant"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"scheme": "odd-harmonics", "n_elements": 50}],
+        ids=["uniform-3", "odd-harmonics-50"],
+    )
+    def test_weight_mutants_fail_the_cross_check(
+        self, tmp_path, monkeypatch, capsys, mutant, overrides
+    ):
+        """A 1e-3 error in the q(0) or plant weights, or a sign flip of the p(0) ones,
+        breaks at least one of the two identities."""
+        true_weights = simulate._average_weights
+
+        def mutated(modes, horizon):
+            q, p, plant = true_weights(modes, horizon)
+            if mutant == "q":
+                q = q * (1.0 + 1e-3)
+            elif mutant == "p":
+                p = -p
+            else:
+                plant = plant * (1.0 + 1e-3)
+            return q, p, plant
+
+        monkeypatch.setattr(simulate, "_average_weights", mutated)
+        config = write_config(tmp_path, horizon=8.0, **overrides)
+        code = cli.main(["timeavg", "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert "FAILED checks: time_average_oracle_disagreement" in capsys.readouterr().err
 
     def test_horizon_shorter_than_a_sampling_step_passes(self, tmp_path):
         """T/16 = 1e-3 is below one auto step, which a sampled reference cannot resolve."""

@@ -1,13 +1,12 @@
-"""The Simpson rule and the streamed quadrature oracle.
+"""The Simpson rule and the streamed quadrature oracle of tests/oracles.py.
 
-scipy.integrate.simpson is the independent oracle for simpson_weights; it
-is imported here only, so the library never pays for scipy.integrate.
+scipy.integrate.simpson is the independent check on simpson_weights; it is
+imported by tests only, so the library never pays for scipy.integrate.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -20,6 +19,7 @@ from scipy.integrate import simpson
 
 import chainobs as co
 from conftest import build_system
+from oracles import simpson_weights, time_average_streamed
 
 SAMPLE_COUNTS = [2, 3, 4, 5, 10, 11, 4180]
 
@@ -43,13 +43,13 @@ class TestSimpsonWeights:
         t = grid_times(samples, uniform)
         y = integrands(t)
         expected = simpson(y, x=t, axis=0)
-        got = co.simpson_weights(t) @ y
+        got = simpson_weights(t) @ y
         assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
     def test_even_count_uses_the_last_interval_correction(self):
         """Cartwright's correction integrates quadratics exactly on uneven grids."""
         t = np.array([0.0, 0.3, 1.0, 1.2, 2.0, 2.9])
-        got = co.simpson_weights(t) @ (t**2)
+        got = simpson_weights(t) @ (t**2)
         assert got == pytest.approx(2.9**3 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize(
@@ -57,13 +57,16 @@ class TestSimpsonWeights:
     )
     def test_rejects_bad_times(self, times):
         with pytest.raises(co.InvalidParameterError):
-            co.simpson_weights(np.array(times))
+            simpson_weights(np.array(times))
 
 
-def assert_close(a: co.TimeAverage, b: co.TimeAverage, rel: float) -> None:
-    scale = np.linalg.norm(b.averaged_rows, ord="fro")
-    assert a.horizon == b.horizon
-    assert np.linalg.norm(a.averaged_rows - b.averaged_rows, ord="fro") <= rel * scale
+def simpson_over_stored_trajectory(aug: co.AugmentedSystem, grid: co.TimeGrid) -> np.ndarray:
+    rows = co.coefficient_trajectory(aug, grid).coefficient_rows
+    return np.tensordot(simpson_weights(grid.times()), rows, axes=1) / grid.t_end
+
+
+def assert_close(a: co.TimeAverage, b: np.ndarray, rel: float) -> None:
+    assert np.linalg.norm(a.averaged_rows - b, ord="fro") <= rel * np.linalg.norm(b, ord="fro")
 
 
 class TestStreamedOracle:
@@ -76,43 +79,32 @@ class TestStreamedOracle:
         ],
     )
     def test_matches_the_stored_trajectory_route(self, c_p, variant, omega0, n, seed, horizon):
-        _, aug = build_system(c_p, variant, omega0, n, seed=seed)
-        grid = co.TimeGrid.covering(0.0, horizon, co.default_step(aug))
-        stored = co.time_average_quadrature(
-            co.coefficient_trajectory(aug, grid), co.max_frequency(aug.a_a)
-        )
-        streamed = co.time_average_streamed(aug, horizon)
-        assert streamed.method == stored.method == "quadrature"
+        chain, aug = build_system(c_p, variant, omega0, n, seed=seed)
+        step = co.default_step(chain)
+        stored = simpson_over_stored_trajectory(aug, co.TimeGrid.covering(0.0, horizon, step))
+        streamed = time_average_streamed(aug, horizon, step)
+        assert streamed.horizon == horizon
         assert_close(streamed, stored, 1e-13)
 
     def test_explicit_step(self, example_system):
         _, aug = example_system
-        grid = co.TimeGrid.covering(0.0, 2.0, 0.002)
-        stored = co.time_average_quadrature(
-            co.coefficient_trajectory(aug, grid), co.max_frequency(aug.a_a)
-        )
-        assert_close(co.time_average_streamed(aug, 2.0, 0.002), stored, 1e-13)
+        stored = simpson_over_stored_trajectory(aug, co.TimeGrid.covering(0.0, 2.0, 0.002))
+        assert_close(time_average_streamed(aug, 2.0, 0.002), stored, 1e-13)
 
     def test_coarse_step_is_rejected_before_propagation(self, example_system, monkeypatch):
         _, aug = example_system
-        grid = co.TimeGrid.covering(0.0, 2.0, 0.1)
-        with pytest.raises(co.StepTooCoarseError) as stored:
-            co.time_average_quadrature(
-                co.coefficient_trajectory(aug, grid), co.max_frequency(aug.a_a)
-            )
 
         def no_propagation(a, t):
             raise AssertionError("propagated before the step ceiling was checked")
 
         monkeypatch.setattr("chainobs.simulate.propagator", no_propagation)
-        with pytest.raises(co.StepTooCoarseError) as streamed:
-            co.time_average_streamed(aug, 2.0, 0.1)
-        assert str(streamed.value) == str(stored.value)
+        with pytest.raises(ValueError, match="exceeds the quadrature ceiling"):
+            time_average_streamed(aug, 2.0, 0.1)
 
     def test_injected_drift_fails_both_routes_at_the_same_sample(
         self, example_system, monkeypatch
     ):
-        _, aug = example_system
+        chain, aug = example_system
         true_drift = co.symplectic_drift
         calls = []
 
@@ -121,11 +113,11 @@ class TestStreamedOracle:
             return 1.0 if len(calls) == 38 else true_drift(phi, theta)
 
         monkeypatch.setattr("chainobs.simulate.symplectic_drift", drifting)
-        step = co.default_step(aug)
+        step = co.default_step(chain)
         messages = []
         for route in (
             lambda: co.coefficient_trajectory(aug, co.TimeGrid.covering(0.0, 1.0, step)),
-            lambda: co.time_average_streamed(aug, 1.0),
+            lambda: time_average_streamed(aug, 1.0),
         ):
             calls.clear()
             with pytest.raises(co.ToleranceExceededError) as failure:
@@ -136,29 +128,18 @@ class TestStreamedOracle:
 
     def test_memory_does_not_grow_with_the_horizon(self):
         """O(N^2) memory: a fraction of what the stored trajectory would take."""
-        _, aug = build_system([1.0, 0.0], "odd-harmonics", 1.0, 10)
-        horizon = 10_500 * co.default_step(aug)
-        grid = co.TimeGrid.covering(0.0, horizon, co.default_step(aug))
+        chain, aug = build_system([1.0, 0.0], "odd-harmonics", 1.0, 10)
+        horizon = 10_500 * co.default_step(chain)
+        grid = co.TimeGrid.covering(0.0, horizon, co.default_step(chain))
         stored_bytes = grid.samples * aug.c_a.nbytes
         assert stored_bytes >= 20e6
         tracemalloc.start()
         try:
-            co.time_average_streamed(aug, horizon)
+            time_average_streamed(aug, horizon)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < stored_bytes / 10
-
-    def test_logs_one_line_with_its_size(self, example_system, caplog):
-        _, aug = example_system
-        grid = co.TimeGrid.covering(0.0, 1.0, co.default_step(aug))
-        with caplog.at_level(logging.INFO, logger="chainobs.simulate"):
-            co.time_average_streamed(aug, 1.0)
-        (record,) = caplog.records
-        message = record.getMessage()
-        assert f"{grid.samples} samples" in message
-        assert f"step {grid.step:.6e}" in message
-        assert f"{2 * aug.a_a.nbytes} bytes" in message
 
 
 SRC = Path(co.__file__).resolve().parents[1]
@@ -203,5 +184,5 @@ def test_timeavg_info_log_changes_no_output(tmp_path):
     (quiet, *quiet_files), (loud, *loud_files) = runs
     assert quiet.stdout == loud.stdout
     assert quiet_files == loud_files
-    assert "normal-mode oracle" not in quiet.stderr
-    assert sum("normal-mode oracle" in line for line in loud.stderr.splitlines()) == 1
+    assert "normal modes" not in quiet.stderr
+    assert sum("normal modes" in line for line in loud.stderr.splitlines()) == 1

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from oracles import rotation, spectral_propagator
+from oracles import (
+    integral_of_propagator,
+    max_frequency,
+    rotation,
+    simpson_weights,
+    spectral_propagator,
+    time_average_exact,
+    time_average_streamed,
+)
 
 
 def static_augmented(n_elements: int = 1) -> co.AugmentedSystem:
@@ -127,21 +135,24 @@ class TestPropagator:
 
 class TestFrequencies:
     def test_single_rotation(self):
-        assert abs(co.max_frequency(2.0 * co.SYMPLECTIC_UNIT) - 2.0) <= 1e-14
+        assert abs(max_frequency(2.0 * co.SYMPLECTIC_UNIT) - 2.0) <= 1e-14
 
     def test_reference_regression(self, example_system):
-        _, aug = example_system
-        assert np.isclose(co.max_frequency(aug.a_a), 21.095207100132644, rtol=1e-12)
+        chain, aug = example_system
+        assert np.isclose(max_frequency(aug.a_a), 21.095207100132644, rtol=1e-12)
+        assert np.isclose(co.normal_modes(chain).nu[-1], 21.095207100132644, rtol=1e-12)
 
     def test_default_step_resolves_fastest_mode(self, example_system):
-        _, aug = example_system
-        step = co.default_step(aug)
-        period = 2.0 * math.pi / co.max_frequency(aug.a_a)
+        chain, aug = example_system
+        step = co.default_step(chain)
+        period = 2.0 * math.pi / max_frequency(aug.a_a)
         assert np.isclose(step, 0.005 * period, rtol=1e-15)
 
-    def test_default_step_rejects_static_dynamics(self):
-        with pytest.raises(co.InvalidParameterError):
-            co.default_step(static_augmented())
+    def test_default_step_rejects_a_chain_without_normal_modes(self, example_system):
+        """Frequencies that do not dominate the couplings leave nothing to resolve."""
+        chain, _ = example_system
+        with pytest.raises(co.NotPositiveDefiniteError):
+            co.default_step(dataclasses.replace(chain, omega=np.ones(chain.n_elements)))
 
 
 class TestTrajectory:
@@ -192,86 +203,63 @@ class TestTrajectory:
 
 class TestIntegralOfPropagator:
     def test_zero_dynamics_integrate_to_scaled_identity(self):
-        integral = co.integral_of_propagator(np.zeros((3, 3)), 8.0)
+        integral = integral_of_propagator(np.zeros((3, 3)), 8.0)
         assert np.allclose(integral, 8.0 * np.eye(3), rtol=0.0, atol=1e-13)
 
     def test_full_period_integrates_to_zero(self):
         a = 2.0 * co.SYMPLECTIC_UNIT
-        integral = co.integral_of_propagator(a, math.pi)
+        integral = integral_of_propagator(a, math.pi)
         assert np.abs(integral).max() <= 1e-12
 
     def test_quarter_period_closed_form(self):
         a = 2.0 * co.SYMPLECTIC_UNIT
-        integral = co.integral_of_propagator(a, math.pi / 4.0)
+        integral = integral_of_propagator(a, math.pi / 4.0)
         expected = 0.5 * np.array([[1.0, 1.0], [-1.0, 1.0]])
         assert np.allclose(integral, expected, rtol=0.0, atol=1e-14)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(co.InvalidDimensionError):
-            co.integral_of_propagator(np.zeros((2, 3)), 1.0)
+            integral_of_propagator(np.zeros((2, 3)), 1.0)
         with pytest.raises(co.InvalidParameterError):
-            co.integral_of_propagator(np.zeros((2, 2)), 0.0)
+            integral_of_propagator(np.zeros((2, 2)), 0.0)
         with pytest.raises(co.InvalidParameterError):
-            co.integral_of_propagator(np.zeros((2, 2)), math.inf)
+            integral_of_propagator(np.zeros((2, 2)), math.inf)
 
     def test_overflow_is_an_error(self):
         with pytest.raises(co.NumericalFailureError):
-            co.integral_of_propagator(np.array([[100.0]]), 100.0)
+            integral_of_propagator(np.array([[100.0]]), 100.0)
 
 
 class TestTimeAverages:
     def test_static_average_is_the_output_matrix(self):
         aug = static_augmented(2)
-        avg = co.time_average_exact(aug, 8.0)
-        assert avg.method == "exact-block-exponential"
+        avg = time_average_exact(aug, 8.0)
         assert avg.horizon == 8.0
         assert np.allclose(avg.averaged_rows, aug.c_a, rtol=0.0, atol=1e-14)
 
     def test_plant_row_average_stays_put(self, example_system):
-        _, aug = example_system
-        avg = co.time_average_exact(aug, 800.0)
+        chain, aug = example_system
+        avg = co.time_average_spectral(co.normal_modes(chain), 800.0)
         assert np.abs(avg.averaged_rows[0] - aug.c_a[0]).max() <= 1e-9
 
     def test_reference_consensus_error(self, example_system):
-        _, aug = example_system
-        avg = co.time_average_exact(aug, 800.0)
+        chain, _ = example_system
+        avg = co.time_average_spectral(co.normal_modes(chain), 800.0)
         assert np.isclose(co.consensus_error(avg), 0.00494399336874341, rtol=1e-9)
 
-    def test_quadrature_requires_zero_start(self, example_system):
-        _, aug = example_system
-        grid = co.TimeGrid(1.0, 2.0, 0.0005)
-        trajectory = co.coefficient_trajectory(aug, grid)
-        with pytest.raises(co.InvalidParameterError):
-            co.time_average_quadrature(trajectory, co.max_frequency(aug.a_a))
-
-    def test_quadrature_rejects_coarse_grids(self):
-        grid = co.TimeGrid(0.0, 1.0, 0.5)
-        trajectory = co.Trajectory(grid=grid, coefficient_rows=np.zeros((grid.samples, 1, 2)))
-        with pytest.raises(co.StepTooCoarseError):
-            co.time_average_quadrature(trajectory, 1000.0)
-
     def test_quadrature_of_constant_rows(self):
-        grid = co.TimeGrid.from_count(0.0, 2.0, 401)
-        trajectory = co.Trajectory(grid=grid, coefficient_rows=np.ones((grid.samples, 2, 3)))
-        avg = co.time_average_quadrature(trajectory, 1.0)
-        assert avg.method == "quadrature"
-        assert np.allclose(avg.averaged_rows, 1.0, rtol=0.0, atol=1e-14)
+        times = co.TimeGrid.from_count(0.0, 2.0, 401).times()
+        assert np.isclose(simpson_weights(times).sum() / 2.0, 1.0, rtol=0.0, atol=1e-14)
 
     def test_quadrature_of_full_sine_period_cancels(self):
-        grid = co.TimeGrid.from_count(0.0, math.pi, 201)
-        values = np.sin(2.0 * grid.times())[:, None, None]
-        trajectory = co.Trajectory(grid=grid, coefficient_rows=values)
-        avg = co.time_average_quadrature(trajectory, 2.0)
-        assert np.abs(avg.averaged_rows).max() <= 1e-10
+        times = co.TimeGrid.from_count(0.0, math.pi, 201).times()
+        assert abs(simpson_weights(times) @ np.sin(2.0 * times)) / math.pi <= 1e-10
 
     def test_exact_and_quadrature_routes_agree(self, example_system):
         _, aug = example_system
         horizon = 20.0
-        grid = co.TimeGrid.covering(0.0, horizon, co.default_step(aug))
-        quadrature = co.time_average_quadrature(
-            co.coefficient_trajectory(aug, grid), co.max_frequency(aug.a_a)
-        )
-        exact = co.time_average_exact(aug, horizon)
+        quadrature = time_average_streamed(aug, horizon)
+        exact = time_average_exact(aug, horizon)
         scale = np.linalg.norm(exact.averaged_rows, ord="fro")
         gap = np.linalg.norm(quadrature.averaged_rows - exact.averaged_rows, ord="fro")
         assert gap <= 1e-8 * scale
@@ -290,11 +278,7 @@ class TestSpatialAverage:
 
 class TestConsensusError:
     def test_hand_value(self):
-        avg = co.TimeAverage(
-            horizon=1.0,
-            averaged_rows=np.array([[0.0, 0.0], [3.0, 4.0]]),
-            method="quadrature",
-        )
+        avg = co.TimeAverage(horizon=1.0, averaged_rows=np.array([[0.0, 0.0], [3.0, 4.0]]))
         assert co.consensus_error(avg) == 5.0
 
 
@@ -320,13 +304,14 @@ class TestBrokenFixedPointGrowsLinearly:
         chain, aug = example_system
         broken = self.broken_system(aug, chain.alpha)
         for horizon in (10.0, 20.0, 40.0):
-            avg = co.time_average_exact(broken, horizon)
+            avg = time_average_exact(broken, horizon)
             expected_rows = aug.c_a + (horizon / 2.0) * aug.c_a @ broken.a_a
             assert np.allclose(avg.averaged_rows, expected_rows, rtol=1e-10, atol=1e-12)
             expected_error = math.hypot(horizon / 2.0 - 1.0, 1.0)
             assert np.isclose(co.consensus_error(avg), expected_error, rtol=1e-10)
 
     def test_healthy_system_does_not_grow(self, example_system):
-        _, aug = example_system
-        errors = [co.consensus_error(co.time_average_exact(aug, t)) for t in (10.0, 40.0)]
+        chain, _ = example_system
+        modes = co.normal_modes(chain)
+        errors = [co.consensus_error(co.time_average_spectral(modes, t)) for t in (10.0, 40.0)]
         assert errors[1] < errors[0]

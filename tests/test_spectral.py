@@ -1,11 +1,13 @@
-"""The closed-form normal-mode time average and its referees.
+"""The closed-form normal-mode time average, its end rows and their referees.
 
 time_average_spectral is built from the chain's couplings alone, so it is
-held against both other routes: the doubled-block exponential
-(time_average_exact) over long and short horizons, and the streamed Simpson
-quadrature where its samples resolve the fastest mode. A 40-digit mpmath
-exponential of the doubled block, assembled in high precision from the same
-chain parameters, referees both closed-form routes for small chains.
+held against the two oracle routes that work from the assembled A_a: the
+doubled-block exponential (time_average_exact) over long and short
+horizons, and the streamed Simpson quadrature where its samples resolve the
+fastest mode. The two identities of identity_residuals must hold on every
+ladder horizon. A 40-digit mpmath exponential of the doubled block,
+assembled in high precision from the same chain parameters, referees the
+averages and the end rows C_a Phi(T) for small chains.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
+from chainobs.cli import ORACLE_REL_TOL
 from chainobs.simulate import _one_minus_sinc
 from conftest import build_system
+from oracles import time_average_exact, time_average_streamed
 
 # Worst relative Frobenius gaps seen over 1,500 random draws of each
 # property below, with a margin: 2.1e-11 against the exact route (mostly the
@@ -41,35 +45,48 @@ def random_chain(variant, n, angle, radius, seed):
     return build_system(c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None)
 
 
-chains = st.tuples(
-    st.sampled_from(co.SCHEMES),
-    st.integers(min_value=1, max_value=12),
-    st.floats(min_value=0.0, max_value=2.0 * np.pi),
-    st.floats(min_value=1e-2, max_value=1e2),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
+def chains(max_n: int = 12):
+    return st.tuples(
+        st.sampled_from(co.SCHEMES),
+        st.integers(min_value=1, max_value=max_n),
+        st.floats(min_value=0.0, max_value=2.0 * np.pi),
+        st.floats(min_value=1e-2, max_value=1e2),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
 
 
 @settings(max_examples=60, deadline=None)
-@given(chains, st.floats(min_value=1e-3, max_value=50.0))
+@given(chains(), st.floats(min_value=1e-3, max_value=50.0))
 def test_matches_the_exact_route(chain_args, horizon):
     chain, aug = random_chain(*chain_args)
-    spectral = co.time_average_spectral(chain, horizon)
-    exact = co.time_average_exact(aug, horizon)
+    spectral = co.time_average_spectral(co.normal_modes(chain), horizon)
+    exact = time_average_exact(aug, horizon)
     assert spectral.horizon == exact.horizon == horizon
-    assert spectral.method == "spectral-normal-mode"
     assert relative_gap(spectral.averaged_rows, exact.averaged_rows) <= EXACT_REL_TOL
 
 
 @settings(max_examples=30, deadline=None)
-@given(chains, st.integers(min_value=2, max_value=400))
+@given(chains(), st.integers(min_value=2, max_value=400))
 def test_matches_streamed_quadrature_on_resolved_horizons(chain_args, intervals):
     """Short horizons of 2-400 auto steps, where Simpson's rule is in its regime."""
     chain, aug = random_chain(*chain_args)
-    horizon = intervals * co.default_step(aug)
-    streamed = co.time_average_streamed(aug, horizon)
-    spectral = co.time_average_spectral(chain, streamed.horizon)
+    step = co.default_step(chain)
+    streamed = time_average_streamed(aug, intervals * step, step)
+    spectral = co.time_average_spectral(co.normal_modes(chain), streamed.horizon)
     assert relative_gap(spectral.averaged_rows, streamed.averaged_rows) <= STREAMED_REL_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(max_n=40), st.floats(min_value=1e-2, max_value=1e4))
+def test_identities_hold_on_the_whole_ladder(chain_args, horizon):
+    """Each identity stays within timeavg's bound at every ladder horizon, not just T/16."""
+    chain, aug = random_chain(*chain_args)
+    modes = co.normal_modes(chain)
+    for t in (horizon / 16, horizon / 8, horizon / 4, horizon / 2, horizon):
+        avg = co.time_average_spectral(modes, t)
+        bound = ORACLE_REL_TOL * np.linalg.norm(avg.averaged_rows, ord="fro")
+        drift, consensus = co.identity_residuals(aug, modes, avg)
+        assert drift <= bound and consensus <= bound
 
 
 def test_one_minus_sinc_does_not_cancel():
@@ -82,27 +99,30 @@ def test_one_minus_sinc_does_not_cancel():
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
 def test_rejects_bad_horizons(example_system, horizon):
-    chain, _ = example_system
+    modes = co.normal_modes(example_system[0])
     with pytest.raises(co.InvalidParameterError):
-        co.time_average_spectral(chain, horizon)
+        co.time_average_spectral(modes, horizon)
+    with pytest.raises(co.InvalidParameterError):
+        co.end_rows(modes, horizon)
 
 
 def test_rejects_an_indefinite_chain(example_system):
     """Frequencies that do not dominate the couplings leave no normal modes."""
     chain, _ = example_system
     with pytest.raises(co.NotPositiveDefiniteError) as failure:
-        co.time_average_spectral(dataclasses.replace(chain, omega=np.ones(chain.n_elements)), 1.0)
+        co.normal_modes(dataclasses.replace(chain, omega=np.ones(chain.n_elements)))
     assert failure.value.lambda_min < 0.0
 
 
-def mpmath_time_average(chain: co.ChainObserverParams, horizon: float) -> np.ndarray:
-    """(1/T) C_a int_0^T exp(A_a s) ds at 40 digits, from alpha, mu~ and omega.
+def mpmath_rows(chain: co.ChainObserverParams, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(1/T) C_a int_0^T exp(A_a s) ds and C_a exp(A_a T) at 40 digits, from alpha, mu~ and omega.
 
     Assembles R_a, A_a = 2 Theta R_a and the doubled block [[A_a, I], [0, 0]]
     in mpmath from the chain's float parameters taken as exact, so neither
-    the assembly nor the exponential rounds at double precision. At T = 800
-    the rounded rows of a 50-digit run differ from these by under 1e-41
-    relative.
+    the assembly nor the exponential rounds at double precision. The
+    exponential holds exp(A_a T) as its upper-left block and the integral as
+    its upper-right one. At T = 800 the rounded rows of a 50-digit run
+    differ from these by under 1e-41 relative.
     """
     with mpmath.workdps(40):
         n = chain.n_elements
@@ -126,12 +146,14 @@ def mpmath_time_average(chain: co.ChainObserverParams, horizon: float) -> np.nda
             doubled[j, dim + j] = 1
         t = mpmath.mpf(float(horizon))
         block = mpmath.expm(doubled * t)
-        rows = np.empty((n + 1, dim))
+        averaged = np.empty((n + 1, dim))
+        end = np.empty((n + 1, dim))
         for i in range(n + 1):
             for j in range(dim):
                 integral = alpha[0] * block[2 * i, dim + j] + alpha[1] * block[2 * i + 1, dim + j]
-                rows[i, j] = float(integral / t)
-        return rows
+                averaged[i, j] = float(integral / t)
+                end[i, j] = float(alpha[0] * block[2 * i, j] + alpha[1] * block[2 * i + 1, j])
+        return averaged, end
 
 
 @pytest.mark.parametrize("horizon", [0.5, 50.0, 800.0])
@@ -145,9 +167,15 @@ def mpmath_time_average(chain: co.ChainObserverParams, horizon: float) -> np.nda
     ],
 )
 def test_mpmath_referee(c_p, variant, n, seed, horizon):
-    """The spectral route is within 1e-12 of 40-digit arithmetic at every horizon;
-    the doubled-block route drifts with T ||A_a|| but stays within 1e-9 here."""
+    """Errors against 40-digit arithmetic. The closed-form average stays within 1e-12
+    at every horizon (worst seen 5.5e-14). Its end rows carry each eigenvalue's
+    rounding into the phase nu T, so they drift with T, to 2.9e-11 at T = 800:
+    pinned at 1e-10. The doubled-block average and the engine's exponential
+    drift with T ||A_a|| (worst 1.5e-10 and 1.6e-10) and stay within 1e-9."""
     chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
-    referee = mpmath_time_average(chain, horizon)
-    assert relative_gap(co.time_average_spectral(chain, horizon).averaged_rows, referee) <= 1e-12
-    assert relative_gap(co.time_average_exact(aug, horizon).averaged_rows, referee) <= 1e-9
+    averaged, end = mpmath_rows(chain, horizon)
+    modes = co.normal_modes(chain)
+    assert relative_gap(co.time_average_spectral(modes, horizon).averaged_rows, averaged) <= 1e-12
+    assert relative_gap(co.end_rows(modes, horizon), end) <= 1e-10
+    assert relative_gap(time_average_exact(aug, horizon).averaged_rows, averaged) <= 1e-9
+    assert relative_gap(aug.c_a @ co.propagator(aug.a_a, horizon), end) <= 1e-9
