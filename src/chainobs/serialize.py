@@ -1,9 +1,12 @@
 """CSV and JSON writers for the run artifacts.
 
-Floats are serialized with 17 significant digits, which is enough for a
-binary64 value to survive a write/read round trip bit for bit. Matrices are
-plain comma-separated values with no header; trajectory and average files
-carry the headers the plotting tools expect.
+Every CSV is written by ``numpy.savetxt`` with one float template, ``%.17g``:
+17 significant digits, enough for a binary64 value to survive a write/read
+round trip bit for bit. Labels are literal parts of each line template, and
+each block of lines is formatted row by row from one stacked array, so no
+file is held in memory as text. Matrices are plain comma-separated values
+with no header; trajectory and average files carry the headers the plotting
+tools expect.
 """
 
 from __future__ import annotations
@@ -15,20 +18,21 @@ import numpy as np
 
 from .simulate import TimeAverage, Trajectory
 
+FLOAT = "%.17g"
 
-def fmt(x: float) -> str:
-    """Shortest-faithful decimal form of a float (17 significant digits)."""
-    return format(float(x), ".17g")
+
+def _line(label: str, dim: int) -> str:
+    """Line template: a float, a row label, then dim floats."""
+    return ",".join([FLOAT, label, *[FLOAT] * dim])
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(fmt(v) for v in row) for row in m]
-    path.write_text("\n".join(lines) + "\n")
+    np.savetxt(path, m, fmt=FLOAT, delimiter=",")
 
 
 def read_matrix_csv(path: Path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
 
 
 def trajectory_header(dim: int) -> str:
@@ -39,27 +43,24 @@ def average_header(dim: int) -> str:
     return "T,row," + ",".join(f"avg_c_{j}" for j in range(1, dim + 1))
 
 
+def _labeled(first: np.ndarray, n_rows: int, values: np.ndarray) -> np.ndarray:
+    """Columns (first[k], i, values) for each k and rows i = 1..n_rows."""
+    labels = np.tile(np.arange(1.0, n_rows + 1), len(first))
+    return np.column_stack([np.repeat(first, n_rows), labels, values])
+
+
 def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
     """One line per (sample, output row), rows labeled 1..N+1."""
-    times = trajectory.grid.times()
-    n_rows, dim = trajectory.coefficient_rows.shape[1:]
-    lines = [trajectory_header(dim)]
-    for k, t in enumerate(times):
-        for i in range(n_rows):
-            values = ",".join(fmt(v) for v in trajectory.coefficient_rows[k, i])
-            lines.append(f"{fmt(t)},{i + 1},{values}")
-    path.write_text("\n".join(lines) + "\n")
+    _, n_rows, dim = trajectory.coefficient_rows.shape
+    table = _labeled(trajectory.grid.times(), n_rows, trajectory.coefficient_rows.reshape(-1, dim))
+    np.savetxt(path, table, fmt=_line("%d", dim), header=trajectory_header(dim), comments="")
 
 
 def write_spatial_csv(path: Path, trajectory: Trajectory, spatial: np.ndarray) -> None:
     """Same column layout as the trajectory file, row label 's'."""
-    times = trajectory.grid.times()
     dim = spatial.shape[1]
-    lines = [trajectory_header(dim)]
-    for k, t in enumerate(times):
-        values = ",".join(fmt(v) for v in spatial[k])
-        lines.append(f"{fmt(t)},s,{values}")
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack([trajectory.grid.times(), spatial])
+    np.savetxt(path, table, fmt=_line("s", dim), header=trajectory_header(dim), comments="")
 
 
 def write_averages_csv(
@@ -73,16 +74,14 @@ def write_averages_csv(
     leave the rest empty.
     """
     n_rows, dim = averages[0].averaged_rows.shape
-    lines = [average_header(dim)]
-    for avg in averages:
-        for i in range(n_rows):
-            values = ",".join(fmt(v) for v in avg.averaged_rows[i])
-            lines.append(f"{fmt(avg.horizon)},{i + 1},{values}")
-    final = averages[-1]
-    for i, err in enumerate(row_errors, start=2):
-        padding = "," * (dim - 1)
-        lines.append(f"{fmt(final.horizon)},err_{i},{fmt(err)}{padding}")
-    path.write_text("\n".join(lines) + "\n")
+    horizons = np.array([avg.horizon for avg in averages], dtype=float)
+    table = _labeled(horizons, n_rows, np.vstack([avg.averaged_rows for avg in averages]))
+    errors = np.asarray(row_errors, dtype=float)
+    rows = np.arange(2.0, len(errors) + 2)
+    summary = np.column_stack([np.full(len(errors), horizons[-1]), rows, errors])
+    with open(path, "w") as out:
+        np.savetxt(out, table, fmt=_line("%d", dim), header=average_header(dim), comments="")
+        np.savetxt(out, summary, fmt=_line("err_%d", 1) + "," * (dim - 1))
 
 
 def write_report_json(path: Path, report: dict) -> None:

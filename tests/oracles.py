@@ -18,6 +18,10 @@ out the A^{-1}(exp(AT) - I) shortcut). The sampled route folds the
 propagators of the library's propagation engine into a running composite
 Simpson sum in O(N^2) memory, on a step that resolves the fastest mode
 found by a dense nonsymmetric eigensolve of A_a.
+
+The CSV oracles are the per-value writers the library once used: each
+float goes through Python's format(x, ".17g") on its own, labels and
+padding are joined in as strings, and the file text is returned whole.
 """
 
 from __future__ import annotations
@@ -240,3 +244,44 @@ def time_average_streamed(
     for w, phi in zip(weights, _propagate(aug.a_a, aug.theta, grid)):
         summed += w * phi
     return TimeAverage(horizon=grid.t_end, averaged_rows=aug.c_a @ summed / grid.t_end)
+
+
+def _csv_line(*fields) -> str:
+    """Comma-joined fields; floats at 17 significant digits, strings as they are."""
+    return ",".join(f if isinstance(f, str) else format(float(f), ".17g") for f in fields)
+
+
+def matrix_csv_text(matrix: np.ndarray) -> str:
+    rows = np.atleast_2d(np.asarray(matrix, dtype=float))
+    return "".join(_csv_line(*row) + "\n" for row in rows)
+
+
+def trajectory_csv_text(times: np.ndarray, coefficient_rows: np.ndarray) -> str:
+    dim = coefficient_rows.shape[2]
+    lines = ["t,row," + ",".join(f"c_{j}" for j in range(1, dim + 1))]
+    for t, rows in zip(times, coefficient_rows):
+        lines += [_csv_line(t, str(i), *row) for i, row in enumerate(rows, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+def spatial_csv_text(times: np.ndarray, spatial: np.ndarray) -> str:
+    dim = spatial.shape[1]
+    lines = ["t,row," + ",".join(f"c_{j}" for j in range(1, dim + 1))]
+    lines += [_csv_line(t, "s", *row) for t, row in zip(times, spatial)]
+    return "\n".join(lines) + "\n"
+
+
+def averages_csv_text(averages: list[TimeAverage], row_errors: list[float]) -> str:
+    dim = averages[0].averaged_rows.shape[1]
+    lines = ["T,row," + ",".join(f"avg_c_{j}" for j in range(1, dim + 1))]
+    for avg in averages:
+        lines += [
+            _csv_line(avg.horizon, str(i), *row)
+            for i, row in enumerate(avg.averaged_rows, start=1)
+        ]
+    final = averages[-1].horizon
+    lines += [
+        _csv_line(final, f"err_{i}", err) + "," * (dim - 1)
+        for i, err in enumerate(row_errors, start=2)
+    ]
+    return "\n".join(lines) + "\n"

@@ -4,14 +4,23 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chainobs as co
 from chainobs import cli, serialize, simulate
 from conftest import build_system
+from oracles import (
+    averages_csv_text,
+    matrix_csv_text,
+    spatial_csv_text,
+    trajectory_csv_text,
+)
 
 BASE_CONFIG = {
     "n_elements": 3,
@@ -102,17 +111,85 @@ class TestParseConfig:
             cli.load_config(tmp_path / "absent.json")
 
 
-class TestSerialize:
-    def test_fmt_is_faithful(self):
-        for x in (0.1, 1.0, np.pi, 1.0 / 3.0, -2.5e17, 1e-308, 4.9e-324):
-            assert float(serialize.fmt(x)) == x
+# Edge values a 17-digit writer must keep exact: short and long decimal
+# forms, a large integral value, the smallest normal and subnormal doubles.
+EDGE_VALUES = (0.1, 1.0, np.pi, 1.0 / 3.0, -2.5e17, 1e-308, 4.9e-324)
 
-    def test_matrix_round_trip_is_exact(self, tmp_path):
+csv_floats = st.one_of(
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    ),
+    st.integers(-(2**53), 2**53).map(float),
+    st.builds(
+        lambda mantissa, exponent: mantissa * 10.0**exponent,
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.integers(-300, 299),
+    ),
+)
+
+
+def csv_arrays(*shape):
+    return hnp.arrays(np.float64, shape, elements=csv_floats)
+
+
+@st.composite
+def writer_cases(draw):
+    samples, n_rows, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    step = draw(st.sampled_from([0.1, 1.0 / 3.0, 2.5, 1e-3]))
+    grid = co.TimeGrid(t0=0.0, t_end=samples * step, step=step)
+    rows = draw(csv_arrays(samples + 1, n_rows, dim))
+    horizons = draw(st.lists(csv_floats, min_size=1, max_size=3))
+    return {
+        "matrix": draw(csv_arrays(n_rows, dim)),
+        "trajectory": co.Trajectory(grid=grid, coefficient_rows=rows),
+        "spatial": draw(csv_arrays(samples + 1, dim)),
+        "averages": [co.TimeAverage(h, draw(csv_arrays(n_rows, dim))) for h in horizons],
+        "row_errors": draw(st.lists(csv_floats, min_size=n_rows - 1, max_size=n_rows - 1)),
+    }
+
+
+class TestSerialize:
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 1), (1, 5), (1, 1)], ids="{0[0]}x{0[1]}".format)
+    def test_matrix_round_trip_is_exact(self, tmp_path, shape):
         rng = np.random.default_rng(5)
-        matrix = rng.normal(size=(7, 4)) * 10.0 ** rng.integers(-12, 12, size=(7, 4))
+        matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        flat = matrix.reshape(-1)
+        flat[: len(EDGE_VALUES)] = EDGE_VALUES[: flat.size]
         path = tmp_path / "m.csv"
         serialize.write_matrix_csv(path, matrix)
-        assert np.array_equal(serialize.read_matrix_csv(path), matrix)
+        read = serialize.read_matrix_csv(path)
+        assert read.shape == shape
+        assert np.array_equal(read, matrix)
+
+    @given(writer_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_files_match_the_per_value_writer(self, tmp_path_factory, case):
+        """Every CSV writer produces exactly the text of format(x, ".17g") per value."""
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        trajectory = case["trajectory"]
+        times = trajectory.grid.times()
+        serialize.write_matrix_csv(path, case["matrix"])
+        assert path.read_text() == matrix_csv_text(case["matrix"])
+        serialize.write_trajectory_csv(path, trajectory)
+        assert path.read_text() == trajectory_csv_text(times, trajectory.coefficient_rows)
+        serialize.write_spatial_csv(path, trajectory, case["spatial"])
+        assert path.read_text() == spatial_csv_text(times, case["spatial"])
+        serialize.write_averages_csv(path, case["averages"], case["row_errors"])
+        assert path.read_text() == averages_csv_text(case["averages"], case["row_errors"])
+
+    def test_trajectory_writer_holds_no_text_copy(self, tmp_path, example_system):
+        """Writing the reference trajectory at T = 5 allocates less than twice the
+        array: the values are formatted line by line, never as one whole text."""
+        chain, aug = example_system
+        grid = co.TimeGrid.covering(0.0, 5.0, co.default_step(chain))
+        trajectory = simulate.coefficient_trajectory(aug, grid)
+        tracemalloc.start()
+        try:
+            serialize.write_trajectory_csv(tmp_path / "trajectory.csv", trajectory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * trajectory.coefficient_rows.nbytes
 
     def test_headers(self):
         assert serialize.trajectory_header(3) == "t,row,c_1,c_2,c_3"
@@ -153,12 +230,22 @@ class TestBuildCommand:
         assert np.array_equal(serialize.read_matrix_csv(tmp_path / "r_a.csv"), aug.r_a)
         assert np.array_equal(serialize.read_matrix_csv(tmp_path / "c_a.csv"), aug.c_a)
 
-    def test_runs_are_byte_identical(self, tmp_path):
-        config = write_config(tmp_path)
+    @pytest.mark.parametrize(
+        "command,names",
+        [
+            ("build", ("r_a.csv", "a_a.csv", "c_a.csv", "r_o_reduced.csv", "report.json")),
+            ("simulate", ("trajectory.csv", "spatial_average.csv", "report.json")),
+            ("timeavg", ("time_averages.csv", "report.json")),
+        ],
+        ids=["build", "simulate", "timeavg"],
+    )
+    def test_runs_are_byte_identical(self, tmp_path, command, names):
+        config = write_config(tmp_path, horizon=1.0)
         first, second = tmp_path / "one", tmp_path / "two"
-        assert cli.main(["build", "--config", str(config), "--output-dir", str(first)]) == 0
-        assert cli.main(["build", "--config", str(config), "--output-dir", str(second)]) == 0
-        for name in ("r_a.csv", "a_a.csv", "c_a.csv", "r_o_reduced.csv", "report.json"):
+        assert cli.main([command, "--config", str(config), "--output-dir", str(first)]) == 0
+        assert cli.main([command, "--config", str(config), "--output-dir", str(second)]) == 0
+        assert sorted(p.name for p in first.iterdir()) == sorted(names)
+        for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_stdout_lists_checks_and_outputs(self, tmp_path, capsys):
