@@ -5,7 +5,9 @@ goes through a symmetric eigendecomposition and a similarity transform
 instead of scaling-and-squaring, and the definiteness oracle runs a
 leading-principal-minor recurrence instead of an eigensolver. The drift
 oracle forms Phi Theta Phi^T with dense products, ignoring the block
-structure of Theta that the library exploits. The assembly oracle writes
+structure of Theta that the library exploits, and the unscreened
+exponential-bound sweep takes the exact norm of every sample, with none of
+the library's Frobenius screens. The assembly oracle writes
 the augmented system as Kronecker products of (N+1) x (N+1) matrices with
 2 x 2 blocks instead of filling blocks in place, and the energy oracle
 measures how far a propagator is from conserving a quadratic Hamiltonian.
@@ -31,13 +33,16 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from chainobs.analysis import certify_positive_definite
 from chainobs.builder import AugmentedSystem
 from chainobs.errors import (
+    BoundViolatedError,
     InvalidDimensionError,
     InvalidInputError,
     InvalidParameterError,
     NumericalFailureError,
 )
+from chainobs.lqs import SymplecticForm, dynamics_from_hamiltonian
 from chainobs.simulate import DEFAULT_STEP_FACTOR, TimeAverage, TimeGrid, _propagate
 
 # Quadrature is trustworthy only when the fastest mode is well resolved:
@@ -104,6 +109,29 @@ def dense_symplectic_drift(phi: np.ndarray, theta: np.ndarray) -> float:
     """||Phi Theta Phi^T - Theta||_F by two full products, for any Theta."""
     phi = np.asarray(phi, dtype=float)
     return float(np.linalg.norm(phi @ theta @ phi.T - theta, ord="fro"))
+
+
+def exp_bound_unscreened(
+    r_o: np.ndarray, theta: SymplecticForm, grid: TimeGrid
+) -> tuple[float, float]:
+    """The exponential-bound sweep with every sample's norm taken exactly.
+
+    Each sample of the propagation engine gets sqrt(eigvalsh(Phi^T Phi)[-1]),
+    and the first one above bound * (1 + 1e-9) raises, with the message the
+    library uses. Returns (max norm, bound).
+    """
+    bound = certify_positive_definite(r_o).exp_norm_bound
+    a = dynamics_from_hamiltonian(np.asarray(r_o, dtype=float), theta)
+    worst = 0.0
+    for t, phi in zip(grid.times(), _propagate(a, theta, grid)):
+        norm = float(np.sqrt(np.linalg.eigvalsh(phi.T @ phi)[-1]))
+        worst = max(worst, norm)
+        if norm > bound * (1.0 + 1e-9):
+            raise BoundViolatedError(
+                f"||exp(A t)||_2 = {norm:.12e} at t = {t:g} exceeds the certified "
+                f"bound {bound:.12e}"
+            )
+    return worst, bound
 
 
 def dense_augmented(

@@ -1,16 +1,25 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
+from chainobs import analysis, cli
 from chainobs.analysis import _spectral_norm
 from chainobs.simulate import _propagate
 from conftest import build_system
-from oracles import collapse_blocks, minors_positive_definite, spectral_propagator
+from oracles import (
+    collapse_blocks,
+    exp_bound_unscreened,
+    minors_positive_definite,
+    spectral_propagator,
+)
 from test_acceptance import systems
 
 mu_vectors = st.lists(
@@ -164,7 +173,7 @@ class TestExpBound:
         grid = co.TimeGrid.from_count(0.0, 1.0, 2)
         first = next(_propagate(a, theta, grid))
         assert np.array_equal(first, np.eye(10))
-        assert _spectral_norm(first) == 1.0
+        assert _spectral_norm(first.T @ first) == 1.0
         _, bound = co.verify_exp_bound(aug.r_o, theta, grid)
         assert bound > 1.0
 
@@ -212,6 +221,84 @@ class TestExpBound:
         with pytest.raises(co.BoundViolatedError):
             co.verify_exp_bound(aug.r_o, theta, co.TimeGrid.from_count(0.0, 1.0, 2))
 
+    def test_screens_keep_the_first_violation(self, example_system, monkeypatch):
+        """A violation in mid-sweep, after both screens have skipped samples,
+        is reported at the sample the unscreened sweep reports.
+
+        The stand-in step is symplectic, with identity blocks but two: a
+        diag(s, 1/s) block, whose norm s^k first exceeds the bound at k = 7,
+        and a block of norm 5 whose powers alternate with +-I. Samples 2 and 4
+        are cleared by the Frobenius norm and by the Gram matrix's Frobenius
+        norm respectively, so six of the eight samples reach an eigensolve.
+        """
+        _, aug = example_system
+        theta = co.make_symplectic(5)
+        bound = co.certify_positive_definite(aug.r_o).exp_norm_bound
+        s = bound ** (1.0 / 6.5)
+        step = np.eye(10)
+        step[0:2, 0:2] = np.diag([s, 1.0 / s])
+        step[2:4, 2:4] = [[0.0, 5.0], [-0.2, 0.0]]
+        monkeypatch.setattr("chainobs.simulate.propagator", lambda a, t: step)
+        grid = co.TimeGrid.from_count(0.0, 1.0, 10)
+        with pytest.raises(co.BoundViolatedError) as expected:
+            exp_bound_unscreened(aug.r_o, theta, grid)
+        assert "at t = 0.777778 " in str(expected.value)
+        eigensolves = []
+        monkeypatch.setattr(
+            analysis, "_spectral_norm", lambda g: eigensolves.append(g) or _spectral_norm(g)
+        )
+        with pytest.raises(co.BoundViolatedError) as screened:
+            co.verify_exp_bound(aug.r_o, theta, grid)
+        assert str(screened.value) == str(expected.value)
+        assert len(eigensolves) == 6
+
+    def test_nan_step_ends_as_the_unscreened_sweep(self, example_system, monkeypatch, tmp_path):
+        """A non-finite step is stopped by the engine's input check before any
+        screen sees it: the same error as the unscreened sweep, and exit 2."""
+        _, aug = example_system
+        theta = co.make_symplectic(5)
+        true_propagator = co.propagator
+
+        def nan_step(a, t):
+            step = true_propagator(a, t)
+            step[3, 4] = np.nan
+            return step
+
+        monkeypatch.setattr("chainobs.simulate.propagator", nan_step)
+        grid = co.TimeGrid.from_count(0.0, 1.0, 10)
+        with pytest.raises(co.ChainobsError) as expected:
+            exp_bound_unscreened(aug.r_o, theta, grid)
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            co.verify_exp_bound(aug.r_o, theta, grid)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_elements": 5, "scheme": "odd-harmonics",
+                                      "omega0": 1.0, "c_p": [1.0, 0.0], "horizon": 8.0}))
+        assert cli.main(["check", "--config", str(config)]) == 2
+
+    def test_info_line_counts_the_screened_work(self, caplog):
+        """check on random N=50 (seed 1) logs one line with its work and margin:
+        most of the 500 samples need neither a Gram product nor an eigensolve."""
+        config = cli.parse_config(json.dumps({
+            "n_elements": 50, "scheme": "random", "seed": 1, "omega0": 1.0,
+            "c_p": [1.0, 0.0], "horizon": 800.0,
+        }))
+        caplog.set_level(logging.INFO, logger="chainobs.analysis")
+        report = cli.run_check(config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "chainobs.analysis"]
+        assert len(lines) == 1
+        found = re.fullmatch(
+            r"exp bound: (\d+) samples, (\d+) Gram products, (\d+) eigensolves, "
+            r"max (\S+), bound (\S+), margin (\S+)",
+            lines[0],
+        )
+        assert found is not None, lines[0]
+        samples, grams, eigensolves = (int(found[i]) for i in (1, 2, 3))
+        observed, bound, margin = (float(found[i]) for i in (4, 5, 6))
+        assert samples == 500 and grams <= 130 and eigensolves <= 30
+        check = next(c for c in report.checks if c.name == "exp_norm_observed")
+        assert observed == pytest.approx(check.value, rel=1e-6)
+        assert margin == pytest.approx(observed / bound, rel=1e-5)
+
     def test_non_symplectic_step_is_a_tolerance_failure(self, example_system, monkeypatch):
         """A step propagator that breaks the symplectic identity aborts the
         sweep in the engine, before any norm is compared with the bound."""
@@ -238,7 +325,9 @@ class TestExpBound:
 )
 def test_engine_sweep_matches_the_eigh_oracle(variant, n, angle, radius, seed, span, samples):
     """The engine's observed maximum is the largest spectral norm of the
-    independent eigh-route exponentials on the same times, within the bound."""
+    independent eigh-route exponentials on the same times, within the bound,
+    and exactly what the unscreened sweep returns: the Frobenius screens
+    skip only samples that cannot change the result."""
     if variant == co.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
@@ -248,6 +337,7 @@ def test_engine_sweep_matches_the_eigh_oracle(variant, n, angle, radius, seed, s
     theta = co.make_symplectic(chain.n_elements)
     grid = co.TimeGrid.from_count(0.0, span, samples)
     observed, bound = co.verify_exp_bound(aug.r_o, theta, grid)
+    assert (observed, bound) == exp_bound_unscreened(aug.r_o, theta, grid)
     expected = max(
         np.linalg.norm(spectral_propagator(aug.r_o, theta.matrix, t), ord=2)
         for t in grid.times()
