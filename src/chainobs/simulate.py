@@ -3,10 +3,11 @@
 Everything simulated here is a coefficient function: the rows of
 C_a exp(A_a t) give each output's dependence on the initial quadratures, so
 no initial condition is ever sampled. The propagator itself comes from
-scaling-and-squaring (a diagonal rational approximant of fixed high order).
-One propagation engine yields Phi(t_k) sample by sample through the
-recurrence Phi(t + h) = Phi(h) Phi(t), re-certifying the symplectic
-identity at every sample so drift cannot accumulate silently. Stored
+scaling and squaring (Higham 2005): a diagonal Pade approximant of degree
+3, 5, 7, 9 or 13, chosen from the 1-norm, of the matrix scaled by 2^-s,
+then squared s times. One propagation engine yields Phi(t_k) sample by
+sample through the recurrence Phi(t + h) = Phi(h) Phi(t), re-certifying the
+symplectic identity at every sample so drift cannot accumulate silently. Stored
 trajectories consume it for the augmented system and apply C_a themselves;
 the exponential-bound sweep in analysis consumes it for the observer block
 alone.
@@ -18,8 +19,9 @@ chain is an N x N symmetric tridiagonal oscillator chain driven by the
 constant plant quadrature, so both its average over [0, T] and its end rows
 C_a Phi(T) are per-mode weights pulled back through the normal modes of
 K = Omega^(1/2) R_red Omega^(1/2). One tridiagonal eigensolve of K
-(normal_modes) serves every horizon, and its fastest frequency sets the
-default sampling step. identity_residuals holds an average against the
+(normal_modes: dense eigh of K, each eigenvalue refined by its Rayleigh
+quotient) serves every horizon, and its fastest frequency sets the default
+sampling step. identity_residuals holds an average against the
 assembled A_a through two identities that every true average satisfies.
 """
 
@@ -31,7 +33,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
 
 from .builder import AugmentedSystem, ChainObserverParams
 from .errors import (
@@ -132,14 +133,31 @@ class NormalModes:
         return 2.0 * np.sqrt(self.lam)
 
 
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e.
+
+    Dense divide-and-conquer gives the eigenvectors; each eigenvalue is then
+    replaced by its Rayleigh quotient v^T K v, from an O(N^2) tridiagonal
+    product. Against 40-digit referees this makes the time averages up to
+    14x more accurate than the eigenvalues eigh returns.
+    """
+    k = np.diag(d)
+    i = np.arange(len(e))
+    k[i, i + 1] = k[i + 1, i] = e
+    _, v = np.linalg.eigh(k)
+    kv = d[:, None] * v
+    kv[:-1] += e[:, None] * v[1:]
+    kv[1:] += e[:, None] * v[:-1]
+    lam = np.einsum("ij,ij->j", v, kv)
+    order = np.argsort(lam, kind="stable")
+    return lam[order], v[:, order]
+
+
 def normal_modes(chain: ChainObserverParams) -> NormalModes:
     """The chain's normal modes, by one tridiagonal eigensolve of K."""
     root = np.sqrt(chain.omega)
-    # MRRR (Dhillon & Parlett 2004): against 40-digit referees its worst
-    # average was about 7x more accurate than the default divide-and-conquer's
-    lam, v = eigh_tridiagonal(
-        chain.omega**2, -chain.mu_tilde[1:] * root[:-1] * root[1:], lapack_driver="stemr"
-    )
+    lam, v = _eigh_tridiagonal(chain.omega**2, -chain.mu_tilde[1:] * root[:-1] * root[1:])
     if not lam[0] > 0.0:
         raise NotPositiveDefiniteError(
             f"normal-mode matrix is not positive definite: lambda_min = {lam[0]:.6e}",
@@ -150,6 +168,65 @@ def normal_modes(chain: ChainObserverParams) -> NormalModes:
         chain.n_elements, 2.0 * math.sqrt(lam[-1]),
     )
     return NormalModes(chain=chain, lam=lam, v=v)
+
+
+# Pade degrees m with the largest 1-norm theta_m at which the degree-m
+# approximant is accurate to double precision (Higham 2005), and
+# the coefficients b_0 .. b_m of its numerator p(x); the denominator is p(-x).
+_PADE_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring with a Pade approximant (Higham 2005).
+
+    The lowest degree whose theta covers ||a||_1 is used unscaled; above
+    theta_13, a is scaled by 2^-s into it and the result squared s times.
+    A singular denominator raises numpy's LinAlgError.
+    """
+    norm = float(np.linalg.norm(a, 1))
+    s = 0
+    for m in (3, 5, 7, 9, 13):
+        if norm <= _PADE_THETA[m]:
+            break
+    else:
+        s = math.ceil(math.log2(norm / _PADE_THETA[13]))
+        a = np.ldexp(a, -s)
+    b = _PADE_COEFFS[m]
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    if m < 13:
+        powers = [ident, a2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    phi = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        phi = phi @ phi
+    return phi
 
 
 def propagator(a: np.ndarray, t: float) -> np.ndarray:
@@ -164,7 +241,14 @@ def propagator(a: np.ndarray, t: float) -> np.ndarray:
     # overflow is detected explicitly below, so the intermediate warnings
     # from the scaling-and-squaring steps are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = expm(a * float(t))
+        at = a * float(t)
+        # a finite 1-norm also means every entry is finite
+        if not np.isfinite(np.linalg.norm(at, 1)):
+            raise NumericalFailureError(f"dynamics times t = {t!r} overflowed")
+        try:
+            phi = _expm(at)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"Pade denominator is singular at t = {t!r}") from exc
     if not np.all(np.isfinite(phi)):
         raise NumericalFailureError(f"exponential overflowed at t = {t!r}")
     return phi
@@ -189,7 +273,10 @@ def _propagate(a: np.ndarray, theta: SymplecticForm, grid: TimeGrid) -> Iterator
     step_phi = propagator(a, grid.step)
     phi = np.eye(a.shape[0]) if grid.t0 == 0.0 else propagator(a, grid.t0)
     for k in range(grid.samples):
-        drift = symplectic_drift(phi, theta)
+        try:
+            drift = symplectic_drift(phi, theta)
+        except InvalidInputError as exc:
+            raise NumericalFailureError(f"propagator is not finite at sample {k}") from exc
         if drift > SYMPLECTIC_DRIFT_TOL * theta_norm:
             raise ToleranceExceededError(
                 f"symplectic drift {drift:.3e} exceeds {SYMPLECTIC_DRIFT_TOL:.0e} "

@@ -253,8 +253,8 @@ class TestExpBound:
         assert len(eigensolves) == 6
 
     def test_nan_step_ends_as_the_unscreened_sweep(self, example_system, monkeypatch, tmp_path):
-        """A non-finite step is stopped by the engine's input check before any
-        screen sees it: the same error as the unscreened sweep, and exit 2."""
+        """A non-finite step is stopped by the engine before any screen sees it:
+        the same numerical failure as the unscreened sweep, and exit 1."""
         _, aug = example_system
         theta = co.make_symplectic(5)
         true_propagator = co.propagator
@@ -266,14 +266,14 @@ class TestExpBound:
 
         monkeypatch.setattr("chainobs.simulate.propagator", nan_step)
         grid = co.TimeGrid.from_count(0.0, 1.0, 10)
-        with pytest.raises(co.ChainobsError) as expected:
+        with pytest.raises(co.NumericalFailureError) as expected:
             exp_bound_unscreened(aug.r_o, theta, grid)
-        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        with pytest.raises(co.NumericalFailureError, match=re.escape(str(expected.value))):
             co.verify_exp_bound(aug.r_o, theta, grid)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_elements": 5, "scheme": "odd-harmonics",
                                       "omega0": 1.0, "c_p": [1.0, 0.0], "horizon": 8.0}))
-        assert cli.main(["check", "--config", str(config)]) == 2
+        assert cli.main(["check", "--config", str(config)]) == 1
 
     def test_info_line_counts_the_screened_work(self, caplog):
         """check on random N=50 (seed 1) logs one line with its work and margin:

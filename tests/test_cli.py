@@ -297,13 +297,13 @@ class TestSimulateCommand:
     def test_fastest_mode_is_solved_once(self, tmp_path, monkeypatch):
         """The auto step needs the fastest mode; nothing else in simulate does."""
         calls = []
-        solve = simulate.eigh_tridiagonal
+        solve = simulate._eigh_tridiagonal
 
-        def counted(d, e, **kwargs):
+        def counted(d, e):
             calls.append(d.shape)
-            return solve(d, e, **kwargs)
+            return solve(d, e)
 
-        monkeypatch.setattr("chainobs.simulate.eigh_tridiagonal", counted)
+        monkeypatch.setattr("chainobs.simulate._eigh_tridiagonal", counted)
         config = write_config(tmp_path, step="auto", horizon=1.0)
         assert cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
         assert calls == [(3,)]
@@ -353,15 +353,15 @@ class TestTimeavgCommand:
             raise AssertionError("timeavg took a matrix exponential")
 
         solves = []
-        solve = simulate.eigh_tridiagonal
+        solve = simulate._eigh_tridiagonal
 
-        def counted(d, e, **kwargs):
+        def counted(d, e):
             solves.append(d.shape)
-            return solve(d, e, **kwargs)
+            return solve(d, e)
 
         monkeypatch.setattr("chainobs.simulate._propagate", no_sampling)
-        monkeypatch.setattr("chainobs.simulate.expm", no_exponential)
-        monkeypatch.setattr("chainobs.simulate.eigh_tridiagonal", counted)
+        monkeypatch.setattr("chainobs.simulate._expm", no_exponential)
+        monkeypatch.setattr("chainobs.simulate._eigh_tridiagonal", counted)
         assert cli.main([*argv, str(tmp_path / "guarded")]) == 0
         assert solves == [(3,)]
         guarded = (tmp_path / "guarded" / "time_averages.csv").read_bytes()

@@ -1,7 +1,7 @@
 """The Simpson rule and the streamed quadrature oracle of tests/oracles.py.
 
-scipy.integrate.simpson is the independent check on simpson_weights; it is
-imported by tests only, so the library never pays for scipy.integrate.
+scipy.integrate.simpson is the independent check on simpson_weights; scipy
+is imported by tests only, and the library never pays for importing it.
 """
 
 from __future__ import annotations
@@ -156,14 +156,31 @@ def run_python(args: list[str], cwd: Path, **env: str) -> subprocess.CompletedPr
     )
 
 
+SCIPY_AFTER_EACH_COMMAND = """
+import json, sys
+from chainobs import cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+seen = {"import": [0, scipy_modules()]}
+for command in ("build", "check", "timeavg", "simulate"):
+    code = cli.main([command, "--config", "config.json", "--output-dir", command])
+    seen[command] = [code, scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
 def test_cli_import_leaves_scipy_integrate_out(tmp_path):
-    proc = run_python(
-        ["-c", "import sys, chainobs.cli; "
-               "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])"],
-        tmp_path,
-    )
+    """No scipy module at all is loaded by importing the CLI, nor later, lazily,
+    by a run of any subcommand."""
+    config = {"n_elements": 3, "scheme": "uniform", "omega0": 1.0, "c_p": [1.0, 0.0],
+              "horizon": 1.0}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    proc = run_python(["-c", SCIPY_AFTER_EACH_COMMAND], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {stage: [0, []] for stage in ("import", "build", "check", "timeavg", "simulate")}
 
 
 def test_timeavg_info_log_changes_no_output(tmp_path):

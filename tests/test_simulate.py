@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 import chainobs as co
+from chainobs.simulate import _PADE_THETA
 from oracles import (
     integral_of_propagator,
     max_frequency,
@@ -131,6 +133,40 @@ class TestPropagator:
     def test_overflow_is_an_error(self):
         with pytest.raises(co.NumericalFailureError):
             co.propagator(np.array([[700.0]]), 10.0)
+        with pytest.raises(co.NumericalFailureError):
+            co.propagator(np.array([[1e300]]), 1e10)
+
+    def test_singular_pade_denominator_is_a_numerical_failure(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("chainobs.simulate._expm", singular)
+        with pytest.raises(co.NumericalFailureError, match="singular"):
+            co.propagator(2.0 * co.SYMPLECTIC_UNIT, 1.0)
+
+    # 1-norm bands, one per Pade degree 3, 5, 7, 9 and 13 and one that scales and squares
+    NORM_BANDS = list(zip([1e-4, *_PADE_THETA.values()], [*_PADE_THETA.values(), 1e3]))
+
+    @pytest.mark.parametrize("band", NORM_BANDS, ids=["3", "5", "7", "9", "13", "squared"])
+    @given(
+        n_modes=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        position=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scipy_expm(self, band, n_modes, seed, position):
+        """Random Hamiltonian dynamics 2 Theta R with R positive definite, scaled
+        to a 1-norm inside the band. Worst gap seen over 2,400 draws: 1.9e-14
+        * max(1, ||a||_1) relative, so 1e-13."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((2 * n_modes, 2 * n_modes)))
+        r = (q * rng.uniform(1.0, 4.0, 2 * n_modes)) @ q.T
+        a = 2.0 * co.make_symplectic(n_modes).matrix @ (0.5 * (r + r.T))
+        low, high = band
+        a *= low * (high / low) ** position / np.linalg.norm(a, 1)
+        want = expm(a)
+        gap = np.linalg.norm(co.propagator(a, 1.0) - want) / np.linalg.norm(want)
+        assert gap <= 1e-13 * max(1.0, np.linalg.norm(a, 1))
 
 
 class TestFrequencies:

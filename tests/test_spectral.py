@@ -168,10 +168,10 @@ def mpmath_rows(chain: co.ChainObserverParams, horizon: float) -> tuple[np.ndarr
 )
 def test_mpmath_referee(c_p, variant, n, seed, horizon):
     """Errors against 40-digit arithmetic. The closed-form average stays within 1e-12
-    at every horizon (worst seen 5.5e-14). Its end rows carry each eigenvalue's
-    rounding into the phase nu T, so they drift with T, to 2.9e-11 at T = 800:
+    at every horizon (worst seen 4.7e-15). Its end rows carry each eigenvalue's
+    rounding into the phase nu T, so they drift with T, to 1.3e-12 at T = 800:
     pinned at 1e-10. The doubled-block average and the engine's exponential
-    drift with T ||A_a|| (worst 1.5e-10 and 1.6e-10) and stay within 1e-9."""
+    drift with T ||A_a|| (worst 1.5e-10 and 1.2e-10) and stay within 1e-9."""
     chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
     averaged, end = mpmath_rows(chain, horizon)
     modes = co.normal_modes(chain)
