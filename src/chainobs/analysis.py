@@ -18,19 +18,22 @@ Positive definiteness of R_o in turn bounds the propagator: the flow
 exp(2 Theta R_o t) conserves the quadratic form of R_o, which traps its
 spectral norm below sqrt(lambda_max / lambda_min) for all time. The
 certificate produced here carries exactly that ratio. verify_exp_bound
-checks it on a uniform time grid, taking the propagators from the one
-propagation engine in simulate (one exponential for the step, then one
-product and one symplectic check per sample). It screens each sample with
-||Phi||_2 <= ||Phi||_F, then ||Phi||_2 <= sqrt(||Phi^T Phi||_F), against the
-running maximum of exact norms sqrt(lambda_max(Phi^T Phi)), which never
-exceeds the bound: a screened sample can neither raise it nor break the
-bound. The singular values of a symplectic Phi pair as (s, 1/s), which
-leaves relative margins of about (N - 1) / s_1^2 and (N - 1) / (2 s_1^4).
+checks it on a uniform time grid, taking each propagator in closed form
+from the chain's normal modes (observer_flow), so any sample can be formed
+on its own, and every sample's ||P||_F comes from one O(N^3) set-up. The
+sweep visits samples in decreasing order of ||P||_F and stops once that is
+no larger than the largest exact norm sqrt(lambda_max(P^T P)) so far, which
+never exceeds the bound: an unvisited sample can neither raise it nor break
+the bound. A visited sample is also skipped when sqrt(||P^T P||_F) is no
+larger. The singular values of a symplectic P pair as (s, 1/s), which leaves
+relative margins of about (N - 1) / s_1^2 and (N - 1) / (2 s_1^4), far
+above the screen's rounding of about 1e-15.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +41,19 @@ import numpy as np
 from .builder import ChainObserverParams
 from .errors import (
     BoundViolatedError,
+    InvalidInputError,
     InvalidParameterError,
     NotPositiveDefiniteError,
+    NumericalFailureError,
+    ToleranceExceededError,
 )
-from .lqs import SymplecticForm, dynamics_from_hamiltonian
-from .simulate import TimeGrid, _propagate
+from .lqs import SymplecticForm, make_symplectic, symplectic_drift
+from .simulate import SYMPLECTIC_DRIFT_TOL, NormalModes, TimeGrid
+
+# How far a formed ||P||_F may stray from its screen value, relative.
+# Rounding leaves about 1e-15; the sweep's skips rest on the pairing margin
+# (N - 1) / s_1^2, above 1e-7 on every config measured.
+SCREEN_REL_TOL = 1e-12
 
 log = logging.getLogger(__name__)
 
@@ -118,44 +129,140 @@ def certify_positive_definite(r_o: np.ndarray) -> SpectralCertificate:
     )
 
 
-def verify_exp_bound(
-    r_o: np.ndarray,
-    theta: SymplecticForm,
-    grid: TimeGrid,
-) -> tuple[float, float]:
-    """Check ||exp(2 Theta R_o t)||_2 against the certificate bound on a grid.
+def _phases(nu: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(nu t) and sin(nu t), one row per time and one column per mode."""
+    x = np.outer(times, nu)
+    return np.cos(x), np.sin(x, out=x)
 
-    Returns (max observed spectral norm, bound). The propagators come from
-    the one propagation engine (simulate._propagate), with the symplectic
-    identity checked at every sample (a failure raises a tolerance-exceeded
-    error). Samples that ||Phi||_F or sqrt(||Phi^T Phi||_F) put at or below
-    the largest norm so far are skipped; every other norm is
-    sqrt(lambda_max(Phi^T Phi)), within about n * eps relative of the largest
-    singular value, far inside the 1e-9 slack. Raises a bound-violated error
-    at the first sample above bound * (1 + 1e-9), a sign of an inaccurate
-    propagator, not of bad parameters. Logs the counts and margin at INFO.
+
+@dataclass(frozen=True)
+class ObserverFlow:
+    """The observer propagator P(t) = S D(t) S^-1 on a time grid, in closed form.
+
+    left = Omega^(1/2) V and right = Omega^(-1/2) V, so S = diag(left, right)
+    and S^-1 = diag(right^T, left^T); cos and sin hold the phases nu t of
+    every sample. screen is ||P(t_k)||_F for every sample, from the phases
+    alone, and theta the symplectic form P preserves.
     """
-    bound = certify_positive_definite(r_o).exp_norm_bound
-    a = dynamics_from_hamiltonian(np.asarray(r_o, dtype=float), theta)
+
+    theta: SymplecticForm
+    left: np.ndarray
+    right: np.ndarray
+    nu: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    screen: np.ndarray
+
+    def propagator(self, k: int) -> np.ndarray:
+        """P(t_k) in the interleaved (q_1, p_1, ..., q_N, p_N) layout, checked.
+
+        Two checks run before P is returned: the symplectic identity, and
+        ||P||_F against screen[k], which the sweep trusts for the samples it
+        never forms. A failure of either raises a tolerance-exceeded error;
+        a non-finite P raises a numerical failure.
+        """
+        c, s = self.cos[k], self.sin[k]
+        left, right, n = self.left, self.right, self.nu.size
+        phi = np.empty((2 * n, 2 * n))
+        phi[0::2, 0::2] = (left * c) @ right.T
+        phi[0::2, 1::2] = (left * (-2.0 * s / self.nu)) @ left.T
+        phi[1::2, 0::2] = (right * (0.5 * self.nu * s)) @ right.T
+        phi[1::2, 1::2] = (right * c) @ left.T
+        try:
+            drift = symplectic_drift(phi, self.theta)
+        except InvalidInputError as exc:
+            raise NumericalFailureError(f"propagator is not finite at sample {k}") from exc
+        # ||Theta||_F = sqrt(2 N)
+        if drift > SYMPLECTIC_DRIFT_TOL * math.sqrt(2 * n):
+            raise ToleranceExceededError(
+                f"symplectic drift {drift:.3e} exceeds {SYMPLECTIC_DRIFT_TOL:.0e} "
+                f"* ||Theta||_F at sample {k}"
+            )
+        frobenius = float(np.linalg.norm(phi))
+        if abs(frobenius - self.screen[k]) > SCREEN_REL_TOL * frobenius:
+            raise ToleranceExceededError(
+                f"||P||_F = {frobenius:.17e} at sample {k} disagrees with its screen "
+                f"value {self.screen[k]:.17e}"
+            )
+        return phi
+
+
+def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
+    """Set up the closed-form observer propagator on a grid: O(N^3) once.
+
+    Rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), the observer
+    block solves q' = -2 Omega p, p' = 2 R_red q, whose normal modes are
+    those of K. With L1 = Omega^(1/2) V, L2 = Omega^(-1/2) V, C = cos(nu t)
+    and s = sin(nu t), P(t) has the blocks [[L1 C L2^T, L1 (-2 s / nu) L1^T],
+    [L2 (nu s / 2) L2^T, L2 C L1^T]]. The rotation is orthogonal, so P has
+    the singular values of exp(2 Theta R_o t). With G = V^T Omega V and
+    H = V^T Omega^-1 V, each block's squared Frobenius norm is a quadratic
+    form in its weights, w^T M w with M = G o H, G o G, H o H and G o H for
+    the four blocks (o the entrywise product), so every sample's ||P||_F
+    costs O(N^2).
+    """
+    root = np.sqrt(modes.chain.omega)
+    left = root[:, None] * modes.v
+    right = modes.v / root[:, None]
+    g, h = left.T @ left, right.T @ right
+    nu = modes.nu
+    cos, sin = _phases(nu, grid.times())
+    # the sine weights -2/nu and nu/2 of the off-diagonal blocks fold into
+    # one matrix for sin, and the two diagonal blocks into one for cos
+    sin_form = g * g * np.outer(2.0 / nu, 2.0 / nu) + h * h * np.outer(0.5 * nu, 0.5 * nu)
+    squared = np.einsum("ij,ij->i", cos @ (2.0 * g * h), cos)
+    squared += np.einsum("ij,ij->i", sin @ sin_form, sin)
+    return ObserverFlow(theta=make_symplectic(nu.size), left=left, right=right, nu=nu,
+                        cos=cos, sin=sin, screen=np.sqrt(squared))
+
+
+def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
+    """Check ||exp(2 Theta R_o t)||_2 against the certified bound on a grid.
+
+    Returns the largest observed spectral norm. Every sample's ||P||_F
+    comes from observer_flow; the sweep visits samples in decreasing order
+    of it and stops once it is at or below the largest norm so far, forming
+    P (with its two checks, see ObserverFlow.propagator) only for the
+    samples it visits. A visited sample that sqrt(||P^T P||_F) puts at or
+    below the largest norm is skipped; every other norm is
+    sqrt(lambda_max(P^T P)), within about n * eps relative of the largest
+    singular value, far inside the 1e-9 slack. Raises a bound-violated error
+    at the first sample in time order above bound * (1 + 1e-9), a sign of
+    an inaccurate propagator, not of bad parameters. Logs the counts and
+    margin at INFO.
+    """
+    flow = observer_flow(modes, grid)
+    screen = flow.screen
+    bad = ~np.isfinite(screen)
+    if bad.any():
+        raise NumericalFailureError(f"propagator is not finite at sample {int(np.argmax(bad))}")
     worst, grams, eigensolves = 0.0, 0, 0
-    for t, phi in zip(grid.times(), _propagate(a, theta, grid)):
-        if np.linalg.norm(phi) <= worst:
-            continue
+    for k in np.argsort(-screen, kind="stable"):
+        if screen[k] <= worst:
+            break
+        phi = flow.propagator(k)
         gram = phi.T @ phi
         grams += 1
         if np.sqrt(np.linalg.norm(gram)) <= worst:
             continue
-        norm = _spectral_norm(gram)
+        worst = max(worst, _spectral_norm(gram))
         eigensolves += 1
-        worst = max(worst, norm)
-        if norm > bound * (1.0 + 1e-9):
-            raise BoundViolatedError(
-                f"||exp(A t)||_2 = {norm:.12e} at t = {t:g} exceeds the certified "
-                f"bound {bound:.12e}"
-            )
+    limit = bound * (1.0 + 1e-9)
+    if worst > limit:
+        # only samples screened above the limit can break it: the first in
+        # time order whose exact norm does is the one the unscreened sweep names
+        times = grid.times()
+        for k in np.flatnonzero(screen > limit):
+            phi = flow.propagator(k)
+            norm = _spectral_norm(phi.T @ phi)
+            if norm > limit:
+                raise BoundViolatedError(
+                    f"||exp(A t)||_2 = {norm:.12e} at t = {times[k]:g} exceeds the certified "
+                    f"bound {bound:.12e}"
+                )
     log.info("exp bound: %d samples, %d Gram products, %d eigensolves, max %.6e, bound %.6e, "
              "margin %.6e", grid.samples, grams, eigensolves, worst, bound, worst / bound)
-    return worst, bound
+    return worst
 
 
 def _spectral_norm(gram: np.ndarray) -> float:

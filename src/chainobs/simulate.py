@@ -8,9 +8,9 @@ scaling and squaring (Higham 2005): a diagonal Pade approximant of degree
 then squared s times. One propagation engine yields Phi(t_k) sample by
 sample through the recurrence Phi(t + h) = Phi(h) Phi(t), re-certifying the
 symplectic identity at every sample so drift cannot accumulate silently. Stored
-trajectories consume it for the augmented system and apply C_a themselves;
-the exponential-bound sweep in analysis consumes it for the observer block
-alone.
+trajectories consume it for the augmented system and apply C_a themselves.
+The exponential-bound sweep in analysis does not: it forms each observer
+propagator it needs in closed form from the normal modes below.
 
 Time averages (1/T) int_0^T C_a exp(A_a s) ds have one route, a closed form
 in the chain's normal modes that never assembles A_a and samples nothing.

@@ -6,8 +6,9 @@ instead of scaling-and-squaring, and the definiteness oracle runs a
 leading-principal-minor recurrence instead of an eigensolver. The drift
 oracle forms Phi Theta Phi^T with dense products, ignoring the block
 structure of Theta that the library exploits, and the unscreened
-exponential-bound sweep takes the exact norm of every sample, with none of
-the library's Frobenius screens. The assembly oracle writes
+exponential-bound sweep forms every sample of the library's closed-form
+observer propagator in time order and takes its exact norm, with none of
+the library's sorting or Frobenius screens. The assembly oracle writes
 the augmented system as Kronecker products of (N+1) x (N+1) matrices with
 2 x 2 blocks instead of filling blocks in place, and the energy oracle
 measures how far a propagator is from conserving a quadratic Hamiltonian.
@@ -33,7 +34,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from chainobs.analysis import certify_positive_definite
+from chainobs.analysis import observer_flow
 from chainobs.builder import AugmentedSystem
 from chainobs.errors import (
     BoundViolatedError,
@@ -42,8 +43,13 @@ from chainobs.errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from chainobs.lqs import SymplecticForm, dynamics_from_hamiltonian
-from chainobs.simulate import DEFAULT_STEP_FACTOR, TimeAverage, TimeGrid, _propagate
+from chainobs.simulate import (
+    DEFAULT_STEP_FACTOR,
+    NormalModes,
+    TimeAverage,
+    TimeGrid,
+    _propagate,
+)
 
 # Quadrature is trustworthy only when the fastest mode is well resolved:
 # at least 100 samples per shortest period, i.e. step <= 0.01 * (2 pi / w).
@@ -111,19 +117,18 @@ def dense_symplectic_drift(phi: np.ndarray, theta: np.ndarray) -> float:
     return float(np.linalg.norm(phi @ theta @ phi.T - theta, ord="fro"))
 
 
-def exp_bound_unscreened(
-    r_o: np.ndarray, theta: SymplecticForm, grid: TimeGrid
-) -> tuple[float, float]:
+def exp_bound_unscreened(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
     """The exponential-bound sweep with every sample's norm taken exactly.
 
-    Each sample of the propagation engine gets sqrt(eigvalsh(Phi^T Phi)[-1]),
-    and the first one above bound * (1 + 1e-9) raises, with the message the
-    library uses. Returns (max norm, bound).
+    Forms every sample in time order through the library's closed-form
+    propagator (observer_flow, with its two per-sample checks) and takes
+    sqrt(eigvalsh(P^T P)[-1]); the first norm above bound * (1 + 1e-9)
+    raises, with the message the library uses. Returns the max norm.
     """
-    bound = certify_positive_definite(r_o).exp_norm_bound
-    a = dynamics_from_hamiltonian(np.asarray(r_o, dtype=float), theta)
+    flow = observer_flow(modes, grid)
     worst = 0.0
-    for t, phi in zip(grid.times(), _propagate(a, theta, grid)):
+    for k, t in enumerate(grid.times()):
+        phi = flow.propagator(k)
         norm = float(np.sqrt(np.linalg.eigvalsh(phi.T @ phi)[-1]))
         worst = max(worst, norm)
         if norm > bound * (1.0 + 1e-9):
@@ -131,7 +136,7 @@ def exp_bound_unscreened(
                 f"||exp(A t)||_2 = {norm:.12e} at t = {t:g} exceeds the certified "
                 f"bound {bound:.12e}"
             )
-    return worst, bound
+    return worst
 
 
 def dense_augmented(

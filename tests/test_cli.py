@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import cli, serialize, simulate
+from chainobs import analysis, cli, serialize, simulate
 from conftest import build_system
 from oracles import (
     averages_csv_text,
@@ -428,6 +428,31 @@ class TestCheckCommand:
         assert cli.main(["check", "--config", str(config)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_sweep_never_enters_the_engine(self, tmp_path, monkeypatch, capsys):
+        """check takes every propagator from the normal modes: it never enters
+        the propagation engine nor takes a matrix exponential, and one
+        eigensolve serves the whole sweep."""
+        config = write_config(tmp_path, scheme="random", seed=1, n_elements=6)
+        assert cli.main(["check", "--config", str(config)]) == 0
+        free = capsys.readouterr().out
+
+        def no_engine(*args):
+            raise AssertionError("check used the propagation engine")
+
+        solves = []
+        solve = simulate._eigh_tridiagonal
+
+        def counted(d, e):
+            solves.append(d.shape)
+            return solve(d, e)
+
+        for name in ("_propagate", "propagator", "_expm"):
+            monkeypatch.setattr(f"chainobs.simulate.{name}", no_engine)
+        monkeypatch.setattr("chainobs.simulate._eigh_tridiagonal", counted)
+        assert cli.main(["check", "--config", str(config)]) == 0
+        assert solves == [(6,)]
+        assert capsys.readouterr().out == free
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -458,16 +483,47 @@ class TestExitCodes:
         assert "synthetic failure" in capsys.readouterr().err
 
     def test_non_symplectic_exp_bound_sweep_exits_one(self, tmp_path, monkeypatch, capsys):
-        true_propagator = co.propagator
-        monkeypatch.setattr(
-            "chainobs.simulate.propagator",
-            lambda a, t: (1.0 + 1e-5) * true_propagator(a, t),
-        )
+        true_phases = analysis._phases
+
+        def scaled_cos(nu, times):
+            cos, sin = true_phases(nu, times)
+            return (1.0 + 1e-5) * cos, sin
+
+        monkeypatch.setattr(analysis, "_phases", scaled_cos)
         config = write_config(tmp_path)
         assert cli.main(["check", "--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: symplectic drift" in captured.err
+
+    def test_library_error_from_a_runner_exits_two(self, tmp_path, monkeypatch, capsys):
+        """A ChainobsError that is neither a config error nor a failed
+        certificate is still a rejected run, not an unexpected one."""
+
+        def broken(config):
+            raise co.InvalidParameterError("synthetic rejection")
+
+        monkeypatch.setattr(cli, "run_check", broken)
+        config = write_config(tmp_path)
+        assert cli.main(["check", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: synthetic rejection\n"
+
+    def test_indefinite_normal_modes_in_check_exit_one(self, tmp_path, monkeypatch, capsys):
+        """normal_modes refusing the chain inside check is a failed certificate."""
+        solve = simulate._eigh_tridiagonal
+
+        def indefinite(d, e):
+            lam, v = solve(d, e)
+            return np.concatenate(([-lam[0]], lam[1:])), v
+
+        monkeypatch.setattr("chainobs.simulate._eigh_tridiagonal", indefinite)
+        config = write_config(tmp_path)
+        assert cli.main(["check", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: normal-mode matrix is not positive definite")
 
     def test_unexpected_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         def broken(config):
