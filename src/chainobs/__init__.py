@@ -16,6 +16,7 @@ from .analysis import (
     certify_positive_definite,
     laplacian_split,
     verify_exp_bound,
+    verify_mode_generator,
 )
 from .builder import (
     SCHEME_ALL_HARMONICS,
@@ -144,4 +145,5 @@ __all__ = [
     "symplectic_drift",
     "time_average_spectral",
     "verify_exp_bound",
+    "verify_mode_generator",
 ]

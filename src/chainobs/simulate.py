@@ -10,7 +10,8 @@ sample through the recurrence Phi(t + h) = Phi(h) Phi(t), re-certifying the
 symplectic identity at every sample so drift cannot accumulate silently. Stored
 trajectories consume it for the augmented system and apply C_a themselves.
 The exponential-bound sweep in analysis does not: it forms each observer
-propagator it needs in closed form from the normal modes below.
+propagator it needs in closed form from the normal modes below, and
+certifies it through the same per-sample symplectic check.
 
 Time averages (1/T) int_0^T C_a exp(A_a s) ds have one route, a closed form
 in the chain's normal modes that never assembles A_a and samples nothing.
@@ -259,6 +260,24 @@ def default_step(chain: ChainObserverParams) -> float:
     return DEFAULT_STEP_FACTOR * (2.0 * math.pi / normal_modes(chain).nu[-1])
 
 
+def _check_symplectic(phi: np.ndarray, theta: SymplecticForm, k: int) -> None:
+    """Certify Phi Theta Phi^T = Theta for the propagator of sample k.
+
+    Raises a numerical failure when phi is not finite, and a
+    tolerance-exceeded error when the drift exceeds 1e-9 ||Theta||_F.
+    """
+    try:
+        drift = symplectic_drift(phi, theta)
+    except InvalidInputError as exc:
+        raise NumericalFailureError(f"propagator is not finite at sample {k}") from exc
+    # ||Theta||_F = sqrt(2 N), the square root of its dimension
+    if drift > SYMPLECTIC_DRIFT_TOL * math.sqrt(theta.dimension):
+        raise ToleranceExceededError(
+            f"symplectic drift {drift:.3e} exceeds {SYMPLECTIC_DRIFT_TOL:.0e} "
+            f"* ||Theta||_F at sample {k}"
+        )
+
+
 def _propagate(a: np.ndarray, theta: SymplecticForm, grid: TimeGrid) -> Iterator[np.ndarray]:
     """Yield Phi(t_k) = exp(a t_k) for each grid time via the one-step recurrence.
 
@@ -269,19 +288,10 @@ def _propagate(a: np.ndarray, theta: SymplecticForm, grid: TimeGrid) -> Iterator
     garbage. One exponential is taken for the step (and one for t0 when it
     is not zero); every further sample costs one product.
     """
-    theta_norm = float(np.linalg.norm(theta.matrix, ord="fro"))
     step_phi = propagator(a, grid.step)
     phi = np.eye(a.shape[0]) if grid.t0 == 0.0 else propagator(a, grid.t0)
     for k in range(grid.samples):
-        try:
-            drift = symplectic_drift(phi, theta)
-        except InvalidInputError as exc:
-            raise NumericalFailureError(f"propagator is not finite at sample {k}") from exc
-        if drift > SYMPLECTIC_DRIFT_TOL * theta_norm:
-            raise ToleranceExceededError(
-                f"symplectic drift {drift:.3e} exceeds {SYMPLECTIC_DRIFT_TOL:.0e} "
-                f"* ||Theta||_F at sample {k}"
-            )
+        _check_symplectic(phi, theta, k)
         yield phi
         if k + 1 < grid.samples:
             phi = step_phi @ phi

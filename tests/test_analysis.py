@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import chainobs as co
 from chainobs import analysis, cli
 from chainobs.analysis import _spectral_norm
+from chainobs.simulate import _propagate
 from conftest import build_system
 from oracles import (
     collapse_blocks,
@@ -170,15 +171,22 @@ class TestExpBound:
         assert abs(observed - 1.0) <= 1e-12
 
     def test_time_zero_norm_is_one(self, example_system):
-        """At t = 0 every sine weight is an exact zero, so the off-diagonal
-        blocks vanish exactly, and the diagonal blocks are S S^-1: the
-        identity, and a Gram norm of one, to rounding."""
+        """The engine starts from the exact identity at t0 = 0, whose Gram
+        norm is exactly one. In the closed form every sine weight is an
+        exact zero at t = 0, so the off-diagonal blocks vanish exactly, and
+        the diagonal blocks are S S^-1: the identity, and a Gram norm of
+        one, to rounding."""
         chain, aug = example_system
-        flow = analysis.observer_flow(co.normal_modes(chain), co.TimeGrid.from_count(0.0, 1.0, 2))
-        first = flow.propagator(0)
-        assert np.all(first[0::2, 1::2] == 0.0) and np.all(first[1::2, 0::2] == 0.0)
-        assert np.abs(first - np.eye(10)).max() <= 1e-14
-        assert abs(_spectral_norm(first.T @ first) - 1.0) <= 1e-14
+        theta = co.make_symplectic(5)
+        a = co.dynamics_from_hamiltonian(aug.r_o, theta)
+        grid = co.TimeGrid.from_count(0.0, 1.0, 2)
+        first = next(_propagate(a, theta, grid))
+        assert np.array_equal(first, np.eye(10))
+        assert _spectral_norm(first.T @ first) == 1.0
+        closed = analysis.observer_flow(co.normal_modes(chain), grid).propagator(0)
+        assert np.all(closed[0::2, 1::2] == 0.0) and np.all(closed[1::2, 0::2] == 0.0)
+        assert np.abs(closed - np.eye(10)).max() <= 1e-14
+        assert abs(_spectral_norm(closed.T @ closed) - 1.0) <= 1e-14
         assert certified(aug) > 1.0
 
     def test_reference_sweep(self, example_system):
@@ -336,6 +344,35 @@ class TestExpBound:
         observed = co.verify_exp_bound(modes, certified(aug), grid)
         assert observed == max(norms) == exp_bound_unscreened(modes, certified(aug), grid)
 
+    def test_modes_generate_the_assembled_dynamics(self):
+        """For every acceptance system the generator rebuilt from the normal
+        modes is a_o rotated into (q, p), to rounding."""
+        for _, (chain, aug) in systems():
+            residual = co.verify_mode_generator(co.normal_modes(chain), aug.a_o)
+            assert residual <= 1e-14
+
+    def test_modes_of_another_system_are_a_tolerance_failure(self, example_system):
+        """Modes that do not generate a_o pass both per-sample checks, since
+        P stays symplectic and its screen agrees, so the generator check
+        alone refuses them: eigenvalues off by 1e-9 relative, the first two
+        eigenvectors turned by 1e-9 within their plane (V stays orthogonal),
+        or the modes of a chain with another lineup."""
+        chain, aug = example_system
+        modes = co.normal_modes(chain)
+        grid = co.TimeGrid.from_count(0.0, 50.0, 500)
+        turned = modes.v.copy()
+        c, s = np.cos(1e-9), np.sin(1e-9)
+        turned[:, :2] = modes.v[:, :2] @ np.array([[c, -s], [s, c]])
+        other = dataclasses.replace(chain, omega=chain.omega * (1.0 + 1e-9))
+        for wrong in (
+            dataclasses.replace(modes, lam=modes.lam * (1.0 + 1e-9)),
+            dataclasses.replace(modes, v=turned),
+            co.normal_modes(other),
+        ):
+            co.verify_exp_bound(wrong, certified(aug), grid)
+            with pytest.raises(co.ToleranceExceededError, match="normal-mode generator"):
+                co.verify_mode_generator(wrong, aug.a_o)
+
     def test_wrong_screen_is_a_tolerance_failure(self, example_system):
         """A screen value that disagrees with the formed ||P||_F stops the sweep:
         the samples it would skip are only safe while the two agree."""
@@ -403,14 +440,17 @@ def test_engine_sweep_matches_the_eigh_oracle(
 )
 def test_screen_is_the_formed_frobenius_norm(variant, n, angle, radius, seed, span):
     """The quadratic-form screen is ||P||_F of the formed propagator to within
-    1e-13 relative at every sample (worst seen 2.2e-15)."""
+    1e-13 relative at every sample (worst seen 2.2e-15), and the modes
+    generate the assembled dynamics to within 1e-14."""
     if variant == co.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
-    chain, _ = build_system(
+    chain, aug = build_system(
         c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
     )
-    flow = analysis.observer_flow(co.normal_modes(chain), co.TimeGrid.from_count(0.0, span, 40))
+    modes = co.normal_modes(chain)
+    assert co.verify_mode_generator(modes, aug.a_o) <= 1e-14
+    flow = analysis.observer_flow(modes, co.TimeGrid.from_count(0.0, span, 40))
     for k, screen in enumerate(flow.screen):
         formed = np.linalg.norm(flow.propagator(k))
         assert abs(formed - screen) <= 1e-13 * formed

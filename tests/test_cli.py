@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -524,6 +525,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: normal-mode matrix is not positive definite")
+
+    def test_modes_that_miss_the_assembly_exit_one(self, tmp_path, monkeypatch, capsys):
+        """Normal modes that do not generate the assembled observer dynamics
+        fail check, although every propagator they give is symplectic."""
+        true_modes = cli.normal_modes
+
+        def shifted(chain):
+            modes = true_modes(chain)
+            return dataclasses.replace(modes, lam=modes.lam * (1.0 + 1e-6))
+
+        monkeypatch.setattr(cli, "normal_modes", shifted)
+        config = write_config(tmp_path)
+        assert cli.main(["check", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: normal-mode generator differs")
 
     def test_unexpected_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         def broken(config):
