@@ -35,6 +35,7 @@ modes, must equal a_o rotated into the modes' (q, p) basis.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +43,18 @@ import numpy as np
 from .builder import ChainObserverParams
 from .errors import (
     BoundViolatedError,
+    InvalidInputError,
     InvalidParameterError,
     NotPositiveDefiniteError,
     NumericalFailureError,
     ToleranceExceededError,
 )
-from .lqs import SYMPLECTIC_UNIT, SymplecticForm, make_symplectic
-from .simulate import NormalModes, TimeGrid, _check_symplectic
+from .lqs import SYMPLECTIC_UNIT, SymplecticForm, make_symplectic, symplectic_drift
+from .simulate import NormalModes, TimeGrid
 
+# How far a formed propagator may stray from Phi Theta Phi^T = Theta,
+# relative to ||Theta||_F.
+SYMPLECTIC_DRIFT_TOL = 1e-9
 # How far a formed ||P||_F may stray from its screen value, relative.
 # Rounding leaves about 1e-15; the sweep's skips rest on the pairing margin
 # (N - 1) / s_1^2, above 1e-7 on every config measured.
@@ -131,6 +136,24 @@ def certify_positive_definite(r_o: np.ndarray) -> SpectralCertificate:
         lambda_max=lam_max,
         exp_norm_bound=float(np.sqrt(lam_max / lam_min)),
     )
+
+
+def _check_symplectic(phi: np.ndarray, theta: SymplecticForm, k: int) -> None:
+    """Certify Phi Theta Phi^T = Theta for the propagator of sample k.
+
+    Raises a numerical failure when phi is not finite, and a
+    tolerance-exceeded error when the drift exceeds 1e-9 ||Theta||_F.
+    """
+    try:
+        drift = symplectic_drift(phi, theta)
+    except InvalidInputError as exc:
+        raise NumericalFailureError(f"propagator is not finite at sample {k}") from exc
+    # ||Theta||_F = sqrt(2 N), the square root of its dimension
+    if drift > SYMPLECTIC_DRIFT_TOL * math.sqrt(theta.dimension):
+        raise ToleranceExceededError(
+            f"symplectic drift {drift:.3e} exceeds {SYMPLECTIC_DRIFT_TOL:.0e} "
+            f"* ||Theta||_F at sample {k}"
+        )
 
 
 def _phases(nu: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

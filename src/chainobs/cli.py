@@ -66,6 +66,7 @@ from .errors import (
 )
 from .lqs import realizability_residual
 from .simulate import (
+    NormalModes,
     TimeGrid,
     coefficient_trajectory,
     consensus_error,
@@ -74,6 +75,7 @@ from .simulate import (
     normal_modes,
     spatial_average,
     time_average_spectral,
+    verify_trajectory,
 )
 
 log = logging.getLogger("chainobs")
@@ -329,9 +331,9 @@ def _base_report(chain: ChainObserverParams, aug: AugmentedSystem) -> RunReport:
     return report
 
 
-def _resolve_step(config: ExperimentConfig, chain: ChainObserverParams) -> float:
+def _resolve_step(config: ExperimentConfig, modes: NormalModes) -> float:
     if config.step == "auto":
-        return default_step(chain)
+        return default_step(modes)
     return float(config.step)
 
 
@@ -363,11 +365,18 @@ def run_build(config: ExperimentConfig) -> RunReport:
 
 
 def run_simulate(config: ExperimentConfig) -> RunReport:
-    """Sample the coefficient trajectory and write it with its spatial average."""
+    """Sample the coefficient trajectory and write it with its spatial average.
+
+    One eigensolve of the chain's normal modes sets the auto step and gives
+    every row in closed form; the stored rows are then checked against the
+    assembled dynamics (simulate.verify_trajectory), a failure exiting 1.
+    """
     chain, aug = _construct(config)
     report = _base_report(chain, aug)
-    grid = TimeGrid.covering(0.0, config.horizon, _resolve_step(config, chain))
-    trajectory = coefficient_trajectory(aug, grid)
+    modes = normal_modes(chain)
+    grid = TimeGrid.covering(config.horizon, _resolve_step(config, modes))
+    trajectory = coefficient_trajectory(modes, grid)
+    verify_trajectory(aug, modes, trajectory)
 
     plant_row_drift = float(
         np.linalg.norm(trajectory.coefficient_rows[:, 0, :] - aug.c_a[0], axis=1).max()
@@ -431,7 +440,7 @@ def run_check(config: ExperimentConfig) -> RunReport:
     """
     chain, aug = _construct(config)
     report = _base_report(chain, aug)
-    grid = TimeGrid.from_count(0.0, EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
+    grid = TimeGrid.from_count(EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
     bound = report.certificate.exp_norm_bound
     modes = normal_modes(chain)
     verify_mode_generator(modes, aug.a_o)

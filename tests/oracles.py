@@ -13,14 +13,22 @@ the augmented system as Kronecker products of (N+1) x (N+1) matrices with
 2 x 2 blocks instead of filling blocks in place, and the energy oracle
 measures how far a propagator is from conserving a quadratic Hamiltonian.
 
-Two time-average oracles work from the assembled A_a, never from the
-normal modes the library's closed form uses. The doubled-block route takes
+The propagation engine works from the assembled A_a, never from the
+normal modes the library's closed form uses, so it is the reference route
+for the library's coefficient rows. propagator takes exp(A t) by scaling
+and squaring (Higham 2005): a diagonal Pade approximant of degree 3, 5, 7,
+9 or 13, chosen from the 1-norm, of the matrix scaled by 2^-s, then
+squared s times. _propagate yields Phi(t_k) on a grid through the
+recurrence Phi(t + h) = Phi(h) Phi(t), with the library's symplectic check
+at every sample; its rounding drift grows with the number of steps.
+
+Two time-average oracles also work from A_a. The doubled-block route takes
 the exponential of [[A_a, I], [0, 0]], whose upper-right block is the
 integral of the propagator (valid although A_a is singular, which rules
 out the A^{-1}(exp(AT) - I) shortcut). The sampled route folds the
-propagators of the library's propagation engine into a running composite
-Simpson sum in O(N^2) memory, on a step that resolves the fastest mode
-found by a dense nonsymmetric eigensolve of A_a.
+propagation engine's samples into a running composite Simpson sum in
+O(N^2) memory, on a step that resolves the fastest mode found by a dense
+nonsymmetric eigensolve of A_a.
 
 The CSV oracles are the per-value writers the library once used: each
 float goes through Python's format(x, ".17g") on its own, labels and
@@ -30,11 +38,12 @@ padding are joined in as strings, and the file text is returned whole.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.linalg import expm
 
-from chainobs.analysis import observer_flow
+from chainobs.analysis import _check_symplectic, observer_flow
 from chainobs.builder import AugmentedSystem
 from chainobs.errors import (
     BoundViolatedError,
@@ -43,19 +52,116 @@ from chainobs.errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from chainobs.simulate import (
-    DEFAULT_STEP_FACTOR,
-    NormalModes,
-    TimeAverage,
-    TimeGrid,
-    _propagate,
-)
+from chainobs.lqs import SymplecticForm
+from chainobs.simulate import DEFAULT_STEP_FACTOR, NormalModes, TimeAverage, TimeGrid
 
 # Quadrature is trustworthy only when the fastest mode is well resolved:
 # at least 100 samples per shortest period, i.e. step <= 0.01 * (2 pi / w).
 QUADRATURE_STEP_FACTOR = 0.01
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+# Pade degrees m with the largest 1-norm theta_m at which the degree-m
+# approximant is accurate to double precision (Higham 2005), and
+# the coefficients b_0 .. b_m of its numerator p(x); the denominator is p(-x).
+_PADE_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring with a Pade approximant (Higham 2005).
+
+    The lowest degree whose theta covers ||a||_1 is used unscaled; above
+    theta_13, a is scaled by 2^-s into it and the result squared s times.
+    A singular denominator raises numpy's LinAlgError.
+    """
+    norm = float(np.linalg.norm(a, 1))
+    s = 0
+    for m in (3, 5, 7, 9, 13):
+        if norm <= _PADE_THETA[m]:
+            break
+    else:
+        s = math.ceil(math.log2(norm / _PADE_THETA[13]))
+        a = np.ldexp(a, -s)
+    b = _PADE_COEFFS[m]
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    if m < 13:
+        powers = [ident, a2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    phi = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        phi = phi @ phi
+    return phi
+
+
+def propagator(a: np.ndarray, t: float) -> np.ndarray:
+    """Matrix exponential exp(a t)."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidDimensionError(f"dynamics matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("dynamics matrix contains non-finite entries")
+    if not np.isfinite(t):
+        raise InvalidInputError(f"time must be finite, got {t!r}")
+    # overflow is detected explicitly below, so the intermediate warnings
+    # from the scaling-and-squaring steps are just noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = a * float(t)
+        # a finite 1-norm also means every entry is finite
+        if not np.isfinite(np.linalg.norm(at, 1)):
+            raise NumericalFailureError(f"dynamics times t = {t!r} overflowed")
+        try:
+            phi = _expm(at)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"Pade denominator is singular at t = {t!r}") from exc
+    if not np.all(np.isfinite(phi)):
+        raise NumericalFailureError(f"exponential overflowed at t = {t!r}")
+    return phi
+
+
+def _propagate(a: np.ndarray, theta: SymplecticForm, grid: TimeGrid) -> Iterator[np.ndarray]:
+    """Yield Phi(t_k) = exp(a t_k) for each grid time via the one-step recurrence.
+
+    Consumers apply any output map themselves. The symplectic identity
+    Phi Theta Phi^T = Theta is checked at every sample, with the library's
+    per-sample check, before the sample is yielded; exceeding its relative
+    tolerance 1e-9 aborts. One exponential is taken for the step, the first
+    sample is the exact identity, and every further sample costs one product.
+    """
+    step_phi = propagator(a, grid.step)
+    phi = np.eye(a.shape[0])
+    for k in range(grid.samples):
+        _check_symplectic(phi, theta, k)
+        yield phi
+        if k + 1 < grid.samples:
+            phi = step_phi @ phi
 
 
 def spectral_propagator(r_o: np.ndarray, theta: np.ndarray, t: float) -> np.ndarray:
@@ -258,14 +364,14 @@ def time_average_streamed(
 ) -> TimeAverage:
     """Composite-Simpson time average over [0, horizon], streamed sample by sample.
 
-    Runs on TimeGrid.covering(0, horizon, step) and holds one propagator and
+    Runs on TimeGrid.covering(horizon, step) and holds one propagator and
     one running sum of propagators, applying C_a once to the sum. The step
     defaults to 0.005 of the fastest mode's period; a step above 0.01 of it
     is rejected with a ValueError before any propagation.
     """
     omega_max = max_frequency(aug.a_a)
     period = 2.0 * math.pi / omega_max
-    grid = TimeGrid.covering(0.0, horizon, DEFAULT_STEP_FACTOR * period if step is None else step)
+    grid = TimeGrid.covering(horizon, DEFAULT_STEP_FACTOR * period if step is None else step)
     ceiling = QUADRATURE_STEP_FACTOR * period
     if grid.step > ceiling * (1.0 + 1e-12):
         raise ValueError(

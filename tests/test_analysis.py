@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 import chainobs as co
 from chainobs import analysis, cli
 from chainobs.analysis import _spectral_norm
-from chainobs.simulate import _propagate
 from conftest import build_system
 from oracles import (
+    _propagate,
     collapse_blocks,
     exp_bound_unscreened,
     minors_positive_definite,
+    propagator,
     spectral_propagator,
 )
 from test_acceptance import systems
@@ -166,20 +167,20 @@ class TestExpBound:
         chain = chain_from([0.3])
         bound = certified(co.assemble_augmented(chain))
         assert bound == 1.0
-        grid = co.TimeGrid.from_count(0.0, 10.0, 50)
+        grid = co.TimeGrid.from_count(10.0, 50)
         observed = co.verify_exp_bound(co.normal_modes(chain), bound, grid)
         assert abs(observed - 1.0) <= 1e-12
 
     def test_time_zero_norm_is_one(self, example_system):
-        """The engine starts from the exact identity at t0 = 0, whose Gram
-        norm is exactly one. In the closed form every sine weight is an
-        exact zero at t = 0, so the off-diagonal blocks vanish exactly, and
-        the diagonal blocks are S S^-1: the identity, and a Gram norm of
-        one, to rounding."""
+        """The oracles' propagation engine starts from the exact identity at
+        t = 0, whose Gram norm is exactly one. In the closed form every sine
+        weight is an exact zero at t = 0, so the off-diagonal blocks vanish
+        exactly, and the diagonal blocks are S S^-1: the identity, and a
+        Gram norm of one, to rounding."""
         chain, aug = example_system
         theta = co.make_symplectic(5)
         a = co.dynamics_from_hamiltonian(aug.r_o, theta)
-        grid = co.TimeGrid.from_count(0.0, 1.0, 2)
+        grid = co.TimeGrid.from_count(1.0, 2)
         first = next(_propagate(a, theta, grid))
         assert np.array_equal(first, np.eye(10))
         assert _spectral_norm(first.T @ first) == 1.0
@@ -192,7 +193,7 @@ class TestExpBound:
     def test_reference_sweep(self, example_system):
         chain, aug = example_system
         bound = certified(aug)
-        grid = co.TimeGrid.from_count(0.0, 50.0, 500)
+        grid = co.TimeGrid.from_count(50.0, 500)
         observed = co.verify_exp_bound(co.normal_modes(chain), bound, grid)
         assert observed <= bound * (1.0 + 1e-9)
         # the bound is meaningful: the flow really does approach it
@@ -203,24 +204,24 @@ class TestExpBound:
         chain, aug = example_system
         modes = co.normal_modes(chain)
         with pytest.raises(co.InvalidParameterError):
-            co.verify_exp_bound(modes, certified(aug), co.TimeGrid.from_count(-1.0, 1.0, 2))
+            co.verify_exp_bound(modes, certified(aug), co.TimeGrid.from_count(-1.0, 2))
         with pytest.raises(co.InvalidParameterError):
-            co.verify_exp_bound(modes, certified(aug), co.TimeGrid.from_count(0.0, 1.0, 0))
+            co.verify_exp_bound(modes, certified(aug), co.TimeGrid.from_count(1.0, 0))
 
     def test_observed_norm_is_numpys_spectral_norm(self):
         """The observed maximum equals numpy's 2-norm of the same exponentials."""
-        grid = co.TimeGrid.from_count(0.0, 50.0, 500)
+        grid = co.TimeGrid.from_count(50.0, 500)
         for _, (chain, aug) in systems():
             observed = co.verify_exp_bound(co.normal_modes(chain), certified(aug), grid)
             a = co.dynamics_from_hamiltonian(aug.r_o, co.make_symplectic(chain.n_elements))
-            expected = max(np.linalg.norm(co.propagator(a, t), ord=2) for t in grid.times())
+            expected = max(np.linalg.norm(propagator(a, t), ord=2) for t in grid.times())
             assert abs(observed - expected) <= 1e-12 * expected
 
     def test_violation_is_reported(self, example_system):
         """A bound below the true maximum must trip the check, not pass silently."""
         chain, aug = example_system
         modes = co.normal_modes(chain)
-        grid = co.TimeGrid.from_count(0.0, 50.0, 500)
+        grid = co.TimeGrid.from_count(50.0, 500)
         observed = co.verify_exp_bound(modes, certified(aug), grid)
         with pytest.raises(co.BoundViolatedError):
             co.verify_exp_bound(modes, 0.999 * observed, grid)
@@ -235,7 +236,7 @@ class TestExpBound:
         """
         chain, _ = example_system
         modes = co.normal_modes(chain)
-        grid = co.TimeGrid.from_count(0.0, 50.0, 500)
+        grid = co.TimeGrid.from_count(50.0, 500)
         first_visited = grid.times()[np.argmax(analysis.observer_flow(modes, grid).screen)]
         maximum = exp_bound_unscreened(modes, 1e300, grid)
         for fraction, flagged in ((0.9, "0.701403"), (0.95, "0.801603"), (0.99, "37.5752")):
@@ -260,7 +261,7 @@ class TestExpBound:
             return cos, sin
 
         monkeypatch.setattr(analysis, "_phases", nan_phases)
-        grid = co.TimeGrid.from_count(0.0, 1.0, 10)
+        grid = co.TimeGrid.from_count(1.0, 10)
         with pytest.raises(co.NumericalFailureError) as expected:
             exp_bound_unscreened(modes, certified(aug), grid)
         assert "at sample 3" in str(expected.value)
@@ -323,7 +324,7 @@ class TestExpBound:
         monkeypatch.setattr(analysis, "_phases", scaled_cos)
         with pytest.raises(co.ToleranceExceededError, match="symplectic drift"):
             co.verify_exp_bound(
-                co.normal_modes(chain), certified(aug), co.TimeGrid.from_count(0.0, 1.0, 2)
+                co.normal_modes(chain), certified(aug), co.TimeGrid.from_count(1.0, 2)
             )
 
     def test_largest_screen_is_not_the_largest_norm(self):
@@ -334,7 +335,7 @@ class TestExpBound:
         finds."""
         chain, aug = build_system([1.0, 0.0], "odd-harmonics", 1.0, 50)
         modes = co.normal_modes(chain)
-        grid = co.TimeGrid.from_count(0.0, cli.EXP_BOUND_SPAN, cli.EXP_BOUND_SAMPLES)
+        grid = co.TimeGrid.from_count(cli.EXP_BOUND_SPAN, cli.EXP_BOUND_SAMPLES)
         flow = analysis.observer_flow(modes, grid)
         norms = []
         for k in range(grid.samples):
@@ -359,7 +360,7 @@ class TestExpBound:
         or the modes of a chain with another lineup."""
         chain, aug = example_system
         modes = co.normal_modes(chain)
-        grid = co.TimeGrid.from_count(0.0, 50.0, 500)
+        grid = co.TimeGrid.from_count(50.0, 500)
         turned = modes.v.copy()
         c, s = np.cos(1e-9), np.sin(1e-9)
         turned[:, :2] = modes.v[:, :2] @ np.array([[c, -s], [s, c]])
@@ -377,7 +378,7 @@ class TestExpBound:
         """A screen value that disagrees with the formed ||P||_F stops the sweep:
         the samples it would skip are only safe while the two agree."""
         chain, aug = example_system
-        grid = co.TimeGrid.from_count(0.0, 50.0, 500)
+        grid = co.TimeGrid.from_count(50.0, 500)
         flow = analysis.observer_flow(co.normal_modes(chain), grid)
         flow.screen[7] *= 1.0 + 1e-10
         with pytest.raises(co.ToleranceExceededError, match="at sample 7 disagrees"):
@@ -411,7 +412,7 @@ def test_engine_sweep_matches_the_eigh_oracle(
     )
     modes = co.normal_modes(chain)
     bound = certified(aug)
-    grid = co.TimeGrid.from_count(0.0, span, samples)
+    grid = co.TimeGrid.from_count(span, samples)
     observed = co.verify_exp_bound(modes, bound, grid)
     assert observed == exp_bound_unscreened(modes, bound, grid)
     theta = co.make_symplectic(chain.n_elements)
@@ -450,7 +451,7 @@ def test_screen_is_the_formed_frobenius_norm(variant, n, angle, radius, seed, sp
     )
     modes = co.normal_modes(chain)
     assert co.verify_mode_generator(modes, aug.a_o) <= 1e-14
-    flow = analysis.observer_flow(modes, co.TimeGrid.from_count(0.0, span, 40))
+    flow = analysis.observer_flow(modes, co.TimeGrid.from_count(span, 40))
     for k, screen in enumerate(flow.screen):
         formed = np.linalg.norm(flow.propagator(k))
         assert abs(formed - screen) <= 1e-13 * formed

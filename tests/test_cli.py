@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -137,7 +138,7 @@ def csv_arrays(*shape):
 def writer_cases(draw):
     samples, n_rows, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     step = draw(st.sampled_from([0.1, 1.0 / 3.0, 2.5, 1e-3]))
-    grid = co.TimeGrid(t0=0.0, t_end=samples * step, step=step)
+    grid = co.TimeGrid(t_end=samples * step, step=step)
     rows = draw(csv_arrays(samples + 1, n_rows, dim))
     horizons = draw(st.lists(csv_floats, min_size=1, max_size=3))
     return {
@@ -181,9 +182,10 @@ class TestSerialize:
     def test_trajectory_writer_holds_no_text_copy(self, tmp_path, example_system):
         """Writing the reference trajectory at T = 5 allocates less than twice the
         array: the values are formatted line by line, never as one whole text."""
-        chain, aug = example_system
-        grid = co.TimeGrid.covering(0.0, 5.0, co.default_step(chain))
-        trajectory = simulate.coefficient_trajectory(aug, grid)
+        chain, _ = example_system
+        modes = co.normal_modes(chain)
+        grid = co.TimeGrid.covering(5.0, co.default_step(modes))
+        trajectory = simulate.coefficient_trajectory(modes, grid)
         tracemalloc.start()
         try:
             serialize.write_trajectory_csv(tmp_path / "trajectory.csv", trajectory)
@@ -291,23 +293,56 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)])
         assert code == 0
         chain, _ = build_system([1.0, 0.0], "uniform", 1.0, 3)
-        grid = co.TimeGrid.covering(0.0, 1.0, co.default_step(chain))
+        grid = co.TimeGrid.covering(1.0, co.default_step(co.normal_modes(chain)))
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + grid.samples * 4
 
-    def test_fastest_mode_is_solved_once(self, tmp_path, monkeypatch):
-        """The auto step needs the fastest mode; nothing else in simulate does."""
-        calls = []
-        solve = simulate._eigh_tridiagonal
+    def test_long_run_passes(self, tmp_path, capsys):
+        """67,150 samples up to T = 100 on the auto step. The recurrence
+        Phi(t + h) = Phi(h) Phi(t) once drifted past its symplectic tolerance
+        at sample 36,162 of this valid config; the closed-form rows carry no
+        error from one sample to the next."""
+        config = write_config(
+            tmp_path, scheme="odd-harmonics", n_elements=5, c_p=[0.6, -1.3], horizon=100.0,
+            step="auto",
+        )
+        code = cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        drift = [c for c in report["checks"] if c["name"] == "plant_row_drift"]
+        assert drift == [{"name": "plant_row_drift", "value": 0.0, "bound": 1e-9, "passed": True}]
 
-        def counted(d, e):
-            calls.append(d.shape)
-            return solve(d, e)
+    @pytest.mark.parametrize(
+        "mutant,message", [("plant", "x* identity"), ("p", "derivative identity")]
+    )
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"scheme": "odd-harmonics", "n_elements": 50}],
+        ids=["uniform-3", "odd-harmonics-50"],
+    )
+    def test_weight_mutants_exit_one(
+        self, tmp_path, monkeypatch, capsys, mutant, message, overrides
+    ):
+        """A 1e-6 error in the plant weights of the rows breaks the x* identity,
+        and a sign flip of their p(0) weights the derivative identity."""
+        true_weights = simulate._end_weights
 
-        monkeypatch.setattr("chainobs.simulate._eigh_tridiagonal", counted)
-        config = write_config(tmp_path, step="auto", horizon=1.0)
-        assert cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
-        assert calls == [(3,)]
+        def mutated(modes, t):
+            q, p, plant = true_weights(modes, t)
+            if mutant == "p":
+                p = -p
+            else:
+                plant = plant * (1.0 + 1e-6)
+            return q, p, plant
+
+        monkeypatch.setattr(simulate, "_end_weights", mutated)
+        config = write_config(tmp_path, **overrides)
+        code = cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} residual")
+        assert re.search(r"at sample \d+$", err.strip())
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_tolerance_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "PLANT_ROW_DRIFT_TOL", -1.0)
@@ -339,34 +374,6 @@ class TestTimeavgCommand:
         code = cli.main(["timeavg", "--config", str(config), "--output-dir", str(tmp_path)])
         assert code == 1
         assert "time_average_oracle_disagreement" in capsys.readouterr().err
-
-    def test_cross_check_samples_nothing(self, tmp_path, monkeypatch):
-        """timeavg never enters the propagation engine nor takes a matrix exponential,
-        and one eigensolve serves the whole ladder."""
-        config = write_config(tmp_path, horizon=8.0)
-        argv = ["timeavg", "--config", str(config), "--output-dir"]
-        assert cli.main([*argv, str(tmp_path / "free")]) == 0
-
-        def no_sampling(*args):
-            raise AssertionError("timeavg sampled the propagation engine")
-
-        def no_exponential(*args):
-            raise AssertionError("timeavg took a matrix exponential")
-
-        solves = []
-        solve = simulate._eigh_tridiagonal
-
-        def counted(d, e):
-            solves.append(d.shape)
-            return solve(d, e)
-
-        monkeypatch.setattr("chainobs.simulate._propagate", no_sampling)
-        monkeypatch.setattr("chainobs.simulate._expm", no_exponential)
-        monkeypatch.setattr("chainobs.simulate._eigh_tridiagonal", counted)
-        assert cli.main([*argv, str(tmp_path / "guarded")]) == 0
-        assert solves == [(3,)]
-        guarded = (tmp_path / "guarded" / "time_averages.csv").read_bytes()
-        assert guarded == (tmp_path / "free" / "time_averages.csv").read_bytes()
 
     def test_long_horizon_random_chain_passes(self, tmp_path, capsys):
         """A correct run at T = 12800, where a doubled-block exponential at T/16
@@ -429,30 +436,21 @@ class TestCheckCommand:
         assert cli.main(["check", "--config", str(config)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    def test_sweep_never_enters_the_engine(self, tmp_path, monkeypatch, capsys):
-        """check takes every propagator from the normal modes: it never enters
-        the propagation engine nor takes a matrix exponential, and one
-        eigensolve serves the whole sweep."""
-        config = write_config(tmp_path, scheme="random", seed=1, n_elements=6)
-        assert cli.main(["check", "--config", str(config)]) == 0
-        free = capsys.readouterr().out
+@pytest.mark.parametrize("command", ["simulate", "timeavg", "check"])
+def test_each_run_solves_the_normal_modes_once(tmp_path, monkeypatch, command):
+    """simulate, timeavg and check take everything from the normal modes: one
+    eigensolve serves the auto step and every row, horizon or propagator."""
+    solves = []
+    solve = simulate._eigh_tridiagonal
 
-        def no_engine(*args):
-            raise AssertionError("check used the propagation engine")
+    def counted(d, e):
+        solves.append(d.shape)
+        return solve(d, e)
 
-        solves = []
-        solve = simulate._eigh_tridiagonal
-
-        def counted(d, e):
-            solves.append(d.shape)
-            return solve(d, e)
-
-        for name in ("_propagate", "propagator", "_expm"):
-            monkeypatch.setattr(f"chainobs.simulate.{name}", no_engine)
-        monkeypatch.setattr("chainobs.simulate._eigh_tridiagonal", counted)
-        assert cli.main(["check", "--config", str(config)]) == 0
-        assert solves == [(6,)]
-        assert capsys.readouterr().out == free
+    monkeypatch.setattr("chainobs.simulate._eigh_tridiagonal", counted)
+    config = write_config(tmp_path, step="auto", horizon=1.0)
+    assert cli.main([command, "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+    assert solves == [(3,)]
 
 
 class TestExitCodes:

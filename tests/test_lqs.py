@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from oracles import dense_symplectic_drift, hamiltonian_drift, rotation
+from oracles import dense_symplectic_drift, hamiltonian_drift, propagator, rotation
 
 
 class TestSymplecticForm:
@@ -109,7 +109,7 @@ def random_propagator(n_modes: int, seed: int, symplectic: bool) -> np.ndarray:
         return rng.normal(size=(dim, dim)) * rng.uniform(0.1, 10.0)
     r = rng.normal(size=(dim, dim)) / np.sqrt(dim)
     a = co.dynamics_from_hamiltonian(r + r.T, co.make_symplectic(n_modes))
-    return co.propagator(a, rng.uniform(0.0, 2.0))
+    return propagator(a, rng.uniform(0.0, 2.0))
 
 
 @settings(max_examples=60, deadline=None)

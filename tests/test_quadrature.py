@@ -18,15 +18,16 @@ import pytest
 from scipy.integrate import simpson
 
 import chainobs as co
+import oracles
 from conftest import build_system
-from oracles import simpson_weights, time_average_streamed
+from oracles import exp_bound_unscreened, simpson_weights, time_average_streamed
 
 SAMPLE_COUNTS = [2, 3, 4, 5, 10, 11, 4180]
 
 
 def grid_times(samples: int, uniform: bool) -> np.ndarray:
     if uniform:
-        return co.TimeGrid.from_count(0.0, 3.0, samples).times()
+        return co.TimeGrid.from_count(3.0, samples).times()
     rng = np.random.default_rng(samples)
     return np.cumsum(rng.uniform(0.2, 1.8, size=samples)) * (3.0 / samples)
 
@@ -60,8 +61,8 @@ class TestSimpsonWeights:
             simpson_weights(np.array(times))
 
 
-def simpson_over_stored_trajectory(aug: co.AugmentedSystem, grid: co.TimeGrid) -> np.ndarray:
-    rows = co.coefficient_trajectory(aug, grid).coefficient_rows
+def simpson_over_stored_trajectory(modes: co.NormalModes, grid: co.TimeGrid) -> np.ndarray:
+    rows = co.coefficient_trajectory(modes, grid).coefficient_rows
     return np.tensordot(simpson_weights(grid.times()), rows, axes=1) / grid.t_end
 
 
@@ -80,15 +81,17 @@ class TestStreamedOracle:
     )
     def test_matches_the_stored_trajectory_route(self, c_p, variant, omega0, n, seed, horizon):
         chain, aug = build_system(c_p, variant, omega0, n, seed=seed)
-        step = co.default_step(chain)
-        stored = simpson_over_stored_trajectory(aug, co.TimeGrid.covering(0.0, horizon, step))
+        modes = co.normal_modes(chain)
+        step = co.default_step(modes)
+        stored = simpson_over_stored_trajectory(modes, co.TimeGrid.covering(horizon, step))
         streamed = time_average_streamed(aug, horizon, step)
         assert streamed.horizon == horizon
         assert_close(streamed, stored, 1e-13)
 
     def test_explicit_step(self, example_system):
-        _, aug = example_system
-        stored = simpson_over_stored_trajectory(aug, co.TimeGrid.covering(0.0, 2.0, 0.002))
+        chain, aug = example_system
+        modes = co.normal_modes(chain)
+        stored = simpson_over_stored_trajectory(modes, co.TimeGrid.covering(2.0, 0.002))
         assert_close(time_average_streamed(aug, 2.0, 0.002), stored, 1e-13)
 
     def test_coarse_step_is_rejected_before_propagation(self, example_system, monkeypatch):
@@ -97,13 +100,15 @@ class TestStreamedOracle:
         def no_propagation(a, t):
             raise AssertionError("propagated before the step ceiling was checked")
 
-        monkeypatch.setattr("chainobs.simulate.propagator", no_propagation)
+        monkeypatch.setattr(oracles, "propagator", no_propagation)
         with pytest.raises(ValueError, match="exceeds the quadrature ceiling"):
             time_average_streamed(aug, 2.0, 0.1)
 
     def test_injected_drift_fails_both_routes_at_the_same_sample(
         self, example_system, monkeypatch
     ):
+        """The streamed oracle and the unscreened exponential-bound sweep share
+        the library's per-sample symplectic check, which names the sample."""
         chain, aug = example_system
         true_drift = co.symplectic_drift
         calls = []
@@ -112,11 +117,11 @@ class TestStreamedOracle:
             calls.append(None)
             return 1.0 if len(calls) == 38 else true_drift(phi, theta)
 
-        monkeypatch.setattr("chainobs.simulate.symplectic_drift", drifting)
-        step = co.default_step(chain)
+        monkeypatch.setattr("chainobs.analysis.symplectic_drift", drifting)
+        bound = co.certify_positive_definite(aug.r_o).exp_norm_bound
         messages = []
         for route in (
-            lambda: co.coefficient_trajectory(aug, co.TimeGrid.covering(0.0, 1.0, step)),
+            lambda: exp_bound_unscreened(co.normal_modes(chain), bound, co.TimeGrid(1.0, 0.01)),
             lambda: time_average_streamed(aug, 1.0),
         ):
             calls.clear()
@@ -129,8 +134,9 @@ class TestStreamedOracle:
     def test_memory_does_not_grow_with_the_horizon(self):
         """O(N^2) memory: a fraction of what the stored trajectory would take."""
         chain, aug = build_system([1.0, 0.0], "odd-harmonics", 1.0, 10)
-        horizon = 10_500 * co.default_step(chain)
-        grid = co.TimeGrid.covering(0.0, horizon, co.default_step(chain))
+        step = co.default_step(co.normal_modes(chain))
+        horizon = 10_500 * step
+        grid = co.TimeGrid.covering(horizon, step)
         stored_bytes = grid.samples * aug.c_a.nbytes
         assert stored_bytes >= 20e6
         tracemalloc.start()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import chainobs as co
-from chainobs.simulate import _PADE_THETA
+import oracles
+from chainobs import simulate
 from oracles import (
+    _PADE_THETA,
     integral_of_propagator,
     max_frequency,
+    propagator,
     rotation,
     simpson_weights,
     spectral_propagator,
@@ -38,48 +42,47 @@ def static_augmented(n_elements: int = 1) -> co.AugmentedSystem:
 
 class TestTimeGrid:
     def test_basic_properties(self):
-        grid = co.TimeGrid(t0=0.0, t_end=1.0, step=0.25)
+        grid = co.TimeGrid(t_end=1.0, step=0.25)
         assert grid.samples == 5
         assert np.array_equal(grid.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     @pytest.mark.parametrize(
-        "t0,t_end,step",
+        "t_end,step",
         [
-            (-1.0, 1.0, 0.5),
-            (0.0, 0.0, 0.5),
-            (1.0, 0.5, 0.1),
-            (0.0, 1.0, 0.0),
-            (0.0, 1.0, -0.1),
-            (0.0, 1.0, 0.3),
-            (0.0, math.inf, 1.0),
-            (0.0, 1.0, math.nan),
+            (-1.0, 0.5),
+            (0.0, 0.5),
+            (1.0, 0.0),
+            (1.0, -0.1),
+            (1.0, 0.3),
+            (math.inf, 1.0),
+            (1.0, math.nan),
         ],
     )
-    def test_rejects_bad_grids(self, t0, t_end, step):
+    def test_rejects_bad_grids(self, t_end, step):
         with pytest.raises(co.InvalidParameterError):
-            co.TimeGrid(t0=t0, t_end=t_end, step=step)
+            co.TimeGrid(t_end=t_end, step=step)
 
     def test_covering_shrinks_to_divide(self):
-        grid = co.TimeGrid.covering(0.0, 1.0, 0.3)
+        grid = co.TimeGrid.covering(1.0, 0.3)
         assert grid.step == 0.25
         assert grid.samples == 5
 
     def test_covering_keeps_exact_step(self):
-        grid = co.TimeGrid.covering(0.0, 2.0, 0.5)
+        grid = co.TimeGrid.covering(2.0, 0.5)
         assert grid.step == 0.5
 
     def test_covering_rejects_bad_step(self):
         with pytest.raises(co.InvalidParameterError):
-            co.TimeGrid.covering(0.0, 1.0, 0.0)
+            co.TimeGrid.covering(1.0, 0.0)
 
     def test_from_count(self):
-        grid = co.TimeGrid.from_count(0.0, math.pi, 201)
+        grid = co.TimeGrid.from_count(math.pi, 201)
         assert grid.samples == 201
         assert grid.times()[-1] == pytest.approx(math.pi, abs=1e-15)
 
     def test_from_count_needs_two_samples(self):
         with pytest.raises(co.InvalidParameterError):
-            co.TimeGrid.from_count(0.0, 1.0, 1)
+            co.TimeGrid.from_count(1.0, 1)
 
     @given(
         span=st.floats(min_value=1e-2, max_value=1e4),
@@ -87,7 +90,7 @@ class TestTimeGrid:
     )
     @settings(max_examples=80, deadline=None)
     def test_covering_never_exceeds_requested_step(self, span, max_step):
-        grid = co.TimeGrid.covering(0.0, span, max_step)
+        grid = co.TimeGrid.covering(span, max_step)
         assert grid.step <= max_step
         assert grid.t_end == span
         assert grid.samples >= 2
@@ -95,18 +98,18 @@ class TestTimeGrid:
 
 class TestPropagator:
     def test_zero_dynamics_give_identity(self):
-        assert np.array_equal(co.propagator(np.zeros((3, 3)), 5.0), np.eye(3))
+        assert np.array_equal(propagator(np.zeros((3, 3)), 5.0), np.eye(3))
 
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 7.5, 50.0])
     def test_single_mode_matches_rotation(self, t):
         a = 2.0 * co.SYMPLECTIC_UNIT
-        assert np.allclose(co.propagator(a, t), rotation(2.0 * t), rtol=0.0, atol=1e-13)
+        assert np.allclose(propagator(a, t), rotation(2.0 * t), rtol=0.0, atol=1e-13)
 
     def test_semigroup_property(self, example_system):
         _, aug = example_system
-        phi_a = co.propagator(aug.a_a, 1.3)
-        phi_b = co.propagator(aug.a_a, 2.4)
-        phi_ab = co.propagator(aug.a_a, 3.7)
+        phi_a = propagator(aug.a_a, 1.3)
+        phi_b = propagator(aug.a_a, 2.4)
+        phi_ab = propagator(aug.a_a, 3.7)
         assert np.allclose(phi_b @ phi_a, phi_ab, rtol=0.0, atol=1e-12)
 
     def test_matches_spectral_route(self, example_system):
@@ -115,34 +118,34 @@ class TestPropagator:
         _, aug = example_system
         theta = co.make_symplectic(5)
         for t in (0.7, 3.3, 12.0):
-            direct = co.propagator(aug.a_o, t)
+            direct = propagator(aug.a_o, t)
             spectral = spectral_propagator(aug.r_o, theta.matrix, t)
             scale = np.linalg.norm(direct, ord="fro")
             assert np.linalg.norm(direct - spectral, ord="fro") <= 1e-11 * scale
 
     def test_rejects_non_square(self):
         with pytest.raises(co.InvalidDimensionError):
-            co.propagator(np.zeros((2, 3)), 1.0)
+            propagator(np.zeros((2, 3)), 1.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(co.InvalidInputError):
-            co.propagator(np.array([[np.nan]]), 1.0)
+            propagator(np.array([[np.nan]]), 1.0)
         with pytest.raises(co.InvalidInputError):
-            co.propagator(np.zeros((2, 2)), math.inf)
+            propagator(np.zeros((2, 2)), math.inf)
 
     def test_overflow_is_an_error(self):
         with pytest.raises(co.NumericalFailureError):
-            co.propagator(np.array([[700.0]]), 10.0)
+            propagator(np.array([[700.0]]), 10.0)
         with pytest.raises(co.NumericalFailureError):
-            co.propagator(np.array([[1e300]]), 1e10)
+            propagator(np.array([[1e300]]), 1e10)
 
     def test_singular_pade_denominator_is_a_numerical_failure(self, monkeypatch):
         def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr("chainobs.simulate._expm", singular)
+        monkeypatch.setattr(oracles, "_expm", singular)
         with pytest.raises(co.NumericalFailureError, match="singular"):
-            co.propagator(2.0 * co.SYMPLECTIC_UNIT, 1.0)
+            propagator(2.0 * co.SYMPLECTIC_UNIT, 1.0)
 
     # 1-norm bands, one per Pade degree 3, 5, 7, 9 and 13 and one that scales and squares
     NORM_BANDS = list(zip([1e-4, *_PADE_THETA.values()], [*_PADE_THETA.values(), 1e3]))
@@ -165,7 +168,7 @@ class TestPropagator:
         low, high = band
         a *= low * (high / low) ** position / np.linalg.norm(a, 1)
         want = expm(a)
-        gap = np.linalg.norm(co.propagator(a, 1.0) - want) / np.linalg.norm(want)
+        gap = np.linalg.norm(propagator(a, 1.0) - want) / np.linalg.norm(want)
         assert gap <= 1e-13 * max(1.0, np.linalg.norm(a, 1))
 
 
@@ -180,7 +183,7 @@ class TestFrequencies:
 
     def test_default_step_resolves_fastest_mode(self, example_system):
         chain, aug = example_system
-        step = co.default_step(chain)
+        step = co.default_step(co.normal_modes(chain))
         period = 2.0 * math.pi / max_frequency(aug.a_a)
         assert np.isclose(step, 0.005 * period, rtol=1e-15)
 
@@ -188,53 +191,100 @@ class TestFrequencies:
         """Frequencies that do not dominate the couplings leave nothing to resolve."""
         chain, _ = example_system
         with pytest.raises(co.NotPositiveDefiniteError):
-            co.default_step(dataclasses.replace(chain, omega=np.ones(chain.n_elements)))
+            co.default_step(co.normal_modes(dataclasses.replace(chain, omega=np.ones(chain.n_elements))))
 
 
 class TestTrajectory:
     def test_first_sample_is_the_output_matrix(self, example_system):
-        _, aug = example_system
-        grid = co.TimeGrid(0.0, 1.0, 0.01)
-        trajectory = co.coefficient_trajectory(aug, grid)
+        """At t = 0 the closed form is Omega^(1/2) V V^T Omega^(-1/2), the
+        identity to rounding: within 3.3e-16 here, 6.2e-15 on every scheme
+        up to N = 200 with ||c_p|| = 2."""
+        chain, aug = example_system
+        grid = co.TimeGrid(1.0, 0.01)
+        trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
         assert trajectory.coefficient_rows.shape == (101, 6, 12)
-        assert np.array_equal(trajectory.coefficient_rows[0], aug.c_a)
+        assert np.abs(trajectory.coefficient_rows[0] - aug.c_a).max() <= 1e-15
 
-    def test_recurrence_matches_direct_exponentials(self, example_system):
-        _, aug = example_system
-        grid = co.TimeGrid(0.0, 2.0, 0.05)
-        trajectory = co.coefficient_trajectory(aug, grid)
+    def test_last_sample_is_end_rows_bit_for_bit(self, example_system):
+        """Rows evaluated in chunks take the arithmetic of a single end_rows call."""
+        chain, _ = example_system
+        modes = co.normal_modes(chain)
+        grid = co.TimeGrid.covering(20.0, co.default_step(modes))
+        assert grid.samples > 2 * simulate.TRAJECTORY_CHUNK
+        times = grid.times()
+        assert times[-1] == 20.0
+        rows = co.coefficient_trajectory(modes, grid).coefficient_rows
+        for k in (1, simulate.TRAJECTORY_CHUNK, grid.samples - 1):
+            assert np.array_equal(rows[k], co.end_rows(modes, times[k]))
+
+    def test_rows_match_direct_exponentials(self, example_system):
+        chain, aug = example_system
+        grid = co.TimeGrid(2.0, 0.05)
+        trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
         scale = np.linalg.norm(aug.c_a, ord="fro")
         for k in (7, 23, 40):
-            direct = aug.c_a @ co.propagator(aug.a_a, grid.times()[k])
+            direct = aug.c_a @ propagator(aug.a_a, grid.times()[k])
             drift = np.linalg.norm(trajectory.coefficient_rows[k] - direct, ord="fro")
             assert drift <= 1e-11 * scale
 
-    def test_offset_start(self, example_system):
-        _, aug = example_system
-        grid = co.TimeGrid(10.0, 11.0, 0.5)
-        trajectory = co.coefficient_trajectory(aug, grid)
-        assert np.array_equal(
-            trajectory.coefficient_rows[0], aug.c_a @ co.propagator(aug.a_a, 10.0)
-        )
-
     def test_plant_row_is_constant(self, example_system):
         """The plant output row never moves: its coefficient row at every
-        sample stays on the initial output functional."""
-        _, aug = example_system
-        grid = co.TimeGrid(0.0, 50.0, 0.5)
-        trajectory = co.coefficient_trajectory(aug, grid)
-        drift = np.abs(trajectory.coefficient_rows[:, 0, :] - aug.c_a[0]).max()
-        assert drift <= 1e-9
-
-    def test_non_symplectic_propagator_aborts(self, example_system, monkeypatch):
-        _, aug = example_system
-        true_propagator = co.propagator
-        monkeypatch.setattr(
-            "chainobs.simulate.propagator",
-            lambda a, t: (1.0 + 1e-5) * true_propagator(a, t),
+        sample is the initial output functional, exactly."""
+        chain, aug = example_system
+        grid = co.TimeGrid(50.0, 0.5)
+        trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
+        assert np.array_equal(
+            trajectory.coefficient_rows[:, 0, :],
+            np.broadcast_to(aug.c_a[0], (grid.samples, aug.c_a.shape[1])),
         )
-        with pytest.raises(co.ToleranceExceededError):
-            co.coefficient_trajectory(aug, co.TimeGrid(0.0, 1.0, 0.1))
+
+
+class TestVerifyTrajectory:
+    """verify_trajectory holds the rows to rows(t) x* = 1 at every sample and
+    rows'(t) = rows(t) A_a at every chunk's last sample."""
+
+    @pytest.mark.parametrize(
+        "c_p,variant,n,seed",
+        [
+            ([1.0, 0.0], "odd-harmonics", 5, None),
+            ([0.6, -1.3], "random", 12, 7),
+            ([1.0, 0.0], "uniform", 40, None),
+        ],
+    )
+    def test_true_rows_pass(self, c_p, variant, n, seed):
+        from conftest import build_system
+
+        chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
+        modes = co.normal_modes(chain)
+        grid = co.TimeGrid.covering(3.0, co.default_step(modes))
+        co.verify_trajectory(aug, modes, co.coefficient_trajectory(modes, grid))
+
+    @pytest.mark.parametrize(
+        "mutant,message",
+        [("plant", "x* identity"), ("p", "derivative identity"), ("q", "x* identity")],
+    )
+    def test_weight_mutants_fail(self, example_system, monkeypatch, mutant, message):
+        """A 1e-6 error in the plant or q(0) weights breaks identity (i), a sign
+        flip of the p(0) weights identity (ii); both name the sample."""
+        chain, aug = example_system
+        modes = co.normal_modes(chain)
+        true_weights = simulate._end_weights
+
+        def mutated(modes, t):
+            q, p, plant = true_weights(modes, t)
+            if mutant == "plant":
+                plant = plant * (1.0 + 1e-6)
+            elif mutant == "q":
+                q = q * (1.0 + 1e-6)
+            else:
+                p = -p
+            return q, p, plant
+
+        monkeypatch.setattr(simulate, "_end_weights", mutated)
+        grid = co.TimeGrid(50.0, 0.05)
+        trajectory = co.coefficient_trajectory(modes, grid)
+        with pytest.raises(co.ToleranceExceededError, match=rf"^{re.escape(message)} .* at sample \d+$"):
+            co.verify_trajectory(aug, modes, trajectory)
 
 
 class TestIntegralOfPropagator:
@@ -284,11 +334,11 @@ class TestTimeAverages:
         assert np.isclose(co.consensus_error(avg), 0.00494399336874341, rtol=1e-9)
 
     def test_quadrature_of_constant_rows(self):
-        times = co.TimeGrid.from_count(0.0, 2.0, 401).times()
+        times = co.TimeGrid.from_count(2.0, 401).times()
         assert np.isclose(simpson_weights(times).sum() / 2.0, 1.0, rtol=0.0, atol=1e-14)
 
     def test_quadrature_of_full_sine_period_cancels(self):
-        times = co.TimeGrid.from_count(0.0, math.pi, 201).times()
+        times = co.TimeGrid.from_count(math.pi, 201).times()
         assert abs(simpson_weights(times) @ np.sin(2.0 * times)) / math.pi <= 1e-10
 
     def test_exact_and_quadrature_routes_agree(self, example_system):
@@ -304,8 +354,8 @@ class TestTimeAverages:
 class TestSpatialAverage:
     def test_initial_sample_pattern(self, example_system):
         _, aug = example_system
-        trajectory = co.coefficient_trajectory(aug, co.TimeGrid(0.0, 1.0, 0.5))
-        spatial = co.spatial_average(trajectory)
+        rows = np.stack([aug.c_a] * 3)
+        spatial = co.spatial_average(co.Trajectory(co.TimeGrid(1.0, 0.5), rows))
         expected = np.zeros(12)
         expected[2::2] = 0.2
         assert spatial.shape == (3, 12)

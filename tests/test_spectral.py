@@ -23,9 +23,9 @@ from hypothesis import given, settings, strategies as st
 import chainobs as co
 from chainobs import analysis
 from chainobs.cli import EXP_BOUND_SAMPLES, EXP_BOUND_SPAN, ORACLE_REL_TOL
-from chainobs.simulate import _one_minus_sinc, _propagate
+from chainobs.simulate import _one_minus_sinc
 from conftest import build_system
-from oracles import time_average_exact, time_average_streamed
+from oracles import _propagate, propagator, time_average_exact, time_average_streamed
 
 # Worst relative Frobenius gaps seen over 1,500 random draws of each
 # property below, with a margin: 2.1e-11 against the exact route (mostly the
@@ -72,9 +72,10 @@ def test_matches_the_exact_route(chain_args, horizon):
 def test_matches_streamed_quadrature_on_resolved_horizons(chain_args, intervals):
     """Short horizons of 2-400 auto steps, where Simpson's rule is in its regime."""
     chain, aug = random_chain(*chain_args)
-    step = co.default_step(chain)
+    modes = co.normal_modes(chain)
+    step = co.default_step(modes)
     streamed = time_average_streamed(aug, intervals * step, step)
-    spectral = co.time_average_spectral(co.normal_modes(chain), streamed.horizon)
+    spectral = co.time_average_spectral(modes, streamed.horizon)
     assert relative_gap(spectral.averaged_rows, streamed.averaged_rows) <= STREAMED_REL_TOL
 
 
@@ -195,7 +196,7 @@ def test_mpmath_referee(c_p, variant, n, seed, horizon):
     assert relative_gap(co.time_average_spectral(modes, horizon).averaged_rows, averaged) <= 1e-12
     assert relative_gap(co.end_rows(modes, horizon), end) <= 1e-10
     assert relative_gap(time_average_exact(aug, horizon).averaged_rows, averaged) <= 1e-9
-    assert relative_gap(aug.c_a @ co.propagator(aug.a_a, horizon), end) <= 1e-9
+    assert relative_gap(aug.c_a @ propagator(aug.a_a, horizon), end) <= 1e-9
 
 
 def spectral_norm(phi: np.ndarray) -> float:
@@ -223,7 +224,7 @@ def test_sweep_maximum_referee(c_p, variant, n, seed, monkeypatch):
     recurrence: both within 1e-12 (worst seen 8.0e-15 and 1.4e-14)."""
     chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
     modes = co.normal_modes(chain)
-    grid = co.TimeGrid.from_count(0.0, EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
+    grid = co.TimeGrid.from_count(EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
     visited = []
     form = analysis.ObserverFlow.propagator
     monkeypatch.setattr(
