@@ -76,20 +76,8 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-# Config names live in the CLI module and are loaded on first use: importing
-# chainobs.cli eagerly would make `python -m chainobs.cli` find the module
-# already imported and warn before running it.
-_CLI_NAMES = frozenset({"ExperimentConfig", "RunReport", "load_config", "parse_config"})
-
-
-def __getattr__(name: str):
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
+# The config and report names stay in chainobs.cli, which the package does
+# not import: `python -m chainobs.cli` would then find it imported and warn.
 __all__ = [
     "AugmentedSystem",
     "BoundViolatedError",
@@ -99,7 +87,6 @@ __all__ = [
     "ConfigSchemaError",
     "ConfigValidationError",
     "DegenerateOutputError",
-    "ExperimentConfig",
     "InvalidDimensionError",
     "InvalidInputError",
     "InvalidParameterError",
@@ -107,7 +94,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "NumericalFailureError",
     "ParameterScheme",
-    "RunReport",
     "SCHEMES",
     "SCHEME_ALL_HARMONICS",
     "SCHEME_ODD_HARMONICS",
@@ -134,12 +120,10 @@ __all__ = [
     "end_rows",
     "identity_residuals",
     "laplacian_split",
-    "load_config",
     "make_mu_schedule",
     "make_symplectic",
     "normal_modes",
     "omegas_from_mu",
-    "parse_config",
     "realizability_residual",
     "spatial_average",
     "symplectic_drift",

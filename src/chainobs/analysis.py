@@ -205,12 +205,6 @@ class ObserverFlow:
         return phi
 
 
-def _factors(modes: NormalModes) -> tuple[np.ndarray, np.ndarray]:
-    """L1 = Omega^(1/2) V and L2 = Omega^(-1/2) V, the factors of S."""
-    root = np.sqrt(modes.chain.omega)
-    return root[:, None] * modes.v, modes.v / root[:, None]
-
-
 def verify_mode_generator(modes: NormalModes, a_o: np.ndarray) -> float:
     """Check that the normal modes generate the assembled observer dynamics.
 
@@ -224,7 +218,7 @@ def verify_mode_generator(modes: NormalModes, a_o: np.ndarray) -> float:
     Returns the relative Frobenius residual and raises a
     tolerance-exceeded error above GENERATOR_REL_TOL.
     """
-    left, right = _factors(modes)
+    left, right = modes.left, modes.right
     n = modes.lam.size
     expected = np.zeros((2 * n, 2 * n))
     expected[0::2, 1::2] = -2.0 * (left @ left.T)
@@ -256,7 +250,7 @@ def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
     the four blocks (o the entrywise product), so every sample's ||P||_F
     costs O(N^2).
     """
-    left, right = _factors(modes)
+    left, right = modes.left, modes.right
     g, h = left.T @ left, right.T @ right
     nu = modes.nu
     cos, sin = _phases(nu, grid.times())

@@ -7,7 +7,9 @@ Subcommands:
   timeavg    closed-form time averages on a geometric horizon ladder
   check      run every certificate without writing files (report to stdout)
 
-All subcommands read a JSON config (see parse_config).
+All subcommands read a JSON config (see parse_config); --output-dir,
+--horizon and --step replace that field of the config before it is
+validated, exactly as if the file had said so.
 
 Exit codes:
 
@@ -27,7 +29,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -103,20 +105,6 @@ class ExperimentConfig:
     step: float | str = "auto"
     output_dir: str = "."
 
-    def to_dict(self) -> dict:
-        d = {
-            "n_elements": self.n_elements,
-            "scheme": self.scheme,
-            "omega0": self.omega0,
-            "c_p": list(self.c_p),
-            "horizon": self.horizon,
-            "step": self.step,
-            "output_dir": self.output_dir,
-        }
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -124,14 +112,6 @@ class CheckResult:
     value: float
     bound: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -157,19 +137,7 @@ class RunReport:
         return [c.name for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "certificate": {
-                "lambda_min": self.certificate.lambda_min,
-                "lambda_max": self.certificate.lambda_max,
-                "exp_norm_bound": self.certificate.exp_norm_bound,
-            },
-            "fixed_point_residual": self.fixed_point_residual,
-            "realizability_residual": self.realizability_residual,
-            "consensus_error_curve": [[t, e] for t, e in self.consensus_error_curve],
-            "checks": [c.to_dict() for c in self.checks],
-            "outputs": self.outputs,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _expect(condition: bool, exc: type[ConfigError], message: str) -> None:
@@ -188,23 +156,25 @@ def _number(raw: object, path: str) -> float:
     return value
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, **overrides: object) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.
 
-    Schema problems (anything from invalid JSON to a missing or mistyped
-    field) raise a schema error naming the field; semantically inconsistent
-    values raise a validation error.
+    Each override replaces (or supplies) that field of the parsed object
+    before validation. Schema problems (anything from invalid JSON to a
+    missing or mistyped field) raise a schema error naming the field;
+    semantically inconsistent values raise a validation error.
     """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigSchemaError(f"config is not valid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), ConfigSchemaError, "config must be a JSON object")
+    raw.update(overrides)
 
-    known = {"n_elements", "scheme", "omega0", "c_p", "horizon", "seed", "step", "output_dir"}
-    unknown = sorted(set(raw) - known)
+    known = fields(ExperimentConfig)
+    unknown = sorted(set(raw) - {f.name for f in known})
     _expect(not unknown, ConfigSchemaError, f"unknown config fields: {', '.join(unknown)}")
-    for name in ("n_elements", "scheme", "omega0", "c_p", "horizon"):
+    for name in (f.name for f in known if f.default is MISSING):
         _expect(name in raw, ConfigSchemaError, f"{name}: required field is missing")
 
     _expect(
@@ -278,12 +248,12 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, **overrides: object) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigSchemaError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, **overrides)
 
 
 def _construct(config: ExperimentConfig) -> tuple[ChainObserverParams, AugmentedSystem]:
@@ -343,6 +313,12 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
+def _finish(out: Path, report: RunReport) -> RunReport:
+    report.outputs["report"] = "report.json"
+    serialize.write_report_json(out / "report.json", report.to_dict())
+    return report
+
+
 def run_build(config: ExperimentConfig) -> RunReport:
     """Construct and certify the observer, then serialize its matrices."""
     chain, aug = _construct(config)
@@ -359,9 +335,7 @@ def run_build(config: ExperimentConfig) -> RunReport:
         serialize.write_matrix_csv(path, matrix)
         report.outputs[name] = path.name
         log.info("wrote %s", path)
-    report.outputs["report"] = "report.json"
-    serialize.write_report_json(out / "report.json", report.to_dict())
-    return report
+    return _finish(out, report)
 
 
 def run_simulate(config: ExperimentConfig) -> RunReport:
@@ -390,10 +364,8 @@ def run_simulate(config: ExperimentConfig) -> RunReport:
     )
     report.outputs["trajectory"] = "trajectory.csv"
     report.outputs["spatial_average"] = "spatial_average.csv"
-    report.outputs["report"] = "report.json"
-    serialize.write_report_json(out / "report.json", report.to_dict())
     log.info("wrote trajectory with %d samples", grid.samples)
-    return report
+    return _finish(out, report)
 
 
 def run_timeavg(config: ExperimentConfig) -> RunReport:
@@ -427,9 +399,7 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
     out = _out_dir(config)
     serialize.write_averages_csv(out / "time_averages.csv", averages, row_errors)
     report.outputs["time_averages"] = "time_averages.csv"
-    report.outputs["report"] = "report.json"
-    serialize.write_report_json(out / "report.json", report.to_dict())
-    return report
+    return _finish(out, report)
 
 
 def run_check(config: ExperimentConfig) -> RunReport:
@@ -486,37 +456,15 @@ def main(argv: list[str] | None = None) -> int:
         "timeavg": run_timeavg,
         "check": run_check,
     }
+    overrides = {"output_dir": args.output_dir, "horizon": args.horizon, "step": args.step}
     try:
-        config = load_config(args.config)
-        overrides: dict[str, object] = {}
-        if args.output_dir is not None:
-            overrides["output_dir"] = args.output_dir
-        if args.horizon is not None:
-            if not (np.isfinite(args.horizon) and args.horizon > 0):
-                raise ConfigValidationError(f"horizon must be positive, got {args.horizon}")
-            overrides["horizon"] = args.horizon
-        if args.step is not None:
-            if args.step != "auto":
-                step = _number(_maybe_float(args.step), "step")
-                if step <= 0:
-                    raise ConfigValidationError(f"step must be positive, got {step}")
-                overrides["step"] = step
-            else:
-                overrides["step"] = "auto"
-        if overrides:
-            merged = config.to_dict()
-            merged.update(overrides)
-            config = parse_config(json.dumps(merged))
+        if args.step not in (None, "auto"):
+            overrides["step"] = _maybe_float(args.step)
+        config = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
         report = runners[args.command](config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _EXIT_TOLERANCE as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ChainobsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _EXIT_TOLERANCE) else 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 3

@@ -119,6 +119,22 @@ class NormalModes:
     def nu(self) -> np.ndarray:
         return 2.0 * np.sqrt(self.lam)
 
+    @property
+    def left(self) -> np.ndarray:
+        """L1 = Omega^(1/2) V."""
+        return np.sqrt(self.chain.omega)[:, None] * self.v
+
+    @property
+    def right(self) -> np.ndarray:
+        """L2 = Omega^(-1/2) V."""
+        return self.v / np.sqrt(self.chain.omega)[:, None]
+
+    @property
+    def x_star(self) -> np.ndarray:
+        """x* = (alpha, ..., alpha) / ||alpha||^2, whose every output stays 1."""
+        alpha = self.chain.alpha
+        return np.tile(alpha, self.chain.n_elements + 1) / float(alpha @ alpha)
+
 
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs of the symmetric tridiagonal matrix with diagonal d
@@ -210,19 +226,17 @@ def _rows(
     p' = 2 R_red q - 2 mu~_1 q_0 e_1 with the plant quadrature q_0 constant,
     and every output is ||alpha|| times a q. With u = q - q_0 1
     (R_red 1 = mu~_1 e_1), the normal modes V^T Omega^(-1/2) u oscillate at
-    nu, so q(0), p(0) and q_0 reach q through Omega^(1/2) V diag(w) V^T
-    times Omega^(-1/2), Omega^(1/2) and mu~_1 sqrt(omega_1) e_1
-    (= K Omega^(-1/2) 1) respectively; the plant weights carry the 1/lambda
-    of K^(-1).
+    nu, so q(0), p(0) and q_0 reach q through L1 diag(w) times L2^T, L1^T
+    and V^T mu~_1 sqrt(omega_1) e_1 (= V^T K Omega^(-1/2) 1) respectively;
+    the plant weights carry the 1/lambda of K^(-1).
     """
-    chain, v = modes.chain, modes.v
+    chain, left = modes.chain, modes.left
     alpha = chain.alpha
     n = chain.n_elements
-    root = np.sqrt(chain.omega)
-    left = root[:, None] * v
-    from_q = (left * q_weight[..., None, :]) @ (v.T / root)
-    from_p = (left * p_weight[..., None, :]) @ (v.T * root)
-    from_plant = chain.mu_tilde[0] * root[0] * (left @ (plant_weight * v[0])[..., None])
+    from_q = (left * q_weight[..., None, :]) @ modes.right.T
+    from_p = (left * p_weight[..., None, :]) @ left.T
+    plant = plant_weight * modes.v[0]
+    from_plant = chain.mu_tilde[0] * np.sqrt(chain.omega[0]) * (left @ plant[..., None])
     lead = q_weight.shape[:-1]
     rows = np.zeros((*lead, n + 1, 2 * n + 2))
     rows[..., 0, :2] = alpha
@@ -278,7 +292,7 @@ def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
 def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Trajectory) -> None:
     """Hold a stored trajectory against the assembled dynamics A_a.
 
-    (i) rows(t) x* = 1 at every sample, with x* as in identity_residuals,
+    (i) rows(t) x* = 1 at every sample, with x* = NormalModes.x_star,
     within TRAJECTORY_REL_TOL ||rows(t)||_inf ||x*||_inf: O(N^2) per sample.
     (ii) rows'(t) = rows(t) A_a at the last sample of every chunk, with
     rows'(t) from the derivative weights, within TRAJECTORY_REL_TOL
@@ -289,8 +303,7 @@ def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Traj
     does. Raises a tolerance-exceeded error naming the first failing sample.
     """
     rows, times = trajectory.coefficient_rows, trajectory.grid.times()
-    alpha = modes.chain.alpha
-    x_star = np.tile(alpha, modes.chain.n_elements + 1) / float(alpha @ alpha)
+    x_star = modes.x_star
     x_scale = float(np.linalg.norm(x_star, np.inf))
     a_scale = float(np.linalg.norm(aug.a_a, np.inf))
     for start in range(0, times.size, TRAJECTORY_CHUNK):
@@ -331,8 +344,7 @@ def identity_residuals(
     """
     rows, horizon = avg.averaged_rows, avg.horizon
     drift = rows @ aug.a_a - (end_rows(modes, horizon) - aug.c_a) / horizon
-    alpha = modes.chain.alpha
-    x_star = np.tile(alpha, modes.chain.n_elements + 1) / float(alpha @ alpha)
+    x_star = modes.x_star
     return (
         float(np.linalg.norm(drift, np.inf) / np.linalg.norm(aug.a_a, np.inf)),
         float(np.linalg.norm(rows @ x_star - 1.0, np.inf) / np.linalg.norm(x_star, np.inf)),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -59,11 +60,6 @@ class TestParseConfig:
         assert config.output_dir == "."
         assert config.seed is None
         assert config.c_p == (1.0, 0.0)
-
-    def test_round_trip_through_to_dict(self):
-        config = cli.parse_config(config_text(scheme="random", seed=7))
-        again = cli.parse_config(json.dumps(config.to_dict()))
-        assert again == config
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -436,6 +432,35 @@ class TestCheckCommand:
         assert cli.main(["check", "--config", str(config)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+@pytest.mark.parametrize("command", ["build", "simulate", "timeavg", "check"])
+def test_report_key_tree_is_pinned(tmp_path, capsys, command):
+    """report.json, and check's stdout, publish exactly this tree. The report
+    serializes its dataclasses whole, so a field added to them shows here."""
+    config = write_config(tmp_path, horizon=1.0)
+    assert cli.main([command, "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out if command == "check" else (tmp_path / "report.json").read_text())
+    assert set(report) == {
+        "certificate", "fixed_point_residual", "realizability_residual",
+        "consensus_error_curve", "checks", "outputs", "passed",
+    }
+    assert set(report["certificate"]) == {"lambda_min", "lambda_max", "exp_norm_bound"}
+    assert all(isinstance(v, float) for v in report["certificate"].values())
+    assert isinstance(report["fixed_point_residual"], float)
+    assert isinstance(report["realizability_residual"], float)
+    curve = report["consensus_error_curve"]
+    assert len(curve) == (5 if command == "timeavg" else 0)
+    assert all(isinstance(pair, list) and len(pair) == 2 for pair in curve)
+    assert all(isinstance(v, float) for pair in curve for v in pair)
+    assert report["checks"]
+    for check in report["checks"]:
+        assert set(check) == {"name", "value", "bound", "passed"}
+        assert isinstance(check["name"], str) and isinstance(check["passed"], bool)
+    assert all(isinstance(v, str) for v in report["outputs"].values())
+    assert (report["outputs"] == {}) == (command == "check")
+    assert isinstance(report["passed"], bool)
+
+
 @pytest.mark.parametrize("command", ["simulate", "timeavg", "check"])
 def test_each_run_solves_the_normal_modes_once(tmp_path, monkeypatch, command):
     """simulate, timeavg and check take everything from the normal modes: one
@@ -471,6 +496,21 @@ class TestExitCodes:
         config = write_config(tmp_path)
         assert cli.main(["check", "--config", str(config), "--step", "fast"]) == 2
         assert cli.main(["check", "--config", str(config), "--step", "-1"]) == 2
+
+    def test_horizon_flag_is_validated_as_the_field(self, tmp_path, capsys):
+        """--horizon nan fails exactly as "horizon": NaN in the file does."""
+        in_file = cli.main(["check", "--config", str(write_config(tmp_path, horizon=float("nan")))])
+        in_file = (in_file, capsys.readouterr())
+        flag = cli.main(["check", "--config", str(write_config(tmp_path)), "--horizon", "nan"])
+        flag = (flag, capsys.readouterr())
+        assert flag == in_file
+        assert flag[0] == 2
+        assert flag[1].err == "error: horizon: must be finite, got nan\n"
+
+    def test_horizon_flag_supplies_a_missing_field(self, tmp_path):
+        config = write_config(tmp_path, horizon=OMIT)
+        assert cli.main(["check", "--config", str(config)]) == 2
+        assert cli.main(["check", "--config", str(config), "--horizon", "2"]) == 0
 
     def test_certificate_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         def broken(config):
@@ -577,10 +617,14 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_lazy_config_names_resolve(self):
+    def test_star_import_binds_exactly_the_public_names(self):
+        """__all__ repeats the package's import list; the two must agree."""
         namespace: dict = {}
         exec("from chainobs import *", namespace)
-        for name in ("ExperimentConfig", "RunReport", "load_config", "parse_config"):
-            assert namespace[name] is getattr(cli, name) is getattr(co, name)
-        with pytest.raises(AttributeError):
-            co.no_such_name
+        assert all(namespace[name] is getattr(co, name) for name in co.__all__)
+        public = {
+            name for name, value in vars(co).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert len(set(co.__all__)) == len(co.__all__)
+        assert set(co.__all__) == public
