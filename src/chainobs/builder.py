@@ -24,6 +24,7 @@ realizability by construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ SCHEME_ODD_HARMONICS = "odd-harmonics"
 SCHEME_ALL_HARMONICS = "all-harmonics"
 SCHEME_RANDOM = "random"
 SCHEMES = (SCHEME_UNIFORM, SCHEME_ODD_HARMONICS, SCHEME_ALL_HARMONICS, SCHEME_RANDOM)
+
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 constants.
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,8 @@ class ParameterScheme:
         if not (np.isfinite(self.omega0) and self.omega0 > 0):
             raise InvalidParameterError(f"omega0 must be positive, got {self.omega0!r}")
         if self.seed is not None:
-            if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            seed = self.seed
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
                 raise InvalidParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
             if self.variant != SCHEME_RANDOM:
                 raise InvalidParameterError(
@@ -127,6 +135,66 @@ class AugmentedSystem:
         return self.c_a[1:, 2:]
 
 
+def _seed_words(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, uint64).
+
+    The seed's little-endian 32-bit words are hashed into a pool of four
+    (hashmix, then every pool word mixed into every other), words past the
+    fourth are mixed into each pool word, and the pool is hashed out again
+    as eight 32-bit words, read in pairs as little-endian 64-bit words.
+    """
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+
+
+def _unit_stream(seed: int) -> Iterator[float]:
+    """The doubles of numpy's default_rng(seed).random(), bit for bit.
+
+    PCG64 (O'Neill 2014): a 128-bit linear congruential state, seeded from
+    _seed_words as numpy's pcg64_set_seed does, advanced before each output
+    and output through XSL-RR (the two 64-bit halves xored, rotated right
+    by the top six bits); each output x gives (x >> 11) * 2^-53 in [0, 1).
+    """
+    s0, s1, s2, s3 = _seed_words(int(seed))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _MASK64
+        yield (((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0**-53
+
+
 def make_mu_schedule(scheme: ParameterScheme, n_elements: int) -> np.ndarray:
     """Produce the coupling strengths mu~ for an N-element chain.
 
@@ -134,6 +202,13 @@ def make_mu_schedule(scheme: ParameterScheme, n_elements: int) -> np.ndarray:
     odd-harmonics    mu~_i = i * omega0
     all-harmonics    mu~_{2i-1} = mu~_{2i} = omega0 (N/2 + 1 - i), N even
     random           N independent draws, uniform on (0, omega0*N]
+
+    The random draws are numpy's default_rng(seed).uniform(0, omega0*N, N),
+    bit for bit, computed in pure Python (_unit_stream) so that no run
+    imports numpy's random module: draw i is (omega0*N) * u_i for the i-th
+    double u_i of the seed's PCG64 stream. A draw of exactly 0 is replaced,
+    in rounds and in ascending index order, by the next doubles of the same
+    stream.
     """
     if not isinstance(n_elements, (int, np.integer)) or n_elements < 1:
         raise InvalidDimensionError(f"n_elements must be a positive integer, got {n_elements!r}")
@@ -152,15 +227,15 @@ def make_mu_schedule(scheme: ParameterScheme, n_elements: int) -> np.ndarray:
         for i in range(1, n // 2 + 1):
             out[2 * i - 2] = out[2 * i - 1] = w0 * (n / 2 + 1 - i)
         return out
-    # random variant; the generator is created here and never shared
+    # random variant; the stream is created here and never shared
     if scheme.seed is None:
         raise InvalidParameterError("the random scheme requires a seed")
-    rng = np.random.default_rng(scheme.seed)
-    draws = rng.uniform(0.0, w0 * n, n)
-    while np.any(draws == 0.0):
-        zero = draws == 0.0
-        draws[zero] = rng.uniform(0.0, w0 * n, int(zero.sum()))
-    return draws
+    stream = _unit_stream(scheme.seed)
+    scale = w0 * n
+    draws = [scale * next(stream) for _ in range(n)]
+    while 0.0 in draws:
+        draws = [d if d != 0.0 else scale * next(stream) for d in draws]
+    return np.array(draws)
 
 
 def omegas_from_mu(mu_tilde: np.ndarray) -> np.ndarray:

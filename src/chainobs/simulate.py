@@ -12,10 +12,11 @@ modes of K = Omega^(1/2) R_red Omega^(1/2). One tridiagonal eigensolve of K
 quotient) serves every time and horizon, and its fastest frequency sets the
 default sampling step.
 
-Stored trajectories evaluate the rows on the grid in chunks of
-TRAJECTORY_CHUNK times, so temporaries stay small beside the stored rows,
-and every sample is independent of the others: no error accumulates with
-the number of steps. verify_trajectory holds a trajectory against the
+Stored trajectories evaluate the rows on the grid in chunks of at most
+TRAJECTORY_CHUNK times and TRAJECTORY_CHUNK_BYTES of rows (_chunk_times),
+so temporaries stay small beside the stored rows at every N, and every
+sample is independent of the others: no error accumulates with the number
+of steps. verify_trajectory holds a trajectory against the
 assembled A_a, and identity_residuals an average, each through identities
 that every true solution satisfies.
 """
@@ -33,8 +34,10 @@ from .errors import InvalidParameterError, NotPositiveDefiniteError, ToleranceEx
 from .lqs import SYMPLECTIC_UNIT
 
 DEFAULT_STEP_FACTOR = 0.005
-# Times evaluated per batch of rows: a few N x N temporaries per time.
+# Times evaluated per batch of rows: a few N x N temporaries per time, so
+# a batch is also capped by the bytes of its rows. N <= 63 keeps 512 times.
 TRAJECTORY_CHUNK = 512
+TRAJECTORY_CHUNK_BYTES = 32 << 20
 # How far a stored trajectory may stray from the identities verify_trajectory
 # holds it to, relative to ||rows||_inf times ||x*||_inf or ||A_a||_inf.
 # Rounding leaves at most 6.1e-13 (x*) and 2.4e-15 (derivative) on every
@@ -274,17 +277,24 @@ def end_rows(modes: NormalModes, t: float) -> np.ndarray:
     return _rows(modes, *_end_weights(modes, t))
 
 
+def _chunk_times(n: int) -> int:
+    """Times per batch of (N + 1) x (2N + 2) rows."""
+    row_bytes = (n + 1) * (2 * n + 2) * 8
+    return min(TRAJECTORY_CHUNK, max(1, TRAJECTORY_CHUNK_BYTES // row_bytes))
+
+
 def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
     """Sample and store C_a Phi(t) on the grid (O(samples * N^2) memory).
 
-    Each sample is end_rows at its time, evaluated TRAJECTORY_CHUNK times at
+    Each sample is end_rows at its time, evaluated _chunk_times(N) times at
     a time; the row at a time t equals end_rows(modes, t) bit for bit.
     """
     times = grid.times()
     n = modes.chain.n_elements
     rows = np.empty((grid.samples, n + 1, 2 * n + 2))
-    for start in range(0, grid.samples, TRAJECTORY_CHUNK):
-        chunk = times[start : start + TRAJECTORY_CHUNK]
+    step = _chunk_times(n)
+    for start in range(0, grid.samples, step):
+        chunk = times[start : start + step]
         rows[start : start + chunk.size] = _rows(modes, *_end_weights(modes, chunk))
     return Trajectory(grid=grid, coefficient_rows=rows)
 
@@ -294,20 +304,22 @@ def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Traj
 
     (i) rows(t) x* = 1 at every sample, with x* = NormalModes.x_star,
     within TRAJECTORY_REL_TOL ||rows(t)||_inf ||x*||_inf: O(N^2) per sample.
-    (ii) rows'(t) = rows(t) A_a at the last sample of every chunk, with
-    rows'(t) from the derivative weights, within TRAJECTORY_REL_TOL
-    ||rows(t)||_inf ||A_a||_inf on the observer rows (the plant row is c_a's
-    by construction). As for the averages, both are needed: q_0 spans the
-    left null space of A_a, so (ii) cannot see an error in the plant
-    weights, which (i) does, and (i) cannot see the p(0) weights, which (ii)
-    does. Raises a tolerance-exceeded error naming the first failing sample.
+    (ii) rows'(t) = rows(t) A_a at the last sample of every chunk of
+    _chunk_times(N) samples, with rows'(t) from the derivative weights,
+    within TRAJECTORY_REL_TOL ||rows(t)||_inf ||A_a||_inf on the observer
+    rows (the plant row is c_a's by construction). As for the averages, both
+    are needed: q_0 spans the left null space of A_a, so (ii) cannot see an
+    error in the plant weights, which (i) does, and (i) cannot see the p(0)
+    weights, which (ii) does. Raises a tolerance-exceeded error naming the
+    first failing sample.
     """
     rows, times = trajectory.coefficient_rows, trajectory.grid.times()
     x_star = modes.x_star
     x_scale = float(np.linalg.norm(x_star, np.inf))
     a_scale = float(np.linalg.norm(aug.a_a, np.inf))
-    for start in range(0, times.size, TRAJECTORY_CHUNK):
-        chunk = rows[start : start + TRAJECTORY_CHUNK]
+    step = _chunk_times(modes.chain.n_elements)
+    for start in range(0, times.size, step):
+        chunk = rows[start : start + step]
         scale = np.abs(chunk).sum(axis=2).max(axis=1)
         residual = np.abs(chunk.reshape(-1, x_star.size) @ x_star - 1.0)
         residual = residual.reshape(len(chunk), -1).max(axis=1)

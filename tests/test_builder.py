@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
+from chainobs import builder
 from conftest import build_system, perturb_omega
 from oracles import dense_augmented
 
@@ -66,6 +67,34 @@ class TestSchedules:
             co.ParameterScheme("random", 1.0, seed=-1)
         with pytest.raises(co.InvalidParameterError):
             co.ParameterScheme("uniform", 1.0, seed=3)
+        with pytest.raises(co.InvalidParameterError):
+            co.ParameterScheme("random", 1.0, seed=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=(1 << 200) - 1),
+        n=st.integers(min_value=1, max_value=300),
+        omega0=st.floats(min_value=1e-6, max_value=1e6),
+        as_numpy=st.booleans(),
+    )
+    def test_random_matches_numpy_bit_for_bit(self, seed, n, omega0, as_numpy):
+        """The in-package stream is numpy's default_rng(seed).uniform, bit for
+        bit; seeds of five or more 32-bit words take SeedSequence's
+        extra-entropy mixing, and numpy integer seeds take the same path."""
+        if as_numpy:
+            seed = np.uint64(seed % (1 << 64))
+        mu = co.make_mu_schedule(co.ParameterScheme("random", omega0, seed=seed), n)
+        expected = np.random.default_rng(seed).uniform(0.0, omega0 * n, n)
+        assert mu.dtype == expected.dtype
+        assert mu.tobytes() == expected.tobytes()
+
+    def test_random_redraws_zeros_in_rounds(self, monkeypatch):
+        """A draw of exactly 0 takes the next value of the stream, zeros in
+        ascending index order, round after round, until none is left."""
+        stream = [0.0, 0.5, 0.0, 0.25, 0.0, 0.125, 0.75, 0.875]
+        monkeypatch.setattr(builder, "_unit_stream", lambda seed: iter(stream))
+        mu = co.make_mu_schedule(co.ParameterScheme("random", 2.0, seed=0), 4)
+        assert mu.tolist() == [8 * 0.75, 8 * 0.5, 8 * 0.125, 8 * 0.25]
 
 
 class TestFrequencyLineup:

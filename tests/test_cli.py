@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import analysis, cli, serialize, simulate
+from chainobs import analysis, builder, cli, serialize, simulate
 from conftest import build_system
 from oracles import (
     averages_csv_text,
@@ -579,6 +580,41 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: normal-mode generator differs")
+
+    @pytest.mark.parametrize(
+        "n, command, code, err",
+        [
+            (1, "check", 0, ""),
+            # identity (i) is scaled by ||A_a||_inf alone, which rounding in
+            # C_a Phi(T) - C_a outweighs here; the average itself is exact
+            (1, "timeavg", 1, "FAILED checks: time_average_oracle_disagreement\n"),
+            (3, "check", 1, "error: matrix is not positive definite: lambda_min = "),
+            (3, "timeavg", 1, "error: matrix is not positive definite: lambda_min = "),
+        ],
+    )
+    def test_smallest_positive_draw(self, tmp_path, monkeypatch, capsys, n, command, code, err):
+        """A random chain whose first draw is the smallest positive double of
+        the stream, 2^-53, fails as a certificate (exit 1) or passes, never
+        as an unexpected error."""
+        true_stream = builder._unit_stream
+        monkeypatch.setattr(
+            builder,
+            "_unit_stream",
+            lambda seed: itertools.chain([2.0**-53], itertools.islice(true_stream(seed), 1, None)),
+        )
+        config = write_config(tmp_path, n_elements=n, scheme="random", seed=1,
+                              c_p=[0.6, -1.3], horizon=8.0, output_dir=str(tmp_path))
+        assert cli.main([command, "--config", str(config)]) == code
+        assert capsys.readouterr().err.startswith(err)
+
+    def test_overflowing_random_range_exits_two(self, tmp_path, capsys):
+        """omega0 * N beyond the largest double draws infinite couplings,
+        which the chain rejects."""
+        config = write_config(tmp_path, n_elements=2, scheme="random", seed=1, omega0=1e308)
+        assert cli.main(["check", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: all coupling strengths must be positive and finite\n"
+        )
 
     def test_unexpected_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         def broken(config):

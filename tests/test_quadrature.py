@@ -162,28 +162,30 @@ def run_python(args: list[str], cwd: Path, **env: str) -> subprocess.CompletedPr
     )
 
 
-SCIPY_AFTER_EACH_COMMAND = """
+MODULES_AFTER_EACH_COMMAND = """
 import json, sys
 from chainobs import cli
 
-def scipy_modules():
-    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+def heavy_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
 
-seen = {"import": [0, scipy_modules()]}
+seen = {"import": [0, heavy_modules()]}
 for command in ("build", "check", "timeavg", "simulate"):
     code = cli.main([command, "--config", "config.json", "--output-dir", command])
-    seen[command] = [code, scipy_modules()]
+    seen[command] = [code, heavy_modules()]
 print(json.dumps(seen))
 """
 
 
 def test_cli_import_leaves_scipy_integrate_out(tmp_path):
-    """No scipy module at all is loaded by importing the CLI, nor later, lazily,
-    by a run of any subcommand."""
-    config = {"n_elements": 3, "scheme": "uniform", "omega0": 1.0, "c_p": [1.0, 0.0],
-              "horizon": 1.0}
+    """Neither scipy nor numpy.random is loaded by importing the CLI, nor
+    later, lazily, by a run of any subcommand on a random-scheme chain, whose
+    draws come from the package's own stream."""
+    config = {"n_elements": 3, "scheme": "random", "seed": 5, "omega0": 1.0,
+              "c_p": [1.0, 0.0], "horizon": 1.0}
     (tmp_path / "config.json").write_text(json.dumps(config))
-    proc = run_python(["-c", SCIPY_AFTER_EACH_COMMAND], tmp_path)
+    proc = run_python(["-c", MODULES_AFTER_EACH_COMMAND], tmp_path)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {stage: [0, []] for stage in ("import", "build", "check", "timeavg", "simulate")}

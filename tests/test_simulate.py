@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.linalg import expm
 import chainobs as co
 import oracles
 from chainobs import simulate
+from conftest import build_system
 from oracles import (
     _PADE_THETA,
     integral_of_propagator,
@@ -217,6 +219,22 @@ class TestTrajectory:
         for k in (1, simulate.TRAJECTORY_CHUNK, grid.samples - 1):
             assert np.array_equal(rows[k], co.end_rows(modes, times[k]))
 
+    def test_chunk_temporaries_are_bounded_in_bytes(self):
+        """At N = 200 a row takes 631 KiB, so a chunk holds 51 times, not 512:
+        beyond the stored rows, the peak stays within a few chunk budgets
+        (about 3 here, where 101 times in one chunk took about 6)."""
+        chain, aug = build_system([0.6, -1.3], "odd-harmonics", 1.0, 200)
+        modes = co.normal_modes(chain)
+        grid = co.TimeGrid.from_count(0.5, 101)
+        tracemalloc.start()
+        try:
+            rows = co.coefficient_trajectory(modes, grid).coefficient_rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - rows.nbytes < 4 * simulate.TRAJECTORY_CHUNK_BYTES
+        simulate.verify_trajectory(aug, modes, co.Trajectory(grid, rows))
+
     def test_rows_match_direct_exponentials(self, example_system):
         chain, aug = example_system
         grid = co.TimeGrid(2.0, 0.05)
@@ -252,8 +270,6 @@ class TestVerifyTrajectory:
         ],
     )
     def test_true_rows_pass(self, c_p, variant, n, seed):
-        from conftest import build_system
-
         chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.covering(3.0, co.default_step(modes))
