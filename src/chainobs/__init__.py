@@ -5,7 +5,8 @@ static plant, from the plant output row c_p and the coupling strengths mu~
 alone (build_chain(c_p, mu_tilde), then assemble_augmented(chain)), and
 certify the construction: the internal energy matrix must be positive
 definite and the dynamics physically realizable, with the frequency lineup
-pinned by a constant-drive fixed point. The simulation layer then
+pinned by a constant-drive fixed point. The certificates work from the
+chain's block-tridiagonal structure and its N x N reduced matrix. The simulation layer then
 evaluates the coefficient rows C_a exp(A_a t), and their time averages, in
 closed form from the chain's normal modes to demonstrate time-averaged
 consensus of the observer outputs onto the plant output.
@@ -16,6 +17,7 @@ from .analysis import (
     build_reduced,
     certify_positive_definite,
     laplacian_split,
+    observer_certificate,
     verify_exp_bound,
     verify_mode_generator,
 )
@@ -52,7 +54,9 @@ from .errors import (
 )
 from .lqs import (
     SYMPLECTIC_UNIT,
+    BlockTridiagonal,
     SymplecticForm,
+    block_dynamics,
     dynamics_from_hamiltonian,
     make_symplectic,
     realizability_residual,
@@ -80,6 +84,7 @@ __version__ = "0.1.0"
 # not import: `python -m chainobs.cli` would then find it imported and warn.
 __all__ = [
     "AugmentedSystem",
+    "BlockTridiagonal",
     "BoundViolatedError",
     "ChainObserverParams",
     "ChainobsError",
@@ -108,6 +113,7 @@ __all__ = [
     "Trajectory",
     "UnsupportedSchemeError",
     "assemble_augmented",
+    "block_dynamics",
     "build_chain",
     "build_reduced",
     "certify_positive_definite",
@@ -123,6 +129,7 @@ __all__ = [
     "make_mu_schedule",
     "make_symplectic",
     "normal_modes",
+    "observer_certificate",
     "omegas_from_mu",
     "realizability_residual",
     "spatial_average",

@@ -12,7 +12,8 @@ omega_i is positive, hence R_o is positive definite exactly when R_red is.
 build_reduced writes R_red as a dense array straight from the chain's omega
 and mu~. It splits into a rank-one part diag(mu~_1, 0, ..., 0) plus a
 weighted chain Laplacian, so it is positive definite whenever the chain is
-connected and mu~_1 > 0.
+connected and mu~_1 > 0. The certificate of R_o is therefore read off
+R_red's (observer_certificate): no 2N x 2N matrix is formed.
 
 Positive definiteness of R_o in turn bounds the propagator: the flow
 exp(2 Theta R_o t) conserves the quadratic form of R_o, which traps its
@@ -29,7 +30,7 @@ larger. The singular values of a symplectic P pair as (s, 1/s), which leaves
 relative margins of about (N - 1) / s_1^2 and (N - 1) / (2 s_1^4), far
 above the screen's rounding of about 1e-15. The closed form is tied to the
 assembled system by verify_mode_generator: its generator, rebuilt from the
-modes, must equal a_o rotated into the modes' (q, p) basis.
+modes, must equal the blocks of a_o rotated into the modes' (q, p) basis.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import ChainObserverParams
+from .builder import AugmentedSystem, ChainObserverParams
 from .errors import (
     BoundViolatedError,
     InvalidInputError,
@@ -60,7 +61,7 @@ SYMPLECTIC_DRIFT_TOL = 1e-9
 # (N - 1) / s_1^2, above 1e-7 on every config measured.
 SCREEN_REL_TOL = 1e-12
 # How far the generator the normal modes give may stray from the assembled
-# a_o, relative in the Frobenius norm; rounding leaves at most 3.2e-15 on
+# a_o, relative in the Frobenius norm; rounding leaves at most 3.9e-15 on
 # every scheme from N = 1 to 1000.
 GENERATOR_REL_TOL = 1e-12
 
@@ -109,6 +110,23 @@ def laplacian_split(reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank_one, laplacian
 
 
+def _certificate(lam_min: float, lam_max: float) -> SpectralCertificate:
+    """Certificate from extreme eigenvalues; raises a not-positive-definite
+    error carrying lambda_min when it fails the relative threshold
+    1e-10 * lambda_max."""
+    if lam_max <= 0.0 or lam_min <= 1e-10 * lam_max:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: lambda_min = {lam_min:.6e}, "
+            f"lambda_max = {lam_max:.6e}",
+            lambda_min=lam_min,
+        )
+    return SpectralCertificate(
+        lambda_min=lam_min,
+        lambda_max=lam_max,
+        exp_norm_bound=float(np.sqrt(lam_max / lam_min)),
+    )
+
+
 def certify_positive_definite(r_o: np.ndarray) -> SpectralCertificate:
     """Eigenvalue certificate that a symmetric matrix is positive definite.
 
@@ -123,19 +141,18 @@ def certify_positive_definite(r_o: np.ndarray) -> SpectralCertificate:
     if asym > 1e-12 * max(1.0, scale):
         raise InvalidParameterError("matrix must be symmetric")
     eigenvalues = np.linalg.eigvalsh(m)
-    lam_min = float(eigenvalues[0])
-    lam_max = float(eigenvalues[-1])
-    if lam_max <= 0.0 or lam_min <= 1e-10 * lam_max:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: lambda_min = {lam_min:.6e}, "
-            f"lambda_max = {lam_max:.6e}",
-            lambda_min=lam_min,
-        )
-    return SpectralCertificate(
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        exp_norm_bound=float(np.sqrt(lam_max / lam_min)),
-    )
+    return _certificate(float(eigenvalues[0]), float(eigenvalues[-1]))
+
+
+def observer_certificate(reduced: SpectralCertificate, omega: np.ndarray) -> SpectralCertificate:
+    """The certificate of R_o from that of R_red and the self-energies.
+
+    spec(R_o) = spec(R_red) U {omega_i}, so the extremes of R_o are those of
+    R_red's extremes and omega's. (Each omega_i is a diagonal entry of R_red
+    and lies between its extremes, so this only guards against rounding.)
+    """
+    return _certificate(min(reduced.lambda_min, float(omega.min())),
+                        max(reduced.lambda_max, float(omega.max())))
 
 
 def _check_symplectic(phi: np.ndarray, theta: SymplecticForm, k: int) -> None:
@@ -205,29 +222,40 @@ class ObserverFlow:
         return phi
 
 
-def verify_mode_generator(modes: NormalModes, a_o: np.ndarray) -> float:
+def verify_mode_generator(modes: NormalModes, aug: AugmentedSystem) -> float:
     """Check that the normal modes generate the assembled observer dynamics.
 
     The closed form P(t) = S D(t) S^-1 has the generator dP/dt at t = 0,
     [[0, -2 L1 L1^T], [2 L2 diag(lam) L2^T, 0]] in (q, p) blocks, which is
     [[0, -2 Omega], [2 R_red, 0]] exactly when V is orthogonal (so S^-1
-    inverts S) and V, lam diagonalise K. a_o = 2 Theta R_o, rotated per mode
-    into (q, p) = (alpha^ . x, J alpha^ . x), must equal it. This ties every
-    propagator the sweep forms to the assembled system; the per-sample
-    checks alone hold for any orthogonal V. Costs two N x N products.
-    Returns the relative Frobenius residual and raises a
-    tolerance-exceeded error above GENERATOR_REL_TOL.
+    inverts S) and V, lam diagonalise K. The blocks of a_o = 2 Theta R_o,
+    rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), must equal
+    it; off the three central block diagonals a_o is zero, so there the
+    residual is the generator itself. This ties every propagator the sweep
+    forms to the assembled system; the per-sample checks alone hold for
+    any orthogonal V. Costs two N x N products. Returns the relative
+    Frobenius residual and raises a tolerance-exceeded error above
+    GENERATOR_REL_TOL.
     """
     left, right = modes.left, modes.right
     n = modes.lam.size
-    expected = np.zeros((2 * n, 2 * n))
-    expected[0::2, 1::2] = -2.0 * (left @ left.T)
-    expected[1::2, 0::2] = 2.0 * ((right * modes.lam) @ right.T)
+    q_to_p = -2.0 * (left @ left.T)
+    p_to_q = 2.0 * ((right * modes.lam) @ right.T)
     alpha_hat = modes.chain.alpha / np.linalg.norm(modes.chain.alpha)
     rotation = np.array([alpha_hat, SYMPLECTIC_UNIT @ alpha_hat])
-    blocks = np.asarray(a_o, dtype=float).reshape(n, 2, n, 2)
-    rotated = np.einsum("ab,ibjc,dc->iajd", rotation, blocks, rotation).reshape(2 * n, 2 * n)
-    residual = float(np.linalg.norm(rotated - expected) / np.linalg.norm(rotated))
+    a_o = aug.observer_dynamics
+    i = np.arange(n)
+    rotated, qq_pp = [], []
+    for blocks, rows, cols in ((a_o.diagonal, i, i), (a_o.upper, i[:-1], i[1:]),
+                               (a_o.lower, i[1:], i[:-1])):
+        turned = rotation @ blocks @ rotation.T
+        q_to_p[rows, cols] -= turned[:, 0, 1]
+        p_to_q[rows, cols] -= turned[:, 1, 0]
+        qq_pp += [turned[:, 0, 0], turned[:, 1, 1]]
+        rotated.append(turned)
+    scale = math.hypot(*(float(np.linalg.norm(t)) for t in rotated))
+    residual = math.hypot(float(np.linalg.norm(q_to_p)), float(np.linalg.norm(p_to_q)),
+                          float(np.linalg.norm(np.concatenate(qq_pp)))) / scale
     if not residual <= GENERATOR_REL_TOL:
         raise ToleranceExceededError(
             f"normal-mode generator differs from the assembled observer dynamics by "

@@ -16,16 +16,19 @@ the stacked observer state direction (alpha; ...; alpha) is a fixed point of
 the observer dynamics driven by the constant plant output. That algebraic
 identity is what check_fixed_point certifies.
 
-A chain is stored as (alpha, mu~, omega) alone; every block above is written
-straight from them into the assembled plant+observer system, which carries a
-block-tridiagonal Hamiltonian coefficient matrix and inherits physical
-realizability by construction.
+A chain is stored as (alpha, mu~, omega) alone, and so is the plant+observer
+system assembled from it: its Hamiltonian and dynamics are the
+block-tridiagonal 2 x 2 blocks above (lqs.BlockTridiagonal, O(N) numbers),
+and it inherits physical realizability by construction. The dense
+(2N+2) x (2N+2) r_a, a_a and c_a are assembled only when first read; only
+the build subcommand, which writes them, and the tests read them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +38,14 @@ from .errors import (
     InvalidParameterError,
     UnsupportedSchemeError,
 )
-from .lqs import SYMPLECTIC_UNIT, SymplecticForm, dynamics_from_hamiltonian, make_symplectic
+from .lqs import (
+    SYMPLECTIC_UNIT,
+    BlockTridiagonal,
+    SymplecticForm,
+    block_dynamics,
+    dynamics_from_hamiltonian,
+    make_symplectic,
+)
 
 SCHEME_UNIFORM = "uniform"
 SCHEME_ODD_HARMONICS = "odd-harmonics"
@@ -108,16 +118,61 @@ class ChainObserverParams:
 
 @dataclass(frozen=True)
 class AugmentedSystem:
-    """Plant plus observer chain as one closed linear quantum system."""
+    """Plant plus observer chain as one closed linear quantum system.
 
-    r_a: np.ndarray
-    a_a: np.ndarray
-    c_a: np.ndarray
-    theta: SymplecticForm
+    Mode 0 is the plant and modes 1..N are the observer elements. The
+    system is its chain: hamiltonian and dynamics hold the block-tridiagonal
+    R_a and A_a = 2 Theta R_a, and every mode's output row is alpha. The
+    dense r_a, a_a and c_a are assembled on first read; the observer blocks
+    r_o, a_o and c_o are views of them.
+    """
+
+    chain: ChainObserverParams
 
     @property
     def n_elements(self) -> int:
-        return self.theta.n_modes - 1
+        return self.chain.n_elements
+
+    @cached_property
+    def theta(self) -> SymplecticForm:
+        return make_symplectic(self.n_elements + 1)
+
+    @cached_property
+    def hamiltonian(self) -> BlockTridiagonal:
+        """R_a: zero for the plant and omega_i I on the diagonal, the coupling
+        -mu_i alpha alpha^T between mode i-1 and mode i."""
+        chain = self.chain
+        diagonal = np.zeros((chain.n_elements + 1, 2, 2))
+        diagonal[1:] = chain.omega[:, None, None] * np.eye(2)
+        coupling = -chain.mu[:, None, None] * np.outer(chain.alpha, chain.alpha)
+        return BlockTridiagonal(diagonal, coupling, coupling)
+
+    @cached_property
+    def dynamics(self) -> BlockTridiagonal:
+        """A_a = 2 Theta R_a, block by block."""
+        return block_dynamics(self.hamiltonian)
+
+    @property
+    def observer_dynamics(self) -> BlockTridiagonal:
+        """A_o, the blocks of A_a among modes 1..N."""
+        a = self.dynamics
+        return BlockTridiagonal(a.diagonal[1:], a.upper[1:], a.lower[1:])
+
+    @cached_property
+    def r_a(self) -> np.ndarray:
+        return self.hamiltonian.dense()
+
+    @cached_property
+    def a_a(self) -> np.ndarray:
+        return dynamics_from_hamiltonian(self.r_a, self.theta)
+
+    @cached_property
+    def c_a(self) -> np.ndarray:
+        n = self.n_elements
+        modes = np.arange(n + 1)
+        c_a = np.zeros((n + 1, 2 * n + 2))
+        c_a.reshape(n + 1, n + 1, 2)[modes, modes] = self.chain.alpha
+        return c_a
 
     @property
     def r_o(self) -> np.ndarray:
@@ -266,28 +321,15 @@ def build_chain(c_p: np.ndarray, mu_tilde: np.ndarray) -> ChainObserverParams:
 
 
 def assemble_augmented(chain: ChainObserverParams) -> AugmentedSystem:
-    """Assemble the block-tridiagonal plant+observer system.
+    """The plant+observer system of a chain, block-tridiagonal.
 
     Coupling block i sits between mode i-1 and mode i, where mode 0 is the
     plant and modes 1..N are the observer elements. The diagonal carries
     the plant block (zero) and the self-energies omega_i I; every mode's
     output row is alpha. Dynamics follow as twice the symplectic form times
-    the Hamiltonian coefficient matrix.
+    the Hamiltonian coefficient matrix. Nothing is formed until it is read.
     """
-    n = chain.n_elements
-    modes = np.arange(n + 1)
-    r_a = np.zeros((2 * n + 2, 2 * n + 2))
-    blocks = r_a.reshape(n + 1, 2, n + 1, 2)  # blocks[i, :, j, :] is the (i, j) block
-    coupling = -chain.mu[:, None, None] * np.outer(chain.alpha, chain.alpha)
-    blocks[modes[1:], :, modes[1:], :] = chain.omega[:, None, None] * np.eye(2)
-    blocks[modes[:-1], :, modes[1:], :] = coupling
-    blocks[modes[1:], :, modes[:-1], :] = coupling
-    c_a = np.zeros((n + 1, 2 * n + 2))
-    c_a.reshape(n + 1, n + 1, 2)[modes, modes] = chain.alpha
-    theta = make_symplectic(n + 1)
-    return AugmentedSystem(
-        r_a=r_a, a_a=dynamics_from_hamiltonian(r_a, theta), c_a=c_a, theta=theta
-    )
+    return AugmentedSystem(chain=chain)
 
 
 def check_fixed_point(aug: AugmentedSystem, chain: ChainObserverParams) -> float:
@@ -297,15 +339,15 @@ def check_fixed_point(aug: AugmentedSystem, chain: ChainObserverParams) -> float
     where the drive column b_o is 2 J beta_1 on element 1 (beta_1 =
     -mu_1 alpha) and zero elsewhere. Returns the norm of
     a_o (alpha; ...; alpha) + b_o ||alpha||^2, which is zero exactly when
-    the frequency lineup matches the coupling strengths. Diagnostic only;
-    never raises on a nonzero residual.
+    the frequency lineup matches the coupling strengths; a_o acts through
+    its blocks, O(N). Diagnostic only; never raises on a nonzero residual.
     """
     stack = np.tile(chain.alpha, chain.n_elements)
     norm2 = float(chain.alpha @ chain.alpha)
     beta_1 = -chain.mu[0] * chain.alpha
     b_o = np.zeros(2 * chain.n_elements)
     b_o[0:2] = 2.0 * SYMPLECTIC_UNIT @ beta_1
-    return float(np.linalg.norm(aug.a_o @ stack + b_o * norm2))
+    return float(np.linalg.norm(aug.observer_dynamics @ stack + b_o * norm2))
 
 
 def consensus_target(chain: ChainObserverParams) -> np.ndarray:

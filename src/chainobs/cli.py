@@ -15,7 +15,7 @@ Exit codes:
 
   0  every certificate and tolerance in the run passed
   1  a certificate or tolerance failed
-  2  the config was rejected
+  2  the config was rejected, or a simulate run would not fit in memory
   3  unexpected error
 
 The CHAINOBS_LOG environment variable (DEBUG/INFO/WARNING/ERROR) controls
@@ -40,6 +40,7 @@ from .analysis import (
     build_reduced,
     certify_positive_definite,
     laplacian_split,
+    observer_certificate,
     verify_exp_bound,
     verify_mode_generator,
 )
@@ -263,41 +264,46 @@ def _construct(config: ExperimentConfig) -> tuple[ChainObserverParams, Augmented
 
 
 def _base_report(chain: ChainObserverParams, aug: AugmentedSystem) -> RunReport:
-    """Certify the construction itself; shared by every subcommand."""
-    certificate = certify_positive_definite(aug.r_o)
+    """Certify the construction itself; shared by every subcommand.
+
+    Everything here works from the chain's O(N) blocks and the N x N
+    reduced matrix; no (2N+2)-square array is formed.
+    """
+    reduced = build_reduced(chain)
+    reduced_certificate = certify_positive_definite(reduced)
     report = RunReport(
-        certificate=certificate,
+        certificate=observer_certificate(reduced_certificate, chain.omega),
         fixed_point_residual=check_fixed_point(aug, chain),
-        realizability_residual=realizability_residual(aug.a_a, aug.theta),
+        realizability_residual=realizability_residual(aug.dynamics),
     )
-    a_norm = float(np.linalg.norm(aug.a_a, ord="fro"))
+    a_norm = aug.dynamics.frobenius_norm()
     report.add("realizability_residual", report.realizability_residual, REALIZABILITY_REL_TOL * a_norm)
-    o_norm = float(np.linalg.norm(aug.a_o, ord="fro"))
+    o_norm = aug.observer_dynamics.frobenius_norm()
     report.add("fixed_point_residual", report.fixed_point_residual, FIXED_POINT_REL_TOL * o_norm)
 
-    reduced = build_reduced(chain)
-    certify_positive_definite(reduced)
     _, laplacian = laplacian_split(reduced)
     if chain.n_elements > 1:
-        lap_scale = float(np.linalg.norm(laplacian, ord=2))
         # the recovered corner weight rounds relative to the comparison
-        # matrix, so that is the right scale for the row-sum residual
-        row_scale = float(np.linalg.norm(reduced, ord=2))
+        # matrix, so ||R_red||_2 = lambda_max (R_red is positive definite)
+        # is the right scale for the row-sum residual
+        row_scale = reduced_certificate.lambda_max
         row_sums = float(np.abs(laplacian.sum(axis=1)).max())
         report.add("laplacian_row_sums", row_sums, ROW_SUM_REL_TOL * row_scale)
         lap_eigs = np.linalg.eigvalsh(laplacian)
+        lap_scale = float(max(-lap_eigs[0], lap_eigs[-1]))  # ||L||_2
         report.add("laplacian_min_eigenvalue", -float(lap_eigs[0]), 1e-12 * row_scale)
         # kernel must be exactly one-dimensional: second eigenvalue strictly positive
         report.add("laplacian_kernel_excess", -float(lap_eigs[1]), -1e-12 * lap_scale)
 
-    # only the plant row is needed; a two-row product runs the same
-    # matrix-matrix kernel as the full one and rounds that row the same way,
-    # where a vector-matrix product would move the reported value
-    plant_row = np.abs((aug.c_a[:2] @ aug.a_a)[0]).max()
-    report.add("plant_row_of_c_a_a_a", float(plant_row), PLANT_ROW_REL_TOL * a_norm)
+    # C_a's plant row is (alpha, 0, ..., 0)
+    plant = np.zeros(2 * chain.n_elements + 2)
+    plant[:2] = chain.alpha
+    plant_row = float(np.abs(plant @ aug.dynamics).max())
+    report.add("plant_row_of_c_a_a_a", plant_row, PLANT_ROW_REL_TOL * a_norm)
 
-    target_residual = float(np.abs(aug.c_o @ consensus_target(chain) - 1.0).max())
-    report.add("consensus_target_identity", target_residual, 1e-12)
+    # every observer output row C_o is alpha on its own element
+    outputs = consensus_target(chain).reshape(-1, 2) @ chain.alpha
+    report.add("consensus_target_identity", float(np.abs(outputs - 1.0).max()), 1e-12)
     return report
 
 
@@ -338,23 +344,53 @@ def run_build(config: ExperimentConfig) -> RunReport:
     return _finish(out, report)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, where the platform reports them."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_trajectory_fits(grid: TimeGrid, n_elements: int) -> None:
+    """Reject a trajectory whose rows cannot fit in physical memory, before any is formed.
+
+    The run holds samples x (N+1) rows of 2N+2 doubles, and the writer a
+    labelled copy of them with a time and a row column added.
+    """
+    rows = grid.samples * (n_elements + 1)
+    needed = rows * (2 * (2 * n_elements + 2) + 2) * 8
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise ConfigValidationError(
+            f"simulate would hold {grid.samples} samples of {n_elements + 1} x "
+            f"{2 * n_elements + 2} rows, about {needed} bytes with the writer's copy, "
+            f"more than the {memory} bytes of physical memory; shorten the horizon "
+            f"or lengthen the step"
+        )
+
+
 def run_simulate(config: ExperimentConfig) -> RunReport:
     """Sample the coefficient trajectory and write it with its spatial average.
 
     One eigensolve of the chain's normal modes sets the auto step and gives
     every row in closed form; the stored rows are then checked against the
-    assembled dynamics (simulate.verify_trajectory), a failure exiting 1.
+    assembled dynamics (simulate.verify_trajectory), a failure exiting 1. A
+    grid whose rows would not fit in physical memory is rejected (exit 2)
+    before any row is formed.
     """
     chain, aug = _construct(config)
     report = _base_report(chain, aug)
     modes = normal_modes(chain)
     grid = TimeGrid.covering(config.horizon, _resolve_step(config, modes))
+    _check_trajectory_fits(grid, chain.n_elements)
     trajectory = coefficient_trajectory(modes, grid)
     verify_trajectory(aug, modes, trajectory)
 
-    plant_row_drift = float(
-        np.linalg.norm(trajectory.coefficient_rows[:, 0, :] - aug.c_a[0], axis=1).max()
-    )
+    # C_a's plant row is (alpha, 0, ..., 0)
+    plant_rows = trajectory.coefficient_rows[:, 0, :].copy()
+    plant_rows[:, :2] -= chain.alpha
+    plant_row_drift = float(np.linalg.norm(plant_rows, axis=1).max())
     report.add("plant_row_drift", plant_row_drift, PLANT_ROW_DRIFT_TOL)
 
     out = _out_dir(config)
@@ -413,7 +449,7 @@ def run_check(config: ExperimentConfig) -> RunReport:
     grid = TimeGrid.from_count(EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
     bound = report.certificate.exp_norm_bound
     modes = normal_modes(chain)
-    verify_mode_generator(modes, aug.a_o)
+    verify_mode_generator(modes, aug)
     observed = verify_exp_bound(modes, bound, grid)
     report.add("exp_norm_observed", observed, bound * (1.0 + 1e-9))
     return report

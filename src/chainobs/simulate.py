@@ -18,7 +18,9 @@ so temporaries stay small beside the stored rows at every N, and every
 sample is independent of the others: no error accumulates with the number
 of steps. verify_trajectory holds a trajectory against the
 assembled A_a, and identity_residuals an average, each through identities
-that every true solution satisfies.
+that every true solution satisfies; both multiply rows by the
+block-tridiagonal A_a block by block (AugmentedSystem.dynamics), O(N) per
+row, and never form it densely.
 """
 
 from __future__ import annotations
@@ -316,7 +318,7 @@ def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Traj
     rows, times = trajectory.coefficient_rows, trajectory.grid.times()
     x_star = modes.x_star
     x_scale = float(np.linalg.norm(x_star, np.inf))
-    a_scale = float(np.linalg.norm(aug.a_a, np.inf))
+    a_scale = aug.dynamics.inf_norm()
     step = _chunk_times(modes.chain.n_elements)
     for start in range(0, times.size, step):
         chunk = rows[start : start + step]
@@ -332,7 +334,7 @@ def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Traj
             )
         last = start + len(chunk) - 1
         derivative = _rows(modes, *_derivative_weights(modes, times[last]))
-        drift = float(np.linalg.norm(derivative[1:] - rows[last, 1:] @ aug.a_a, np.inf))
+        drift = float(np.linalg.norm(derivative[1:] - rows[last, 1:] @ aug.dynamics, np.inf))
         if not drift <= TRAJECTORY_REL_TOL * scale[-1] * a_scale:
             raise ToleranceExceededError(
                 f"derivative identity residual {drift:.3e} exceeds {TRAJECTORY_REL_TOL:.0e} "
@@ -355,10 +357,14 @@ def identity_residuals(
     in turn cannot see an error in the p(0) weights, which (i) does.
     """
     rows, horizon = avg.averaged_rows, avg.horizon
-    drift = rows @ aug.a_a - (end_rows(modes, horizon) - aug.c_a) / horizon
+    change = end_rows(modes, horizon)
+    # C_a Phi(T) - C_a: C_a is alpha in every mode's own block
+    diagonal = np.arange(change.shape[0])
+    change.reshape(diagonal.size, diagonal.size, 2)[diagonal, diagonal] -= aug.chain.alpha
+    drift = rows @ aug.dynamics - change / horizon
     x_star = modes.x_star
     return (
-        float(np.linalg.norm(drift, np.inf) / np.linalg.norm(aug.a_a, np.inf)),
+        float(np.linalg.norm(drift, np.inf) / aug.dynamics.inf_norm()),
         float(np.linalg.norm(rows @ x_star - 1.0, np.inf) / np.linalg.norm(x_star, np.inf)),
     )
 

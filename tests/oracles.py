@@ -30,6 +30,14 @@ propagation engine's samples into a running composite Simpson sum in
 O(N^2) memory, on a step that resolves the fastest mode found by a dense
 nonsymmetric eigensolve of A_a.
 
+The dense-system oracles are the routes the library once took through the
+assembled (2N+2) x (2N+2) matrices, which it now replaces by products and
+norms over the chain's 2 x 2 blocks: the dynamics as the product
+2 Theta @ R, the realizability residual A Theta + Theta A^T, the
+fixed-point residual through the dense a_o, and the mode-generator check
+rotating the dense a_o. reference_eigenvalues is the 40-digit referee for
+a symmetric matrix's spectrum.
+
 The CSV oracles are the per-value writers the library once used: each
 float goes through Python's format(x, ".17g") on its own, labels and
 padding are joined in as strings, and the file text is returned whole.
@@ -40,11 +48,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
 from chainobs.analysis import _check_symplectic, observer_flow
-from chainobs.builder import AugmentedSystem
+from chainobs.builder import AugmentedSystem, ChainObserverParams
 from chainobs.errors import (
     BoundViolatedError,
     InvalidDimensionError,
@@ -268,6 +277,47 @@ def dense_augmented(
     a_a = 2.0 * (np.kron(energies, J) + np.kron(path, J @ outer))
     c_a = np.kron(np.eye(n + 1), alpha)
     return r_a, a_a, c_a
+
+
+def dense_dynamics(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """A = 2 Theta R by one dense product."""
+    return 2.0 * theta @ r
+
+
+def dense_realizability_residual(a: np.ndarray, theta: np.ndarray) -> float:
+    """||A Theta + Theta A^T||_F by dense products."""
+    return float(np.linalg.norm(a @ theta + theta @ a.T, ord="fro"))
+
+
+def dense_fixed_point_residual(a_o: np.ndarray, chain: ChainObserverParams) -> float:
+    """||a_o (alpha; ...; alpha) + b_o ||alpha||^2|| with the dense a_o, b_o = 2 J beta_1 on element 1."""
+    stack = np.tile(chain.alpha, chain.n_elements)
+    norm2 = float(chain.alpha @ chain.alpha)
+    b_o = np.zeros(2 * chain.n_elements)
+    b_o[0:2] = 2.0 * J @ (-chain.mu[0] * chain.alpha)
+    return float(np.linalg.norm(a_o @ stack + b_o * norm2))
+
+
+def dense_mode_generator_residual(modes: NormalModes, a_o: np.ndarray) -> float:
+    """Relative Frobenius distance from the modes' generator to the dense a_o
+    rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x)."""
+    left, right = modes.left, modes.right
+    n = modes.lam.size
+    expected = np.zeros((2 * n, 2 * n))
+    expected[0::2, 1::2] = -2.0 * (left @ left.T)
+    expected[1::2, 0::2] = 2.0 * ((right * modes.lam) @ right.T)
+    alpha_hat = modes.chain.alpha / np.linalg.norm(modes.chain.alpha)
+    rotation = np.array([alpha_hat, J @ alpha_hat])
+    blocks = np.asarray(a_o, dtype=float).reshape(n, 2, n, 2)
+    rotated = np.einsum("ab,ibjc,dc->iajd", rotation, blocks, rotation).reshape(2 * n, 2 * n)
+    return float(np.linalg.norm(rotated - expected) / np.linalg.norm(rotated))
+
+
+def reference_eigenvalues(m: np.ndarray, digits: int = 40) -> list:
+    """Ascending eigenvalues of a symmetric matrix at the given precision, as mpmath numbers."""
+    with mpmath.workdps(digits):
+        values = mpmath.eigsy(mpmath.matrix(np.asarray(m, dtype=float).tolist()), eigvals_only=True)
+        return sorted(values[i] for i in range(len(values)))
 
 
 def hamiltonian_drift(r: np.ndarray, phi: np.ndarray) -> float:

@@ -349,7 +349,7 @@ class TestExpBound:
         """For every acceptance system the generator rebuilt from the normal
         modes is a_o rotated into (q, p), to rounding."""
         for _, (chain, aug) in systems():
-            residual = co.verify_mode_generator(co.normal_modes(chain), aug.a_o)
+            residual = co.verify_mode_generator(co.normal_modes(chain), aug)
             assert residual <= 1e-14
 
     def test_modes_of_another_system_are_a_tolerance_failure(self, example_system):
@@ -372,7 +372,7 @@ class TestExpBound:
         ):
             co.verify_exp_bound(wrong, certified(aug), grid)
             with pytest.raises(co.ToleranceExceededError, match="normal-mode generator"):
-                co.verify_mode_generator(wrong, aug.a_o)
+                co.verify_mode_generator(wrong, aug)
 
     def test_wrong_screen_is_a_tolerance_failure(self, example_system):
         """A screen value that disagrees with the formed ||P||_F stops the sweep:
@@ -450,7 +450,7 @@ def test_screen_is_the_formed_frobenius_norm(variant, n, angle, radius, seed, sp
         c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
     )
     modes = co.normal_modes(chain)
-    assert co.verify_mode_generator(modes, aug.a_o) <= 1e-14
+    assert co.verify_mode_generator(modes, aug) <= 1e-14
     flow = analysis.observer_flow(modes, co.TimeGrid.from_count(span, 40))
     for k, screen in enumerate(flow.screen):
         formed = np.linalg.norm(flow.propagator(k))

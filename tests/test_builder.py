@@ -189,7 +189,7 @@ class TestAssemble:
 
     def test_realizability(self, example_system):
         _, aug = example_system
-        residual = co.realizability_residual(aug.a_a, aug.theta)
+        residual = co.realizability_residual(aug.dynamics)
         assert residual <= 1e-12 * np.linalg.norm(aug.a_a, ord="fro")
 
     def test_output_rows(self, example_system):
@@ -242,9 +242,14 @@ class TestStoredState:
         assert np.array_equal(chain.mu, chain.mu_tilde / 4.0)
 
     def test_augmented_system_stores_no_observer_copies(self, example_system):
-        _, aug = example_system
+        chain, _ = example_system
+        aug = co.assemble_augmented(chain)
         fields = [f.name for f in dataclasses.fields(aug)]
-        assert fields == ["r_a", "a_a", "c_a", "theta"]
+        assert fields == ["chain"]
+        # nothing dense is formed until it is read
+        assert not {"r_a", "a_a", "c_a"} & set(vars(aug))
+        assert aug.hamiltonian.diagonal.shape == (6, 2, 2)
+        assert not {"r_a", "a_a", "c_a"} & set(vars(aug))
         assert np.shares_memory(aug.r_o, aug.r_a)
         assert np.shares_memory(aug.a_o, aug.a_a)
         assert np.shares_memory(aug.c_o, aug.c_a)

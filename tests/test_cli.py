@@ -479,7 +479,85 @@ def test_each_run_solves_the_normal_modes_once(tmp_path, monkeypatch, command):
     assert solves == [(3,)]
 
 
+def forbid_dense_system(monkeypatch) -> None:
+    """Make every dense accessor of the augmented system and of Theta raise."""
+
+    def refuse(self):
+        raise AssertionError("a dense (2N+2)-square matrix was formed")
+
+    for name in ("r_a", "a_a", "c_a"):
+        monkeypatch.setattr(co.AugmentedSystem, name, property(refuse))
+    monkeypatch.setattr(co.SymplecticForm, "matrix", property(refuse))
+
+
+class TestNoDenseSystem:
+    """check, timeavg and simulate work from the chain's blocks alone."""
+
+    @pytest.mark.parametrize("n", [5, 50])
+    @pytest.mark.parametrize("command", ["check", "timeavg", "simulate"])
+    def test_runs_never_read_a_dense_matrix(self, tmp_path, monkeypatch, capsys, command, n):
+        horizon = 0.005 if command == "simulate" and n == 50 else 8.0
+        runs = []
+        for forbid in (False, True):
+            out = tmp_path / f"out-{forbid}"
+            config = write_config(tmp_path, n_elements=n, scheme="odd-harmonics", horizon=horizon,
+                                  step="auto", output_dir=str(out))
+            with monkeypatch.context() as patch:
+                if forbid:
+                    forbid_dense_system(patch)
+                code = cli.main([command, "--config", str(config)])
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    def test_build_still_writes_the_dense_matrices(self, tmp_path, monkeypatch):
+        forbid_dense_system(monkeypatch)
+        config = write_config(tmp_path, output_dir=str(tmp_path))
+        assert cli.main(["build", "--config", str(config)]) == 3
+
+    def test_set_up_holds_less_than_one_dense_array(self):
+        """Construction plus the base report at N=1000 peak below one
+        (2N+2)-square array of doubles (32 MB); the dense route held six."""
+        n = 1000
+        config = cli.parse_config(config_text(n_elements=n, scheme="odd-harmonics", step="auto"))
+        tracemalloc.start()
+        try:
+            chain, aug = cli._construct(config)
+            report = cli._base_report(chain, aug)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < (2 * n + 2) ** 2 * 8
+
+
 class TestExitCodes:
+    def test_oversized_simulate_is_rejected_before_any_row(self, tmp_path, capsys):
+        """Odd-harmonics N=200 up to T = 1e6 on the auto step would hold
+        about 1e10 samples of 201 x 402 rows: the run exits 2 naming the
+        samples, the bytes and the memory, having allocated no row."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, n_elements=200, scheme="odd-harmonics", horizon=1e6,
+                              step="auto", output_dir=str(out))
+        tracemalloc.start()
+        try:
+            code = cli.main(["simulate", "--config", str(config)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: simulate would hold \d+ samples of 201 x 402 rows, about \d+ bytes with "
+            r"the writer's copy, more than the \d+ bytes of physical memory; shorten the "
+            r"horizon or lengthen the step\n",
+            err,
+        ), err
+        # one 32 MiB chunk of rows would be the first allocation of the trajectory
+        assert peak < 4 << 20
+        assert not (out / "trajectory.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["build", "--config", str(tmp_path / "absent.json")])
         assert code == 2

@@ -48,33 +48,82 @@ def test_dynamics_dimension_mismatch():
         co.dynamics_from_hamiltonian(np.eye(4), co.make_symplectic(1))
 
 
+def random_block_tridiagonal(rng: np.random.Generator, n_modes: int) -> co.BlockTridiagonal:
+    """A random symmetric matrix of 2 x 2 blocks, zero off the three central block diagonals."""
+    diagonal = rng.normal(size=(n_modes, 2, 2))
+    upper = rng.normal(size=(n_modes - 1, 2, 2))
+    return co.BlockTridiagonal(
+        diagonal + np.swapaxes(diagonal, 1, 2), upper, np.swapaxes(upper, 1, 2)
+    )
+
+
 def test_system_factory_is_realizable():
     rng = np.random.default_rng(42)
-    theta = co.make_symplectic(3)
     for _ in range(20):
-        r = rng.normal(size=(6, 6))
-        r = r + r.T
-        dynamics = co.dynamics_from_hamiltonian(r, theta)
-        residual = co.realizability_residual(dynamics, theta)
-        assert residual <= 1e-12 * np.linalg.norm(dynamics, ord="fro")
+        r = random_block_tridiagonal(rng, 3)
+        dynamics = co.block_dynamics(r)
+        residual = co.realizability_residual(dynamics)
+        assert residual <= 1e-12 * dynamics.frobenius_norm()
+
+
+def test_block_dynamics_match_the_dense_dynamics():
+    rng = np.random.default_rng(7)
+    for n_modes in (1, 2, 5):
+        r = random_block_tridiagonal(rng, n_modes)
+        dense = co.dynamics_from_hamiltonian(r.dense(), co.make_symplectic(n_modes))
+        assert np.array_equal(co.block_dynamics(r).dense(), dense)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 5])
+def test_block_products_and_norms_match_the_dense_matrix(n_modes):
+    """Unequal upper and lower blocks, so a product that mixes them up shows."""
+    rng = np.random.default_rng(n_modes)
+    m = co.BlockTridiagonal(*(rng.normal(size=(k, 2, 2)) for k in (n_modes, n_modes - 1, n_modes - 1)))
+    dense = m.dense()
+    assert np.array_equal(m.T.dense(), dense.T)
+    rows = rng.normal(size=(3, 4, 2 * n_modes))
+    assert np.allclose(rows @ m, rows @ dense, rtol=0.0, atol=1e-14)
+    assert np.allclose(m @ rows[0, 0], dense @ rows[0, 0], rtol=0.0, atol=1e-14)
+    assert np.isclose(m.frobenius_norm(), np.linalg.norm(dense), rtol=1e-15, atol=0.0)
+    assert np.isclose(m.inf_norm(), np.linalg.norm(dense, np.inf), rtol=1e-15, atol=0.0)
+
+
+def single_mode(block: np.ndarray) -> co.BlockTridiagonal:
+    return co.BlockTridiagonal(block[None], np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
 
 
 def test_realizability_residual_of_rotation_generator_is_zero():
     # a = 2J generates a pure rotation, the simplest realizable dynamics
-    theta = co.make_symplectic(1)
-    assert co.realizability_residual(2.0 * co.SYMPLECTIC_UNIT, theta) == 0.0
+    assert co.realizability_residual(single_mode(2.0 * co.SYMPLECTIC_UNIT)) == 0.0
 
 
 def test_realizability_residual_of_identity():
     """A = I is not generated by any Hamiltonian; the residual is ||2 Theta||_F."""
-    theta = co.make_symplectic(1)
-    residual = co.realizability_residual(np.eye(2), theta)
+    residual = co.realizability_residual(single_mode(np.eye(2)))
     assert abs(residual - 2.0 * np.sqrt(2.0)) <= 1e-14
 
 
+def test_realizability_residual_sees_an_unmatched_coupling():
+    """Off-diagonal blocks enter through A_ij J + J A_ji^T: a lower block that
+    is not the mirror of the upper one is not realizable."""
+    rng = np.random.default_rng(5)
+    r = random_block_tridiagonal(rng, 3)
+    a = co.block_dynamics(r)
+    broken = co.BlockTridiagonal(a.diagonal, a.upper, a.lower + 1e-3 * np.eye(2))
+    assert co.realizability_residual(broken) > 1e-4
+
+
 def test_realizability_shape_check():
+    """realizability_residual takes block-tridiagonal dynamics, whose block shapes are checked."""
     with pytest.raises(co.InvalidDimensionError):
-        co.realizability_residual(np.eye(4), co.make_symplectic(1))
+        co.BlockTridiagonal(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((1, 2, 2)))
+    with pytest.raises(co.InvalidDimensionError):
+        co.BlockTridiagonal(np.eye(4), np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
+
+
+def test_realizability_rejects_non_finite_dynamics():
+    with pytest.raises(co.InvalidInputError):
+        co.realizability_residual(single_mode(np.array([[np.nan, 0.0], [0.0, 1.0]])))
 
 
 def test_hamiltonian_drift_of_identity_propagator():

@@ -1,0 +1,164 @@
+"""The block-tridiagonal routes against their dense oracles and a 40-digit referee.
+
+check, timeavg and simulate never form the (2N+2) x (2N+2) system: every
+product, norm and residual they take runs over the chain's 2 x 2 blocks,
+and the certificate of R_o comes from R_red and omega. Each such route is
+held here to the dense route it replaced (tests/oracles.py).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import chainobs as co
+from conftest import build_system
+from oracles import (
+    dense_dynamics,
+    dense_fixed_point_residual,
+    dense_mode_generator_residual,
+    dense_realizability_residual,
+    reference_eigenvalues,
+)
+from test_acceptance import ACCEPTANCE_CONFIGS
+
+EPS = np.finfo(float).eps
+
+# |lambda - referee| / lambda_max for the extreme eigenvalues of R_o. Worst
+# seen on the nine pinned systems: 3.6e-16 (R_red and omega) and 4.7e-16
+# (dense eigvalsh of R_o), both at random N=12.
+CERTIFICATE_REFEREE_TOL = 2e-15
+
+
+def structural_certificate(chain: co.ChainObserverParams) -> co.SpectralCertificate:
+    reduced = co.certify_positive_definite(co.build_reduced(chain))
+    return co.observer_certificate(reduced, chain.omega)
+
+
+coordinate = st.sampled_from([0.0, -0.0]) | st.floats(0.05, 20.0) | st.floats(-20.0, -0.05)
+
+
+@st.composite
+def chains(draw, mistune: bool = False):
+    """Every scheme, N 1-60, c_p with signed-zero entries; optionally one omega
+    shifted, which can leave R_o indefinite."""
+    variant = draw(st.sampled_from(co.SCHEMES))
+    n = draw(st.integers(min_value=1, max_value=60))
+    if variant == co.SCHEME_ALL_HARMONICS:
+        n += n % 2
+    seed = draw(st.integers(0, 2**32 - 1)) if variant == co.SCHEME_RANDOM else None
+    c_p = np.array([draw(coordinate), draw(coordinate)])
+    if not c_p.any():
+        c_p[draw(st.integers(0, 1))] = draw(st.sampled_from([1.0, -2.5]))
+    chain, _ = build_system(c_p, variant, 1.0, n, seed=seed)
+    if mistune:
+        omega = chain.omega.copy()
+        omega[draw(st.integers(0, n - 1))] *= draw(st.floats(-1.0, 1.5))
+        chain = dataclasses.replace(chain, omega=omega)
+    return chain, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(mistune=True))
+def test_dynamics_are_the_dense_product_bit_for_bit(case):
+    """The row swap 2 Theta R equals 2 Theta @ R in every bit, sign bits of zeros included,
+    and so do the blocks it gives."""
+    chain, _ = case
+    aug = co.assemble_augmented(chain)
+    expected = dense_dynamics(aug.r_a, co.make_symplectic(chain.n_elements + 1).matrix)
+    assert np.array_equal(aug.a_a.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(aug.dynamics.dense().view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(mistune=True))
+def test_block_products_match_the_dense_products(case):
+    """rows @ A_a and A_o @ x agree with the dense products to a few eps of
+    |rows| |A_a| and |A_o| |x|, entry by entry."""
+    chain, seed = case
+    aug = co.assemble_augmented(chain)
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(3, aug.a_a.shape[0]))
+    tolerance = 16 * EPS * (np.abs(rows) @ np.abs(aug.a_a))
+    assert np.all(np.abs(rows @ aug.dynamics - rows @ aug.a_a) <= tolerance)
+    x = rng.normal(size=aug.a_o.shape[0])
+    tolerance = 16 * EPS * (np.abs(aug.a_o) @ np.abs(x))
+    assert np.all(np.abs(aug.observer_dynamics @ x - aug.a_o @ x) <= tolerance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(mistune=True))
+def test_block_norms_and_residuals_match_the_dense_routes(case):
+    """||A_a||_F, ||A_a||_inf and the realizability and fixed-point residuals,
+    each against its dense route."""
+    chain, _ = case
+    aug = co.assemble_augmented(chain)
+    a_a = aug.a_a
+    frobenius = np.linalg.norm(a_a)
+    assert abs(aug.dynamics.frobenius_norm() - frobenius) <= 4 * EPS * frobenius
+    inf_norm = np.linalg.norm(a_a, np.inf)
+    assert abs(aug.dynamics.inf_norm() - inf_norm) <= 4 * EPS * inf_norm
+    theta = aug.theta.matrix
+    assert co.realizability_residual(aug.dynamics) == dense_realizability_residual(a_a, theta) == 0.0
+    scale = np.linalg.norm(aug.a_o) * np.linalg.norm(np.tile(chain.alpha, chain.n_elements))
+    expected = dense_fixed_point_residual(aug.a_o, chain)
+    assert abs(co.check_fixed_point(aug, chain) - expected) <= 16 * EPS * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains())
+def test_mode_generator_matches_the_dense_rotation(case):
+    chain, _ = case
+    aug = co.assemble_augmented(chain)
+    modes = co.normal_modes(chain)
+    dense = dense_mode_generator_residual(modes, aug.a_o)
+    assert dense <= 1e-14
+    assert abs(co.verify_mode_generator(modes, aug) - dense) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(mistune=True))
+def test_both_routes_agree_on_definiteness(case):
+    """R_red and omega certify R_o exactly when dense eigvalsh of R_o does."""
+    chain, _ = case
+    aug = co.assemble_augmented(chain)
+    try:
+        dense = co.certify_positive_definite(aug.r_o)
+    except co.NotPositiveDefiniteError:
+        dense = None
+    try:
+        structural = structural_certificate(chain)
+    except co.NotPositiveDefiniteError:
+        structural = None
+    assert (dense is None) == (structural is None)
+    if dense is not None:
+        assert abs(structural.lambda_max - dense.lambda_max) <= 1e-13 * dense.lambda_max
+        assert abs(structural.lambda_min - dense.lambda_min) <= 1e-13 * dense.lambda_max
+
+
+REFEREE_SYSTEMS = [(label, c_p, variant, omega0, n, seed)
+                   for label, c_p, variant, omega0, n, seed in ACCEPTANCE_CONFIGS] + [
+    (f"random-twelve-{seed}", [0.6, -1.3], co.SCHEME_RANDOM, 1.0, 12, seed) for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("label,c_p,variant,omega0,n,seed", REFEREE_SYSTEMS,
+                         ids=[case[0] for case in REFEREE_SYSTEMS])
+def test_certificate_against_the_referee(label, c_p, variant, omega0, n, seed):
+    """Both routes' extreme eigenvalues of R_o lie within
+    CERTIFICATE_REFEREE_TOL * lambda_max of 40-digit ones."""
+    chain, aug = build_system(c_p, variant, omega0, n, seed=seed)
+    reference = reference_eigenvalues(aug.r_o)
+    scale = float(reference[-1])
+    dense = np.linalg.eigvalsh(aug.r_o)
+    structural = structural_certificate(chain)
+    for route, (lam_min, lam_max) in (("structural", (structural.lambda_min, structural.lambda_max)),
+                                      ("dense", (dense[0], dense[-1]))):
+        for value, ref in ((lam_min, reference[0]), (lam_max, reference[-1])):
+            error = float(abs(mpmath.mpf(float(value)) - ref)) / scale
+            assert error <= CERTIFICATE_REFEREE_TOL, (route, error)
+
