@@ -95,19 +95,18 @@ def build_reduced(chain: ChainObserverParams) -> np.ndarray:
     return matrix
 
 
-def laplacian_split(reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def laplacian_split(reduced: np.ndarray) -> tuple[float, np.ndarray]:
     """Split the reduced matrix into rank-one plus chain-Laplacian parts.
 
-    The rank-one part is diag(mu~_1, 0, ..., 0) with mu~_1 recovered from
-    the first row sum; the remainder is the Laplacian of the weighted path
-    graph, whose rows sum to zero and whose kernel is the all-ones vector.
+    The rank-one part is diag(mu~_1, 0, ..., 0), returned as mu~_1, which is
+    recovered from the first row sum; the remainder is the Laplacian of the
+    weighted path graph, whose rows sum to zero and whose kernel is the
+    all-ones vector.
     """
-    n = reduced.shape[0]
     mu_1 = float(reduced[0].sum())
-    rank_one = np.zeros((n, n))
-    rank_one[0, 0] = mu_1
-    laplacian = reduced - rank_one
-    return rank_one, laplacian
+    laplacian = np.array(reduced, dtype=float)
+    laplacian[0, 0] -= mu_1
+    return mu_1, laplacian
 
 
 def _certificate(lam_min: float, lam_max: float) -> SpectralCertificate:
@@ -136,8 +135,11 @@ def certify_positive_definite(r_o: np.ndarray) -> SpectralCertificate:
     m = np.asarray(r_o, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
-    asym = float(np.abs(m - m.T).max()) if m.size else 0.0
-    scale = float(np.abs(m).max()) if m.size else 0.0
+    asym = scale = 0.0
+    if m.size:
+        d = m - m.T  # the one N x N temporary, reused for |m|
+        asym = float(np.abs(d, out=d).max())
+        scale = float(np.abs(m, out=d).max())
     if asym > 1e-12 * max(1.0, scale):
         raise InvalidParameterError("matrix must be symmetric")
     eigenvalues = np.linalg.eigvalsh(m)

@@ -1,34 +1,48 @@
 """CSV and JSON writers for the run artifacts.
 
-Every CSV is written by ``numpy.savetxt`` with one float template, ``%.17g``:
-17 significant digits, enough for a binary64 value to survive a write/read
-round trip bit for bit. Labels are literal parts of each line template, and
-each block of lines is formatted row by row from one stacked array, so no
-file is held in memory as text. Matrices are plain comma-separated values
-with no header; trajectory and average files carry the headers the plotting
-tools expect.
+Every float in a CSV is written exactly as ``'%.17g' % x`` writes it: 17
+significant digits, enough for a binary64 value to survive a write/read
+round trip bit for bit. One vectorised formatter (``float17.RowFormat``)
+writes every line; it is imported on the first write, so a run that writes
+no CSV never loads it. Row labels are integral floats, for which ``%.17g`` and
+``%d`` agree, so they take the same path; literal text (the spatial row
+label ``s``, the ``err_`` prefix, trailing commas) is part of the separator
+bytes. Lines are formatted in chunks of about CHUNK values, so no file is
+held in memory as text. Matrices are plain comma-separated values with no
+header; trajectory and average files carry the headers the plotting tools
+expect.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .simulate import TimeAverage, Trajectory
 
-FLOAT = "%.17g"
+CHUNK = 2048  # values formatted at a time
 
 
-def _line(label: str, dim: int) -> str:
-    """Line template: a float, a row label, then dim floats."""
-    return ",".join([FLOAT, label, *[FLOAT] * dim])
+def _write(out: BinaryIO, n_rows: int, rows: Callable[[int, int], np.ndarray],
+           separators: list[bytes], end: bytes = b"\n") -> None:
+    """Write the lines of rows(start, stop) of an n_rows-row table, a chunk at a time:
+    value j of a row, then separators[j], and end after the last value."""
+    from .float17 import RowFormat
+
+    lines = RowFormat(separators, end)
+    step = max(1, CHUNK // (len(separators) + 1))
+    for start in range(0, n_rows, step):
+        out.write(lines.format(rows(start, min(start + step, n_rows))))
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    np.savetxt(path, m, fmt=FLOAT, delimiter=",")
+    with open(path, "wb") as out:
+        _write(out, len(m), lambda a, b: m[a:b], [b","] * (m.shape[1] - 1))
 
 
 def read_matrix_csv(path: Path) -> np.ndarray:
@@ -43,24 +57,34 @@ def average_header(dim: int) -> str:
     return "T,row," + ",".join(f"avg_c_{j}" for j in range(1, dim + 1))
 
 
-def _labeled(first: np.ndarray, n_rows: int, values: np.ndarray) -> np.ndarray:
-    """Columns (first[k], i, values) for each k and rows i = 1..n_rows."""
-    labels = np.tile(np.arange(1.0, n_rows + 1), len(first))
-    return np.column_stack([np.repeat(first, n_rows), labels, values])
+def _write_labeled(out: BinaryIO, first: np.ndarray, values: np.ndarray) -> None:
+    """Lines (first[k], i, values[k, i - 1]) for each k and rows i = 1..n_rows."""
+    n_first, n_rows, dim = values.shape
+    flat = values.reshape(-1, dim)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        index = np.arange(start, stop)
+        return np.column_stack([first[index // n_rows], index % n_rows + 1.0, flat[start:stop]])
+
+    _write(out, len(flat), rows, [b","] * (dim + 1))
 
 
 def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
     """One line per (sample, output row), rows labeled 1..N+1."""
-    _, n_rows, dim = trajectory.coefficient_rows.shape
-    table = _labeled(trajectory.grid.times(), n_rows, trajectory.coefficient_rows.reshape(-1, dim))
-    np.savetxt(path, table, fmt=_line("%d", dim), header=trajectory_header(dim), comments="")
+    dim = trajectory.coefficient_rows.shape[2]
+    with open(path, "wb") as out:
+        out.write(f"{trajectory_header(dim)}\n".encode())
+        _write_labeled(out, trajectory.grid.times(), trajectory.coefficient_rows)
 
 
 def write_spatial_csv(path: Path, trajectory: Trajectory, spatial: np.ndarray) -> None:
     """Same column layout as the trajectory file, row label 's'."""
     dim = spatial.shape[1]
-    table = np.column_stack([trajectory.grid.times(), spatial])
-    np.savetxt(path, table, fmt=_line("s", dim), header=trajectory_header(dim), comments="")
+    times = trajectory.grid.times()
+    with open(path, "wb") as out:
+        out.write(f"{trajectory_header(dim)}\n".encode())
+        _write(out, len(spatial), lambda a, b: np.column_stack([times[a:b], spatial[a:b]]),
+               [b",s,"] + [b","] * (dim - 1))
 
 
 def write_averages_csv(
@@ -73,15 +97,16 @@ def write_averages_csv(
     put the row's distance to the plant row in the first value column, and
     leave the rest empty.
     """
-    n_rows, dim = averages[0].averaged_rows.shape
-    horizons = np.array([avg.horizon for avg in averages], dtype=float)
-    table = _labeled(horizons, n_rows, np.vstack([avg.averaged_rows for avg in averages]))
+    dim = averages[0].averaged_rows.shape[1]
     errors = np.asarray(row_errors, dtype=float)
-    rows = np.arange(2.0, len(errors) + 2)
-    summary = np.column_stack([np.full(len(errors), horizons[-1]), rows, errors])
-    with open(path, "w") as out:
-        np.savetxt(out, table, fmt=_line("%d", dim), header=average_header(dim), comments="")
-        np.savetxt(out, summary, fmt=_line("err_%d", 1) + "," * (dim - 1))
+    summary = np.column_stack([np.full(len(errors), float(averages[-1].horizon)),
+                               np.arange(2.0, len(errors) + 2), errors])
+    with open(path, "wb") as out:
+        out.write(f"{average_header(dim)}\n".encode())
+        for avg in averages:
+            _write_labeled(out, np.array([avg.horizon], dtype=float), avg.averaged_rows[None])
+        _write(out, len(summary), lambda a, b: summary[a:b], [b",err_", b","],
+               b"," * (dim - 1) + b"\n")
 
 
 def write_report_json(path: Path, report: dict) -> None:

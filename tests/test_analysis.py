@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ from oracles import (
     spectral_propagator,
 )
 from test_acceptance import systems
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 mu_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=12
@@ -65,13 +77,13 @@ class TestBuildReduced:
 class TestLaplacianSplit:
     def test_reference(self, example_system):
         chain, _ = example_system
-        rank_one, laplacian = co.laplacian_split(co.build_reduced(chain))
-        assert np.array_equal(np.diag(rank_one), [1.0, 0.0, 0.0, 0.0, 0.0])
+        mu_1, laplacian = co.laplacian_split(co.build_reduced(chain))
+        assert mu_1 == 1.0
         assert np.array_equal(laplacian[0], [2.0, -2.0, 0.0, 0.0, 0.0])
 
     def test_single_element(self):
-        rank_one, laplacian = co.laplacian_split(co.build_reduced(chain_from([0.9])))
-        assert np.array_equal(rank_one, [[0.9]])
+        mu_1, laplacian = co.laplacian_split(co.build_reduced(chain_from([0.9])))
+        assert mu_1 == 0.9
         assert np.array_equal(laplacian, [[0.0]])
 
     @given(mu_vectors)
@@ -80,9 +92,13 @@ class TestLaplacianSplit:
         """Row sums vanish, and whenever the chain has at least one edge the
         kernel is exactly the all-ones line."""
         reduced = co.build_reduced(chain_from(mu))
-        rank_one, laplacian = co.laplacian_split(reduced)
+        mu_1, laplacian = co.laplacian_split(reduced)
         n = laplacian.shape[0]
+        rank_one = np.zeros((n, n))
+        rank_one[0, 0] = mu_1
         assert np.array_equal(rank_one + laplacian, reduced)
+        # the same bits as subtracting the dense rank-one part
+        assert laplacian.tobytes() == (reduced - rank_one).tobytes()
         if n == 1:
             assert laplacian[0, 0] == 0.0
             return
@@ -98,7 +114,17 @@ class TestLaplacianSplit:
         assert eigenvalues[1] > 1e-12 * scale
 
 
+def test_laplacian_split_copies_the_matrix_once():
+    """No dense rank-one part: the split allocates the Laplacian and nothing else."""
+    reduced = co.build_reduced(chain_from(np.linspace(0.5, 2.0, 300)))
+    assert traced_peak(co.laplacian_split, reduced) < 1.5 * reduced.nbytes
+
+
 class TestCertify:
+    def test_symmetry_check_holds_one_temporary(self):
+        reduced = co.build_reduced(chain_from(np.linspace(0.5, 2.0, 300)))
+        assert traced_peak(co.certify_positive_definite, reduced) < 1.5 * reduced.nbytes
+
     def test_identity(self):
         cert = co.certify_positive_definite(np.eye(4))
         assert cert.lambda_min == 1.0
@@ -140,6 +166,17 @@ class TestCertify:
     def test_rejects_asymmetric(self):
         with pytest.raises(co.InvalidParameterError):
             co.certify_positive_definite(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    def test_symmetry_tolerance_scales_with_the_largest_entry(self):
+        """An asymmetry of 1e-12 max(1, max |m_ij|) passes; twice that fails."""
+        for scale in (1e-3, 1.0, 1e6):
+            m = np.diag([scale, 2.0 * scale])
+            tol = 1e-12 * max(1.0, 2.0 * scale)
+            m[0, 1] = tol
+            co.certify_positive_definite(m)
+            m[0, 1] = 2.0 * tol
+            with pytest.raises(co.InvalidParameterError, match="symmetric"):
+                co.certify_positive_definite(m)
 
     def test_rejects_negative_definite(self):
         with pytest.raises(co.NotPositiveDefiniteError) as excinfo:

@@ -207,6 +207,53 @@ class TestSerialize:
         assert lines[-1] == "4,err_2,0.5,,"
 
 
+def record_calls(monkeypatch, name: str) -> list[tuple]:
+    """The arguments of every call the CLI makes to serialize.<name>."""
+    calls = []
+    writer = getattr(serialize, name)
+
+    def recording(*args):
+        calls.append(args)
+        writer(*args)
+
+    monkeypatch.setattr(serialize, name, recording)
+    return calls
+
+
+class TestWholeFiles:
+    """A run's CSVs hold exactly the per-value writer's text of the arrays the
+    run hands to the writers."""
+
+    def test_timeavg_n50(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, "write_averages_csv")
+        config = write_config(tmp_path, n_elements=50, scheme="odd-harmonics", horizon=8.0,
+                              step="auto", output_dir=str(tmp_path))
+        assert cli.main(["timeavg", "--config", str(config)]) == 0
+        [(path, averages, row_errors)] = calls
+        assert path.read_bytes() == averages_csv_text(averages, row_errors).encode()
+
+    def test_build_n50(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, "write_matrix_csv")
+        config = write_config(tmp_path, n_elements=50, scheme="odd-harmonics",
+                              output_dir=str(tmp_path))
+        assert cli.main(["build", "--config", str(config)]) == 0
+        assert len(calls) == 4
+        for path, matrix in calls:
+            assert path.read_bytes() == matrix_csv_text(matrix).encode()
+
+    def test_readme_simulate_at_t5(self, tmp_path, monkeypatch):
+        trajectory_calls = record_calls(monkeypatch, "write_trajectory_csv")
+        spatial_calls = record_calls(monkeypatch, "write_spatial_csv")
+        config = write_config(tmp_path, n_elements=5, scheme="odd-harmonics", horizon=800.0,
+                              step="auto", output_dir=str(tmp_path))
+        assert cli.main(["simulate", "--config", str(config), "--horizon", "5"]) == 0
+        [(path, trajectory)] = trajectory_calls
+        times = trajectory.grid.times()
+        assert path.read_bytes() == trajectory_csv_text(times, trajectory.coefficient_rows).encode()
+        [(path, _, spatial)] = spatial_calls
+        assert path.read_bytes() == spatial_csv_text(times, spatial).encode()
+
+
 class TestBuildCommand:
     def test_writes_matrices_and_report(self, tmp_path):
         config = write_config(tmp_path)
@@ -707,8 +754,10 @@ class TestExitCodes:
 class TestConsoleEntryPoint:
     def test_installed_script_runs_check(self, tmp_path):
         config = write_config(tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(co.__file__).resolve().parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "chainobs.cli", "check", "--config", str(config)],
+            env=env,
             capture_output=True,
             text=True,
         )
