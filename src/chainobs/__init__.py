@@ -5,8 +5,9 @@ static plant, from the plant output row c_p and the coupling strengths mu~
 alone (build_chain(c_p, mu_tilde), then assemble_augmented(chain)), and
 certify the construction: the internal energy matrix must be positive
 definite and the dynamics physically realizable, with the frequency lineup
-pinned by a constant-drive fixed point. The certificates work from the
-chain's block-tridiagonal structure and its N x N reduced matrix. The simulation layer then
+pinned by a constant-drive fixed point. The system is held as the chain's
+2 x 2 blocks alone, and the certificates work from them and from its N x N
+reduced matrix. The simulation layer then
 evaluates the coefficient rows C_a exp(A_a t), and their time averages, in
 closed form from the chain's normal modes to demonstrate time-averaged
 consensus of the observer outputs onto the plant output.
@@ -33,7 +34,6 @@ from .builder import (
     assemble_augmented,
     build_chain,
     check_fixed_point,
-    consensus_target,
     make_mu_schedule,
     omegas_from_mu,
 )
@@ -55,10 +55,7 @@ from .errors import (
 from .lqs import (
     SYMPLECTIC_UNIT,
     BlockTridiagonal,
-    SymplecticForm,
     block_dynamics,
-    dynamics_from_hamiltonian,
-    make_symplectic,
     realizability_residual,
     symplectic_drift,
 )
@@ -106,7 +103,6 @@ __all__ = [
     "SCHEME_UNIFORM",
     "SYMPLECTIC_UNIT",
     "SpectralCertificate",
-    "SymplecticForm",
     "TimeAverage",
     "TimeGrid",
     "ToleranceExceededError",
@@ -120,14 +116,11 @@ __all__ = [
     "check_fixed_point",
     "coefficient_trajectory",
     "consensus_error",
-    "consensus_target",
     "default_step",
-    "dynamics_from_hamiltonian",
     "end_rows",
     "identity_residuals",
     "laplacian_split",
     "make_mu_schedule",
-    "make_symplectic",
     "normal_modes",
     "observer_certificate",
     "omegas_from_mu",

@@ -31,6 +31,8 @@ relative margins of about (N - 1) / s_1^2 and (N - 1) / (2 s_1^4), far
 above the screen's rounding of about 1e-15. The closed form is tied to the
 assembled system by verify_mode_generator: its generator, rebuilt from the
 modes, must equal the blocks of a_o rotated into the modes' (q, p) basis.
+Each formed P is held to Phi Theta Phi^T = Theta with Theta = diag(J, ...,
+J) of P's own size (lqs.symplectic_drift), so no Theta is stored.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
     NumericalFailureError,
     ToleranceExceededError,
 )
-from .lqs import SYMPLECTIC_UNIT, SymplecticForm, make_symplectic, symplectic_drift
+from .lqs import SYMPLECTIC_UNIT, symplectic_drift
 from .simulate import NormalModes, TimeGrid
 
 # How far a formed propagator may stray from Phi Theta Phi^T = Theta,
@@ -157,18 +159,18 @@ def observer_certificate(reduced: SpectralCertificate, omega: np.ndarray) -> Spe
                         max(reduced.lambda_max, float(omega.max())))
 
 
-def _check_symplectic(phi: np.ndarray, theta: SymplecticForm, k: int) -> None:
+def _check_symplectic(phi: np.ndarray, k: int) -> None:
     """Certify Phi Theta Phi^T = Theta for the propagator of sample k.
 
     Raises a numerical failure when phi is not finite, and a
     tolerance-exceeded error when the drift exceeds 1e-9 ||Theta||_F.
     """
     try:
-        drift = symplectic_drift(phi, theta)
+        drift = symplectic_drift(phi)
     except InvalidInputError as exc:
         raise NumericalFailureError(f"propagator is not finite at sample {k}") from exc
     # ||Theta||_F = sqrt(2 N), the square root of its dimension
-    if drift > SYMPLECTIC_DRIFT_TOL * math.sqrt(theta.dimension):
+    if drift > SYMPLECTIC_DRIFT_TOL * math.sqrt(phi.shape[0]):
         raise ToleranceExceededError(
             f"symplectic drift {drift:.3e} exceeds {SYMPLECTIC_DRIFT_TOL:.0e} "
             f"* ||Theta||_F at sample {k}"
@@ -188,10 +190,9 @@ class ObserverFlow:
     left = Omega^(1/2) V and right = Omega^(-1/2) V, so S = diag(left, right)
     and S^-1 = diag(right^T, left^T); cos and sin hold the phases nu t of
     every sample. screen is ||P(t_k)||_F for every sample, from the phases
-    alone, and theta the symplectic form P preserves.
+    alone.
     """
 
-    theta: SymplecticForm
     left: np.ndarray
     right: np.ndarray
     nu: np.ndarray
@@ -214,7 +215,7 @@ class ObserverFlow:
         phi[0::2, 1::2] = (left * (-2.0 * s / self.nu)) @ left.T
         phi[1::2, 0::2] = (right * (0.5 * self.nu * s)) @ right.T
         phi[1::2, 1::2] = (right * c) @ left.T
-        _check_symplectic(phi, self.theta, k)
+        _check_symplectic(phi, k)
         frobenius = float(np.linalg.norm(phi))
         if abs(frobenius - self.screen[k]) > SCREEN_REL_TOL * frobenius:
             raise ToleranceExceededError(
@@ -289,8 +290,8 @@ def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
     sin_form = g * g * np.outer(2.0 / nu, 2.0 / nu) + h * h * np.outer(0.5 * nu, 0.5 * nu)
     squared = np.einsum("ij,ij->i", cos @ (2.0 * g * h), cos)
     squared += np.einsum("ij,ij->i", sin @ sin_form, sin)
-    return ObserverFlow(theta=make_symplectic(nu.size), left=left, right=right, nu=nu,
-                        cos=cos, sin=sin, screen=np.sqrt(squared))
+    return ObserverFlow(left=left, right=right, nu=nu, cos=cos, sin=sin,
+                        screen=np.sqrt(squared))
 
 
 def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:

@@ -19,9 +19,8 @@ identity is what check_fixed_point certifies.
 A chain is stored as (alpha, mu~, omega) alone, and so is the plant+observer
 system assembled from it: its Hamiltonian and dynamics are the
 block-tridiagonal 2 x 2 blocks above (lqs.BlockTridiagonal, O(N) numbers),
-and it inherits physical realizability by construction. The dense
-(2N+2) x (2N+2) r_a, a_a and c_a are assembled only when first read; only
-the build subcommand, which writes them, and the tests read them.
+the only form the library holds them in, and it inherits physical
+realizability by construction.
 """
 
 from __future__ import annotations
@@ -38,14 +37,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedSchemeError,
 )
-from .lqs import (
-    SYMPLECTIC_UNIT,
-    BlockTridiagonal,
-    SymplecticForm,
-    block_dynamics,
-    dynamics_from_hamiltonian,
-    make_symplectic,
-)
+from .lqs import SYMPLECTIC_UNIT, BlockTridiagonal, block_dynamics
 
 SCHEME_UNIFORM = "uniform"
 SCHEME_ODD_HARMONICS = "odd-harmonics"
@@ -122,9 +114,7 @@ class AugmentedSystem:
 
     Mode 0 is the plant and modes 1..N are the observer elements. The
     system is its chain: hamiltonian and dynamics hold the block-tridiagonal
-    R_a and A_a = 2 Theta R_a, and every mode's output row is alpha. The
-    dense r_a, a_a and c_a are assembled on first read; the observer blocks
-    r_o, a_o and c_o are views of them.
+    R_a and A_a = 2 Theta R_a, and every mode's output row is alpha.
     """
 
     chain: ChainObserverParams
@@ -132,10 +122,6 @@ class AugmentedSystem:
     @property
     def n_elements(self) -> int:
         return self.chain.n_elements
-
-    @cached_property
-    def theta(self) -> SymplecticForm:
-        return make_symplectic(self.n_elements + 1)
 
     @cached_property
     def hamiltonian(self) -> BlockTridiagonal:
@@ -158,36 +144,11 @@ class AugmentedSystem:
         a = self.dynamics
         return BlockTridiagonal(a.diagonal[1:], a.upper[1:], a.lower[1:])
 
-    @cached_property
-    def r_a(self) -> np.ndarray:
-        return self.hamiltonian.dense()
-
-    @cached_property
-    def a_a(self) -> np.ndarray:
-        return dynamics_from_hamiltonian(self.r_a, self.theta)
-
-    @cached_property
-    def c_a(self) -> np.ndarray:
-        n = self.n_elements
-        modes = np.arange(n + 1)
-        c_a = np.zeros((n + 1, 2 * n + 2))
-        c_a.reshape(n + 1, n + 1, 2)[modes, modes] = self.chain.alpha
-        return c_a
-
     @property
-    def r_o(self) -> np.ndarray:
-        """Observer-only Hamiltonian coefficient block."""
-        return self.r_a[2:, 2:]
-
-    @property
-    def a_o(self) -> np.ndarray:
-        """Observer-only dynamics block."""
-        return self.a_a[2:, 2:]
-
-    @property
-    def c_o(self) -> np.ndarray:
-        """Observer output rows acting on the observer state alone."""
-        return self.c_a[1:, 2:]
+    def x_star(self) -> np.ndarray:
+        """x* = (alpha, ..., alpha) / ||alpha||^2, whose every output stays 1."""
+        alpha = self.chain.alpha
+        return np.tile(alpha, self.n_elements + 1) / float(alpha @ alpha)
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -332,7 +293,7 @@ def assemble_augmented(chain: ChainObserverParams) -> AugmentedSystem:
     return AugmentedSystem(chain=chain)
 
 
-def check_fixed_point(aug: AugmentedSystem, chain: ChainObserverParams) -> float:
+def check_fixed_point(aug: AugmentedSystem) -> float:
     """Residual of the constant-drive fixed point of the observer chain.
 
     The observer dynamics read x_o' = a_o x_o + b_o z_p with z_p scalar,
@@ -342,16 +303,10 @@ def check_fixed_point(aug: AugmentedSystem, chain: ChainObserverParams) -> float
     the frequency lineup matches the coupling strengths; a_o acts through
     its blocks, O(N). Diagnostic only; never raises on a nonzero residual.
     """
+    chain = aug.chain
     stack = np.tile(chain.alpha, chain.n_elements)
     norm2 = float(chain.alpha @ chain.alpha)
     beta_1 = -chain.mu[0] * chain.alpha
     b_o = np.zeros(2 * chain.n_elements)
     b_o[0:2] = 2.0 * SYMPLECTIC_UNIT @ beta_1
     return float(np.linalg.norm(aug.observer_dynamics @ stack + b_o * norm2))
-
-
-def consensus_target(chain: ChainObserverParams) -> np.ndarray:
-    """Stacked observer state alpha / ||alpha||^2 per element, whose every
-    element output equals one."""
-    norm2 = float(chain.alpha @ chain.alpha)
-    return np.tile(chain.alpha, chain.n_elements) / norm2

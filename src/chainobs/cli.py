@@ -49,12 +49,10 @@ from .builder import (
     SCHEME_RANDOM,
     SCHEMES,
     AugmentedSystem,
-    ChainObserverParams,
     ParameterScheme,
     assemble_augmented,
     build_chain,
     check_fixed_point,
-    consensus_target,
     make_mu_schedule,
 )
 from .errors import (
@@ -71,6 +69,7 @@ from .lqs import realizability_residual
 from .simulate import (
     NormalModes,
     TimeGrid,
+    _chunk_times,
     coefficient_trajectory,
     consensus_error,
     default_step,
@@ -257,23 +256,23 @@ def load_config(path: str | Path, **overrides: object) -> ExperimentConfig:
     return parse_config(text, **overrides)
 
 
-def _construct(config: ExperimentConfig) -> tuple[ChainObserverParams, AugmentedSystem]:
+def _construct(config: ExperimentConfig) -> AugmentedSystem:
     scheme = ParameterScheme(variant=config.scheme, omega0=config.omega0, seed=config.seed)
-    chain = build_chain(config.c_p, make_mu_schedule(scheme, config.n_elements))
-    return chain, assemble_augmented(chain)
+    return assemble_augmented(build_chain(config.c_p, make_mu_schedule(scheme, config.n_elements)))
 
 
-def _base_report(chain: ChainObserverParams, aug: AugmentedSystem) -> RunReport:
+def _base_report(aug: AugmentedSystem) -> RunReport:
     """Certify the construction itself; shared by every subcommand.
 
     Everything here works from the chain's O(N) blocks and the N x N
     reduced matrix; no (2N+2)-square array is formed.
     """
+    chain = aug.chain
     reduced = build_reduced(chain)
     reduced_certificate = certify_positive_definite(reduced)
     report = RunReport(
         certificate=observer_certificate(reduced_certificate, chain.omega),
-        fixed_point_residual=check_fixed_point(aug, chain),
+        fixed_point_residual=check_fixed_point(aug),
         realizability_residual=realizability_residual(aug.dynamics),
     )
     a_norm = aug.dynamics.frobenius_norm()
@@ -302,7 +301,7 @@ def _base_report(chain: ChainObserverParams, aug: AugmentedSystem) -> RunReport:
     report.add("plant_row_of_c_a_a_a", plant_row, PLANT_ROW_REL_TOL * a_norm)
 
     # every observer output row C_o is alpha on its own element
-    outputs = consensus_target(chain).reshape(-1, 2) @ chain.alpha
+    outputs = aug.x_star[2:].reshape(-1, 2) @ chain.alpha
     report.add("consensus_target_identity", float(np.abs(outputs - 1.0).max()), 1e-12)
     return report
 
@@ -326,15 +325,24 @@ def _finish(out: Path, report: RunReport) -> RunReport:
 
 
 def run_build(config: ExperimentConfig) -> RunReport:
-    """Construct and certify the observer, then serialize its matrices."""
-    chain, aug = _construct(config)
-    report = _base_report(chain, aug)
+    """Construct and certify the observer, then serialize its matrices.
+
+    The only run that forms the dense (2N+2)-square R_a and A_a, from their
+    blocks. C_a is alpha in each mode's own block, written in place so that
+    its zeros stay +0.0 whatever the signs in alpha.
+    """
+    aug = _construct(config)
+    report = _base_report(aug)
     out = _out_dir(config)
+    n = aug.n_elements
+    modes = np.arange(n + 1)
+    c_a = np.zeros((n + 1, 2 * n + 2))
+    c_a.reshape(n + 1, n + 1, 2)[modes, modes] = aug.chain.alpha
     files = {
-        "r_a": aug.r_a,
-        "a_a": aug.a_a,
-        "c_a": aug.c_a,
-        "r_o_reduced": build_reduced(chain),
+        "r_a": aug.hamiltonian.dense(),
+        "a_a": aug.dynamics.dense(),
+        "c_a": c_a,
+        "r_o_reduced": build_reduced(aug.chain),
     }
     for name, matrix in files.items():
         path = out / f"{name}.csv"
@@ -355,18 +363,22 @@ def _physical_memory() -> int | None:
 def _check_trajectory_fits(grid: TimeGrid, n_elements: int) -> None:
     """Reject a trajectory whose rows cannot fit in physical memory, before any is formed.
 
-    The run holds samples x (N+1) rows of 2N+2 doubles, and the writer a
-    labelled copy of them with a time and a row column added.
+    The run holds samples x (N+1) rows of 2N+2 doubles, two samples x (2N+2)
+    arrays (the plant rows and the spatial average) and one chunk of rows'
+    temporaries (at most simulate.TRAJECTORY_CHUNK_BYTES); the writers
+    format the rows a few thousand values at a time and copy none of them
+    whole.
     """
-    rows = grid.samples * (n_elements + 1)
-    needed = rows * (2 * (2 * n_elements + 2) + 2) * 8
+    n = n_elements
+    chunk = min(grid.samples, _chunk_times(n))
+    needed = (grid.samples * (n + 3) + chunk * (n + 1)) * (2 * n + 2) * 8
     memory = _physical_memory()
     if memory is not None and needed > memory:
         raise ConfigValidationError(
-            f"simulate would hold {grid.samples} samples of {n_elements + 1} x "
-            f"{2 * n_elements + 2} rows, about {needed} bytes with the writer's copy, "
-            f"more than the {memory} bytes of physical memory; shorten the horizon "
-            f"or lengthen the step"
+            f"simulate would hold {grid.samples} samples of {n + 1} x {2 * n + 2} rows, "
+            f"about {needed} bytes with the plant rows, the spatial average and one chunk "
+            f"of temporaries, more than the {memory} bytes of physical memory; shorten "
+            f"the horizon or lengthen the step"
         )
 
 
@@ -379,17 +391,17 @@ def run_simulate(config: ExperimentConfig) -> RunReport:
     grid whose rows would not fit in physical memory is rejected (exit 2)
     before any row is formed.
     """
-    chain, aug = _construct(config)
-    report = _base_report(chain, aug)
-    modes = normal_modes(chain)
+    aug = _construct(config)
+    report = _base_report(aug)
+    modes = normal_modes(aug.chain)
     grid = TimeGrid.covering(config.horizon, _resolve_step(config, modes))
-    _check_trajectory_fits(grid, chain.n_elements)
+    _check_trajectory_fits(grid, aug.n_elements)
     trajectory = coefficient_trajectory(modes, grid)
     verify_trajectory(aug, modes, trajectory)
 
     # C_a's plant row is (alpha, 0, ..., 0)
     plant_rows = trajectory.coefficient_rows[:, 0, :].copy()
-    plant_rows[:, :2] -= chain.alpha
+    plant_rows[:, :2] -= aug.chain.alpha
     plant_row_drift = float(np.linalg.norm(plant_rows, axis=1).max())
     report.add("plant_row_drift", plant_row_drift, PLANT_ROW_DRIFT_TOL)
 
@@ -413,11 +425,11 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
     (simulate.identity_residuals); a summed residual beyond 1e-8 of the
     average fails the run, since the averaging itself could not be trusted.
     """
-    chain, aug = _construct(config)
-    report = _base_report(chain, aug)
+    aug = _construct(config)
+    report = _base_report(aug)
     horizons = [config.horizon / 16, config.horizon / 8, config.horizon / 4,
                 config.horizon / 2, config.horizon]
-    modes = normal_modes(chain)
+    modes = normal_modes(aug.chain)
     averages = [time_average_spectral(modes, t) for t in horizons]
     report.consensus_error_curve = [
         (avg.horizon, consensus_error(avg)) for avg in averages
@@ -444,11 +456,11 @@ def run_check(config: ExperimentConfig) -> RunReport:
     The bound is swept through the chain's normal modes, which must first
     generate the assembled observer dynamics (verify_mode_generator).
     """
-    chain, aug = _construct(config)
-    report = _base_report(chain, aug)
+    aug = _construct(config)
+    report = _base_report(aug)
     grid = TimeGrid.from_count(EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
     bound = report.certificate.exp_norm_bound
-    modes = normal_modes(chain)
+    modes = normal_modes(aug.chain)
     verify_mode_generator(modes, aug)
     observed = verify_exp_bound(modes, bound, grid)
     report.add("exp_norm_observed", observed, bound * (1.0 + 1e-9))

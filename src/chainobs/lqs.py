@@ -6,23 +6,23 @@ J = [[0, 1], [-1, 0]]. A quadratic Hamiltonian with symmetric coefficient
 matrix R generates the linear dynamics A = 2 Theta R. Such dynamics are
 physically realizable exactly when A Theta + Theta A^T = 0, and the flow
 Phi(t) = exp(A t) then preserves both the symplectic form and the
-Hamiltonian itself. This module provides the symplectic form, the dynamics
-of a Hamiltonian, and the residuals that certify realizability and
-symplecticity numerically.
+Hamiltonian itself. This module provides the dynamics of a Hamiltonian and
+the residuals that certify realizability and symplecticity numerically.
 
 Since Theta pairs each row q_i with the row p_i of the same mode, 2 Theta R
 is a row swap and scale: rows q_i of A are 2 times rows p_i of R, and rows
 p_i are -2 times rows q_i. A chain network couples each mode to its
 neighbours only, so its R and A are block tridiagonal in 2 x 2 blocks;
 BlockTridiagonal stores those blocks alone, and its products, norms and
-realizability residual cost O(n) per row instead of O(n^2).
+realizability residual cost O(n) per row instead of O(n^2). Those blocks
+are the only form of R and A; dense() assembles the full array for a
+caller that must write it out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,31 +35,6 @@ SYMPLECTIC_UNIT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The commutation matrix Theta for ``n_modes`` oscillator modes."""
-
-    n_modes: int
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.n_modes
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Theta = diag(J, ..., J) as a dense array, assembled on first read."""
-        return np.kron(np.eye(self.n_modes), SYMPLECTIC_UNIT)
-
-
-def make_symplectic(n_modes: int) -> SymplecticForm:
-    """The symplectic form Theta = diag(J, ..., J) with one 2x2 block per mode."""
-    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
-        raise InvalidDimensionError(
-            f"n_modes must be a positive integer, got {n_modes!r}"
-        )
-    return SymplecticForm(n_modes=int(n_modes))
 
 
 @dataclass(frozen=True)
@@ -153,18 +128,6 @@ def _two_theta(r: np.ndarray) -> np.ndarray:
     return a
 
 
-def dynamics_from_hamiltonian(r: np.ndarray, theta: SymplecticForm) -> np.ndarray:
-    """Return A = 2 Theta R for a symmetric Hamiltonian coefficient matrix."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (theta.dimension, theta.dimension):
-        raise InvalidDimensionError(
-            f"Hamiltonian matrix shape {r.shape} does not match "
-            f"symplectic dimension {theta.dimension}"
-        )
-    _require_finite(r, "Hamiltonian matrix")
-    return _two_theta(r.reshape(theta.n_modes, 2, -1)).reshape(r.shape)
-
-
 def block_dynamics(r: BlockTridiagonal) -> BlockTridiagonal:
     """A = 2 Theta R for a block-tridiagonal R, block by block: O(n)."""
     for blocks in (r.diagonal, r.upper, r.lower):
@@ -191,17 +154,17 @@ def realizability_residual(a: BlockTridiagonal) -> float:
     return math.hypot(*(float(np.linalg.norm(p)) for p in parts))
 
 
-def symplectic_drift(phi: np.ndarray, theta: SymplecticForm) -> float:
+def symplectic_drift(phi: np.ndarray) -> float:
     """Frobenius norm of Phi Theta Phi^T - Theta for a propagator Phi.
 
-    Since Theta = diag(J, ..., J), Phi Theta Phi^T = M - M^T with
-    M = Phi[:, 0::2] Phi[:, 1::2]^T: one n x n/2 x n product instead of two
-    dense n x n x n ones.
+    Theta is diag(J, ..., J) of Phi's size, so Phi Theta Phi^T = M - M^T
+    with M = Phi[:, 0::2] Phi[:, 1::2]^T: one n x n/2 x n product instead of
+    two dense n x n x n ones.
     """
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (theta.dimension, theta.dimension):
+    if phi.ndim != 2 or phi.shape[0] != phi.shape[1] or phi.shape[0] % 2:
         raise InvalidDimensionError(
-            f"propagator shape {phi.shape} does not match symplectic dimension {theta.dimension}"
+            f"propagator shape {phi.shape} is not square with an even side"
         )
     _require_finite(phi, "propagator")
     # BLAS needs a unit stride, and numpy releases differ in whether matmul
@@ -210,7 +173,7 @@ def symplectic_drift(phi: np.ndarray, theta: SymplecticForm) -> float:
     odd = np.ascontiguousarray(phi[:, 1::2])
     m = even @ odd.T
     # subtract Theta on its nonzeros only: +1 at (2i, 2i+1), -1 at (2i+1, 2i)
-    n = theta.dimension
+    n = phi.shape[0]
     d = m - m.T
     d.flat[1 :: 2 * n + 2] -= 1.0
     d.flat[n :: 2 * n + 2] += 1.0

@@ -18,9 +18,9 @@ so temporaries stay small beside the stored rows at every N, and every
 sample is independent of the others: no error accumulates with the number
 of steps. verify_trajectory holds a trajectory against the
 assembled A_a, and identity_residuals an average, each through identities
-that every true solution satisfies; both multiply rows by the
-block-tridiagonal A_a block by block (AugmentedSystem.dynamics), O(N) per
-row, and never form it densely.
+that every true solution satisfies; both multiply rows by A_a block by
+block (AugmentedSystem.dynamics, the only form the library holds it in),
+O(N) per row, and take x* from AugmentedSystem.x_star.
 """
 
 from __future__ import annotations
@@ -133,12 +133,6 @@ class NormalModes:
     def right(self) -> np.ndarray:
         """L2 = Omega^(-1/2) V."""
         return self.v / np.sqrt(self.chain.omega)[:, None]
-
-    @property
-    def x_star(self) -> np.ndarray:
-        """x* = (alpha, ..., alpha) / ||alpha||^2, whose every output stays 1."""
-        alpha = self.chain.alpha
-        return np.tile(alpha, self.chain.n_elements + 1) / float(alpha @ alpha)
 
 
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +298,7 @@ def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
 def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Trajectory) -> None:
     """Hold a stored trajectory against the assembled dynamics A_a.
 
-    (i) rows(t) x* = 1 at every sample, with x* = NormalModes.x_star,
+    (i) rows(t) x* = 1 at every sample, with x* = AugmentedSystem.x_star,
     within TRAJECTORY_REL_TOL ||rows(t)||_inf ||x*||_inf: O(N^2) per sample.
     (ii) rows'(t) = rows(t) A_a at the last sample of every chunk of
     _chunk_times(N) samples, with rows'(t) from the derivative weights,
@@ -316,7 +310,7 @@ def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Traj
     first failing sample.
     """
     rows, times = trajectory.coefficient_rows, trajectory.grid.times()
-    x_star = modes.x_star
+    x_star = aug.x_star
     x_scale = float(np.linalg.norm(x_star, np.inf))
     a_scale = aug.dynamics.inf_norm()
     step = _chunk_times(modes.chain.n_elements)
@@ -362,7 +356,7 @@ def identity_residuals(
     diagonal = np.arange(change.shape[0])
     change.reshape(diagonal.size, diagonal.size, 2)[diagonal, diagonal] -= aug.chain.alpha
     drift = rows @ aug.dynamics - change / horizon
-    x_star = modes.x_star
+    x_star = aug.x_star
     return (
         float(np.linalg.norm(drift, np.inf) / aug.dynamics.inf_norm()),
         float(np.linalg.norm(rows @ x_star - 1.0, np.inf) / np.linalg.norm(x_star, np.inf)),

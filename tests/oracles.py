@@ -30,13 +30,17 @@ propagation engine's samples into a running composite Simpson sum in
 O(N^2) memory, on a step that resolves the fastest mode found by a dense
 nonsymmetric eigensolve of A_a.
 
-The dense-system oracles are the routes the library once took through the
+The library holds R_a and A_a only as the chain's 2 x 2 blocks; a test
+that needs them dense reads the blocks' dense(). Theta = diag(J, ..., J)
+(symplectic_matrix) and C_a = kron(I, alpha) (output_matrix) are built
+here, and observer_hamiltonian is the observer block of R_a. The
+dense-system oracles are the routes the library once took through the
 assembled (2N+2) x (2N+2) matrices, which it now replaces by products and
-norms over the chain's 2 x 2 blocks: the dynamics as the product
-2 Theta @ R, the realizability residual A Theta + Theta A^T, the
-fixed-point residual through the dense a_o, and the mode-generator check
-rotating the dense a_o. reference_eigenvalues is the 40-digit referee for
-a symmetric matrix's spectrum.
+norms over the blocks: the dynamics as the product 2 Theta @ R, the
+realizability residual A Theta + Theta A^T, the fixed-point residual
+through the dense a_o, and the mode-generator check rotating the dense
+a_o. reference_eigenvalues is the 40-digit referee for a symmetric
+matrix's spectrum.
 
 The CSV oracles are the per-value writers the library once used: each
 float goes through Python's format(x, ".17g") on its own, labels and
@@ -61,7 +65,6 @@ from chainobs.errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from chainobs.lqs import SymplecticForm
 from chainobs.simulate import DEFAULT_STEP_FACTOR, NormalModes, TimeAverage, TimeGrid
 
 # Quadrature is trustworthy only when the fastest mode is well resolved:
@@ -69,6 +72,21 @@ from chainobs.simulate import DEFAULT_STEP_FACTOR, NormalModes, TimeAverage, Tim
 QUADRATURE_STEP_FACTOR = 0.01
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def symplectic_matrix(n_modes: int) -> np.ndarray:
+    """Theta = diag(J, ..., J) for n_modes modes, as one Kronecker product."""
+    return np.kron(np.eye(n_modes), J)
+
+
+def observer_hamiltonian(aug: AugmentedSystem) -> np.ndarray:
+    """The dense 2N x 2N R_o, the observer block of R_a's blocks assembled."""
+    return aug.hamiltonian.dense()[2:, 2:]
+
+
+def output_matrix(chain: ChainObserverParams) -> np.ndarray:
+    """C_a = kron(I, alpha): every mode's output row is alpha on its own block."""
+    return np.kron(np.eye(chain.n_elements + 1), chain.alpha)
 
 
 # Pade degrees m with the largest 1-norm theta_m at which the degree-m
@@ -155,7 +173,7 @@ def propagator(a: np.ndarray, t: float) -> np.ndarray:
     return phi
 
 
-def _propagate(a: np.ndarray, theta: SymplecticForm, grid: TimeGrid) -> Iterator[np.ndarray]:
+def _propagate(a: np.ndarray, grid: TimeGrid) -> Iterator[np.ndarray]:
     """Yield Phi(t_k) = exp(a t_k) for each grid time via the one-step recurrence.
 
     Consumers apply any output map themselves. The symplectic identity
@@ -167,13 +185,13 @@ def _propagate(a: np.ndarray, theta: SymplecticForm, grid: TimeGrid) -> Iterator
     step_phi = propagator(a, grid.step)
     phi = np.eye(a.shape[0])
     for k in range(grid.samples):
-        _check_symplectic(phi, theta, k)
+        _check_symplectic(phi, k)
         yield phi
         if k + 1 < grid.samples:
             phi = step_phi @ phi
 
 
-def spectral_propagator(r_o: np.ndarray, theta: np.ndarray, t: float) -> np.ndarray:
+def spectral_propagator(r_o: np.ndarray, t: float) -> np.ndarray:
     """exp(2 Theta R_o t) for symmetric positive definite R_o, by spectra.
 
     With S = R_o^(1/2), the matrix K = 2 S Theta S is real skew-symmetric
@@ -187,7 +205,7 @@ def spectral_propagator(r_o: np.ndarray, theta: np.ndarray, t: float) -> np.ndar
     sqrt_w = np.sqrt(w)
     s = (v * sqrt_w) @ v.T
     s_inv = (v / sqrt_w) @ v.T
-    k = 2.0 * s @ theta @ s
+    k = 2.0 * s @ symplectic_matrix(s.shape[0] // 2) @ s
     lam, u = np.linalg.eigh(1j * k)
     exp_k = (u * np.exp(-1j * lam * t)) @ u.conj().T
     result = s_inv @ exp_k @ s
@@ -371,8 +389,9 @@ def integral_of_propagator(a: np.ndarray, horizon: float) -> np.ndarray:
 
 def time_average_exact(aug: AugmentedSystem, horizon: float) -> TimeAverage:
     """Time average of the coefficient rows by the doubled-block exponential."""
-    integral = integral_of_propagator(aug.a_a, horizon)
-    return TimeAverage(horizon=float(horizon), averaged_rows=aug.c_a @ integral / float(horizon))
+    integral = integral_of_propagator(aug.dynamics.dense(), horizon)
+    rows = output_matrix(aug.chain) @ integral / float(horizon)
+    return TimeAverage(horizon=float(horizon), averaged_rows=rows)
 
 
 def simpson_weights(times: np.ndarray) -> np.ndarray:
@@ -419,7 +438,8 @@ def time_average_streamed(
     defaults to 0.005 of the fastest mode's period; a step above 0.01 of it
     is rejected with a ValueError before any propagation.
     """
-    omega_max = max_frequency(aug.a_a)
+    a_a = aug.dynamics.dense()
+    omega_max = max_frequency(a_a)
     period = 2.0 * math.pi / omega_max
     grid = TimeGrid.covering(horizon, DEFAULT_STEP_FACTOR * period if step is None else step)
     ceiling = QUADRATURE_STEP_FACTOR * period
@@ -429,10 +449,11 @@ def time_average_streamed(
             f"for the fastest mode {omega_max:.6e}"
         )
     weights = simpson_weights(grid.times())
-    summed = np.zeros(aug.a_a.shape)
-    for w, phi in zip(weights, _propagate(aug.a_a, aug.theta, grid)):
+    summed = np.zeros(a_a.shape)
+    for w, phi in zip(weights, _propagate(a_a, grid)):
         summed += w * phi
-    return TimeAverage(horizon=grid.t_end, averaged_rows=aug.c_a @ summed / grid.t_end)
+    rows = output_matrix(aug.chain) @ summed / grid.t_end
+    return TimeAverage(horizon=grid.t_end, averaged_rows=rows)
 
 
 def _csv_line(*fields) -> str:

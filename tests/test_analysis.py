@@ -19,6 +19,7 @@ from oracles import (
     collapse_blocks,
     exp_bound_unscreened,
     minors_positive_definite,
+    observer_hamiltonian,
     propagator,
     spectral_propagator,
 )
@@ -134,7 +135,7 @@ class TestCertify:
     def test_reference_regression(self, example_system):
         """Extreme eigenvalues of the reference observer block, frozen."""
         _, aug = example_system
-        cert = co.certify_positive_definite(aug.r_o)
+        cert = co.certify_positive_definite(observer_hamiltonian(aug))
         assert np.isclose(cert.lambda_min, 0.12976937136773573, rtol=1e-10, atol=0.0)
         assert np.isclose(cert.lambda_max, 14.260039375715447, rtol=1e-10, atol=0.0)
         assert np.isclose(cert.exp_norm_bound, 10.48272666856287, rtol=1e-10, atol=0.0)
@@ -189,13 +190,13 @@ class TestCertify:
         chain = co.build_chain([0.4, 1.1], mu)
         aug = co.assemble_augmented(chain)
         reduced_cert = co.certify_positive_definite(co.build_reduced(chain))
-        full_cert = co.certify_positive_definite(aug.r_o)
+        full_cert = co.certify_positive_definite(observer_hamiltonian(aug))
         assert reduced_cert.lambda_min > 0.0
         assert full_cert.lambda_min > 0.0
 
 
 def certified(aug) -> float:
-    return co.certify_positive_definite(aug.r_o).exp_norm_bound
+    return co.certify_positive_definite(observer_hamiltonian(aug)).exp_norm_bound
 
 
 class TestExpBound:
@@ -215,10 +216,9 @@ class TestExpBound:
         exactly, and the diagonal blocks are S S^-1: the identity, and a
         Gram norm of one, to rounding."""
         chain, aug = example_system
-        theta = co.make_symplectic(5)
-        a = co.dynamics_from_hamiltonian(aug.r_o, theta)
+        a = aug.dynamics.dense()[2:, 2:]
         grid = co.TimeGrid.from_count(1.0, 2)
-        first = next(_propagate(a, theta, grid))
+        first = next(_propagate(a, grid))
         assert np.array_equal(first, np.eye(10))
         assert _spectral_norm(first.T @ first) == 1.0
         closed = analysis.observer_flow(co.normal_modes(chain), grid).propagator(0)
@@ -250,7 +250,7 @@ class TestExpBound:
         grid = co.TimeGrid.from_count(50.0, 500)
         for _, (chain, aug) in systems():
             observed = co.verify_exp_bound(co.normal_modes(chain), certified(aug), grid)
-            a = co.dynamics_from_hamiltonian(aug.r_o, co.make_symplectic(chain.n_elements))
+            a = aug.dynamics.dense()[2:, 2:]
             expected = max(np.linalg.norm(propagator(a, t), ord=2) for t in grid.times())
             assert abs(observed - expected) <= 1e-12 * expected
 
@@ -452,11 +452,8 @@ def test_engine_sweep_matches_the_eigh_oracle(
     grid = co.TimeGrid.from_count(span, samples)
     observed = co.verify_exp_bound(modes, bound, grid)
     assert observed == exp_bound_unscreened(modes, bound, grid)
-    theta = co.make_symplectic(chain.n_elements)
-    expected = max(
-        np.linalg.norm(spectral_propagator(aug.r_o, theta.matrix, t), ord=2)
-        for t in grid.times()
-    )
+    r_o = observer_hamiltonian(aug)
+    expected = max(np.linalg.norm(spectral_propagator(r_o, t), ord=2) for t in grid.times())
     assert abs(observed - expected) <= 1e-11 * expected
     assert observed <= bound * (1.0 + 1e-9)
     lowered = fraction * observed
@@ -512,7 +509,7 @@ def test_observer_spectrum_is_reduced_spectrum_plus_self_energies(
     chain, aug = build_system(
         c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
     )
-    full = np.linalg.eigvalsh(aug.r_o)
+    full = np.linalg.eigvalsh(observer_hamiltonian(aug))
     split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(chain)),
                                     chain.omega]))
     assert np.abs(full - split).max() <= 1e-12 * full[-1]
@@ -524,7 +521,7 @@ def test_observer_spectrum_split_holds_for_a_mistuned_lineup():
     chain = co.build_chain([0.6, -1.3], np.array([1.0, 2.0, 3.0, 4.0]))
     omega = chain.omega + np.array([0.25, -0.5, 0.0, 1.5])
     mistuned = dataclasses.replace(chain, omega=omega)
-    full = np.linalg.eigvalsh(co.assemble_augmented(mistuned).r_o)
+    full = np.linalg.eigvalsh(observer_hamiltonian(co.assemble_augmented(mistuned)))
     split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(mistuned)), omega]))
     assert np.abs(full - split).max() <= 1e-12 * full[-1]
 
@@ -557,7 +554,7 @@ class TestComparisonBound:
         rng = np.random.default_rng(101)
         x = rng.normal(size=(1000, 2 * n))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        full = np.einsum("ij,jk,ik->i", x, aug.r_o, x)
+        full = np.einsum("ij,jk,ik->i", x, observer_hamiltonian(aug), x)
         collapsed = np.stack([collapse_blocks(row) for row in x])
         comparison = np.einsum("ij,jk,ik->i", collapsed, reduced, collapsed)
         assert np.all(full >= comparison - 1e-12)

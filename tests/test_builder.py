@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import builder
+from chainobs import builder, cli, serialize
 from conftest import build_system, perturb_omega
-from oracles import dense_augmented
+from oracles import dense_augmented, output_matrix
 
 mu_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=10
@@ -129,16 +129,15 @@ class TestBuildChain:
         chain = co.build_chain([1.0, 0.0], np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         aug = co.assemble_augmented(chain)
         assert np.array_equal(chain.alpha, [1.0, 0.0])
-        assert np.array_equal(aug.r_a[0:2, 2:4], [[-1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(aug.hamiltonian.dense()[0:2, 2:4], [[-1.0, 0.0], [0.0, 0.0]])
         assert np.array_equal(chain.omega, [3.0, 5.0, 7.0, 9.0, 5.0])
-        assert np.array_equal(aug.c_o, np.kron(np.eye(5), [1.0, 0.0]))
 
     def test_scaled_output_normalization(self):
         """A non-unit output direction rescales mu but not omega."""
         chain = co.build_chain([0.0, 2.0], np.array([4.0]))
         assert chain.mu[0] == 1.0
         aug = co.assemble_augmented(chain)
-        assert np.array_equal(aug.r_a[0:2, 2:4], [[0.0, 0.0], [0.0, -4.0]])
+        assert np.array_equal(aug.hamiltonian.dense()[0:2, 2:4], [[0.0, 0.0], [0.0, -4.0]])
         assert chain.omega[0] == 4.0
 
     def test_zero_output_rejected(self):
@@ -153,7 +152,7 @@ class TestBuildChain:
 
     def test_observer_self_energy_blocks(self):
         chain = co.build_chain([1.0, 0.0], np.array([2.0, 3.0]))
-        r_o = co.assemble_augmented(chain).r_o
+        r_o = co.assemble_augmented(chain).hamiltonian.dense()[2:, 2:]
         assert np.array_equal(r_o[0:2, 0:2], 5.0 * np.eye(2))
         assert np.array_equal(r_o[2:4, 2:4], 3.0 * np.eye(2))
 
@@ -170,42 +169,48 @@ class TestAssemble:
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
-        assert np.array_equal(aug.r_a, expected)
+        assert np.array_equal(aug.hamiltonian.dense(), expected)
 
     def test_reference_entries(self, example_system):
         _, aug = example_system
-        assert aug.r_a.shape == (12, 12)
-        assert aug.r_a[0, 2] == -1.0
-        assert aug.r_a[2, 2] == 3.0
-        assert np.array_equal(aug.r_a, aug.r_a.T)
+        r_a = aug.hamiltonian.dense()
+        assert r_a.shape == (12, 12)
+        assert r_a[0, 2] == -1.0
+        assert r_a[2, 2] == 3.0
+        assert np.array_equal(r_a, r_a.T)
 
     def test_off_tridiagonal_blocks_are_zero(self, example_system):
         _, aug = example_system
+        r_a = aug.hamiltonian.dense()
         for i in range(6):
             for j in range(6):
                 if abs(i - j) > 1:
-                    block = aug.r_a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                    block = r_a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
                     assert np.array_equal(block, np.zeros((2, 2)))
 
     def test_realizability(self, example_system):
         _, aug = example_system
         residual = co.realizability_residual(aug.dynamics)
-        assert residual <= 1e-12 * np.linalg.norm(aug.a_a, ord="fro")
+        assert residual <= 1e-12 * np.linalg.norm(aug.dynamics.dense(), ord="fro")
 
-    def test_output_rows(self, example_system):
-        _, aug = example_system
-        assert aug.c_a.shape == (6, 12)
-        assert np.array_equal(aug.c_a[0], np.eye(12)[0])
+    def test_output_rows(self, tmp_path):
+        """build writes C_a with alpha = (1, 0) in each mode's own block."""
+        config = tmp_path / "config.json"
+        config.write_text('{"n_elements": 5, "scheme": "odd-harmonics", "omega0": 1.0, '
+                          '"c_p": [1.0, 0.0], "horizon": 1.0}')
+        assert cli.main(["build", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+        c_a = serialize.read_matrix_csv(tmp_path / "c_a.csv")
+        assert c_a.shape == (6, 12)
+        assert np.array_equal(c_a[0], np.eye(12)[0])
         for i in range(1, 6):
             expected = np.zeros(12)
             expected[2 * i] = 1.0
-            assert np.array_equal(aug.c_a[i], expected)
+            assert np.array_equal(c_a[i], expected)
 
     def test_observer_views(self, example_system):
+        """A_o is the block of A_a among modes 1..N."""
         _, aug = example_system
-        assert np.array_equal(aug.r_o, aug.r_a[2:, 2:])
-        assert np.array_equal(aug.a_o, aug.a_a[2:, 2:])
-        assert np.array_equal(aug.c_o, aug.c_a[1:, 2:])
+        assert np.array_equal(aug.observer_dynamics.dense(), aug.dynamics.dense()[2:, 2:])
         assert aug.n_elements == 5
 
     def test_drive_column(self):
@@ -217,18 +222,19 @@ class TestAssemble:
         """
         chain = perturb_omega(co.build_chain([0.6, -1.3], np.array([1.0, 2.0, 3.0])), 1, 0.5)
         aug = co.assemble_augmented(chain)
-        drive = aug.a_a[2:, :2] @ chain.alpha
+        a_a = aug.dynamics.dense()
+        drive = a_a[2:, :2] @ chain.alpha
         assert np.array_equal(drive[2:], np.zeros(4))
         stack = np.tile(chain.alpha, chain.n_elements)
-        expected = float(np.linalg.norm(aug.a_o @ stack + drive))
+        expected = float(np.linalg.norm(a_a[2:, 2:] @ stack + drive))
         assert expected > 0.5
-        assert abs(co.check_fixed_point(aug, chain) - expected) <= 1e-12 * expected
+        assert abs(co.check_fixed_point(aug) - expected) <= 1e-12 * expected
 
     def test_mistuned_lineup_reaches_the_assembled_system(self, example_system):
         """omega is the one stored lineup: a replaced one is what gets assembled."""
         chain, _ = example_system
         perturbed = perturb_omega(chain, 2, 0.25)
-        r_o = co.assemble_augmented(perturbed).r_o
+        r_o = co.assemble_augmented(perturbed).hamiltonian.dense()[2:, 2:]
         assert np.array_equal(np.diag(r_o), np.repeat(perturbed.omega, 2))
         assert np.array_equal(np.diag(co.build_reduced(perturbed)), perturbed.omega)
 
@@ -246,13 +252,11 @@ class TestStoredState:
         aug = co.assemble_augmented(chain)
         fields = [f.name for f in dataclasses.fields(aug)]
         assert fields == ["chain"]
-        # nothing dense is formed until it is read
-        assert not {"r_a", "a_a", "c_a"} & set(vars(aug))
+        # the blocks are all it ever caches
+        assert set(vars(aug)) == {"chain"}
         assert aug.hamiltonian.diagonal.shape == (6, 2, 2)
-        assert not {"r_a", "a_a", "c_a"} & set(vars(aug))
-        assert np.shares_memory(aug.r_o, aug.r_a)
-        assert np.shares_memory(aug.a_o, aug.a_a)
-        assert np.shares_memory(aug.c_o, aug.c_a)
+        assert aug.dynamics.upper.shape == (5, 2, 2)
+        assert set(vars(aug)) == {"chain", "hamiltonian", "dynamics"}
 
     def test_build_chain_checks_its_coupling_strengths(self):
         with pytest.raises(co.InvalidDimensionError):
@@ -273,19 +277,19 @@ class TestStoredState:
 
 class TestFixedPoint:
     def test_reference_residual(self, example_system):
-        chain, aug = example_system
-        residual = co.check_fixed_point(aug, chain)
-        assert residual <= 1e-12 * np.linalg.norm(aug.a_o, ord="fro")
+        _, aug = example_system
+        residual = co.check_fixed_point(aug)
+        assert residual <= 1e-12 * np.linalg.norm(aug.dynamics.dense()[2:, 2:], ord="fro")
 
     def test_single_element_residual(self):
-        chain, aug = build_system([1.0, 0.0], "uniform", 1.0, 1)
-        assert co.check_fixed_point(aug, chain) <= 1e-15
+        _, aug = build_system([1.0, 0.0], "uniform", 1.0, 1)
+        assert co.check_fixed_point(aug) <= 1e-15
 
     def test_unit_perturbation_gives_residual_two(self, example_system):
         chain, _ = example_system
         perturbed = perturb_omega(chain, 0, 1.0)
         aug = co.assemble_augmented(perturbed)
-        assert abs(co.check_fixed_point(aug, perturbed) - 2.0) <= 1e-12
+        assert abs(co.check_fixed_point(aug) - 2.0) <= 1e-12
 
     @given(
         st.integers(min_value=0, max_value=4),
@@ -298,7 +302,7 @@ class TestFixedPoint:
         chain = co.build_chain(c_p, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         perturbed = perturb_omega(chain, index, delta)
         aug = co.assemble_augmented(perturbed)
-        residual = co.check_fixed_point(aug, perturbed)
+        residual = co.check_fixed_point(aug)
         expected = 2.0 * delta * float(np.linalg.norm(c_p))
         assert abs(residual - expected) <= 1e-9 * max(1.0, delta)
 
@@ -307,34 +311,34 @@ class TestFixedPoint:
     def test_every_constructed_chain_satisfies_it(self, mu):
         chain = co.build_chain([0.7, -1.3], mu)
         aug = co.assemble_augmented(chain)
-        residual = co.check_fixed_point(aug, chain)
-        assert residual <= 1e-12 * np.linalg.norm(aug.a_o, ord="fro")
+        residual = co.check_fixed_point(aug)
+        assert residual <= 1e-12 * np.linalg.norm(aug.dynamics.dense()[2:, 2:], ord="fro")
 
 
 class TestPlantOutputInvariance:
     def test_axis_aligned_output_row_is_exactly_zero(self, example_system):
-        _, aug = example_system
-        assert np.array_equal((aug.c_a @ aug.a_a)[0], np.zeros(12))
+        chain, aug = example_system
+        assert np.array_equal((output_matrix(chain) @ aug.dynamics.dense())[0], np.zeros(12))
 
     def test_generic_output_row_vanishes(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             c_p = rng.normal(size=2)
-            _, aug = build_system(c_p, "random", 1.0, 4, seed=int(rng.integers(1 << 16)))
-            row = (aug.c_a @ aug.a_a)[0]
-            assert np.abs(row).max() <= 1e-13 * np.linalg.norm(aug.a_a, ord="fro")
+            chain, aug = build_system(c_p, "random", 1.0, 4, seed=int(rng.integers(1 << 16)))
+            a_a = aug.dynamics.dense()
+            row = (output_matrix(chain) @ a_a)[0]
+            assert np.abs(row).max() <= 1e-13 * np.linalg.norm(a_a, ord="fro")
 
 
 def test_consensus_target_identity(example_system):
+    """Every output of x* = (alpha, ..., alpha) / ||alpha||^2 is one."""
     chain, aug = example_system
-    target = co.consensus_target(chain)
-    assert np.abs(aug.c_o @ target - 1.0).max() <= 1e-15
+    assert np.abs(output_matrix(chain) @ aug.x_star - 1.0).max() <= 1e-15
 
 
 def test_consensus_target_generic_output():
     chain, aug = build_system([0.6, 2.2], "uniform", 0.5, 3)
-    target = co.consensus_target(chain)
-    assert np.abs(aug.c_o @ target - 1.0).max() <= 1e-15
+    assert np.abs(output_matrix(chain) @ aug.x_star - 1.0).max() <= 1e-15
 
 
 @st.composite
@@ -353,10 +357,9 @@ def assembly_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(assembly_cases())
 def test_assembly_matches_the_kronecker_oracle(case):
-    """r_a, a_a and c_a equal their Kronecker-product form bit for bit."""
+    """The blocks of R_a and A_a, assembled, equal their Kronecker-product form."""
     variant, n, seed, c_p = case
     chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
-    r_a, a_a, c_a = dense_augmented(c_p, chain.mu_tilde, chain.omega)
-    assert np.array_equal(aug.r_a, r_a)
-    assert np.array_equal(aug.a_a, a_a)
-    assert np.array_equal(aug.c_a, c_a)
+    r_a, a_a, _ = dense_augmented(c_p, chain.mu_tilde, chain.omega)
+    assert np.array_equal(aug.hamiltonian.dense(), r_a)
+    assert np.array_equal(aug.dynamics.dense(), a_a)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import json
@@ -17,11 +18,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import analysis, builder, cli, serialize, simulate
+from chainobs import analysis, builder, cli, lqs, serialize, simulate
 from conftest import build_system
 from oracles import (
     averages_csv_text,
     matrix_csv_text,
+    output_matrix,
     spatial_csv_text,
     trajectory_csv_text,
 )
@@ -272,10 +274,55 @@ class TestBuildCommand:
     def test_written_matrices_match_the_library_exactly(self, tmp_path):
         config = write_config(tmp_path)
         assert cli.main(["build", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
-        _, aug = build_system([1.0, 0.0], "uniform", 1.0, 3)
-        assert np.array_equal(serialize.read_matrix_csv(tmp_path / "a_a.csv"), aug.a_a)
-        assert np.array_equal(serialize.read_matrix_csv(tmp_path / "r_a.csv"), aug.r_a)
-        assert np.array_equal(serialize.read_matrix_csv(tmp_path / "c_a.csv"), aug.c_a)
+        chain, aug = build_system([1.0, 0.0], "uniform", 1.0, 3)
+        written = {name: serialize.read_matrix_csv(tmp_path / f"{name}.csv")
+                   for name in ("r_a", "a_a", "c_a")}
+        assert np.array_equal(written["r_a"], aug.hamiltonian.dense())
+        assert np.array_equal(written["a_a"], aug.dynamics.dense())
+        assert np.array_equal(written["c_a"], output_matrix(chain))
+
+    # SHA-256 of build's matrix files, as written before the library held R_a
+    # and A_a as blocks alone. odd-harmonics N=5's r_a.csv holds 30 negative
+    # zeros and uniform N=7's c_a.csv 8 (from c_p[0] = -0.0), which an
+    # assembly by np.kron would turn into +0 or add to.
+    BUILD_SHA256 = {
+        "odd-harmonics-5": (
+            {"n_elements": 5, "scheme": "odd-harmonics", "c_p": [1.0, 0.0]},
+            {
+                "r_a.csv": "d6dbe620588b173cb8c22174c250dbd3d04289c3d870a76f3a1bc087e2179d66",
+                "a_a.csv": "5246fb91b4aec01f8e5f1a74261eb6f93bd27748fbcd96f4ba25532fe08eae40",
+                "c_a.csv": "f177e8e2198de3cffc032953097514c27d96d8609e3d0cfd185c9d9ed87d09e5",
+                "r_o_reduced.csv": "01579fd501133d16a2a5c33e2f85c44dccd15351974ad8b40db4fa1052d89b1f",
+            },
+        ),
+        "random-12": (
+            {"n_elements": 12, "scheme": "random", "seed": 3, "c_p": [0.6, -1.3]},
+            {
+                "r_a.csv": "e301fbd90eda357cb5e71931c4284cdd95828f3b31083807bf8c24669e476906",
+                "a_a.csv": "9f18c8b2995e24a058e88ce68ab6cafa417820748fea685a66ba39898ef324d8",
+                "c_a.csv": "b7e1f4b68bc0723870467ecceaefa4547513a83a9b424591c75533ae240eaa30",
+                "r_o_reduced.csv": "d9cc664128f1132a8da3f72417e3c55491dc0db82e8170e2973bb897163edd32",
+            },
+        ),
+        "uniform-7": (
+            {"n_elements": 7, "scheme": "uniform", "c_p": [-0.0, 2.0]},
+            {
+                "r_a.csv": "f58264b9aec1f762c33be51ac2d47775cd0f66df5eeb0a39dbeb0e60a844adbc",
+                "a_a.csv": "8831bb299f2de14f3fe1a542a7b12171f3e2541f9016640829e14ac895e8b2bd",
+                "c_a.csv": "8b7609375cfb5410b951be71e51b42d85519218e05010eb16c37bdc98abb4ad3",
+                "r_o_reduced.csv": "5d6ced97225bc985815f4edb2ac4d9842123946e4c764b70be14fd1605b1f430",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("label", sorted(BUILD_SHA256))
+    def test_matrix_files_keep_their_bytes(self, tmp_path, label):
+        fields, digests = self.BUILD_SHA256[label]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(fields, omega0=1.0, horizon=1.0)))
+        assert cli.main(["build", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     @pytest.mark.parametrize(
         "command,names",
@@ -527,18 +574,27 @@ def test_each_run_solves_the_normal_modes_once(tmp_path, monkeypatch, command):
 
 
 def forbid_dense_system(monkeypatch) -> None:
-    """Make every dense accessor of the augmented system and of Theta raise."""
+    """Make BlockTridiagonal.dense, the one way to form R_a or A_a densely, raise."""
 
     def refuse(self):
         raise AssertionError("a dense (2N+2)-square matrix was formed")
 
-    for name in ("r_a", "a_a", "c_a"):
-        monkeypatch.setattr(co.AugmentedSystem, name, property(refuse))
-    monkeypatch.setattr(co.SymplecticForm, "matrix", property(refuse))
+    monkeypatch.setattr(lqs.BlockTridiagonal, "dense", refuse)
 
 
 class TestNoDenseSystem:
     """check, timeavg and simulate work from the chain's blocks alone."""
+
+    def test_the_dense_representation_is_gone(self):
+        """The blocks are the library's only form of R_a and A_a, and x* is stated once."""
+        for name in ("theta", "r_a", "a_a", "c_a", "r_o", "a_o", "c_o"):
+            assert not hasattr(co.AugmentedSystem, name), name
+        for name in ("SymplecticForm", "make_symplectic", "dynamics_from_hamiltonian"):
+            assert not hasattr(lqs, name), name
+            assert name not in co.__all__
+        assert not hasattr(builder, "consensus_target")
+        assert "consensus_target" not in co.__all__
+        assert not hasattr(co.NormalModes, "x_star")
 
     @pytest.mark.parametrize("n", [5, 50])
     @pytest.mark.parametrize("command", ["check", "timeavg", "simulate"])
@@ -570,8 +626,8 @@ class TestNoDenseSystem:
         config = cli.parse_config(config_text(n_elements=n, scheme="odd-harmonics", step="auto"))
         tracemalloc.start()
         try:
-            chain, aug = cli._construct(config)
-            report = cli._base_report(chain, aug)
+            aug = cli._construct(config)
+            report = cli._base_report(aug)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -597,13 +653,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.fullmatch(
             r"error: simulate would hold \d+ samples of 201 x 402 rows, about \d+ bytes with "
-            r"the writer's copy, more than the \d+ bytes of physical memory; shorten the "
-            r"horizon or lengthen the step\n",
+            r"the plant rows, the spatial average and one chunk of temporaries, more than the "
+            r"\d+ bytes of physical memory; shorten the horizon or lengthen the step\n",
             err,
         ), err
         # one 32 MiB chunk of rows would be the first allocation of the trajectory
         assert peak < 4 << 20
         assert not (out / "trajectory.csv").exists()
+
+    # N=3, step 0.1, T=100: 1,001 samples of 4 x 8 rows. The run holds the
+    # rows and two 1,001 x 8 arrays, 1,001 x 6 x 8 doubles, plus one chunk
+    # of 512 times, 512 x 4 x 8: 515,456 bytes. Counting a labelled copy of
+    # the rows instead, 1,001 x 4 x 18 doubles, gave 576,576.
+    TRAJECTORY_ESTIMATE = 515_456
+    LABELLED_COPY_ESTIMATE = 576_576
+
+    @pytest.mark.parametrize(
+        "memory, code",
+        [((TRAJECTORY_ESTIMATE + LABELLED_COPY_ESTIMATE) // 2, 0), (TRAJECTORY_ESTIMATE - 1, 2)],
+        ids=["between-estimates", "just-under"],
+    )
+    def test_simulate_preflight_counts_what_the_run_holds(
+        self, tmp_path, monkeypatch, capsys, memory, code
+    ):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        formed = []
+        trajectory = cli.coefficient_trajectory
+        monkeypatch.setattr(
+            cli, "coefficient_trajectory", lambda *args: formed.append(1) or trajectory(*args)
+        )
+        config = write_config(tmp_path, horizon=100.0, output_dir=str(tmp_path / "out"))
+        assert cli.main(["simulate", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert formed and err == ""
+        else:
+            assert not formed
+            assert f"about {self.TRAJECTORY_ESTIMATE} bytes" in err
+            assert f"than the {memory} bytes of physical memory" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["build", "--config", str(tmp_path / "absent.json")])

@@ -5,47 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from oracles import dense_symplectic_drift, hamiltonian_drift, propagator, rotation
-
-
-class TestSymplecticForm:
-    def test_single_mode(self):
-        form = co.make_symplectic(1)
-        assert np.array_equal(form.matrix, np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert form.n_modes == 1
-        assert form.dimension == 2
-
-    def test_block_structure(self):
-        form = co.make_symplectic(3)
-        expected = np.kron(np.eye(3), co.SYMPLECTIC_UNIT)
-        assert np.array_equal(form.matrix, expected)
-
-    @pytest.mark.parametrize("bad", [0, -2, 1.5, "3"])
-    def test_rejects_bad_mode_counts(self, bad):
-        with pytest.raises(co.InvalidDimensionError):
-            co.make_symplectic(bad)
-
-    @given(st.integers(min_value=1, max_value=16))
-    def test_squares_to_minus_identity(self, n_modes):
-        m = co.make_symplectic(n_modes).matrix
-        assert np.array_equal(m @ m, -np.eye(2 * n_modes))
-        assert np.array_equal(m.T, -m)
+from oracles import (
+    dense_dynamics,
+    dense_symplectic_drift,
+    hamiltonian_drift,
+    propagator,
+    rotation,
+    symplectic_matrix,
+)
 
 
 def test_dynamics_of_zero_hamiltonian():
-    theta = co.make_symplectic(2)
-    assert np.array_equal(co.dynamics_from_hamiltonian(np.zeros((4, 4)), theta), np.zeros((4, 4)))
+    zero = co.BlockTridiagonal(np.zeros((2, 2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+    assert np.array_equal(co.block_dynamics(zero).dense(), np.zeros((4, 4)))
 
 
 def test_dynamics_of_identity_is_twice_theta():
-    theta = co.make_symplectic(1)
-    a = co.dynamics_from_hamiltonian(np.eye(2), theta)
-    assert np.array_equal(a, 2.0 * theta.matrix)
-
-
-def test_dynamics_dimension_mismatch():
-    with pytest.raises(co.InvalidDimensionError):
-        co.dynamics_from_hamiltonian(np.eye(4), co.make_symplectic(1))
+    a = co.block_dynamics(single_mode(np.eye(2)))
+    assert np.array_equal(a.dense(), 2.0 * symplectic_matrix(1))
 
 
 def random_block_tridiagonal(rng: np.random.Generator, n_modes: int) -> co.BlockTridiagonal:
@@ -70,7 +47,7 @@ def test_block_dynamics_match_the_dense_dynamics():
     rng = np.random.default_rng(7)
     for n_modes in (1, 2, 5):
         r = random_block_tridiagonal(rng, n_modes)
-        dense = co.dynamics_from_hamiltonian(r.dense(), co.make_symplectic(n_modes))
+        dense = dense_dynamics(r.dense(), symplectic_matrix(n_modes))
         assert np.array_equal(co.block_dynamics(r).dense(), dense)
 
 
@@ -138,16 +115,15 @@ def test_hamiltonian_drift_closed_form_rotation():
 
 
 def test_symplectic_drift_closed_form_rotation():
-    theta = co.make_symplectic(1)
     for t in (0.25, 1.3, 7.7):
-        assert co.symplectic_drift(rotation(2.0 * t), theta) <= 1e-14
+        assert co.symplectic_drift(rotation(2.0 * t)) <= 1e-14
 
 
 def test_drift_shape_mismatch():
     with pytest.raises(co.InvalidDimensionError):
         hamiltonian_drift(np.eye(4), np.eye(2))
     with pytest.raises(co.InvalidDimensionError):
-        co.symplectic_drift(np.eye(4), co.make_symplectic(1))
+        co.symplectic_drift(np.eye(3))
 
 
 def random_propagator(n_modes: int, seed: int, symplectic: bool) -> np.ndarray:
@@ -157,7 +133,7 @@ def random_propagator(n_modes: int, seed: int, symplectic: bool) -> np.ndarray:
     if not symplectic:
         return rng.normal(size=(dim, dim)) * rng.uniform(0.1, 10.0)
     r = rng.normal(size=(dim, dim)) / np.sqrt(dim)
-    a = co.dynamics_from_hamiltonian(r + r.T, co.make_symplectic(n_modes))
+    a = dense_dynamics(r + r.T, symplectic_matrix(n_modes))
     return propagator(a, rng.uniform(0.0, 2.0))
 
 
@@ -168,11 +144,19 @@ def random_propagator(n_modes: int, seed: int, symplectic: bool) -> np.ndarray:
     st.booleans(),
 )
 def test_symplectic_drift_matches_the_dense_oracle(n_modes, seed, symplectic):
-    theta = co.make_symplectic(n_modes)
     phi = random_propagator(n_modes, seed, symplectic)
-    expected = dense_symplectic_drift(phi, theta.matrix)
+    expected = dense_symplectic_drift(phi, symplectic_matrix(n_modes))
     scale = max(1.0, float(np.linalg.norm(phi, ord="fro")) ** 2)
-    assert abs(co.symplectic_drift(phi, theta) - expected) <= 1e-12 * scale
+    assert abs(co.symplectic_drift(phi) - expected) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 5])
+def test_symplectic_drift_takes_theta_from_the_propagator(n_modes):
+    """Theta is diag(J, ..., J) of phi's size: a rotation of every mode is
+    symplectic, and 2 I misses Theta by ||3 Theta||_F = 3 sqrt(2 n)."""
+    assert co.symplectic_drift(np.kron(np.eye(n_modes), rotation(0.7))) <= 1e-15
+    drift = co.symplectic_drift(2.0 * np.eye(2 * n_modes))
+    assert abs(drift - 3.0 * np.sqrt(2 * n_modes)) <= 1e-14
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -180,29 +164,32 @@ def test_symplectic_drift_rejects_non_finite_propagators(bad):
     phi = np.eye(6)
     phi[3, 4] = bad
     with pytest.raises(co.InvalidInputError, match="propagator contains non-finite entries"):
-        co.symplectic_drift(phi, co.make_symplectic(3))
+        co.symplectic_drift(phi)
 
 
-@pytest.mark.parametrize("shape", [(6, 6), (4, 6), (4,), (2, 4, 4)])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 6), (4,), (2, 4, 4)])
 def test_symplectic_drift_rejects_wrong_shapes(shape):
-    with pytest.raises(co.InvalidDimensionError, match="does not match symplectic dimension 4"):
-        co.symplectic_drift(np.zeros(shape), co.make_symplectic(2))
+    """Theta's size comes from the propagator, which must be square with an even side."""
+    with pytest.raises(co.InvalidDimensionError, match="is not square with an even side"):
+        co.symplectic_drift(np.zeros(shape))
 
 
 def test_augmented_dynamics_match_blockwise_product(example_system):
-    """a_a must equal 2 Theta r_a computed block row by block row."""
+    """A_a must equal 2 Theta R_a computed block row by block row."""
     _, aug = example_system
     j = co.SYMPLECTIC_UNIT
-    expected = np.empty_like(aug.a_a)
-    for i in range(aug.theta.n_modes):
+    r_a, a_a = aug.hamiltonian.dense(), aug.dynamics.dense()
+    expected = np.empty_like(a_a)
+    for i in range(aug.n_elements + 1):
         rows = slice(2 * i, 2 * i + 2)
-        expected[rows] = 2.0 * j @ aug.r_a[rows]
-    assert np.array_equal(aug.a_a, expected)
+        expected[rows] = 2.0 * j @ r_a[rows]
+    assert np.array_equal(a_a, expected)
 
 
 def test_observer_dynamics_spectrum_is_imaginary(example_system):
     """With r_o positive definite the observer dynamics are oscillatory."""
     _, aug = example_system
-    eigenvalues = np.linalg.eigvals(aug.a_o)
-    scale = np.linalg.norm(aug.a_o, ord=2)
+    a_o = aug.dynamics.dense()[2:, 2:]
+    eigenvalues = np.linalg.eigvals(a_o)
+    scale = np.linalg.norm(a_o, ord=2)
     assert np.abs(eigenvalues.real).max() <= 1e-12 * scale

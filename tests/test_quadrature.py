@@ -20,7 +20,13 @@ from scipy.integrate import simpson
 import chainobs as co
 import oracles
 from conftest import build_system
-from oracles import exp_bound_unscreened, simpson_weights, time_average_streamed
+from oracles import (
+    exp_bound_unscreened,
+    observer_hamiltonian,
+    output_matrix,
+    simpson_weights,
+    time_average_streamed,
+)
 
 SAMPLE_COUNTS = [2, 3, 4, 5, 10, 11, 4180]
 
@@ -113,12 +119,12 @@ class TestStreamedOracle:
         true_drift = co.symplectic_drift
         calls = []
 
-        def drifting(phi, theta):
+        def drifting(phi):
             calls.append(None)
-            return 1.0 if len(calls) == 38 else true_drift(phi, theta)
+            return 1.0 if len(calls) == 38 else true_drift(phi)
 
         monkeypatch.setattr("chainobs.analysis.symplectic_drift", drifting)
-        bound = co.certify_positive_definite(aug.r_o).exp_norm_bound
+        bound = co.certify_positive_definite(observer_hamiltonian(aug)).exp_norm_bound
         messages = []
         for route in (
             lambda: exp_bound_unscreened(co.normal_modes(chain), bound, co.TimeGrid(1.0, 0.01)),
@@ -137,7 +143,7 @@ class TestStreamedOracle:
         step = co.default_step(co.normal_modes(chain))
         horizon = 10_500 * step
         grid = co.TimeGrid.covering(horizon, step)
-        stored_bytes = grid.samples * aug.c_a.nbytes
+        stored_bytes = grid.samples * output_matrix(chain).nbytes
         assert stored_bytes >= 20e6
         tracemalloc.start()
         try:

@@ -4,7 +4,6 @@ import dataclasses
 import math
 import re
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -19,10 +18,12 @@ from oracles import (
     _PADE_THETA,
     integral_of_propagator,
     max_frequency,
+    output_matrix,
     propagator,
     rotation,
     simpson_weights,
     spectral_propagator,
+    symplectic_matrix,
     time_average_exact,
     time_average_streamed,
 )
@@ -33,7 +34,7 @@ def static_augmented(n_elements: int = 1) -> co.AugmentedSystem:
     zeros = np.zeros(n_elements)
     chain = co.ChainObserverParams(alpha=np.array([1.0, 0.0]), mu_tilde=zeros, omega=zeros)
     aug = co.AugmentedSystem(chain=chain)
-    assert not aug.a_a.any()
+    assert not aug.dynamics.dense().any()
     return aug
 
 
@@ -104,19 +105,20 @@ class TestPropagator:
 
     def test_semigroup_property(self, example_system):
         _, aug = example_system
-        phi_a = propagator(aug.a_a, 1.3)
-        phi_b = propagator(aug.a_a, 2.4)
-        phi_ab = propagator(aug.a_a, 3.7)
+        a_a = aug.dynamics.dense()
+        phi_a = propagator(a_a, 1.3)
+        phi_b = propagator(a_a, 2.4)
+        phi_ab = propagator(a_a, 3.7)
         assert np.allclose(phi_b @ phi_a, phi_ab, rtol=0.0, atol=1e-12)
 
     def test_matches_spectral_route(self, example_system):
         """Two independent exponentials of the observer dynamics must agree:
         scaling-and-squaring versus diagonalizing the conserved quadratic."""
         _, aug = example_system
-        theta = co.make_symplectic(5)
+        a_o, r_o = aug.dynamics.dense()[2:, 2:], aug.hamiltonian.dense()[2:, 2:]
         for t in (0.7, 3.3, 12.0):
-            direct = propagator(aug.a_o, t)
-            spectral = spectral_propagator(aug.r_o, theta.matrix, t)
+            direct = propagator(a_o, t)
+            spectral = spectral_propagator(r_o, t)
             scale = np.linalg.norm(direct, ord="fro")
             assert np.linalg.norm(direct - spectral, ord="fro") <= 1e-11 * scale
 
@@ -161,7 +163,7 @@ class TestPropagator:
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.standard_normal((2 * n_modes, 2 * n_modes)))
         r = (q * rng.uniform(1.0, 4.0, 2 * n_modes)) @ q.T
-        a = 2.0 * co.make_symplectic(n_modes).matrix @ (0.5 * (r + r.T))
+        a = 2.0 * symplectic_matrix(n_modes) @ (0.5 * (r + r.T))
         low, high = band
         a *= low * (high / low) ** position / np.linalg.norm(a, 1)
         want = expm(a)
@@ -175,13 +177,13 @@ class TestFrequencies:
 
     def test_reference_regression(self, example_system):
         chain, aug = example_system
-        assert np.isclose(max_frequency(aug.a_a), 21.095207100132644, rtol=1e-12)
+        assert np.isclose(max_frequency(aug.dynamics.dense()), 21.095207100132644, rtol=1e-12)
         assert np.isclose(co.normal_modes(chain).nu[-1], 21.095207100132644, rtol=1e-12)
 
     def test_default_step_resolves_fastest_mode(self, example_system):
         chain, aug = example_system
         step = co.default_step(co.normal_modes(chain))
-        period = 2.0 * math.pi / max_frequency(aug.a_a)
+        period = 2.0 * math.pi / max_frequency(aug.dynamics.dense())
         assert np.isclose(step, 0.005 * period, rtol=1e-15)
 
     def test_default_step_rejects_a_chain_without_normal_modes(self, example_system):
@@ -196,11 +198,11 @@ class TestTrajectory:
         """At t = 0 the closed form is Omega^(1/2) V V^T Omega^(-1/2), the
         identity to rounding: within 3.3e-16 here, 6.2e-15 on every scheme
         up to N = 200 with ||c_p|| = 2."""
-        chain, aug = example_system
+        chain, _ = example_system
         grid = co.TimeGrid(1.0, 0.01)
         trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
         assert trajectory.coefficient_rows.shape == (101, 6, 12)
-        assert np.abs(trajectory.coefficient_rows[0] - aug.c_a).max() <= 1e-15
+        assert np.abs(trajectory.coefficient_rows[0] - output_matrix(chain)).max() <= 1e-15
 
     def test_last_sample_is_end_rows_bit_for_bit(self, example_system):
         """Rows evaluated in chunks take the arithmetic of a single end_rows call."""
@@ -234,21 +236,23 @@ class TestTrajectory:
         chain, aug = example_system
         grid = co.TimeGrid(2.0, 0.05)
         trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
-        scale = np.linalg.norm(aug.c_a, ord="fro")
+        c_a = output_matrix(chain)
+        scale = np.linalg.norm(c_a, ord="fro")
         for k in (7, 23, 40):
-            direct = aug.c_a @ propagator(aug.a_a, grid.times()[k])
+            direct = c_a @ propagator(aug.dynamics.dense(), grid.times()[k])
             drift = np.linalg.norm(trajectory.coefficient_rows[k] - direct, ord="fro")
             assert drift <= 1e-11 * scale
 
     def test_plant_row_is_constant(self, example_system):
         """The plant output row never moves: its coefficient row at every
         sample is the initial output functional, exactly."""
-        chain, aug = example_system
+        chain, _ = example_system
         grid = co.TimeGrid(50.0, 0.5)
         trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
+        plant_row = output_matrix(chain)[0]
         assert np.array_equal(
             trajectory.coefficient_rows[:, 0, :],
-            np.broadcast_to(aug.c_a[0], (grid.samples, aug.c_a.shape[1])),
+            np.broadcast_to(plant_row, (grid.samples, plant_row.size)),
         )
 
 
@@ -332,12 +336,12 @@ class TestTimeAverages:
         aug = static_augmented(2)
         avg = time_average_exact(aug, 8.0)
         assert avg.horizon == 8.0
-        assert np.allclose(avg.averaged_rows, aug.c_a, rtol=0.0, atol=1e-14)
+        assert np.allclose(avg.averaged_rows, output_matrix(aug.chain), rtol=0.0, atol=1e-14)
 
     def test_plant_row_average_stays_put(self, example_system):
-        chain, aug = example_system
+        chain, _ = example_system
         avg = co.time_average_spectral(co.normal_modes(chain), 800.0)
-        assert np.abs(avg.averaged_rows[0] - aug.c_a[0]).max() <= 1e-9
+        assert np.abs(avg.averaged_rows[0] - output_matrix(chain)[0]).max() <= 1e-9
 
     def test_reference_consensus_error(self, example_system):
         chain, _ = example_system
@@ -364,8 +368,8 @@ class TestTimeAverages:
 
 class TestSpatialAverage:
     def test_initial_sample_pattern(self, example_system):
-        _, aug = example_system
-        rows = np.stack([aug.c_a] * 3)
+        chain, _ = example_system
+        rows = np.stack([output_matrix(chain)] * 3)
         spatial = co.spatial_average(co.Trajectory(co.TimeGrid(1.0, 0.5), rows))
         expected = np.zeros(12)
         expected[2::2] = 0.2
@@ -389,22 +393,24 @@ class TestBrokenFixedPointGrowsLinearly:
     """
 
     @staticmethod
-    def broken_system(aug: co.AugmentedSystem, alpha: np.ndarray) -> types.SimpleNamespace:
-        """Dense a_a and c_a, as the exact-average oracle reads them; the broken
-        dynamics come from no Hamiltonian, so no AugmentedSystem holds them."""
-        dim = aug.a_a.shape[0]
+    def broken_dynamics(c_a: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """A bare drive from the plant output into element 1; it comes from no
+        Hamiltonian, so no AugmentedSystem holds it."""
+        dim = c_a.shape[1]
         drive = np.zeros(dim - 2)
         drive[0:2] = alpha
         a_broken = np.zeros((dim, dim))
-        a_broken[2:, 0:2] = np.outer(drive, aug.c_a[0, 0:2])
-        return types.SimpleNamespace(a_a=a_broken, c_a=aug.c_a)
+        a_broken[2:, 0:2] = np.outer(drive, c_a[0, 0:2])
+        return a_broken
 
     def test_error_follows_the_linear_law(self, example_system):
-        chain, aug = example_system
-        broken = self.broken_system(aug, chain.alpha)
+        chain, _ = example_system
+        c_a = output_matrix(chain)
+        a_broken = self.broken_dynamics(c_a, chain.alpha)
         for horizon in (10.0, 20.0, 40.0):
-            avg = time_average_exact(broken, horizon)
-            expected_rows = aug.c_a + (horizon / 2.0) * aug.c_a @ broken.a_a
+            rows = c_a @ integral_of_propagator(a_broken, horizon) / horizon
+            avg = co.TimeAverage(horizon=horizon, averaged_rows=rows)
+            expected_rows = c_a + (horizon / 2.0) * c_a @ a_broken
             assert np.allclose(avg.averaged_rows, expected_rows, rtol=1e-10, atol=1e-12)
             expected_error = math.hypot(horizon / 2.0 - 1.0, 1.0)
             assert np.isclose(co.consensus_error(avg), expected_error, rtol=1e-10)

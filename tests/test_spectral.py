@@ -25,7 +25,14 @@ from chainobs import analysis
 from chainobs.cli import EXP_BOUND_SAMPLES, EXP_BOUND_SPAN, ORACLE_REL_TOL
 from chainobs.simulate import _one_minus_sinc
 from conftest import build_system
-from oracles import _propagate, propagator, time_average_exact, time_average_streamed
+from oracles import (
+    _propagate,
+    observer_hamiltonian,
+    output_matrix,
+    propagator,
+    time_average_exact,
+    time_average_streamed,
+)
 
 # Worst relative Frobenius gaps seen over 1,500 random draws of each
 # property below, with a margin: 2.1e-11 against the exact route (mostly the
@@ -196,7 +203,8 @@ def test_mpmath_referee(c_p, variant, n, seed, horizon):
     assert relative_gap(co.time_average_spectral(modes, horizon).averaged_rows, averaged) <= 1e-12
     assert relative_gap(co.end_rows(modes, horizon), end) <= 1e-10
     assert relative_gap(time_average_exact(aug, horizon).averaged_rows, averaged) <= 1e-9
-    assert relative_gap(aug.c_a @ propagator(aug.a_a, horizon), end) <= 1e-9
+    direct = output_matrix(chain) @ propagator(aug.dynamics.dense(), horizon)
+    assert relative_gap(direct, end) <= 1e-9
 
 
 def spectral_norm(phi: np.ndarray) -> float:
@@ -231,13 +239,12 @@ def test_sweep_maximum_referee(c_p, variant, n, seed, monkeypatch):
         analysis.ObserverFlow, "propagator", lambda flow, k: visited.append(k) or form(flow, k)
     )
     observed = co.verify_exp_bound(
-        modes, co.certify_positive_definite(aug.r_o).exp_norm_bound, grid
+        modes, co.certify_positive_definite(observer_hamiltonian(aug)).exp_norm_bound, grid
     )
     monkeypatch.undo()
     flow = analysis.observer_flow(modes, grid)
     closed = {k: spectral_norm(flow.propagator(k)) for k in visited}
-    theta = co.make_symplectic(n)
-    engine = [spectral_norm(phi) for phi in _propagate(aug.a_o, theta, grid)]
+    engine = [spectral_norm(phi) for phi in _propagate(aug.dynamics.dense()[2:, 2:], grid)]
     samples = sorted(visited, key=closed.get)[-4:] + [int(np.argmax(engine))]
     referee = {}
     with mpmath.workdps(40):

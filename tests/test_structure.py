@@ -1,9 +1,10 @@
 """The block-tridiagonal routes against their dense oracles and a 40-digit referee.
 
+The library holds R_a and A_a as the chain's 2 x 2 blocks alone, and
 check, timeavg and simulate never form the (2N+2) x (2N+2) system: every
-product, norm and residual they take runs over the chain's 2 x 2 blocks,
-and the certificate of R_o comes from R_red and omega. Each such route is
-held here to the dense route it replaced (tests/oracles.py).
+product, norm and residual they take runs over the blocks, and the
+certificate of R_o comes from R_red and omega. Each such route is held here
+to the dense route it replaced (tests/oracles.py), on the blocks' dense().
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from oracles import (
     dense_fixed_point_residual,
     dense_mode_generator_residual,
     dense_realizability_residual,
+    observer_hamiltonian,
     reference_eigenvalues,
+    symplectic_matrix,
 )
 from test_acceptance import ACCEPTANCE_CONFIGS
 
@@ -65,12 +68,11 @@ def chains(draw, mistune: bool = False):
 @settings(max_examples=60, deadline=None)
 @given(chains(mistune=True))
 def test_dynamics_are_the_dense_product_bit_for_bit(case):
-    """The row swap 2 Theta R equals 2 Theta @ R in every bit, sign bits of zeros included,
-    and so do the blocks it gives."""
+    """The row swap 2 Theta R, block by block and then assembled, equals 2 Theta @ R
+    in every bit, sign bits of zeros included."""
     chain, _ = case
     aug = co.assemble_augmented(chain)
-    expected = dense_dynamics(aug.r_a, co.make_symplectic(chain.n_elements + 1).matrix)
-    assert np.array_equal(aug.a_a.view(np.uint64), expected.view(np.uint64))
+    expected = dense_dynamics(aug.hamiltonian.dense(), symplectic_matrix(chain.n_elements + 1))
     assert np.array_equal(aug.dynamics.dense().view(np.uint64), expected.view(np.uint64))
 
 
@@ -82,12 +84,14 @@ def test_block_products_match_the_dense_products(case):
     chain, seed = case
     aug = co.assemble_augmented(chain)
     rng = np.random.default_rng(seed)
-    rows = rng.normal(size=(3, aug.a_a.shape[0]))
-    tolerance = 16 * EPS * (np.abs(rows) @ np.abs(aug.a_a))
-    assert np.all(np.abs(rows @ aug.dynamics - rows @ aug.a_a) <= tolerance)
-    x = rng.normal(size=aug.a_o.shape[0])
-    tolerance = 16 * EPS * (np.abs(aug.a_o) @ np.abs(x))
-    assert np.all(np.abs(aug.observer_dynamics @ x - aug.a_o @ x) <= tolerance)
+    a_a = aug.dynamics.dense()
+    a_o = a_a[2:, 2:]
+    rows = rng.normal(size=(3, a_a.shape[0]))
+    tolerance = 16 * EPS * (np.abs(rows) @ np.abs(a_a))
+    assert np.all(np.abs(rows @ aug.dynamics - rows @ a_a) <= tolerance)
+    x = rng.normal(size=a_o.shape[0])
+    tolerance = 16 * EPS * (np.abs(a_o) @ np.abs(x))
+    assert np.all(np.abs(aug.observer_dynamics @ x - a_o @ x) <= tolerance)
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,16 +101,17 @@ def test_block_norms_and_residuals_match_the_dense_routes(case):
     each against its dense route."""
     chain, _ = case
     aug = co.assemble_augmented(chain)
-    a_a = aug.a_a
+    a_a = aug.dynamics.dense()
+    a_o = a_a[2:, 2:]
     frobenius = np.linalg.norm(a_a)
     assert abs(aug.dynamics.frobenius_norm() - frobenius) <= 4 * EPS * frobenius
     inf_norm = np.linalg.norm(a_a, np.inf)
     assert abs(aug.dynamics.inf_norm() - inf_norm) <= 4 * EPS * inf_norm
-    theta = aug.theta.matrix
+    theta = symplectic_matrix(chain.n_elements + 1)
     assert co.realizability_residual(aug.dynamics) == dense_realizability_residual(a_a, theta) == 0.0
-    scale = np.linalg.norm(aug.a_o) * np.linalg.norm(np.tile(chain.alpha, chain.n_elements))
-    expected = dense_fixed_point_residual(aug.a_o, chain)
-    assert abs(co.check_fixed_point(aug, chain) - expected) <= 16 * EPS * scale
+    scale = np.linalg.norm(a_o) * np.linalg.norm(np.tile(chain.alpha, chain.n_elements))
+    expected = dense_fixed_point_residual(a_o, chain)
+    assert abs(co.check_fixed_point(aug) - expected) <= 16 * EPS * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,7 +120,7 @@ def test_mode_generator_matches_the_dense_rotation(case):
     chain, _ = case
     aug = co.assemble_augmented(chain)
     modes = co.normal_modes(chain)
-    dense = dense_mode_generator_residual(modes, aug.a_o)
+    dense = dense_mode_generator_residual(modes, aug.dynamics.dense()[2:, 2:])
     assert dense <= 1e-14
     assert abs(co.verify_mode_generator(modes, aug) - dense) <= 1e-14
 
@@ -127,7 +132,7 @@ def test_both_routes_agree_on_definiteness(case):
     chain, _ = case
     aug = co.assemble_augmented(chain)
     try:
-        dense = co.certify_positive_definite(aug.r_o)
+        dense = co.certify_positive_definite(observer_hamiltonian(aug))
     except co.NotPositiveDefiniteError:
         dense = None
     try:
@@ -152,9 +157,10 @@ def test_certificate_against_the_referee(label, c_p, variant, omega0, n, seed):
     """Both routes' extreme eigenvalues of R_o lie within
     CERTIFICATE_REFEREE_TOL * lambda_max of 40-digit ones."""
     chain, aug = build_system(c_p, variant, omega0, n, seed=seed)
-    reference = reference_eigenvalues(aug.r_o)
+    r_o = observer_hamiltonian(aug)
+    reference = reference_eigenvalues(r_o)
     scale = float(reference[-1])
-    dense = np.linalg.eigvalsh(aug.r_o)
+    dense = np.linalg.eigvalsh(r_o)
     structural = structural_certificate(chain)
     for route, (lam_min, lam_max) in (("structural", (structural.lambda_min, structural.lambda_max)),
                                       ("dense", (dense[0], dense[-1]))):
