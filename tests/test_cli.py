@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import inspect
@@ -878,3 +879,62 @@ class TestConsoleEntryPoint:
         }
         assert len(set(co.__all__)) == len(co.__all__)
         assert set(co.__all__) == public
+
+    @staticmethod
+    def _env(blas_timeout):
+        env = {**os.environ, "PYTHONPATH": str(Path(co.__file__).resolve().parents[1])}
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        if blas_timeout is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = blas_timeout
+        return env
+
+    @pytest.mark.parametrize("preset,expected", [(None, "22"), ("10", "10")])
+    def test_import_sets_the_blas_thread_timeout_unless_set(self, tmp_path, preset, expected):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, chainobs; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"],
+            cwd=tmp_path, env=self._env(preset), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+    def test_blas_thread_timeout_is_set_before_numpy_loads(self):
+        """Every import in `__init__` but `import os` loads numpy, which reads the timeout once."""
+        tree = ast.parse(Path(co.__file__).read_text())
+        setdefault = next(
+            node for node in tree.body
+            if isinstance(node, ast.Expr)
+            and ast.unparse(node) == "os.environ.setdefault('OPENBLAS_THREAD_TIMEOUT', '22')"
+        )
+        imports = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and ast.unparse(node) != "import os"
+        ]
+        assert imports
+        assert all(node.lineno > setdefault.lineno for node in imports)
+
+    def test_blas_thread_timeout_leaves_every_output_byte_identical(self, tmp_path):
+        """The timeout only decides when an idle BLAS worker sleeps; 28 is OpenBLAS's own default."""
+        runs = {
+            "check": ({"n_elements": 50, "scheme": "random", "seed": 1, "horizon": 800.0}, set()),
+            "timeavg": (
+                {"n_elements": 50, "scheme": "odd-harmonics", "horizon": 8.0},
+                {"report.json", "time_averages.csv"},
+            ),
+        }
+        for command, (fields, names) in runs.items():
+            config = tmp_path / f"{command}.json"
+            config.write_text(json.dumps(dict(fields, omega0=1.0, c_p=[1.0, 0.0], step="auto")))
+            results = []
+            for blas_timeout in (None, "28"):
+                out = tmp_path / f"{command}-{blas_timeout}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "chainobs.cli", command, "--config", str(config),
+                     "--output-dir", str(out)],
+                    cwd=tmp_path, env=self._env(blas_timeout), capture_output=True, text=True,
+                )
+                assert proc.returncode == 0, proc.stderr
+                files = sorted(out.iterdir()) if out.exists() else []
+                digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+                assert set(digests) == names
+                results.append((proc.stdout, digests))
+            assert results[0] == results[1], command
