@@ -2,12 +2,13 @@
 
 Construct an N-element observer chain that couples directly to a one-mode
 static plant, from the plant output row c_p and the coupling strengths mu~
-alone (build_chain(c_p, mu_tilde), then assemble_augmented(chain)), and
-certify the construction: the internal energy matrix must be positive
-definite and the dynamics physically realizable, with the frequency lineup
-pinned by a constant-drive fixed point. The system is held as the chain's
-2 x 2 blocks alone, and the certificates work from them and from its N x N
-reduced matrix. The simulation layer then
+alone (build_chain(c_p, mu_tilde)), and certify the construction: the
+internal energy matrix must be positive definite and the dynamics
+physically realizable, with the frequency lineup pinned by a constant-drive
+fixed point. The chain is the plant+observer system: it holds R_a and A_a
+as its 2 x 2 blocks alone (chain.hamiltonian, chain.dynamics), and the
+certificates work from them and from its N x N reduced matrix. The
+simulation layer then
 evaluates the coefficient rows C_a exp(A_a t), and their time averages, in
 closed form from the chain's normal modes to demonstrate time-averaged
 consensus of the observer outputs onto the plant output.
@@ -43,10 +44,8 @@ from .builder import (
     SCHEME_RANDOM,
     SCHEME_UNIFORM,
     SCHEMES,
-    AugmentedSystem,
     ChainObserverParams,
     ParameterScheme,
-    assemble_augmented,
     build_chain,
     check_fixed_point,
     make_mu_schedule,
@@ -94,7 +93,6 @@ __version__ = "0.1.0"
 # The config and report names stay in chainobs.cli, which the package does
 # not import: `python -m chainobs.cli` would then find it imported and warn.
 __all__ = [
-    "AugmentedSystem",
     "BlockTridiagonal",
     "BoundViolatedError",
     "ChainObserverParams",
@@ -122,7 +120,6 @@ __all__ = [
     "ToleranceExceededError",
     "Trajectory",
     "UnsupportedSchemeError",
-    "assemble_augmented",
     "block_dynamics",
     "build_chain",
     "build_reduced",

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import AugmentedSystem, ChainObserverParams
+from .builder import ChainObserverParams
 from .errors import (
     BoundViolatedError,
     InvalidInputError,
@@ -225,20 +225,20 @@ class ObserverFlow:
         return phi
 
 
-def verify_mode_generator(modes: NormalModes, aug: AugmentedSystem) -> float:
-    """Check that the normal modes generate the assembled observer dynamics.
+def verify_mode_generator(modes: NormalModes) -> float:
+    """Check that the normal modes generate their chain's observer dynamics.
 
     The closed form P(t) = S D(t) S^-1 has the generator dP/dt at t = 0,
     [[0, -2 L1 L1^T], [2 L2 diag(lam) L2^T, 0]] in (q, p) blocks, which is
     [[0, -2 Omega], [2 R_red, 0]] exactly when V is orthogonal (so S^-1
     inverts S) and V, lam diagonalise K. The blocks of a_o = 2 Theta R_o,
-    rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), must equal
-    it; off the three central block diagonals a_o is zero, so there the
-    residual is the generator itself. This ties every propagator the sweep
-    forms to the assembled system; the per-sample checks alone hold for
-    any orthogonal V. Costs two N x N products. Returns the relative
-    Frobenius residual and raises a tolerance-exceeded error above
-    GENERATOR_REL_TOL.
+    read from modes.chain and rotated per mode into (q, p) =
+    (alpha^ . x, J alpha^ . x), must equal it; off the three central block
+    diagonals a_o is zero, so there the residual is the generator itself.
+    This ties every propagator the sweep forms to the chain's own blocks;
+    the per-sample checks alone hold for any orthogonal V. Costs two N x N
+    products. Returns the relative Frobenius residual and raises a
+    tolerance-exceeded error above GENERATOR_REL_TOL.
     """
     left, right = modes.left, modes.right
     n = modes.lam.size
@@ -246,7 +246,7 @@ def verify_mode_generator(modes: NormalModes, aug: AugmentedSystem) -> float:
     p_to_q = 2.0 * ((right * modes.lam) @ right.T)
     alpha_hat = modes.chain.alpha / np.linalg.norm(modes.chain.alpha)
     rotation = np.array([alpha_hat, SYMPLECTIC_UNIT @ alpha_hat])
-    a_o = aug.observer_dynamics
+    a_o = modes.chain.observer_dynamics
     i = np.arange(n)
     rotated, qq_pp = [], []
     for blocks, rows, cols in ((a_o.diagonal, i, i), (a_o.upper, i[:-1], i[1:]),

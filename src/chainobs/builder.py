@@ -16,11 +16,11 @@ the stacked observer state direction (alpha; ...; alpha) is a fixed point of
 the observer dynamics driven by the constant plant output. That algebraic
 identity is what check_fixed_point certifies.
 
-A chain is stored as (alpha, mu~, omega) alone, and so is the plant+observer
-system assembled from it: its Hamiltonian and dynamics are the
+A chain is stored as (alpha, mu~, omega) alone, and it is the whole
+plant+observer system: its Hamiltonian and dynamics are the
 block-tridiagonal 2 x 2 blocks above (lqs.BlockTridiagonal, O(N) numbers),
-the only form the library holds them in, and it inherits physical
-realizability by construction.
+formed when first read and the only form the library holds them in, and it
+inherits physical realizability by construction.
 """
 
 from __future__ import annotations
@@ -92,6 +92,11 @@ class ChainObserverParams:
     omega_i = mu~_i + mu~_{i+1}, stays representable (for example through
     ``dataclasses.replace(chain, omega=...)``); build_chain always sets the
     tuned one.
+
+    The chain is also the plant+observer system as one closed linear
+    quantum system: mode 0 is the plant and modes 1..N are the observer
+    elements, hamiltonian and dynamics hold the block-tridiagonal R_a and
+    A_a = 2 Theta R_a, and every mode's output row is alpha.
     """
 
     alpha: np.ndarray
@@ -107,30 +112,13 @@ class ChainObserverParams:
         """Raw coupling strengths mu_i = mu~_i / ||alpha||^2."""
         return self.mu_tilde / float(self.alpha @ self.alpha)
 
-
-@dataclass(frozen=True)
-class AugmentedSystem:
-    """Plant plus observer chain as one closed linear quantum system.
-
-    Mode 0 is the plant and modes 1..N are the observer elements. The
-    system is its chain: hamiltonian and dynamics hold the block-tridiagonal
-    R_a and A_a = 2 Theta R_a, and every mode's output row is alpha.
-    """
-
-    chain: ChainObserverParams
-
-    @property
-    def n_elements(self) -> int:
-        return self.chain.n_elements
-
     @cached_property
     def hamiltonian(self) -> BlockTridiagonal:
         """R_a: zero for the plant and omega_i I on the diagonal, the coupling
         -mu_i alpha alpha^T between mode i-1 and mode i."""
-        chain = self.chain
-        diagonal = np.zeros((chain.n_elements + 1, 2, 2))
-        diagonal[1:] = chain.omega[:, None, None] * np.eye(2)
-        coupling = -chain.mu[:, None, None] * np.outer(chain.alpha, chain.alpha)
+        diagonal = np.zeros((self.n_elements + 1, 2, 2))
+        diagonal[1:] = self.omega[:, None, None] * np.eye(2)
+        coupling = -self.mu[:, None, None] * np.outer(self.alpha, self.alpha)
         return BlockTridiagonal(diagonal, coupling, coupling)
 
     @cached_property
@@ -147,8 +135,7 @@ class AugmentedSystem:
     @property
     def x_star(self) -> np.ndarray:
         """x* = (alpha, ..., alpha) / ||alpha||^2, whose every output stays 1."""
-        alpha = self.chain.alpha
-        return np.tile(alpha, self.n_elements + 1) / float(alpha @ alpha)
+        return np.tile(self.alpha, self.n_elements + 1) / float(self.alpha @ self.alpha)
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -281,19 +268,7 @@ def build_chain(c_p: np.ndarray, mu_tilde: np.ndarray) -> ChainObserverParams:
     return ChainObserverParams(alpha=alpha, mu_tilde=mt.copy(), omega=omega)
 
 
-def assemble_augmented(chain: ChainObserverParams) -> AugmentedSystem:
-    """The plant+observer system of a chain, block-tridiagonal.
-
-    Coupling block i sits between mode i-1 and mode i, where mode 0 is the
-    plant and modes 1..N are the observer elements. The diagonal carries
-    the plant block (zero) and the self-energies omega_i I; every mode's
-    output row is alpha. Dynamics follow as twice the symplectic form times
-    the Hamiltonian coefficient matrix. Nothing is formed until it is read.
-    """
-    return AugmentedSystem(chain=chain)
-
-
-def check_fixed_point(aug: AugmentedSystem) -> float:
+def check_fixed_point(chain: ChainObserverParams) -> float:
     """Residual of the constant-drive fixed point of the observer chain.
 
     The observer dynamics read x_o' = a_o x_o + b_o z_p with z_p scalar,
@@ -303,10 +278,9 @@ def check_fixed_point(aug: AugmentedSystem) -> float:
     the frequency lineup matches the coupling strengths; a_o acts through
     its blocks, O(N). Diagnostic only; never raises on a nonzero residual.
     """
-    chain = aug.chain
     stack = np.tile(chain.alpha, chain.n_elements)
     norm2 = float(chain.alpha @ chain.alpha)
     beta_1 = -chain.mu[0] * chain.alpha
     b_o = np.zeros(2 * chain.n_elements)
     b_o[0:2] = 2.0 * SYMPLECTIC_UNIT @ beta_1
-    return float(np.linalg.norm(aug.observer_dynamics @ stack + b_o * norm2))
+    return float(np.linalg.norm(chain.observer_dynamics @ stack + b_o * norm2))

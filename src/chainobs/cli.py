@@ -15,7 +15,7 @@ Exit codes:
 
   0  every certificate and tolerance in the run passed
   1  a certificate or tolerance failed
-  2  the config was rejected, or a simulate run would not fit in memory
+  2  the config was rejected, or the run would not fit in physical memory
   3  unexpected error
 
 The CHAINOBS_LOG environment variable (DEBUG/INFO/WARNING/ERROR) controls
@@ -48,9 +48,8 @@ from .builder import (
     SCHEME_ALL_HARMONICS,
     SCHEME_RANDOM,
     SCHEMES,
-    AugmentedSystem,
+    ChainObserverParams,
     ParameterScheme,
-    assemble_augmented,
     build_chain,
     check_fixed_point,
     make_mu_schedule,
@@ -67,7 +66,6 @@ from .errors import (
 )
 from .lqs import realizability_residual
 from .simulate import (
-    NormalModes,
     TimeGrid,
     _chunk_times,
     coefficient_trajectory,
@@ -256,28 +254,70 @@ def load_config(path: str | Path, **overrides: object) -> ExperimentConfig:
     return parse_config(text, **overrides)
 
 
-def _construct(config: ExperimentConfig) -> AugmentedSystem:
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, where the platform reports them."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_fits(n: int, dense: bool = False, grid: TimeGrid | None = None) -> None:
+    """Reject a run whose arrays cannot fit in physical memory, before any is formed.
+
+    Counted in Python ints, so no chain length overflows, and only what the
+    run must hold. Without a grid, that is the chain's set-up: every run
+    holds the N x N reduced matrix and one N x N temporary, and a dense run
+    (build) also its (2N+2)-square R_a and A_a; it is checked before the
+    couplings are drawn. With simulate's grid it is the trajectory:
+    samples x (N+1) rows of 2N+2 doubles, two samples x (2N+2) arrays (the
+    plant rows and the spatial average) and one chunk of rows' temporaries
+    (at most simulate.TRAJECTORY_CHUNK_BYTES); the writers format the rows
+    a few thousand values at a time and copy none of them whole.
+    """
+    if grid is None:
+        needed = 2 * 8 * n * n + (2 * 8 * (2 * n + 2) ** 2 if dense else 0)
+        held = f"a chain of {n} elements would hold about {needed} bytes in two N x N arrays"
+        if dense:
+            held += " and its dense R_a and A_a"
+        remedy = "shorten the chain"
+    else:
+        chunk = min(grid.samples, _chunk_times(n))
+        needed = (grid.samples * (n + 3) + chunk * (n + 1)) * (2 * n + 2) * 8
+        held = (f"simulate would hold {grid.samples} samples of {n + 1} x {2 * n + 2} rows, "
+                f"about {needed} bytes with the plant rows, the spatial average and one chunk "
+                f"of temporaries")
+        remedy = "shorten the horizon or lengthen the step"
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise ConfigValidationError(
+            f"{held}, more than the {memory} bytes of physical memory; {remedy}"
+        )
+
+
+def _construct(config: ExperimentConfig, dense: bool = False) -> ChainObserverParams:
+    """The config's chain, once its arrays are known to fit (_check_fits)."""
+    _check_fits(config.n_elements, dense=dense)
     scheme = ParameterScheme(variant=config.scheme, omega0=config.omega0, seed=config.seed)
-    return assemble_augmented(build_chain(config.c_p, make_mu_schedule(scheme, config.n_elements)))
+    return build_chain(config.c_p, make_mu_schedule(scheme, config.n_elements))
 
 
-def _base_report(aug: AugmentedSystem) -> RunReport:
+def _base_report(chain: ChainObserverParams) -> RunReport:
     """Certify the construction itself; shared by every subcommand.
 
     Everything here works from the chain's O(N) blocks and the N x N
     reduced matrix; no (2N+2)-square array is formed.
     """
-    chain = aug.chain
     reduced = build_reduced(chain)
     reduced_certificate = certify_positive_definite(reduced)
     report = RunReport(
         certificate=observer_certificate(reduced_certificate, chain.omega),
-        fixed_point_residual=check_fixed_point(aug),
-        realizability_residual=realizability_residual(aug.dynamics),
+        fixed_point_residual=check_fixed_point(chain),
+        realizability_residual=realizability_residual(chain.dynamics),
     )
-    a_norm = aug.dynamics.frobenius_norm()
+    a_norm = chain.dynamics.frobenius_norm()
     report.add("realizability_residual", report.realizability_residual, REALIZABILITY_REL_TOL * a_norm)
-    o_norm = aug.observer_dynamics.frobenius_norm()
+    o_norm = chain.observer_dynamics.frobenius_norm()
     report.add("fixed_point_residual", report.fixed_point_residual, FIXED_POINT_REL_TOL * o_norm)
 
     _, laplacian = laplacian_split(reduced)
@@ -297,19 +337,13 @@ def _base_report(aug: AugmentedSystem) -> RunReport:
     # C_a's plant row is (alpha, 0, ..., 0)
     plant = np.zeros(2 * chain.n_elements + 2)
     plant[:2] = chain.alpha
-    plant_row = float(np.abs(plant @ aug.dynamics).max())
+    plant_row = float(np.abs(plant @ chain.dynamics).max())
     report.add("plant_row_of_c_a_a_a", plant_row, PLANT_ROW_REL_TOL * a_norm)
 
     # every observer output row C_o is alpha on its own element
-    outputs = aug.x_star[2:].reshape(-1, 2) @ chain.alpha
+    outputs = chain.x_star[2:].reshape(-1, 2) @ chain.alpha
     report.add("consensus_target_identity", float(np.abs(outputs - 1.0).max()), 1e-12)
     return report
-
-
-def _resolve_step(config: ExperimentConfig, modes: NormalModes) -> float:
-    if config.step == "auto":
-        return default_step(modes)
-    return float(config.step)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -331,18 +365,18 @@ def run_build(config: ExperimentConfig) -> RunReport:
     blocks. C_a is alpha in each mode's own block, written in place so that
     its zeros stay +0.0 whatever the signs in alpha.
     """
-    aug = _construct(config)
-    report = _base_report(aug)
+    chain = _construct(config, dense=True)
+    report = _base_report(chain)
     out = _out_dir(config)
-    n = aug.n_elements
+    n = chain.n_elements
     modes = np.arange(n + 1)
     c_a = np.zeros((n + 1, 2 * n + 2))
-    c_a.reshape(n + 1, n + 1, 2)[modes, modes] = aug.chain.alpha
+    c_a.reshape(n + 1, n + 1, 2)[modes, modes] = chain.alpha
     files = {
-        "r_a": aug.hamiltonian.dense(),
-        "a_a": aug.dynamics.dense(),
+        "r_a": chain.hamiltonian.dense(),
+        "a_a": chain.dynamics.dense(),
         "c_a": c_a,
-        "r_o_reduced": build_reduced(aug.chain),
+        "r_o_reduced": build_reduced(chain),
     }
     for name, matrix in files.items():
         path = out / f"{name}.csv"
@@ -352,56 +386,27 @@ def run_build(config: ExperimentConfig) -> RunReport:
     return _finish(out, report)
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, where the platform reports them."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
-def _check_trajectory_fits(grid: TimeGrid, n_elements: int) -> None:
-    """Reject a trajectory whose rows cannot fit in physical memory, before any is formed.
-
-    The run holds samples x (N+1) rows of 2N+2 doubles, two samples x (2N+2)
-    arrays (the plant rows and the spatial average) and one chunk of rows'
-    temporaries (at most simulate.TRAJECTORY_CHUNK_BYTES); the writers
-    format the rows a few thousand values at a time and copy none of them
-    whole.
-    """
-    n = n_elements
-    chunk = min(grid.samples, _chunk_times(n))
-    needed = (grid.samples * (n + 3) + chunk * (n + 1)) * (2 * n + 2) * 8
-    memory = _physical_memory()
-    if memory is not None and needed > memory:
-        raise ConfigValidationError(
-            f"simulate would hold {grid.samples} samples of {n + 1} x {2 * n + 2} rows, "
-            f"about {needed} bytes with the plant rows, the spatial average and one chunk "
-            f"of temporaries, more than the {memory} bytes of physical memory; shorten "
-            f"the horizon or lengthen the step"
-        )
-
-
 def run_simulate(config: ExperimentConfig) -> RunReport:
     """Sample the coefficient trajectory and write it with its spatial average.
 
     One eigensolve of the chain's normal modes sets the auto step and gives
     every row in closed form; the stored rows are then checked against the
-    assembled dynamics (simulate.verify_trajectory), a failure exiting 1. A
+    chain's dynamics (simulate.verify_trajectory), a failure exiting 1. A
     grid whose rows would not fit in physical memory is rejected (exit 2)
     before any row is formed.
     """
-    aug = _construct(config)
-    report = _base_report(aug)
-    modes = normal_modes(aug.chain)
-    grid = TimeGrid.covering(config.horizon, _resolve_step(config, modes))
-    _check_trajectory_fits(grid, aug.n_elements)
+    chain = _construct(config)
+    report = _base_report(chain)
+    modes = normal_modes(chain)
+    step = default_step(modes) if config.step == "auto" else float(config.step)
+    grid = TimeGrid.covering(config.horizon, step)
+    _check_fits(chain.n_elements, grid=grid)
     trajectory = coefficient_trajectory(modes, grid)
-    verify_trajectory(aug, modes, trajectory)
+    verify_trajectory(modes, trajectory)
 
     # C_a's plant row is (alpha, 0, ..., 0)
     plant_rows = trajectory.coefficient_rows[:, 0, :].copy()
-    plant_rows[:, :2] -= aug.chain.alpha
+    plant_rows[:, :2] -= chain.alpha
     plant_row_drift = float(np.linalg.norm(plant_rows, axis=1).max())
     report.add("plant_row_drift", plant_row_drift, PLANT_ROW_DRIFT_TOL)
 
@@ -421,21 +426,21 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
 
     One eigensolve of the chain's normal modes serves all five horizons, and
     nothing is sampled or exponentiated. The average at T/16 is checked
-    against the assembled dynamics through two identities it must satisfy
+    against the chain's dynamics through two identities it must satisfy
     (simulate.identity_residuals); a summed residual beyond 1e-8 of the
     average fails the run, since the averaging itself could not be trusted.
     """
-    aug = _construct(config)
-    report = _base_report(aug)
+    chain = _construct(config)
+    report = _base_report(chain)
     horizons = [config.horizon / 16, config.horizon / 8, config.horizon / 4,
                 config.horizon / 2, config.horizon]
-    modes = normal_modes(aug.chain)
+    modes = normal_modes(chain)
     averages = [time_average_spectral(modes, t) for t in horizons]
     report.consensus_error_curve = [
         (avg.horizon, consensus_error(avg)) for avg in averages
     ]
 
-    residual = sum(identity_residuals(aug, modes, averages[0]))
+    residual = sum(identity_residuals(modes, averages[0]))
     scale = float(np.linalg.norm(averages[0].averaged_rows, ord="fro"))
     report.add("time_average_oracle_disagreement", residual, ORACLE_REL_TOL * scale)
 
@@ -454,14 +459,14 @@ def run_check(config: ExperimentConfig) -> RunReport:
     """Run every certificate, including the exponential bound; write nothing.
 
     The bound is swept through the chain's normal modes, which must first
-    generate the assembled observer dynamics (verify_mode_generator).
+    generate the chain's observer dynamics (verify_mode_generator).
     """
-    aug = _construct(config)
-    report = _base_report(aug)
+    chain = _construct(config)
+    report = _base_report(chain)
     grid = TimeGrid.from_count(EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
     bound = report.certificate.exp_norm_bound
-    modes = normal_modes(aug.chain)
-    verify_mode_generator(modes, aug)
+    modes = normal_modes(chain)
+    verify_mode_generator(modes)
     observed = verify_exp_bound(modes, bound, grid)
     report.add("exp_norm_observed", observed, bound * (1.0 + 1e-9))
     return report

@@ -19,8 +19,9 @@ sample is independent of the others: no error accumulates with the number
 of steps. verify_trajectory holds a trajectory against the
 assembled A_a, and identity_residuals an average, each through identities
 that every true solution satisfies; both multiply rows by A_a block by
-block (AugmentedSystem.dynamics, the only form the library holds it in),
-O(N) per row, and take x* from AugmentedSystem.x_star.
+block (ChainObserverParams.dynamics, the only form the library holds it
+in), O(N) per row, and take x* from ChainObserverParams.x_star, both read
+from the modes' own chain.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import AugmentedSystem, ChainObserverParams
+from .builder import ChainObserverParams
 from .errors import InvalidParameterError, NotPositiveDefiniteError, ToleranceExceededError
 from .lqs import SYMPLECTIC_UNIT
 
@@ -295,10 +296,10 @@ def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
     return Trajectory(grid=grid, coefficient_rows=rows)
 
 
-def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Trajectory) -> None:
-    """Hold a stored trajectory against the assembled dynamics A_a.
+def verify_trajectory(modes: NormalModes, trajectory: Trajectory) -> None:
+    """Hold a stored trajectory against the dynamics A_a of the modes' chain.
 
-    (i) rows(t) x* = 1 at every sample, with x* = AugmentedSystem.x_star,
+    (i) rows(t) x* = 1 at every sample, with x* = ChainObserverParams.x_star,
     within TRAJECTORY_REL_TOL ||rows(t)||_inf ||x*||_inf: O(N^2) per sample.
     (ii) rows'(t) = rows(t) A_a at the last sample of every chunk of
     _chunk_times(N) samples, with rows'(t) from the derivative weights,
@@ -309,11 +310,12 @@ def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Traj
     weights, which (ii) does. Raises a tolerance-exceeded error naming the
     first failing sample.
     """
+    chain = modes.chain
     rows, times = trajectory.coefficient_rows, trajectory.grid.times()
-    x_star = aug.x_star
+    x_star = chain.x_star
     x_scale = float(np.linalg.norm(x_star, np.inf))
-    a_scale = aug.dynamics.inf_norm()
-    step = _chunk_times(modes.chain.n_elements)
+    a_scale = chain.dynamics.inf_norm()
+    step = _chunk_times(chain.n_elements)
     for start in range(0, times.size, step):
         chunk = rows[start : start + step]
         scale = np.abs(chunk).sum(axis=2).max(axis=1)
@@ -328,7 +330,7 @@ def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Traj
             )
         last = start + len(chunk) - 1
         derivative = _rows(modes, *_derivative_weights(modes, times[last]))
-        drift = float(np.linalg.norm(derivative[1:] - rows[last, 1:] @ aug.dynamics, np.inf))
+        drift = float(np.linalg.norm(derivative[1:] - rows[last, 1:] @ chain.dynamics, np.inf))
         if not drift <= TRAJECTORY_REL_TOL * scale[-1] * a_scale:
             raise ToleranceExceededError(
                 f"derivative identity residual {drift:.3e} exceeds {TRAJECTORY_REL_TOL:.0e} "
@@ -336,9 +338,7 @@ def verify_trajectory(aug: AugmentedSystem, modes: NormalModes, trajectory: Traj
             )
 
 
-def identity_residuals(
-    aug: AugmentedSystem, modes: NormalModes, avg: TimeAverage
-) -> tuple[float, float]:
+def identity_residuals(modes: NormalModes, avg: TimeAverage) -> tuple[float, float]:
     """Residuals of two identities every average R = R(T) satisfies, in units of R.
 
     (i) R A_a = (C_a Phi(T) - C_a) / T, with A_a the assembled dynamics and
@@ -350,15 +350,16 @@ def identity_residuals(
     the term that carries consensus, and (ii) sees exactly that term; (ii)
     in turn cannot see an error in the p(0) weights, which (i) does.
     """
+    chain = modes.chain
     rows, horizon = avg.averaged_rows, avg.horizon
     change = end_rows(modes, horizon)
     # C_a Phi(T) - C_a: C_a is alpha in every mode's own block
     diagonal = np.arange(change.shape[0])
-    change.reshape(diagonal.size, diagonal.size, 2)[diagonal, diagonal] -= aug.chain.alpha
-    drift = rows @ aug.dynamics - change / horizon
-    x_star = aug.x_star
+    change.reshape(diagonal.size, diagonal.size, 2)[diagonal, diagonal] -= chain.alpha
+    drift = rows @ chain.dynamics - change / horizon
+    x_star = chain.x_star
     return (
-        float(np.linalg.norm(drift, np.inf) / aug.dynamics.inf_norm()),
+        float(np.linalg.norm(drift, np.inf) / chain.dynamics.inf_norm()),
         float(np.linalg.norm(rows @ x_star - 1.0, np.inf) / np.linalg.norm(x_star, np.inf)),
     )
 

@@ -9,10 +9,9 @@ import chainobs as co
 
 
 def build_system(c_p, variant="odd-harmonics", omega0=1.0, n=5, seed=None):
-    """Construct (chain, augmented system) in one call."""
+    """Construct a chain, the whole plant+observer system, in one call."""
     scheme = co.ParameterScheme(variant=variant, omega0=omega0, seed=seed)
-    chain = co.build_chain(c_p, co.make_mu_schedule(scheme, n))
-    return chain, co.assemble_augmented(chain)
+    return co.build_chain(c_p, co.make_mu_schedule(scheme, n))
 
 
 def perturb_omega(chain, index, delta):

@@ -57,7 +57,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from chainobs.analysis import _check_symplectic, observer_flow
-from chainobs.builder import AugmentedSystem, ChainObserverParams
+from chainobs.builder import ChainObserverParams
 from chainobs.errors import (
     BoundViolatedError,
     InvalidDimensionError,
@@ -79,9 +79,9 @@ def symplectic_matrix(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), J)
 
 
-def observer_hamiltonian(aug: AugmentedSystem) -> np.ndarray:
+def observer_hamiltonian(chain: ChainObserverParams) -> np.ndarray:
     """The dense 2N x 2N R_o, the observer block of R_a's blocks assembled."""
-    return aug.hamiltonian.dense()[2:, 2:]
+    return chain.hamiltonian.dense()[2:, 2:]
 
 
 def output_matrix(chain: ChainObserverParams) -> np.ndarray:
@@ -272,10 +272,10 @@ def exp_bound_unscreened(modes: NormalModes, bound: float, grid: TimeGrid) -> fl
     return worst
 
 
-def dense_augmented(
-    c_p: np.ndarray, mu_tilde: np.ndarray, omega: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r_a, a_a, c_a) of the plant+observer system, by Kronecker products only.
+def dense_augmented(chain: ChainObserverParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r_a, a_a, c_a) of a chain's plant+observer system, by Kronecker products only.
+
+    Reads the chain's stored alpha, mu~ and omega, never its blocks.
 
     With mu = mu~ / ||alpha||^2 and S the symmetric (N+1) x (N+1) path
     matrix carrying -mu on its first off-diagonals,
@@ -285,10 +285,10 @@ def dense_augmented(
     term is an exact zero there) and the doubling is exact, also for
     subnormal entries, so a correct assembly matches bit for bit.
     """
-    alpha = np.asarray(c_p, dtype=float)
-    mu = np.asarray(mu_tilde, dtype=float) / float(alpha @ alpha)
+    alpha = chain.alpha
+    mu = chain.mu_tilde / float(alpha @ alpha)
     n = mu.size
-    energies = np.diag(np.concatenate(([0.0], omega)))
+    energies = np.diag(np.concatenate(([0.0], chain.omega)))
     path = np.diag(-mu, 1) + np.diag(-mu, -1)
     outer = np.outer(alpha, alpha)
     r_a = np.kron(energies, np.eye(2)) + np.kron(path, outer)
@@ -387,10 +387,10 @@ def integral_of_propagator(a: np.ndarray, horizon: float) -> np.ndarray:
     return block
 
 
-def time_average_exact(aug: AugmentedSystem, horizon: float) -> TimeAverage:
+def time_average_exact(chain: ChainObserverParams, horizon: float) -> TimeAverage:
     """Time average of the coefficient rows by the doubled-block exponential."""
-    integral = integral_of_propagator(aug.dynamics.dense(), horizon)
-    rows = output_matrix(aug.chain) @ integral / float(horizon)
+    integral = integral_of_propagator(chain.dynamics.dense(), horizon)
+    rows = output_matrix(chain) @ integral / float(horizon)
     return TimeAverage(horizon=float(horizon), averaged_rows=rows)
 
 
@@ -429,7 +429,7 @@ def simpson_weights(times: np.ndarray) -> np.ndarray:
 
 
 def time_average_streamed(
-    aug: AugmentedSystem, horizon: float, step: float | None = None
+    chain: ChainObserverParams, horizon: float, step: float | None = None
 ) -> TimeAverage:
     """Composite-Simpson time average over [0, horizon], streamed sample by sample.
 
@@ -438,7 +438,7 @@ def time_average_streamed(
     defaults to 0.005 of the fastest mode's period; a step above 0.01 of it
     is rejected with a ValueError before any propagation.
     """
-    a_a = aug.dynamics.dense()
+    a_a = chain.dynamics.dense()
     omega_max = max_frequency(a_a)
     period = 2.0 * math.pi / omega_max
     grid = TimeGrid.covering(horizon, DEFAULT_STEP_FACTOR * period if step is None else step)
@@ -452,7 +452,7 @@ def time_average_streamed(
     summed = np.zeros(a_a.shape)
     for w, phi in zip(weights, _propagate(a_a, grid)):
         summed += w * phi
-    rows = output_matrix(aug.chain) @ summed / grid.t_end
+    rows = output_matrix(chain) @ summed / grid.t_end
     return TimeAverage(horizon=grid.t_end, averaged_rows=rows)
 
 

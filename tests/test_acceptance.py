@@ -45,7 +45,7 @@ def systems():
 
 
 def test_criterion_1_plant_output_invariance(example_system):
-    chain, _ = example_system
+    chain = example_system
     grid = co.TimeGrid.from_count(50.0, 10_000)
     trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
     target = np.zeros(12)
@@ -62,10 +62,9 @@ def test_criterion_2_definiteness_sweep():
     def examine(variant: str, n: int, seed: int | None) -> None:
         scheme = co.ParameterScheme(variant=variant, omega0=1.0, seed=seed)
         chain = co.build_chain([1.0, 0.0], co.make_mu_schedule(scheme, n))
-        aug = co.assemble_augmented(chain)
         label = f"{variant} n={n} seed={seed}"
         try:
-            co.certify_positive_definite(observer_hamiltonian(aug))
+            co.certify_positive_definite(observer_hamiltonian(chain))
             reduced = co.build_reduced(chain)
             co.certify_positive_definite(reduced)
         except co.NotPositiveDefiniteError as exc:
@@ -97,16 +96,15 @@ def test_criterion_2_definiteness_sweep():
 def test_criterion_3_fixed_point():
     ok = True
     details = []
-    for label, (chain, aug) in systems():
-        residual = co.check_fixed_point(aug)
-        bound = 1e-12 * float(np.linalg.norm(aug.dynamics.dense()[2:, 2:], ord="fro"))
+    for label, chain in systems():
+        residual = co.check_fixed_point(chain)
+        bound = 1e-12 * float(np.linalg.norm(chain.dynamics.dense()[2:, 2:], ord="fro"))
         if residual > bound:
             ok = False
             details.append(f"{label}: residual {residual:.3e} > {bound:.3e}")
         for index in range(chain.n_elements):
             perturbed = perturb_omega(chain, index, 1e-3)
-            perturbed_aug = co.assemble_augmented(perturbed)
-            sensitivity = co.check_fixed_point(perturbed_aug)
+            sensitivity = co.check_fixed_point(perturbed)
             if sensitivity <= 1e-4:
                 ok = False
                 details.append(
@@ -117,7 +115,7 @@ def test_criterion_3_fixed_point():
 
 
 def test_criterion_4_time_averaged_consensus(example_system):
-    chain, _ = example_system
+    chain = example_system
     horizons = [50.0, 100.0, 200.0, 400.0, 800.0]
     modes = co.normal_modes(chain)
     averages = {t: co.time_average_spectral(modes, t) for t in horizons}
@@ -158,8 +156,8 @@ def test_criterion_5_exponential_bound():
     ok = True
     details = []
     grid = co.TimeGrid.from_count(50.0, 500)
-    for label, (chain, aug) in systems():
-        bound = co.certify_positive_definite(observer_hamiltonian(aug)).exp_norm_bound
+    for label, chain in systems():
+        bound = co.certify_positive_definite(observer_hamiltonian(chain)).exp_norm_bound
         try:
             observed = co.verify_exp_bound(co.normal_modes(chain), bound, grid)
         except co.BoundViolatedError as exc:
@@ -176,9 +174,9 @@ def test_criterion_5_exponential_bound():
 def test_criterion_6_conservation():
     ok = True
     details = []
-    for label, (_, aug) in systems():
-        r_a, a_a = aug.hamiltonian.dense(), aug.dynamics.dense()
-        theta_norm = float(np.linalg.norm(symplectic_matrix(aug.n_elements + 1), ord="fro"))
+    for label, chain in systems():
+        r_a, a_a = chain.hamiltonian.dense(), chain.dynamics.dense()
+        theta_norm = float(np.linalg.norm(symplectic_matrix(chain.n_elements + 1), ord="fro"))
         energy_norm = float(np.linalg.norm(r_a, ord="fro"))
         grid = co.TimeGrid.covering(50.0, 0.02)
         step_phi = propagator(a_a, grid.step)
@@ -213,10 +211,10 @@ def test_criterion_7_oracle_equivalence():
     # doubled-block exponential averages against streamed Simpson quadrature
     for k in range(20):
         n = k % 8 + 1
-        _, aug = build_system([1.0, 0.0], "random", 1.0, n, seed=100 + k)
+        chain = build_system([1.0, 0.0], "random", 1.0, n, seed=100 + k)
         horizon = 10.0
-        quadrature = time_average_streamed(aug, horizon)
-        exact = time_average_exact(aug, horizon)
+        quadrature = time_average_streamed(chain, horizon)
+        exact = time_average_exact(chain, horizon)
         scale = float(np.linalg.norm(exact.averaged_rows, ord="fro"))
         gap = float(np.linalg.norm(quadrature.averaged_rows - exact.averaged_rows, ord="fro"))
         if gap > 1e-8 * scale:
@@ -224,8 +222,8 @@ def test_criterion_7_oracle_equivalence():
             details.append(f"random seed {100 + k} n={n}: averages disagree by {gap:.3e}")
 
     # scaling-and-squaring against the eigendecomposition route
-    for label, (chain, aug) in systems():
-        a_o, r_o = aug.dynamics.dense()[2:, 2:], observer_hamiltonian(aug)
+    for label, chain in systems():
+        a_o, r_o = chain.dynamics.dense()[2:, 2:], observer_hamiltonian(chain)
         for t in (1.0, 5.0):
             direct = propagator(a_o, t)
             spectral = spectral_propagator(r_o, t)
@@ -242,12 +240,12 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_comparison_bound():
     ok = True
     details = []
-    for index, (label, (chain, aug)) in enumerate(systems()):
+    for index, (label, chain) in enumerate(systems()):
         reduced = co.build_reduced(chain)
         rng = np.random.default_rng(7000 + index)
         x = rng.normal(size=(1000, 2 * chain.n_elements))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        full = np.einsum("ij,jk,ik->i", x, observer_hamiltonian(aug), x)
+        full = np.einsum("ij,jk,ik->i", x, observer_hamiltonian(chain), x)
         collapsed = np.stack([collapse_blocks(row) for row in x])
         comparison = np.einsum("ij,jk,ik->i", collapsed, reduced, collapsed)
         margin = float((full - comparison).min())

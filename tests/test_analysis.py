@@ -47,7 +47,7 @@ def chain_from(mu):
 
 class TestBuildReduced:
     def test_reference(self, example_system):
-        chain, _ = example_system
+        chain = example_system
         reduced = co.build_reduced(chain)
         assert np.array_equal(chain.omega, [3.0, 5.0, 7.0, 9.0, 5.0])
         assert np.array_equal(-chain.mu_tilde[1:], [-2.0, -3.0, -4.0, -5.0])
@@ -77,7 +77,7 @@ class TestBuildReduced:
 
 class TestLaplacianSplit:
     def test_reference(self, example_system):
-        chain, _ = example_system
+        chain = example_system
         mu_1, laplacian = co.laplacian_split(co.build_reduced(chain))
         assert mu_1 == 1.0
         assert np.array_equal(laplacian[0], [2.0, -2.0, 0.0, 0.0, 0.0])
@@ -134,8 +134,8 @@ class TestCertify:
 
     def test_reference_regression(self, example_system):
         """Extreme eigenvalues of the reference observer block, frozen."""
-        _, aug = example_system
-        cert = co.certify_positive_definite(observer_hamiltonian(aug))
+        chain = example_system
+        cert = co.certify_positive_definite(observer_hamiltonian(chain))
         assert np.isclose(cert.lambda_min, 0.12976937136773573, rtol=1e-10, atol=0.0)
         assert np.isclose(cert.lambda_max, 14.260039375715447, rtol=1e-10, atol=0.0)
         assert np.isclose(cert.exp_norm_bound, 10.48272666856287, rtol=1e-10, atol=0.0)
@@ -188,22 +188,21 @@ class TestCertify:
     @settings(max_examples=60, deadline=None)
     def test_reduced_and_full_certified_independently(self, mu):
         chain = co.build_chain([0.4, 1.1], mu)
-        aug = co.assemble_augmented(chain)
         reduced_cert = co.certify_positive_definite(co.build_reduced(chain))
-        full_cert = co.certify_positive_definite(observer_hamiltonian(aug))
+        full_cert = co.certify_positive_definite(observer_hamiltonian(chain))
         assert reduced_cert.lambda_min > 0.0
         assert full_cert.lambda_min > 0.0
 
 
-def certified(aug) -> float:
-    return co.certify_positive_definite(observer_hamiltonian(aug)).exp_norm_bound
+def certified(chain) -> float:
+    return co.certify_positive_definite(observer_hamiltonian(chain)).exp_norm_bound
 
 
 class TestExpBound:
     def test_identity_rotation_stays_at_one(self):
         """N = 1: R_o = omega I, so the flow is a rotation and the bound is one."""
         chain = chain_from([0.3])
-        bound = certified(co.assemble_augmented(chain))
+        bound = certified(chain)
         assert bound == 1.0
         grid = co.TimeGrid.from_count(10.0, 50)
         observed = co.verify_exp_bound(co.normal_modes(chain), bound, grid)
@@ -215,8 +214,8 @@ class TestExpBound:
         weight is an exact zero at t = 0, so the off-diagonal blocks vanish
         exactly, and the diagonal blocks are S S^-1: the identity, and a
         Gram norm of one, to rounding."""
-        chain, aug = example_system
-        a = aug.dynamics.dense()[2:, 2:]
+        chain = example_system
+        a = chain.dynamics.dense()[2:, 2:]
         grid = co.TimeGrid.from_count(1.0, 2)
         first = next(_propagate(a, grid))
         assert np.array_equal(first, np.eye(10))
@@ -225,11 +224,11 @@ class TestExpBound:
         assert np.all(closed[0::2, 1::2] == 0.0) and np.all(closed[1::2, 0::2] == 0.0)
         assert np.abs(closed - np.eye(10)).max() <= 1e-14
         assert abs(_spectral_norm(closed.T @ closed) - 1.0) <= 1e-14
-        assert certified(aug) > 1.0
+        assert certified(chain) > 1.0
 
     def test_reference_sweep(self, example_system):
-        chain, aug = example_system
-        bound = certified(aug)
+        chain = example_system
+        bound = certified(chain)
         grid = co.TimeGrid.from_count(50.0, 500)
         observed = co.verify_exp_bound(co.normal_modes(chain), bound, grid)
         assert observed <= bound * (1.0 + 1e-9)
@@ -238,28 +237,28 @@ class TestExpBound:
 
     def test_rejects_bad_times(self, example_system):
         """Invalid sample times are rejected by the grid itself."""
-        chain, aug = example_system
+        chain = example_system
         modes = co.normal_modes(chain)
         with pytest.raises(co.InvalidParameterError):
-            co.verify_exp_bound(modes, certified(aug), co.TimeGrid.from_count(-1.0, 2))
+            co.verify_exp_bound(modes, certified(chain), co.TimeGrid.from_count(-1.0, 2))
         with pytest.raises(co.InvalidParameterError):
-            co.verify_exp_bound(modes, certified(aug), co.TimeGrid.from_count(1.0, 0))
+            co.verify_exp_bound(modes, certified(chain), co.TimeGrid.from_count(1.0, 0))
 
     def test_observed_norm_is_numpys_spectral_norm(self):
         """The observed maximum equals numpy's 2-norm of the same exponentials."""
         grid = co.TimeGrid.from_count(50.0, 500)
-        for _, (chain, aug) in systems():
-            observed = co.verify_exp_bound(co.normal_modes(chain), certified(aug), grid)
-            a = aug.dynamics.dense()[2:, 2:]
+        for _, chain in systems():
+            observed = co.verify_exp_bound(co.normal_modes(chain), certified(chain), grid)
+            a = chain.dynamics.dense()[2:, 2:]
             expected = max(np.linalg.norm(propagator(a, t), ord=2) for t in grid.times())
             assert abs(observed - expected) <= 1e-12 * expected
 
     def test_violation_is_reported(self, example_system):
         """A bound below the true maximum must trip the check, not pass silently."""
-        chain, aug = example_system
+        chain = example_system
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.from_count(50.0, 500)
-        observed = co.verify_exp_bound(modes, certified(aug), grid)
+        observed = co.verify_exp_bound(modes, certified(chain), grid)
         with pytest.raises(co.BoundViolatedError):
             co.verify_exp_bound(modes, 0.999 * observed, grid)
 
@@ -271,7 +270,7 @@ class TestExpBound:
         bound lowered to 0.9 of the maximum the first violation is at
         t = 0.701, at 0.95 at t = 0.802 and at 0.99 at t = 37.6.
         """
-        chain, _ = example_system
+        chain = example_system
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.from_count(50.0, 500)
         first_visited = grid.times()[np.argmax(analysis.observer_flow(modes, grid).screen)]
@@ -288,7 +287,7 @@ class TestExpBound:
     def test_nan_step_ends_as_the_unscreened_sweep(self, example_system, monkeypatch, tmp_path):
         """A non-finite phase is stopped before the sorted sweep starts: the
         same numerical failure as the unscreened sweep, and exit 1."""
-        chain, aug = example_system
+        chain = example_system
         modes = co.normal_modes(chain)
         true_phases = analysis._phases
 
@@ -300,10 +299,10 @@ class TestExpBound:
         monkeypatch.setattr(analysis, "_phases", nan_phases)
         grid = co.TimeGrid.from_count(1.0, 10)
         with pytest.raises(co.NumericalFailureError) as expected:
-            exp_bound_unscreened(modes, certified(aug), grid)
+            exp_bound_unscreened(modes, certified(chain), grid)
         assert "at sample 3" in str(expected.value)
         with pytest.raises(co.NumericalFailureError, match=re.escape(str(expected.value))):
-            co.verify_exp_bound(modes, certified(aug), grid)
+            co.verify_exp_bound(modes, certified(chain), grid)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_elements": 5, "scheme": "odd-harmonics",
                                       "omega0": 1.0, "c_p": [1.0, 0.0], "horizon": 8.0}))
@@ -351,7 +350,7 @@ class TestExpBound:
         """Cosine weights scaled by 1 + 1e-5 break the symplectic identity of
         every formed propagator, and the sweep aborts before any norm is
         compared with the bound; the screen, scaled alike, cannot tell."""
-        chain, aug = example_system
+        chain = example_system
         true_phases = analysis._phases
 
         def scaled_cos(nu, times):
@@ -361,7 +360,7 @@ class TestExpBound:
         monkeypatch.setattr(analysis, "_phases", scaled_cos)
         with pytest.raises(co.ToleranceExceededError, match="symplectic drift"):
             co.verify_exp_bound(
-                co.normal_modes(chain), certified(aug), co.TimeGrid.from_count(1.0, 2)
+                co.normal_modes(chain), certified(chain), co.TimeGrid.from_count(1.0, 2)
             )
 
     def test_largest_screen_is_not_the_largest_norm(self):
@@ -370,7 +369,7 @@ class TestExpBound:
         1e-2: a sweep that stopped once the screen came within 5% of the best
         norm would report 69.379, short of the maximum the unscreened sweep
         finds."""
-        chain, aug = build_system([1.0, 0.0], "odd-harmonics", 1.0, 50)
+        chain = build_system([1.0, 0.0], "odd-harmonics", 1.0, 50)
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.from_count(cli.EXP_BOUND_SPAN, cli.EXP_BOUND_SAMPLES)
         flow = analysis.observer_flow(modes, grid)
@@ -379,14 +378,14 @@ class TestExpBound:
             phi = flow.propagator(k)
             norms.append(_spectral_norm(phi.T @ phi))
         assert np.argmax(flow.screen) != np.argmax(norms)
-        observed = co.verify_exp_bound(modes, certified(aug), grid)
-        assert observed == max(norms) == exp_bound_unscreened(modes, certified(aug), grid)
+        observed = co.verify_exp_bound(modes, certified(chain), grid)
+        assert observed == max(norms) == exp_bound_unscreened(modes, certified(chain), grid)
 
     def test_modes_generate_the_assembled_dynamics(self):
         """For every acceptance system the generator rebuilt from the normal
         modes is a_o rotated into (q, p), to rounding."""
-        for _, (chain, aug) in systems():
-            residual = co.verify_mode_generator(co.normal_modes(chain), aug)
+        for _, chain in systems():
+            residual = co.verify_mode_generator(co.normal_modes(chain))
             assert residual <= 1e-14
 
     def test_modes_of_another_system_are_a_tolerance_failure(self, example_system):
@@ -394,8 +393,10 @@ class TestExpBound:
         P stays symplectic and its screen agrees, so the generator check
         alone refuses them: eigenvalues off by 1e-9 relative, the first two
         eigenvectors turned by 1e-9 within their plane (V stays orthogonal),
-        or the modes of a chain with another lineup."""
-        chain, aug = example_system
+        or the eigenpairs of a chain with another lineup filed under this
+        chain, the one mismatch left now that the generator reads the blocks
+        from the modes' own chain."""
+        chain = example_system
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.from_count(50.0, 500)
         turned = modes.v.copy()
@@ -405,16 +406,16 @@ class TestExpBound:
         for wrong in (
             dataclasses.replace(modes, lam=modes.lam * (1.0 + 1e-9)),
             dataclasses.replace(modes, v=turned),
-            co.normal_modes(other),
+            dataclasses.replace(co.normal_modes(other), chain=chain),
         ):
-            co.verify_exp_bound(wrong, certified(aug), grid)
+            co.verify_exp_bound(wrong, certified(chain), grid)
             with pytest.raises(co.ToleranceExceededError, match="normal-mode generator"):
-                co.verify_mode_generator(wrong, aug)
+                co.verify_mode_generator(wrong)
 
     def test_wrong_screen_is_a_tolerance_failure(self, example_system):
         """A screen value that disagrees with the formed ||P||_F stops the sweep:
         the samples it would skip are only safe while the two agree."""
-        chain, aug = example_system
+        chain = example_system
         grid = co.TimeGrid.from_count(50.0, 500)
         flow = analysis.observer_flow(co.normal_modes(chain), grid)
         flow.screen[7] *= 1.0 + 1e-10
@@ -444,15 +445,15 @@ def test_engine_sweep_matches_the_eigh_oracle(
     if variant == co.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
-    chain, aug = build_system(
+    chain = build_system(
         c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
     )
     modes = co.normal_modes(chain)
-    bound = certified(aug)
+    bound = certified(chain)
     grid = co.TimeGrid.from_count(span, samples)
     observed = co.verify_exp_bound(modes, bound, grid)
     assert observed == exp_bound_unscreened(modes, bound, grid)
-    r_o = observer_hamiltonian(aug)
+    r_o = observer_hamiltonian(chain)
     expected = max(np.linalg.norm(spectral_propagator(r_o, t), ord=2) for t in grid.times())
     assert abs(observed - expected) <= 1e-11 * expected
     assert observed <= bound * (1.0 + 1e-9)
@@ -480,11 +481,11 @@ def test_screen_is_the_formed_frobenius_norm(variant, n, angle, radius, seed, sp
     if variant == co.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
-    chain, aug = build_system(
+    chain = build_system(
         c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
     )
     modes = co.normal_modes(chain)
-    assert co.verify_mode_generator(modes, aug) <= 1e-14
+    assert co.verify_mode_generator(modes) <= 1e-14
     flow = analysis.observer_flow(modes, co.TimeGrid.from_count(span, 40))
     for k, screen in enumerate(flow.screen):
         formed = np.linalg.norm(flow.propagator(k))
@@ -506,22 +507,22 @@ def test_observer_spectrum_is_reduced_spectrum_plus_self_energies(
     if variant == co.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
-    chain, aug = build_system(
+    chain = build_system(
         c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
     )
-    full = np.linalg.eigvalsh(observer_hamiltonian(aug))
+    full = np.linalg.eigvalsh(observer_hamiltonian(chain))
     split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(chain)),
                                     chain.omega]))
     assert np.abs(full - split).max() <= 1e-12 * full[-1]
 
 
 def test_observer_spectrum_split_holds_for_a_mistuned_lineup():
-    """assemble_augmented and build_reduced read the same stored omega, so the
+    """The chain's blocks and build_reduced read the same stored omega, so the
     split holds on a chain whose lineup no longer matches its couplings."""
     chain = co.build_chain([0.6, -1.3], np.array([1.0, 2.0, 3.0, 4.0]))
     omega = chain.omega + np.array([0.25, -0.5, 0.0, 1.5])
     mistuned = dataclasses.replace(chain, omega=omega)
-    full = np.linalg.eigvalsh(observer_hamiltonian(co.assemble_augmented(mistuned)))
+    full = np.linalg.eigvalsh(observer_hamiltonian(mistuned))
     split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(mistuned)), omega]))
     assert np.abs(full - split).max() <= 1e-12 * full[-1]
 
@@ -549,12 +550,12 @@ class TestComparisonBound:
     def test_block_collapse_underestimates_energy(self, c_p, variant, n, seed):
         """Collapsing modes to their block norms can only lower the quadratic
         form: the coupling terms lose by Cauchy-Schwarz, the diagonal stays."""
-        chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
+        chain = build_system(c_p, variant, 1.0, n, seed=seed)
         reduced = co.build_reduced(chain)
         rng = np.random.default_rng(101)
         x = rng.normal(size=(1000, 2 * n))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        full = np.einsum("ij,jk,ik->i", x, observer_hamiltonian(aug), x)
+        full = np.einsum("ij,jk,ik->i", x, observer_hamiltonian(chain), x)
         collapsed = np.stack([collapse_blocks(row) for row in x])
         comparison = np.einsum("ij,jk,ik->i", collapsed, reduced, collapsed)
         assert np.all(full >= comparison - 1e-12)

@@ -127,17 +127,15 @@ class TestFrequencyLineup:
 class TestBuildChain:
     def test_reference_chain(self):
         chain = co.build_chain([1.0, 0.0], np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        aug = co.assemble_augmented(chain)
         assert np.array_equal(chain.alpha, [1.0, 0.0])
-        assert np.array_equal(aug.hamiltonian.dense()[0:2, 2:4], [[-1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(chain.hamiltonian.dense()[0:2, 2:4], [[-1.0, 0.0], [0.0, 0.0]])
         assert np.array_equal(chain.omega, [3.0, 5.0, 7.0, 9.0, 5.0])
 
     def test_scaled_output_normalization(self):
         """A non-unit output direction rescales mu but not omega."""
         chain = co.build_chain([0.0, 2.0], np.array([4.0]))
         assert chain.mu[0] == 1.0
-        aug = co.assemble_augmented(chain)
-        assert np.array_equal(aug.hamiltonian.dense()[0:2, 2:4], [[0.0, 0.0], [0.0, -4.0]])
+        assert np.array_equal(chain.hamiltonian.dense()[0:2, 2:4], [[0.0, 0.0], [0.0, -4.0]])
         assert chain.omega[0] == 4.0
 
     def test_zero_output_rejected(self):
@@ -152,7 +150,7 @@ class TestBuildChain:
 
     def test_observer_self_energy_blocks(self):
         chain = co.build_chain([1.0, 0.0], np.array([2.0, 3.0]))
-        r_o = co.assemble_augmented(chain).hamiltonian.dense()[2:, 2:]
+        r_o = chain.hamiltonian.dense()[2:, 2:]
         assert np.array_equal(r_o[0:2, 0:2], 5.0 * np.eye(2))
         assert np.array_equal(r_o[2:4, 2:4], 3.0 * np.eye(2))
 
@@ -160,7 +158,6 @@ class TestBuildChain:
 class TestAssemble:
     def test_smallest_case_by_hand(self):
         chain = co.build_chain([1.0, 0.0], np.array([1.0]))
-        aug = co.assemble_augmented(chain)
         expected = np.array(
             [
                 [0.0, 0.0, -1.0, 0.0],
@@ -169,19 +166,19 @@ class TestAssemble:
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
-        assert np.array_equal(aug.hamiltonian.dense(), expected)
+        assert np.array_equal(chain.hamiltonian.dense(), expected)
 
     def test_reference_entries(self, example_system):
-        _, aug = example_system
-        r_a = aug.hamiltonian.dense()
+        chain = example_system
+        r_a = chain.hamiltonian.dense()
         assert r_a.shape == (12, 12)
         assert r_a[0, 2] == -1.0
         assert r_a[2, 2] == 3.0
         assert np.array_equal(r_a, r_a.T)
 
     def test_off_tridiagonal_blocks_are_zero(self, example_system):
-        _, aug = example_system
-        r_a = aug.hamiltonian.dense()
+        chain = example_system
+        r_a = chain.hamiltonian.dense()
         for i in range(6):
             for j in range(6):
                 if abs(i - j) > 1:
@@ -189,9 +186,9 @@ class TestAssemble:
                     assert np.array_equal(block, np.zeros((2, 2)))
 
     def test_realizability(self, example_system):
-        _, aug = example_system
-        residual = co.realizability_residual(aug.dynamics)
-        assert residual <= 1e-12 * np.linalg.norm(aug.dynamics.dense(), ord="fro")
+        chain = example_system
+        residual = co.realizability_residual(chain.dynamics)
+        assert residual <= 1e-12 * np.linalg.norm(chain.dynamics.dense(), ord="fro")
 
     def test_output_rows(self, tmp_path):
         """build writes C_a with alpha = (1, 0) in each mode's own block."""
@@ -209,9 +206,9 @@ class TestAssemble:
 
     def test_observer_views(self, example_system):
         """A_o is the block of A_a among modes 1..N."""
-        _, aug = example_system
-        assert np.array_equal(aug.observer_dynamics.dense(), aug.dynamics.dense()[2:, 2:])
-        assert aug.n_elements == 5
+        chain = example_system
+        assert np.array_equal(chain.observer_dynamics.dense(), chain.dynamics.dense()[2:, 2:])
+        assert chain.n_elements == 5
 
     def test_drive_column(self):
         """The drive check_fixed_point uses is the plant-to-observer block of a_a.
@@ -221,20 +218,19 @@ class TestAssemble:
         (alpha; alpha; ...; alpha). A mistuned lineup keeps that norm nonzero.
         """
         chain = perturb_omega(co.build_chain([0.6, -1.3], np.array([1.0, 2.0, 3.0])), 1, 0.5)
-        aug = co.assemble_augmented(chain)
-        a_a = aug.dynamics.dense()
+        a_a = chain.dynamics.dense()
         drive = a_a[2:, :2] @ chain.alpha
         assert np.array_equal(drive[2:], np.zeros(4))
         stack = np.tile(chain.alpha, chain.n_elements)
         expected = float(np.linalg.norm(a_a[2:, 2:] @ stack + drive))
         assert expected > 0.5
-        assert abs(co.check_fixed_point(aug) - expected) <= 1e-12 * expected
+        assert abs(co.check_fixed_point(chain) - expected) <= 1e-12 * expected
 
     def test_mistuned_lineup_reaches_the_assembled_system(self, example_system):
         """omega is the one stored lineup: a replaced one is what gets assembled."""
-        chain, _ = example_system
+        chain = example_system
         perturbed = perturb_omega(chain, 2, 0.25)
-        r_o = co.assemble_augmented(perturbed).hamiltonian.dense()[2:, 2:]
+        r_o = perturbed.hamiltonian.dense()[2:, 2:]
         assert np.array_equal(np.diag(r_o), np.repeat(perturbed.omega, 2))
         assert np.array_equal(np.diag(co.build_reduced(perturbed)), perturbed.omega)
 
@@ -247,16 +243,33 @@ class TestStoredState:
         assert chain.n_elements == 3
         assert np.array_equal(chain.mu, chain.mu_tilde / 4.0)
 
-    def test_augmented_system_stores_no_observer_copies(self, example_system):
-        chain, _ = example_system
-        aug = co.assemble_augmented(chain)
-        fields = [f.name for f in dataclasses.fields(aug)]
-        assert fields == ["chain"]
-        # the blocks are all it ever caches
-        assert set(vars(aug)) == {"chain"}
-        assert aug.hamiltonian.diagonal.shape == (6, 2, 2)
-        assert aug.dynamics.upper.shape == (5, 2, 2)
-        assert set(vars(aug)) == {"chain", "hamiltonian", "dynamics"}
+    def test_chain_caches_only_its_blocks(self):
+        chain = build_system([1.0, 0.0], "odd-harmonics", 1.0, 5)
+        # the blocks are all it ever caches, and only once they are read
+        assert set(vars(chain)) == {"alpha", "mu_tilde", "omega"}
+        assert chain.hamiltonian.diagonal.shape == (6, 2, 2)
+        assert chain.dynamics.upper.shape == (5, 2, 2)
+        assert chain.observer_dynamics.lower.shape == (4, 2, 2)
+        assert chain.x_star.shape == (12,)
+        assert set(vars(chain)) == {"alpha", "mu_tilde", "omega", "hamiltonian", "dynamics"}
+
+    def test_a_replaced_lineup_is_not_read_from_the_old_cache(self):
+        """dataclasses.replace builds a new chain, so its blocks and x* come
+        from its own omega, not from the blocks the old chain cached."""
+        chain = build_system([0.6, -1.3], "odd-harmonics", 1.0, 4)
+        old_r_a, old_a_a = chain.hamiltonian.dense(), chain.dynamics.dense()
+        old_x_star = chain.x_star
+        perturbed = perturb_omega(chain, 1, 0.5)
+        assert "hamiltonian" not in vars(perturbed) and "dynamics" not in vars(perturbed)
+        r_a, a_a, _ = dense_augmented(perturbed)
+        assert np.array_equal(perturbed.hamiltonian.dense(), r_a)
+        assert np.array_equal(perturbed.dynamics.dense(), a_a)
+        assert not np.array_equal(perturbed.hamiltonian.dense(), old_r_a)
+        assert not np.array_equal(perturbed.dynamics.dense(), old_a_a)
+        assert np.array_equal(perturbed.x_star, old_x_star)
+        # the old chain keeps its own blocks
+        assert np.array_equal(chain.hamiltonian.dense(), old_r_a)
+        assert np.array_equal(chain.dynamics.dense(), old_a_a)
 
     def test_build_chain_checks_its_coupling_strengths(self):
         with pytest.raises(co.InvalidDimensionError):
@@ -277,19 +290,18 @@ class TestStoredState:
 
 class TestFixedPoint:
     def test_reference_residual(self, example_system):
-        _, aug = example_system
-        residual = co.check_fixed_point(aug)
-        assert residual <= 1e-12 * np.linalg.norm(aug.dynamics.dense()[2:, 2:], ord="fro")
+        chain = example_system
+        residual = co.check_fixed_point(chain)
+        assert residual <= 1e-12 * np.linalg.norm(chain.dynamics.dense()[2:, 2:], ord="fro")
 
     def test_single_element_residual(self):
-        _, aug = build_system([1.0, 0.0], "uniform", 1.0, 1)
-        assert co.check_fixed_point(aug) <= 1e-15
+        chain = build_system([1.0, 0.0], "uniform", 1.0, 1)
+        assert co.check_fixed_point(chain) <= 1e-15
 
     def test_unit_perturbation_gives_residual_two(self, example_system):
-        chain, _ = example_system
+        chain = example_system
         perturbed = perturb_omega(chain, 0, 1.0)
-        aug = co.assemble_augmented(perturbed)
-        assert abs(co.check_fixed_point(aug) - 2.0) <= 1e-12
+        assert abs(co.check_fixed_point(perturbed) - 2.0) <= 1e-12
 
     @given(
         st.integers(min_value=0, max_value=4),
@@ -301,8 +313,7 @@ class TestFixedPoint:
         """Breaking any one frequency relation shows up as 2 delta ||alpha||."""
         chain = co.build_chain(c_p, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         perturbed = perturb_omega(chain, index, delta)
-        aug = co.assemble_augmented(perturbed)
-        residual = co.check_fixed_point(aug)
+        residual = co.check_fixed_point(perturbed)
         expected = 2.0 * delta * float(np.linalg.norm(c_p))
         assert abs(residual - expected) <= 1e-9 * max(1.0, delta)
 
@@ -310,35 +321,34 @@ class TestFixedPoint:
     @settings(max_examples=40, deadline=None)
     def test_every_constructed_chain_satisfies_it(self, mu):
         chain = co.build_chain([0.7, -1.3], mu)
-        aug = co.assemble_augmented(chain)
-        residual = co.check_fixed_point(aug)
-        assert residual <= 1e-12 * np.linalg.norm(aug.dynamics.dense()[2:, 2:], ord="fro")
+        residual = co.check_fixed_point(chain)
+        assert residual <= 1e-12 * np.linalg.norm(chain.dynamics.dense()[2:, 2:], ord="fro")
 
 
 class TestPlantOutputInvariance:
     def test_axis_aligned_output_row_is_exactly_zero(self, example_system):
-        chain, aug = example_system
-        assert np.array_equal((output_matrix(chain) @ aug.dynamics.dense())[0], np.zeros(12))
+        chain = example_system
+        assert np.array_equal((output_matrix(chain) @ chain.dynamics.dense())[0], np.zeros(12))
 
     def test_generic_output_row_vanishes(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             c_p = rng.normal(size=2)
-            chain, aug = build_system(c_p, "random", 1.0, 4, seed=int(rng.integers(1 << 16)))
-            a_a = aug.dynamics.dense()
+            chain = build_system(c_p, "random", 1.0, 4, seed=int(rng.integers(1 << 16)))
+            a_a = chain.dynamics.dense()
             row = (output_matrix(chain) @ a_a)[0]
             assert np.abs(row).max() <= 1e-13 * np.linalg.norm(a_a, ord="fro")
 
 
 def test_consensus_target_identity(example_system):
     """Every output of x* = (alpha, ..., alpha) / ||alpha||^2 is one."""
-    chain, aug = example_system
-    assert np.abs(output_matrix(chain) @ aug.x_star - 1.0).max() <= 1e-15
+    chain = example_system
+    assert np.abs(output_matrix(chain) @ chain.x_star - 1.0).max() <= 1e-15
 
 
 def test_consensus_target_generic_output():
-    chain, aug = build_system([0.6, 2.2], "uniform", 0.5, 3)
-    assert np.abs(output_matrix(chain) @ aug.x_star - 1.0).max() <= 1e-15
+    chain = build_system([0.6, 2.2], "uniform", 0.5, 3)
+    assert np.abs(output_matrix(chain) @ chain.x_star - 1.0).max() <= 1e-15
 
 
 @st.composite
@@ -359,7 +369,7 @@ def assembly_cases(draw):
 def test_assembly_matches_the_kronecker_oracle(case):
     """The blocks of R_a and A_a, assembled, equal their Kronecker-product form."""
     variant, n, seed, c_p = case
-    chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
-    r_a, a_a, _ = dense_augmented(c_p, chain.mu_tilde, chain.omega)
-    assert np.array_equal(aug.hamiltonian.dense(), r_a)
-    assert np.array_equal(aug.dynamics.dense(), a_a)
+    chain = build_system(c_p, variant, 1.0, n, seed=seed)
+    r_a, a_a, _ = dense_augmented(chain)
+    assert np.array_equal(chain.hamiltonian.dense(), r_a)
+    assert np.array_equal(chain.dynamics.dense(), a_a)

@@ -182,7 +182,7 @@ class TestSerialize:
     def test_trajectory_writer_holds_no_text_copy(self, tmp_path, example_system):
         """Writing the reference trajectory at T = 5 allocates less than twice the
         array: the values are formatted line by line, never as one whole text."""
-        chain, _ = example_system
+        chain = example_system
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.covering(5.0, co.default_step(modes))
         trajectory = simulate.coefficient_trajectory(modes, grid)
@@ -275,11 +275,11 @@ class TestBuildCommand:
     def test_written_matrices_match_the_library_exactly(self, tmp_path):
         config = write_config(tmp_path)
         assert cli.main(["build", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
-        chain, aug = build_system([1.0, 0.0], "uniform", 1.0, 3)
+        chain = build_system([1.0, 0.0], "uniform", 1.0, 3)
         written = {name: serialize.read_matrix_csv(tmp_path / f"{name}.csv")
                    for name in ("r_a", "a_a", "c_a")}
-        assert np.array_equal(written["r_a"], aug.hamiltonian.dense())
-        assert np.array_equal(written["a_a"], aug.dynamics.dense())
+        assert np.array_equal(written["r_a"], chain.hamiltonian.dense())
+        assert np.array_equal(written["a_a"], chain.dynamics.dense())
         assert np.array_equal(written["c_a"], output_matrix(chain))
 
     # SHA-256 of build's matrix files, as written before the library held R_a
@@ -384,7 +384,7 @@ class TestSimulateCommand:
         config = write_config(tmp_path, step="auto", horizon=1.0)
         code = cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)])
         assert code == 0
-        chain, _ = build_system([1.0, 0.0], "uniform", 1.0, 3)
+        chain = build_system([1.0, 0.0], "uniform", 1.0, 3)
         grid = co.TimeGrid.covering(1.0, co.default_step(co.normal_modes(chain)))
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + grid.samples * 4
@@ -588,8 +588,12 @@ class TestNoDenseSystem:
 
     def test_the_dense_representation_is_gone(self):
         """The blocks are the library's only form of R_a and A_a, and x* is stated once."""
+        for name in ("AugmentedSystem", "assemble_augmented"):
+            assert not hasattr(co, name), name
+            assert not hasattr(builder, name), name
+            assert name not in co.__all__
         for name in ("theta", "r_a", "a_a", "c_a", "r_o", "a_o", "c_o"):
-            assert not hasattr(co.AugmentedSystem, name), name
+            assert not hasattr(co.ChainObserverParams, name), name
         for name in ("SymplecticForm", "make_symplectic", "dynamics_from_hamiltonian"):
             assert not hasattr(lqs, name), name
             assert name not in co.__all__
@@ -627,8 +631,8 @@ class TestNoDenseSystem:
         config = cli.parse_config(config_text(n_elements=n, scheme="odd-harmonics", step="auto"))
         tracemalloc.start()
         try:
-            aug = cli._construct(config)
-            report = cli._base_report(aug)
+            chain = cli._construct(config)
+            report = cli._base_report(chain)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -691,6 +695,58 @@ class TestExitCodes:
         else:
             assert not formed
             assert f"about {self.TRAJECTORY_ESTIMATE} bytes" in err
+            assert f"than the {memory} bytes of physical memory" in err
+
+    @pytest.mark.parametrize("command", ["build", "simulate", "timeavg", "check"])
+    @pytest.mark.parametrize("n", [10**6, 10**30], ids=["million", "1e30"])
+    def test_oversized_chain_is_rejected_before_any_array(self, tmp_path, capsys, command, n):
+        """N = 10^6 would need two 8 TB N x N arrays, and N = 10^30 more than
+        any machine holds: each run exits 2 naming the bytes and the memory,
+        before the couplings are drawn."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, n_elements=n, scheme="odd-harmonics", step="auto",
+                              output_dir=str(out))
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--config", str(config)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: a chain of {n} elements would hold about \d+ bytes in two N x N arrays"
+            rf"{' and its dense R_a and A_a' if command == 'build' else ''}, more than the "
+            r"\d+ bytes of physical memory; shorten the chain\n",
+            err,
+        ), err
+        assert peak < 4 << 20
+        assert not out.exists()
+
+    # N=3: every run holds two 3 x 3 arrays, 144 bytes; build also its
+    # 8 x 8 R_a and A_a, 1,024 more.
+    @pytest.mark.parametrize(
+        "command, memory, code",
+        [("check", 144, 0), ("check", 143, 2), ("build", 1_168, 0), ("build", 1_167, 2)],
+        ids=["check-fits", "check-just-under", "build-fits", "build-just-under"],
+    )
+    def test_chain_preflight_counts_what_the_run_holds(
+        self, tmp_path, monkeypatch, capsys, command, memory, code
+    ):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        drawn = []
+        schedule = cli.make_mu_schedule
+        monkeypatch.setattr(
+            cli, "make_mu_schedule", lambda *args: drawn.append(1) or schedule(*args)
+        )
+        config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        assert cli.main([command, "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert drawn and err == ""
+        else:
+            assert not drawn
+            assert f"about {memory + 1} bytes" in err
             assert f"than the {memory} bytes of physical memory" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -877,7 +933,7 @@ class TestConsoleEntryPoint:
             name for name, value in vars(co).items()
             if not name.startswith("_") and not inspect.ismodule(value)
         }
-        assert len(set(co.__all__)) == len(co.__all__)
+        assert len(set(co.__all__)) == len(co.__all__) == 48
         assert set(co.__all__) == public
 
     @staticmethod

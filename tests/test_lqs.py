@@ -176,11 +176,11 @@ def test_symplectic_drift_rejects_wrong_shapes(shape):
 
 def test_augmented_dynamics_match_blockwise_product(example_system):
     """A_a must equal 2 Theta R_a computed block row by block row."""
-    _, aug = example_system
+    chain = example_system
     j = co.SYMPLECTIC_UNIT
-    r_a, a_a = aug.hamiltonian.dense(), aug.dynamics.dense()
+    r_a, a_a = chain.hamiltonian.dense(), chain.dynamics.dense()
     expected = np.empty_like(a_a)
-    for i in range(aug.n_elements + 1):
+    for i in range(chain.n_elements + 1):
         rows = slice(2 * i, 2 * i + 2)
         expected[rows] = 2.0 * j @ r_a[rows]
     assert np.array_equal(a_a, expected)
@@ -188,8 +188,8 @@ def test_augmented_dynamics_match_blockwise_product(example_system):
 
 def test_observer_dynamics_spectrum_is_imaginary(example_system):
     """With r_o positive definite the observer dynamics are oscillatory."""
-    _, aug = example_system
-    a_o = aug.dynamics.dense()[2:, 2:]
+    chain = example_system
+    a_o = chain.dynamics.dense()[2:, 2:]
     eigenvalues = np.linalg.eigvals(a_o)
     scale = np.linalg.norm(a_o, ord=2)
     assert np.abs(eigenvalues.real).max() <= 1e-12 * scale

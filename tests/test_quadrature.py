@@ -86,36 +86,36 @@ class TestStreamedOracle:
         ],
     )
     def test_matches_the_stored_trajectory_route(self, c_p, variant, omega0, n, seed, horizon):
-        chain, aug = build_system(c_p, variant, omega0, n, seed=seed)
+        chain = build_system(c_p, variant, omega0, n, seed=seed)
         modes = co.normal_modes(chain)
         step = co.default_step(modes)
         stored = simpson_over_stored_trajectory(modes, co.TimeGrid.covering(horizon, step))
-        streamed = time_average_streamed(aug, horizon, step)
+        streamed = time_average_streamed(chain, horizon, step)
         assert streamed.horizon == horizon
         assert_close(streamed, stored, 1e-13)
 
     def test_explicit_step(self, example_system):
-        chain, aug = example_system
+        chain = example_system
         modes = co.normal_modes(chain)
         stored = simpson_over_stored_trajectory(modes, co.TimeGrid.covering(2.0, 0.002))
-        assert_close(time_average_streamed(aug, 2.0, 0.002), stored, 1e-13)
+        assert_close(time_average_streamed(chain, 2.0, 0.002), stored, 1e-13)
 
     def test_coarse_step_is_rejected_before_propagation(self, example_system, monkeypatch):
-        _, aug = example_system
+        chain = example_system
 
         def no_propagation(a, t):
             raise AssertionError("propagated before the step ceiling was checked")
 
         monkeypatch.setattr(oracles, "propagator", no_propagation)
         with pytest.raises(ValueError, match="exceeds the quadrature ceiling"):
-            time_average_streamed(aug, 2.0, 0.1)
+            time_average_streamed(chain, 2.0, 0.1)
 
     def test_injected_drift_fails_both_routes_at_the_same_sample(
         self, example_system, monkeypatch
     ):
         """The streamed oracle and the unscreened exponential-bound sweep share
         the library's per-sample symplectic check, which names the sample."""
-        chain, aug = example_system
+        chain = example_system
         true_drift = co.symplectic_drift
         calls = []
 
@@ -124,11 +124,11 @@ class TestStreamedOracle:
             return 1.0 if len(calls) == 38 else true_drift(phi)
 
         monkeypatch.setattr("chainobs.analysis.symplectic_drift", drifting)
-        bound = co.certify_positive_definite(observer_hamiltonian(aug)).exp_norm_bound
+        bound = co.certify_positive_definite(observer_hamiltonian(chain)).exp_norm_bound
         messages = []
         for route in (
             lambda: exp_bound_unscreened(co.normal_modes(chain), bound, co.TimeGrid(1.0, 0.01)),
-            lambda: time_average_streamed(aug, 1.0),
+            lambda: time_average_streamed(chain, 1.0),
         ):
             calls.clear()
             with pytest.raises(co.ToleranceExceededError) as failure:
@@ -139,7 +139,7 @@ class TestStreamedOracle:
 
     def test_memory_does_not_grow_with_the_horizon(self):
         """O(N^2) memory: a fraction of what the stored trajectory would take."""
-        chain, aug = build_system([1.0, 0.0], "odd-harmonics", 1.0, 10)
+        chain = build_system([1.0, 0.0], "odd-harmonics", 1.0, 10)
         step = co.default_step(co.normal_modes(chain))
         horizon = 10_500 * step
         grid = co.TimeGrid.covering(horizon, step)
@@ -147,7 +147,7 @@ class TestStreamedOracle:
         assert stored_bytes >= 20e6
         tracemalloc.start()
         try:
-            time_average_streamed(aug, horizon)
+            time_average_streamed(chain, horizon)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

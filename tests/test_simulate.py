@@ -29,13 +29,12 @@ from oracles import (
 )
 
 
-def static_augmented(n_elements: int = 1) -> co.AugmentedSystem:
-    """A hand-built augmented system with zero dynamics, for edge cases."""
+def static_chain(n_elements: int = 1) -> co.ChainObserverParams:
+    """A hand-built chain with zero dynamics, for edge cases."""
     zeros = np.zeros(n_elements)
     chain = co.ChainObserverParams(alpha=np.array([1.0, 0.0]), mu_tilde=zeros, omega=zeros)
-    aug = co.AugmentedSystem(chain=chain)
-    assert not aug.dynamics.dense().any()
-    return aug
+    assert not chain.dynamics.dense().any()
+    return chain
 
 
 class TestTimeGrid:
@@ -104,8 +103,8 @@ class TestPropagator:
         assert np.allclose(propagator(a, t), rotation(2.0 * t), rtol=0.0, atol=1e-13)
 
     def test_semigroup_property(self, example_system):
-        _, aug = example_system
-        a_a = aug.dynamics.dense()
+        chain = example_system
+        a_a = chain.dynamics.dense()
         phi_a = propagator(a_a, 1.3)
         phi_b = propagator(a_a, 2.4)
         phi_ab = propagator(a_a, 3.7)
@@ -114,8 +113,8 @@ class TestPropagator:
     def test_matches_spectral_route(self, example_system):
         """Two independent exponentials of the observer dynamics must agree:
         scaling-and-squaring versus diagonalizing the conserved quadratic."""
-        _, aug = example_system
-        a_o, r_o = aug.dynamics.dense()[2:, 2:], aug.hamiltonian.dense()[2:, 2:]
+        chain = example_system
+        a_o, r_o = chain.dynamics.dense()[2:, 2:], chain.hamiltonian.dense()[2:, 2:]
         for t in (0.7, 3.3, 12.0):
             direct = propagator(a_o, t)
             spectral = spectral_propagator(r_o, t)
@@ -176,19 +175,19 @@ class TestFrequencies:
         assert abs(max_frequency(2.0 * co.SYMPLECTIC_UNIT) - 2.0) <= 1e-14
 
     def test_reference_regression(self, example_system):
-        chain, aug = example_system
-        assert np.isclose(max_frequency(aug.dynamics.dense()), 21.095207100132644, rtol=1e-12)
+        chain = example_system
+        assert np.isclose(max_frequency(chain.dynamics.dense()), 21.095207100132644, rtol=1e-12)
         assert np.isclose(co.normal_modes(chain).nu[-1], 21.095207100132644, rtol=1e-12)
 
     def test_default_step_resolves_fastest_mode(self, example_system):
-        chain, aug = example_system
+        chain = example_system
         step = co.default_step(co.normal_modes(chain))
-        period = 2.0 * math.pi / max_frequency(aug.dynamics.dense())
+        period = 2.0 * math.pi / max_frequency(chain.dynamics.dense())
         assert np.isclose(step, 0.005 * period, rtol=1e-15)
 
     def test_default_step_rejects_a_chain_without_normal_modes(self, example_system):
         """Frequencies that do not dominate the couplings leave nothing to resolve."""
-        chain, _ = example_system
+        chain = example_system
         with pytest.raises(co.NotPositiveDefiniteError):
             co.default_step(co.normal_modes(dataclasses.replace(chain, omega=np.ones(chain.n_elements))))
 
@@ -198,7 +197,7 @@ class TestTrajectory:
         """At t = 0 the closed form is Omega^(1/2) V V^T Omega^(-1/2), the
         identity to rounding: within 3.3e-16 here, 6.2e-15 on every scheme
         up to N = 200 with ||c_p|| = 2."""
-        chain, _ = example_system
+        chain = example_system
         grid = co.TimeGrid(1.0, 0.01)
         trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
         assert trajectory.coefficient_rows.shape == (101, 6, 12)
@@ -206,7 +205,7 @@ class TestTrajectory:
 
     def test_last_sample_is_end_rows_bit_for_bit(self, example_system):
         """Rows evaluated in chunks take the arithmetic of a single end_rows call."""
-        chain, _ = example_system
+        chain = example_system
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.covering(20.0, co.default_step(modes))
         assert grid.samples > 2 * simulate.TRAJECTORY_CHUNK
@@ -220,7 +219,7 @@ class TestTrajectory:
         """At N = 200 a row takes 631 KiB, so a chunk holds 51 times, not 512:
         beyond the stored rows, the peak stays within a few chunk budgets
         (about 3 here, where 101 times in one chunk took about 6)."""
-        chain, aug = build_system([0.6, -1.3], "odd-harmonics", 1.0, 200)
+        chain = build_system([0.6, -1.3], "odd-harmonics", 1.0, 200)
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.from_count(0.5, 101)
         tracemalloc.start()
@@ -230,23 +229,23 @@ class TestTrajectory:
         finally:
             tracemalloc.stop()
         assert peak - rows.nbytes < 4 * simulate.TRAJECTORY_CHUNK_BYTES
-        simulate.verify_trajectory(aug, modes, co.Trajectory(grid, rows))
+        simulate.verify_trajectory(modes, co.Trajectory(grid, rows))
 
     def test_rows_match_direct_exponentials(self, example_system):
-        chain, aug = example_system
+        chain = example_system
         grid = co.TimeGrid(2.0, 0.05)
         trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
         c_a = output_matrix(chain)
         scale = np.linalg.norm(c_a, ord="fro")
         for k in (7, 23, 40):
-            direct = c_a @ propagator(aug.dynamics.dense(), grid.times()[k])
+            direct = c_a @ propagator(chain.dynamics.dense(), grid.times()[k])
             drift = np.linalg.norm(trajectory.coefficient_rows[k] - direct, ord="fro")
             assert drift <= 1e-11 * scale
 
     def test_plant_row_is_constant(self, example_system):
         """The plant output row never moves: its coefficient row at every
         sample is the initial output functional, exactly."""
-        chain, _ = example_system
+        chain = example_system
         grid = co.TimeGrid(50.0, 0.5)
         trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
         plant_row = output_matrix(chain)[0]
@@ -269,10 +268,10 @@ class TestVerifyTrajectory:
         ],
     )
     def test_true_rows_pass(self, c_p, variant, n, seed):
-        chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
+        chain = build_system(c_p, variant, 1.0, n, seed=seed)
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.covering(3.0, co.default_step(modes))
-        co.verify_trajectory(aug, modes, co.coefficient_trajectory(modes, grid))
+        co.verify_trajectory(modes, co.coefficient_trajectory(modes, grid))
 
     @pytest.mark.parametrize(
         "mutant,message",
@@ -281,7 +280,7 @@ class TestVerifyTrajectory:
     def test_weight_mutants_fail(self, example_system, monkeypatch, mutant, message):
         """A 1e-6 error in the plant or q(0) weights breaks identity (i), a sign
         flip of the p(0) weights identity (ii); both name the sample."""
-        chain, aug = example_system
+        chain = example_system
         modes = co.normal_modes(chain)
         true_weights = simulate._end_weights
 
@@ -299,7 +298,7 @@ class TestVerifyTrajectory:
         grid = co.TimeGrid(50.0, 0.05)
         trajectory = co.coefficient_trajectory(modes, grid)
         with pytest.raises(co.ToleranceExceededError, match=rf"^{re.escape(message)} .* at sample \d+$"):
-            co.verify_trajectory(aug, modes, trajectory)
+            co.verify_trajectory(modes, trajectory)
 
 
 class TestIntegralOfPropagator:
@@ -333,18 +332,18 @@ class TestIntegralOfPropagator:
 
 class TestTimeAverages:
     def test_static_average_is_the_output_matrix(self):
-        aug = static_augmented(2)
-        avg = time_average_exact(aug, 8.0)
+        chain = static_chain(2)
+        avg = time_average_exact(chain, 8.0)
         assert avg.horizon == 8.0
-        assert np.allclose(avg.averaged_rows, output_matrix(aug.chain), rtol=0.0, atol=1e-14)
+        assert np.allclose(avg.averaged_rows, output_matrix(chain), rtol=0.0, atol=1e-14)
 
     def test_plant_row_average_stays_put(self, example_system):
-        chain, _ = example_system
+        chain = example_system
         avg = co.time_average_spectral(co.normal_modes(chain), 800.0)
         assert np.abs(avg.averaged_rows[0] - output_matrix(chain)[0]).max() <= 1e-9
 
     def test_reference_consensus_error(self, example_system):
-        chain, _ = example_system
+        chain = example_system
         avg = co.time_average_spectral(co.normal_modes(chain), 800.0)
         assert np.isclose(co.consensus_error(avg), 0.00494399336874341, rtol=1e-9)
 
@@ -357,10 +356,10 @@ class TestTimeAverages:
         assert abs(simpson_weights(times) @ np.sin(2.0 * times)) / math.pi <= 1e-10
 
     def test_exact_and_quadrature_routes_agree(self, example_system):
-        _, aug = example_system
+        chain = example_system
         horizon = 20.0
-        quadrature = time_average_streamed(aug, horizon)
-        exact = time_average_exact(aug, horizon)
+        quadrature = time_average_streamed(chain, horizon)
+        exact = time_average_exact(chain, horizon)
         scale = np.linalg.norm(exact.averaged_rows, ord="fro")
         gap = np.linalg.norm(quadrature.averaged_rows - exact.averaged_rows, ord="fro")
         assert gap <= 1e-8 * scale
@@ -368,7 +367,7 @@ class TestTimeAverages:
 
 class TestSpatialAverage:
     def test_initial_sample_pattern(self, example_system):
-        chain, _ = example_system
+        chain = example_system
         rows = np.stack([output_matrix(chain)] * 3)
         spatial = co.spatial_average(co.Trajectory(co.TimeGrid(1.0, 0.5), rows))
         expected = np.zeros(12)
@@ -395,7 +394,7 @@ class TestBrokenFixedPointGrowsLinearly:
     @staticmethod
     def broken_dynamics(c_a: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """A bare drive from the plant output into element 1; it comes from no
-        Hamiltonian, so no AugmentedSystem holds it."""
+        Hamiltonian, so no chain holds it."""
         dim = c_a.shape[1]
         drive = np.zeros(dim - 2)
         drive[0:2] = alpha
@@ -404,7 +403,7 @@ class TestBrokenFixedPointGrowsLinearly:
         return a_broken
 
     def test_error_follows_the_linear_law(self, example_system):
-        chain, _ = example_system
+        chain = example_system
         c_a = output_matrix(chain)
         a_broken = self.broken_dynamics(c_a, chain.alpha)
         for horizon in (10.0, 20.0, 40.0):
@@ -416,7 +415,7 @@ class TestBrokenFixedPointGrowsLinearly:
             assert np.isclose(co.consensus_error(avg), expected_error, rtol=1e-10)
 
     def test_healthy_system_does_not_grow(self, example_system):
-        chain, _ = example_system
+        chain = example_system
         modes = co.normal_modes(chain)
         errors = [co.consensus_error(co.time_average_spectral(modes, t)) for t in (10.0, 40.0)]
         assert errors[1] < errors[0]

@@ -67,9 +67,9 @@ def chains(max_n: int = 12):
 @settings(max_examples=60, deadline=None)
 @given(chains(), st.floats(min_value=1e-3, max_value=50.0))
 def test_matches_the_exact_route(chain_args, horizon):
-    chain, aug = random_chain(*chain_args)
+    chain = random_chain(*chain_args)
     spectral = co.time_average_spectral(co.normal_modes(chain), horizon)
-    exact = time_average_exact(aug, horizon)
+    exact = time_average_exact(chain, horizon)
     assert spectral.horizon == exact.horizon == horizon
     assert relative_gap(spectral.averaged_rows, exact.averaged_rows) <= EXACT_REL_TOL
 
@@ -78,10 +78,10 @@ def test_matches_the_exact_route(chain_args, horizon):
 @given(chains(), st.integers(min_value=2, max_value=400))
 def test_matches_streamed_quadrature_on_resolved_horizons(chain_args, intervals):
     """Short horizons of 2-400 auto steps, where Simpson's rule is in its regime."""
-    chain, aug = random_chain(*chain_args)
+    chain = random_chain(*chain_args)
     modes = co.normal_modes(chain)
     step = co.default_step(modes)
-    streamed = time_average_streamed(aug, intervals * step, step)
+    streamed = time_average_streamed(chain, intervals * step, step)
     spectral = co.time_average_spectral(modes, streamed.horizon)
     assert relative_gap(spectral.averaged_rows, streamed.averaged_rows) <= STREAMED_REL_TOL
 
@@ -90,12 +90,12 @@ def test_matches_streamed_quadrature_on_resolved_horizons(chain_args, intervals)
 @given(chains(max_n=40), st.floats(min_value=1e-2, max_value=1e4))
 def test_identities_hold_on_the_whole_ladder(chain_args, horizon):
     """Each identity stays within timeavg's bound at every ladder horizon, not just T/16."""
-    chain, aug = random_chain(*chain_args)
+    chain = random_chain(*chain_args)
     modes = co.normal_modes(chain)
     for t in (horizon / 16, horizon / 8, horizon / 4, horizon / 2, horizon):
         avg = co.time_average_spectral(modes, t)
         bound = ORACLE_REL_TOL * np.linalg.norm(avg.averaged_rows, ord="fro")
-        drift, consensus = co.identity_residuals(aug, modes, avg)
+        drift, consensus = co.identity_residuals(modes, avg)
         assert drift <= bound and consensus <= bound
 
 
@@ -109,7 +109,7 @@ def test_one_minus_sinc_does_not_cancel():
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
 def test_rejects_bad_horizons(example_system, horizon):
-    modes = co.normal_modes(example_system[0])
+    modes = co.normal_modes(example_system)
     with pytest.raises(co.InvalidParameterError):
         co.time_average_spectral(modes, horizon)
     with pytest.raises(co.InvalidParameterError):
@@ -118,7 +118,7 @@ def test_rejects_bad_horizons(example_system, horizon):
 
 def test_rejects_an_indefinite_chain(example_system):
     """Frequencies that do not dominate the couplings leave no normal modes."""
-    chain, _ = example_system
+    chain = example_system
     with pytest.raises(co.NotPositiveDefiniteError) as failure:
         co.normal_modes(dataclasses.replace(chain, omega=np.ones(chain.n_elements)))
     assert failure.value.lambda_min < 0.0
@@ -197,13 +197,13 @@ def test_mpmath_referee(c_p, variant, n, seed, horizon):
     rounding into the phase nu T, so they drift with T, to 1.3e-12 at T = 800:
     pinned at 1e-10. The doubled-block average and the engine's exponential
     drift with T ||A_a|| (worst 1.5e-10 and 1.2e-10) and stay within 1e-9."""
-    chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
+    chain = build_system(c_p, variant, 1.0, n, seed=seed)
     averaged, end = mpmath_rows(chain, horizon)
     modes = co.normal_modes(chain)
     assert relative_gap(co.time_average_spectral(modes, horizon).averaged_rows, averaged) <= 1e-12
     assert relative_gap(co.end_rows(modes, horizon), end) <= 1e-10
-    assert relative_gap(time_average_exact(aug, horizon).averaged_rows, averaged) <= 1e-9
-    direct = output_matrix(chain) @ propagator(aug.dynamics.dense(), horizon)
+    assert relative_gap(time_average_exact(chain, horizon).averaged_rows, averaged) <= 1e-9
+    direct = output_matrix(chain) @ propagator(chain.dynamics.dense(), horizon)
     assert relative_gap(direct, end) <= 1e-9
 
 
@@ -230,7 +230,7 @@ def test_sweep_maximum_referee(c_p, variant, n, seed, monkeypatch):
     At single samples both stray further, the closed form through each
     eigenvalue's rounding in the phase nu t and the engine through the
     recurrence: both within 1e-12 (worst seen 8.0e-15 and 1.4e-14)."""
-    chain, aug = build_system(c_p, variant, 1.0, n, seed=seed)
+    chain = build_system(c_p, variant, 1.0, n, seed=seed)
     modes = co.normal_modes(chain)
     grid = co.TimeGrid.from_count(EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
     visited = []
@@ -239,12 +239,12 @@ def test_sweep_maximum_referee(c_p, variant, n, seed, monkeypatch):
         analysis.ObserverFlow, "propagator", lambda flow, k: visited.append(k) or form(flow, k)
     )
     observed = co.verify_exp_bound(
-        modes, co.certify_positive_definite(observer_hamiltonian(aug)).exp_norm_bound, grid
+        modes, co.certify_positive_definite(observer_hamiltonian(chain)).exp_norm_bound, grid
     )
     monkeypatch.undo()
     flow = analysis.observer_flow(modes, grid)
     closed = {k: spectral_norm(flow.propagator(k)) for k in visited}
-    engine = [spectral_norm(phi) for phi in _propagate(aug.dynamics.dense()[2:, 2:], grid)]
+    engine = [spectral_norm(phi) for phi in _propagate(chain.dynamics.dense()[2:, 2:], grid)]
     samples = sorted(visited, key=closed.get)[-4:] + [int(np.argmax(engine))]
     referee = {}
     with mpmath.workdps(40):

@@ -57,7 +57,7 @@ def chains(draw, mistune: bool = False):
     c_p = np.array([draw(coordinate), draw(coordinate)])
     if not c_p.any():
         c_p[draw(st.integers(0, 1))] = draw(st.sampled_from([1.0, -2.5]))
-    chain, _ = build_system(c_p, variant, 1.0, n, seed=seed)
+    chain = build_system(c_p, variant, 1.0, n, seed=seed)
     if mistune:
         omega = chain.omega.copy()
         omega[draw(st.integers(0, n - 1))] *= draw(st.floats(-1.0, 1.5))
@@ -71,9 +71,8 @@ def test_dynamics_are_the_dense_product_bit_for_bit(case):
     """The row swap 2 Theta R, block by block and then assembled, equals 2 Theta @ R
     in every bit, sign bits of zeros included."""
     chain, _ = case
-    aug = co.assemble_augmented(chain)
-    expected = dense_dynamics(aug.hamiltonian.dense(), symplectic_matrix(chain.n_elements + 1))
-    assert np.array_equal(aug.dynamics.dense().view(np.uint64), expected.view(np.uint64))
+    expected = dense_dynamics(chain.hamiltonian.dense(), symplectic_matrix(chain.n_elements + 1))
+    assert np.array_equal(chain.dynamics.dense().view(np.uint64), expected.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,16 +81,15 @@ def test_block_products_match_the_dense_products(case):
     """rows @ A_a and A_o @ x agree with the dense products to a few eps of
     |rows| |A_a| and |A_o| |x|, entry by entry."""
     chain, seed = case
-    aug = co.assemble_augmented(chain)
     rng = np.random.default_rng(seed)
-    a_a = aug.dynamics.dense()
+    a_a = chain.dynamics.dense()
     a_o = a_a[2:, 2:]
     rows = rng.normal(size=(3, a_a.shape[0]))
     tolerance = 16 * EPS * (np.abs(rows) @ np.abs(a_a))
-    assert np.all(np.abs(rows @ aug.dynamics - rows @ a_a) <= tolerance)
+    assert np.all(np.abs(rows @ chain.dynamics - rows @ a_a) <= tolerance)
     x = rng.normal(size=a_o.shape[0])
     tolerance = 16 * EPS * (np.abs(a_o) @ np.abs(x))
-    assert np.all(np.abs(aug.observer_dynamics @ x - a_o @ x) <= tolerance)
+    assert np.all(np.abs(chain.observer_dynamics @ x - a_o @ x) <= tolerance)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,29 +98,27 @@ def test_block_norms_and_residuals_match_the_dense_routes(case):
     """||A_a||_F, ||A_a||_inf and the realizability and fixed-point residuals,
     each against its dense route."""
     chain, _ = case
-    aug = co.assemble_augmented(chain)
-    a_a = aug.dynamics.dense()
+    a_a = chain.dynamics.dense()
     a_o = a_a[2:, 2:]
     frobenius = np.linalg.norm(a_a)
-    assert abs(aug.dynamics.frobenius_norm() - frobenius) <= 4 * EPS * frobenius
+    assert abs(chain.dynamics.frobenius_norm() - frobenius) <= 4 * EPS * frobenius
     inf_norm = np.linalg.norm(a_a, np.inf)
-    assert abs(aug.dynamics.inf_norm() - inf_norm) <= 4 * EPS * inf_norm
+    assert abs(chain.dynamics.inf_norm() - inf_norm) <= 4 * EPS * inf_norm
     theta = symplectic_matrix(chain.n_elements + 1)
-    assert co.realizability_residual(aug.dynamics) == dense_realizability_residual(a_a, theta) == 0.0
+    assert co.realizability_residual(chain.dynamics) == dense_realizability_residual(a_a, theta) == 0.0
     scale = np.linalg.norm(a_o) * np.linalg.norm(np.tile(chain.alpha, chain.n_elements))
     expected = dense_fixed_point_residual(a_o, chain)
-    assert abs(co.check_fixed_point(aug) - expected) <= 16 * EPS * scale
+    assert abs(co.check_fixed_point(chain) - expected) <= 16 * EPS * scale
 
 
 @settings(max_examples=40, deadline=None)
 @given(chains())
 def test_mode_generator_matches_the_dense_rotation(case):
     chain, _ = case
-    aug = co.assemble_augmented(chain)
     modes = co.normal_modes(chain)
-    dense = dense_mode_generator_residual(modes, aug.dynamics.dense()[2:, 2:])
+    dense = dense_mode_generator_residual(modes, chain.dynamics.dense()[2:, 2:])
     assert dense <= 1e-14
-    assert abs(co.verify_mode_generator(modes, aug) - dense) <= 1e-14
+    assert abs(co.verify_mode_generator(modes) - dense) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,9 +126,8 @@ def test_mode_generator_matches_the_dense_rotation(case):
 def test_both_routes_agree_on_definiteness(case):
     """R_red and omega certify R_o exactly when dense eigvalsh of R_o does."""
     chain, _ = case
-    aug = co.assemble_augmented(chain)
     try:
-        dense = co.certify_positive_definite(observer_hamiltonian(aug))
+        dense = co.certify_positive_definite(observer_hamiltonian(chain))
     except co.NotPositiveDefiniteError:
         dense = None
     try:
@@ -156,8 +151,8 @@ REFEREE_SYSTEMS = [(label, c_p, variant, omega0, n, seed)
 def test_certificate_against_the_referee(label, c_p, variant, omega0, n, seed):
     """Both routes' extreme eigenvalues of R_o lie within
     CERTIFICATE_REFEREE_TOL * lambda_max of 40-digit ones."""
-    chain, aug = build_system(c_p, variant, omega0, n, seed=seed)
-    r_o = observer_hamiltonian(aug)
+    chain = build_system(c_p, variant, omega0, n, seed=seed)
+    r_o = observer_hamiltonian(chain)
     reference = reference_eigenvalues(r_o)
     scale = float(reference[-1])
     dense = np.linalg.eigvalsh(r_o)
