@@ -20,19 +20,23 @@ exp(2 Theta R_o t) conserves the quadratic form of R_o, which traps its
 spectral norm below sqrt(lambda_max / lambda_min) for all time. The
 certificate produced here carries exactly that ratio. verify_exp_bound
 checks it on a uniform time grid, taking each propagator in closed form
-from the chain's normal modes (observer_flow), so any sample can be formed
-on its own, and every sample's ||P||_F comes from one O(N^3) set-up. The
-sweep visits samples in decreasing order of ||P||_F and stops once that is
-no larger than the largest exact norm sqrt(lambda_max(P^T P)) so far, which
-never exceeds the bound: an unvisited sample can neither raise it nor break
-the bound. A visited sample is also skipped when sqrt(||P^T P||_F) is no
-larger. The singular values of a symplectic P pair as (s, 1/s), which leaves
-relative margins of about (N - 1) / s_1^2 and (N - 1) / (2 s_1^4), far
-above the screen's rounding of about 1e-15. The closed form is tied to the
-assembled system by verify_mode_generator: its generator, rebuilt from the
-modes, must equal the blocks of a_o rotated into the modes' (q, p) basis.
-Each formed P is held to Phi Theta Phi^T = Theta with Theta = diag(J, ...,
-J) of P's own size (lqs.symplectic_drift), so no Theta is stored.
+from the chain's normal modes (observer_flow), P = S D(t) S^-1, so any
+sample can be formed on its own, and most need not be. One O(N^3) set-up
+gives every sample's ||P||_F (the screen), and two power steps on P^T P
+through the factors, batched over samples (_norm_bounds), give every
+sample a Kato-Temple upper bound on ||P||_2 that is at most the screen.
+The sweep visits samples in decreasing order of that bound and stops once
+it is no larger than the largest exact norm sqrt(lambda_max(P^T P)) so
+far, which never exceeds the certified bound: an unvisited sample can
+neither raise it nor break the bound. A visited sample is also skipped
+when sqrt(||P^T P||_F) is no larger. Every formed P is checked (symplectic,
+and ||P||_F against its screen), and every exact norm against its own
+bound, so a bound that failed would stop the run rather than hide a
+sample. The closed form is tied to the assembled system by
+verify_mode_generator: its generator, rebuilt from the modes, must equal
+the blocks of a_o rotated into the modes' (q, p) basis. Each formed P is
+held to Phi Theta Phi^T = Theta with Theta = diag(J, ..., J) of P's own
+size (lqs.symplectic_drift), so no Theta is stored.
 """
 
 from __future__ import annotations
@@ -59,9 +63,20 @@ from .simulate import NormalModes, TimeGrid
 # relative to ||Theta||_F.
 SYMPLECTIC_DRIFT_TOL = 1e-9
 # How far a formed ||P||_F may stray from its screen value, relative.
-# Rounding leaves about 1e-15; the sweep's skips rest on the pairing margin
-# (N - 1) / s_1^2, above 1e-7 on every config measured.
+# Rounding leaves about 1e-15. The screen stands in for the trace of P^T P
+# in every Kato-Temple bound, which therefore takes its upper end,
+# ||P||_F^2 (1 + 2 SCREEN_REL_TOL); where a sample has no such bound, the
+# screen itself is its bound, safe by the pairing margin (N - 1) / s_1^2,
+# above 1e-7 on every config measured.
 SCREEN_REL_TOL = 1e-12
+# How far a formed sample's exact norm may exceed its Kato-Temple bound,
+# relative; rounding leaves about 1e-15. The sweep's stop and the violation
+# scan widen every bound by BOUND_SLACK, a hundred times more.
+BOUND_REL_TOL = 1e-12
+BOUND_SLACK = 1e-10
+# Samples per batch of the bound's power steps: a few BOUND_CHUNK x N
+# arrays at a time.
+BOUND_CHUNK = 128
 # How far the generator the normal modes give may stray from the assembled
 # a_o, relative in the Frobenius norm; rounding leaves at most 3.9e-15 on
 # every scheme from N = 1 to 1000.
@@ -190,7 +205,8 @@ class ObserverFlow:
     left = Omega^(1/2) V and right = Omega^(-1/2) V, so S = diag(left, right)
     and S^-1 = diag(right^T, left^T); cos and sin hold the phases nu t of
     every sample. screen is ||P(t_k)||_F for every sample, from the phases
-    alone.
+    alone, and bound an upper bound on ||P(t_k)||_2 that is at most screen
+    (_norm_bounds).
     """
 
     left: np.ndarray
@@ -199,6 +215,7 @@ class ObserverFlow:
     cos: np.ndarray
     sin: np.ndarray
     screen: np.ndarray
+    bound: np.ndarray
 
     def propagator(self, k: int) -> np.ndarray:
         """P(t_k) in the interleaved (q_1, p_1, ..., q_N, p_N) layout, checked.
@@ -223,6 +240,20 @@ class ObserverFlow:
                 f"value {self.screen[k]:.17e}"
             )
         return phi
+
+    def spectral_norm(self, k: int, gram: np.ndarray) -> float:
+        """||P(t_k)||_2 from gram = P^T P, checked against bound[k].
+
+        The sweep trusts the bound for the samples it never forms; an exact
+        norm above it by more than BOUND_REL_TOL raises a tolerance-exceeded
+        error.
+        """
+        norm = _spectral_norm(gram)
+        if norm - self.bound[k] > BOUND_REL_TOL * norm:
+            raise ToleranceExceededError(
+                f"||P||_2 = {norm:.17e} at sample {k} exceeds its bound {self.bound[k]:.17e}"
+            )
+        return norm
 
 
 def verify_mode_generator(modes: NormalModes) -> float:
@@ -279,7 +310,8 @@ def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
     H = V^T Omega^-1 V, each block's squared Frobenius norm is a quadratic
     form in its weights, w^T M w with M = G o H, G o G, H o H and G o H for
     the four blocks (o the entrywise product), so every sample's ||P||_F
-    costs O(N^2).
+    costs O(N^2). The same G and H give every sample's norm bound
+    (_norm_bounds), O(N^2) per sample too.
     """
     left, right = modes.left, modes.right
     g, h = left.T @ left, right.T @ right
@@ -288,51 +320,115 @@ def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
     # the sine weights -2/nu and nu/2 of the off-diagonal blocks fold into
     # one matrix for sin, and the two diagonal blocks into one for cos
     sin_form = g * g * np.outer(2.0 / nu, 2.0 / nu) + h * h * np.outer(0.5 * nu, 0.5 * nu)
-    squared = np.einsum("ij,ij->i", cos @ (2.0 * g * h), cos)
-    squared += np.einsum("ij,ij->i", sin @ sin_form, sin)
-    return ObserverFlow(left=left, right=right, nu=nu, cos=cos, sin=sin,
-                        screen=np.sqrt(squared))
+    squared = _rowdot(cos @ (2.0 * g * h), cos) + _rowdot(sin @ sin_form, sin)
+    screen = np.sqrt(squared)
+    return ObserverFlow(left=left, right=right, nu=nu, cos=cos, sin=sin, screen=screen,
+                        bound=_norm_bounds(left, right, g, h, nu, cos, sin, screen))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _norm_bounds(left: np.ndarray, right: np.ndarray, g: np.ndarray, h: np.ndarray,
+                 nu: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                 screen: np.ndarray) -> np.ndarray:
+    """An upper bound on ||P(t_k)||_2 for every sample, at most screen[k].
+
+    P^T P x = S^-T D^T (S^T S) D S^-1 x with S^T S = diag(G, H), so two
+    power steps from x_0 = (1, ..., 1), x_1 = P^T P x_0 and x_2 = P^T P x_1,
+    cost four BOUND_CHUNK x N x N products per step and chunk (S^-1, G and
+    H, S^-T; S^-1 x_0 is shared), and P is never formed. The Rayleigh
+    quotient rho = x_1 . x_2 / |x_1|^2 and the residual r = x_2 - rho x_1
+    bound the top eigenvalue (_top_eigenvalue_bound), with ||P||_F^2 as the
+    trace of P^T P; where that gives no bound, screen stands.
+    """
+    n = nu.size
+    start = right.T @ np.ones(n), left.T @ np.ones(n)
+    squared = np.empty_like(screen)
+    for lo in range(0, screen.size, BOUND_CHUNK):
+        batch = slice(lo, lo + BOUND_CHUNK)
+        c, s = cos[batch], sin[batch]
+        up, down = s * (-2.0 / nu), s * (0.5 * nu)  # D's off-diagonal weights
+
+        def gram_step(yq: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """P^T P x, row by row, for the rows x with S^-1 x = (yq, yp)."""
+            wq = (c * yq + up * yp) @ g
+            wp = (down * yq + c * yp) @ h
+            return (c * wq + down * wp) @ right.T, (up * wq + c * wp) @ left.T
+
+        xq, xp = gram_step(*start)
+        aq, ap = gram_step(xq @ right, xp @ left)
+        length = _rowdot(xq, xq) + _rowdot(xp, xp)
+        rho = (_rowdot(xq, aq) + _rowdot(xp, ap)) / length
+        aq -= rho[:, None] * xq
+        ap -= rho[:, None] * xp
+        residual = (_rowdot(aq, aq) + _rowdot(ap, ap)) / length
+        trace = screen[batch] ** 2 * (1.0 + 2.0 * SCREEN_REL_TOL)
+        squared[batch] = _top_eigenvalue_bound(rho, residual, trace)
+    # fmin keeps the screen where the steps overflowed to inf or nan
+    return np.fmin(np.sqrt(squared), screen)
+
+
+def _top_eigenvalue_bound(rho: np.ndarray, residual: np.ndarray,
+                          trace: np.ndarray) -> np.ndarray:
+    """Kato-Temple upper bound on the top eigenvalue of a PSD matrix A, or inf.
+
+    rho = x^T A x / x^T x and residual = |A x - rho x|^2 / x^T x. Any alpha
+    with lambda_2 <= alpha < rho gives lambda_1 <= rho + residual /
+    (rho - alpha) (Kato 1949, Temple 1928), since x^T (A - lambda_1)
+    (A - alpha) x >= 0. A is PSD and rho <= lambda_1, so lambda_2 <=
+    trace - lambda_1 <= trace - rho = alpha, which lies below rho when
+    2 rho > trace; otherwise there is no bound (inf).
+    """
+    gap = 2.0 * rho - trace
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap > 0.0, rho + residual / gap, np.inf)
 
 
 def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
     """Check ||exp(2 Theta R_o t)||_2 against the certified bound on a grid.
 
-    Returns the largest observed spectral norm. Every sample's ||P||_F
-    comes from observer_flow; the sweep visits samples in decreasing order
-    of it and stops once it is at or below the largest norm so far, forming
-    P (with its two checks, see ObserverFlow.propagator) only for the
-    samples it visits. A visited sample that sqrt(||P^T P||_F) puts at or
-    below the largest norm is skipped; every other norm is
+    Returns the largest observed spectral norm. Every sample's upper bound
+    on its norm comes from observer_flow without forming P; the sweep visits
+    samples in decreasing order of it and stops once the bound, widened by
+    BOUND_SLACK for its rounding, is at or below the largest norm so far,
+    forming P (with its two checks, see ObserverFlow.propagator) only for
+    the samples it visits. A visited sample that sqrt(||P^T P||_F) puts at
+    or below the largest norm is skipped; every other norm is
     sqrt(lambda_max(P^T P)), within about n * eps relative of the largest
-    singular value, far inside the 1e-9 slack. Raises a bound-violated error
-    at the first sample in time order above bound * (1 + 1e-9), a sign of
-    an inaccurate propagator, not of bad parameters. Logs the counts and
+    singular value, far inside the 1e-9 slack, and is held to the sample's
+    bound (ObserverFlow.spectral_norm). Raises a bound-violated error at
+    the first sample in time order above bound * (1 + 1e-9), a sign of an
+    inaccurate propagator, not of bad parameters. Logs the counts and
     margin at INFO.
     """
     flow = observer_flow(modes, grid)
-    screen = flow.screen
-    bad = ~np.isfinite(screen)
+    bad = ~np.isfinite(flow.screen)
     if bad.any():
         raise NumericalFailureError(f"propagator is not finite at sample {int(np.argmax(bad))}")
+    reach = flow.bound * (1.0 + BOUND_SLACK)
     worst, grams, eigensolves = 0.0, 0, 0
-    for k in np.argsort(-screen, kind="stable"):
-        if screen[k] <= worst:
+    for k in np.argsort(-reach, kind="stable"):
+        if reach[k] <= worst:
             break
         phi = flow.propagator(k)
         gram = phi.T @ phi
         grams += 1
         if np.sqrt(np.linalg.norm(gram)) <= worst:
             continue
-        worst = max(worst, _spectral_norm(gram))
+        worst = max(worst, flow.spectral_norm(k, gram))
         eigensolves += 1
     limit = bound * (1.0 + 1e-9)
     if worst > limit:
-        # only samples screened above the limit can break it: the first in
-        # time order whose exact norm does is the one the unscreened sweep names
+        # only samples whose bound reaches above the limit can break it: the
+        # first in time order whose exact norm does is the one the unscreened
+        # sweep names
         times = grid.times()
-        for k in np.flatnonzero(screen > limit):
+        for k in np.flatnonzero(reach > limit):
             phi = flow.propagator(k)
-            norm = _spectral_norm(phi.T @ phi)
+            norm = flow.spectral_norm(k, phi.T @ phi)
             if norm > limit:
                 raise BoundViolatedError(
                     f"||exp(A t)||_2 = {norm:.12e} at t = {times[k]:g} exceeds the certified "

@@ -262,24 +262,32 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_fits(n: int, dense: bool = False, grid: TimeGrid | None = None) -> None:
+def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None:
     """Reject a run whose arrays cannot fit in physical memory, before any is formed.
 
     Counted in Python ints, so no chain length overflows, and only what the
     run must hold. Without a grid, that is the chain's set-up: every run
-    holds the N x N reduced matrix and one N x N temporary, and a dense run
-    (build) also its (2N+2)-square R_a and A_a; it is checked before the
-    couplings are drawn. With simulate's grid it is the trajectory:
+    holds the N x N reduced matrix and one N x N temporary; build also its
+    dense (2N+2)-square R_a and A_a, and check its normal modes' five N x N
+    factors (V, Omega^(1/2) V, Omega^(-1/2) V, G and H) and one formed
+    propagator's four 2N x 2N arrays (P, its Gram, and the symplectic
+    product and its difference). It is checked before the couplings are
+    drawn. With simulate's grid it is the trajectory:
     samples x (N+1) rows of 2N+2 doubles, two samples x (2N+2) arrays (the
     plant rows and the spatial average) and one chunk of rows' temporaries
     (at most simulate.TRAJECTORY_CHUNK_BYTES); the writers format the rows
     a few thousand values at a time and copy none of them whole.
     """
     if grid is None:
-        needed = 2 * 8 * n * n + (2 * 8 * (2 * n + 2) ** 2 if dense else 0)
-        held = f"a chain of {n} elements would hold about {needed} bytes in two N x N arrays"
-        if dense:
-            held += " and its dense R_a and A_a"
+        needed, arrays = 2 * 8 * n * n, "two N x N arrays"
+        if command == "build":
+            needed += 2 * 8 * (2 * n + 2) ** 2
+            arrays += " and its dense R_a and A_a"
+        elif command == "check":
+            needed += 5 * 8 * n * n + 4 * 8 * (2 * n) ** 2
+            arrays += (", its normal modes' five N x N factors and one propagator's four "
+                       "2N x 2N arrays")
+        held = f"a chain of {n} elements would hold about {needed} bytes in {arrays}"
         remedy = "shorten the chain"
     else:
         chunk = min(grid.samples, _chunk_times(n))
@@ -295,9 +303,9 @@ def _check_fits(n: int, dense: bool = False, grid: TimeGrid | None = None) -> No
         )
 
 
-def _construct(config: ExperimentConfig, dense: bool = False) -> ChainObserverParams:
-    """The config's chain, once its arrays are known to fit (_check_fits)."""
-    _check_fits(config.n_elements, dense=dense)
+def _construct(config: ExperimentConfig, command: str = "") -> ChainObserverParams:
+    """The config's chain, once command's arrays are known to fit (_check_fits)."""
+    _check_fits(config.n_elements, command)
     scheme = ParameterScheme(variant=config.scheme, omega0=config.omega0, seed=config.seed)
     return build_chain(config.c_p, make_mu_schedule(scheme, config.n_elements))
 
@@ -365,7 +373,7 @@ def run_build(config: ExperimentConfig) -> RunReport:
     blocks. C_a is alpha in each mode's own block, written in place so that
     its zeros stay +0.0 whatever the signs in alpha.
     """
-    chain = _construct(config, dense=True)
+    chain = _construct(config, "build")
     report = _base_report(chain)
     out = _out_dir(config)
     n = chain.n_elements
@@ -461,7 +469,7 @@ def run_check(config: ExperimentConfig) -> RunReport:
     The bound is swept through the chain's normal modes, which must first
     generate the chain's observer dynamics (verify_mode_generator).
     """
-    chain = _construct(config)
+    chain = _construct(config, "check")
     report = _base_report(chain)
     grid = TimeGrid.from_count(EXP_BOUND_SPAN, EXP_BOUND_SAMPLES)
     bound = report.certificate.exp_norm_bound

@@ -331,20 +331,25 @@ class TestExpBound:
 
     def test_info_line_counts_the_screened_work(self, caplog):
         """check on random N=50 (seed 1) logs one line with its work and margin:
-        most of the 500 samples are never formed, so need neither a Gram
-        product nor an eigensolve (109 and 5)."""
+        the norm bounds leave one of the 500 samples to form, one Gram
+        product and one eigensolve (the Frobenius screen alone left 109
+        and 5)."""
         samples, grams, eigensolves = self.logged_check(
             caplog, n_elements=50, scheme="random", seed=1
         )
-        assert samples == 500 and grams <= 130 and eigensolves <= 30
+        assert samples == 500 and grams <= 3 and eigensolves <= 3
 
     def test_uniform_chain_forms_few_propagators(self, caplog):
         """On uniform N=200 the norm rises at nearly every sample, which left
-        a time-ordered screen nothing to skip; sorted, 46 of 500 are formed."""
-        samples, grams, eigensolves = self.logged_check(
-            caplog, n_elements=200, scheme="uniform"
-        )
-        assert samples == 500 and grams <= 60 and eigensolves <= 30
+        a time-ordered screen nothing to skip; sorted by the Frobenius
+        screen, 46 of 500 were formed (95 on odd-harmonics N=200), and by
+        the norm bounds one is."""
+        for scheme in ("uniform", "odd-harmonics"):
+            caplog.clear()
+            samples, grams, eigensolves = self.logged_check(
+                caplog, n_elements=200, scheme=scheme
+            )
+            assert samples == 500 and grams <= 3 and eigensolves <= 3, scheme
 
     def test_non_symplectic_step_is_a_tolerance_failure(self, example_system, monkeypatch):
         """Cosine weights scaled by 1 + 1e-5 break the symplectic identity of
@@ -411,6 +416,48 @@ class TestExpBound:
             co.verify_exp_bound(wrong, certified(chain), grid)
             with pytest.raises(co.ToleranceExceededError, match="normal-mode generator"):
                 co.verify_mode_generator(wrong)
+
+    def test_norm_bound_falls_back_to_the_screen_without_a_gap(self, example_system):
+        """The bound needs 2 rho above the trace ||P||_F^2. At t = 0, P = I
+        gives rho = 1 against 2N, and at N = 1 P is a rotation, rho = 1 = half
+        the trace: both samples keep the screen. Elsewhere the bound is
+        tighter."""
+        grid = co.TimeGrid.from_count(50.0, 500)
+        flow = analysis.observer_flow(co.normal_modes(example_system), grid)
+        assert flow.bound[0] == flow.screen[0]
+        assert np.all(flow.bound <= flow.screen) and np.any(flow.bound < flow.screen)
+        rotation = analysis.observer_flow(co.normal_modes(chain_from([0.3])), grid)
+        assert np.array_equal(rotation.bound, rotation.screen)
+
+    def test_norm_above_its_bound_is_a_tolerance_failure(self, example_system):
+        """An exact norm above its sample's bound by more than 1e-12 relative
+        stops the sweep: the samples it skips are only safe while the bounds
+        hold."""
+        grid = co.TimeGrid.from_count(50.0, 500)
+        flow = analysis.observer_flow(co.normal_modes(example_system), grid)
+        k = int(np.argmax(flow.bound))
+        phi = flow.propagator(k)
+        gram = phi.T @ phi
+        exact = _spectral_norm(gram)
+        flow.bound[k] = exact * (1.0 - 1e-13)
+        assert flow.spectral_norm(k, gram) == exact
+        flow.bound[k] = exact * (1.0 - 1e-11)
+        with pytest.raises(co.ToleranceExceededError, match=f"at sample {k} exceeds its bound"):
+            flow.spectral_norm(k, gram)
+
+    def test_norm_bound_without_its_residual_fails(self, monkeypatch):
+        """A mutant bound without its residual term is sqrt(rho), a lower
+        bound: on the check-n50 chain (random N=50, seed 1) it falls below
+        formed norms, and the sweep stops at the first it forms."""
+        chain = build_system([1.0, 0.0], "random", 1.0, 50, seed=1)
+        modes = co.normal_modes(chain)
+        grid = co.TimeGrid.from_count(cli.EXP_BOUND_SPAN, cli.EXP_BOUND_SAMPLES)
+        assert bound_shortfall(analysis.observer_flow(modes, grid)) <= 1e-12
+        monkeypatch.setattr(analysis, "_top_eigenvalue_bound",
+                            lambda rho, residual, trace: np.where(2.0 * rho > trace, rho, np.inf))
+        assert bound_shortfall(analysis.observer_flow(modes, grid)) > 1e-12
+        with pytest.raises(co.ToleranceExceededError, match="exceeds its bound"):
+            co.verify_exp_bound(modes, certified(chain), grid)
 
     def test_wrong_screen_is_a_tolerance_failure(self, example_system):
         """A screen value that disagrees with the formed ||P||_F stops the sweep:
@@ -490,6 +537,36 @@ def test_screen_is_the_formed_frobenius_norm(variant, n, angle, radius, seed, sp
     for k, screen in enumerate(flow.screen):
         formed = np.linalg.norm(flow.propagator(k))
         assert abs(formed - screen) <= 1e-13 * formed
+
+
+def bound_shortfall(flow) -> float:
+    """The largest relative amount by which a formed norm exceeds its bound."""
+    exact = np.array([_spectral_norm(phi.T @ phi)
+                      for phi in map(flow.propagator, range(flow.bound.size))])
+    return float(((exact - flow.bound) / exact).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(co.SCHEMES),
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
+    st.floats(min_value=1e-2, max_value=1e2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-2, max_value=800.0),
+)
+def test_norm_bound_holds_at_every_sample(variant, n, angle, radius, seed, span):
+    """Every sample's Kato-Temple bound is at least the formed eigvalsh norm,
+    to 1e-12 relative, and at most the screen ||P||_F."""
+    if variant == co.SCHEME_ALL_HARMONICS:
+        n += n % 2
+    c_p = radius * np.array([np.cos(angle), np.sin(angle)])
+    chain = build_system(
+        c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
+    )
+    flow = analysis.observer_flow(co.normal_modes(chain), co.TimeGrid.from_count(span, 40))
+    assert np.all(flow.bound <= flow.screen)
+    assert bound_shortfall(flow) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -528,6 +528,50 @@ class TestCheckCommand:
         assert cli.main(["check", "--config", str(config)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    # check's stdout at horizon 800 before the sweep skipped samples by
+    # their norm bounds (the Frobenius screen alone formed 22 to 119 of the
+    # 500 propagators). Its last digits depend on how BLAS splits products:
+    # pinned with numpy 2.4.6's OpenBLAS on two cores.
+    CHECK_SHA256 = {
+        "random-50-0": (
+            {"n_elements": 50, "scheme": "random", "seed": 0},
+            "e31c4d26bfcdce1326fa909ff63962466c022df9564a8dfd322130269b112fa9",
+        ),
+        "random-50-1": (
+            {"n_elements": 50, "scheme": "random", "seed": 1},
+            "c05a29e67b38cfdebad5f023bb6e341648d0b6144017dabab7ac341629415d70",
+        ),
+        "random-50-2": (
+            {"n_elements": 50, "scheme": "random", "seed": 2},
+            "f4ad4c8cebc6053ea96599476630af6f6aba800f042e65d122fb4d811f1d528f",
+        ),
+        "random-50-3": (
+            {"n_elements": 50, "scheme": "random", "seed": 3},
+            "b1b8dd7405f55f9596e889eec3a65ebef40dc9537074fd54a26f327d9b3d024c",
+        ),
+        "random-50-4": (
+            {"n_elements": 50, "scheme": "random", "seed": 4},
+            "88fc3af7785a10076f275444226f6cf175e0623294cce9d06883759bfbd47399",
+        ),
+        "uniform-200": (
+            {"n_elements": 200, "scheme": "uniform"},
+            "7d3643fd6f4fbc607ddcd4ffe95dcdb29b4a18053ef9082172a1cc6e8642334d",
+        ),
+        "odd-harmonics-200": (
+            {"n_elements": 200, "scheme": "odd-harmonics"},
+            "beba7fe8054f4f2d74590b6e312d36475152322344e627ef80631546d56bbeee",
+        ),
+    }
+
+    @pytest.mark.parametrize("label", sorted(CHECK_SHA256))
+    def test_stdout_keeps_its_bytes(self, tmp_path, capsys, label):
+        fields, digest = self.CHECK_SHA256[label]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(fields, omega0=1.0, c_p=[1.0, 0.0], horizon=800.0)))
+        assert cli.main(["check", "--config", str(config)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ["build", "simulate", "timeavg", "check"])
 def test_report_key_tree_is_pinned(tmp_path, capsys, command):
     """report.json, and check's stdout, publish exactly this tree. The report
@@ -714,20 +758,26 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
+        held = {"build": " and its dense R_a and A_a",
+                "check": ", its normal modes' five N x N factors and one propagator's four "
+                         "2N x 2N arrays"}.get(command, "")
         assert re.fullmatch(
             rf"error: a chain of {n} elements would hold about \d+ bytes in two N x N arrays"
-            rf"{' and its dense R_a and A_a' if command == 'build' else ''}, more than the "
-            r"\d+ bytes of physical memory; shorten the chain\n",
+            rf"{held}, more than the \d+ bytes of physical memory; shorten the chain\n",
             err,
         ), err
         assert peak < 4 << 20
         assert not out.exists()
 
     # N=3: every run holds two 3 x 3 arrays, 144 bytes; build also its
-    # 8 x 8 R_a and A_a, 1,024 more.
+    # 8 x 8 R_a and A_a, 1,024 more; check also the modes' five 3 x 3
+    # factors and one propagator's four 6 x 6 arrays, 360 + 1,152 more.
+    CHECK_ESTIMATE = 1_656
+
     @pytest.mark.parametrize(
         "command, memory, code",
-        [("check", 144, 0), ("check", 143, 2), ("build", 1_168, 0), ("build", 1_167, 2)],
+        [("check", CHECK_ESTIMATE, 0), ("check", CHECK_ESTIMATE - 1, 2), ("build", 1_168, 0),
+         ("build", 1_167, 2)],
         ids=["check-fits", "check-just-under", "build-fits", "build-just-under"],
     )
     def test_chain_preflight_counts_what_the_run_holds(
@@ -748,6 +798,22 @@ class TestExitCodes:
             assert not drawn
             assert f"about {memory + 1} bytes" in err
             assert f"than the {memory} bytes of physical memory" in err
+
+    def test_check_preflight_counts_the_sweep(self, tmp_path, monkeypatch, capsys):
+        """check at N=3 with memory between the two-array estimate (144 bytes)
+        and the whole run's (1,656) exits 2 before any propagator is formed."""
+        memory = 900
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        formed = []
+        propagator = analysis.ObserverFlow.propagator
+        monkeypatch.setattr(analysis.ObserverFlow, "propagator",
+                            lambda *args: formed.append(1) or propagator(*args))
+        config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        assert cli.main(["check", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert not formed
+        assert f"about {self.CHECK_ESTIMATE} bytes" in err
+        assert f"than the {memory} bytes of physical memory" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["build", "--config", str(tmp_path / "absent.json")])
