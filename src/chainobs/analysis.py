@@ -20,7 +20,7 @@ exp(2 Theta R_o t) conserves the quadratic form of R_o, which traps its
 spectral norm below sqrt(lambda_max / lambda_min) for all time. The
 certificate produced here carries exactly that ratio. verify_exp_bound
 checks it on a uniform time grid, taking each propagator in closed form
-from the chain's normal modes (observer_flow), P = S D(t) S^-1, so any
+from the chain's normal modes (NormalModes.weights), P = S D(t) S^-1, so any
 sample can be formed on its own, and most need not be. One O(N^3) set-up
 gives every sample's ||P||_F (the screen), and two power steps on P^T P
 through the factors, batched over samples (_norm_bounds), give every
@@ -57,7 +57,7 @@ from .errors import (
     ToleranceExceededError,
 )
 from .lqs import SYMPLECTIC_UNIT, symplectic_drift
-from .simulate import NormalModes, TimeGrid
+from .simulate import NormalModes, TimeGrid, _block
 
 # How far a formed propagator may stray from Phi Theta Phi^T = Theta,
 # relative to ||Theta||_F.
@@ -192,28 +192,20 @@ def _check_symplectic(phi: np.ndarray, k: int) -> None:
         )
 
 
-def _phases(nu: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(nu t) and sin(nu t), one row per time and one column per mode."""
-    x = np.outer(times, nu)
-    return np.cos(x), np.sin(x, out=x)
-
-
 @dataclass(frozen=True)
 class ObserverFlow:
     """The observer propagator P(t) = S D(t) S^-1 on a time grid, in closed form.
 
-    left = Omega^(1/2) V and right = Omega^(-1/2) V, so S = diag(left, right)
-    and S^-1 = diag(right^T, left^T); cos and sin hold the phases nu t of
-    every sample. screen is ||P(t_k)||_F for every sample, from the phases
-    alone, and bound an upper bound on ||P(t_k)||_2 that is at most screen
-    (_norm_bounds).
+    cos, up and down hold D(t_k)'s entries for every sample
+    (NormalModes.weights). screen is ||P(t_k)||_F for every sample, from
+    them alone, and bound an upper bound on ||P(t_k)||_2 that is at most
+    screen (_norm_bounds).
     """
 
-    left: np.ndarray
-    right: np.ndarray
-    nu: np.ndarray
+    modes: NormalModes
     cos: np.ndarray
-    sin: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
     screen: np.ndarray
     bound: np.ndarray
 
@@ -225,13 +217,13 @@ class ObserverFlow:
         never forms. A failure of either raises a tolerance-exceeded error;
         a non-finite P raises a numerical failure.
         """
-        c, s = self.cos[k], self.sin[k]
-        left, right, n = self.left, self.right, self.nu.size
+        left, right = self.modes.left, self.modes.right
+        n = left.shape[0]
         phi = np.empty((2 * n, 2 * n))
-        phi[0::2, 0::2] = (left * c) @ right.T
-        phi[0::2, 1::2] = (left * (-2.0 * s / self.nu)) @ left.T
-        phi[1::2, 0::2] = (right * (0.5 * self.nu * s)) @ right.T
-        phi[1::2, 1::2] = (right * c) @ left.T
+        phi[0::2, 0::2] = _block(left, self.cos[k], right)
+        phi[0::2, 1::2] = _block(left, self.up[k], left)
+        phi[1::2, 0::2] = _block(right, self.down[k], right)
+        phi[1::2, 1::2] = _block(right, self.cos[k], left)
         _check_symplectic(phi, k)
         frobenius = float(np.linalg.norm(phi))
         if abs(frobenius - self.screen[k]) > SCREEN_REL_TOL * frobenius:
@@ -271,10 +263,9 @@ def verify_mode_generator(modes: NormalModes) -> float:
     products. Returns the relative Frobenius residual and raises a
     tolerance-exceeded error above GENERATOR_REL_TOL.
     """
-    left, right = modes.left, modes.right
     n = modes.lam.size
-    q_to_p = -2.0 * (left @ left.T)
-    p_to_q = 2.0 * ((right * modes.lam) @ right.T)
+    q_to_p = _block(modes.left, np.full(n, -2.0), modes.left)
+    p_to_q = _block(modes.right, 2.0 * modes.lam, modes.right)
     alpha_hat = modes.chain.alpha / np.linalg.norm(modes.chain.alpha)
     rotation = np.array([alpha_hat, SYMPLECTIC_UNIT @ alpha_hat])
     a_o = modes.chain.observer_dynamics
@@ -301,29 +292,17 @@ def verify_mode_generator(modes: NormalModes) -> float:
 def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
     """Set up the closed-form observer propagator on a grid: O(N^3) once.
 
-    Rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), the observer
-    block solves q' = -2 Omega p, p' = 2 R_red q, whose normal modes are
-    those of K. With L1 = Omega^(1/2) V, L2 = Omega^(-1/2) V, C = cos(nu t)
-    and s = sin(nu t), P(t) has the blocks [[L1 C L2^T, L1 (-2 s / nu) L1^T],
-    [L2 (nu s / 2) L2^T, L2 C L1^T]]. The rotation is orthogonal, so P has
-    the singular values of exp(2 Theta R_o t). With G = V^T Omega V and
-    H = V^T Omega^-1 V, each block's squared Frobenius norm is a quadratic
-    form in its weights, w^T M w with M = G o H, G o G, H o H and G o H for
-    the four blocks (o the entrywise product), so every sample's ||P||_F
-    costs O(N^2). The same G and H give every sample's norm bound
-    (_norm_bounds), O(N^2) per sample too.
+    The rotation into the modes' (q, p) basis is orthogonal, so P has the
+    singular values of exp(2 Theta R_o t). With G = L1^T L1 = V^T Omega V
+    and H = L2^T L2 = V^T Omega^-1 V, each block's squared Frobenius norm is
+    a quadratic form in its weights, so ||P||_F^2 = cos (2 G o H) cos +
+    up (G o G) up + down (H o H) down (o the entrywise product), and the
+    same G and H give every sample's norm bound: both O(N^2) per sample
+    (_norm_bounds).
     """
-    left, right = modes.left, modes.right
-    g, h = left.T @ left, right.T @ right
-    nu = modes.nu
-    cos, sin = _phases(nu, grid.times())
-    # the sine weights -2/nu and nu/2 of the off-diagonal blocks fold into
-    # one matrix for sin, and the two diagonal blocks into one for cos
-    sin_form = g * g * np.outer(2.0 / nu, 2.0 / nu) + h * h * np.outer(0.5 * nu, 0.5 * nu)
-    squared = _rowdot(cos @ (2.0 * g * h), cos) + _rowdot(sin @ sin_form, sin)
-    screen = np.sqrt(squared)
-    return ObserverFlow(left=left, right=right, nu=nu, cos=cos, sin=sin, screen=screen,
-                        bound=_norm_bounds(left, right, g, h, nu, cos, sin, screen))
+    cos, up, down, _ = modes.weights(grid.times())
+    screen, bound = _norm_bounds(modes, cos, up, down)
+    return ObserverFlow(modes=modes, cos=cos, up=up, down=down, screen=screen, bound=bound)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -331,32 +310,37 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _norm_bounds(left: np.ndarray, right: np.ndarray, g: np.ndarray, h: np.ndarray,
-                 nu: np.ndarray, cos: np.ndarray, sin: np.ndarray,
-                 screen: np.ndarray) -> np.ndarray:
-    """An upper bound on ||P(t_k)||_2 for every sample, at most screen[k].
+def _norm_bounds(modes: NormalModes, cos: np.ndarray, up: np.ndarray,
+                 down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample's screen ||P(t_k)||_F, and an upper bound on ||P(t_k)||_2
+    that is at most the screen.
 
-    P^T P x = S^-T D^T (S^T S) D S^-1 x with S^T S = diag(G, H), so two
-    power steps from x_0 = (1, ..., 1), x_1 = P^T P x_0 and x_2 = P^T P x_1,
-    cost four BOUND_CHUNK x N x N products per step and chunk (S^-1, G and
-    H, S^-T; S^-1 x_0 is shared), and P is never formed. The Rayleigh
-    quotient rho = x_1 . x_2 / |x_1|^2 and the residual r = x_2 - rho x_1
-    bound the top eigenvalue (_top_eigenvalue_bound), with ||P||_F^2 as the
-    trace of P^T P; where that gives no bound, screen stands.
+    Both are taken BOUND_CHUNK samples at a time, so every product is a
+    BOUND_CHUNK x N x N one. P^T P x = S^-T D^T (S^T S) D S^-1 x with
+    S^T S = diag(G, H), so two power steps from x_0 = (1, ..., 1),
+    x_1 = P^T P x_0 and x_2 = P^T P x_1, cost four products per step and
+    chunk (S^-1, G and H, S^-T; S^-1 x_0 is shared), and P is never formed.
+    The Rayleigh quotient rho = x_1 . x_2 / |x_1|^2 and the residual
+    r = x_2 - rho x_1 bound the top eigenvalue (_top_eigenvalue_bound),
+    with ||P||_F^2 as the trace of P^T P; where that gives no bound, the
+    screen stands.
     """
-    n = nu.size
-    start = right.T @ np.ones(n), left.T @ np.ones(n)
-    squared = np.empty_like(screen)
-    for lo in range(0, screen.size, BOUND_CHUNK):
+    left, right = modes.left, modes.right
+    g, h = left.T @ left, right.T @ right
+    cross, gg, hh = 2.0 * g * h, g * g, h * h
+    ones = np.ones(left.shape[0])
+    start = right.T @ ones, left.T @ ones
+    screen, squared = np.empty(cos.shape[0]), np.empty(cos.shape[0])
+    for lo in range(0, cos.shape[0], BOUND_CHUNK):
         batch = slice(lo, lo + BOUND_CHUNK)
-        c, s = cos[batch], sin[batch]
-        up, down = s * (-2.0 / nu), s * (0.5 * nu)  # D's off-diagonal weights
+        c, u, d = cos[batch], up[batch], down[batch]
+        screen[batch] = np.sqrt(_rowdot(c @ cross, c) + _rowdot(u @ gg, u) + _rowdot(d @ hh, d))
 
         def gram_step(yq: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """P^T P x, row by row, for the rows x with S^-1 x = (yq, yp)."""
-            wq = (c * yq + up * yp) @ g
-            wp = (down * yq + c * yp) @ h
-            return (c * wq + down * wp) @ right.T, (up * wq + c * wp) @ left.T
+            wq = (c * yq + u * yp) @ g
+            wp = (d * yq + c * yp) @ h
+            return (c * wq + d * wp) @ right.T, (u * wq + c * wp) @ left.T
 
         xq, xp = gram_step(*start)
         aq, ap = gram_step(xq @ right, xp @ left)
@@ -368,7 +352,7 @@ def _norm_bounds(left: np.ndarray, right: np.ndarray, g: np.ndarray, h: np.ndarr
         trace = screen[batch] ** 2 * (1.0 + 2.0 * SCREEN_REL_TOL)
         squared[batch] = _top_eigenvalue_bound(rho, residual, trace)
     # fmin keeps the screen where the steps overflowed to inf or nan
-    return np.fmin(np.sqrt(squared), screen)
+    return screen, np.fmin(np.sqrt(squared), screen)
 
 
 def _top_eigenvalue_bound(rho: np.ndarray, residual: np.ndarray,

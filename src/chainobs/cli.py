@@ -36,6 +36,7 @@ import numpy as np
 
 from . import serialize
 from .analysis import (
+    BOUND_CHUNK,
     SpectralCertificate,
     build_reduced,
     certify_positive_definite,
@@ -265,28 +266,43 @@ def _physical_memory() -> int | None:
 def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None:
     """Reject a run whose arrays cannot fit in physical memory, before any is formed.
 
-    Counted in Python ints, so no chain length overflows, and only what the
-    run must hold. Without a grid, that is the chain's set-up: every run
-    holds the N x N reduced matrix and one N x N temporary; build also its
-    dense (2N+2)-square R_a and A_a, and check its normal modes' five N x N
-    factors (V, Omega^(1/2) V, Omega^(-1/2) V, G and H) and one formed
-    propagator's four 2N x 2N arrays (P, its Gram, and the symplectic
-    product and its difference). It is checked before the couplings are
-    drawn. With simulate's grid it is the trajectory:
-    samples x (N+1) rows of 2N+2 doubles, two samples x (2N+2) arrays (the
-    plant rows and the spatial average) and one chunk of rows' temporaries
-    (at most simulate.TRAJECTORY_CHUNK_BYTES); the writers format the rows
-    a few thousand values at a time and copy none of them whole.
+    Counted in Python ints, so no chain length overflows, and as if every
+    array the run forms were held at once, so the count bounds its peak.
+    Without a grid, that is the chain's set-up, checked before the couplings
+    are drawn: every run holds the N x N reduced matrix and one N x N
+    temporary. build also holds its dense (2N+2)-square R_a and A_a. check
+    holds its normal modes' five N x N factors (V, Omega^(1/2) V,
+    Omega^(-1/2) V, G and H), one formed propagator's four 2N x 2N arrays
+    (P, its Gram, and the symplectic product and its difference), seven
+    samples x N arrays (D(t)'s three entries, the plant drive and three
+    temporaries of NormalModes.weights) and ten BOUND_CHUNK x N temporaries
+    of the norm bounds. timeavg holds seven more N x N arrays (the normal
+    modes' V, Omega^(1/2) V and Omega^(-1/2) V, and four temporaries of the
+    rows), nine arrays of (N+1) x (2N+2) rows (the five averages and four of
+    the cross-check's temporaries) and the writer's text for one chunk of
+    serialize.CHUNK values, counted at 256 bytes a value (about 190 are
+    used). With simulate's grid it is the trajectory: samples x (N+1) rows
+    of 2N+2 doubles, two samples x (2N+2) arrays (the plant rows and the
+    spatial average) and one chunk of rows' temporaries (at most
+    simulate.TRAJECTORY_CHUNK_BYTES); the writers format the rows a few
+    thousand values at a time and copy none of them whole.
     """
     if grid is None:
-        needed, arrays = 2 * 8 * n * n, "two N x N arrays"
+        needed, arrays = 2 * n * n, "two N x N arrays"
         if command == "build":
-            needed += 2 * 8 * (2 * n + 2) ** 2
+            needed += 2 * (2 * n + 2) ** 2
             arrays += " and its dense R_a and A_a"
         elif command == "check":
-            needed += 5 * 8 * n * n + 4 * 8 * (2 * n) ** 2
-            arrays += (", its normal modes' five N x N factors and one propagator's four "
-                       "2N x 2N arrays")
+            vectors = 7 * EXP_BOUND_SAMPLES + 10 * BOUND_CHUNK
+            needed += 5 * n * n + 4 * (2 * n) ** 2 + vectors * n
+            arrays += (f", its normal modes' five N x N factors, one propagator's four "
+                       f"2N x 2N arrays and {vectors} N-vectors of the sweep's weights and bounds")
+        elif command == "timeavg":
+            needed += 7 * n * n + 9 * (n + 1) * (2 * n + 2) + 32 * serialize.CHUNK
+            arrays += (", seven more N x N arrays, nine (N+1) x (2N+2) arrays of rows "
+                       "(five averages and four cross-check temporaries) and the writer's "
+                       "chunk of text")
+        needed *= 8
         held = f"a chain of {n} elements would hold about {needed} bytes in {arrays}"
         remedy = "shorten the chain"
     else:
@@ -438,7 +454,7 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
     (simulate.identity_residuals); a summed residual beyond 1e-8 of the
     average fails the run, since the averaging itself could not be trusted.
     """
-    chain = _construct(config)
+    chain = _construct(config, "timeavg")
     report = _base_report(chain)
     horizons = [config.horizon / 16, config.horizon / 8, config.horizon / 4,
                 config.horizon / 2, config.horizon]

@@ -7,7 +7,8 @@ Rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), the observer
 chain is an N x N symmetric tridiagonal oscillator chain driven by the
 constant plant quadrature, so its rows C_a Phi(t) at any time, and their
 average over [0, T], are per-mode weights pulled back through the normal
-modes of K = Omega^(1/2) R_red Omega^(1/2). One tridiagonal eigensolve of K
+modes of K = Omega^(1/2) R_red Omega^(1/2); NormalModes.weights holds the
+closed form P(t) = S D(t) S^-1. One tridiagonal eigensolve of K
 (normal_modes: dense eigh of K, each eigenvalue refined by its Rayleigh
 quotient) serves every time and horizon, and its fastest frequency sets the
 default sampling step.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,15 +127,42 @@ class NormalModes:
     def nu(self) -> np.ndarray:
         return 2.0 * np.sqrt(self.lam)
 
-    @property
+    @cached_property
     def left(self) -> np.ndarray:
         """L1 = Omega^(1/2) V."""
         return np.sqrt(self.chain.omega)[:, None] * self.v
 
-    @property
+    @cached_property
     def right(self) -> np.ndarray:
         """L2 = Omega^(-1/2) V."""
         return self.v / np.sqrt(self.chain.omega)[:, None]
+
+    def weights(self, t: float | np.ndarray) -> tuple[np.ndarray, ...]:
+        """The closed form at the times t: D(t) per mode, and the plant drive.
+
+        Rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), the
+        observer chain solves q' = -2 Omega p and p' = 2 R_red q -
+        2 mu~_1 q_0 e_1 with the plant quadrature q_0 constant, and every
+        output is ||alpha|| times a q. With u = q - q_0 1 (R_red 1 =
+        mu~_1 e_1) the normal modes V^T Omega^(-1/2) u oscillate at nu, so
+        the observer propagator is P(t) = S D(t) S^-1, S = diag(L1, L2) and
+        S^-1 = diag(L2^T, L1^T), with the blocks [[L1 cos L2^T, L1 up L1^T],
+        [L2 down L2^T, L2 cos L1^T]] (each a _block), where, mode by mode,
+        cos = cos(nu t), up = -2 sin(nu t) / nu and down = nu sin(nu t) / 2.
+        q_0 reaches q through L1 diag(plant) V^T mu~_1 sqrt(omega_1) e_1
+        (= L1 diag(plant) V^T K Omega^(-1/2) 1), plant = 2 sin^2(nu t / 2) / lam
+        carrying the 1/lam of K^(-1). Returns (cos, up, down, plant), one
+        row per time when t is an array.
+        """
+        nu = self.nu
+        x = np.multiply.outer(t, nu)
+        sin = np.sin(x)
+        return np.cos(x), -2.0 * sin / nu, 0.5 * nu * sin, 2.0 * np.sin(0.5 * x) ** 2 / self.lam
+
+
+def _block(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a diag(w) b^T, one BLAS product per set of weights w of shape (..., N)."""
+    return (a * w[..., None, :]) @ b.T
 
 
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,15 +228,9 @@ def _average_weights(modes: NormalModes, horizon: float) -> tuple[np.ndarray, ..
     )
 
 
-def _end_weights(modes: NormalModes, t: float | np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-mode weights of C_a Phi(t) on q(0), p(0) and q_0, one set per time."""
-    nu = modes.nu
-    x = np.multiply.outer(t, nu)
-    return np.cos(x), -2.0 * np.sin(x) / nu, 2.0 * np.sin(0.5 * x) ** 2 / modes.lam
-
-
 def _derivative_weights(modes: NormalModes, t: float) -> tuple[np.ndarray, ...]:
-    """Per-mode weights of d/dt C_a Phi(t): the time derivatives of _end_weights."""
+    """Per-mode weights of d/dt C_a Phi(t): the time derivatives of
+    NormalModes.weights' cos, up and plant."""
     nu = modes.nu
     x = nu * t
     return -nu * np.sin(x), -2.0 * np.cos(x), nu * np.sin(x) / modes.lam
@@ -218,23 +241,17 @@ def _rows(
 ) -> np.ndarray:
     """Coefficient rows whose observer q's carry the given per-mode weights.
 
-    Weights of shape (..., N) give rows of shape (..., N + 1, 2N + 2). Each
-    set of weights takes the same arithmetic whatever the leading shape:
-    numpy's matmul runs one BLAS product per set.
-
-    Per mode, q = alpha^ . x and p = J alpha^ . x give q' = -2 Omega p and
-    p' = 2 R_red q - 2 mu~_1 q_0 e_1 with the plant quadrature q_0 constant,
-    and every output is ||alpha|| times a q. With u = q - q_0 1
-    (R_red 1 = mu~_1 e_1), the normal modes V^T Omega^(-1/2) u oscillate at
-    nu, so q(0), p(0) and q_0 reach q through L1 diag(w) times L2^T, L1^T
-    and V^T mu~_1 sqrt(omega_1) e_1 (= V^T K Omega^(-1/2) 1) respectively;
-    the plant weights carry the 1/lambda of K^(-1).
+    Weights of shape (..., N) give rows of shape (..., N + 1, 2N + 2), pulled
+    back through the normal modes as NormalModes.weights describes: q(0),
+    p(0) and q_0 reach q through L1 diag(w) times L2^T, L1^T and
+    V^T mu~_1 sqrt(omega_1) e_1. Each set of weights takes the same
+    arithmetic whatever the leading shape.
     """
     chain, left = modes.chain, modes.left
     alpha = chain.alpha
     n = chain.n_elements
-    from_q = (left * q_weight[..., None, :]) @ modes.right.T
-    from_p = (left * p_weight[..., None, :]) @ left.T
+    from_q = _block(left, q_weight, modes.right)
+    from_p = _block(left, p_weight, left)
     plant = plant_weight * modes.v[0]
     from_plant = chain.mu_tilde[0] * np.sqrt(chain.omega[0]) * (left @ plant[..., None])
     lead = q_weight.shape[:-1]
@@ -265,13 +282,9 @@ def time_average_spectral(modes: NormalModes, horizon: float) -> TimeAverage:
 
 
 def end_rows(modes: NormalModes, t: float) -> np.ndarray:
-    """C_a Phi(t) in closed form.
-
-    With x = nu t, q(0) is weighted by cos(x), p(0) by -2 sin(x)/nu and
-    q_0 by 2 sin^2(x/2)/lambda.
-    """
-    t = _positive_time(t)
-    return _rows(modes, *_end_weights(modes, t))
+    """C_a Phi(t) in closed form (NormalModes.weights)."""
+    cos, up, _, plant = modes.weights(_positive_time(t))
+    return _rows(modes, cos, up, plant)
 
 
 def _chunk_times(n: int) -> int:
@@ -292,7 +305,8 @@ def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
     step = _chunk_times(n)
     for start in range(0, grid.samples, step):
         chunk = times[start : start + step]
-        rows[start : start + chunk.size] = _rows(modes, *_end_weights(modes, chunk))
+        cos, up, _, plant = modes.weights(chunk)
+        rows[start : start + chunk.size] = _rows(modes, cos, up, plant)
     return Trajectory(grid=grid, coefficient_rows=rows)
 
 

@@ -13,13 +13,14 @@ import math
 import numpy as np
 
 import chainobs as co
+from chainobs.analysis import observer_flow
 from conftest import build_system, perturb_omega
 from oracles import (
     collapse_blocks,
     hamiltonian_drift,
     observer_hamiltonian,
+    output_matrix,
     propagator,
-    spectral_propagator,
     symplectic_matrix,
     time_average_exact,
     time_average_streamed,
@@ -205,33 +206,45 @@ def test_criterion_6_conservation():
 
 
 def test_criterion_7_oracle_equivalence():
+    """The library's closed forms against the independent oracles: the
+    averages against the doubled-block exponential and against Simpson
+    quadrature, and C_a Phi(t) and the observer propagator against Pade."""
     ok = True
     details = []
 
-    # doubled-block exponential averages against streamed Simpson quadrature
+    def compare(label: str, library: np.ndarray, oracle: np.ndarray, tolerance: float) -> None:
+        nonlocal ok
+        scale = float(np.linalg.norm(oracle, ord="fro"))
+        gap = float(np.linalg.norm(library - oracle, ord="fro"))
+        if gap > tolerance * scale:
+            ok = False
+            details.append(f"{label}: disagree by {gap:.3e}")
+
     for k in range(20):
         n = k % 8 + 1
         chain = build_system([1.0, 0.0], "random", 1.0, n, seed=100 + k)
         horizon = 10.0
-        quadrature = time_average_streamed(chain, horizon)
-        exact = time_average_exact(chain, horizon)
-        scale = float(np.linalg.norm(exact.averaged_rows, ord="fro"))
-        gap = float(np.linalg.norm(quadrature.averaged_rows - exact.averaged_rows, ord="fro"))
-        if gap > 1e-8 * scale:
-            ok = False
-            details.append(f"random seed {100 + k} n={n}: averages disagree by {gap:.3e}")
+        library = co.time_average_spectral(co.normal_modes(chain), horizon).averaged_rows
+        label = f"random seed {100 + k} n={n}"
+        compare(f"{label}: averages and doubled block", library,
+                time_average_exact(chain, horizon).averaged_rows, 1e-8)
+        compare(f"{label}: averages and Simpson", library,
+                time_average_streamed(chain, horizon).averaged_rows, 1e-8)
 
-    # scaling-and-squaring against the eigendecomposition route
     for label, chain in systems():
-        a_o, r_o = chain.dynamics.dense()[2:, 2:], observer_hamiltonian(chain)
+        modes = co.normal_modes(chain)
+        a_a = chain.dynamics.dense()
+        n = chain.n_elements
+        # the flow is in the modes' (q, p) = (alpha^ . x, J alpha^ . x) basis
+        alpha_hat = chain.alpha / np.linalg.norm(chain.alpha)
+        rotation = np.kron(np.eye(n), np.array([alpha_hat, symplectic_matrix(1) @ alpha_hat]))
+        flow = observer_flow(modes, co.TimeGrid(5.0, 1.0))
         for t in (1.0, 5.0):
-            direct = propagator(a_o, t)
-            spectral = spectral_propagator(r_o, t)
-            scale = float(np.linalg.norm(direct, ord="fro"))
-            gap = float(np.linalg.norm(direct - spectral, ord="fro"))
-            if gap > 1e-11 * scale:
-                ok = False
-                details.append(f"{label} at t={t:g}: propagators disagree by {gap:.3e}")
+            exact = propagator(a_a, t)
+            compare(f"{label} at t={t:g}: end rows", co.end_rows(modes, t),
+                    output_matrix(chain) @ exact, 1e-11)
+            compare(f"{label} at t={t:g}: propagators",
+                    rotation.T @ flow.propagator(int(t)) @ rotation, exact[2:, 2:], 1e-11)
 
     verdict(7, "oracle-equivalence", ok)
     assert ok, "\n".join(details)

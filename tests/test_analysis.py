@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import analysis, cli
+from chainobs import analysis, cli, simulate
 from chainobs.analysis import _spectral_norm
 from conftest import build_system
 from oracles import (
@@ -289,14 +289,14 @@ class TestExpBound:
         same numerical failure as the unscreened sweep, and exit 1."""
         chain = example_system
         modes = co.normal_modes(chain)
-        true_phases = analysis._phases
+        true_weights = simulate.NormalModes.weights
 
-        def nan_phases(nu, times):
-            cos, sin = true_phases(nu, times)
+        def nan_phases(modes, t):
+            cos, up, down, plant = true_weights(modes, t)
             cos[3, 1] = np.nan
-            return cos, sin
+            return cos, up, down, plant
 
-        monkeypatch.setattr(analysis, "_phases", nan_phases)
+        monkeypatch.setattr(simulate.NormalModes, "weights", nan_phases)
         grid = co.TimeGrid.from_count(1.0, 10)
         with pytest.raises(co.NumericalFailureError) as expected:
             exp_bound_unscreened(modes, certified(chain), grid)
@@ -356,13 +356,13 @@ class TestExpBound:
         every formed propagator, and the sweep aborts before any norm is
         compared with the bound; the screen, scaled alike, cannot tell."""
         chain = example_system
-        true_phases = analysis._phases
+        true_weights = simulate.NormalModes.weights
 
-        def scaled_cos(nu, times):
-            cos, sin = true_phases(nu, times)
-            return (1.0 + 1e-5) * cos, sin
+        def scaled_cos(modes, t):
+            cos, up, down, plant = true_weights(modes, t)
+            return (1.0 + 1e-5) * cos, up, down, plant
 
-        monkeypatch.setattr(analysis, "_phases", scaled_cos)
+        monkeypatch.setattr(simulate.NormalModes, "weights", scaled_cos)
         with pytest.raises(co.ToleranceExceededError, match="symplectic drift"):
             co.verify_exp_bound(
                 co.normal_modes(chain), certified(chain), co.TimeGrid.from_count(1.0, 2)

@@ -374,17 +374,17 @@ class TestSimulateCommand:
     ):
         """A 1e-6 error in the plant weights of the rows breaks the x* identity,
         and a sign flip of their p(0) weights the derivative identity."""
-        true_weights = simulate._end_weights
+        true_weights = simulate.NormalModes.weights
 
         def mutated(modes, t):
-            q, p, plant = true_weights(modes, t)
+            cos, up, down, plant = true_weights(modes, t)
             if mutant == "p":
-                p = -p
+                up = -up
             else:
                 plant = plant * (1.0 + 1e-6)
-            return q, p, plant
+            return cos, up, down, plant
 
-        monkeypatch.setattr(simulate, "_end_weights", mutated)
+        monkeypatch.setattr(simulate.NormalModes, "weights", mutated)
         config = write_config(tmp_path, **overrides)
         code = cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)])
         assert code == 1
@@ -673,11 +673,14 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         held = {"build": " and its dense R_a and A_a",
-                "check": ", its normal modes' five N x N factors and one propagator's four "
-                         "2N x 2N arrays"}.get(command, "")
+                "check": ", its normal modes' five N x N factors, one propagator's four "
+                         "2N x 2N arrays and 4780 N-vectors of the sweep's weights and bounds",
+                "timeavg": ", seven more N x N arrays, nine (N+1) x (2N+2) arrays of rows "
+                           "(five averages and four cross-check temporaries) and the writer's "
+                           "chunk of text"}.get(command, "")
         assert re.fullmatch(
             rf"error: a chain of {n} elements would hold about \d+ bytes in two N x N arrays"
-            rf"{held}, more than the \d+ bytes of physical memory; shorten the chain\n",
+            rf"{re.escape(held)}, more than the \d+ bytes of physical memory; shorten the chain\n",
             err,
         ), err
         assert peak < 4 << 20
@@ -685,14 +688,21 @@ class TestExitCodes:
 
     # N=3: every run holds two 3 x 3 arrays, 144 bytes; build also its
     # 8 x 8 R_a and A_a, 1,024 more; check also the modes' five 3 x 3
-    # factors and one propagator's four 6 x 6 arrays, 360 + 1,152 more.
-    CHECK_ESTIMATE = 1_656
+    # factors and one propagator's four 6 x 6 arrays, 360 + 1,152 more, and
+    # 7 x 500 + 10 x 128 = 4,780 rows of 3 for the sweep's weights and norm
+    # bounds, 114,720 more; timeavg also seven more 3 x 3 arrays, nine 4 x 8
+    # arrays of rows and the writer's 2,048 values of text at 256 bytes each,
+    # 504 + 2,304 + 524,288 more.
+    CHECK_ESTIMATE = 116_376
+    TIMEAVG_ESTIMATE = 527_240
 
     @pytest.mark.parametrize(
         "command, memory, code",
         [("check", CHECK_ESTIMATE, 0), ("check", CHECK_ESTIMATE - 1, 2), ("build", 1_168, 0),
-         ("build", 1_167, 2)],
-        ids=["check-fits", "check-just-under", "build-fits", "build-just-under"],
+         ("build", 1_167, 2), ("timeavg", TIMEAVG_ESTIMATE, 0),
+         ("timeavg", TIMEAVG_ESTIMATE - 1, 2)],
+        ids=["check-fits", "check-just-under", "build-fits", "build-just-under",
+             "timeavg-fits", "timeavg-just-under"],
     )
     def test_chain_preflight_counts_what_the_run_holds(
         self, tmp_path, monkeypatch, capsys, command, memory, code
@@ -715,7 +725,7 @@ class TestExitCodes:
 
     def test_check_preflight_counts_the_sweep(self, tmp_path, monkeypatch, capsys):
         """check at N=3 with memory between the two-array estimate (144 bytes)
-        and the whole run's (1,656) exits 2 before any propagator is formed."""
+        and the whole run's (116,376) exits 2 before any propagator is formed."""
         memory = 900
         monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
         formed = []
@@ -728,6 +738,49 @@ class TestExitCodes:
         assert not formed
         assert f"about {self.CHECK_ESTIMATE} bytes" in err
         assert f"than the {memory} bytes of physical memory" in err
+
+    def test_timeavg_preflight_counts_the_averages(self, tmp_path, monkeypatch, capsys):
+        """timeavg at N=3 with memory between the two-array estimate (144
+        bytes) it once had and the whole run's (527,240) exits 2 before any
+        average is formed."""
+        memory = 1_000
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        formed = []
+        average = cli.time_average_spectral
+        monkeypatch.setattr(cli, "time_average_spectral",
+                            lambda *args: formed.append(1) or average(*args))
+        out = tmp_path / "out"
+        config = write_config(tmp_path, horizon=8.0, output_dir=str(out))
+        assert cli.main(["timeavg", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert not formed and not out.exists()
+        assert f"about {self.TIMEAVG_ESTIMATE} bytes" in err
+        assert f"than the {memory} bytes of physical memory" in err
+
+    @pytest.mark.parametrize("command, n", [("check", 300), ("timeavg", 200)])
+    def test_preflight_bounds_the_array_memory(self, tmp_path, monkeypatch, command, n):
+        """The preflight's count is at least the run's array memory: its
+        tracemalloc peak less the same subcommand's at N=1, the fixed cost of
+        the report and the writer (measured on a second N=1 run, after the
+        first has paid the one-time costs)."""
+
+        def peak(size: int, label: str) -> int:
+            config = write_config(tmp_path, n_elements=size, scheme="odd-harmonics",
+                                  horizon=8.0, step="auto", output_dir=str(tmp_path / label))
+            tracemalloc.start()
+            try:
+                assert cli.main([command, "--config", str(config)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1, "warm-up")
+        array_memory = peak(n, "run") - peak(1, "fixed")
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 0)
+        with pytest.raises(co.ConfigValidationError) as rejected:
+            cli._check_fits(n, command)
+        count = int(re.search(r"about (\d+) bytes", str(rejected.value))[1])
+        assert array_memory <= count
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["build", "--config", str(tmp_path / "absent.json")])
@@ -772,13 +825,13 @@ class TestExitCodes:
         assert "synthetic failure" in capsys.readouterr().err
 
     def test_non_symplectic_exp_bound_sweep_exits_one(self, tmp_path, monkeypatch, capsys):
-        true_phases = analysis._phases
+        true_weights = simulate.NormalModes.weights
 
-        def scaled_cos(nu, times):
-            cos, sin = true_phases(nu, times)
-            return (1.0 + 1e-5) * cos, sin
+        def scaled_cos(modes, t):
+            cos, up, down, plant = true_weights(modes, t)
+            return (1.0 + 1e-5) * cos, up, down, plant
 
-        monkeypatch.setattr(analysis, "_phases", scaled_cos)
+        monkeypatch.setattr(simulate.NormalModes, "weights", scaled_cos)
         config = write_config(tmp_path)
         assert cli.main(["check", "--config", str(config)]) == 1
         captured = capsys.readouterr()

@@ -282,19 +282,19 @@ class TestVerifyTrajectory:
         flip of the p(0) weights identity (ii); both name the sample."""
         chain = example_system
         modes = co.normal_modes(chain)
-        true_weights = simulate._end_weights
+        true_weights = simulate.NormalModes.weights
 
         def mutated(modes, t):
-            q, p, plant = true_weights(modes, t)
+            cos, up, down, plant = true_weights(modes, t)
             if mutant == "plant":
                 plant = plant * (1.0 + 1e-6)
             elif mutant == "q":
-                q = q * (1.0 + 1e-6)
+                cos = cos * (1.0 + 1e-6)
             else:
-                p = -p
-            return q, p, plant
+                up = -up
+            return cos, up, down, plant
 
-        monkeypatch.setattr(simulate, "_end_weights", mutated)
+        monkeypatch.setattr(simulate.NormalModes, "weights", mutated)
         grid = co.TimeGrid(50.0, 0.05)
         trajectory = co.coefficient_trajectory(modes, grid)
         with pytest.raises(co.ToleranceExceededError, match=rf"^{re.escape(message)} .* at sample \d+$"):

@@ -9,7 +9,9 @@ to the dense route it replaced (tests/oracles.py), on the blocks' dense().
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -163,3 +165,31 @@ def test_certificate_against_the_referee(label, c_p, variant, omega0, n, seed):
             error = float(abs(mpmath.mpf(float(value)) - ref)) / scale
             assert error <= CERTIFICATE_REFEREE_TOL, (route, error)
 
+
+def _trig_callers(source: str) -> set[str]:
+    """Qualified names of the functions that call sin or cos of numpy or math."""
+    callers: set[str] = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("sin", "cos") and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy", "math")):
+            callers.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return callers
+
+
+def test_one_closed_form_takes_the_phases():
+    """The propagator's phases are taken in one place, NormalModes.weights;
+    the other trigonometry in the library belongs to the independent routes
+    (the averages and the derivative rows) and to 1 - sin(x)/x."""
+    package = Path(co.__file__).parent
+    callers = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+               for name in _trig_callers(path.read_text())}
+    assert callers == {"simulate.NormalModes.weights", "simulate._average_weights",
+                       "simulate._derivative_weights", "simulate._one_minus_sinc"}
