@@ -4,10 +4,11 @@ For every run of a fixed ladder the corpus holds the exit code, the SHA-256
 of stdout and the SHA-256 of every file the run wrote. The ladder is build,
 check, timeavg (T = 8) and simulate (T = 1) over every scheme, N in
 {1, 2, 5, 16} (all-harmonics on even N only) and three plant rows c_p, the
-random scheme on seed 3: 168 runs. After it come the runs whose digests
-were pinned one by one before the corpus existed: build on three chains,
-and check at horizon 800 on random N=50 (seeds 0-4) and on uniform and
-odd-harmonics N=200.
+random scheme on seed 3: 168 runs, replayed by test_golden.py. After it
+come the runs whose digests were pinned one by one before the corpus
+existed: build on three chains, and check at horizon 800 on random N=50
+(seeds 0-4) and on uniform and odd-harmonics N=200, replayed under their
+labels by test_cli.py.
 
 Run from the repository root:
 
@@ -40,16 +41,18 @@ PLANT_ROWS = ([1.0, 0.0], [-0.0, 2.0], [0.6, -1.3])
 # N=7's c_a.csv 8 (from c_p[0] = -0.0), which an assembly by np.kron would
 # turn into +0 or add to. check's date from before the sweep skipped samples
 # by their norm bounds.
-PINNED = [
-    ("build", {"n_elements": 5, "scheme": "odd-harmonics", "c_p": [1.0, 0.0]}),
-    ("build", {"n_elements": 12, "scheme": "random", "seed": 3, "c_p": [0.6, -1.3]}),
-    ("build", {"n_elements": 7, "scheme": "uniform", "c_p": [-0.0, 2.0]}),
-    *(("check", {"n_elements": 50, "scheme": "random", "seed": seed, "c_p": [1.0, 0.0],
-                 "horizon": 800.0}) for seed in range(5)),
-    ("check", {"n_elements": 200, "scheme": "uniform", "c_p": [1.0, 0.0], "horizon": 800.0}),
-    ("check", {"n_elements": 200, "scheme": "odd-harmonics", "c_p": [1.0, 0.0],
-               "horizon": 800.0}),
-]
+PINNED = {
+    "odd-harmonics-5": ("build", {"n_elements": 5, "scheme": "odd-harmonics", "c_p": [1.0, 0.0]}),
+    "random-12": ("build", {"n_elements": 12, "scheme": "random", "seed": 3, "c_p": [0.6, -1.3]}),
+    "uniform-7": ("build", {"n_elements": 7, "scheme": "uniform", "c_p": [-0.0, 2.0]}),
+    **{f"random-50-{seed}": ("check", {"n_elements": 50, "scheme": "random", "seed": seed,
+                                       "c_p": [1.0, 0.0], "horizon": 800.0})
+       for seed in range(5)},
+    "uniform-200": ("check", {"n_elements": 200, "scheme": "uniform", "c_p": [1.0, 0.0],
+                              "horizon": 800.0}),
+    "odd-harmonics-200": ("check", {"n_elements": 200, "scheme": "odd-harmonics",
+                                    "c_p": [1.0, 0.0], "horizon": 800.0}),
+}
 
 
 def runs() -> list[tuple[str, dict]]:
@@ -65,8 +68,15 @@ def runs() -> list[tuple[str, dict]]:
                     if scheme == SCHEME_RANDOM:
                         config["seed"] = 3
                     ladder.append((command, config))
-    pinned = [(command, {"horizon": 1.0, **fields}) for command, fields in PINNED]
+    pinned = [(command, {"horizon": 1.0, **fields}) for command, fields in PINNED.values()]
     return [(command, {"omega0": 1.0, **config}) for command, config in ladder + pinned]
+
+
+def load() -> tuple[list[dict], dict[str, dict]]:
+    """The corpus: the ladder's entries, and the pinned runs' entries by label."""
+    entries = json.loads(GOLDEN.read_text())
+    ladder = len(entries) - len(PINNED)
+    return entries[:ladder], dict(zip(PINNED, entries[ladder:]))
 
 
 def _digest(data: bytes) -> str:

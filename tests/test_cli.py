@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 import chainobs as co
 from chainobs import analysis, builder, cli, lqs, serialize, simulate
 from conftest import build_system
+from make_golden import PINNED, load, run
 from oracles import (
     averages_csv_text,
     matrix_csv_text,
@@ -282,6 +283,13 @@ class TestBuildCommand:
         assert np.array_equal(written["a_a"], chain.dynamics.dense())
         assert np.array_equal(written["c_a"], output_matrix(chain))
 
+    # build's matrix files on three chains, as pinned in the golden corpus
+    # (tests/make_golden.py says why these three).
+    @pytest.mark.parametrize("label", [k for k, (c, _) in PINNED.items() if c == "build"])
+    def test_matrix_files_keep_their_bytes(self, tmp_path, label):
+        entry = load()[1][label]
+        assert run("build", entry["config"], tmp_path / "run") == entry
+
     @pytest.mark.parametrize(
         "command,names",
         [
@@ -484,6 +492,13 @@ class TestCheckCommand:
         config = write_config(tmp_path)
         assert cli.main(["check", "--config", str(config)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    # check's stdout at horizon 800, as pinned in the golden corpus. Its last
+    # digits depend on how BLAS splits products (see tests/make_golden.py).
+    @pytest.mark.parametrize("label", [k for k, (c, _) in PINNED.items() if c == "check"])
+    def test_stdout_keeps_its_bytes(self, tmp_path, label):
+        entry = load()[1][label]
+        assert run("check", entry["config"], tmp_path / "run") == entry
 
 
 @pytest.mark.parametrize("command", ["build", "simulate", "timeavg", "check"])
