@@ -52,6 +52,16 @@ TRAJECTORY_REL_TOL = 1e-10
 log = logging.getLogger(__name__)
 
 
+def _interval_count(t_end: float, step: float) -> float:
+    """t_end / step, which must be finite to be counted in whole intervals."""
+    count = t_end / step
+    if not math.isfinite(count):
+        raise InvalidParameterError(
+            f"span {t_end!r} over step {step!r} is not a finite number of intervals"
+        )
+    return count
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling grid on [0, t_end] with a step that divides it."""
@@ -64,7 +74,7 @@ class TimeGrid:
             raise InvalidParameterError(f"t_end must be positive, got {self.t_end!r}")
         if not (np.isfinite(self.step) and self.step > 0.0):
             raise InvalidParameterError(f"step must be positive, got {self.step!r}")
-        intervals = round(self.t_end / self.step)
+        intervals = round(_interval_count(self.t_end, self.step))
         if intervals < 1 or abs(intervals * self.step - self.t_end) > 1e-9 * max(self.t_end, 1.0):
             raise InvalidParameterError(
                 f"step {self.step!r} does not divide the span {self.t_end!r} into whole intervals"
@@ -82,7 +92,7 @@ class TimeGrid:
         """Grid over [0, t_end] whose step divides the span and is <= max_step."""
         if not (np.isfinite(max_step) and max_step > 0.0):
             raise InvalidParameterError(f"max_step must be positive, got {max_step!r}")
-        intervals = max(1, math.ceil(t_end / max_step))
+        intervals = max(1, math.ceil(_interval_count(t_end, max_step)))
         while t_end / intervals > max_step:
             intervals += 1
         return cls(t_end=t_end, step=t_end / intervals)

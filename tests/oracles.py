@@ -1,34 +1,33 @@
 """Independent numerical oracles used to cross-check the library.
 
-These deliberately avoid the code paths under test: the exponential oracle
-goes through a symmetric eigendecomposition and a similarity transform
-instead of scaling-and-squaring, and the definiteness oracle runs a
-leading-principal-minor recurrence instead of an eigensolver. The drift
-oracle forms Phi Theta Phi^T with dense products, ignoring the block
-structure of Theta that the library exploits, and the unscreened
-exponential-bound sweep forms every sample of the library's closed-form
-observer propagator in time order and takes its exact norm, with none of
-the library's sorting or Frobenius screens. The assembly oracle writes
-the augmented system as Kronecker products of (N+1) x (N+1) matrices with
-2 x 2 blocks instead of filling blocks in place, and the energy oracle
-measures how far a propagator is from conserving a quadratic Hamiltonian.
+Each quantity the library computes has one float oracle here, plus the
+40-digit mpmath referees the tests build for the smallest systems. The
+oracles deliberately avoid the code paths under test. The library takes
+every propagator, row and average from the chain's normal modes, a
+closed form in one tridiagonal eigensolve; the exponential oracles work
+from the assembled A_a instead and never see the modes.
 
-The propagation engine works from the assembled A_a, never from the
-normal modes the library's closed form uses, so it is the reference route
-for the library's coefficient rows. propagator takes exp(A t) by scaling
-and squaring (Higham 2005): a diagonal Pade approximant of degree 3, 5, 7,
-9 or 13, chosen from the 1-norm, of the matrix scaled by 2^-s, then
-squared s times. _propagate yields Phi(t_k) on a grid through the
-recurrence Phi(t + h) = Phi(h) Phi(t), with the library's symplectic check
-at every sample; its rounding drift grows with the number of steps.
+propagator is exp(A t) by scipy's expm (Al-Mohy & Higham 2009: scaling
+and squaring with a Pade approximant chosen from norm estimates), with
+input and overflow checks. It is the reference for the end rows
+C_a Phi(t) and for the observer propagators of check's sweep.
+integral_of_propagator takes the same expm of the doubled block
+[[A_a, I], [0, 0]], whose upper-right block is the integral of the
+propagator (valid although A_a is singular, which rules out the
+A^{-1}(exp(AT) - I) shortcut); time_average_exact applies C_a to it and
+is the one float oracle for the time averages. max_frequency is the
+fastest mode by a dense nonsymmetric eigensolve of A_a.
 
-Two time-average oracles also work from A_a. The doubled-block route takes
-the exponential of [[A_a, I], [0, 0]], whose upper-right block is the
-integral of the propagator (valid although A_a is singular, which rules
-out the A^{-1}(exp(AT) - I) shortcut). The sampled route folds the
-propagation engine's samples into a running composite Simpson sum in
-O(N^2) memory, on a step that resolves the fastest mode found by a dense
-nonsymmetric eigensolve of A_a.
+The definiteness oracle runs a leading-principal-minor recurrence instead
+of an eigensolver. The drift oracle forms Phi Theta Phi^T with dense
+products, ignoring the block structure of Theta that the library
+exploits, and the unscreened exponential-bound sweep forms every sample
+of the library's closed-form observer propagator in time order and takes
+its exact norm, with none of the library's sorting or Frobenius screens.
+The assembly oracle writes the augmented system as Kronecker products of
+(N+1) x (N+1) matrices with 2 x 2 blocks instead of filling blocks in
+place, and the energy oracle measures how far a propagator is from
+conserving a quadratic Hamiltonian.
 
 The library holds R_a and A_a only as the chain's 2 x 2 blocks; a test
 that needs them dense reads the blocks' dense(). Theta = diag(J, ..., J)
@@ -49,14 +48,11 @@ padding are joined in as strings, and the file text is returned whole.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator
-
 import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from chainobs.analysis import _check_symplectic, observer_flow
+from chainobs.analysis import observer_flow
 from chainobs.builder import ChainObserverParams
 from chainobs.errors import (
     BoundViolatedError,
@@ -65,11 +61,7 @@ from chainobs.errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from chainobs.simulate import DEFAULT_STEP_FACTOR, NormalModes, TimeAverage, TimeGrid
-
-# Quadrature is trustworthy only when the fastest mode is well resolved:
-# at least 100 samples per shortest period, i.e. step <= 0.01 * (2 pi / w).
-QUADRATURE_STEP_FACTOR = 0.01
+from chainobs.simulate import NormalModes, TimeAverage, TimeGrid
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -89,67 +81,8 @@ def output_matrix(chain: ChainObserverParams) -> np.ndarray:
     return np.kron(np.eye(chain.n_elements + 1), chain.alpha)
 
 
-# Pade degrees m with the largest 1-norm theta_m at which the degree-m
-# approximant is accurate to double precision (Higham 2005), and
-# the coefficients b_0 .. b_m of its numerator p(x); the denominator is p(-x).
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring with a Pade approximant (Higham 2005).
-
-    The lowest degree whose theta covers ||a||_1 is used unscaled; above
-    theta_13, a is scaled by 2^-s into it and the result squared s times.
-    A singular denominator raises numpy's LinAlgError.
-    """
-    norm = float(np.linalg.norm(a, 1))
-    s = 0
-    for m in (3, 5, 7, 9, 13):
-        if norm <= _PADE_THETA[m]:
-            break
-    else:
-        s = math.ceil(math.log2(norm / _PADE_THETA[13]))
-        a = np.ldexp(a, -s)
-    b = _PADE_COEFFS[m]
-    ident = np.eye(a.shape[0])
-    a2 = a @ a
-    if m < 13:
-        powers = [ident, a2]
-        while len(powers) <= m // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    phi = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        phi = phi @ phi
-    return phi
-
-
 def propagator(a: np.ndarray, t: float) -> np.ndarray:
-    """Matrix exponential exp(a t)."""
+    """Matrix exponential exp(a t), by scipy's expm (Al-Mohy & Higham 2009)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidDimensionError(f"dynamics matrix must be square, got shape {a.shape}")
@@ -164,53 +97,10 @@ def propagator(a: np.ndarray, t: float) -> np.ndarray:
         # a finite 1-norm also means every entry is finite
         if not np.isfinite(np.linalg.norm(at, 1)):
             raise NumericalFailureError(f"dynamics times t = {t!r} overflowed")
-        try:
-            phi = _expm(at)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"Pade denominator is singular at t = {t!r}") from exc
+        phi = expm(at)
     if not np.all(np.isfinite(phi)):
         raise NumericalFailureError(f"exponential overflowed at t = {t!r}")
     return phi
-
-
-def _propagate(a: np.ndarray, grid: TimeGrid) -> Iterator[np.ndarray]:
-    """Yield Phi(t_k) = exp(a t_k) for each grid time via the one-step recurrence.
-
-    Consumers apply any output map themselves. The symplectic identity
-    Phi Theta Phi^T = Theta is checked at every sample, with the library's
-    per-sample check, before the sample is yielded; exceeding its relative
-    tolerance 1e-9 aborts. One exponential is taken for the step, the first
-    sample is the exact identity, and every further sample costs one product.
-    """
-    step_phi = propagator(a, grid.step)
-    phi = np.eye(a.shape[0])
-    for k in range(grid.samples):
-        _check_symplectic(phi, k)
-        yield phi
-        if k + 1 < grid.samples:
-            phi = step_phi @ phi
-
-
-def spectral_propagator(r_o: np.ndarray, t: float) -> np.ndarray:
-    """exp(2 Theta R_o t) for symmetric positive definite R_o, by spectra.
-
-    With S = R_o^(1/2), the matrix K = 2 S Theta S is real skew-symmetric
-    and similar to the dynamics: A = 2 Theta R_o = S^{-1} K S. Then iK is
-    Hermitian, so exp(K t) follows from a reliable Hermitian eigensolve and
-    exp(A t) = S^{-1} exp(K t) S.
-    """
-    w, v = np.linalg.eigh(np.asarray(r_o, dtype=float))
-    if w.min() <= 0:
-        raise ValueError("oracle needs a positive definite matrix")
-    sqrt_w = np.sqrt(w)
-    s = (v * sqrt_w) @ v.T
-    s_inv = (v / sqrt_w) @ v.T
-    k = 2.0 * s @ symplectic_matrix(s.shape[0] // 2) @ s
-    lam, u = np.linalg.eigh(1j * k)
-    exp_k = (u * np.exp(-1j * lam * t)) @ u.conj().T
-    result = s_inv @ exp_k @ s
-    assert np.abs(result.imag).max() < 1e-10
-    return result.real
 
 
 def minors_positive_definite(diagonal: np.ndarray, off_diagonal: np.ndarray) -> bool:
@@ -392,68 +282,6 @@ def time_average_exact(chain: ChainObserverParams, horizon: float) -> TimeAverag
     integral = integral_of_propagator(chain.dynamics.dense(), horizon)
     rows = output_matrix(chain) @ integral / float(horizon)
     return TimeAverage(horizon=float(horizon), averaged_rows=rows)
-
-
-def simpson_weights(times: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights w with sum_k w_k y(t_k) ~ int y dt.
-
-    Reproduces scipy.integrate.simpson(y, x=times): Simpson's rule for
-    possibly uneven spacing on consecutive interval pairs and, for an even
-    sample count, Cartwright's three-point correction on the last interval
-    (two samples fall back to the trapezoid).
-    """
-    x = np.asarray(times, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InvalidParameterError(f"Simpson weights need at least 2 times, got shape {x.shape}")
-    h = np.diff(x)
-    if not (np.all(np.isfinite(x)) and np.all(h > 0.0)):
-        raise InvalidParameterError("times must be finite and strictly increasing")
-    weights = np.zeros(x.size)
-    if x.size == 2:
-        weights[:] = 0.5 * h[0]
-        return weights
-    end = 2 * ((x.size - 1) // 2)  # last sample reached by whole interval pairs
-    h0, h1 = h[0:end:2], h[1:end:2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    sixth = hsum / 6.0
-    weights[0:end:2] += sixth * (2.0 - 1.0 / h0divh1)
-    weights[1:end:2] += sixth * (hsum * (hsum / (h0 * h1)))
-    weights[2 : end + 1 : 2] += sixth * (2.0 - h0divh1)
-    if end < x.size - 1:
-        h0, h1 = h[-2], h[-1]
-        weights[-1] += (2.0 * h1**2 + 3.0 * h0 * h1) / (6.0 * (h1 + h0))
-        weights[-2] += (h1**2 + 3.0 * h0 * h1) / (6.0 * h0)
-        weights[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
-    return weights
-
-
-def time_average_streamed(
-    chain: ChainObserverParams, horizon: float, step: float | None = None
-) -> TimeAverage:
-    """Composite-Simpson time average over [0, horizon], streamed sample by sample.
-
-    Runs on TimeGrid.covering(horizon, step) and holds one propagator and
-    one running sum of propagators, applying C_a once to the sum. The step
-    defaults to 0.005 of the fastest mode's period; a step above 0.01 of it
-    is rejected with a ValueError before any propagation.
-    """
-    a_a = chain.dynamics.dense()
-    omega_max = max_frequency(a_a)
-    period = 2.0 * math.pi / omega_max
-    grid = TimeGrid.covering(horizon, DEFAULT_STEP_FACTOR * period if step is None else step)
-    ceiling = QUADRATURE_STEP_FACTOR * period
-    if grid.step > ceiling * (1.0 + 1e-12):
-        raise ValueError(
-            f"step {grid.step:.6e} exceeds the quadrature ceiling {ceiling:.6e} "
-            f"for the fastest mode {omega_max:.6e}"
-        )
-    weights = simpson_weights(grid.times())
-    summed = np.zeros(a_a.shape)
-    for w, phi in zip(weights, _propagate(a_a, grid)):
-        summed += w * phi
-    rows = output_matrix(chain) @ summed / grid.t_end
-    return TimeAverage(horizon=grid.t_end, averaged_rows=rows)
 
 
 def _csv_line(*fields) -> str:

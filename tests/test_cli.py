@@ -933,6 +933,17 @@ class TestExitCodes:
             "error: all coupling strengths must be positive and finite\n"
         )
 
+    @pytest.mark.parametrize("step", [1e-10, 1e-300])
+    def test_uncountable_grid_exits_two(self, tmp_path, capsys, step):
+        """A horizon of 1e300 over a tiny step is infinitely many intervals:
+        the run is rejected as a bad grid, not as an unexpected error."""
+        config = write_config(tmp_path, horizon=1e300, step=step, output_dir=str(tmp_path / "out"))
+        assert cli.main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: span 1e+300 over step {step!r} is not a finite number of intervals\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_unexpected_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         def broken(config):
             raise ValueError("surprise")
@@ -1042,3 +1053,68 @@ class TestConsoleEntryPoint:
                 assert set(digests) == names
                 results.append((proc.stdout, digests))
             assert results[0] == results[1], command
+
+
+SRC = Path(co.__file__).resolve().parents[1]
+
+
+def run_python(args: list[str], cwd: Path, **env: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+MODULES_AFTER_EACH_COMMAND = """
+import json, sys
+from chainobs import cli
+
+def heavy_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
+
+seen = {"import": [0, heavy_modules()]}
+for command in ("build", "check", "timeavg", "simulate"):
+    code = cli.main([command, "--config", "config.json", "--output-dir", command])
+    seen[command] = [code, heavy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_cli_import_leaves_scipy_integrate_out(tmp_path):
+    """Neither scipy nor numpy.random is loaded by importing the CLI, nor
+    later, lazily, by a run of any subcommand on a random-scheme chain, whose
+    draws come from the package's own stream."""
+    config = {"n_elements": 3, "scheme": "random", "seed": 5, "omega0": 1.0,
+              "c_p": [1.0, 0.0], "horizon": 1.0}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    proc = run_python(["-c", MODULES_AFTER_EACH_COMMAND], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {stage: [0, []] for stage in ("import", "build", "check", "timeavg", "simulate")}
+
+
+def test_timeavg_info_log_changes_no_output(tmp_path):
+    config = {"n_elements": 3, "scheme": "uniform", "omega0": 1.0, "c_p": [1.0, 0.0],
+              "horizon": 8.0}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    runs = []
+    for level in ("WARNING", "INFO"):
+        out = tmp_path / level
+        proc = run_python(
+            ["-m", "chainobs.cli", "timeavg", "--config", "config.json", "--output-dir", level],
+            tmp_path,
+            CHAINOBS_LOG=level,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc, (out / "report.json").read_text(),
+                     (out / "time_averages.csv").read_text()))
+    (quiet, *quiet_files), (loud, *loud_files) = runs
+    assert quiet.stdout == loud.stdout
+    assert quiet_files == loud_files
+    assert "normal modes" not in quiet.stderr
+    assert sum("normal modes" in line for line in loud.stderr.splitlines()) == 1

@@ -166,16 +166,14 @@ def test_certificate_against_the_referee(label, c_p, variant, omega0, n, seed):
             assert error <= CERTIFICATE_REFEREE_TOL, (route, error)
 
 
-def _trig_callers(source: str) -> set[str]:
-    """Qualified names of the functions that call sin or cos of numpy or math."""
+def _callers(source: str, is_target) -> set[str]:
+    """Qualified names of the functions holding a call whose callee is_target accepts."""
     callers: set[str] = set()
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = (*scope, node.name)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("sin", "cos") and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("np", "numpy", "math")):
+        if isinstance(node, ast.Call) and is_target(node.func):
             callers.add(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -184,12 +182,31 @@ def _trig_callers(source: str) -> set[str]:
     return callers
 
 
+def _is_trig(func: ast.expr) -> bool:
+    """sin or cos of numpy or math."""
+    return (isinstance(func, ast.Attribute) and func.attr in ("sin", "cos")
+            and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy", "math"))
+
+
 def test_one_closed_form_takes_the_phases():
     """The propagator's phases are taken in one place, NormalModes.weights;
     the other trigonometry in the library belongs to the independent routes
     (the averages and the derivative rows) and to 1 - sin(x)/x."""
     package = Path(co.__file__).parent
     callers = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
-               for name in _trig_callers(path.read_text())}
+               for name in _callers(path.read_text(), _is_trig)}
     assert callers == {"simulate.NormalModes.weights", "simulate._average_weights",
                        "simulate._derivative_weights", "simulate._one_minus_sinc"}
+
+
+def _is_exponential(func: ast.expr) -> bool:
+    """expm, bare or as an attribute of any module."""
+    return (isinstance(func, ast.Name) and func.id == "expm"
+            or isinstance(func, ast.Attribute) and func.attr == "expm")
+
+
+def test_one_float_exponential_in_the_oracles():
+    """The test oracles take exp(A t) one way, scipy's expm, and only in
+    propagator and in integral_of_propagator's doubled block."""
+    source = (Path(__file__).parent / "oracles.py").read_text()
+    assert _callers(source, _is_exponential) == {"propagator", "integral_of_propagator"}
