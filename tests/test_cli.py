@@ -933,7 +933,7 @@ class TestExitCodes:
             "error: all coupling strengths must be positive and finite\n"
         )
 
-    @pytest.mark.parametrize("step", [1e-10, 1e-300])
+    @pytest.mark.parametrize("step", [1e-10, 1e-300, 5e-324])
     def test_uncountable_grid_exits_two(self, tmp_path, capsys, step):
         """A horizon of 1e300 over a tiny step is infinitely many intervals:
         the run is rejected as a bad grid, not as an unexpected error."""

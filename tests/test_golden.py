@@ -10,16 +10,24 @@ from __future__ import annotations
 
 import json
 
-from make_golden import load, run, runs
+import pytest
+
+from make_golden import HORIZONS, load, run, runs
 
 
-def test_every_run_keeps_its_bytes(tmp_path):
+def test_corpus_lists_every_run_in_order():
     ladder, pinned = load()
     assert [(e["command"], e["config"]) for e in ladder + list(pinned.values())] == runs()
+
+
+@pytest.mark.parametrize("command", list(HORIZONS))
+def test_every_run_keeps_its_bytes(tmp_path, command):
+    """One id per subcommand, so a failure names the subcommand whose runs moved."""
+    ladder = [entry for entry in load()[0] if entry["command"] == command]
     moved = []
     for i, entry in enumerate(ladder):
         observed = run(entry["command"], entry["config"], tmp_path / str(i))
         if observed != entry:
-            moved.append(f"{entry['command']} {json.dumps(entry['config'])}: "
+            moved.append(f"{json.dumps(entry['config'])}: "
                          f"{ {k: observed[k] for k in observed if observed[k] != entry[k]} }")
-    assert not moved, f"{len(moved)} of {len(ladder)} runs moved:\n" + "\n".join(moved)
+    assert not moved, f"{len(moved)} of {len(ladder)} {command} runs moved:\n" + "\n".join(moved)

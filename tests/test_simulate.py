@@ -5,12 +5,14 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
 from chainobs import simulate
+from chainobs.cli import ORACLE_REL_TOL
 from conftest import build_system
 from oracles import (
     integral_of_propagator,
@@ -18,8 +20,10 @@ from oracles import (
     output_matrix,
     propagator,
     rotation,
+    symplectic_matrix,
     time_average_exact,
 )
+from test_spectral import EXACT_REL_TOL, relative_gap
 
 
 def static_chain(n_elements: int = 1) -> co.ChainObserverParams:
@@ -28,6 +32,54 @@ def static_chain(n_elements: int = 1) -> co.ChainObserverParams:
     chain = co.ChainObserverParams(alpha=np.array([1.0, 0.0]), mu_tilde=zeros, omega=zeros)
     assert not chain.dynamics.dense().any()
     return chain
+
+
+# 1-norm bands, one per Pade degree 3, 5, 7, 9 and 13 that scipy's expm
+# picks (Al-Mohy & Higham 2009, theta_3 to theta_13) and one that scales and
+# squares
+EXPM_THETAS = [1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+               2.097847961257068e0, 5.371920351148152e0]
+NORM_BANDS = list(zip([1e-4, *EXPM_THETAS], [*EXPM_THETAS, 1e3]))
+BAND_IDS = ["3", "5", "7", "9", "13", "squared"]
+
+# Chains of three shapes, each with a horizon: a long odd-harmonics run, a
+# random lineup under a vertical plant row, and a fast uniform chain
+# (omega0 = 2) over a horizon of a few default steps.
+CHAINS = [
+    pytest.param([1.0, 0.0], "odd-harmonics", 1.0, 5, None, 20.0, id="odd-harmonics-5-T20"),
+    pytest.param([0.0, 2.0], "random", 1.0, 4, 9, 3.7, id="random-4-T3.7"),
+    pytest.param([1.0, 0.0], "uniform", 2.0, 3, None, 0.05, id="uniform-3-T0.05"),
+]
+# and the reference chain over a short horizon
+CHAINS_AND_REFERENCE = [
+    *CHAINS,
+    pytest.param([1.0, 0.0], "odd-harmonics", 1.0, 5, None, 2.0, id="odd-harmonics-5-T2"),
+]
+
+
+def hamiltonian_dynamics(rng: np.random.Generator, band: tuple[float, float]) -> np.ndarray:
+    """Random dynamics 2 Theta R on 1-4 modes, R positive definite, scaled to
+    a 1-norm inside the band."""
+    n_modes = int(rng.integers(1, 5))
+    q, _ = np.linalg.qr(rng.standard_normal((2 * n_modes, 2 * n_modes)))
+    r = (q * rng.uniform(1.0, 4.0, 2 * n_modes)) @ q.T
+    a = 2.0 * symplectic_matrix(n_modes) @ (0.5 * (r + r.T))
+    low, high = band
+    return a * (low * (high / low) ** rng.uniform() / np.linalg.norm(a, 1))
+
+
+def mpmath_exponential(m: np.ndarray) -> np.ndarray:
+    """exp(m) in 40-digit arithmetic, rounded to floats."""
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=float)
+
+
+def trajectory_case(c_p, variant, omega0, n, seed, horizon):
+    """A chain, its normal modes and its trajectory on the default-step grid."""
+    chain = build_system(c_p, variant, omega0, n, seed=seed)
+    modes = co.normal_modes(chain)
+    grid = co.TimeGrid.covering(horizon, co.default_step(modes))
+    return chain, co.coefficient_trajectory(modes, grid)
 
 
 class TestTimeGrid:
@@ -65,7 +117,7 @@ class TestTimeGrid:
         with pytest.raises(co.InvalidParameterError):
             co.TimeGrid.covering(1.0, 0.0)
 
-    @pytest.mark.parametrize("step", [1e-10, 1e-300])
+    @pytest.mark.parametrize("step", [1e-10, 1e-300, 5e-324])
     def test_rejects_a_span_of_infinitely_many_steps(self, step):
         """1e300 / step overflows to inf, which no grid can count."""
         with pytest.raises(co.InvalidParameterError, match="not a finite number of intervals"):
@@ -126,6 +178,18 @@ class TestPropagator:
             propagator(np.array([[700.0]]), 10.0)
         with pytest.raises(co.NumericalFailureError):
             propagator(np.array([[1e300]]), 1e10)
+
+    @pytest.mark.parametrize("index", range(len(NORM_BANDS)), ids=BAND_IDS)
+    def test_matches_the_mpmath_referee(self, index):
+        """Three draws of random Hamiltonian dynamics in each norm band against
+        a 40-digit exponential. Worst gap seen over 900 draws: 1.7e-14 *
+        max(1, ||a||_1) relative, so 1e-13."""
+        rng = np.random.default_rng(index)
+        for _ in range(3):
+            a = hamiltonian_dynamics(rng, NORM_BANDS[index])
+            want = mpmath_exponential(a)
+            gap = np.linalg.norm(propagator(a, 1.0) - want) / np.linalg.norm(want)
+            assert gap <= 1e-13 * max(1.0, np.linalg.norm(a, 1))
 
 
 class TestFrequencies:
@@ -189,14 +253,14 @@ class TestTrajectory:
         assert peak - rows.nbytes < 4 * simulate.TRAJECTORY_CHUNK_BYTES
         simulate.verify_trajectory(modes, co.Trajectory(grid, rows))
 
-    def test_rows_match_direct_exponentials(self, example_system):
-        chain = example_system
-        grid = co.TimeGrid(2.0, 0.05)
-        trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
-        c_a = output_matrix(chain)
+    @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS_AND_REFERENCE)
+    def test_rows_match_direct_exponentials(self, c_p, variant, omega0, n, seed, horizon):
+        """At the second, middle and last sample. Worst gap seen 2.4e-13 (T = 20)."""
+        chain, trajectory = trajectory_case(c_p, variant, omega0, n, seed, horizon)
+        c_a, a_a, times = output_matrix(chain), chain.dynamics.dense(), trajectory.grid.times()
         scale = np.linalg.norm(c_a, ord="fro")
-        for k in (7, 23, 40):
-            direct = c_a @ propagator(chain.dynamics.dense(), grid.times()[k])
+        for k in (1, times.size // 2, times.size - 1):
+            direct = c_a @ propagator(a_a, times[k])
             drift = np.linalg.norm(trajectory.coefficient_rows[k] - direct, ord="fro")
             assert drift <= 1e-11 * scale
 
@@ -287,6 +351,20 @@ class TestIntegralOfPropagator:
         with pytest.raises(co.NumericalFailureError):
             integral_of_propagator(np.array([[100.0]]), 100.0)
 
+    @pytest.mark.parametrize("index", range(len(NORM_BANDS)), ids=BAND_IDS)
+    def test_matches_the_mpmath_referee(self, index):
+        """The draws of TestPropagator's referee test, against the upper-right
+        block of a 40-digit exponential of [[a, I], [0, 0]]. Worst gap seen
+        over 900 draws: 1.9e-14 * max(1, ||a||_1) relative, so 1e-13."""
+        rng = np.random.default_rng(index)
+        for _ in range(3):
+            a = hamiltonian_dynamics(rng, NORM_BANDS[index])
+            n = a.shape[0]
+            doubled = np.block([[a, np.eye(n)], [np.zeros((n, 2 * n))]])
+            want = mpmath_exponential(doubled)[:n, n:]
+            gap = np.linalg.norm(integral_of_propagator(a, 1.0) - want) / np.linalg.norm(want)
+            assert gap <= 1e-13 * max(1.0, np.linalg.norm(a, 1))
+
 
 class TestTimeAverages:
     def test_static_average_is_the_output_matrix(self):
@@ -299,6 +377,26 @@ class TestTimeAverages:
         chain = example_system
         avg = co.time_average_spectral(co.normal_modes(chain), 800.0)
         assert np.abs(avg.averaged_rows[0] - output_matrix(chain)[0]).max() <= 1e-9
+
+    @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS_AND_REFERENCE)
+    def test_closed_form_matches_the_exact_route(self, c_p, variant, omega0, n, seed, horizon):
+        """Pinned chains beside test_spectral's random ones, which keep omega0 = 1.
+        Worst gap seen 5.0e-15."""
+        chain = build_system(c_p, variant, omega0, n, seed=seed)
+        spectral = co.time_average_spectral(co.normal_modes(chain), horizon)
+        exact = time_average_exact(chain, horizon)
+        assert relative_gap(spectral.averaged_rows, exact.averaged_rows) <= EXACT_REL_TOL
+
+    @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS_AND_REFERENCE)
+    def test_exact_route_satisfies_the_identities(self, c_p, variant, omega0, n, seed, horizon):
+        """The doubled-block average holds both identities of identity_residuals
+        within timeavg's bound, so the oracle is checked by algebra rather than
+        by a second route. Worst residual seen 3.2e-15."""
+        chain = build_system(c_p, variant, omega0, n, seed=seed)
+        avg = time_average_exact(chain, horizon)
+        bound = ORACLE_REL_TOL * np.linalg.norm(avg.averaged_rows, ord="fro")
+        drift, consensus = co.identity_residuals(co.normal_modes(chain), avg)
+        assert drift <= bound and consensus <= bound
 
     def test_reference_consensus_error(self, example_system):
         chain = example_system
@@ -315,6 +413,17 @@ class TestSpatialAverage:
         expected[2::2] = 0.2
         assert spatial.shape == (3, 12)
         assert np.array_equal(spatial[0], expected)
+
+
+    @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS)
+    def test_is_the_mean_of_direct_observer_rows(self, c_p, variant, omega0, n, seed, horizon):
+        """At the second, middle and last sample. Worst gap seen 9.2e-14 (T = 20)."""
+        chain, trajectory = trajectory_case(c_p, variant, omega0, n, seed, horizon)
+        spatial = co.spatial_average(trajectory)
+        c_a, a_a, times = output_matrix(chain), chain.dynamics.dense(), trajectory.grid.times()
+        for k in (1, times.size // 2, times.size - 1):
+            want = (c_a @ propagator(a_a, times[k]))[1:].mean(axis=0)
+            assert np.linalg.norm(spatial[k] - want) <= 1e-11 * np.linalg.norm(want)
 
 
 class TestConsensusError:
