@@ -4,11 +4,15 @@ For every run of a fixed ladder the corpus holds the exit code, the SHA-256
 of stdout and the SHA-256 of every file the run wrote. The ladder is build,
 check, timeavg (T = 8) and simulate (T = 1) over every scheme, N in
 {1, 2, 5, 16} (all-harmonics on even N only) and three plant rows c_p, the
-random scheme on seed 3: 168 runs, replayed by test_golden.py. After it
-come the runs whose digests were pinned one by one before the corpus
-existed: build on three chains, and check at horizon 800 on random N=50
-(seeds 0-4) and on uniform and odd-harmonics N=200, replayed under their
-labels by test_cli.py.
+random scheme on seed 3: 168 runs. Then come timeavg and simulate in the
+band where LAPACK's eigh turns to divide and conquer (N > 25), which the
+ladder's N <= 16 never reaches: N in {26, 50, 200} on odd-harmonics and on
+random (seed 3) with c_p (0.6, -1.3), simulate on a step of 0.25 (its auto
+step would write 0.9 GB of rows at N = 50). test_golden.py replays those
+180 runs. After them come the runs whose digests were pinned one by one
+before the corpus existed: build on three chains, and check at horizon 800
+on random N=50 (seeds 0-4) and on uniform and odd-harmonics N=200, replayed
+under their labels by test_cli.py.
 
 Run from the repository root:
 
@@ -31,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 from chainobs import cli
-from chainobs.builder import SCHEME_ALL_HARMONICS, SCHEME_RANDOM, SCHEMES
+from chainobs.builder import SCHEME_ALL_HARMONICS, SCHEME_ODD_HARMONICS, SCHEME_RANDOM, SCHEMES
 
 GOLDEN = Path(__file__).with_name("golden.json")
 HORIZONS = {"build": 8.0, "check": 8.0, "timeavg": 8.0, "simulate": 1.0}
@@ -68,6 +72,12 @@ def runs() -> list[tuple[str, dict]]:
                     if scheme == SCHEME_RANDOM:
                         config["seed"] = 3
                     ladder.append((command, config))
+    for command, step in (("timeavg", {}), ("simulate", {"step": 0.25})):
+        for scheme, seed in ((SCHEME_ODD_HARMONICS, {}), (SCHEME_RANDOM, {"seed": 3})):
+            for n in (26, 50, 200):
+                ladder.append((command, {"n_elements": n, "scheme": scheme, **seed,
+                                         "c_p": PLANT_ROWS[2], "horizon": HORIZONS[command],
+                                         **step}))
     pinned = [(command, {"horizon": 1.0, **fields}) for command, fields in PINNED.values()]
     return [(command, {"omega0": 1.0, **config}) for command, config in ladder + pinned]
 
