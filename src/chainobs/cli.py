@@ -303,20 +303,26 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
                        "(five averages and four cross-check temporaries) and the writer's "
                        "chunk of text")
         needed *= 8
-        held = f"a chain of {n} elements would hold about {needed} bytes in {arrays}"
-        remedy = "shorten the chain"
     else:
         chunk = min(grid.samples, _chunk_times(n))
         needed = (grid.samples * (n + 3) + chunk * (n + 1)) * (2 * n + 2) * 8
-        held = (f"simulate would hold {grid.samples} samples of {n + 1} x {2 * n + 2} rows, "
-                f"about {needed} bytes with the plant rows, the spatial average and one chunk "
-                f"of temporaries")
-        remedy = "shorten the horizon or lengthen the step"
     memory = _physical_memory()
-    if memory is not None and needed > memory:
-        raise ConfigValidationError(
-            f"{held}, more than the {memory} bytes of physical memory; {remedy}"
-        )
+    if memory is None or needed <= memory:
+        return
+    # three significant digits; Decimal also rounds counts past the largest float
+    from decimal import Decimal
+
+    if grid is None:
+        held = f"a chain of {n} elements would hold about {Decimal(needed):.3g} bytes in {arrays}"
+        remedy = "shorten the chain"
+    else:
+        held = (f"simulate would hold {Decimal(grid.samples):.3g} samples of {n + 1} x "
+                f"{2 * n + 2} rows, about {Decimal(needed):.3g} bytes with the plant rows, the "
+                f"spatial average and one chunk of temporaries")
+        remedy = "shorten the horizon or lengthen the step"
+    raise ConfigValidationError(
+        f"{held}, more than the {memory} bytes of physical memory; {remedy}"
+    )
 
 
 def _construct(config: ExperimentConfig, command: str = "") -> ChainObserverParams:

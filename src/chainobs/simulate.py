@@ -11,7 +11,10 @@ modes of K = Omega^(1/2) R_red Omega^(1/2); NormalModes.weights holds the
 closed form P(t) = S D(t) S^-1. One tridiagonal eigensolve of K
 (normal_modes: dense eigh of K, each eigenvalue refined by its Rayleigh
 quotient) serves every time and horizon, and its fastest frequency sets the
-default sampling step.
+default sampling step. Up to N = ONE_THREAD_EIGH_MAX_N that eigh runs with
+numpy's OpenBLAS held to one thread, where the threaded call stalls and
+gives the same bits (_one_blas_thread); every other BLAS call keeps
+OpenBLAS's own thread count.
 
 Stored trajectories evaluate the rows on the grid in chunks of at most
 TRAJECTORY_CHUNK times and TRAJECTORY_CHUNK_BYTES of rows (_chunk_times),
@@ -27,10 +30,13 @@ from the modes' own chain.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,6 +54,23 @@ TRAJECTORY_CHUNK_BYTES = 32 << 20
 # Rounding leaves at most 6.1e-13 (x*) and 2.4e-15 (derivative) on every
 # scheme up to N = 200 and T = 12800.
 TRAJECTORY_REL_TOL = 1e-10
+# Largest N whose eigensolve runs on one BLAS thread. Threaded OpenBLAS
+# stalls in eigh from N = 26 to about 130 on two cores (8 ms against 0.2 ms
+# at N = 50, 112 against 1.7 ms at N = 128) and gains nothing beyond. The
+# bits stay the threaded call's: on a tridiagonal K, eigh's reduction and
+# back-transform multiply by zero reflectors, exact on any thread count,
+# and its divide-and-conquer merges' gemm rounds differently only when
+# OpenBLAS splits its m rows between threads, which takes n <= m and
+# m n k > 64^3; a merge of N <= 128 has m, k <= 64. Above, some chains'
+# eigenvectors do differ (first seen at N = 283).
+ONE_THREAD_EIGH_MAX_N = 128
+# (setter, getter) names of OpenBLAS's thread count, newest builds first
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+_BLAS_THREADS_LOCK = threading.Lock()
 
 log = logging.getLogger(__name__)
 
@@ -175,11 +198,63 @@ def _block(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * w[..., None, :]) @ b.T
 
 
+@cache
+def _openblas_threads():
+    """(set, get) of the thread count of the OpenBLAS that numpy.linalg
+    calls, or None when it cannot be reached.
+
+    Looked up once, through the handle of numpy's own LAPACK extension,
+    whose symbol lookup also searches the libraries it is linked against.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        library = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
+        set_threads, get_threads = getattr(library, setter, None), getattr(library, getter, None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+def _eigh_threads(n: int) -> int | None:
+    """BLAS threads an eigensolve of order n runs on, None when unknown."""
+    control = _openblas_threads()
+    if control is None:
+        return None
+    return 1 if n <= ONE_THREAD_EIGH_MAX_N else control[1]()
+
+
+@contextmanager
+def _one_blas_thread(n: int):
+    """Limit OpenBLAS to one thread for an eigensolve of order n up to
+    ONE_THREAD_EIGH_MAX_N, and restore its count afterwards, whatever
+    happens inside. The count is process-wide, so the lock keeps two
+    concurrent scopes from restoring each other's limit."""
+    control = _openblas_threads()
+    if control is None or n > ONE_THREAD_EIGH_MAX_N:
+        yield
+        return
+    set_threads, get_threads = control
+    with _BLAS_THREADS_LOCK:
+        previous = get_threads()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(previous)
+
+
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs of the symmetric tridiagonal matrix with diagonal d
     and off-diagonal e.
 
-    Dense divide-and-conquer gives the eigenvectors; each eigenvalue is then
+    Dense divide-and-conquer gives the eigenvectors, on one BLAS thread up
+    to ONE_THREAD_EIGH_MAX_N (_one_blas_thread); each eigenvalue is then
     replaced by its Rayleigh quotient v^T K v, from an O(N^2) tridiagonal
     product. Against 40-digit referees this makes the time averages up to
     14x more accurate than the eigenvalues eigh returns.
@@ -187,7 +262,8 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndar
     k = np.diag(d)
     i = np.arange(len(e))
     k[i, i + 1] = k[i + 1, i] = e
-    _, v = np.linalg.eigh(k)
+    with _one_blas_thread(len(d)):
+        _, v = np.linalg.eigh(k)
     kv = d[:, None] * v
     kv[:-1] += e[:, None] * v[1:]
     kv[1:] += e[:, None] * v[:-1]
@@ -205,9 +281,12 @@ def normal_modes(chain: ChainObserverParams) -> NormalModes:
             f"normal-mode matrix is not positive definite: lambda_min = {lam[0]:.6e}",
             lambda_min=lam[0],
         )
+    threads = _eigh_threads(chain.n_elements)
     log.info(
-        "normal modes: %d modes, fastest frequency nu_max %.6e",
+        "normal modes: %d modes, fastest frequency nu_max %.6e, eigensolve on %s",
         chain.n_elements, 2.0 * math.sqrt(lam[-1]),
+        "numpy's default BLAS threads" if threads is None
+        else f"{threads} BLAS thread{'s' if threads > 1 else ''}",
     )
     return NormalModes(chain=chain, lam=lam, v=v)
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import logging
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -212,6 +216,121 @@ class TestFrequencies:
         chain = example_system
         with pytest.raises(co.NotPositiveDefiniteError):
             co.default_step(co.normal_modes(dataclasses.replace(chain, omega=np.ones(chain.n_elements))))
+
+
+def normal_mode_matrix(variant: str, n: int, seed: int | None = None):
+    """Diagonal and off-diagonal of K for a chain of the scheme, as normal_modes forms them."""
+    chain = build_system([0.6, -1.3], variant, 1.0, n, seed=seed)
+    root = np.sqrt(chain.omega)
+    return chain.omega**2, -chain.mu_tilde[1:] * root[:-1] * root[1:]
+
+
+def thread_count() -> int:
+    control = simulate._openblas_threads()
+    if control is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be reached")
+    return control[1]()
+
+
+def same_bits(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> bool:
+    return all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(a, b))
+
+
+EIGH_ORDERS = [26, 64, 100, simulate.ONE_THREAD_EIGH_MAX_N, 200]
+
+
+class TestOneThreadEigensolve:
+    """The eigensolve runs on one BLAS thread up to ONE_THREAD_EIGH_MAX_N,
+    with the same bits as numpy's threaded call."""
+
+    @pytest.mark.parametrize("variant, n, seed", [
+        *[(variant, n, 3 if variant == co.SCHEME_RANDOM else None)
+          for variant in co.SCHEMES for n in EIGH_ORDERS],
+        # on two cores its eigenvectors on one thread differ in the last bits
+        (co.SCHEME_RANDOM, 283, 2),
+    ])
+    def test_bits_are_the_threaded_eigensolves(self, monkeypatch, variant, n, seed):
+        d, e = normal_mode_matrix(variant, n, seed=seed)
+        scoped = simulate._eigh_tridiagonal(d, e)
+        monkeypatch.setattr(simulate, "_one_blas_thread", lambda n: contextlib.nullcontext())
+        assert same_bits(scoped, simulate._eigh_tridiagonal(d, e))
+
+    @pytest.mark.parametrize("n", EIGH_ORDERS)
+    def test_bits_without_the_thread_control(self, monkeypatch, n):
+        d, e = normal_mode_matrix(co.SCHEME_RANDOM, n, seed=11)
+        scoped = simulate._eigh_tridiagonal(d, e)
+        monkeypatch.setattr(simulate, "_openblas_threads", lambda: None)
+        assert simulate._eigh_threads(n) is None
+        assert same_bits(scoped, simulate._eigh_tridiagonal(d, e))
+
+    def test_numpy_openblas_is_reached(self):
+        """A lookup that finds nothing would keep every output and silently
+        give the stall back, so on numpy's own OpenBLAS it must succeed."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy is built against {blas.get('name')}")
+        assert simulate._openblas_threads() is not None
+
+    @pytest.mark.parametrize("n", [26, simulate.ONE_THREAD_EIGH_MAX_N + 1])
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_thread_count_is_restored(self, monkeypatch, n, raises):
+        before = thread_count()
+        seen = []
+        eigh = np.linalg.eigh
+
+        def watched(k):
+            seen.append(thread_count())
+            if raises:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return eigh(k)
+
+        monkeypatch.setattr(np.linalg, "eigh", watched)
+        d, e = normal_mode_matrix(co.SCHEME_UNIFORM, n)
+        if raises:
+            with pytest.raises(np.linalg.LinAlgError):
+                simulate._eigh_tridiagonal(d, e)
+        else:
+            simulate._eigh_tridiagonal(d, e)
+        assert seen == [1 if n <= simulate.ONE_THREAD_EIGH_MAX_N else before]
+        assert thread_count() == before
+
+    def test_concurrent_scopes_restore_the_count(self):
+        """Eigensolves from more threads than cores, switching often, leave
+        OpenBLAS's count as it was: no scope restores another's limit."""
+        before = thread_count()
+        d, e = normal_mode_matrix(co.SCHEME_UNIFORM, 26)
+        errors = []
+
+        def solve():
+            try:
+                for _ in range(50):
+                    simulate._eigh_tridiagonal(d, e)
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=solve) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers) and not errors
+        assert thread_count() == before
+
+    def test_info_line_names_the_threads(self, monkeypatch, caplog):
+        threads = thread_count()
+        caplog.set_level(logging.INFO, logger="chainobs.simulate")
+        for n in (26, 200):
+            co.normal_modes(build_system([1.0, 0.0], co.SCHEME_ODD_HARMONICS, 1.0, n))
+        monkeypatch.setattr(simulate, "_openblas_threads", lambda: None)
+        co.normal_modes(build_system([1.0, 0.0], co.SCHEME_ODD_HARMONICS, 1.0, 26))
+        plural = "s" if threads > 1 else ""
+        assert [r.getMessage().split(", eigensolve on ")[1] for r in caplog.records] == [
+            "1 BLAS thread", f"{threads} BLAS thread{plural}", "numpy's default BLAS threads"]
 
 
 class TestTrajectory:

@@ -210,3 +210,32 @@ def test_one_float_exponential_in_the_oracles():
     propagator and in integral_of_propagator's doubled block."""
     source = (Path(__file__).parent / "oracles.py").read_text()
     assert _callers(source, _is_exponential) == {"propagator", "integral_of_propagator"}
+
+
+def _eigh_uses(source: str) -> set[tuple[str, tuple[str, ...]]]:
+    """(function, context managers of the enclosing with statements) of every
+    reference to an eigh, as an attribute of any module or as a bare name."""
+    uses: set[tuple[str, tuple[str, ...]]] = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...], managers: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope, managers = (*scope, node.name), ()
+        if isinstance(node, ast.With):
+            managers = (*managers, *(ast.unparse(item.context_expr) for item in node.items))
+        if (isinstance(node, ast.Attribute) and node.attr == "eigh"
+                or isinstance(node, ast.Name) and node.id == "eigh"):
+            uses.add((".".join(scope), managers))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, managers)
+
+    visit(ast.parse(source), (), ())
+    return uses
+
+
+def test_one_eigh_in_the_library_on_one_thread():
+    """The library's one dense eigensolve is np.linalg.eigh in
+    _eigh_tridiagonal, inside its one-thread scope."""
+    package = Path(co.__file__).parent
+    uses = {(f"{path.stem}.{name}", managers) for path in sorted(package.glob("*.py"))
+            for name, managers in _eigh_uses(path.read_text())}
+    assert uses == {("simulate._eigh_tridiagonal", ("_one_blas_thread(len(d))",))}
