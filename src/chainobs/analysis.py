@@ -27,7 +27,7 @@ through the factors, batched over samples (_norm_bounds), give every
 sample a Kato-Temple upper bound on ||P||_2 that is at most the screen.
 The sweep visits samples in decreasing order of that bound and stops once
 it is no larger than the largest exact norm sqrt(lambda_max(P^T P)) so
-far, which never exceeds the certified bound: an unvisited sample can
+far, or the limit of the certified bound if lower: an unvisited sample can
 neither raise it nor break the bound. A visited sample is also skipped
 when sqrt(||P^T P||_F) is no larger. Every formed P is checked (symplectic,
 and ||P||_F against its screen), and every exact norm against its own
@@ -70,10 +70,12 @@ SYMPLECTIC_DRIFT_TOL = 1e-9
 # above 1e-7 on every config measured.
 SCREEN_REL_TOL = 1e-12
 # How far a formed sample's exact norm may exceed its Kato-Temple bound,
-# relative; rounding leaves about 1e-15. The sweep's stop and the violation
-# scan widen every bound by BOUND_SLACK, a hundred times more.
+# relative; rounding leaves about 1e-15. The sweep's stop widens every bound
+# by BOUND_SLACK, a hundred times more.
 BOUND_REL_TOL = 1e-12
 BOUND_SLACK = 1e-10
+# How far an observed ||P||_2 may exceed the certified bound, relative.
+EXP_BOUND_REL_TOL = 1e-9
 # Samples per batch of the bound's power steps: a few BOUND_CHUNK x N
 # arrays at a time.
 BOUND_CHUNK = 128
@@ -377,47 +379,45 @@ def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
     Returns the largest observed spectral norm. Every sample's upper bound
     on its norm comes from observer_flow without forming P; the sweep visits
     samples in decreasing order of it and stops once the bound, widened by
-    BOUND_SLACK for its rounding, is at or below the largest norm so far,
-    forming P (with its two checks, see ObserverFlow.propagator) only for
-    the samples it visits. A visited sample that sqrt(||P^T P||_F) puts at
-    or below the largest norm is skipped; every other norm is
-    sqrt(lambda_max(P^T P)), within about n * eps relative of the largest
-    singular value, far inside the 1e-9 slack, and is held to the sample's
-    bound (ObserverFlow.spectral_norm). Raises a bound-violated error at
-    the first sample in time order above bound * (1 + 1e-9), a sign of an
-    inaccurate propagator, not of bad parameters. Logs the counts and
-    margin at INFO.
+    BOUND_SLACK for its rounding, is at or below the floor: the largest norm
+    so far, or the limit bound * (1 + EXP_BOUND_REL_TOL) once a norm passes
+    it. A visited sample later than a violation already found is passed
+    over; every other has its P formed, once, with the two checks of
+    ObserverFlow.propagator, and is skipped if sqrt(||P^T P||_F) puts it at
+    or below the floor. Every other norm is sqrt(lambda_max(P^T P)), within about n * eps
+    relative of the largest singular value, and is held to the sample's
+    bound (ObserverFlow.spectral_norm). Raises a bound-violated error at the
+    first sample in time order above the limit, a sign of an inaccurate
+    propagator, not of bad parameters. Logs the counts and margin at INFO.
     """
     flow = observer_flow(modes, grid)
     bad = ~np.isfinite(flow.screen)
     if bad.any():
         raise NumericalFailureError(f"propagator is not finite at sample {int(np.argmax(bad))}")
     reach = flow.bound * (1.0 + BOUND_SLACK)
-    worst, grams, eigensolves = 0.0, 0, 0
+    limit = bound * (1.0 + EXP_BOUND_REL_TOL)
+    worst, first, grams, eigensolves = 0.0, grid.samples, 0, 0
     for k in np.argsort(-reach, kind="stable"):
-        if reach[k] <= worst:
+        floor = min(worst, limit)
+        if reach[k] <= floor:
             break
+        if k > first:
+            continue  # cannot be the first violation in time order
         phi = flow.propagator(k)
         gram = phi.T @ phi
         grams += 1
-        if np.sqrt(np.linalg.norm(gram)) <= worst:
+        if np.sqrt(np.linalg.norm(gram)) <= floor:
             continue
-        worst = max(worst, flow.spectral_norm(k, gram))
+        norm = flow.spectral_norm(k, gram)
         eigensolves += 1
-    limit = bound * (1.0 + 1e-9)
+        worst = max(worst, norm)
+        if norm > limit:
+            first, first_norm = k, norm
     if worst > limit:
-        # only samples whose bound reaches above the limit can break it: the
-        # first in time order whose exact norm does is the one the unscreened
-        # sweep names
-        times = grid.times()
-        for k in np.flatnonzero(reach > limit):
-            phi = flow.propagator(k)
-            norm = flow.spectral_norm(k, phi.T @ phi)
-            if norm > limit:
-                raise BoundViolatedError(
-                    f"||exp(A t)||_2 = {norm:.12e} at t = {times[k]:g} exceeds the certified "
-                    f"bound {bound:.12e}"
-                )
+        raise BoundViolatedError(
+            f"||exp(A t)||_2 = {first_norm:.12e} at t = {grid.times()[first]:g} exceeds the "
+            f"certified bound {bound:.12e}"
+        )
     log.info("exp bound: %d samples, %d Gram products, %d eigensolves, max %.6e, bound %.6e, "
              "margin %.6e", grid.samples, grams, eigensolves, worst, bound, worst / bound)
     return worst

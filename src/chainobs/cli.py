@@ -37,6 +37,7 @@ import numpy as np
 from . import serialize
 from .analysis import (
     BOUND_CHUNK,
+    EXP_BOUND_REL_TOL,
     SpectralCertificate,
     build_reduced,
     certify_positive_definite,
@@ -498,7 +499,7 @@ def run_check(config: ExperimentConfig) -> RunReport:
     modes = normal_modes(chain)
     verify_mode_generator(modes)
     observed = verify_exp_bound(modes, bound, grid)
-    report.add("exp_norm_observed", observed, bound * (1.0 + 1e-9))
+    report.add("exp_norm_observed", observed, bound * (1.0 + EXP_BOUND_REL_TOL))
     return report
 
 

@@ -231,15 +231,14 @@ def _eigh_threads(n: int) -> int | None:
 
 @contextmanager
 def _one_blas_thread(n: int):
-    """Limit OpenBLAS to one thread for an eigensolve of order n up to
-    ONE_THREAD_EIGH_MAX_N, and restore its count afterwards, whatever
-    happens inside. The count is process-wide, so the lock keeps two
-    concurrent scopes from restoring each other's limit."""
-    control = _openblas_threads()
-    if control is None or n > ONE_THREAD_EIGH_MAX_N:
+    """Limit OpenBLAS to one thread for an eigensolve of order n where the
+    rule in _eigh_threads says so, and restore its count afterwards,
+    whatever happens inside. The count is process-wide, so the lock keeps
+    two concurrent scopes from restoring each other's limit."""
+    if _eigh_threads(n) != 1:
         yield
         return
-    set_threads, get_threads = control
+    set_threads, get_threads = _openblas_threads()
     with _BLAS_THREADS_LOCK:
         previous = get_threads()
         set_threads(1)

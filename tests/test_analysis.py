@@ -282,6 +282,32 @@ class TestExpBound:
             assert str(screened.value) == str(expected.value)
             assert float(flagged) < first_visited
 
+    def test_violation_forms_no_sample_twice(self, example_system, monkeypatch):
+        """Below the maximum the one sorted pass finds the violation itself:
+        no sample's propagator is formed twice, and the error is the one the
+        unscreened sweep raises."""
+        chain = example_system
+        modes = co.normal_modes(chain)
+        grid = co.TimeGrid.from_count(50.0, 500)
+        maximum = exp_bound_unscreened(modes, 1e300, grid)
+        formed = []
+        true_propagator = analysis.ObserverFlow.propagator
+
+        def counted(flow, k):
+            formed.append(int(k))
+            return true_propagator(flow, k)
+
+        for fraction in (0.5, 0.9, 0.99, 0.999999):
+            with pytest.raises(co.BoundViolatedError) as expected:
+                exp_bound_unscreened(modes, fraction * maximum, grid)
+            formed.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis.ObserverFlow, "propagator", counted)
+                with pytest.raises(co.BoundViolatedError) as screened:
+                    co.verify_exp_bound(modes, fraction * maximum, grid)
+            assert str(screened.value) == str(expected.value)
+            assert formed and len(formed) == len(set(formed)), fraction
+
     def test_nan_step_ends_as_the_unscreened_sweep(self, example_system, monkeypatch, tmp_path):
         """A non-finite phase is stopped before the sorted sweep starts: the
         same numerical failure as the unscreened sweep, and exit 1."""

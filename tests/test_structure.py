@@ -166,20 +166,25 @@ def test_certificate_against_the_referee(label, c_p, variant, omega0, n, seed):
             assert error <= CERTIFICATE_REFEREE_TOL, (route, error)
 
 
-def _callers(source: str, is_target) -> set[str]:
-    """Qualified names of the functions holding a call whose callee is_target accepts."""
-    callers: set[str] = set()
+def _holders(source: str, matches) -> set[str]:
+    """Qualified names of the functions holding a node that matches accepts."""
+    holders: set[str] = set()
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = (*scope, node.name)
-        if isinstance(node, ast.Call) and is_target(node.func):
-            callers.add(".".join(scope))
+        if matches(node):
+            holders.add(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), ())
-    return callers
+    return holders
+
+
+def _callers(source: str, is_target) -> set[str]:
+    """Qualified names of the functions holding a call whose callee is_target accepts."""
+    return _holders(source, lambda node: isinstance(node, ast.Call) and is_target(node.func))
 
 
 def _is_trig(func: ast.expr) -> bool:
@@ -239,3 +244,18 @@ def test_one_eigh_in_the_library_on_one_thread():
     uses = {(f"{path.stem}.{name}", managers) for path in sorted(package.glob("*.py"))
             for name, managers in _eigh_uses(path.read_text())}
     assert uses == {("simulate._eigh_tridiagonal", ("_one_blas_thread(len(d))",))}
+
+
+def test_one_thread_rule_is_decided_once():
+    """ONE_THREAD_EIGH_MAX_N is read in _eigh_threads alone, so the scope the
+    eigensolve runs in and the INFO line that names its threads cannot
+    disagree."""
+    package = Path(co.__file__).parent
+
+    def reads_the_rule(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "ONE_THREAD_EIGH_MAX_N"
+                and isinstance(node.ctx, ast.Load))
+
+    readers = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+               for name in _holders(path.read_text(), reads_the_rule)}
+    assert readers == {"simulate._eigh_threads"}
