@@ -88,7 +88,7 @@ def write_spatial_csv(path: Path, trajectory: Trajectory, spatial: np.ndarray) -
 
 
 def write_averages_csv(
-    path: Path, averages: list[TimeAverage], row_errors: list[float]
+    path: Path, averages: list[TimeAverage], row_errors: np.ndarray | list[float]
 ) -> None:
     """Averaged rows per horizon, then one consensus summary line per row.
 

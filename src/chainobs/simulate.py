@@ -471,8 +471,12 @@ def spatial_average(trajectory: Trajectory) -> np.ndarray:
     return trajectory.coefficient_rows[:, 1:, :].mean(axis=1)
 
 
+def row_distances(avg: TimeAverage) -> np.ndarray:
+    """Each observer row's distance from its average to the plant row's."""
+    rows = avg.averaged_rows
+    return np.linalg.norm(rows[1:] - rows[0], axis=1)
+
+
 def consensus_error(avg: TimeAverage) -> float:
     """Largest distance from an observer row's average to the plant row's."""
-    rows = avg.averaged_rows
-    deviations = np.linalg.norm(rows[1:] - rows[0], axis=1)
-    return float(deviations.max())
+    return float(row_distances(avg).max())

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import chainobs as co
 from chainobs import analysis, builder, cli, lqs, serialize, simulate
 from conftest import build_system
-from make_golden import PINNED, load, run
+from make_golden import PINNED, load, run, runs
 from oracles import (
     averages_csv_text,
     matrix_csv_text,
@@ -475,6 +475,33 @@ class TestTimeavgCommand:
         config = write_config(tmp_path, horizon=0.016)
         code = cli.main(["timeavg", "--config", str(config), "--output-dir", str(tmp_path)])
         assert code == 0
+
+    def test_largest_row_distance_is_the_reported_error(self, tmp_path):
+        """The largest err_i of time_averages.csv is report.json's consensus
+        error at T, bit for bit, on every timeavg run of the golden ladder and
+        on odd-harmonics N=50 at T = 8, where a per-row loop once wrote
+        1.630292869390653 against the report's 1.6302928693906529."""
+        configs = [config for command, config in runs() if command == "timeavg"]
+        configs.append({"omega0": 1.0, "n_elements": 50, "scheme": "odd-harmonics",
+                        "c_p": [1.0, 0.0], "horizon": 8.0})
+        for i, config in enumerate(configs):
+            assert run("timeavg", config, tmp_path / str(i))["code"] == 0, config
+            out = tmp_path / str(i) / "out"
+            fields = [line.split(",") for line in
+                      (out / "time_averages.csv").read_text().splitlines()]
+            errors = [float(f[2]) for f in fields if f[1].startswith("err_")]
+            curve = json.loads((out / "report.json").read_text())["consensus_error_curve"]
+            assert max(errors) == curve[-1][1], config
+
+    @pytest.mark.xfail(strict=True, reason="identity (i) divides rounding in Phi(T) by T")
+    def test_tiny_horizon_passes(self, tmp_path, capsys):
+        """A correct run at T = 1e-9 on uniform N=3 passes. It exits 1 today:
+        time_average_oracle_disagreement reads 1.6e-6 against a bound of
+        2.0e-8, since the residual (C_a Phi(T) - C_a) / T divides rounding in
+        Phi(T) by T (2.0e-9 at T = 1e-6, 1.6e-3 at 1e-12, 1.58 at 1e-15)."""
+        config = write_config(tmp_path, horizon=1e-9)
+        code = cli.main(["timeavg", "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
 
 
 class TestCheckCommand:
