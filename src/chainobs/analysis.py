@@ -381,11 +381,11 @@ def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
     samples in decreasing order of it and stops once the bound, widened by
     BOUND_SLACK for its rounding, is at or below the floor: the largest norm
     so far, or the limit bound * (1 + EXP_BOUND_REL_TOL) once a norm passes
-    it. A visited sample later than a violation already found is passed
-    over; every other has its P formed, once, with the two checks of
-    ObserverFlow.propagator, and is skipped if sqrt(||P^T P||_F) puts it at
-    or below the floor. Every other norm is sqrt(lambda_max(P^T P)), within about n * eps
-    relative of the largest singular value, and is held to the sample's
+    it. It passes over samples later than a violation already found and
+    forms P once for each other one (with the two checks of
+    ObserverFlow.propagator), skipping it if sqrt(||P^T P||_F) is at or
+    below the floor; else its norm is sqrt(lambda_max(P^T P)), within about
+    n * eps relative of the largest singular value, held to the sample's
     bound (ObserverFlow.spectral_norm). Raises a bound-violated error at the
     first sample in time order above the limit, a sign of an inaccurate
     propagator, not of bad parameters. Logs the counts and margin at INFO.

@@ -498,7 +498,7 @@ class TestTimeavgCommand:
         """A correct run at T = 1e-9 on uniform N=3 passes. It exits 1 today:
         time_average_oracle_disagreement reads 1.6e-6 against a bound of
         2.0e-8, since the residual (C_a Phi(T) - C_a) / T divides rounding in
-        Phi(T) by T (2.0e-9 at T = 1e-6, 1.6e-3 at 1e-12, 1.58 at 1e-15)."""
+        Phi(T) by T (2.0e-9 at T = 1e-6, 1.6e-3 at 1e-12, 1.6 at 1e-15)."""
         config = write_config(tmp_path, horizon=1e-9)
         code = cli.main(["timeavg", "--config", str(config), "--output-dir", str(tmp_path)])
         assert code == 0, capsys.readouterr().err
