@@ -56,7 +56,7 @@ from .errors import (
     NumericalFailureError,
     ToleranceExceededError,
 )
-from .lqs import SYMPLECTIC_UNIT, symplectic_drift
+from .lqs import SYMPLECTIC_UNIT, symplectic_drift, tridiagonal
 from .simulate import NormalModes, TimeGrid, _block
 
 # How far a formed propagator may stray from Phi Theta Phi^T = Theta,
@@ -108,10 +108,7 @@ def build_reduced(chain: ChainObserverParams) -> np.ndarray:
     complement carries diag(omega), so the spectrum of R_o is that of R_red
     together with the omega_i.
     """
-    matrix = np.diag(chain.omega)
-    i = np.arange(chain.n_elements - 1)
-    matrix[i, i + 1] = matrix[i + 1, i] = -chain.mu_tilde[1:]
-    return matrix
+    return tridiagonal(chain.omega, -chain.mu_tilde[1:])
 
 
 def laplacian_split(reduced: np.ndarray) -> tuple[float, np.ndarray]:

@@ -507,40 +507,37 @@ _EXIT_TOLERANCE = (
 
 
 def main(argv: list[str] | None = None) -> int:
+    commands = {
+        "build": (run_build, "construct the observer and write its matrices"),
+        "simulate": (run_simulate, "sample the coefficient trajectory"),
+        "timeavg": (run_timeavg, "time averages on a geometric horizon ladder"),
+        "check": (run_check, "run all certificates without writing files"),
+    }
     parser = argparse.ArgumentParser(
         prog="chainobs",
         description="Build and analyze chain-coupled quantum observers.",
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{text}"
+                                         for name, (_, text) in commands.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("build", "construct the observer and write its matrices"),
-        ("simulate", "sample the coefficient trajectory"),
-        ("timeavg", "time averages on a geometric horizon ladder"),
-        ("check", "run all certificates without writing files"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--output-dir", default=None, help="override the config's output_dir")
-        p.add_argument("--horizon", type=float, default=None, help="override the horizon")
-        p.add_argument("--step", default=None, help="override the step ('auto' or a number)")
+    parser.add_argument("command", choices=commands, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--output-dir", default=None, help="override the config's output_dir")
+    parser.add_argument("--horizon", type=float, default=None, help="override the horizon")
+    parser.add_argument("--step", default=None, help="override the step ('auto' or a number)")
     args = parser.parse_args(argv)
 
     level = os.environ.get("CHAINOBS_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
 
-    runners = {
-        "build": run_build,
-        "simulate": run_simulate,
-        "timeavg": run_timeavg,
-        "check": run_check,
-    }
     overrides = {"output_dir": args.output_dir, "horizon": args.horizon, "step": args.step}
     try:
         if args.step not in (None, "auto"):
             overrides["step"] = _maybe_float(args.step)
         config = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
-        report = runners[args.command](config)
+        report = commands[args.command][0](config)
     except ChainobsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, _EXIT_TOLERANCE) else 2

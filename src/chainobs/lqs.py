@@ -16,7 +16,8 @@ neighbours only, so its R and A are block tridiagonal in 2 x 2 blocks;
 BlockTridiagonal stores those blocks alone, and its products, norms and
 realizability residual cost O(n) per row instead of O(n^2). Those blocks
 are the only form of R and A; dense() assembles the full array for a
-caller that must write it out.
+caller that must write it out. A chain's scalar tridiagonals (its reduced
+matrix and its normal-mode matrix) are assembled by tridiagonal alone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ SYMPLECTIC_UNIT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
+
+
+def tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The dense symmetric tridiagonal matrix with diagonal d and off-diagonal e."""
+    matrix = np.diag(d)
+    i = np.arange(len(e))
+    matrix[i, i + 1] = matrix[i + 1, i] = e
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,6 @@ def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
         _write(out, len(m), lambda a, b: m[a:b], [b","] * (m.shape[1] - 1))
 
 
-def read_matrix_csv(path: Path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-
-
 def trajectory_header(dim: int) -> str:
     return "t,row," + ",".join(f"c_{j}" for j in range(1, dim + 1))
 

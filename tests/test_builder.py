@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import builder, cli, serialize
+from chainobs import builder, cli
 from conftest import build_system, perturb_omega
 from oracles import dense_augmented, output_matrix
 
@@ -196,7 +196,7 @@ class TestAssemble:
         config.write_text('{"n_elements": 5, "scheme": "odd-harmonics", "omega0": 1.0, '
                           '"c_p": [1.0, 0.0], "horizon": 1.0}')
         assert cli.main(["build", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
-        c_a = serialize.read_matrix_csv(tmp_path / "c_a.csv")
+        c_a = np.loadtxt(tmp_path / "c_a.csv", delimiter=",", ndmin=2)
         assert c_a.shape == (6, 12)
         assert np.array_equal(c_a[0], np.eye(12)[0])
         for i in range(1, 6):

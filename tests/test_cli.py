@@ -160,7 +160,7 @@ class TestSerialize:
         flat[: len(EDGE_VALUES)] = EDGE_VALUES[: flat.size]
         path = tmp_path / "m.csv"
         serialize.write_matrix_csv(path, matrix)
-        read = serialize.read_matrix_csv(path)
+        read = np.loadtxt(path, delimiter=",", ndmin=2)
         assert read.shape == shape
         assert np.array_equal(read, matrix)
 
@@ -277,7 +277,7 @@ class TestBuildCommand:
         config = write_config(tmp_path)
         assert cli.main(["build", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
         chain = build_system([1.0, 0.0], "uniform", 1.0, 3)
-        written = {name: serialize.read_matrix_csv(tmp_path / f"{name}.csv")
+        written = {name: np.loadtxt(tmp_path / f"{name}.csv", delimiter=",", ndmin=2)
                    for name in ("r_a", "a_a", "c_a")}
         assert np.array_equal(written["r_a"], chain.hamiltonian.dense())
         assert np.array_equal(written["a_a"], chain.dynamics.dense())

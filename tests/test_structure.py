@@ -259,3 +259,33 @@ def test_one_thread_rule_is_decided_once():
     readers = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
                for name in _holders(path.read_text(), reads_the_rule)}
     assert readers == {"simulate._eigh_threads"}
+
+
+def _assembles_a_tridiagonal(node: ast.AST) -> bool:
+    """np.diag of a vector, or a store into the entries (i, i + 1) or (i + 1, i)."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (isinstance(func, ast.Attribute) and func.attr == "diag"
+                and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"))
+    if not (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.slice, ast.Tuple) and len(node.slice.elts) == 2):
+        return False
+    first, second = (ast.unparse(index) for index in node.slice.elts)
+    return f"{first} + 1" == second or f"{second} + 1" == first
+
+
+def test_one_constructor_assembles_every_tridiagonal():
+    """lqs.tridiagonal alone writes a dense symmetric tridiagonal, and both of
+    the chain's tridiagonals, R_red and the normal-mode matrix K, go through it."""
+    package = Path(co.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assemblers = {f"{stem}.{name}" for stem, source in sources.items()
+                  for name in _holders(source, _assembles_a_tridiagonal)}
+    assert assemblers == {"lqs.tridiagonal"}
+
+    def calls_it(func: ast.expr) -> bool:
+        return isinstance(func, ast.Name) and func.id == "tridiagonal"
+
+    callers = {f"{stem}.{name}" for stem, source in sources.items()
+               for name in _callers(source, calls_it)}
+    assert callers == {"analysis.build_reduced", "simulate._eigh_tridiagonal"}
