@@ -33,7 +33,6 @@ from .analysis import (
     SpectralCertificate,
     build_reduced,
     certify_positive_definite,
-    laplacian_split,
     observer_certificate,
     verify_exp_bound,
     verify_mode_generator,
@@ -130,7 +129,6 @@ __all__ = [
     "default_step",
     "end_rows",
     "identity_residuals",
-    "laplacian_split",
     "make_mu_schedule",
     "normal_modes",
     "observer_certificate",

@@ -10,10 +10,13 @@ where R_red is the symmetric tridiagonal matrix with omega on the diagonal
 and -mu~_2 .. -mu~_N off it, so spec(R_o) = spec(R_red) U {omega_i}. Every
 omega_i is positive, hence R_o is positive definite exactly when R_red is.
 build_reduced writes R_red as a dense array straight from the chain's omega
-and mu~. It splits into a rank-one part diag(mu~_1, 0, ..., 0) plus a
-weighted chain Laplacian, so it is positive definite whenever the chain is
-connected and mu~_1 > 0. The certificate of R_o is therefore read off
-R_red's (observer_certificate): no 2N x 2N matrix is formed.
+and mu~ (lqs.tridiagonal). It is the rank-one part mu~_1 e_1 e_1^T plus the
+Laplacian L of the path weighted by mu~_2 .. mu~_N, whose kernel is span(1),
+so it is positive definite whenever the chain is connected and mu~_1 > 0.
+The base report (cli._base_report) forms L as R_red less the chain's own
+mu~_1 in its corner, so L's row sums test the frequency lineup on every
+row, the first included. The certificate of R_o is read off R_red's
+(observer_certificate): no 2N x 2N matrix is formed.
 
 Positive definiteness of R_o in turn bounds the propagator: the flow
 exp(2 Theta R_o t) conserves the quadratic form of R_o, which traps its
@@ -109,20 +112,6 @@ def build_reduced(chain: ChainObserverParams) -> np.ndarray:
     together with the omega_i.
     """
     return tridiagonal(chain.omega, -chain.mu_tilde[1:])
-
-
-def laplacian_split(reduced: np.ndarray) -> tuple[float, np.ndarray]:
-    """Split the reduced matrix into rank-one plus chain-Laplacian parts.
-
-    The rank-one part is diag(mu~_1, 0, ..., 0), returned as mu~_1, which is
-    recovered from the first row sum; the remainder is the Laplacian of the
-    weighted path graph, whose rows sum to zero and whose kernel is the
-    all-ones vector.
-    """
-    mu_1 = float(reduced[0].sum())
-    laplacian = np.array(reduced, dtype=float)
-    laplacian[0, 0] -= mu_1
-    return mu_1, laplacian
 
 
 def _certificate(lam_min: float, lam_max: float) -> SpectralCertificate:

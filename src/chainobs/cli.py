@@ -41,7 +41,6 @@ from .analysis import (
     SpectralCertificate,
     build_reduced,
     certify_positive_definite,
-    laplacian_split,
     observer_certificate,
     verify_exp_bound,
     verify_mode_generator,
@@ -351,11 +350,13 @@ def _base_report(chain: ChainObserverParams) -> RunReport:
     o_norm = chain.observer_dynamics.frobenius_norm()
     report.add("fixed_point_residual", report.fixed_point_residual, FIXED_POINT_REL_TOL * o_norm)
 
-    _, laplacian = laplacian_split(reduced)
     if chain.n_elements > 1:
-        # the recovered corner weight rounds relative to the comparison
-        # matrix, so ||R_red||_2 = lambda_max (R_red is positive definite)
-        # is the right scale for the row-sum residual
+        # the path Laplacian L = R_red - mu~_1 e_1 e_1^T, formed in R_red's
+        # place now that its certificate is taken. Each row sum cancels
+        # entries of R_red (omega_i against mu~_i + mu~_(i+1)), so
+        # ||R_red||_2 = lambda_max (R_red is positive definite) scales it
+        laplacian = reduced
+        laplacian[0, 0] -= chain.mu_tilde[0]
         row_scale = reduced_certificate.lambda_max
         row_sums = float(np.abs(laplacian.sum(axis=1)).max())
         report.add("laplacian_row_sums", row_sums, ROW_SUM_REL_TOL * row_scale)

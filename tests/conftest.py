@@ -14,6 +14,14 @@ def build_system(c_p, variant="odd-harmonics", omega0=1.0, n=5, seed=None):
     return co.build_chain(c_p, co.make_mu_schedule(scheme, n))
 
 
+def path_laplacian(chain):
+    """L = R_red - mu~_1 e_1 e_1^T, from the chain's own mu~_1: the Laplacian of
+    the path weighted by mu~_2 .. mu~_N when omega follows the lineup."""
+    laplacian = co.build_reduced(chain)
+    laplacian[0, 0] -= chain.mu_tilde[0]
+    return laplacian
+
+
 def perturb_omega(chain, index, delta):
     """The chain with a single self-energy entry shifted."""
     omega = chain.omega.copy()

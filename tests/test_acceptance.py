@@ -14,7 +14,7 @@ import numpy as np
 
 import chainobs as co
 from chainobs.analysis import observer_flow
-from conftest import build_system, perturb_omega
+from conftest import build_system, path_laplacian, perturb_omega
 from oracles import (
     collapse_blocks,
     hamiltonian_drift,
@@ -72,7 +72,7 @@ def test_criterion_2_definiteness_sweep():
             return
         if n == 1:
             return
-        _, laplacian = co.laplacian_split(reduced)
+        laplacian = path_laplacian(chain)
         scale = float(np.linalg.norm(reduced, ord=2))
         if np.abs(laplacian.sum(axis=1)).max() > 1e-14 * scale:
             failures.append(f"{label}: laplacian row sums are not zero")

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import chainobs as co
 from chainobs import analysis, cli, simulate
 from chainobs.analysis import _spectral_norm
-from conftest import build_system
+from conftest import build_system, path_laplacian, perturb_omega
 from oracles import (
     collapse_blocks,
     exp_bound_unscreened,
@@ -76,25 +76,25 @@ class TestBuildReduced:
 class TestLaplacianSplit:
     def test_reference(self, example_system):
         chain = example_system
-        mu_1, laplacian = co.laplacian_split(co.build_reduced(chain))
-        assert mu_1 == 1.0
-        assert np.array_equal(laplacian[0], [2.0, -2.0, 0.0, 0.0, 0.0])
+        assert chain.mu_tilde[0] == 1.0
+        assert np.array_equal(path_laplacian(chain)[0], [2.0, -2.0, 0.0, 0.0, 0.0])
 
     def test_single_element(self):
-        mu_1, laplacian = co.laplacian_split(co.build_reduced(chain_from([0.9])))
-        assert mu_1 == 0.9
-        assert np.array_equal(laplacian, [[0.0]])
+        chain = chain_from([0.9])
+        assert chain.mu_tilde[0] == 0.9
+        assert np.array_equal(path_laplacian(chain), [[0.0]])
 
     @given(mu_vectors)
     @settings(max_examples=60, deadline=None)
     def test_chain_laplacian_properties(self, mu):
         """Row sums vanish, and whenever the chain has at least one edge the
         kernel is exactly the all-ones line."""
-        reduced = co.build_reduced(chain_from(mu))
-        mu_1, laplacian = co.laplacian_split(reduced)
+        chain = chain_from(mu)
+        reduced = co.build_reduced(chain)
+        laplacian = path_laplacian(chain)
         n = laplacian.shape[0]
         rank_one = np.zeros((n, n))
-        rank_one[0, 0] = mu_1
+        rank_one[0, 0] = chain.mu_tilde[0]
         assert np.array_equal(rank_one + laplacian, reduced)
         # the same bits as subtracting the dense rank-one part
         assert laplacian.tobytes() == (reduced - rank_one).tobytes()
@@ -102,8 +102,9 @@ class TestLaplacianSplit:
             assert laplacian[0, 0] == 0.0
             return
         scale = np.linalg.norm(laplacian, ord=2)
-        # the corner weight is recovered from a row of the comparison matrix,
-        # so its rounding is relative to that matrix, not to the remainder
+        # each row sum cancels entries of the comparison matrix (omega_i
+        # against mu~_i + mu~_(i+1)), so its rounding is relative to that
+        # matrix, not to the remainder
         row_scale = np.linalg.norm(reduced, ord=2)
         assert np.abs(laplacian.sum(axis=1)).max() <= 1e-14 * row_scale
         ones = np.ones(n) / np.sqrt(n)
@@ -112,11 +113,15 @@ class TestLaplacianSplit:
         assert eigenvalues[0] >= -1e-12 * row_scale
         assert eigenvalues[1] > 1e-12 * scale
 
-
-def test_laplacian_split_copies_the_matrix_once():
-    """No dense rank-one part: the split allocates the Laplacian and nothing else."""
-    reduced = co.build_reduced(chain_from(np.linspace(0.5, 2.0, 300)))
-    assert traced_peak(co.laplacian_split, reduced) < 1.5 * reduced.nbytes
+    @pytest.mark.parametrize("index", range(5))
+    def test_row_sums_see_every_mistuned_omega(self, example_system, index):
+        """omega_i raised by 1e-3 fails laplacian_row_sums at 1e-3 on every row,
+        the first included: L is R_red less the chain's own mu~_1, so no row sum
+        is cancelled by construction."""
+        report = cli._base_report(perturb_omega(example_system, index, 1e-3))
+        (row_sums,) = [c for c in report.checks if c.name == "laplacian_row_sums"]
+        assert not row_sums.passed
+        assert abs(row_sums.value - 1e-3) <= 1e-12
 
 
 class TestCertify:
@@ -155,8 +160,7 @@ class TestCertify:
     def test_laplacian_alone_is_not_definite(self):
         """Dropping the rank-one part restores the kernel, and the error
         carries the offending eigenvalue."""
-        reduced = co.build_reduced(chain_from([1.0, 2.0, 3.0]))
-        _, laplacian = co.laplacian_split(reduced)
+        laplacian = path_laplacian(chain_from([1.0, 2.0, 3.0]))
         with pytest.raises(co.NotPositiveDefiniteError) as excinfo:
             co.certify_positive_definite(laplacian)
         scale = np.linalg.norm(laplacian, ord=2)

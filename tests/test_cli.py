@@ -1035,7 +1035,7 @@ class TestConsoleEntryPoint:
             name for name, value in vars(co).items()
             if not name.startswith("_") and not inspect.ismodule(value)
         }
-        assert len(set(co.__all__)) == len(co.__all__) == 48
+        assert len(set(co.__all__)) == len(co.__all__) == 47
         assert set(co.__all__) == public
 
     @staticmethod
