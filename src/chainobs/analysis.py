@@ -35,7 +35,11 @@ neither raise it nor break the bound. A visited sample is also skipped
 when sqrt(||P^T P||_F) is no larger. Every formed P is checked (symplectic,
 and ||P||_F against its screen), and every exact norm against its own
 bound, so a bound that failed would stop the run rather than hide a
-sample. The closed form is tied to the assembled system by
+sample. Up to N = ONE_THREAD_MAX_N the sweep, every formed P with its
+checks, Gram product and eigvalsh, runs on one OpenBLAS thread
+(simulate._one_blas_thread): threaded, those 2N x 2N products stall, and
+their last digits depend on the thread count. The closed form is tied to
+the assembled system by
 verify_mode_generator: its generator, rebuilt from the modes, must equal
 the blocks of a_o rotated into the modes' (q, p) basis. Each formed P is
 held to Phi Theta Phi^T = Theta with Theta = diag(J, ..., J) of P's own
@@ -60,7 +64,7 @@ from .errors import (
     ToleranceExceededError,
 )
 from .lqs import SYMPLECTIC_UNIT, symplectic_drift, tridiagonal
-from .simulate import NormalModes, TimeGrid, _block
+from .simulate import NormalModes, TimeGrid, _blas_threads_text, _block, _one_blas_thread
 
 # How far a formed propagator may stray from Phi Theta Phi^T = Theta,
 # relative to ||Theta||_F.
@@ -288,7 +292,7 @@ def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
     same G and H give every sample's norm bound: both O(N^2) per sample
     (_norm_bounds).
     """
-    cos, up, down, _ = modes.weights(grid.times())
+    cos, up, down = modes.weights(grid.times())
     screen, bound = _norm_bounds(modes, cos, up, down)
     return ObserverFlow(modes=modes, cos=cos, up=up, down=down, screen=screen, bound=bound)
 
@@ -372,9 +376,11 @@ def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
     ObserverFlow.propagator), skipping it if sqrt(||P^T P||_F) is at or
     below the floor; else its norm is sqrt(lambda_max(P^T P)), within about
     n * eps relative of the largest singular value, held to the sample's
-    bound (ObserverFlow.spectral_norm). Raises a bound-violated error at the
-    first sample in time order above the limit, a sign of an inaccurate
-    propagator, not of bad parameters. Logs the counts and margin at INFO.
+    bound (ObserverFlow.spectral_norm). The sweep runs on one BLAS thread up
+    to N = ONE_THREAD_MAX_N (simulate._one_blas_thread). Raises a
+    bound-violated error at the first sample in time order above the limit,
+    a sign of an inaccurate propagator, not of bad parameters. Logs the
+    counts, the margin and the sweep's BLAS threads at INFO.
     """
     flow = observer_flow(modes, grid)
     bad = ~np.isfinite(flow.screen)
@@ -382,30 +388,33 @@ def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
         raise NumericalFailureError(f"propagator is not finite at sample {int(np.argmax(bad))}")
     reach = flow.bound * (1.0 + BOUND_SLACK)
     limit = bound * (1.0 + EXP_BOUND_REL_TOL)
+    n = modes.lam.size
     worst, first, grams, eigensolves = 0.0, grid.samples, 0, 0
-    for k in np.argsort(-reach, kind="stable"):
-        floor = min(worst, limit)
-        if reach[k] <= floor:
-            break
-        if k > first:
-            continue  # cannot be the first violation in time order
-        phi = flow.propagator(k)
-        gram = phi.T @ phi
-        grams += 1
-        if np.sqrt(np.linalg.norm(gram)) <= floor:
-            continue
-        norm = flow.spectral_norm(k, gram)
-        eigensolves += 1
-        worst = max(worst, norm)
-        if norm > limit:
-            first, first_norm = k, norm
+    with _one_blas_thread(n):
+        for k in np.argsort(-reach, kind="stable"):
+            floor = min(worst, limit)
+            if reach[k] <= floor:
+                break
+            if k > first:
+                continue  # cannot be the first violation in time order
+            phi = flow.propagator(k)
+            gram = phi.T @ phi
+            grams += 1
+            if np.sqrt(np.linalg.norm(gram)) <= floor:
+                continue
+            norm = flow.spectral_norm(k, gram)
+            eigensolves += 1
+            worst = max(worst, norm)
+            if norm > limit:
+                first, first_norm = k, norm
     if worst > limit:
         raise BoundViolatedError(
             f"||exp(A t)||_2 = {first_norm:.12e} at t = {grid.times()[first]:g} exceeds the "
             f"certified bound {bound:.12e}"
         )
     log.info("exp bound: %d samples, %d Gram products, %d eigensolves, max %.6e, bound %.6e, "
-             "margin %.6e", grid.samples, grams, eigensolves, worst, bound, worst / bound)
+             "margin %.6e, sweep on %s", grid.samples, grams, eigensolves, worst, bound,
+             worst / bound, _blas_threads_text(n))
     return worst
 
 

@@ -274,8 +274,8 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
     holds its normal modes' five N x N factors (V, Omega^(1/2) V,
     Omega^(-1/2) V, G and H), one formed propagator's four 2N x 2N arrays
     (P, its Gram, and the symplectic product and its difference), seven
-    samples x N arrays (D(t)'s three entries, the plant drive and three
-    temporaries of NormalModes.weights) and ten BOUND_CHUNK x N temporaries
+    samples x N arrays (D(t)'s three entries and, while NormalModes.weights
+    forms them, at most four temporaries) and ten BOUND_CHUNK x N temporaries
     of the norm bounds. timeavg holds seven more N x N arrays (the normal
     modes' V, Omega^(1/2) V and Omega^(-1/2) V, and four temporaries of the
     rows), nine arrays of (N+1) x (2N+2) rows (the five averages and four of

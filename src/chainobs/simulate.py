@@ -11,10 +11,13 @@ modes of K = Omega^(1/2) R_red Omega^(1/2); NormalModes.weights holds the
 closed form P(t) = S D(t) S^-1. One tridiagonal eigensolve of K
 (normal_modes: dense eigh of K, each eigenvalue refined by its Rayleigh
 quotient) serves every time and horizon, and its fastest frequency sets the
-default sampling step. Up to N = ONE_THREAD_EIGH_MAX_N that eigh runs with
-numpy's OpenBLAS held to one thread, where the threaded call stalls and
-gives the same bits (_one_blas_thread); every other BLAS call keeps
-OpenBLAS's own thread count.
+default sampling step. Up to N = ONE_THREAD_MAX_N a chain's dense work runs
+with numpy's OpenBLAS held to one thread (_one_blas_thread), where threaded
+calls stall: that eigh, and check's sweep over formed propagators
+(analysis.verify_exp_bound). The eigh gives the threaded call's bits; the
+sweep gives the same bits at every OpenBLAS thread count. Every other BLAS
+call, and both of these above ONE_THREAD_MAX_N, keeps OpenBLAS's own
+thread count.
 
 Stored trajectories evaluate the rows on the grid in chunks of at most
 TRAJECTORY_CHUNK times and TRAJECTORY_CHUNK_BYTES of rows (_chunk_times),
@@ -54,16 +57,21 @@ TRAJECTORY_CHUNK_BYTES = 32 << 20
 # Rounding leaves at most 6.1e-13 (x*) and 2.4e-15 (derivative) on every
 # scheme up to N = 200 and T = 12800.
 TRAJECTORY_REL_TOL = 1e-10
-# Largest N whose eigensolve runs on one BLAS thread. Threaded OpenBLAS
-# stalls in eigh from N = 26 to about 130 on two cores (8 ms against 0.2 ms
-# at N = 50, 112 against 1.7 ms at N = 128) and gains nothing beyond. The
-# bits stay the threaded call's: on a tridiagonal K, eigh's reduction and
-# back-transform multiply by zero reflectors, exact on any thread count,
-# and its divide-and-conquer merges' gemm rounds differently only when
-# OpenBLAS splits its m rows between threads, which takes n <= m and
-# m n k > 64^3; a merge of N <= 128 has m, k <= 64. Above, some chains'
-# eigenvectors do differ (first seen at N = 283).
-ONE_THREAD_EIGH_MAX_N = 128
+# Largest chain length N whose dense work runs on one BLAS thread: the
+# eigensolve of K, of order N, and check's sweep over formed propagators, of
+# order 2N <= 256. Threaded OpenBLAS stalls in both on two cores: in eigh
+# from N = 26 to about 130 (8 ms against 0.2 ms at N = 50, 112 against
+# 1.7 ms at N = 128), and at N = 50 in the sweep's 100 x 100 Gram product
+# (3.7-7.8 ms against 0.04-0.07 ms) and its eigvalsh (8.3 ms against
+# 0.4-0.55 ms). The eigensolve's bits stay the threaded call's: on a
+# tridiagonal K, eigh's reduction and back-transform multiply by zero
+# reflectors, exact on any thread count, and its divide-and-conquer merges'
+# gemm rounds differently only when OpenBLAS splits its m rows between
+# threads, which takes n <= m and m n k > 64^3; a merge of N <= 128 has
+# m, k <= 64. Above, some chains' eigenvectors do differ (first seen at
+# N = 283). The sweep's last digits do depend on the thread count, so on one
+# thread its output is the same at every OPENBLAS_NUM_THREADS.
+ONE_THREAD_MAX_N = 128
 # (setter, getter) names of OpenBLAS's thread count, newest builds first
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
@@ -170,8 +178,8 @@ class NormalModes:
         """L2 = Omega^(-1/2) V."""
         return self.v / np.sqrt(self.chain.omega)[:, None]
 
-    def weights(self, t: float | np.ndarray) -> tuple[np.ndarray, ...]:
-        """The closed form at the times t: D(t) per mode, and the plant drive.
+    def weights(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The closed form of the observer propagator at the times t: D(t) per mode.
 
         Rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), the
         observer chain solves q' = -2 Omega p and p' = 2 R_red q -
@@ -182,15 +190,23 @@ class NormalModes:
         S^-1 = diag(L2^T, L1^T), with the blocks [[L1 cos L2^T, L1 up L1^T],
         [L2 down L2^T, L2 cos L1^T]] (each a _block), where, mode by mode,
         cos = cos(nu t), up = -2 sin(nu t) / nu and down = nu sin(nu t) / 2.
-        q_0 reaches q through L1 diag(plant) V^T mu~_1 sqrt(omega_1) e_1
-        (= L1 diag(plant) V^T K Omega^(-1/2) 1), plant = 2 sin^2(nu t / 2) / lam
-        carrying the 1/lam of K^(-1). Returns (cos, up, down, plant), one
-        row per time when t is an array.
+        Returns (cos, up, down), one row per time when t is an array; the
+        plant's share of q is drive(t).
         """
         nu = self.nu
         x = np.multiply.outer(t, nu)
         sin = np.sin(x)
-        return np.cos(x), -2.0 * sin / nu, 0.5 * nu * sin, 2.0 * np.sin(0.5 * x) ** 2 / self.lam
+        return np.cos(x), -2.0 * sin / nu, 0.5 * nu * sin
+
+    def drive(self, t: float | np.ndarray) -> np.ndarray:
+        """The plant drive at the times t: how q_0 reaches the observer q's.
+
+        q_0 reaches q through L1 diag(drive) V^T mu~_1 sqrt(omega_1) e_1
+        (= L1 diag(drive) V^T K Omega^(-1/2) 1), drive = 2 sin^2(nu t / 2) / lam
+        carrying the 1/lam of K^(-1); one row per time when t is an array.
+        The propagator alone (weights) does not need it.
+        """
+        return 2.0 * np.sin(0.5 * np.multiply.outer(t, self.nu)) ** 2 / self.lam
 
 
 def _block(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,21 +237,31 @@ def _openblas_threads():
     return None
 
 
-def _eigh_threads(n: int) -> int | None:
-    """BLAS threads an eigensolve of order n runs on, None when unknown."""
+def _blas_threads(n: int) -> int | None:
+    """BLAS threads the dense work of a chain of n modes runs on (its
+    eigensolve, and check's sweep), None when unknown."""
     control = _openblas_threads()
     if control is None:
         return None
-    return 1 if n <= ONE_THREAD_EIGH_MAX_N else control[1]()
+    return 1 if n <= ONE_THREAD_MAX_N else control[1]()
+
+
+def _blas_threads_text(n: int) -> str:
+    """_blas_threads(n) as an INFO line names it."""
+    threads = _blas_threads(n)
+    if threads is None:
+        return "numpy's default BLAS threads"
+    return f"{threads} BLAS thread{'s' if threads > 1 else ''}"
 
 
 @contextmanager
 def _one_blas_thread(n: int):
-    """Limit OpenBLAS to one thread for an eigensolve of order n where the
-    rule in _eigh_threads says so, and restore its count afterwards,
-    whatever happens inside. The count is process-wide, so the lock keeps
-    two concurrent scopes from restoring each other's limit."""
-    if _eigh_threads(n) != 1:
+    """Limit OpenBLAS to one thread for the dense work of a chain of n modes
+    where the rule in _blas_threads says so, and restore its count
+    afterwards, whatever happens inside. The count is process-wide, so the
+    lock keeps two concurrent scopes from restoring each other's limit; the
+    lock is not reentrant, so scopes must not nest."""
+    if _blas_threads(n) != 1:
         yield
         return
     set_threads, get_threads = _openblas_threads()
@@ -253,7 +279,7 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndar
     and off-diagonal e.
 
     Dense divide-and-conquer gives the eigenvectors, on one BLAS thread up
-    to ONE_THREAD_EIGH_MAX_N (_one_blas_thread); each eigenvalue is then
+    to ONE_THREAD_MAX_N (_one_blas_thread); each eigenvalue is then
     replaced by its Rayleigh quotient v^T K v, from an O(N^2) tridiagonal
     product. Against 40-digit referees this makes the time averages up to
     14x more accurate than the eigenvalues eigh returns.
@@ -277,12 +303,9 @@ def normal_modes(chain: ChainObserverParams) -> NormalModes:
             f"normal-mode matrix is not positive definite: lambda_min = {lam[0]:.6e}",
             lambda_min=lam[0],
         )
-    threads = _eigh_threads(chain.n_elements)
     log.info(
         "normal modes: %d modes, fastest frequency nu_max %.6e, eigensolve on %s",
-        chain.n_elements, 2.0 * math.sqrt(lam[-1]),
-        "numpy's default BLAS threads" if threads is None
-        else f"{threads} BLAS thread{'s' if threads > 1 else ''}",
+        chain.n_elements, 2.0 * math.sqrt(lam[-1]), _blas_threads_text(chain.n_elements),
     )
     return NormalModes(chain=chain, lam=lam, v=v)
 
@@ -315,7 +338,7 @@ def _average_weights(modes: NormalModes, horizon: float) -> tuple[np.ndarray, ..
 
 def _derivative_weights(modes: NormalModes, t: float) -> tuple[np.ndarray, ...]:
     """Per-mode weights of d/dt C_a Phi(t): the time derivatives of
-    NormalModes.weights' cos, up and plant."""
+    NormalModes.weights' cos and up and of NormalModes.drive."""
     nu = modes.nu
     x = nu * t
     return -nu * np.sin(x), -2.0 * np.cos(x), nu * np.sin(x) / modes.lam
@@ -327,9 +350,9 @@ def _rows(
     """Coefficient rows whose observer q's carry the given per-mode weights.
 
     Weights of shape (..., N) give rows of shape (..., N + 1, 2N + 2), pulled
-    back through the normal modes as NormalModes.weights describes: q(0),
-    p(0) and q_0 reach q through L1 diag(w) times L2^T, L1^T and
-    V^T mu~_1 sqrt(omega_1) e_1. Each set of weights takes the same
+    back through the normal modes as NormalModes.weights and NormalModes.drive
+    describe: q(0), p(0) and q_0 reach q through L1 diag(w) times L2^T, L1^T
+    and V^T mu~_1 sqrt(omega_1) e_1. Each set of weights takes the same
     arithmetic whatever the leading shape.
     """
     chain, left = modes.chain, modes.left
@@ -367,9 +390,10 @@ def time_average_spectral(modes: NormalModes, horizon: float) -> TimeAverage:
 
 
 def end_rows(modes: NormalModes, t: float) -> np.ndarray:
-    """C_a Phi(t) in closed form (NormalModes.weights)."""
-    cos, up, _, plant = modes.weights(_positive_time(t))
-    return _rows(modes, cos, up, plant)
+    """C_a Phi(t) in closed form (NormalModes.weights and NormalModes.drive)."""
+    t = _positive_time(t)
+    cos, up, _ = modes.weights(t)
+    return _rows(modes, cos, up, modes.drive(t))
 
 
 def _chunk_times(n: int) -> int:
@@ -390,8 +414,8 @@ def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
     step = _chunk_times(n)
     for start in range(0, grid.samples, step):
         chunk = times[start : start + step]
-        cos, up, _, plant = modes.weights(chunk)
-        rows[start : start + chunk.size] = _rows(modes, cos, up, plant)
+        cos, up, _ = modes.weights(chunk)
+        rows[start : start + chunk.size] = _rows(modes, cos, up, modes.drive(chunk))
     return Trajectory(grid=grid, coefficient_rows=rows)
 
 

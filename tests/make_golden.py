@@ -19,9 +19,10 @@ Run from the repository root:
     PYTHONPATH=src python tests/make_golden.py
 
 A change that moves output bytes on purpose regenerates the file; its diff
-then lists every run whose outputs moved. check's last digits depend on how
-BLAS splits products: the corpus was written with numpy 2.4.6's OpenBLAS on
-two cores.
+then lists every run whose outputs moved. The corpus was written with numpy
+2.4.6's OpenBLAS on two threads. check's sweep runs on one BLAS thread up to
+N = 128, so its N=50 pins hold at every thread count; at N = 200 its last
+digits depend on how BLAS splits products.
 """
 
 from __future__ import annotations

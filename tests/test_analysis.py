@@ -22,6 +22,7 @@ from oracles import (
     propagator,
 )
 from test_acceptance import systems
+from test_simulate import thread_count
 
 
 def traced_peak(fn, *args) -> int:
@@ -320,9 +321,9 @@ class TestExpBound:
         true_weights = simulate.NormalModes.weights
 
         def nan_phases(modes, t):
-            cos, up, down, plant = true_weights(modes, t)
+            cos, up, down = true_weights(modes, t)
             cos[3, 1] = np.nan
-            return cos, up, down, plant
+            return cos, up, down
 
         monkeypatch.setattr(simulate.NormalModes, "weights", nan_phases)
         grid = co.TimeGrid.from_count(1.0, 10)
@@ -347,10 +348,11 @@ class TestExpBound:
         assert len(lines) == 1
         found = re.fullmatch(
             r"exp bound: (\d+) samples, (\d+) Gram products, (\d+) eigensolves, "
-            r"max (\S+), bound (\S+), margin (\S+)",
+            r"max (\S+), bound (\S+), margin (\S+), sweep on (.+)",
             lines[0],
         )
         assert found is not None, lines[0]
+        assert found[7] == simulate._blas_threads_text(fields["n_elements"])
         observed, bound, margin = (float(found[i]) for i in (4, 5, 6))
         check = next(c for c in report.checks if c.name == "exp_norm_observed")
         assert observed == pytest.approx(check.value, rel=1e-6)
@@ -387,8 +389,8 @@ class TestExpBound:
         true_weights = simulate.NormalModes.weights
 
         def scaled_cos(modes, t):
-            cos, up, down, plant = true_weights(modes, t)
-            return (1.0 + 1e-5) * cos, up, down, plant
+            cos, up, down = true_weights(modes, t)
+            return (1.0 + 1e-5) * cos, up, down
 
         monkeypatch.setattr(simulate.NormalModes, "weights", scaled_cos)
         with pytest.raises(co.ToleranceExceededError, match="symplectic drift"):
@@ -496,6 +498,69 @@ class TestExpBound:
         flow.screen[7] *= 1.0 + 1e-10
         with pytest.raises(co.ToleranceExceededError, match="at sample 7 disagrees"):
             flow.propagator(7)
+
+
+SWEEP_ORDERS = [26, simulate.ONE_THREAD_MAX_N, simulate.ONE_THREAD_MAX_N + 1]
+
+
+class TestOneThreadSweep:
+    """check's sweep runs on one BLAS thread up to ONE_THREAD_MAX_N, as the
+    eigensolve does, and leaves OpenBLAS's thread count as it found it."""
+
+    @staticmethod
+    def sweep(monkeypatch, n, bound_fraction=1.0, scale_cos=1.0):
+        """The BLAS thread counts that the sweep's symplectic checks and
+        eigvalsh calls saw on uniform N = n, and the count before it."""
+        before = thread_count()
+        chain = build_system([1.0, 0.0], "uniform", 1.0, n)
+        modes = co.normal_modes(chain)
+        bound = bound_fraction * certified(chain)
+        grid = co.TimeGrid.from_count(50.0, 100)
+        seen = {"symplectic": [], "eigvalsh": []}
+        drift, eigvalsh = analysis.symplectic_drift, np.linalg.eigvalsh
+        true_weights = simulate.NormalModes.weights
+
+        def watched_drift(phi):
+            seen["symplectic"].append(thread_count())
+            return drift(phi)
+
+        def watched_eigvalsh(gram):
+            seen["eigvalsh"].append(thread_count())
+            return eigvalsh(gram)
+
+        def scaled(modes, t):
+            cos, up, down = true_weights(modes, t)
+            return scale_cos * cos, up, down
+
+        monkeypatch.setattr(analysis, "symplectic_drift", watched_drift)
+        monkeypatch.setattr(np.linalg, "eigvalsh", watched_eigvalsh)
+        monkeypatch.setattr(simulate.NormalModes, "weights", scaled)
+        try:
+            co.verify_exp_bound(modes, bound, grid)
+        finally:
+            monkeypatch.undo()
+        return before, seen
+
+    @pytest.mark.parametrize("n", SWEEP_ORDERS)
+    def test_sweep_runs_on_the_rule_s_threads(self, monkeypatch, n):
+        before, seen = self.sweep(monkeypatch, n)
+        expected = 1 if n <= simulate.ONE_THREAD_MAX_N else before
+        assert seen["symplectic"] and set(seen["symplectic"]) == {expected}
+        assert seen["eigvalsh"] and set(seen["eigvalsh"]) == {expected}
+        assert thread_count() == before
+
+    @pytest.mark.parametrize("n", [26, simulate.ONE_THREAD_MAX_N + 1])
+    @pytest.mark.parametrize("error, mutant", [
+        (co.BoundViolatedError, {"bound_fraction": 0.5}),
+        (co.ToleranceExceededError, {"scale_cos": 1.0 + 1e-5}),
+    ], ids=["bound-violated", "tolerance-exceeded"])
+    def test_thread_count_is_restored(self, monkeypatch, n, error, mutant):
+        """A bound below the observed maximum fails after the sweep, and cosine
+        weights scaled by 1 + 1e-5 fail the first symplectic check inside it."""
+        before = thread_count()
+        with pytest.raises(error):
+            self.sweep(monkeypatch, n, **mutant)
+        assert thread_count() == before
 
 
 @settings(max_examples=40, deadline=None)

@@ -382,17 +382,19 @@ class TestSimulateCommand:
     ):
         """A 1e-6 error in the plant weights of the rows breaks the x* identity,
         and a sign flip of their p(0) weights the derivative identity."""
-        true_weights = simulate.NormalModes.weights
+        true_weights, true_drive = simulate.NormalModes.weights, simulate.NormalModes.drive
 
         def mutated(modes, t):
-            cos, up, down, plant = true_weights(modes, t)
-            if mutant == "p":
-                up = -up
-            else:
-                plant = plant * (1.0 + 1e-6)
-            return cos, up, down, plant
+            cos, up, down = true_weights(modes, t)
+            return cos, -up, down
 
-        monkeypatch.setattr(simulate.NormalModes, "weights", mutated)
+        def mutated_drive(modes, t):
+            return true_drive(modes, t) * (1.0 + 1e-6)
+
+        if mutant == "p":
+            monkeypatch.setattr(simulate.NormalModes, "weights", mutated)
+        else:
+            monkeypatch.setattr(simulate.NormalModes, "drive", mutated_drive)
         config = write_config(tmp_path, **overrides)
         code = cli.main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)])
         assert code == 1
@@ -520,12 +522,35 @@ class TestCheckCommand:
         assert cli.main(["check", "--config", str(config)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    # check's stdout at horizon 800, as pinned in the golden corpus. Its last
-    # digits depend on how BLAS splits products (see tests/make_golden.py).
+    # check's stdout at horizon 800, as pinned in the golden corpus. At N = 200
+    # its last digits depend on how BLAS splits products (see
+    # tests/make_golden.py).
     @pytest.mark.parametrize("label", [k for k, (c, _) in PINNED.items() if c == "check"])
     def test_stdout_keeps_its_bytes(self, tmp_path, label):
         entry = load()[1][label]
         assert run("check", entry["config"], tmp_path / "run") == entry
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_small_pins_hold_at_every_thread_count(self, tmp_path, threads):
+        """check's sweep runs on one BLAS thread up to simulate.ONE_THREAD_MAX_N,
+        so the random N=50 pins keep their bytes whatever OPENBLAS_NUM_THREADS
+        says; each count is replayed in its own process, since OpenBLAS reads
+        the variable at load. The N = 200 pins are above that N, keep
+        OpenBLAS's own count and move with it, so they are not replayed here."""
+        labels = [label for label in PINNED if label.startswith("random-50-")]
+        replay = ("import json, sys\n"
+                  "from pathlib import Path\n"
+                  "from make_golden import load, run\n"
+                  "pinned = load()[1]\n"
+                  "print(json.dumps([run('check', pinned[label]['config'], "
+                  "Path(sys.argv[1]) / label) for label in sys.argv[2:]]))\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join((str(SRC), str(Path(__file__).parent)))}
+        done = subprocess.run([sys.executable, "-c", replay, str(tmp_path), *labels], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        pinned = load()[1]
+        assert json.loads(done.stdout) == [pinned[label] for label in labels]
 
 
 @pytest.mark.parametrize("command", ["build", "simulate", "timeavg", "check"])
@@ -874,8 +899,8 @@ class TestExitCodes:
         true_weights = simulate.NormalModes.weights
 
         def scaled_cos(modes, t):
-            cos, up, down, plant = true_weights(modes, t)
-            return (1.0 + 1e-5) * cos, up, down, plant
+            cos, up, down = true_weights(modes, t)
+            return (1.0 + 1e-5) * cos, up, down
 
         monkeypatch.setattr(simulate.NormalModes, "weights", scaled_cos)
         config = write_config(tmp_path)

@@ -236,11 +236,11 @@ def same_bits(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> bool:
     return all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(a, b))
 
 
-EIGH_ORDERS = [26, 64, 100, simulate.ONE_THREAD_EIGH_MAX_N, 200]
+EIGH_ORDERS = [26, 64, 100, simulate.ONE_THREAD_MAX_N, 200]
 
 
 class TestOneThreadEigensolve:
-    """The eigensolve runs on one BLAS thread up to ONE_THREAD_EIGH_MAX_N,
+    """The eigensolve runs on one BLAS thread up to ONE_THREAD_MAX_N,
     with the same bits as numpy's threaded call."""
 
     @pytest.mark.parametrize("variant, n, seed", [
@@ -260,7 +260,7 @@ class TestOneThreadEigensolve:
         d, e = normal_mode_matrix(co.SCHEME_RANDOM, n, seed=11)
         scoped = simulate._eigh_tridiagonal(d, e)
         monkeypatch.setattr(simulate, "_openblas_threads", lambda: None)
-        assert simulate._eigh_threads(n) is None
+        assert simulate._blas_threads(n) is None
         assert same_bits(scoped, simulate._eigh_tridiagonal(d, e))
 
     def test_numpy_openblas_is_reached(self):
@@ -271,7 +271,7 @@ class TestOneThreadEigensolve:
             pytest.skip(f"numpy is built against {blas.get('name')}")
         assert simulate._openblas_threads() is not None
 
-    @pytest.mark.parametrize("n", [26, simulate.ONE_THREAD_EIGH_MAX_N + 1])
+    @pytest.mark.parametrize("n", [26, simulate.ONE_THREAD_MAX_N + 1])
     @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
     def test_thread_count_is_restored(self, monkeypatch, n, raises):
         before = thread_count()
@@ -291,7 +291,7 @@ class TestOneThreadEigensolve:
                 simulate._eigh_tridiagonal(d, e)
         else:
             simulate._eigh_tridiagonal(d, e)
-        assert seen == [1 if n <= simulate.ONE_THREAD_EIGH_MAX_N else before]
+        assert seen == [1 if n <= simulate.ONE_THREAD_MAX_N else before]
         assert thread_count() == before
 
     def test_concurrent_scopes_restore_the_count(self):
@@ -423,19 +423,22 @@ class TestVerifyTrajectory:
         flip of the p(0) weights identity (ii); both name the sample."""
         chain = example_system
         modes = co.normal_modes(chain)
-        true_weights = simulate.NormalModes.weights
+        true_weights, true_drive = simulate.NormalModes.weights, simulate.NormalModes.drive
 
         def mutated(modes, t):
-            cos, up, down, plant = true_weights(modes, t)
-            if mutant == "plant":
-                plant = plant * (1.0 + 1e-6)
-            elif mutant == "q":
+            cos, up, down = true_weights(modes, t)
+            if mutant == "q":
                 cos = cos * (1.0 + 1e-6)
-            else:
+            elif mutant == "p":
                 up = -up
-            return cos, up, down, plant
+            return cos, up, down
+
+        def mutated_drive(modes, t):
+            drive = true_drive(modes, t)
+            return drive * (1.0 + 1e-6) if mutant == "plant" else drive
 
         monkeypatch.setattr(simulate.NormalModes, "weights", mutated)
+        monkeypatch.setattr(simulate.NormalModes, "drive", mutated_drive)
         grid = co.TimeGrid(50.0, 0.05)
         trajectory = co.coefficient_trajectory(modes, grid)
         with pytest.raises(co.ToleranceExceededError, match=rf"^{re.escape(message)} .* at sample \d+$"):

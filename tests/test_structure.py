@@ -194,14 +194,17 @@ def _is_trig(func: ast.expr) -> bool:
 
 
 def test_one_closed_form_takes_the_phases():
-    """The propagator's phases are taken in one place, NormalModes.weights;
-    the other trigonometry in the library belongs to the independent routes
-    (the averages and the derivative rows) and to 1 - sin(x)/x."""
+    """The propagator's phases are taken in one place, NormalModes.weights,
+    and the plant drive, which the propagator does not need, in
+    NormalModes.drive; the other trigonometry in the library belongs to the
+    independent routes (the averages and the derivative rows) and to
+    1 - sin(x)/x."""
     package = Path(co.__file__).parent
     callers = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
                for name in _callers(path.read_text(), _is_trig)}
-    assert callers == {"simulate.NormalModes.weights", "simulate._average_weights",
-                       "simulate._derivative_weights", "simulate._one_minus_sinc"}
+    assert callers == {"simulate.NormalModes.weights", "simulate.NormalModes.drive",
+                       "simulate._average_weights", "simulate._derivative_weights",
+                       "simulate._one_minus_sinc"}
 
 
 def _is_exponential(func: ast.expr) -> bool:
@@ -247,18 +250,18 @@ def test_one_eigh_in_the_library_on_one_thread():
 
 
 def test_one_thread_rule_is_decided_once():
-    """ONE_THREAD_EIGH_MAX_N is read in _eigh_threads alone, so the scope the
-    eigensolve runs in and the INFO line that names its threads cannot
-    disagree."""
+    """ONE_THREAD_MAX_N is read in _blas_threads alone, so the scopes the
+    eigensolve and check's sweep run in and the INFO lines that name their
+    threads cannot disagree."""
     package = Path(co.__file__).parent
 
     def reads_the_rule(node: ast.AST) -> bool:
-        return (isinstance(node, ast.Name) and node.id == "ONE_THREAD_EIGH_MAX_N"
+        return (isinstance(node, ast.Name) and node.id == "ONE_THREAD_MAX_N"
                 and isinstance(node.ctx, ast.Load))
 
     readers = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
                for name in _holders(path.read_text(), reads_the_rule)}
-    assert readers == {"simulate._eigh_threads"}
+    assert readers == {"simulate._blas_threads"}
 
 
 def _assembles_a_tridiagonal(node: ast.AST) -> bool:
