@@ -1,11 +1,4 @@
-"""Experiment orchestration and the ``chainobs`` command-line tool.
-
-Subcommands:
-
-  build      construct the observer, certify it, write the matrices as CSV
-  simulate   sample the coefficient trajectory and the spatial average
-  timeavg    closed-form time averages on a geometric horizon ladder
-  check      run every certificate without writing files (report to stdout)
+"""Experiment orchestration and the ``chainobs`` command-line tool (see HELP).
 
 All subcommands read a JSON config (see parse_config); --output-dir,
 --horizon and --step replace that field of the config before it is
@@ -15,16 +8,15 @@ Exit codes:
 
   0  every certificate and tolerance in the run passed
   1  a certificate or tolerance failed
-  2  the config was rejected, or the run would not fit in physical memory
+  2  the command line or config was rejected, or the run would not fit in physical memory
   3  unexpected error
 
-The CHAINOBS_LOG environment variable (DEBUG/INFO/WARNING/ERROR) controls
-log verbosity.
+The CHAINOBS_LOG environment variable (a logging level name such as INFO or
+DEBUG; any other value leaves WARNING) controls log verbosity.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import logging
 import os
@@ -507,38 +499,79 @@ _EXIT_TOLERANCE = (
 )
 
 
-def main(argv: list[str] | None = None) -> int:
-    commands = {
-        "build": (run_build, "construct the observer and write its matrices"),
-        "simulate": (run_simulate, "sample the coefficient trajectory"),
-        "timeavg": (run_timeavg, "time averages on a geometric horizon ladder"),
-        "check": (run_check, "run all certificates without writing files"),
-    }
-    parser = argparse.ArgumentParser(
-        prog="chainobs",
-        description="Build and analyze chain-coupled quantum observers.",
-        epilog="commands:\n" + "\n".join(f"  {name:<10}{text}"
-                                         for name, (_, text) in commands.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=commands, metavar="command",
-                        help="one of the commands below")
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--output-dir", default=None, help="override the config's output_dir")
-    parser.add_argument("--horizon", type=float, default=None, help="override the horizon")
-    parser.add_argument("--step", default=None, help="override the step ('auto' or a number)")
-    args = parser.parse_args(argv)
+HELP = """\
+usage: chainobs [-h] {build|simulate|timeavg|check} --config PATH [--output-dir DIR] [--horizon T] [--step H]
 
-    level = os.environ.get("CHAINOBS_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+commands:
+  build      construct the observer, certify it, write the matrices as CSV
+  simulate   sample the coefficient trajectory and the spatial average
+  timeavg    closed-form time averages on a geometric horizon ladder
+  check      run every certificate without writing files (report to stdout)
+
+options, before or after the command, as --name value, --name=value or a unique prefix of --name:
+  -h, --help        print this help and exit
+  --config PATH     path to the JSON config (required)
+  --output-dir DIR  replace the config's output_dir
+  --horizon T       replace the config's horizon
+  --step H          replace the config's step ('auto' or a number)
+"""
+_OPTIONS = ("config", "output-dir", "horizon", "step", "help")
+
+
+def _flag_number(name: str, raw: str) -> float | str:
+    """The value of --horizon or --step as its config field takes it ('auto' stays, for --step)."""
+    try:
+        return raw if name == "step" and raw == "auto" else float(raw)
+    except ValueError:
+        auto = "'auto' or " if name == "step" else ""
+        raise ConfigSchemaError(f"{name}: expected {auto}a number, got {raw!r}") from None
+
+
+def _parse_command_line(argv: list[str], commands: dict) -> tuple[str, str, dict] | None:
+    """argv's command, config path and overrides, or None for -h; raise ConfigSchemaError if malformed."""
+    command, given, args = None, {}, iter(argv)
+    for arg in args:
+        name, has_value, value = arg[2:].partition("=")
+        matches = [o for o in _OPTIONS if o.startswith(name)] if arg[:2] == "--" and name else []
+        if arg == "-h" or matches == ["help"]:
+            return None
+        if not arg.startswith("-"):
+            _expect(command is None, ConfigSchemaError, f"a second command: {arg}")
+            _expect(arg in commands, ConfigSchemaError,
+                    f"invalid command {arg!r} (choose from {', '.join(commands)})")
+            command = arg
+            continue
+        _expect(len(matches) == 1, ConfigSchemaError,
+                f"{'ambiguous' if matches else 'unrecognized'} option: {arg}")
+        given[matches[0]] = value if has_value else next(args, None)
+        _expect(given[matches[0]] is not None, ConfigSchemaError, f"--{matches[0]} expects a value")
+    _expect(command is not None, ConfigSchemaError, "a command is required")
+    _expect("config" in given, ConfigSchemaError, "--config is required")
+    config = given.pop("config")
+    overrides = {name.replace("-", "_"): value if name == "output-dir" else _flag_number(name, value)
+                 for name, value in given.items()}
+    return command, config, overrides
+
+
+def main(argv: list[str] | None = None) -> int:
+    runs = {"build": run_build, "simulate": run_simulate, "timeavg": run_timeavg, "check": run_check}
+    try:
+        parsed = _parse_command_line(sys.argv[1:] if argv is None else argv, runs)
+    except ConfigSchemaError as exc:
+        print(f"{HELP.splitlines()[0]}\nchainobs: error: {exc}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(HELP, end="")
+        return 0
+    command, config_path, overrides = parsed
+
+    level = logging.getLevelName(os.environ.get("CHAINOBS_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    overrides = {"output_dir": args.output_dir, "horizon": args.horizon, "step": args.step}
     try:
-        if args.step not in (None, "auto"):
-            overrides["step"] = _maybe_float(args.step)
-        config = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
-        report = commands[args.command][0](config)
+        config = load_config(config_path, **overrides)
+        report = runs[command](config)
     except ChainobsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, _EXIT_TOLERANCE) else 2
@@ -546,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 3
 
-    if args.command == "check":
+    if command == "check":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         for result in report.checks:
@@ -561,13 +594,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAILED checks: {', '.join(report.failing())}", file=sys.stderr)
         return 1
     return 0
-
-
-def _maybe_float(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigSchemaError(f"step: expected 'auto' or a number, got {raw!r}") from None
 
 
 if __name__ == "__main__":
