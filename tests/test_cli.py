@@ -862,9 +862,11 @@ class TestExitCodes:
         config = write_config(tmp_path, scheme="fibonacci")
         assert cli.main(["check", "--config", str(config)]) == 2
 
-    def test_bad_horizon_override(self, tmp_path):
+    def test_bad_horizon_override(self, tmp_path, capsys):
+        """A value starting with '-' is the option's value, rejected by the config's validation."""
         config = write_config(tmp_path)
         assert cli.main(["check", "--config", str(config), "--horizon", "-4"]) == 2
+        assert capsys.readouterr().err == "error: horizon must be positive, got -4.0\n"
 
     def test_bad_step_override(self, tmp_path):
         config = write_config(tmp_path)
@@ -1022,6 +1024,66 @@ class TestExitCodes:
         assert "unexpected error" in capsys.readouterr().err
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_help_lists_every_command(self, flag, capsys):
+        assert cli.main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: chainobs")
+        for command in ("build", "simulate", "timeavg", "check"):
+            assert re.search(rf"^  {command} ", out, re.MULTILINE), command
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["--config", "CFG", "--output-dir", "OUT"], "a command is required"),
+        (["bild", "--config", "CFG", "--output-dir", "OUT"],
+         "invalid command 'bild' (choose from build, simulate, timeavg, check)"),
+        (["build", "check", "--config", "CFG", "--output-dir", "OUT"], "a second command: check"),
+        (["build", "--config", "CFG", "--output-dir", "OUT", "--seed", "3"],
+         "unrecognized option: --seed"),
+        (["build", "--config", "CFG", "-o", "OUT"], "unrecognized option: -o"),
+        (["build", "--config", "CFG", "--output-dir", "OUT", "--h", "3"], "ambiguous option: --h"),
+        (["build", "--output-dir", "OUT", "--config"], "--config expects a value"),
+        (["build", "--output-dir", "OUT"], "--config is required"),
+        (["build", "--config", "CFG", "--output-dir", "OUT", "--horizon", "abc"],
+         "horizon: expected a number, got 'abc'"),
+        (["build", "--config", "CFG", "--output-dir", "OUT", "--step=fast"],
+         "step: expected 'auto' or a number, got 'fast'"),
+    ])
+    def test_malformed_command_line_exits_two(self, tmp_path, capsys, argv, fragment):
+        config = write_config(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        argv = [{"CFG": str(config), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: chainobs ")
+        assert error == f"chainobs: error: {fragment}"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config=CFG", "--output-dir=OUT", "--horizon=1.0", "--step=0.05"],
+        ["simulate", "--conf", "CFG", "--out", "OUT", "--hor", "1.0", "--st", "0.05"],
+        ["--config", "CFG", "--output-dir", "OUT", "--horizon", "1.0", "--step", "0.05", "simulate"],
+    ])
+    def test_accepted_forms_reach_the_config(self, tmp_path, argv):
+        config = write_config(tmp_path)
+        argv = [a.replace("CFG", str(config)).replace("OUT", str(tmp_path / "out")) for a in argv]
+        assert cli.main(argv) == 0
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + 21 * 4
+
+    def test_non_level_log_value_keeps_warning(self, tmp_path):
+        """CHAINOBS_LOG takes logging's level names; another attribute of logging,
+        such as BASIC_FORMAT, is not a level and leaves WARNING."""
+        (tmp_path / "config.json").write_text(config_text())
+        proc = run_python(["-m", "chainobs.cli", "check", "--config", "config.json"], tmp_path,
+                          CHAINOBS_LOG="BASIC_FORMAT")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["passed"] is True
+
+
 class TestConsoleEntryPoint:
     def test_installed_script_runs_check(self, tmp_path):
         config = write_config(tmp_path)
@@ -1141,14 +1203,15 @@ MODULES_AFTER_EACH_COMMAND = """
 import json, sys
 from chainobs import cli
 
-def heavy_modules():
+def unneeded_modules():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
+                  if m.split(".")[0] == "scipy" or m.startswith("numpy.random")
+                  or m in ("argparse", "locale"))
 
-seen = {"import": [0, heavy_modules()]}
+seen = {"import": [0, unneeded_modules()]}
 for command in ("build", "check", "timeavg", "simulate"):
     code = cli.main([command, "--config", "config.json", "--output-dir", command])
-    seen[command] = [code, heavy_modules()]
+    seen[command] = [code, unneeded_modules()]
 print(json.dumps(seen))
 """
 
@@ -1156,7 +1219,9 @@ print(json.dumps(seen))
 def test_cli_import_leaves_scipy_integrate_out(tmp_path):
     """Neither scipy nor numpy.random is loaded by importing the CLI, nor
     later, lazily, by a run of any subcommand on a random-scheme chain, whose
-    draws come from the package's own stream."""
+    draws come from the package's own stream. Nor are argparse and locale:
+    the command line is read without argparse, whose help strings went
+    through gettext, and so imported locale, on every run."""
     config = {"n_elements": 3, "scheme": "random", "seed": 5, "omega0": 1.0,
               "c_p": [1.0, 0.0], "horizon": 1.0}
     (tmp_path / "config.json").write_text(json.dumps(config))
