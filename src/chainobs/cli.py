@@ -9,7 +9,8 @@ Exit codes:
   0  every certificate and tolerance in the run passed
   1  a certificate or tolerance failed
   2  the command line or config was rejected, or the run would not fit in physical memory
-  3  unexpected error
+  3  unexpected error, or standard output closed before the results were
+     written (a broken pipe)
 
 The CHAINOBS_LOG environment variable (a logging level name such as INFO or
 DEBUG; any other value leaves WARNING) controls log verbosity.
@@ -272,7 +273,7 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
     modes' V, Omega^(1/2) V and Omega^(-1/2) V, and four temporaries of the
     rows), nine arrays of (N+1) x (2N+2) rows (the five averages and four of
     the cross-check's temporaries) and the writer's text for one chunk of
-    serialize.CHUNK values, counted at 256 bytes a value (about 190 are
+    serialize.CHUNK values, counted at 256 bytes a value (about 205 are
     used). With simulate's grid it is the trajectory: samples x (N+1) rows
     of 2N+2 doubles, two samples x (2N+2) arrays (the plant rows and the
     spatial average) and one chunk of rows' temporaries (at most
@@ -553,6 +554,17 @@ def _parse_command_line(argv: list[str], commands: dict) -> tuple[str, str, dict
     return command, config, overrides
 
 
+def _print_out(text: str) -> bool:
+    """Print text to stdout and flush it; False if the reader has closed the pipe."""
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        # the flush at exit would fail again and print a traceback of its own
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     runs = {"build": run_build, "simulate": run_simulate, "timeavg": run_timeavg, "check": run_check}
     try:
@@ -561,8 +573,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{HELP.splitlines()[0]}\nchainobs: error: {exc}", file=sys.stderr)
         return 2
     if parsed is None:
-        print(HELP, end="")
-        return 0
+        return 0 if _print_out(HELP) else 3
     command, config_path, overrides = parsed
 
     level = logging.getLevelName(os.environ.get("CHAINOBS_LOG", "WARNING").upper())
@@ -580,19 +591,21 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     if command == "check":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        lines = [json.dumps(report.to_dict(), indent=2, sort_keys=True)]
     else:
-        for result in report.checks:
-            print(f"{'ok  ' if result.passed else 'FAIL'} {result.name}: "
-                  f"{result.value:.6e} (bound {result.bound:.6e})")
-        if report.consensus_error_curve:
-            for horizon, err in report.consensus_error_curve:
-                print(f"consensus error at T = {horizon:g}: {err:.6e}")
+        lines = [f"{'ok  ' if result.passed else 'FAIL'} {result.name}: "
+                 f"{result.value:.6e} (bound {result.bound:.6e})" for result in report.checks]
+        lines += [f"consensus error at T = {horizon:g}: {err:.6e}"
+                  for horizon, err in report.consensus_error_curve]
         if report.outputs:
-            print("outputs: " + ", ".join(sorted(report.outputs.values())))
+            lines.append("outputs: " + ", ".join(sorted(report.outputs.values())))
+    written = _print_out("".join(line + "\n" for line in lines))
     if not report.passed:
         print(f"FAILED checks: {', '.join(report.failing())}", file=sys.stderr)
         return 1
+    if not written:
+        print("error: standard output was closed before the results were written", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -20,9 +20,10 @@ The work is vectorised over the whole table in two stages.
 * Layout. Each value gets 48 byte slots, six 8-byte words: sign, the
   "0.000" lead of a small fixed-point value, 17 digits each followed by a
   decimal-point slot, "e", exponent sign and three exponent digits, then
-  its separator. Digits come four at a time from a table of "d.d.d.d."
-  words. A keep-mask row chosen by (sign, layout, significant-digit count)
-  zeroes the unused slots, and ``bytes.translate`` drops the zeros.
+  its separator. Tables give the sign and leading digit, the other digits
+  four at a time as "d.d.d.d." words, and the exponent word cut to its
+  layout. A keep-mask row chosen by (layout, position of the last nonzero
+  digit) zeroes the unused slots, and ``bytes.translate`` drops the zeros.
 
 The tables are built on the first call, not at import.
 """
@@ -41,16 +42,18 @@ import numpy as np
 _WORDS = 6
 _SLOTS = 8 * _WORDS
 _SIGN, _LEAD, _DIGITS, _EXP, _SEP = 0, 1, 6, 40, 45
-# layouts: fixed point for X = -4..16 (index X + 4), exponent with two or
-# three digits, and a word (inf, nan) in the exponent-digit slots
-_SCI2, _SCI3, _WORD, _LAYOUTS = 21, 22, 23, 24
+# layouts: fixed point for X = -4..16 (index X + 4), exponent, and a word
+# (inf, nan) in the exponent-digit slots
+_SCI, _WORD, _LAYOUTS = 21, 22, 23
 _TIE_WINDOW = 1e-6
 # p = 16 - X spans every float64 exponent, with one correction step each side
 _P_MIN, _P_MAX = -293, 341
 _X_MAX = 330  # |X| bound of the exponent table
 _INF, _NAN = 2 * _X_MAX + 1, 2 * _X_MAX + 2  # its two word entries
-_SPLIT = 2.0**27 + 1.0  # Dekker's splitter for 53-bit significands
+# Dekker's splits: Veltkamp's of H into 26-bit halves, and m's top 26 bits
+_SPLIT, _HIGH = 2.0**27 + 1.0, np.uint64(2**64 - 2**27)
 _ZERO, _POINT = ord("0"), ord(".")
+_GROUP = np.arange(0, 40000, 10000)[:, None]  # where each group's row of the last-digit table starts
 
 
 def _words(chars: np.ndarray) -> np.ndarray:
@@ -59,25 +62,16 @@ def _words(chars: np.ndarray) -> np.ndarray:
 
 
 def _keep_masks() -> np.ndarray:
-    """0/0xFF byte masks, indexed by (sign * _LAYOUTS + layout) * 17 + digits - 1."""
-    sign = np.arange(2)[:, None, None, None]
-    layout = np.arange(_LAYOUTS)[None, :, None, None]
-    k = np.arange(1, 18)[None, None, :, None]
+    """0/0xFF byte masks, indexed by layout * 17 + the position of the last digit shown."""
+    layout = np.arange(_LAYOUTS)[:, None, None]
+    last = np.arange(17)[:, None]
     slot = np.arange(_SLOTS)
-    x = layout - 4
-    fixed, sci = layout < _SCI2, (layout == _SCI2) | (layout == _SCI3)
-    position = (slot - _DIGITS) // 2  # digit (or the point after it) of the slot
-    in_digits = (slot >= _DIGITS) & (slot < _EXP)
-    digit, point = in_digits & (slot % 2 == 0), in_digits & (slot % 2 == 1)
-    last = np.where(fixed & (x >= 0), np.maximum(x, k - 1), k - 1)
-    keep = (slot == _SIGN) & (sign == 1)
-    keep = keep | fixed & (x < 0) & (slot >= _LEAD) & (slot < _LEAD + 1 - x)
-    keep = keep | (fixed | sci) & digit & (position <= last)
-    keep = keep | fixed & (x >= 0) & point & (position == x) & (k - 1 > x)
-    keep = keep | sci & point & (position == 0) & (k > 1)
-    exponent = (slot == _EXP) | (slot == _EXP + 1) | (slot == _EXP + 3) | (slot == _EXP + 4)
-    keep = keep | sci & exponent | (layout == _SCI3) & (slot == _EXP + 2)
-    keep = keep | (layout == _WORD) & (slot >= _EXP + 2) & (slot < _SEP)
+    point = np.where(layout < _SCI, layout - 4, 0)  # the digit a point may follow
+    position, odd = np.divmod(slot - _DIGITS, 2)
+    body = (layout < _WORD) & (slot >= _DIGITS) & (slot < _EXP)
+    keep = (slot == _SIGN) | (slot >= _EXP) | (point < 0) & (slot >= _LEAD) & (slot < _LEAD + 1 - point)
+    keep = keep | body & (odd == 0) & (position <= np.maximum(point, last))
+    keep = keep | body & (odd == 1) & (position == point) & (last > point)
     return _words(keep.reshape(-1, _WORDS, 8) * np.uint8(0xFF))
 
 
@@ -85,32 +79,38 @@ class _Formatter:
     """The lookup tables, and the powers of ten met so far."""
 
     def __init__(self) -> None:
-        # "d.d.d.d." for each four-digit group, and its count of trailing zeros
+        # "d.d.d.d." for each four-digit group
         chars = np.full((10, 10, 10, 10, 8), _POINT, dtype=np.uint8)
         for j in range(4):
             chars[..., 2 * j] = (np.arange(10, dtype=np.uint8) + _ZERO).reshape(
                 [10 if i == j else 1 for i in range(4)])
         self.quads = _words(chars.reshape(-1, 8))
-        group = np.arange(10000)
-        self.trailing = sum((group % 10**i == 0).astype(np.int8) for i in range(1, 5))
-        self.heads = _words([list(b"-0.000") + [_ZERO + i, _POINT] for i in range(10)])
+        # by group row and group, the position in D of the group's last nonzero digit
+        self.last = np.repeat(np.arange(4, 17, 4, dtype=np.int8)[:, None], 10000, axis=1)
+        for step in (10, 100, 1000, 10000):
+            self.last[:, ::step] -= 1
+        self.last[:, 0] = 0
+        # sign, lead and leading digit, by 10 * sign + digit
+        self.heads = _words([[s, *b"0.000", _ZERO + i, _POINT] for s in (0, ord("-")) for i in range(10)])
+        # the exponent word of each layout, by X + _X_MAX, then inf and nan
         x = np.arange(-_X_MAX, _X_MAX + 1)
+        sci = (x < -4) | (x > 16)
         exps = np.zeros((len(x) + 2, 8), dtype=np.uint8)
         exps[: len(x), 0] = ord("e")
         exps[: len(x), 1] = np.where(x < 0, ord("-"), ord("+"))
         exps[: len(x), 2:5] = chars.reshape(-1, 8)[np.abs(x), 2:8:2]
+        exps[: len(x), 2] *= np.abs(x) >= 100
+        exps[: len(x)] *= sci[:, None]
         exps[_INF, 2:5], exps[_NAN, 2:5] = list(b"inf"), list(b"nan")
         self.exps = _words(exps)
-        # the keep-mask row of a positive value with one digit, by exponent table entry
-        layout = np.where(np.abs(x) >= 100, _SCI3, _SCI2)
-        layout[(x >= -4) & (x <= 16)] = x[(x >= -4) & (x <= 16)] + 4
-        self.codes = np.concatenate([layout, [_WORD, _WORD]]) * 17
+        self.codes = np.append(np.where(sci, _SCI, x + 4), [_WORD, _WORD]) * 17
         self.keep = _keep_masks()
-        # per p: H split into two 26-bit halves, L and E
-        self.powers = np.zeros((4, _P_MAX - _P_MIN + 1))
+        # the rows of 0.0 and -0.0: "0" (fixed point, X = 0, one digit) and "-0"
+        self.zeros = np.zeros((2, _WORDS), dtype=np.uint64)
+        self.zeros[:, 0] = self.heads[[0, 10]] & self.keep[4 * 17, 0]
+        # per p: H, H split into two 26-bit halves, L and E
+        self.powers = np.zeros((5, _P_MAX - _P_MIN + 1))
         self.known = np.zeros(_P_MAX - _P_MIN + 1, dtype=bool)
-        self.zeros = np.empty((2, _WORDS), dtype=np.uint64)
-        self._fill(np.array([0.0, -0.0]), self.zeros)
 
     def _power(self, p: int) -> None:
         """Store 10**p = (H + L) * 2**E, H correctly rounded and L the rounded rest."""
@@ -123,45 +123,47 @@ class _Formatter:
         low = rest / ((den << 52) << max(e - 52, 0))
         c = h * _SPLIT
         h_hi = c - (c - h)
-        self.powers[:, p - _P_MIN] = (h_hi, h - h_hi, low, e)
+        self.powers[:, p - _P_MIN] = (h, h_hi, h - h_hi, low, e)
         self.known[p - _P_MIN] = True
 
-    def scaled(self, m: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """m * 2**e * 10**(16 - x) as hi + lo; hi is an integer above 2**53."""
-        index = 16 - x - _P_MIN
-        for i in set(index[~self.known[index]].tolist()):
-            self._power(i + _P_MIN)
-        h_hi, h_lo, low, exp = (column.take(index) for column in self.powers)
-        hi = m * (h_hi + h_lo)
-        c = m * _SPLIT
-        m_hi = c - (c - m)
+    def scaled(self, m: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """D = round(m * 2**e * 10**(16 - x)), whether that was within _TIE_WINDOW
+        of a tie, and whether the scaled value is below 10**16."""
+        index = (16 - _P_MIN) - x
+        if not self.known.take(index).all():
+            for i in set(index[~self.known.take(index)].tolist()):
+                self._power(i + _P_MIN)
+        h, h_hi, h_lo, low, exp = self.powers.take(index, axis=1)
+        hi = m * h
+        m_hi = (m.view(np.uint64) & _HIGH).view(np.float64)
         m_lo = m - m_hi
         lo = ((m_hi * h_hi - hi) + m_hi * h_lo + m_lo * h_hi) + m_lo * h_lo + m * low
-        shift = e + exp.astype(np.int64)
-        return np.ldexp(hi, shift), np.ldexp(lo, shift)
+        # int32 shifts: numpy's ldexp loop for int64 ones is many times slower
+        shift = e + exp.astype(np.int32)
+        hi, lo = np.ldexp(hi, shift), np.ldexp(lo, shift)
+        # hi is an integer above 2**53, so D = hi + round(lo). hi - 1e16 is exact
+        # where it matters, so the sum has the sign of the exact difference but
+        # within the 1e-14 error, where both exponents give the same digits
+        near = np.rint(lo)
+        tie = np.abs(lo - near) > 0.5 - _TIE_WINDOW
+        return hi.astype(np.int64) + near.astype(np.int64), tie, ((hi - 1e16) + lo) < 0
 
     def digits(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The 17 rounded significant digits D and the exponent X of finite nonzero x."""
         a = np.abs(x)
         m, e = np.frexp(a)
         exp = np.floor(np.log10(a)).astype(np.int64)
-        hi, lo = self.scaled(m, e, exp)
-        # floor(log10) may be off by one. hi - 1e16 and hi - 1e17 are exact
-        # where it matters, so each sum has the sign of the exact difference;
-        # only within the 1e-14 error of 10**16 or 10**17 can it be wrong,
-        # and there both exponents give the same digits
-        step = (((hi - 1e17) + lo) >= 0).astype(np.int64) - (((hi - 1e16) + lo) < 0)
-        moved = np.flatnonzero(step)
+        d, tie, below = self.scaled(m, e, exp)
+        # floor(log10) may be off by one, and D may round up to 10**17
+        moved = np.flatnonzero((d >= 10**17) | below)
         if moved.size:
-            exp[moved] += step[moved]
-            hi[moved], lo[moved] = self.scaled(m[moved], e[moved], exp[moved])
-        floor = np.floor(lo)
-        frac = lo - floor
-        d = hi.astype(np.int64) + floor.astype(np.int64) + (frac >= 0.5)
-        carry = d >= 10**17
-        d[carry] = 10**16
-        exp[carry] += 1
-        for i in np.flatnonzero(np.abs(frac - 0.5) < _TIE_WINDOW):
+            exp[moved] += np.where(d[moved] >= 10**17, 1, -1)
+            d[moved], again, _ = self.scaled(m[moved], e[moved], exp[moved])
+            tie[moved] |= again
+            carry = moved[d[moved] >= 10**17]  # moved down from 10**16 - 0.05 or above
+            d[carry] = 10**16
+            exp[carry] += 1
+        for i in np.flatnonzero(tie):
             text = "%.16e" % a[i]
             d[i], exp[i] = int(text[0] + text[2:18]), int(text[19:])
         return d, exp
@@ -169,45 +171,43 @@ class _Formatter:
     def fill(self, x: np.ndarray, words: np.ndarray) -> None:
         """Write the kept bytes of each value of x into its row of _WORDS words.
 
-        Exact zeros, most of a sparse matrix, copy the rows of 0.0 and -0.0,
-        so only the other values pay for digits and layout.
-        """
-        nonzero = x != 0.0
-        if nonzero.all():
-            self._fill(x, words)
-            return
+        Where exact zeros are most of x (a sparse matrix), they copy the rows
+        of 0.0 and -0.0; only the other values pay for digits and layout."""
+        if 2 * np.count_nonzero(x) >= len(x):
+            return self._fill(x, words)
         words[:] = self.zeros.take(np.signbit(x).astype(np.intp), axis=0)
-        index = np.flatnonzero(nonzero)
+        index = np.flatnonzero(x)
         if index.size:
             part = np.empty((index.size, _WORDS), dtype=np.uint64)
             self._fill(x[index], part)
             words[index] = part
 
     def _fill(self, x: np.ndarray, words: np.ndarray) -> None:
-        regular = np.isfinite(x) & (x != 0.0)
-        if regular.all():
-            d, exp = self.digits(x)
-        else:
-            d = np.zeros(len(x), dtype=np.int64)
-            exp = np.zeros(len(x), dtype=np.int64)
-            d[regular], exp[regular] = self.digits(x[regular])
+        finite = np.isfinite(x)
+        regular = finite & (x != 0.0)
+        # zeros, inf and nan take the digits of 1.0, and zeros then D = 0
+        d, exp = self.digits(np.where(regular, x, 1.0))
+        d *= regular
         top = d // 10**16
-        middle, bottom = divmod(d - top * 10**16, 10**8)
-        words[:, 0] = self.heads.take(top)
-        trailing = np.zeros(len(x), dtype=np.int8)
-        for j, group in enumerate((middle // 10**4, middle % 10**4, bottom // 10**4, bottom % 10**4)):
-            words[:, j + 1] = self.quads.take(group)
-            trailing = np.where(group == 0, trailing + 4, self.trailing.take(group))
+        # the other 16 digits as two halves in rows 1 and 3, then four groups of four
+        groups = np.empty((2, 2, len(x)), dtype=np.int64)
+        low = np.subtract(d, top * 10**16, out=groups[1, 1])
+        low -= np.floor_divide(low, 10**8, out=groups[0, 1]) * 10**8
+        np.floor_divide(groups[:, 1], 10**4, out=groups[:, 0])
+        groups[:, 1] -= groups[:, 0] * 10**4
+        groups = groups.reshape(4, -1)
         position = exp + _X_MAX
         sign = np.signbit(x)
-        named = np.flatnonzero(~np.isfinite(x))
-        if named.size:
+        if not finite.all():
+            named = np.flatnonzero(~finite)
             nan = np.isnan(x[named])
             position[named] = np.where(nan, _NAN, _INF)
             sign[named] &= ~nan
+        words[:, 0] = self.heads.take(top + 10 * sign)
+        words[:, 1:5] = self.quads.take(groups).T
         words[:, 5] = self.exps.take(position)
-        code = self.codes.take(position) + sign * (_LAYOUTS * 17) + (16 - trailing)
-        words &= self.keep[code]
+        last = np.maximum.reduce(self.last.take(groups + _GROUP))
+        words &= self.keep.take(self.codes.take(position) + last, axis=0)
 
 
 @functools.cache

@@ -1083,6 +1083,26 @@ class TestCommandLine:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["passed"] is True
 
+    @pytest.mark.parametrize("command, written", [("check", []), ("timeavg", ["time_averages.csv"])])
+    def test_closed_stdout_exits_three(self, tmp_path, command, written):
+        """A reader that closed the pipe before the run: check's JSON and
+        timeavg's summary lines meet a broken pipe, which exits 3 (not 1, the
+        failed certificate) with one error line and no traceback."""
+        (tmp_path / "config.json").write_text(config_text(output_dir="out"))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "chainobs.cli", command, "--config", "config.json"],
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: standard output was closed before the results were written\n"
+        assert [p.name for p in (tmp_path / "out").glob("*.csv")] == written
+
 
 class TestConsoleEntryPoint:
     def test_installed_script_runs_check(self, tmp_path):

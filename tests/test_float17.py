@@ -11,7 +11,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 import chainobs as co
+from chainobs import serialize
 from chainobs.float17 import RowFormat
 
 MAX = 1.7976931348623157e308
@@ -64,6 +67,63 @@ def test_lines_carry_their_separators(rows, cols, separator, end, seed):
         for row in table.tolist()
     )
     assert RowFormat(separators, end).format(table) == expected
+
+
+def with_digits(k: int, x: int) -> float:
+    """The first double, by k-digit mantissa, that '%.17g' writes with exactly
+    k significant digits and decimal exponent x."""
+    for mantissa in range(10 ** (k - 1), 10**k):
+        value = float(f"{mantissa}e{x - k + 1}")
+        digits, exponent = ("%.16e" % value).split("e")
+        if mantissa % 10 and len(digits.replace(".", "").rstrip("0")) == k and int(exponent) == x:
+            return value
+    raise AssertionError(f"no double has {k} digits at exponent {x}")
+
+
+@pytest.mark.parametrize("x", [*range(-8, 18), -100, -99, 99, 100])
+def test_every_digit_count_at_every_layout(x):
+    """1 to 17 significant digits, both signs: every fixed-point exponent, the
+    e-notation ones next to them, and two- and three-digit exponents. No double
+    writes as one digit at X = -7, -6, -5 or 99 (none lies within half a unit
+    in the 17th digit of d * 10**X), so those start at two."""
+    values = [with_digits(k, x) for k in range(2 if x in (-7, -6, -5, 99) else 1, 18)]
+    values += [-v for v in values]
+    assert formatted(values) == python(values)
+
+
+@pytest.mark.parametrize("zeros", [0, 1, 31, 32, 33, 63, 64])
+def test_zeros_and_values_in_any_proportion(zeros):
+    """A 64-value table takes the path for dense values below 33 zeros and the
+    one for sparse matrices above; each value keeps its bytes either way."""
+    rng = np.random.default_rng(zeros)
+    values = rng.normal(size=64) * 10.0 ** rng.integers(-20, 20, size=64)
+    values[:4] = [np.inf, -np.inf, np.nan, 1.0]
+    values[rng.permutation(64)[:zeros]] = rng.choice([0.0, -0.0], size=zeros)
+    assert formatted(values) == python(values)
+    assert RowFormat([b","] * 7).format(values.reshape(8, 8)).decode() == "".join(
+        ",".join(python(row)) + "\n" for row in values.reshape(8, 8))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+def test_writers_do_not_depend_on_the_chunk(tmp_path, monkeypatch, chunk):
+    """Every CSV writer gives the same bytes whatever the number of values per chunk."""
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(4, 3, 6)) * 10.0 ** rng.integers(-8, 8, size=(4, 3, 6))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    trajectory = co.Trajectory(grid=co.TimeGrid(t_end=0.75, step=0.25), coefficient_rows=rows)
+    averages = [co.TimeAverage(horizon, rows[i]) for i, horizon in enumerate([0.5, 1.0, 2.0])]
+
+    def write_all(directory):
+        directory.mkdir()
+        serialize.write_matrix_csv(directory / "matrix.csv", rows[0])
+        serialize.write_trajectory_csv(directory / "trajectory.csv", trajectory)
+        serialize.write_spatial_csv(directory / "spatial.csv", trajectory, rows[:, 0])
+        serialize.write_averages_csv(directory / "averages.csv", averages, [0.25, -1e-300])
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    default = write_all(tmp_path / "default")
+    monkeypatch.setattr(serialize, "CHUNK", chunk)
+    assert write_all(tmp_path / "patched") == default
 
 
 def test_check_builds_no_formatter_table(tmp_path):
