@@ -142,7 +142,7 @@ class _Formatter:
         shift = e + exp.astype(np.int32)
         hi, lo = np.ldexp(hi, shift), np.ldexp(lo, shift)
         # hi is an integer above 2**53, so D = hi + round(lo). hi - 1e16 is exact
-        # where it matters, so the sum has the sign of the exact difference but
+        # where it matters, so the sum has the sign of the exact difference except
         # within the 1e-14 error, where both exponents give the same digits
         near = np.rint(lo)
         tie = np.abs(lo - near) > 0.5 - _TIE_WINDOW
