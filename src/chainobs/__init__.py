@@ -30,25 +30,12 @@ import os
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
 
 from .analysis import (
-    SpectralCertificate,
     build_reduced,
     certify_positive_definite,
     observer_certificate,
-    verify_exp_bound,
     verify_mode_generator,
 )
-from .builder import (
-    SCHEME_ALL_HARMONICS,
-    SCHEME_ODD_HARMONICS,
-    SCHEME_RANDOM,
-    SCHEME_UNIFORM,
-    SCHEMES,
-    ChainObserverParams,
-    ParameterScheme,
-    build_chain,
-    check_fixed_point,
-    make_mu_schedule,
-)
+from .builder import ParameterScheme, build_chain, make_mu_schedule
 from .errors import (
     BoundViolatedError,
     ChainobsError,
@@ -64,37 +51,27 @@ from .errors import (
     ToleranceExceededError,
     UnsupportedSchemeError,
 )
-from .lqs import (
-    SYMPLECTIC_UNIT,
-    BlockTridiagonal,
-    block_dynamics,
-    realizability_residual,
-    symplectic_drift,
-)
+from .lqs import BlockTridiagonal
 from .simulate import (
-    NormalModes,
-    TimeAverage,
     TimeGrid,
-    Trajectory,
     coefficient_trajectory,
     consensus_error,
     default_step,
-    end_rows,
     identity_residuals,
     normal_modes,
-    spatial_average,
     time_average_spectral,
     verify_trajectory,
 )
 
 __version__ = "0.1.0"
 
-# The config and report names stay in chainobs.cli, which the package does
-# not import: `python -m chainobs.cli` would then find it imported and warn.
+# What README's "Library use" shows or names, and the errors; every other
+# name imports from its own module. The config and report names stay in
+# chainobs.cli, which the package does not import: `python -m chainobs.cli`
+# would then find it imported and warn.
 __all__ = [
     "BlockTridiagonal",
     "BoundViolatedError",
-    "ChainObserverParams",
     "ChainobsError",
     "ConfigError",
     "ConfigSchemaError",
@@ -103,40 +80,23 @@ __all__ = [
     "InvalidDimensionError",
     "InvalidInputError",
     "InvalidParameterError",
-    "NormalModes",
     "NotPositiveDefiniteError",
     "NumericalFailureError",
     "ParameterScheme",
-    "SCHEMES",
-    "SCHEME_ALL_HARMONICS",
-    "SCHEME_ODD_HARMONICS",
-    "SCHEME_RANDOM",
-    "SCHEME_UNIFORM",
-    "SYMPLECTIC_UNIT",
-    "SpectralCertificate",
-    "TimeAverage",
     "TimeGrid",
     "ToleranceExceededError",
-    "Trajectory",
     "UnsupportedSchemeError",
-    "block_dynamics",
     "build_chain",
     "build_reduced",
     "certify_positive_definite",
-    "check_fixed_point",
     "coefficient_trajectory",
     "consensus_error",
     "default_step",
-    "end_rows",
     "identity_residuals",
     "make_mu_schedule",
     "normal_modes",
     "observer_certificate",
-    "realizability_residual",
-    "spatial_average",
-    "symplectic_drift",
     "time_average_spectral",
-    "verify_exp_bound",
     "verify_mode_generator",
     "verify_trajectory",
 ]

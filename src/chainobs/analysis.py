@@ -35,12 +35,10 @@ neither raise it nor break the bound. A visited sample is also skipped
 when sqrt(||P^T P||_F) is no larger. Every formed P is checked (symplectic,
 and ||P||_F against its screen), and every exact norm against its own
 bound, so a bound that failed would stop the run rather than hide a
-sample. Up to N = ONE_THREAD_MAX_N the sweep, every formed P with its
-checks, Gram product and eigvalsh, runs on one OpenBLAS thread
-(simulate._one_blas_thread): threaded, those 2N x 2N products stall, and
-their last digits depend on the thread count. The closed form is tied to
-the assembled system by
-verify_mode_generator: its generator, rebuilt from the modes, must equal
+sample. The sweep, every formed P with its checks, Gram product and
+eigvalsh, follows the one-thread rule at simulate.ONE_THREAD_MAX_N. The
+closed form is tied to the assembled system by verify_mode_generator: its
+generator, rebuilt from the modes, must equal
 the blocks of a_o rotated into the modes' (q, p) basis. Each formed P is
 held to Phi Theta Phi^T = Theta with Theta = diag(J, ..., J) of P's own
 size (lqs.symplectic_drift), so no Theta is stored.
@@ -376,8 +374,8 @@ def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
     ObserverFlow.propagator), skipping it if sqrt(||P^T P||_F) is at or
     below the floor; else its norm is sqrt(lambda_max(P^T P)), within about
     n * eps relative of the largest singular value, held to the sample's
-    bound (ObserverFlow.spectral_norm). The sweep runs on one BLAS thread up
-    to N = ONE_THREAD_MAX_N (simulate._one_blas_thread). Raises a
+    bound (ObserverFlow.spectral_norm). The sweep follows the one-thread
+    rule (simulate.ONE_THREAD_MAX_N). Raises a
     bound-violated error at the first sample in time order above the limit,
     a sign of an inaccurate propagator, not of bad parameters. Logs the
     counts, the margin and the sweep's BLAS threads at INFO.

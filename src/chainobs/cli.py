@@ -372,8 +372,16 @@ def _base_report(chain: ChainObserverParams) -> RunReport:
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
+    """The config's output_dir, once it is a directory or can be made one; creates nothing.
+
+    Checked before the chain is built, so a path that cannot be a directory
+    is a rejected config (exit 2), not an error after the whole run.
+    """
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        beneath = "" if nearest == out else f"{out} cannot be made, since "
+        raise ConfigValidationError(f"output_dir: {beneath}{nearest} is not a directory")
     return out
 
 
@@ -390,9 +398,10 @@ def run_build(config: ExperimentConfig) -> RunReport:
     blocks. C_a is alpha in each mode's own block, written in place so that
     its zeros stay +0.0 whatever the signs in alpha.
     """
+    out = _out_dir(config)
     chain = _construct(config, "build")
     report = _base_report(chain)
-    out = _out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
     n = chain.n_elements
     modes = np.arange(n + 1)
     c_a = np.zeros((n + 1, 2 * n + 2))
@@ -420,6 +429,7 @@ def run_simulate(config: ExperimentConfig) -> RunReport:
     grid whose rows would not fit in physical memory is rejected (exit 2)
     before any row is formed.
     """
+    out = _out_dir(config)
     chain = _construct(config)
     report = _base_report(chain)
     modes = normal_modes(chain)
@@ -435,7 +445,7 @@ def run_simulate(config: ExperimentConfig) -> RunReport:
     plant_row_drift = float(np.linalg.norm(plant_rows, axis=1).max())
     report.add("plant_row_drift", plant_row_drift, PLANT_ROW_DRIFT_TOL)
 
-    out = _out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
     serialize.write_trajectory_csv(out / "trajectory.csv", trajectory)
     serialize.write_spatial_csv(
         out / "spatial_average.csv", trajectory, spatial_average(trajectory)
@@ -455,6 +465,7 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
     (simulate.identity_residuals); a summed residual beyond 1e-8 of the
     average fails the run, since the averaging itself could not be trusted.
     """
+    out = _out_dir(config)
     chain = _construct(config, "timeavg")
     report = _base_report(chain)
     horizons = [config.horizon / 16, config.horizon / 8, config.horizon / 4,
@@ -469,7 +480,7 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
     scale = float(np.linalg.norm(averages[0].averaged_rows, ord="fro"))
     report.add("time_average_oracle_disagreement", residual, ORACLE_REL_TOL * scale)
 
-    out = _out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
     serialize.write_averages_csv(out / "time_averages.csv", averages, distances[-1])
     report.outputs["time_averages"] = "time_averages.csv"
     return _finish(out, report)

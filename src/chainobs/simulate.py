@@ -11,13 +11,9 @@ modes of K = Omega^(1/2) R_red Omega^(1/2); NormalModes.weights holds the
 closed form P(t) = S D(t) S^-1. One tridiagonal eigensolve of K
 (normal_modes: dense eigh of K, each eigenvalue refined by its Rayleigh
 quotient) serves every time and horizon, and its fastest frequency sets the
-default sampling step. Up to N = ONE_THREAD_MAX_N a chain's dense work runs
-with numpy's OpenBLAS held to one thread (_one_blas_thread), where threaded
-calls stall: that eigh, and check's sweep over formed propagators
-(analysis.verify_exp_bound). The eigh gives the threaded call's bits; the
-sweep gives the same bits at every OpenBLAS thread count. Every other BLAS
-call, and both of these above ONE_THREAD_MAX_N, keeps OpenBLAS's own
-thread count.
+default sampling step. That eigh, and check's sweep over formed
+propagators (analysis.verify_exp_bound), follow the one-thread rule stated
+at ONE_THREAD_MAX_N (_one_blas_thread).
 
 Stored trajectories evaluate the rows on the grid in chunks of at most
 TRAJECTORY_CHUNK times and TRAJECTORY_CHUNK_BYTES of rows (_chunk_times),
@@ -59,18 +55,19 @@ TRAJECTORY_CHUNK_BYTES = 32 << 20
 TRAJECTORY_REL_TOL = 1e-10
 # Largest chain length N whose dense work runs on one BLAS thread: the
 # eigensolve of K, of order N, and check's sweep over formed propagators, of
-# order 2N <= 256. Threaded OpenBLAS stalls in both on two cores: in eigh
-# from N = 26 to about 130 (8 ms against 0.2 ms at N = 50, 112 against
-# 1.7 ms at N = 128), and at N = 50 in the sweep's 100 x 100 Gram product
-# (3.7-7.8 ms against 0.04-0.07 ms) and its eigvalsh (8.3 ms against
-# 0.4-0.55 ms). The eigensolve's bits stay the threaded call's: on a
+# order 2N <= 256. Every other BLAS call, and both of these above it, keep
+# OpenBLAS's own thread count. Threaded OpenBLAS stalls in both on two
+# cores: in eigh from N = 26 to about 130 (8 ms against 0.2 ms at N = 50,
+# 112 against 1.7 ms at N = 128), and at N = 50 in the sweep's 100 x 100
+# Gram product (3.7-7.8 ms against 0.04-0.07 ms) and its eigvalsh (8.3 ms
+# against 0.4-0.55 ms). The eigensolve's bits stay the threaded call's: on a
 # tridiagonal K, eigh's reduction and back-transform multiply by zero
 # reflectors, exact on any thread count, and its divide-and-conquer merges'
 # gemm rounds differently only when OpenBLAS splits its m rows between
-# threads, which takes n <= m and m n k > 64^3; a merge of N <= 128 has
-# m, k <= 64. Above, some chains' eigenvectors do differ (first seen at
-# N = 283). The sweep's last digits do depend on the thread count, so on one
-# thread its output is the same at every OPENBLAS_NUM_THREADS.
+# threads, which takes n <= m and m n k > 64^3; a merge of N <= 128 has m, k
+# <= 64. Above, some chains' eigenvectors do differ (first seen at N = 283).
+# The sweep's last digits do depend on the thread count, so on one thread
+# its output is the same at every OPENBLAS_NUM_THREADS.
 ONE_THREAD_MAX_N = 128
 # (setter, getter) names of OpenBLAS's thread count, newest builds first
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -257,8 +254,8 @@ def _blas_threads_text(n: int) -> str:
 @contextmanager
 def _one_blas_thread(n: int):
     """Limit OpenBLAS to one thread for the dense work of a chain of n modes
-    where the rule in _blas_threads says so, and restore its count
-    afterwards, whatever happens inside. The count is process-wide, so the
+    where the one-thread rule (ONE_THREAD_MAX_N) says so, and restore its
+    count afterwards, whatever happens inside. The count is process-wide, so the
     lock keeps two concurrent scopes from restoring each other's limit; the
     lock is not reentrant, so scopes must not nest."""
     if _blas_threads(n) != 1:
@@ -278,8 +275,8 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Ascending eigenpairs of the symmetric tridiagonal matrix with diagonal d
     and off-diagonal e.
 
-    Dense divide-and-conquer gives the eigenvectors, on one BLAS thread up
-    to ONE_THREAD_MAX_N (_one_blas_thread); each eigenvalue is then
+    Dense divide-and-conquer gives the eigenvectors, under the one-thread
+    rule (ONE_THREAD_MAX_N); each eigenvalue is then
     replaced by its Rayleigh quotient v^T K v, from an O(N^2) tridiagonal
     product. Against 40-digit referees this makes the time averages up to
     14x more accurate than the eigenvalues eigh returns.

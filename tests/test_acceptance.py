@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 import chainobs as co
+from chainobs import analysis, builder, lqs, simulate
 from chainobs.analysis import observer_flow
 from conftest import build_system, path_laplacian, perturb_omega
 from oracles import (
@@ -97,14 +98,14 @@ def test_criterion_3_fixed_point():
     ok = True
     details = []
     for label, chain in systems():
-        residual = co.check_fixed_point(chain)
+        residual = builder.check_fixed_point(chain)
         bound = 1e-12 * float(np.linalg.norm(chain.dynamics.dense()[2:, 2:], ord="fro"))
         if residual > bound:
             ok = False
             details.append(f"{label}: residual {residual:.3e} > {bound:.3e}")
         for index in range(chain.n_elements):
             perturbed = perturb_omega(chain, index, 1e-3)
-            sensitivity = co.check_fixed_point(perturbed)
+            sensitivity = builder.check_fixed_point(perturbed)
             if sensitivity <= 1e-4:
                 ok = False
                 details.append(
@@ -159,7 +160,7 @@ def test_criterion_5_exponential_bound():
     for label, chain in systems():
         bound = co.certify_positive_definite(observer_hamiltonian(chain)).exp_norm_bound
         try:
-            observed = co.verify_exp_bound(co.normal_modes(chain), bound, grid)
+            observed = analysis.verify_exp_bound(co.normal_modes(chain), bound, grid)
         except co.BoundViolatedError as exc:
             ok = False
             details.append(f"{label}: {exc}")
@@ -184,7 +185,7 @@ def test_criterion_6_conservation():
         worst_symplectic = 0.0
         worst_energy = 0.0
         for _ in range(grid.samples):
-            worst_symplectic = max(worst_symplectic, co.symplectic_drift(phi))
+            worst_symplectic = max(worst_symplectic, lqs.symplectic_drift(phi))
             worst_energy = max(worst_energy, hamiltonian_drift(r_a, phi))
             phi = step_phi @ phi
         if worst_symplectic > 1e-9 * theta_norm:
@@ -238,7 +239,7 @@ def test_criterion_7_oracle_equivalence():
         flow = observer_flow(modes, co.TimeGrid(5.0, 1.0))
         for t in (1.0, 5.0):
             exact = propagator(a_a, t)
-            compare(f"{label} at t={t:g}: end rows", co.end_rows(modes, t),
+            compare(f"{label} at t={t:g}: end rows", simulate.end_rows(modes, t),
                     output_matrix(chain) @ exact, 1e-11)
             compare(f"{label} at t={t:g}: propagators",
                     rotation.T @ flow.propagator(int(t)) @ rotation, exact[2:, 2:], 1e-11)

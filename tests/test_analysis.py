@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import analysis, cli, simulate
+from chainobs import analysis, builder, cli, simulate
 from chainobs.analysis import _spectral_norm
 from conftest import build_system, path_laplacian, perturb_omega
 from oracles import (
@@ -208,7 +208,7 @@ class TestExpBound:
         bound = certified(chain)
         assert bound == 1.0
         grid = co.TimeGrid.from_count(10.0, 50)
-        observed = co.verify_exp_bound(co.normal_modes(chain), bound, grid)
+        observed = analysis.verify_exp_bound(co.normal_modes(chain), bound, grid)
         assert abs(observed - 1.0) <= 1e-12
 
     def test_time_zero_norm_is_one(self, example_system):
@@ -233,7 +233,7 @@ class TestExpBound:
         chain = example_system
         bound = certified(chain)
         grid = co.TimeGrid.from_count(50.0, 500)
-        observed = co.verify_exp_bound(co.normal_modes(chain), bound, grid)
+        observed = analysis.verify_exp_bound(co.normal_modes(chain), bound, grid)
         assert observed <= bound * (1.0 + 1e-9)
         # the bound is meaningful: the flow really does approach it
         assert 6.0 < observed < bound
@@ -243,15 +243,15 @@ class TestExpBound:
         chain = example_system
         modes = co.normal_modes(chain)
         with pytest.raises(co.InvalidParameterError):
-            co.verify_exp_bound(modes, certified(chain), co.TimeGrid.from_count(-1.0, 2))
+            analysis.verify_exp_bound(modes, certified(chain), co.TimeGrid.from_count(-1.0, 2))
         with pytest.raises(co.InvalidParameterError):
-            co.verify_exp_bound(modes, certified(chain), co.TimeGrid.from_count(1.0, 0))
+            analysis.verify_exp_bound(modes, certified(chain), co.TimeGrid.from_count(1.0, 0))
 
     def test_observed_norm_is_numpys_spectral_norm(self):
         """The observed maximum equals numpy's 2-norm of the same exponentials."""
         grid = co.TimeGrid.from_count(50.0, 500)
         for _, chain in systems():
-            observed = co.verify_exp_bound(co.normal_modes(chain), certified(chain), grid)
+            observed = analysis.verify_exp_bound(co.normal_modes(chain), certified(chain), grid)
             a = chain.dynamics.dense()[2:, 2:]
             expected = max(np.linalg.norm(propagator(a, t), ord=2) for t in grid.times())
             assert abs(observed - expected) <= 1e-12 * expected
@@ -261,9 +261,9 @@ class TestExpBound:
         chain = example_system
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.from_count(50.0, 500)
-        observed = co.verify_exp_bound(modes, certified(chain), grid)
+        observed = analysis.verify_exp_bound(modes, certified(chain), grid)
         with pytest.raises(co.BoundViolatedError):
-            co.verify_exp_bound(modes, 0.999 * observed, grid)
+            analysis.verify_exp_bound(modes, 0.999 * observed, grid)
 
     def test_screens_keep_the_first_violation(self, example_system):
         """A violation is reported at the sample the unscreened sweep reports:
@@ -283,7 +283,7 @@ class TestExpBound:
                 exp_bound_unscreened(modes, fraction * maximum, grid)
             assert f"at t = {flagged} " in str(expected.value)
             with pytest.raises(co.BoundViolatedError) as screened:
-                co.verify_exp_bound(modes, fraction * maximum, grid)
+                analysis.verify_exp_bound(modes, fraction * maximum, grid)
             assert str(screened.value) == str(expected.value)
             assert float(flagged) < first_visited
 
@@ -309,7 +309,7 @@ class TestExpBound:
             with monkeypatch.context() as patch:
                 patch.setattr(analysis.ObserverFlow, "propagator", counted)
                 with pytest.raises(co.BoundViolatedError) as screened:
-                    co.verify_exp_bound(modes, fraction * maximum, grid)
+                    analysis.verify_exp_bound(modes, fraction * maximum, grid)
             assert str(screened.value) == str(expected.value)
             assert formed and len(formed) == len(set(formed)), fraction
 
@@ -331,7 +331,7 @@ class TestExpBound:
             exp_bound_unscreened(modes, certified(chain), grid)
         assert "at sample 3" in str(expected.value)
         with pytest.raises(co.NumericalFailureError, match=re.escape(str(expected.value))):
-            co.verify_exp_bound(modes, certified(chain), grid)
+            analysis.verify_exp_bound(modes, certified(chain), grid)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_elements": 5, "scheme": "odd-harmonics",
                                       "omega0": 1.0, "c_p": [1.0, 0.0], "horizon": 8.0}))
@@ -394,7 +394,7 @@ class TestExpBound:
 
         monkeypatch.setattr(simulate.NormalModes, "weights", scaled_cos)
         with pytest.raises(co.ToleranceExceededError, match="symplectic drift"):
-            co.verify_exp_bound(
+            analysis.verify_exp_bound(
                 co.normal_modes(chain), certified(chain), co.TimeGrid.from_count(1.0, 2)
             )
 
@@ -413,7 +413,7 @@ class TestExpBound:
             phi = flow.propagator(k)
             norms.append(_spectral_norm(phi.T @ phi))
         assert np.argmax(flow.screen) != np.argmax(norms)
-        observed = co.verify_exp_bound(modes, certified(chain), grid)
+        observed = analysis.verify_exp_bound(modes, certified(chain), grid)
         assert observed == max(norms) == exp_bound_unscreened(modes, certified(chain), grid)
 
     def test_modes_generate_the_assembled_dynamics(self):
@@ -443,7 +443,7 @@ class TestExpBound:
             dataclasses.replace(modes, v=turned),
             dataclasses.replace(co.normal_modes(other), chain=chain),
         ):
-            co.verify_exp_bound(wrong, certified(chain), grid)
+            analysis.verify_exp_bound(wrong, certified(chain), grid)
             with pytest.raises(co.ToleranceExceededError, match="normal-mode generator"):
                 co.verify_mode_generator(wrong)
 
@@ -487,7 +487,7 @@ class TestExpBound:
                             lambda rho, residual, trace: np.where(2.0 * rho > trace, rho, np.inf))
         assert bound_shortfall(analysis.observer_flow(modes, grid)) > 1e-12
         with pytest.raises(co.ToleranceExceededError, match="exceeds its bound"):
-            co.verify_exp_bound(modes, certified(chain), grid)
+            analysis.verify_exp_bound(modes, certified(chain), grid)
 
     def test_wrong_screen_is_a_tolerance_failure(self, example_system):
         """A screen value that disagrees with the formed ||P||_F stops the sweep:
@@ -532,7 +532,7 @@ class TestOneThreadSweep:
         monkeypatch.setattr(analysis, "symplectic_drift", watched_drift)
         monkeypatch.setattr(np.linalg, "eigvalsh", watched_eigvalsh)
         monkeypatch.setattr(simulate.NormalModes, "weights", scaled)
-        co.verify_exp_bound(modes, bound, grid)
+        analysis.verify_exp_bound(modes, bound, grid)
         return before, seen
 
     @pytest.mark.parametrize("n", [26, simulate.ONE_THREAD_MAX_N, simulate.ONE_THREAD_MAX_N + 1])
@@ -559,7 +559,7 @@ class TestOneThreadSweep:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(co.SCHEMES),
+    st.sampled_from(builder.SCHEMES),
     st.integers(min_value=1, max_value=12),
     st.floats(min_value=0.0, max_value=2.0 * np.pi),
     st.floats(min_value=1e-2, max_value=1e2),
@@ -578,16 +578,16 @@ def test_engine_sweep_matches_the_exponential_oracle(
     result. Below the maximum, both name the same first violation. Worst
     gap seen between the maximum and the oracle's over 1,500 draws: 3.7e-12
     relative, so 1e-11."""
-    if variant == co.SCHEME_ALL_HARMONICS:
+    if variant == builder.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
     chain = build_system(
-        c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
+        c_p, variant, 1.0, n, seed=seed if variant == builder.SCHEME_RANDOM else None
     )
     modes = co.normal_modes(chain)
     bound = certified(chain)
     grid = co.TimeGrid.from_count(span, samples)
-    observed = co.verify_exp_bound(modes, bound, grid)
+    observed = analysis.verify_exp_bound(modes, bound, grid)
     assert observed == exp_bound_unscreened(modes, bound, grid)
     a_o = chain.dynamics.dense()[2:, 2:]
     expected = max(np.linalg.norm(propagator(a_o, t), ord=2) for t in grid.times())
@@ -597,13 +597,13 @@ def test_engine_sweep_matches_the_exponential_oracle(
     with pytest.raises(co.BoundViolatedError) as unscreened:
         exp_bound_unscreened(modes, lowered, grid)
     with pytest.raises(co.BoundViolatedError) as screened:
-        co.verify_exp_bound(modes, lowered, grid)
+        analysis.verify_exp_bound(modes, lowered, grid)
     assert str(screened.value) == str(unscreened.value)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(co.SCHEMES),
+    st.sampled_from(builder.SCHEMES),
     st.integers(min_value=1, max_value=12),
     st.floats(min_value=0.0, max_value=2.0 * np.pi),
     st.floats(min_value=1e-2, max_value=1e2),
@@ -614,11 +614,11 @@ def test_screen_is_the_formed_frobenius_norm(variant, n, angle, radius, seed, sp
     """The quadratic-form screen is ||P||_F of the formed propagator to within
     1e-13 relative at every sample (worst seen 2.2e-15), and the modes
     generate the assembled dynamics to within 1e-14."""
-    if variant == co.SCHEME_ALL_HARMONICS:
+    if variant == builder.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
     chain = build_system(
-        c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
+        c_p, variant, 1.0, n, seed=seed if variant == builder.SCHEME_RANDOM else None
     )
     modes = co.normal_modes(chain)
     assert co.verify_mode_generator(modes) <= 1e-14
@@ -637,7 +637,7 @@ def bound_shortfall(flow) -> float:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(co.SCHEMES),
+    st.sampled_from(builder.SCHEMES),
     st.integers(min_value=1, max_value=12),
     st.floats(min_value=0.0, max_value=2.0 * np.pi),
     st.floats(min_value=1e-2, max_value=1e2),
@@ -647,11 +647,11 @@ def bound_shortfall(flow) -> float:
 def test_norm_bound_holds_at_every_sample(variant, n, angle, radius, seed, span):
     """Every sample's Kato-Temple bound is at least the formed eigvalsh norm,
     to 1e-12 relative, and at most the screen ||P||_F."""
-    if variant == co.SCHEME_ALL_HARMONICS:
+    if variant == builder.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
     chain = build_system(
-        c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
+        c_p, variant, 1.0, n, seed=seed if variant == builder.SCHEME_RANDOM else None
     )
     flow = analysis.observer_flow(co.normal_modes(chain), co.TimeGrid.from_count(span, 40))
     assert np.all(flow.bound <= flow.screen)
@@ -660,7 +660,7 @@ def test_norm_bound_holds_at_every_sample(variant, n, angle, radius, seed, span)
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(co.SCHEMES),
+    st.sampled_from(builder.SCHEMES),
     st.integers(min_value=1, max_value=12),
     st.floats(min_value=0.0, max_value=2.0 * np.pi),
     st.floats(min_value=1e-2, max_value=1e2),
@@ -670,11 +670,11 @@ def test_observer_spectrum_is_reduced_spectrum_plus_self_energies(
     variant, n, angle, radius, seed
 ):
     """spec(R_o) = spec(R_red) U {omega_i}: the reduction is an exact orthogonal split."""
-    if variant == co.SCHEME_ALL_HARMONICS:
+    if variant == builder.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
     chain = build_system(
-        c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None
+        c_p, variant, 1.0, n, seed=seed if variant == builder.SCHEME_RANDOM else None
     )
     full = np.linalg.eigvalsh(observer_hamiltonian(chain))
     split = np.sort(np.concatenate([np.linalg.eigvalsh(co.build_reduced(chain)),

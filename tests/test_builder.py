@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import builder, cli
+from chainobs import builder, cli, lqs
 from conftest import build_system, perturb_omega
 from oracles import dense_augmented, output_matrix
 
@@ -187,7 +187,7 @@ class TestAssemble:
 
     def test_realizability(self, example_system):
         chain = example_system
-        residual = co.realizability_residual(chain.dynamics)
+        residual = lqs.realizability_residual(chain.dynamics)
         assert residual <= 1e-12 * np.linalg.norm(chain.dynamics.dense(), ord="fro")
 
     def test_output_rows(self, tmp_path):
@@ -224,7 +224,7 @@ class TestAssemble:
         stack = np.tile(chain.alpha, chain.n_elements)
         expected = float(np.linalg.norm(a_a[2:, 2:] @ stack + drive))
         assert expected > 0.5
-        assert abs(co.check_fixed_point(chain) - expected) <= 1e-12 * expected
+        assert abs(builder.check_fixed_point(chain) - expected) <= 1e-12 * expected
 
     def test_mistuned_lineup_reaches_the_assembled_system(self, example_system):
         """omega is the one stored lineup: a replaced one is what gets assembled."""
@@ -291,17 +291,17 @@ class TestStoredState:
 class TestFixedPoint:
     def test_reference_residual(self, example_system):
         chain = example_system
-        residual = co.check_fixed_point(chain)
+        residual = builder.check_fixed_point(chain)
         assert residual <= 1e-12 * np.linalg.norm(chain.dynamics.dense()[2:, 2:], ord="fro")
 
     def test_single_element_residual(self):
         chain = build_system([1.0, 0.0], "uniform", 1.0, 1)
-        assert co.check_fixed_point(chain) <= 1e-15
+        assert builder.check_fixed_point(chain) <= 1e-15
 
     def test_unit_perturbation_gives_residual_two(self, example_system):
         chain = example_system
         perturbed = perturb_omega(chain, 0, 1.0)
-        assert abs(co.check_fixed_point(perturbed) - 2.0) <= 1e-12
+        assert abs(builder.check_fixed_point(perturbed) - 2.0) <= 1e-12
 
     @given(
         st.integers(min_value=0, max_value=4),
@@ -313,7 +313,7 @@ class TestFixedPoint:
         """Breaking any one frequency relation shows up as 2 delta ||alpha||."""
         chain = co.build_chain(c_p, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         perturbed = perturb_omega(chain, index, delta)
-        residual = co.check_fixed_point(perturbed)
+        residual = builder.check_fixed_point(perturbed)
         expected = 2.0 * delta * float(np.linalg.norm(c_p))
         assert abs(residual - expected) <= 1e-9 * max(1.0, delta)
 
@@ -321,7 +321,7 @@ class TestFixedPoint:
     @settings(max_examples=40, deadline=None)
     def test_every_constructed_chain_satisfies_it(self, mu):
         chain = co.build_chain([0.7, -1.3], mu)
-        residual = co.check_fixed_point(chain)
+        residual = builder.check_fixed_point(chain)
         assert residual <= 1e-12 * np.linalg.norm(chain.dynamics.dense()[2:, 2:], ord="fro")
 
 
@@ -353,11 +353,11 @@ def test_consensus_target_generic_output():
 
 @st.composite
 def assembly_cases(draw):
-    variant = draw(st.sampled_from(co.SCHEMES))
+    variant = draw(st.sampled_from(builder.SCHEMES))
     n = draw(st.integers(min_value=1, max_value=60))
-    if variant == co.SCHEME_ALL_HARMONICS:
+    if variant == builder.SCHEME_ALL_HARMONICS:
         n += n % 2
-    seed = draw(st.integers(0, 2**32 - 1)) if variant == co.SCHEME_RANDOM else None
+    seed = draw(st.integers(0, 2**32 - 1)) if variant == builder.SCHEME_RANDOM else None
     # keep ||c_p|| away from 1 so a dropped 1/||alpha||^2 cannot go unseen
     radius = draw(st.floats(0.05, 0.9) | st.floats(1.1, 20.0))
     angle = draw(st.floats(0.0, 2.0 * np.pi))

@@ -41,6 +41,15 @@ BASE_CONFIG = {
 
 OMIT = object()
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_use() -> str:
+    """README's "Library use" section, up to its first subsection."""
+    text = README.read_text()
+    start = text.index("\n## Library use\n")
+    return text[start:text.index("\n#", start + 1)]
+
 
 def config_text(**overrides) -> str:
     raw = dict(BASE_CONFIG)
@@ -144,9 +153,9 @@ def writer_cases(draw):
     horizons = draw(st.lists(csv_floats, min_size=1, max_size=3))
     return {
         "matrix": draw(csv_arrays(n_rows, dim)),
-        "trajectory": co.Trajectory(grid=grid, coefficient_rows=rows),
+        "trajectory": simulate.Trajectory(grid=grid, coefficient_rows=rows),
         "spatial": draw(csv_arrays(samples + 1, dim)),
-        "averages": [co.TimeAverage(h, draw(csv_arrays(n_rows, dim))) for h in horizons],
+        "averages": [simulate.TimeAverage(h, draw(csv_arrays(n_rows, dim))) for h in horizons],
         "row_errors": draw(st.lists(csv_floats, min_size=n_rows - 1, max_size=n_rows - 1)),
     }
 
@@ -200,7 +209,7 @@ class TestSerialize:
         assert serialize.average_header(2) == "T,row,avg_c_1,avg_c_2"
 
     def test_averages_summary_lines(self, tmp_path):
-        avg = co.TimeAverage(
+        avg = simulate.TimeAverage(
             horizon=4.0, averaged_rows=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         )
         path = tmp_path / "avg.csv"
@@ -618,13 +627,13 @@ class TestNoDenseSystem:
             assert not hasattr(builder, name), name
             assert name not in co.__all__
         for name in ("theta", "r_a", "a_a", "c_a", "r_o", "a_o", "c_o"):
-            assert not hasattr(co.ChainObserverParams, name), name
+            assert not hasattr(builder.ChainObserverParams, name), name
         for name in ("SymplecticForm", "make_symplectic", "dynamics_from_hamiltonian"):
             assert not hasattr(lqs, name), name
             assert name not in co.__all__
         assert not hasattr(builder, "consensus_target")
         assert "consensus_target" not in co.__all__
-        assert not hasattr(co.NormalModes, "x_star")
+        assert not hasattr(simulate.NormalModes, "x_star")
 
     @pytest.mark.parametrize("n", [5, 50])
     @pytest.mark.parametrize("command", ["check", "timeavg", "simulate"])
@@ -756,6 +765,36 @@ class TestExitCodes:
         ), err
         assert peak < 4 << 20
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build", "simulate", "timeavg", "check"])
+    @pytest.mark.parametrize(
+        "output_dir, message",
+        [("afile", "afile is not a directory"),
+         ("afile/sub", "afile/sub cannot be made, since afile is not a directory")],
+        ids=["a-file", "under-a-file"],
+    )
+    def test_output_dir_that_cannot_be_a_directory_is_rejected_first(
+        self, tmp_path, monkeypatch, capsys, command, output_dir, message
+    ):
+        """Every writing run exits 2 before the chain is built, creating
+        nothing; check writes nothing and ignores the field."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        config = write_config(tmp_path, output_dir=output_dir)
+        before = sorted(tmp_path.rglob("*"))
+        built = []
+        schedule = cli.make_mu_schedule
+        monkeypatch.setattr(
+            cli, "make_mu_schedule", lambda *args: built.append(1) or schedule(*args)
+        )
+        code = cli.main([command, "--config", str(config)])
+        err = capsys.readouterr().err
+        if command == "check":
+            assert code == 0 and built and err == ""
+        else:
+            assert code == 2 and not built
+            assert err == f"error: output_dir: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     # N=3: every run holds two 3 x 3 arrays, 144 bytes; build also its
     # 8 x 8 R_a and A_a, 1,024 more; check also the modes' five 3 x 3
@@ -1142,8 +1181,26 @@ class TestConsoleEntryPoint:
             name for name, value in vars(co).items()
             if not name.startswith("_") and not inspect.ismodule(value)
         }
-        assert len(set(co.__all__)) == len(co.__all__) == 47
+        assert len(set(co.__all__)) == len(co.__all__) == 29
         assert set(co.__all__) == public
+
+    def test_public_names_are_what_library_use_shows(self):
+        """Every name in __all__ but the errors is shown or named in README's
+        "Library use", and every co.<name> used there is in __all__."""
+        section = library_use()
+        errors = {name for name in co.__all__
+                  if isinstance(getattr(co, name), type) and issubclass(getattr(co, name), co.ChainobsError)}
+        assert len(errors) == 13
+        assert [name for name in sorted(set(co.__all__) - errors)
+                if not re.search(rf"\b{name}\b", section)] == []
+        assert set(re.findall(r"\bco\.(\w+)", section)) <= set(co.__all__)
+
+    def test_library_use_example_runs_as_written(self, capsys):
+        section = library_use()
+        start = section.index("```python\n") + len("```python\n")
+        example = section[start:section.index("```", start)]
+        exec(compile(example, "README.md", "exec"), {})
+        assert capsys.readouterr().out.split() == ["10.48272666856287", "0.004943993368747585"]
 
     @staticmethod
     def _env(blas_timeout):

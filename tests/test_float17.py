@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 import chainobs as co
-from chainobs import serialize
+from chainobs import serialize, simulate
 from chainobs.float17 import RowFormat
 
 MAX = 1.7976931348623157e308
@@ -110,8 +110,8 @@ def test_writers_do_not_depend_on_the_chunk(tmp_path, monkeypatch, chunk):
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(4, 3, 6)) * 10.0 ** rng.integers(-8, 8, size=(4, 3, 6))
     rows[rng.random(rows.shape) < 0.3] = 0.0
-    trajectory = co.Trajectory(grid=co.TimeGrid(t_end=0.75, step=0.25), coefficient_rows=rows)
-    averages = [co.TimeAverage(horizon, rows[i]) for i, horizon in enumerate([0.5, 1.0, 2.0])]
+    trajectory = simulate.Trajectory(grid=co.TimeGrid(t_end=0.75, step=0.25), coefficient_rows=rows)
+    averages = [simulate.TimeAverage(horizon, rows[i]) for i, horizon in enumerate([0.5, 1.0, 2.0])]
 
     def write_all(directory):
         directory.mkdir()

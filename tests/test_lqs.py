@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
+from chainobs import lqs
 from oracles import (
     dense_dynamics,
     dense_symplectic_drift,
@@ -17,11 +18,11 @@ from oracles import (
 
 def test_dynamics_of_zero_hamiltonian():
     zero = co.BlockTridiagonal(np.zeros((2, 2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
-    assert np.array_equal(co.block_dynamics(zero).dense(), np.zeros((4, 4)))
+    assert np.array_equal(lqs.block_dynamics(zero).dense(), np.zeros((4, 4)))
 
 
 def test_dynamics_of_identity_is_twice_theta():
-    a = co.block_dynamics(single_mode(np.eye(2)))
+    a = lqs.block_dynamics(single_mode(np.eye(2)))
     assert np.array_equal(a.dense(), 2.0 * symplectic_matrix(1))
 
 
@@ -38,8 +39,8 @@ def test_system_factory_is_realizable():
     rng = np.random.default_rng(42)
     for _ in range(20):
         r = random_block_tridiagonal(rng, 3)
-        dynamics = co.block_dynamics(r)
-        residual = co.realizability_residual(dynamics)
+        dynamics = lqs.block_dynamics(r)
+        residual = lqs.realizability_residual(dynamics)
         assert residual <= 1e-12 * dynamics.frobenius_norm()
 
 
@@ -48,7 +49,7 @@ def test_block_dynamics_match_the_dense_dynamics():
     for n_modes in (1, 2, 5):
         r = random_block_tridiagonal(rng, n_modes)
         dense = dense_dynamics(r.dense(), symplectic_matrix(n_modes))
-        assert np.array_equal(co.block_dynamics(r).dense(), dense)
+        assert np.array_equal(lqs.block_dynamics(r).dense(), dense)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 5])
@@ -71,12 +72,12 @@ def single_mode(block: np.ndarray) -> co.BlockTridiagonal:
 
 def test_realizability_residual_of_rotation_generator_is_zero():
     # a = 2J generates a pure rotation, the simplest realizable dynamics
-    assert co.realizability_residual(single_mode(2.0 * co.SYMPLECTIC_UNIT)) == 0.0
+    assert lqs.realizability_residual(single_mode(2.0 * lqs.SYMPLECTIC_UNIT)) == 0.0
 
 
 def test_realizability_residual_of_identity():
     """A = I is not generated by any Hamiltonian; the residual is ||2 Theta||_F."""
-    residual = co.realizability_residual(single_mode(np.eye(2)))
+    residual = lqs.realizability_residual(single_mode(np.eye(2)))
     assert abs(residual - 2.0 * np.sqrt(2.0)) <= 1e-14
 
 
@@ -85,9 +86,9 @@ def test_realizability_residual_sees_an_unmatched_coupling():
     is not the mirror of the upper one is not realizable."""
     rng = np.random.default_rng(5)
     r = random_block_tridiagonal(rng, 3)
-    a = co.block_dynamics(r)
+    a = lqs.block_dynamics(r)
     broken = co.BlockTridiagonal(a.diagonal, a.upper, a.lower + 1e-3 * np.eye(2))
-    assert co.realizability_residual(broken) > 1e-4
+    assert lqs.realizability_residual(broken) > 1e-4
 
 
 def test_realizability_shape_check():
@@ -100,7 +101,7 @@ def test_realizability_shape_check():
 
 def test_realizability_rejects_non_finite_dynamics():
     with pytest.raises(co.InvalidInputError):
-        co.realizability_residual(single_mode(np.array([[np.nan, 0.0], [0.0, 1.0]])))
+        lqs.realizability_residual(single_mode(np.array([[np.nan, 0.0], [0.0, 1.0]])))
 
 
 def test_hamiltonian_drift_of_identity_propagator():
@@ -116,14 +117,14 @@ def test_hamiltonian_drift_closed_form_rotation():
 
 def test_symplectic_drift_closed_form_rotation():
     for t in (0.25, 1.3, 7.7):
-        assert co.symplectic_drift(rotation(2.0 * t)) <= 1e-14
+        assert lqs.symplectic_drift(rotation(2.0 * t)) <= 1e-14
 
 
 def test_drift_shape_mismatch():
     with pytest.raises(co.InvalidDimensionError):
         hamiltonian_drift(np.eye(4), np.eye(2))
     with pytest.raises(co.InvalidDimensionError):
-        co.symplectic_drift(np.eye(3))
+        lqs.symplectic_drift(np.eye(3))
 
 
 def random_propagator(n_modes: int, seed: int, symplectic: bool) -> np.ndarray:
@@ -147,15 +148,15 @@ def test_symplectic_drift_matches_the_dense_oracle(n_modes, seed, symplectic):
     phi = random_propagator(n_modes, seed, symplectic)
     expected = dense_symplectic_drift(phi, symplectic_matrix(n_modes))
     scale = max(1.0, float(np.linalg.norm(phi, ord="fro")) ** 2)
-    assert abs(co.symplectic_drift(phi) - expected) <= 1e-12 * scale
+    assert abs(lqs.symplectic_drift(phi) - expected) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 5])
 def test_symplectic_drift_takes_theta_from_the_propagator(n_modes):
     """Theta is diag(J, ..., J) of phi's size: a rotation of every mode is
     symplectic, and 2 I misses Theta by ||3 Theta||_F = 3 sqrt(2 n)."""
-    assert co.symplectic_drift(np.kron(np.eye(n_modes), rotation(0.7))) <= 1e-15
-    drift = co.symplectic_drift(2.0 * np.eye(2 * n_modes))
+    assert lqs.symplectic_drift(np.kron(np.eye(n_modes), rotation(0.7))) <= 1e-15
+    drift = lqs.symplectic_drift(2.0 * np.eye(2 * n_modes))
     assert abs(drift - 3.0 * np.sqrt(2 * n_modes)) <= 1e-14
 
 
@@ -164,20 +165,20 @@ def test_symplectic_drift_rejects_non_finite_propagators(bad):
     phi = np.eye(6)
     phi[3, 4] = bad
     with pytest.raises(co.InvalidInputError, match="propagator contains non-finite entries"):
-        co.symplectic_drift(phi)
+        lqs.symplectic_drift(phi)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (4,), (2, 4, 4)])
 def test_symplectic_drift_rejects_wrong_shapes(shape):
     """Theta's size comes from the propagator, which must be square with an even side."""
     with pytest.raises(co.InvalidDimensionError, match="is not square with an even side"):
-        co.symplectic_drift(np.zeros(shape))
+        lqs.symplectic_drift(np.zeros(shape))
 
 
 def test_augmented_dynamics_match_blockwise_product(example_system):
     """A_a must equal 2 Theta R_a computed block row by block row."""
     chain = example_system
-    j = co.SYMPLECTIC_UNIT
+    j = lqs.SYMPLECTIC_UNIT
     r_a, a_a = chain.hamiltonian.dense(), chain.dynamics.dense()
     expected = np.empty_like(a_a)
     for i in range(chain.n_elements + 1):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import simulate
+from chainobs import builder, lqs, simulate
 from chainobs.cli import ORACLE_REL_TOL
 from conftest import build_system
 from oracles import (
@@ -30,10 +30,10 @@ from oracles import (
 from test_spectral import EXACT_REL_TOL, relative_gap
 
 
-def static_chain(n_elements: int = 1) -> co.ChainObserverParams:
+def static_chain(n_elements: int = 1) -> builder.ChainObserverParams:
     """A hand-built chain with zero dynamics, for edge cases."""
     zeros = np.zeros(n_elements)
-    chain = co.ChainObserverParams(alpha=np.array([1.0, 0.0]), mu_tilde=zeros, omega=zeros)
+    chain = builder.ChainObserverParams(alpha=np.array([1.0, 0.0]), mu_tilde=zeros, omega=zeros)
     assert not chain.dynamics.dense().any()
     return chain
 
@@ -156,7 +156,7 @@ class TestPropagator:
 
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 7.5, 50.0])
     def test_single_mode_matches_rotation(self, t):
-        a = 2.0 * co.SYMPLECTIC_UNIT
+        a = 2.0 * lqs.SYMPLECTIC_UNIT
         assert np.allclose(propagator(a, t), rotation(2.0 * t), rtol=0.0, atol=1e-13)
 
     def test_semigroup_property(self, example_system):
@@ -198,7 +198,7 @@ class TestPropagator:
 
 class TestFrequencies:
     def test_single_rotation(self):
-        assert abs(max_frequency(2.0 * co.SYMPLECTIC_UNIT) - 2.0) <= 1e-14
+        assert abs(max_frequency(2.0 * lqs.SYMPLECTIC_UNIT) - 2.0) <= 1e-14
 
     def test_reference_regression(self, example_system):
         chain = example_system
@@ -244,10 +244,10 @@ class TestOneThreadEigensolve:
     with the same bits as numpy's threaded call."""
 
     @pytest.mark.parametrize("variant, n, seed", [
-        *[(variant, n, 3 if variant == co.SCHEME_RANDOM else None)
-          for variant in co.SCHEMES for n in EIGH_ORDERS],
+        *[(variant, n, 3 if variant == builder.SCHEME_RANDOM else None)
+          for variant in builder.SCHEMES for n in EIGH_ORDERS],
         # on two cores its eigenvectors on one thread differ in the last bits
-        (co.SCHEME_RANDOM, 283, 2),
+        (builder.SCHEME_RANDOM, 283, 2),
     ])
     def test_bits_are_the_threaded_eigensolves(self, monkeypatch, variant, n, seed):
         d, e = normal_mode_matrix(variant, n, seed=seed)
@@ -257,7 +257,7 @@ class TestOneThreadEigensolve:
 
     @pytest.mark.parametrize("n", EIGH_ORDERS)
     def test_bits_without_the_thread_control(self, monkeypatch, n):
-        d, e = normal_mode_matrix(co.SCHEME_RANDOM, n, seed=11)
+        d, e = normal_mode_matrix(builder.SCHEME_RANDOM, n, seed=11)
         scoped = simulate._eigh_tridiagonal(d, e)
         monkeypatch.setattr(simulate, "_openblas_threads", lambda: None)
         assert simulate._blas_threads(n) is None
@@ -285,7 +285,7 @@ class TestOneThreadEigensolve:
             return eigh(k)
 
         monkeypatch.setattr(np.linalg, "eigh", watched)
-        d, e = normal_mode_matrix(co.SCHEME_UNIFORM, n)
+        d, e = normal_mode_matrix(builder.SCHEME_UNIFORM, n)
         if raises:
             with pytest.raises(np.linalg.LinAlgError):
                 simulate._eigh_tridiagonal(d, e)
@@ -298,7 +298,7 @@ class TestOneThreadEigensolve:
         """Eigensolves from more threads than cores, switching often, leave
         OpenBLAS's count as it was: no scope restores another's limit."""
         before = thread_count()
-        d, e = normal_mode_matrix(co.SCHEME_UNIFORM, 26)
+        d, e = normal_mode_matrix(builder.SCHEME_UNIFORM, 26)
         errors = []
 
         def solve():
@@ -325,9 +325,9 @@ class TestOneThreadEigensolve:
         threads = thread_count()
         caplog.set_level(logging.INFO, logger="chainobs.simulate")
         for n in (26, 200):
-            co.normal_modes(build_system([1.0, 0.0], co.SCHEME_ODD_HARMONICS, 1.0, n))
+            co.normal_modes(build_system([1.0, 0.0], builder.SCHEME_ODD_HARMONICS, 1.0, n))
         monkeypatch.setattr(simulate, "_openblas_threads", lambda: None)
-        co.normal_modes(build_system([1.0, 0.0], co.SCHEME_ODD_HARMONICS, 1.0, 26))
+        co.normal_modes(build_system([1.0, 0.0], builder.SCHEME_ODD_HARMONICS, 1.0, 26))
         plural = "s" if threads > 1 else ""
         assert [r.getMessage().split(", eigensolve on ")[1] for r in caplog.records] == [
             "1 BLAS thread", f"{threads} BLAS thread{plural}", "numpy's default BLAS threads"]
@@ -354,7 +354,7 @@ class TestTrajectory:
         assert times[-1] == 20.0
         rows = co.coefficient_trajectory(modes, grid).coefficient_rows
         for k in (1, simulate.TRAJECTORY_CHUNK, grid.samples - 1):
-            assert np.array_equal(rows[k], co.end_rows(modes, times[k]))
+            assert np.array_equal(rows[k], simulate.end_rows(modes, times[k]))
 
     def test_chunk_temporaries_are_bounded_in_bytes(self):
         """At N = 200 a row takes 631 KiB, so a chunk holds 51 times, not 512:
@@ -370,7 +370,7 @@ class TestTrajectory:
         finally:
             tracemalloc.stop()
         assert peak - rows.nbytes < 4 * simulate.TRAJECTORY_CHUNK_BYTES
-        simulate.verify_trajectory(modes, co.Trajectory(grid, rows))
+        simulate.verify_trajectory(modes, simulate.Trajectory(grid, rows))
 
     @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS_AND_REFERENCE)
     def test_rows_match_direct_exponentials(self, c_p, variant, omega0, n, seed, horizon):
@@ -451,12 +451,12 @@ class TestIntegralOfPropagator:
         assert np.allclose(integral, 8.0 * np.eye(3), rtol=0.0, atol=1e-13)
 
     def test_full_period_integrates_to_zero(self):
-        a = 2.0 * co.SYMPLECTIC_UNIT
+        a = 2.0 * lqs.SYMPLECTIC_UNIT
         integral = integral_of_propagator(a, math.pi)
         assert np.abs(integral).max() <= 1e-12
 
     def test_quarter_period_closed_form(self):
-        a = 2.0 * co.SYMPLECTIC_UNIT
+        a = 2.0 * lqs.SYMPLECTIC_UNIT
         integral = integral_of_propagator(a, math.pi / 4.0)
         expected = 0.5 * np.array([[1.0, 1.0], [-1.0, 1.0]])
         assert np.allclose(integral, expected, rtol=0.0, atol=1e-14)
@@ -530,7 +530,7 @@ class TestSpatialAverage:
     def test_initial_sample_pattern(self, example_system):
         chain = example_system
         rows = np.stack([output_matrix(chain)] * 3)
-        spatial = co.spatial_average(co.Trajectory(co.TimeGrid(1.0, 0.5), rows))
+        spatial = simulate.spatial_average(simulate.Trajectory(co.TimeGrid(1.0, 0.5), rows))
         expected = np.zeros(12)
         expected[2::2] = 0.2
         assert spatial.shape == (3, 12)
@@ -541,7 +541,7 @@ class TestSpatialAverage:
     def test_is_the_mean_of_direct_observer_rows(self, c_p, variant, omega0, n, seed, horizon):
         """At the second, middle and last sample. Worst gap seen 9.2e-14 (T = 20)."""
         chain, trajectory = trajectory_case(c_p, variant, omega0, n, seed, horizon)
-        spatial = co.spatial_average(trajectory)
+        spatial = simulate.spatial_average(trajectory)
         c_a, a_a, times = output_matrix(chain), chain.dynamics.dense(), trajectory.grid.times()
         for k in (1, times.size // 2, times.size - 1):
             want = (c_a @ propagator(a_a, times[k]))[1:].mean(axis=0)
@@ -550,7 +550,7 @@ class TestSpatialAverage:
 
 class TestConsensusError:
     def test_hand_value(self):
-        avg = co.TimeAverage(horizon=1.0, averaged_rows=np.array([[0.0, 0.0], [3.0, 4.0]]))
+        avg = simulate.TimeAverage(horizon=1.0, averaged_rows=np.array([[0.0, 0.0], [3.0, 4.0]]))
         assert co.consensus_error(avg) == 5.0
 
 
@@ -580,7 +580,7 @@ class TestBrokenFixedPointGrowsLinearly:
         a_broken = self.broken_dynamics(c_a, chain.alpha)
         for horizon in (10.0, 20.0, 40.0):
             rows = c_a @ integral_of_propagator(a_broken, horizon) / horizon
-            avg = co.TimeAverage(horizon=horizon, averaged_rows=rows)
+            avg = simulate.TimeAverage(horizon=horizon, averaged_rows=rows)
             expected_rows = c_a + (horizon / 2.0) * c_a @ a_broken
             assert np.allclose(avg.averaged_rows, expected_rows, rtol=1e-10, atol=1e-12)
             expected_error = math.hypot(horizon / 2.0 - 1.0, 1.0)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
-from chainobs import analysis
+from chainobs import analysis, builder, simulate
 from chainobs.cli import EXP_BOUND_SAMPLES, EXP_BOUND_SPAN, ORACLE_REL_TOL
 from chainobs.simulate import _one_minus_sinc
 from conftest import build_system
@@ -37,15 +37,15 @@ def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def random_chain(variant, n, angle, radius, seed):
-    if variant == co.SCHEME_ALL_HARMONICS:
+    if variant == builder.SCHEME_ALL_HARMONICS:
         n += n % 2
     c_p = radius * np.array([np.cos(angle), np.sin(angle)])
-    return build_system(c_p, variant, 1.0, n, seed=seed if variant == co.SCHEME_RANDOM else None)
+    return build_system(c_p, variant, 1.0, n, seed=seed if variant == builder.SCHEME_RANDOM else None)
 
 
 def chains(max_n: int = 12):
     return st.tuples(
-        st.sampled_from(co.SCHEMES),
+        st.sampled_from(builder.SCHEMES),
         st.integers(min_value=1, max_value=max_n),
         st.floats(min_value=0.0, max_value=2.0 * np.pi),
         st.floats(min_value=1e-2, max_value=1e2),
@@ -90,7 +90,7 @@ def test_rejects_bad_horizons(example_system, horizon):
     with pytest.raises(co.InvalidParameterError):
         co.time_average_spectral(modes, horizon)
     with pytest.raises(co.InvalidParameterError):
-        co.end_rows(modes, horizon)
+        simulate.end_rows(modes, horizon)
 
 
 def test_rejects_an_indefinite_chain(example_system):
@@ -101,7 +101,7 @@ def test_rejects_an_indefinite_chain(example_system):
     assert failure.value.lambda_min < 0.0
 
 
-def mpmath_energy(chain: co.ChainObserverParams) -> mpmath.matrix:
+def mpmath_energy(chain: builder.ChainObserverParams) -> mpmath.matrix:
     """R_a in mpmath from the chain's float parameters taken as exact; call
     inside mpmath.workdps, so the assembly does not round at double precision."""
     n = chain.n_elements
@@ -129,7 +129,7 @@ def mpmath_dynamics(r: mpmath.matrix, size: int) -> mpmath.matrix:
     return a
 
 
-def mpmath_rows(chain: co.ChainObserverParams, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+def mpmath_rows(chain: builder.ChainObserverParams, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """(1/T) C_a int_0^T exp(A_a s) ds and C_a exp(A_a T) at 40 digits, from alpha, mu~ and omega.
 
     Assembles R_a, A_a = 2 Theta R_a and the doubled block [[A_a, I], [0, 0]]
@@ -179,7 +179,7 @@ def test_mpmath_referee(c_p, variant, n, seed, horizon):
     averaged, end = mpmath_rows(chain, horizon)
     modes = co.normal_modes(chain)
     assert relative_gap(co.time_average_spectral(modes, horizon).averaged_rows, averaged) <= 1e-12
-    assert relative_gap(co.end_rows(modes, horizon), end) <= 1e-10
+    assert relative_gap(simulate.end_rows(modes, horizon), end) <= 1e-10
     assert relative_gap(time_average_exact(chain, horizon).averaged_rows, averaged) <= 1e-9
     direct = output_matrix(chain) @ propagator(chain.dynamics.dense(), horizon)
     assert relative_gap(direct, end) <= 1e-9
@@ -220,7 +220,7 @@ def test_sweep_maximum_referee(c_p, variant, n, seed, monkeypatch):
     monkeypatch.setattr(
         analysis.ObserverFlow, "propagator", lambda flow, k: visited.append(k) or form(flow, k)
     )
-    observed = co.verify_exp_bound(
+    observed = analysis.verify_exp_bound(
         modes, co.certify_positive_definite(observer_hamiltonian(chain)).exp_norm_bound, grid
     )
     monkeypatch.undo()

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainobs as co
+from chainobs import analysis, builder, lqs
 from conftest import build_system
 from oracles import (
     dense_dynamics,
@@ -39,7 +40,7 @@ EPS = np.finfo(float).eps
 CERTIFICATE_REFEREE_TOL = 2e-15
 
 
-def structural_certificate(chain: co.ChainObserverParams) -> co.SpectralCertificate:
+def structural_certificate(chain: builder.ChainObserverParams) -> analysis.SpectralCertificate:
     reduced = co.certify_positive_definite(co.build_reduced(chain))
     return co.observer_certificate(reduced, chain.omega)
 
@@ -51,11 +52,11 @@ coordinate = st.sampled_from([0.0, -0.0]) | st.floats(0.05, 20.0) | st.floats(-2
 def chains(draw, mistune: bool = False):
     """Every scheme, N 1-60, c_p with signed-zero entries; optionally one omega
     shifted, which can leave R_o indefinite."""
-    variant = draw(st.sampled_from(co.SCHEMES))
+    variant = draw(st.sampled_from(builder.SCHEMES))
     n = draw(st.integers(min_value=1, max_value=60))
-    if variant == co.SCHEME_ALL_HARMONICS:
+    if variant == builder.SCHEME_ALL_HARMONICS:
         n += n % 2
-    seed = draw(st.integers(0, 2**32 - 1)) if variant == co.SCHEME_RANDOM else None
+    seed = draw(st.integers(0, 2**32 - 1)) if variant == builder.SCHEME_RANDOM else None
     c_p = np.array([draw(coordinate), draw(coordinate)])
     if not c_p.any():
         c_p[draw(st.integers(0, 1))] = draw(st.sampled_from([1.0, -2.5]))
@@ -107,10 +108,10 @@ def test_block_norms_and_residuals_match_the_dense_routes(case):
     inf_norm = np.linalg.norm(a_a, np.inf)
     assert abs(chain.dynamics.inf_norm() - inf_norm) <= 4 * EPS * inf_norm
     theta = symplectic_matrix(chain.n_elements + 1)
-    assert co.realizability_residual(chain.dynamics) == dense_realizability_residual(a_a, theta) == 0.0
+    assert lqs.realizability_residual(chain.dynamics) == dense_realizability_residual(a_a, theta) == 0.0
     scale = np.linalg.norm(a_o) * np.linalg.norm(np.tile(chain.alpha, chain.n_elements))
     expected = dense_fixed_point_residual(a_o, chain)
-    assert abs(co.check_fixed_point(chain) - expected) <= 16 * EPS * scale
+    assert abs(builder.check_fixed_point(chain) - expected) <= 16 * EPS * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,7 +145,7 @@ def test_both_routes_agree_on_definiteness(case):
 
 REFEREE_SYSTEMS = [(label, c_p, variant, omega0, n, seed)
                    for label, c_p, variant, omega0, n, seed in ACCEPTANCE_CONFIGS] + [
-    (f"random-twelve-{seed}", [0.6, -1.3], co.SCHEME_RANDOM, 1.0, 12, seed) for seed in range(4)
+    (f"random-twelve-{seed}", [0.6, -1.3], builder.SCHEME_RANDOM, 1.0, 12, seed) for seed in range(4)
 ]
 
 
