@@ -38,10 +38,10 @@ bound, so a bound that failed would stop the run rather than hide a
 sample. The sweep, every formed P with its checks, Gram product and
 eigvalsh, follows the one-thread rule at simulate.ONE_THREAD_MAX_N. The
 closed form is tied to the assembled system by verify_mode_generator: its
-generator, rebuilt from the modes, must equal
-the blocks of a_o rotated into the modes' (q, p) basis. Each formed P is
-held to Phi Theta Phi^T = Theta with Theta = diag(J, ..., J) of P's own
-size (lqs.symplectic_drift), so no Theta is stored.
+generator, rebuilt from the modes, must equal the blocks of a_o rotated
+into the modes' (q, p) basis. Each formed P is held to
+Phi Theta Phi^T = Theta with Theta = diag(J, ..., J) of P's own size
+(lqs.symplectic_drift), so no Theta is stored.
 """
 
 from __future__ import annotations
@@ -375,10 +375,10 @@ def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
     below the floor; else its norm is sqrt(lambda_max(P^T P)), within about
     n * eps relative of the largest singular value, held to the sample's
     bound (ObserverFlow.spectral_norm). The sweep follows the one-thread
-    rule (simulate.ONE_THREAD_MAX_N). Raises a
-    bound-violated error at the first sample in time order above the limit,
-    a sign of an inaccurate propagator, not of bad parameters. Logs the
-    counts, the margin and the sweep's BLAS threads at INFO.
+    rule (simulate.ONE_THREAD_MAX_N). Raises a bound-violated error at the
+    first sample in time order above the limit, a sign of an inaccurate
+    propagator, not of bad parameters. Logs the counts, the margin and the
+    sweep's BLAS threads at INFO.
     """
     flow = observer_flow(modes, grid)
     bad = ~np.isfinite(flow.screen)

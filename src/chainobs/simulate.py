@@ -64,10 +64,10 @@ TRAJECTORY_REL_TOL = 1e-10
 # tridiagonal K, eigh's reduction and back-transform multiply by zero
 # reflectors, exact on any thread count, and its divide-and-conquer merges'
 # gemm rounds differently only when OpenBLAS splits its m rows between
-# threads, which takes n <= m and m n k > 64^3; a merge of N <= 128 has m, k
-# <= 64. Above, some chains' eigenvectors do differ (first seen at N = 283).
-# The sweep's last digits do depend on the thread count, so on one thread
-# its output is the same at every OPENBLAS_NUM_THREADS.
+# threads, which takes n <= m and m n k > 64^3; a merge of N <= 128 has
+# m, k <= 64. Above, some chains' eigenvectors do differ (first seen at
+# N = 283). The sweep's last digits do depend on the thread count, so on one
+# thread its output is the same at every OPENBLAS_NUM_THREADS.
 ONE_THREAD_MAX_N = 128
 # (setter, getter) names of OpenBLAS's thread count, newest builds first
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -255,9 +255,9 @@ def _blas_threads_text(n: int) -> str:
 def _one_blas_thread(n: int):
     """Limit OpenBLAS to one thread for the dense work of a chain of n modes
     where the one-thread rule (ONE_THREAD_MAX_N) says so, and restore its
-    count afterwards, whatever happens inside. The count is process-wide, so the
-    lock keeps two concurrent scopes from restoring each other's limit; the
-    lock is not reentrant, so scopes must not nest."""
+    count afterwards, whatever happens inside. The count is process-wide,
+    so the lock keeps two concurrent scopes from restoring each other's
+    limit; the lock is not reentrant, so scopes must not nest."""
     if _blas_threads(n) != 1:
         yield
         return
@@ -276,10 +276,10 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndar
     and off-diagonal e.
 
     Dense divide-and-conquer gives the eigenvectors, under the one-thread
-    rule (ONE_THREAD_MAX_N); each eigenvalue is then
-    replaced by its Rayleigh quotient v^T K v, from an O(N^2) tridiagonal
-    product. Against 40-digit referees this makes the time averages up to
-    14x more accurate than the eigenvalues eigh returns.
+    rule (ONE_THREAD_MAX_N); each eigenvalue is then replaced by its
+    Rayleigh quotient v^T K v, from an O(N^2) tridiagonal product. Against
+    40-digit referees this makes the time averages up to 14x more accurate
+    than the eigenvalues eigh returns.
     """
     with _one_blas_thread(len(d)):
         _, v = np.linalg.eigh(tridiagonal(d, e))
