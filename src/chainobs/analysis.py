@@ -25,18 +25,20 @@ certificate produced here carries exactly that ratio. verify_exp_bound
 checks it on a uniform time grid, taking each propagator in closed form
 from the chain's normal modes (NormalModes.weights), P = S D(t) S^-1, so any
 sample can be formed on its own, and most need not be. One O(N^3) set-up
-gives every sample's ||P||_F (the screen), and two power steps on P^T P
-through the factors, batched over samples (_norm_bounds), give every
-sample a Kato-Temple upper bound on ||P||_2 that is at most the screen.
-The sweep visits samples in decreasing order of that bound and stops once
-it is no larger than the largest exact norm sqrt(lambda_max(P^T P)) so
-far, or the limit of the certified bound if lower: an unvisited sample can
-neither raise it nor break the bound. A visited sample is also skipped
-when sqrt(||P^T P||_F) is no larger. Every formed P is checked (symplectic,
-and ||P||_F against its screen), and every exact norm against its own
-bound, so a bound that failed would stop the run rather than hide a
-sample. The sweep, every formed P with its checks, Gram product and
-eigvalsh, follows the one-thread rule at simulate.ONE_THREAD_MAX_N. The
+gives every sample's ||P||_F (the screen), an upper bound on ||P||_2. The
+sweep takes the samples in decreasing screen order, BOUND_CHUNK at a time,
+and keeps those whose screen still exceeds the floor: the largest exact
+norm sqrt(lambda_max(P^T P)) so far, or the limit of the certified bound if
+lower. Only for those, three power steps on P^T P through the factors
+give a Kato-Temple upper bound on ||P||_2 that is at most the screen
+(ObserverFlow.norm_bounds), and the chunk's samples are visited in
+decreasing order of that bound until it is no larger than the floor. An
+unvisited sample can neither raise the maximum nor break the bound. A
+visited sample is also skipped when sqrt(||P^T P||_F) is no larger. Every
+formed P is checked (symplectic, and ||P||_F against its screen), and
+every exact norm against its own bound, so a bound that failed would stop
+the run rather than hide a sample. The whole sweep, screens and bounds
+included, follows the one-thread rule at simulate.ONE_THREAD_MAX_N. The
 closed form is tied to the assembled system by verify_mode_generator: its
 generator, rebuilt from the modes, must equal the blocks of a_o rotated
 into the modes' (q, p) basis. Each formed P is held to
@@ -70,9 +72,10 @@ SYMPLECTIC_DRIFT_TOL = 1e-9
 # How far a formed ||P||_F may stray from its screen value, relative.
 # Rounding leaves about 1e-15. The screen stands in for the trace of P^T P
 # in every Kato-Temple bound, which therefore takes its upper end,
-# ||P||_F^2 (1 + 2 SCREEN_REL_TOL); where a sample has no such bound, the
-# screen itself is its bound, safe by the pairing margin (N - 1) / s_1^2,
-# above 1e-7 on every config measured.
+# ||P||_F^2 (1 + 2 SCREEN_REL_TOL). The screen is itself an upper bound
+# on ||P||_2, used where a sample has no Kato-Temple bound or before one is
+# computed, safe by the pairing margin (N - 1) / s_1^2, above 1e-7 on every
+# config measured.
 SCREEN_REL_TOL = 1e-12
 # How far a formed sample's exact norm may exceed its Kato-Temple bound,
 # relative; rounding leaves about 1e-15. The sweep's stop widens every bound
@@ -81,9 +84,11 @@ BOUND_REL_TOL = 1e-12
 BOUND_SLACK = 1e-10
 # How far an observed ||P||_2 may exceed the certified bound, relative.
 EXP_BOUND_REL_TOL = 1e-9
-# Samples per batch of the bound's power steps: a few BOUND_CHUNK x N
-# arrays at a time.
+# Samples per batch of the screens and of the bounds' power steps: a few
+# BOUND_CHUNK x N arrays at a time.
 BOUND_CHUNK = 128
+# Power steps on P^T P behind each Kato-Temple bound.
+POWER_STEPS = 3
 # How far the generator the normal modes give may stray from the assembled
 # a_o, relative in the Frobenius norm; rounding leaves at most 3.9e-15 on
 # every scheme from N = 1 to 1000.
@@ -187,17 +192,66 @@ class ObserverFlow:
     """The observer propagator P(t) = S D(t) S^-1 on a time grid, in closed form.
 
     cos, up and down hold D(t_k)'s entries for every sample
-    (NormalModes.weights). screen is ||P(t_k)||_F for every sample, from
-    them alone, and bound an upper bound on ||P(t_k)||_2 that is at most
-    screen (_norm_bounds).
+    (NormalModes.weights), and g and h the Gram factors G = L1^T L1 and
+    H = L2^T L2. screen is ||P(t_k)||_F for every sample, from them alone.
+    bound holds an upper bound on ||P(t_k)||_2 that is at most screen where
+    norm_bounds has computed one, and inf elsewhere.
     """
 
     modes: NormalModes
     cos: np.ndarray
     up: np.ndarray
     down: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
     screen: np.ndarray
     bound: np.ndarray
+
+    def norm_bounds(self, rows: np.ndarray) -> np.ndarray:
+        """Upper bounds on ||P(t_k)||_2 for the samples k in rows, each at
+        most its screen; also stored in bound.
+
+        P^T P = S^-T D^T (S^T S) D S^-1 with S^T S = diag(G, H) and
+        S^-1 S^-T = diag(H, G), so an iterate x is held as v = S^T x, with
+        S^-1 x = diag(H, G) v, |x|^2 = v . diag(H, G) v and
+        S^T P^T P x = D^T diag(G, H) D S^-1 x. From x_0 = (1, ..., 1),
+        POWER_STEPS steps give x_1 = P^T P x_0 and x_(i+1) = P^T P x_i / |x_i|.
+        With u = x_2 / |x_2|, the Rayleigh quotient rho = u . P^T P u and the
+        residual r = P^T P u - rho u bound the top eigenvalue
+        (_top_eigenvalue_bound) with ||P||_F^2 as the trace of P^T P; where
+        that gives no bound, the screen stands. The three steps and |r|^2
+        cost twelve len(rows) x N x N products (S^-1 x_0 is shared by every
+        row), and P is never formed.
+        """
+        c, u, d = self.cos[rows], self.up[rows], self.down[rows]
+        left, right, g, h = self.modes.left, self.modes.right, self.g, self.h
+
+        def gram_step(yq: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """S^T P^T P x, row by row, for the rows x with S^-1 x = (yq, yp)."""
+            wq = (c * yq + u * yp) @ g
+            wp = (d * yq + c * yp) @ h
+            return c * wq + d * wp, u * wq + c * wp
+
+        ones = np.ones(left.shape[0])
+        wq, wp = gram_step(right.T @ ones, left.T @ ones)
+        for _ in range(POWER_STEPS - 1):
+            yq, yp = wq @ h, wp @ g
+            length = np.sqrt(_rowdot(yq, wq) + _rowdot(yp, wp))[:, None]
+            for iterate in (wq, wp, yq, yp):
+                iterate /= length
+            vq, vp = wq, wp
+            wq, wp = gram_step(yq, yp)
+        length = _rowdot(yq, vq) + _rowdot(yp, vp)
+        rho = (_rowdot(yq, wq) + _rowdot(yp, wp)) / length
+        wq -= rho[:, None] * vq
+        wp -= rho[:, None] * vp
+        residual = (_rowdot(wq @ h, wq) + _rowdot(wp @ g, wp)) / length
+        screen = self.screen[rows]
+        squared = _top_eigenvalue_bound(rho, residual, screen ** 2 * (1.0 + 2.0 * SCREEN_REL_TOL))
+        # fmin keeps the screen where the steps overflowed to inf or nan
+        bound = np.fmin(np.sqrt(squared), screen)
+        self.bound[rows] = bound
+        return bound
 
     def propagator(self, k: int) -> np.ndarray:
         """P(t_k) in the interleaved (q_1, p_1, ..., q_N, p_N) layout, checked.
@@ -286,63 +340,26 @@ def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
     singular values of exp(2 Theta R_o t). With G = L1^T L1 = V^T Omega V
     and H = L2^T L2 = V^T Omega^-1 V, each block's squared Frobenius norm is
     a quadratic form in its weights, so ||P||_F^2 = cos (2 G o H) cos +
-    up (G o G) up + down (H o H) down (o the entrywise product), and the
-    same G and H give every sample's norm bound: both O(N^2) per sample
-    (_norm_bounds).
+    up (G o G) up + down (H o H) down (o the entrywise product): three
+    BOUND_CHUNK x N x N products per chunk of samples give every screen.
+    No norm bound is computed yet (ObserverFlow.norm_bounds).
     """
     cos, up, down = modes.weights(grid.times())
-    screen, bound = _norm_bounds(modes, cos, up, down)
-    return ObserverFlow(modes=modes, cos=cos, up=up, down=down, screen=screen, bound=bound)
+    left, right = modes.left, modes.right
+    g, h = left.T @ left, right.T @ right
+    cross, gg, hh = 2.0 * g * h, g * g, h * h
+    screen = np.empty(cos.shape[0])
+    for lo in range(0, cos.shape[0], BOUND_CHUNK):
+        batch = slice(lo, lo + BOUND_CHUNK)
+        c, u, d = cos[batch], up[batch], down[batch]
+        screen[batch] = np.sqrt(_rowdot(c @ cross, c) + _rowdot(u @ gg, u) + _rowdot(d @ hh, d))
+    return ObserverFlow(modes=modes, cos=cos, up=up, down=down, g=g, h=h, screen=screen,
+                        bound=np.full(screen.size, np.inf))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product of each row of a with the same row of b."""
     return np.einsum("ij,ij->i", a, b)
-
-
-def _norm_bounds(modes: NormalModes, cos: np.ndarray, up: np.ndarray,
-                 down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every sample's screen ||P(t_k)||_F, and an upper bound on ||P(t_k)||_2
-    that is at most the screen.
-
-    Both are taken BOUND_CHUNK samples at a time, so every product is a
-    BOUND_CHUNK x N x N one. P^T P x = S^-T D^T (S^T S) D S^-1 x with
-    S^T S = diag(G, H), so two power steps from x_0 = (1, ..., 1),
-    x_1 = P^T P x_0 and x_2 = P^T P x_1, cost four products per step and
-    chunk (S^-1, G and H, S^-T; S^-1 x_0 is shared), and P is never formed.
-    The Rayleigh quotient rho = x_1 . x_2 / |x_1|^2 and the residual
-    r = x_2 - rho x_1 bound the top eigenvalue (_top_eigenvalue_bound),
-    with ||P||_F^2 as the trace of P^T P; where that gives no bound, the
-    screen stands.
-    """
-    left, right = modes.left, modes.right
-    g, h = left.T @ left, right.T @ right
-    cross, gg, hh = 2.0 * g * h, g * g, h * h
-    ones = np.ones(left.shape[0])
-    start = right.T @ ones, left.T @ ones
-    screen, squared = np.empty(cos.shape[0]), np.empty(cos.shape[0])
-    for lo in range(0, cos.shape[0], BOUND_CHUNK):
-        batch = slice(lo, lo + BOUND_CHUNK)
-        c, u, d = cos[batch], up[batch], down[batch]
-        screen[batch] = np.sqrt(_rowdot(c @ cross, c) + _rowdot(u @ gg, u) + _rowdot(d @ hh, d))
-
-        def gram_step(yq: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """P^T P x, row by row, for the rows x with S^-1 x = (yq, yp)."""
-            wq = (c * yq + u * yp) @ g
-            wp = (d * yq + c * yp) @ h
-            return (c * wq + d * wp) @ right.T, (u * wq + c * wp) @ left.T
-
-        xq, xp = gram_step(*start)
-        aq, ap = gram_step(xq @ right, xp @ left)
-        length = _rowdot(xq, xq) + _rowdot(xp, xp)
-        rho = (_rowdot(xq, aq) + _rowdot(xp, ap)) / length
-        aq -= rho[:, None] * xq
-        ap -= rho[:, None] * xp
-        residual = (_rowdot(aq, aq) + _rowdot(ap, ap)) / length
-        trace = screen[batch] ** 2 * (1.0 + 2.0 * SCREEN_REL_TOL)
-        squared[batch] = _top_eigenvalue_bound(rho, residual, trace)
-    # fmin keeps the screen where the steps overflowed to inf or nan
-    return screen, np.fmin(np.sqrt(squared), screen)
 
 
 def _top_eigenvalue_bound(rho: np.ndarray, residual: np.ndarray,
@@ -364,55 +381,71 @@ def _top_eigenvalue_bound(rho: np.ndarray, residual: np.ndarray,
 def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
     """Check ||exp(2 Theta R_o t)||_2 against the certified bound on a grid.
 
-    Returns the largest observed spectral norm. Every sample's upper bound
-    on its norm comes from observer_flow without forming P; the sweep visits
-    samples in decreasing order of it and stops once the bound, widened by
-    BOUND_SLACK for its rounding, is at or below the floor: the largest norm
-    so far, or the limit bound * (1 + EXP_BOUND_REL_TOL) once a norm passes
-    it. It passes over samples later than a violation already found and
-    forms P once for each other one (with the two checks of
+    Returns the largest observed spectral norm. The floor is the largest
+    norm so far, or the limit bound * (1 + EXP_BOUND_REL_TOL) once a norm
+    passes it; every screen and bound is widened by BOUND_SLACK for its
+    rounding before it is held to the floor. The sweep takes the samples in
+    decreasing screen order, BOUND_CHUNK at a time, and stops at a chunk
+    whose largest screen is at or below the floor. Of a chunk it keeps the
+    samples whose screen exceeds the floor and that are not later than a
+    violation already found, bounds their norms (ObserverFlow.norm_bounds)
+    and visits them in decreasing bound order until the bound is at or
+    below the floor. It passes over samples later than a violation found
+    meanwhile and forms P once for each other one (with the two checks of
     ObserverFlow.propagator), skipping it if sqrt(||P^T P||_F) is at or
     below the floor; else its norm is sqrt(lambda_max(P^T P)), within about
     n * eps relative of the largest singular value, held to the sample's
-    bound (ObserverFlow.spectral_norm). The sweep follows the one-thread
-    rule (simulate.ONE_THREAD_MAX_N). Raises a bound-violated error at the
-    first sample in time order above the limit, a sign of an inaccurate
-    propagator, not of bad parameters. Logs the counts, the margin and the
-    sweep's BLAS threads at INFO.
+    bound (ObserverFlow.spectral_norm). The screens, bounds and formed
+    samples follow the one-thread rule (simulate.ONE_THREAD_MAX_N). Raises
+    a bound-violated error at the first sample in time order above the
+    limit, a sign of an inaccurate propagator, not of bad parameters. Logs
+    the counts, the margin and the sweep's BLAS threads at INFO.
     """
-    flow = observer_flow(modes, grid)
-    bad = ~np.isfinite(flow.screen)
-    if bad.any():
-        raise NumericalFailureError(f"propagator is not finite at sample {int(np.argmax(bad))}")
-    reach = flow.bound * (1.0 + BOUND_SLACK)
     limit = bound * (1.0 + EXP_BOUND_REL_TOL)
     n = modes.lam.size
-    worst, first, grams, eigensolves = 0.0, grid.samples, 0, 0
+    worst, first, bounded, grams, eigensolves = 0.0, grid.samples, 0, 0, 0
     with _one_blas_thread(n):
-        for k in np.argsort(-reach, kind="stable"):
+        flow = observer_flow(modes, grid)
+        bad = ~np.isfinite(flow.screen)
+        if bad.any():
+            raise NumericalFailureError(
+                f"propagator is not finite at sample {int(np.argmax(bad))}"
+            )
+        order = np.argsort(-flow.screen, kind="stable")
+        for lo in range(0, order.size, BOUND_CHUNK):
+            chunk = order[lo:lo + BOUND_CHUNK]
             floor = min(worst, limit)
-            if reach[k] <= floor:
+            above = flow.screen[chunk] * (1.0 + BOUND_SLACK) > floor
+            if not above[0]:
                 break
-            if k > first:
-                continue  # cannot be the first violation in time order
-            phi = flow.propagator(k)
-            gram = phi.T @ phi
-            grams += 1
-            if np.sqrt(np.linalg.norm(gram)) <= floor:
-                continue
-            norm = flow.spectral_norm(k, gram)
-            eigensolves += 1
-            worst = max(worst, norm)
-            if norm > limit:
-                first, first_norm = k, norm
+            chunk = chunk[above & (chunk <= first)]
+            reach = flow.norm_bounds(chunk) * (1.0 + BOUND_SLACK)
+            bounded += chunk.size
+            for i in np.argsort(-reach, kind="stable"):
+                floor = min(worst, limit)
+                if reach[i] <= floor:
+                    break
+                k = chunk[i]
+                if k > first:
+                    continue  # cannot be the first violation in time order
+                phi = flow.propagator(k)
+                gram = phi.T @ phi
+                grams += 1
+                if np.sqrt(np.linalg.norm(gram)) <= floor:
+                    continue
+                norm = flow.spectral_norm(k, gram)
+                eigensolves += 1
+                worst = max(worst, norm)
+                if norm > limit:
+                    first, first_norm = k, norm
     if worst > limit:
         raise BoundViolatedError(
             f"||exp(A t)||_2 = {first_norm:.12e} at t = {grid.times()[first]:g} exceeds the "
             f"certified bound {bound:.12e}"
         )
-    log.info("exp bound: %d samples, %d Gram products, %d eigensolves, max %.6e, bound %.6e, "
-             "margin %.6e, sweep on %s", grid.samples, grams, eigensolves, worst, bound,
-             worst / bound, _blas_threads_text(n))
+    log.info("exp bound: %d samples, %d bounded, %d Gram products, %d eigensolves, max %.6e, "
+             "bound %.6e, margin %.6e, sweep on %s", grid.samples, bounded, grams, eigensolves,
+             worst, bound, worst / bound, _blas_threads_text(n))
     return worst
 
 

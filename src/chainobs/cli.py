@@ -264,12 +264,14 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
     Without a grid, that is the chain's set-up, checked before the couplings
     are drawn: every run holds the N x N reduced matrix and one N x N
     temporary. build also holds its dense (2N+2)-square R_a and A_a. check
-    holds its normal modes' five N x N factors (V, Omega^(1/2) V,
-    Omega^(-1/2) V, G and H), one formed propagator's four 2N x 2N arrays
-    (P, its Gram, and the symplectic product and its difference), seven
-    samples x N arrays (D(t)'s three entries and, while NormalModes.weights
-    forms them, at most four temporaries) and ten BOUND_CHUNK x N temporaries
-    of the norm bounds. timeavg holds seven more N x N arrays (the normal
+    holds eight N x N arrays (its normal modes' V, Omega^(1/2) V and
+    Omega^(-1/2) V, the sweep's G and H, and the screens' 2 G o H, G o G
+    and H o H), one formed propagator's four 2N x 2N arrays (P, its Gram,
+    and the symplectic product and its difference), seven samples x N
+    arrays (D(t)'s three entries and, while NormalModes.weights forms them,
+    at most four temporaries) and thirteen BOUND_CHUNK x N temporaries of
+    the norm bounds (a chunk's three rows of D(t), two iterates and at most
+    six arrays inside a power step). timeavg holds seven more N x N arrays (the normal
     modes' V, Omega^(1/2) V and Omega^(-1/2) V, and four temporaries of the
     rows), nine arrays of (N+1) x (2N+2) rows (the five averages and four of
     the cross-check's temporaries) and the writer's text for one chunk of
@@ -286,10 +288,11 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
             needed += 2 * (2 * n + 2) ** 2
             arrays += " and its dense R_a and A_a"
         elif command == "check":
-            vectors = 7 * EXP_BOUND_SAMPLES + 10 * BOUND_CHUNK
-            needed += 5 * n * n + 4 * (2 * n) ** 2 + vectors * n
-            arrays += (f", its normal modes' five N x N factors, one propagator's four "
-                       f"2N x 2N arrays and {vectors} N-vectors of the sweep's weights and bounds")
+            vectors = 7 * EXP_BOUND_SAMPLES + 13 * BOUND_CHUNK
+            needed += 8 * n * n + 4 * (2 * n) ** 2 + vectors * n
+            arrays += (f", eight more N x N arrays of its normal modes and screens, one "
+                       f"propagator's four 2N x 2N arrays and {vectors} N-vectors of the "
+                       f"sweep's weights and bounds")
         elif command == "timeavg":
             needed += 7 * n * n + 9 * (n + 1) * (2 * n + 2) + 32 * serialize.CHUNK
             arrays += (", seven more N x N arrays, nine (N+1) x (2N+2) arrays of rows "

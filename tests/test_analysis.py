@@ -313,6 +313,33 @@ class TestExpBound:
             assert str(screened.value) == str(expected.value)
             assert formed and len(formed) == len(set(formed)), fraction
 
+    @pytest.mark.parametrize("scheme, n, seed", [
+        ("uniform", 26, None), ("uniform", 100, None), ("uniform", 128, None),
+        ("random", 50, 1),
+    ])
+    def test_screened_order_matches_the_unscreened_sweep(self, monkeypatch, scheme, n, seed):
+        """Taking the samples by screen, a chunk at a time, and bounding only
+        those above the floor, returns the unscreened sweep's maximum bit for
+        bit; with the bound lowered to 0.9 of it, the same first violation is
+        raised and no sample is formed twice. The unscreened sweep runs on
+        the sweep's BLAS threads, which set the last bits of a formed norm."""
+        chain = build_system([1.0, 0.0], scheme, 1.0, n, seed=seed)
+        modes = co.normal_modes(chain)
+        grid = co.TimeGrid.from_count(cli.EXP_BOUND_SPAN, cli.EXP_BOUND_SAMPLES)
+        with simulate._one_blas_thread(n):
+            maximum = exp_bound_unscreened(modes, certified(chain), grid)
+            with pytest.raises(co.BoundViolatedError) as expected:
+                exp_bound_unscreened(modes, 0.9 * maximum, grid)
+        assert analysis.verify_exp_bound(modes, certified(chain), grid) == maximum
+        formed = []
+        true_propagator = analysis.ObserverFlow.propagator
+        monkeypatch.setattr(analysis.ObserverFlow, "propagator",
+                            lambda flow, k: formed.append(int(k)) or true_propagator(flow, k))
+        with pytest.raises(co.BoundViolatedError) as screened:
+            analysis.verify_exp_bound(modes, 0.9 * maximum, grid)
+        assert str(screened.value) == str(expected.value)
+        assert formed and len(formed) == len(set(formed))
+
     def test_nan_step_ends_as_the_unscreened_sweep(self, example_system, monkeypatch, tmp_path):
         """A non-finite phase is stopped before the sorted sweep starts: the
         same numerical failure as the unscreened sweep, and exit 1."""
@@ -347,39 +374,45 @@ class TestExpBound:
         lines = [r.getMessage() for r in caplog.records if r.name == "chainobs.analysis"]
         assert len(lines) == 1
         found = re.fullmatch(
-            r"exp bound: (\d+) samples, (\d+) Gram products, (\d+) eigensolves, "
+            r"exp bound: (\d+) samples, (\d+) bounded, (\d+) Gram products, (\d+) eigensolves, "
             r"max (\S+), bound (\S+), margin (\S+), sweep on (.+)",
             lines[0],
         )
         assert found is not None, lines[0]
-        assert found[7] == simulate._blas_threads_text(fields["n_elements"])
-        observed, bound, margin = (float(found[i]) for i in (4, 5, 6))
+        assert found[8] == simulate._blas_threads_text(fields["n_elements"])
+        observed, bound, margin = (float(found[i]) for i in (5, 6, 7))
         check = next(c for c in report.checks if c.name == "exp_norm_observed")
         assert observed == pytest.approx(check.value, rel=1e-6)
         assert margin == pytest.approx(observed / bound, rel=1e-5)
-        return tuple(int(found[i]) for i in (1, 2, 3))
+        samples, bounded, grams, eigensolves = (int(found[i]) for i in (1, 2, 3, 4))
+        assert grams <= bounded <= samples
+        return samples, bounded, grams, eigensolves
 
     def test_info_line_counts_the_screened_work(self, caplog):
         """check on random N=50 (seed 1) logs one line with its work and margin:
-        the norm bounds leave one of the 500 samples to form, one Gram
-        product and one eigensolve (the Frobenius screen alone left 109
-        and 5)."""
-        samples, grams, eigensolves = self.logged_check(
+        only the first chunk of screens lies above the maximum, so 128 of the
+        500 samples get a Kato-Temple bound, and the bounds leave one to
+        form, one Gram product and one eigensolve."""
+        samples, bounded, grams, eigensolves = self.logged_check(
             caplog, n_elements=50, scheme="random", seed=1
         )
-        assert samples == 500 and grams <= 3 and eigensolves <= 3
+        assert samples == 500 and bounded == analysis.BOUND_CHUNK
+        assert grams <= 3 and eigensolves <= 3
 
     def test_uniform_chain_forms_few_propagators(self, caplog):
-        """On uniform N=200 the norm rises at nearly every sample, which left
+        """On uniform chains the norm rises at nearly every sample, which left
         a time-ordered screen nothing to skip; sorted by the Frobenius
-        screen, 46 of 500 were formed (95 on odd-harmonics N=200), and by
-        the norm bounds one is."""
-        for scheme in ("uniform", "odd-harmonics"):
+        screen, 46 of 500 were formed on uniform N=200 (95 on odd-harmonics
+        N=200). Bounds from two power steps still left uniform N = 26 to 129
+        forming 5 to 9; from three steps at most two are formed."""
+        for scheme, n, most in (("uniform", 26, 2), ("uniform", 64, 2), ("uniform", 100, 2),
+                                ("uniform", 128, 2), ("uniform", 129, 2), ("uniform", 200, 3),
+                                ("odd-harmonics", 200, 3)):
             caplog.clear()
-            samples, grams, eigensolves = self.logged_check(
-                caplog, n_elements=200, scheme=scheme
+            samples, bounded, grams, eigensolves = self.logged_check(
+                caplog, n_elements=n, scheme=scheme
             )
-            assert samples == 500 and grams <= 3 and eigensolves <= 3, scheme
+            assert samples == 500 and grams <= most and eigensolves <= most, (scheme, n)
 
     def test_non_symplectic_step_is_a_tolerance_failure(self, example_system, monkeypatch):
         """Cosine weights scaled by 1 + 1e-5 break the symplectic identity of
@@ -454,10 +487,13 @@ class TestExpBound:
         tighter."""
         grid = co.TimeGrid.from_count(50.0, 500)
         flow = analysis.observer_flow(co.normal_modes(example_system), grid)
-        assert flow.bound[0] == flow.screen[0]
-        assert np.all(flow.bound <= flow.screen) and np.any(flow.bound < flow.screen)
+        assert np.all(flow.bound == np.inf)  # none computed yet
+        bound = flow.norm_bounds(np.arange(grid.samples))
+        assert np.array_equal(flow.bound, bound)
+        assert bound[0] == flow.screen[0]
+        assert np.all(bound <= flow.screen) and np.any(bound < flow.screen)
         rotation = analysis.observer_flow(co.normal_modes(chain_from([0.3])), grid)
-        assert np.array_equal(rotation.bound, rotation.screen)
+        assert np.array_equal(rotation.norm_bounds(np.arange(grid.samples)), rotation.screen)
 
     def test_norm_above_its_bound_is_a_tolerance_failure(self, example_system):
         """An exact norm above its sample's bound by more than 1e-12 relative
@@ -465,7 +501,7 @@ class TestExpBound:
         hold."""
         grid = co.TimeGrid.from_count(50.0, 500)
         flow = analysis.observer_flow(co.normal_modes(example_system), grid)
-        k = int(np.argmax(flow.bound))
+        k = int(np.argmax(flow.norm_bounds(np.arange(grid.samples))))
         phi = flow.propagator(k)
         gram = phi.T @ phi
         exact = _spectral_norm(gram)
@@ -506,16 +542,26 @@ class TestOneThreadSweep:
 
     @staticmethod
     def sweep(monkeypatch, n, bound_fraction=1.0, scale_cos=1.0):
-        """The BLAS thread counts that the sweep's symplectic checks and
-        eigvalsh calls saw on uniform N = n, and the count before it."""
+        """The BLAS thread counts that the sweep's screens, bounds, symplectic
+        checks and eigvalsh calls saw on uniform N = n, and the count before
+        it."""
         before = thread_count()
         chain = build_system([1.0, 0.0], "uniform", 1.0, n)
         modes = co.normal_modes(chain)
         bound = bound_fraction * certified(chain)
         grid = co.TimeGrid.from_count(50.0, 100)
-        seen = {"symplectic": [], "eigvalsh": []}
+        seen = {"symplectic": [], "eigvalsh": [], "screens": [], "bounds": []}
         drift, eigvalsh = analysis.symplectic_drift, np.linalg.eigvalsh
         true_weights = simulate.NormalModes.weights
+        flow, norm_bounds = analysis.observer_flow, analysis.ObserverFlow.norm_bounds
+
+        def watched_flow(modes, grid):
+            seen["screens"].append(thread_count())
+            return flow(modes, grid)
+
+        def watched_bounds(self, rows):
+            seen["bounds"].append(thread_count())
+            return norm_bounds(self, rows)
 
         def watched_drift(phi):
             seen["symplectic"].append(thread_count())
@@ -532,6 +578,8 @@ class TestOneThreadSweep:
         monkeypatch.setattr(analysis, "symplectic_drift", watched_drift)
         monkeypatch.setattr(np.linalg, "eigvalsh", watched_eigvalsh)
         monkeypatch.setattr(simulate.NormalModes, "weights", scaled)
+        monkeypatch.setattr(analysis, "observer_flow", watched_flow)
+        monkeypatch.setattr(analysis.ObserverFlow, "norm_bounds", watched_bounds)
         analysis.verify_exp_bound(modes, bound, grid)
         return before, seen
 
@@ -539,8 +587,8 @@ class TestOneThreadSweep:
     def test_sweep_runs_on_the_rule_s_threads(self, monkeypatch, n):
         before, seen = self.sweep(monkeypatch, n)
         expected = 1 if n <= simulate.ONE_THREAD_MAX_N else before
-        assert seen["symplectic"] and set(seen["symplectic"]) == {expected}
-        assert seen["eigvalsh"] and set(seen["eigvalsh"]) == {expected}
+        for work in ("screens", "bounds", "symplectic", "eigvalsh"):
+            assert seen[work] and set(seen[work]) == {expected}, work
         assert thread_count() == before
 
     @pytest.mark.parametrize("n", [26, simulate.ONE_THREAD_MAX_N + 1])
@@ -629,10 +677,12 @@ def test_screen_is_the_formed_frobenius_norm(variant, n, angle, radius, seed, sp
 
 
 def bound_shortfall(flow) -> float:
-    """The largest relative amount by which a formed norm exceeds its bound."""
+    """The largest relative amount by which a formed norm exceeds its bound,
+    over every sample's bound."""
+    bound = flow.norm_bounds(np.arange(flow.screen.size))
     exact = np.array([_spectral_norm(phi.T @ phi)
-                      for phi in map(flow.propagator, range(flow.bound.size))])
-    return float(((exact - flow.bound) / exact).max())
+                      for phi in map(flow.propagator, range(flow.screen.size))])
+    return float(((exact - bound) / exact).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -654,7 +704,7 @@ def test_norm_bound_holds_at_every_sample(variant, n, angle, radius, seed, span)
         c_p, variant, 1.0, n, seed=seed if variant == builder.SCHEME_RANDOM else None
     )
     flow = analysis.observer_flow(co.normal_modes(chain), co.TimeGrid.from_count(span, 40))
-    assert np.all(flow.bound <= flow.screen)
+    assert np.all(flow.norm_bounds(np.arange(40)) <= flow.screen)
     assert bound_shortfall(flow) <= 1e-12
 
 

@@ -753,8 +753,9 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         held = {"build": " and its dense R_a and A_a",
-                "check": ", its normal modes' five N x N factors, one propagator's four "
-                         "2N x 2N arrays and 4780 N-vectors of the sweep's weights and bounds",
+                "check": ", eight more N x N arrays of its normal modes and screens, one "
+                         "propagator's four 2N x 2N arrays and 5164 N-vectors of the sweep's "
+                         "weights and bounds",
                 "timeavg": ", seven more N x N arrays, nine (N+1) x (2N+2) arrays of rows "
                            "(five averages and four cross-check temporaries) and the writer's "
                            "chunk of text"}.get(command, "")
@@ -797,13 +798,13 @@ class TestExitCodes:
         assert sorted(tmp_path.rglob("*")) == before
 
     # N=3: every run holds two 3 x 3 arrays, 144 bytes; build also its
-    # 8 x 8 R_a and A_a, 1,024 more; check also the modes' five 3 x 3
-    # factors and one propagator's four 6 x 6 arrays, 360 + 1,152 more, and
-    # 7 x 500 + 10 x 128 = 4,780 rows of 3 for the sweep's weights and norm
-    # bounds, 114,720 more; timeavg also seven more 3 x 3 arrays, nine 4 x 8
+    # 8 x 8 R_a and A_a, 1,024 more; check also eight 3 x 3 arrays of the
+    # modes and screens and one propagator's four 6 x 6 arrays, 576 + 1,152
+    # more, and 7 x 500 + 13 x 128 = 5,164 rows of 3 for the sweep's weights
+    # and norm bounds, 123,936 more; timeavg also seven more 3 x 3 arrays, nine 4 x 8
     # arrays of rows and the writer's 2,048 values of text at 256 bytes each,
     # 504 + 2,304 + 524,288 more.
-    CHECK_ESTIMATE = 116_376
+    CHECK_ESTIMATE = 125_808
     TIMEAVG_ESTIMATE = 527_240
 
     @pytest.mark.parametrize(
@@ -830,13 +831,13 @@ class TestExitCodes:
             assert drawn and err == ""
         else:
             assert not drawn
-            rounded = {"check": "1.16e+5", "build": "1.17e+3", "timeavg": "5.27e+5"}[command]
+            rounded = {"check": "1.26e+5", "build": "1.17e+3", "timeavg": "5.27e+5"}[command]
             assert f"about {rounded} bytes" in err
             assert f"than the {memory} bytes of physical memory" in err
 
     def test_check_preflight_counts_the_sweep(self, tmp_path, monkeypatch, capsys):
         """check at N=3 with memory between the two-array estimate (144 bytes)
-        and the whole run's (116,376) exits 2 before any propagator is formed."""
+        and the whole run's (125,808) exits 2 before any propagator is formed."""
         memory = 900
         monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
         formed = []
@@ -847,7 +848,7 @@ class TestExitCodes:
         assert cli.main(["check", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert not formed
-        assert "about 1.16e+5 bytes" in err
+        assert "about 1.26e+5 bytes" in err
         assert f"than the {memory} bytes of physical memory" in err
 
     def test_timeavg_preflight_counts_the_averages(self, tmp_path, monkeypatch, capsys):
