@@ -265,20 +265,20 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
     are drawn: every run holds the N x N reduced matrix and one N x N
     temporary. build also holds its dense (2N+2)-square R_a and A_a. check
     holds eight N x N arrays (its normal modes' V, Omega^(1/2) V and
-    Omega^(-1/2) V, the sweep's G and H, and the screens' 2 G o H, G o G
-    and H o H), one formed propagator's four 2N x 2N arrays (P, its Gram,
-    and the symplectic product and its difference), seven samples x N
-    arrays (D(t)'s three entries and, while NormalModes.weights forms them,
-    at most four temporaries) and thirteen BOUND_CHUNK x N temporaries of
-    the norm bounds (a chunk's three rows of D(t), two iterates and at most
-    six arrays inside a power step). timeavg holds seven more N x N arrays (the normal
-    modes' V, Omega^(1/2) V and Omega^(-1/2) V, and four temporaries of the
-    rows), nine arrays of (N+1) x (2N+2) rows (the five averages and four of
-    the cross-check's temporaries) and the writer's text for one chunk of
-    serialize.CHUNK values, counted at 256 bytes a value (about 205 are
-    used). With simulate's grid it is the trajectory: samples x (N+1) rows
-    of 2N+2 doubles, two samples x (2N+2) arrays (the plant rows and the
-    spatial average) and one chunk of rows' temporaries (at most
+    Omega^(-1/2) V, the sweep's G and H, and the screens' 2 G o H, G o G and
+    H o H), one formed propagator's four 2N x 2N arrays (P, its Gram, and
+    the symplectic product and its difference), seven samples x N arrays
+    (D(t)'s three entries and, while NormalModes.weights forms them, at most
+    four temporaries) and thirteen BOUND_CHUNK x N temporaries of the norm
+    bounds (a chunk's three rows of D(t), two iterates and at most six
+    arrays inside a power step). timeavg holds seven more N x N arrays (the
+    normal modes' V, Omega^(1/2) V and Omega^(-1/2) V, and four temporaries
+    of the rows), nine arrays of (N+1) x (2N+2) rows (the five averages and
+    four of the cross-check's temporaries) and the writer's text for one
+    chunk of serialize.CHUNK values, counted at 256 bytes a value (about 205
+    are used). With simulate's grid it is the trajectory: samples x (N+1)
+    rows of 2N+2 doubles, two samples x (2N+2) arrays (the plant rows and
+    the spatial average) and one chunk of rows' temporaries (at most
     simulate.TRAJECTORY_CHUNK_BYTES); the writers format the rows a few
     thousand values at a time and copy none of them whole.
     """
