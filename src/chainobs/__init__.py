@@ -37,7 +37,6 @@ from .analysis import (
 )
 from .builder import ParameterScheme, build_chain, make_mu_schedule
 from .errors import (
-    BoundViolatedError,
     ChainobsError,
     ConfigError,
     ConfigSchemaError,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 # would then find it imported and warn.
 __all__ = [
     "BlockTridiagonal",
-    "BoundViolatedError",
     "ChainobsError",
     "ConfigError",
     "ConfigSchemaError",

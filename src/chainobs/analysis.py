@@ -22,28 +22,28 @@ Positive definiteness of R_o in turn bounds the propagator: the flow
 exp(2 Theta R_o t) conserves the quadratic form of R_o, which traps its
 spectral norm below sqrt(lambda_max / lambda_min) for all time. The
 certificate produced here carries exactly that ratio. verify_exp_bound
-checks it on a uniform time grid, taking each propagator in closed form
+returns the largest norm on a uniform time grid, which the run's report
+holds to that bound (cli.run_check), taking each propagator in closed form
 from the chain's normal modes (NormalModes.weights), P = S D(t) S^-1, so any
 sample can be formed on its own, and most need not be. One O(N^3) set-up
 gives every sample's ||P||_F (the screen), an upper bound on ||P||_2. The
 sweep takes the samples in decreasing screen order, BOUND_CHUNK at a time,
-and keeps those whose screen still exceeds the floor: the largest exact
-norm sqrt(lambda_max(P^T P)) so far, or the limit of the certified bound if
-lower. Only for those, three power steps on P^T P through the factors
-give a Kato-Temple upper bound on ||P||_2 that is at most the screen
-(ObserverFlow.norm_bounds), and the chunk's samples are visited in
-decreasing order of that bound until it is no larger than the floor. An
-unvisited sample can neither raise the maximum nor break the bound. A
-visited sample is also skipped when sqrt(||P^T P||_F) is no larger. Every
-formed P is checked (symplectic, and ||P||_F against its screen), and
-every exact norm against its own bound, so a bound that failed would stop
-the run rather than hide a sample. The whole sweep, screens and bounds
-included, follows the one-thread rule at simulate.ONE_THREAD_MAX_N. The
-closed form is tied to the assembled system by verify_mode_generator: its
-generator, rebuilt from the modes, must equal the blocks of a_o rotated
-into the modes' (q, p) basis. Each formed P is held to
-Phi Theta Phi^T = Theta with Theta = diag(J, ..., J) of P's own size
-(lqs.symplectic_drift), so no Theta is stored.
+and keeps those whose screen still exceeds the floor, the largest exact
+norm sqrt(lambda_max(P^T P)) so far. Only for those, three power steps on
+P^T P through the factors give a Kato-Temple upper bound on ||P||_2 that
+is at most the screen (ObserverFlow.norm_bounds), and the chunk's samples
+are visited in decreasing order of that bound until it is no larger than
+the floor. An unvisited sample cannot raise the maximum. A visited sample
+is also skipped when sqrt(||P^T P||_F) is no larger. Every formed P is
+checked (symplectic, and ||P||_F against its screen), and every exact norm
+against its own bound, so a bound that failed would stop the run rather
+than hide a sample. The whole sweep, screens and bounds included, follows
+the one-thread rule at simulate.ONE_THREAD_MAX_N. The closed form is tied
+to the assembled system by verify_mode_generator: its generator, rebuilt
+from the modes, must equal the blocks of a_o rotated into the modes' (q, p)
+basis. Each formed P is held to Phi Theta Phi^T = Theta with
+Theta = diag(J, ..., J) of P's own size (lqs.symplectic_drift), so no Theta
+is stored.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ import numpy as np
 
 from .builder import ChainObserverParams
 from .errors import (
-    BoundViolatedError,
     InvalidInputError,
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -82,8 +81,6 @@ SCREEN_REL_TOL = 1e-12
 # by BOUND_SLACK, a hundred times more.
 BOUND_REL_TOL = 1e-12
 BOUND_SLACK = 1e-10
-# How far an observed ||P||_2 may exceed the certified bound, relative.
-EXP_BOUND_REL_TOL = 1e-9
 # Samples per batch of the screens and of the bounds' power steps: a few
 # BOUND_CHUNK x N arrays at a time.
 BOUND_CHUNK = 128
@@ -194,8 +191,6 @@ class ObserverFlow:
     cos, up and down hold D(t_k)'s entries for every sample
     (NormalModes.weights), and g and h the Gram factors G = L1^T L1 and
     H = L2^T L2. screen is ||P(t_k)||_F for every sample, from them alone.
-    bound holds an upper bound on ||P(t_k)||_2 that is at most screen where
-    norm_bounds has computed one, and inf elsewhere.
     """
 
     modes: NormalModes
@@ -205,11 +200,10 @@ class ObserverFlow:
     g: np.ndarray
     h: np.ndarray
     screen: np.ndarray
-    bound: np.ndarray
 
     def norm_bounds(self, rows: np.ndarray) -> np.ndarray:
         """Upper bounds on ||P(t_k)||_2 for the samples k in rows, each at
-        most its screen; also stored in bound.
+        most its screen.
 
         P^T P = S^-T D^T (S^T S) D S^-1 with S^T S = diag(G, H) and
         S^-1 S^-T = diag(H, G), so an iterate x is held as v = S^T x, with
@@ -249,9 +243,7 @@ class ObserverFlow:
         screen = self.screen[rows]
         squared = _top_eigenvalue_bound(rho, residual, screen ** 2 * (1.0 + 2.0 * SCREEN_REL_TOL))
         # fmin keeps the screen where the steps overflowed to inf or nan
-        bound = np.fmin(np.sqrt(squared), screen)
-        self.bound[rows] = bound
-        return bound
+        return np.fmin(np.sqrt(squared), screen)
 
     def propagator(self, k: int) -> np.ndarray:
         """P(t_k) in the interleaved (q_1, p_1, ..., q_N, p_N) layout, checked.
@@ -276,20 +268,6 @@ class ObserverFlow:
                 f"value {self.screen[k]:.17e}"
             )
         return phi
-
-    def spectral_norm(self, k: int, gram: np.ndarray) -> float:
-        """||P(t_k)||_2 from gram = P^T P, checked against bound[k].
-
-        The sweep trusts the bound for the samples it never forms; an exact
-        norm above it by more than BOUND_REL_TOL raises a tolerance-exceeded
-        error.
-        """
-        norm = _spectral_norm(gram)
-        if norm - self.bound[k] > BOUND_REL_TOL * norm:
-            raise ToleranceExceededError(
-                f"||P||_2 = {norm:.17e} at sample {k} exceeds its bound {self.bound[k]:.17e}"
-            )
-        return norm
 
 
 def verify_mode_generator(modes: NormalModes) -> float:
@@ -353,8 +331,7 @@ def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
         batch = slice(lo, lo + BOUND_CHUNK)
         c, u, d = cos[batch], up[batch], down[batch]
         screen[batch] = np.sqrt(_rowdot(c @ cross, c) + _rowdot(u @ gg, u) + _rowdot(d @ hh, d))
-    return ObserverFlow(modes=modes, cos=cos, up=up, down=down, g=g, h=h, screen=screen,
-                        bound=np.full(screen.size, np.inf))
+    return ObserverFlow(modes=modes, cos=cos, up=up, down=down, g=g, h=h, screen=screen)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -378,32 +355,29 @@ def _top_eigenvalue_bound(rho: np.ndarray, residual: np.ndarray,
         return np.where(gap > 0.0, rho + residual / gap, np.inf)
 
 
-def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
-    """Check ||exp(2 Theta R_o t)||_2 against the certified bound on a grid.
+def verify_exp_bound(modes: NormalModes, grid: TimeGrid) -> float:
+    """The largest ||exp(2 Theta R_o t)||_2 on a grid; cli.run_check holds it
+    to the certified bound.
 
-    Returns the largest observed spectral norm. The floor is the largest
-    norm so far, or the limit bound * (1 + EXP_BOUND_REL_TOL) once a norm
-    passes it; every screen and bound is widened by BOUND_SLACK for its
-    rounding before it is held to the floor. The sweep takes the samples in
-    decreasing screen order, BOUND_CHUNK at a time, and stops at a chunk
-    whose largest screen is at or below the floor. Of a chunk it keeps the
-    samples whose screen exceeds the floor and that are not later than a
-    violation already found, bounds their norms (ObserverFlow.norm_bounds)
-    and visits them in decreasing bound order until the bound is at or
-    below the floor. It passes over samples later than a violation found
-    meanwhile and forms P once for each other one (with the two checks of
+    The floor is the largest norm so far; every screen and bound is widened
+    by BOUND_SLACK for its rounding before it is held to the floor. The
+    sweep takes the samples in decreasing screen order, BOUND_CHUNK at a
+    time, and stops at a chunk whose largest screen is at or below the
+    floor. Of a chunk it keeps the samples whose screen exceeds the floor,
+    bounds their norms (ObserverFlow.norm_bounds) and visits them in
+    decreasing bound order until the bound is at or below the floor. It
+    forms P once for each visited sample (with the two checks of
     ObserverFlow.propagator), skipping it if sqrt(||P^T P||_F) is at or
     below the floor; else its norm is sqrt(lambda_max(P^T P)), within about
-    n * eps relative of the largest singular value, held to the sample's
-    bound (ObserverFlow.spectral_norm). The screens, bounds and formed
-    samples follow the one-thread rule (simulate.ONE_THREAD_MAX_N). Raises
-    a bound-violated error at the first sample in time order above the
-    limit, a sign of an inaccurate propagator, not of bad parameters. Logs
-    the counts, the margin and the sweep's BLAS threads at INFO.
+    n * eps relative of the largest singular value. A norm above its
+    sample's bound by more than BOUND_REL_TOL raises a tolerance-exceeded
+    error, since the samples the sweep skips are only safe while the bounds
+    hold. The screens, bounds and formed samples follow the one-thread rule
+    (simulate.ONE_THREAD_MAX_N). Logs the counts, the maximum, its time and
+    the sweep's BLAS threads at INFO.
     """
-    limit = bound * (1.0 + EXP_BOUND_REL_TOL)
     n = modes.lam.size
-    worst, first, bounded, grams, eigensolves = 0.0, grid.samples, 0, 0, 0
+    worst, at, bounded, grams, eigensolves = 0.0, 0, 0, 0, 0
     with _one_blas_thread(n):
         flow = observer_flow(modes, grid)
         bad = ~np.isfinite(flow.screen)
@@ -414,38 +388,33 @@ def verify_exp_bound(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
         order = np.argsort(-flow.screen, kind="stable")
         for lo in range(0, order.size, BOUND_CHUNK):
             chunk = order[lo:lo + BOUND_CHUNK]
-            floor = min(worst, limit)
-            above = flow.screen[chunk] * (1.0 + BOUND_SLACK) > floor
+            above = flow.screen[chunk] * (1.0 + BOUND_SLACK) > worst
             if not above[0]:
                 break
-            chunk = chunk[above & (chunk <= first)]
-            reach = flow.norm_bounds(chunk) * (1.0 + BOUND_SLACK)
+            chunk = chunk[above]
+            bounds = flow.norm_bounds(chunk)
             bounded += chunk.size
+            reach = bounds * (1.0 + BOUND_SLACK)
             for i in np.argsort(-reach, kind="stable"):
-                floor = min(worst, limit)
-                if reach[i] <= floor:
+                if reach[i] <= worst:
                     break
                 k = chunk[i]
-                if k > first:
-                    continue  # cannot be the first violation in time order
                 phi = flow.propagator(k)
                 gram = phi.T @ phi
                 grams += 1
-                if np.sqrt(np.linalg.norm(gram)) <= floor:
+                if np.sqrt(np.linalg.norm(gram)) <= worst:
                     continue
-                norm = flow.spectral_norm(k, gram)
+                norm = _spectral_norm(gram)
                 eigensolves += 1
-                worst = max(worst, norm)
-                if norm > limit:
-                    first, first_norm = k, norm
-    if worst > limit:
-        raise BoundViolatedError(
-            f"||exp(A t)||_2 = {first_norm:.12e} at t = {grid.times()[first]:g} exceeds the "
-            f"certified bound {bound:.12e}"
-        )
-    log.info("exp bound: %d samples, %d bounded, %d Gram products, %d eigensolves, max %.6e, "
-             "bound %.6e, margin %.6e, sweep on %s", grid.samples, bounded, grams, eigensolves,
-             worst, bound, worst / bound, _blas_threads_text(n))
+                if norm - bounds[i] > BOUND_REL_TOL * norm:
+                    raise ToleranceExceededError(
+                        f"||P||_2 = {norm:.17e} at sample {k} exceeds its bound {bounds[i]:.17e}"
+                    )
+                if norm > worst:
+                    worst, at = norm, k
+    log.info("exp bound: %d samples, %d bounded, %d Gram products, %d eigensolves, max %.6e "
+             "at t = %g, sweep on %s", grid.samples, bounded, grams, eigensolves, worst,
+             grid.times()[at], _blas_threads_text(n))
     return worst
 
 

@@ -43,10 +43,6 @@ class NotPositiveDefiniteError(ChainobsError):
         self.lambda_min = float(lambda_min)
 
 
-class BoundViolatedError(ChainobsError):
-    """A certified norm bound was exceeded, signalling a computation bug."""
-
-
 class ToleranceExceededError(ChainobsError):
     """A conserved quantity drifted past its tolerance during propagation."""
 

@@ -11,9 +11,9 @@ modes of K = Omega^(1/2) R_red Omega^(1/2); NormalModes.weights holds the
 closed form P(t) = S D(t) S^-1. One tridiagonal eigensolve of K
 (normal_modes: dense eigh of K, each eigenvalue refined by its Rayleigh
 quotient) serves every time and horizon, and its fastest frequency sets the
-default sampling step. That eigh, and check's sweep over formed
-propagators (analysis.verify_exp_bound), follow the one-thread rule stated
-at ONE_THREAD_MAX_N (_one_blas_thread).
+default sampling step. That eigh, and check's sweep for the largest
+propagator norm (analysis.verify_exp_bound), follow the one-thread rule
+stated at ONE_THREAD_MAX_N (_one_blas_thread).
 
 Stored trajectories evaluate the rows on the grid in chunks of at most
 TRAJECTORY_CHUNK times and TRAJECTORY_CHUNK_BYTES of rows (_chunk_times),

@@ -55,7 +55,6 @@ from scipy.linalg import expm
 from chainobs.analysis import observer_flow
 from chainobs.builder import ChainObserverParams
 from chainobs.errors import (
-    BoundViolatedError,
     InvalidDimensionError,
     InvalidInputError,
     InvalidParameterError,
@@ -140,25 +139,18 @@ def dense_symplectic_drift(phi: np.ndarray, theta: np.ndarray) -> float:
     return float(np.linalg.norm(phi @ theta @ phi.T - theta, ord="fro"))
 
 
-def exp_bound_unscreened(modes: NormalModes, bound: float, grid: TimeGrid) -> float:
+def exp_bound_unscreened(modes: NormalModes, grid: TimeGrid) -> float:
     """The exponential-bound sweep with every sample's norm taken exactly.
 
     Forms every sample in time order through the library's closed-form
-    propagator (observer_flow, with its two per-sample checks) and takes
-    sqrt(eigvalsh(P^T P)[-1]); the first norm above bound * (1 + 1e-9)
-    raises, with the message the library uses. Returns the max norm.
+    propagator (observer_flow, with its two per-sample checks) and returns
+    the largest sqrt(eigvalsh(P^T P)[-1]).
     """
     flow = observer_flow(modes, grid)
     worst = 0.0
-    for k, t in enumerate(grid.times()):
+    for k in range(grid.samples):
         phi = flow.propagator(k)
-        norm = float(np.sqrt(np.linalg.eigvalsh(phi.T @ phi)[-1]))
-        worst = max(worst, norm)
-        if norm > bound * (1.0 + 1e-9):
-            raise BoundViolatedError(
-                f"||exp(A t)||_2 = {norm:.12e} at t = {t:g} exceeds the certified "
-                f"bound {bound:.12e}"
-            )
+        worst = max(worst, float(np.sqrt(np.linalg.eigvalsh(phi.T @ phi)[-1])))
     return worst
 
 

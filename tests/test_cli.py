@@ -1182,7 +1182,7 @@ class TestConsoleEntryPoint:
             name for name, value in vars(co).items()
             if not name.startswith("_") and not inspect.ismodule(value)
         }
-        assert len(set(co.__all__)) == len(co.__all__) == 29
+        assert len(set(co.__all__)) == len(co.__all__) == 28
         assert set(co.__all__) == public
 
     def test_public_names_are_what_library_use_shows(self):
@@ -1191,7 +1191,7 @@ class TestConsoleEntryPoint:
         section = library_use()
         errors = {name for name in co.__all__ if name.endswith("Error")}
         assert all(issubclass(getattr(co, name), co.ChainobsError) for name in errors)
-        assert len(errors) == 13
+        assert len(errors) == 12
         assert [name for name in sorted(set(co.__all__) - errors)
                 if not re.search(rf"\b{name}\b", section)] == []
         assert set(re.findall(r"\bco\.(\w+)", section)) <= set(co.__all__)

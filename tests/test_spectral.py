@@ -24,7 +24,7 @@ from chainobs import analysis, builder, simulate
 from chainobs.cli import EXP_BOUND_SAMPLES, EXP_BOUND_SPAN, ORACLE_REL_TOL
 from chainobs.simulate import _one_minus_sinc
 from conftest import build_system
-from oracles import observer_hamiltonian, output_matrix, propagator, time_average_exact
+from oracles import output_matrix, propagator, time_average_exact
 
 # Worst relative Frobenius gap seen over 1,500 random draws of the property
 # below, with a margin: 2.1e-11 against the exact route (mostly the
@@ -220,9 +220,7 @@ def test_sweep_maximum_referee(c_p, variant, n, seed, monkeypatch):
     monkeypatch.setattr(
         analysis.ObserverFlow, "propagator", lambda flow, k: visited.append(k) or form(flow, k)
     )
-    observed = analysis.verify_exp_bound(
-        modes, co.certify_positive_definite(observer_hamiltonian(chain)).exp_norm_bound, grid
-    )
+    observed = analysis.verify_exp_bound(modes, grid)
     monkeypatch.undo()
     flow = analysis.observer_flow(modes, grid)
     closed = {k: spectral_norm(flow.propagator(k)) for k in visited}

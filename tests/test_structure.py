@@ -293,3 +293,22 @@ def test_one_constructor_assembles_every_tridiagonal():
     callers = {f"{stem}.{name}" for stem, source in sources.items()
                for name in _callers(source, calls_it)}
     assert callers == {"analysis.build_reduced", "simulate._eigh_tridiagonal"}
+
+
+def test_one_judge_for_the_exponential_bound():
+    """The certified bound and its tolerance EXP_BOUND_REL_TOL are read in
+    cli.run_check alone, which holds the sweep's maximum to them through the
+    report; the sweep keeps no bounds of its own (ObserverFlow has no bound
+    field)."""
+    package = Path(co.__file__).parent
+
+    def reads_the_bound(node: ast.AST) -> bool:
+        name = getattr(node, "id", getattr(node, "attr", None))
+        return (isinstance(getattr(node, "ctx", None), ast.Load)
+                and name in ("EXP_BOUND_REL_TOL", "exp_norm_bound"))
+
+    readers = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+               for name in _holders(path.read_text(), reads_the_bound)}
+    assert readers == {"cli.run_check"}
+    assert [f.name for f in dataclasses.fields(analysis.ObserverFlow)] == [
+        "modes", "cos", "up", "down", "g", "h", "screen"]
