@@ -220,7 +220,8 @@ def make_mu_schedule(scheme: ParameterScheme, n_elements: int) -> np.ndarray:
     if scheme.variant == SCHEME_UNIFORM:
         return np.full(n, w0)
     if scheme.variant == SCHEME_ODD_HARMONICS:
-        return w0 * np.arange(1, n + 1, dtype=float)
+        with np.errstate(over="ignore"):  # build_chain rejects what overflows
+            return w0 * np.arange(1, n + 1, dtype=float)
     if scheme.variant == SCHEME_ALL_HARMONICS:
         if n % 2 != 0:
             raise UnsupportedSchemeError(
@@ -242,15 +243,29 @@ def make_mu_schedule(scheme: ParameterScheme, n_elements: int) -> np.ndarray:
 
 
 def omegas_from_mu(mu_tilde: np.ndarray) -> np.ndarray:
-    """Frequency lineup omega_i = mu~_i + mu~_{i+1}, with omega_N = mu~_N."""
+    """Frequency lineup omega_i = mu~_i + mu~_{i+1}, with omega_N = mu~_N.
+
+    Couplings whose lineup would overflow float64 in the runs are rejected.
+    The largest sum of squares a run takes is ||A_a||_F^2 = 8 (|omega|^2 +
+    |mu~|^2): every Frobenius norm and the normal-mode matrix K, whose
+    entries and eigenvalues are at most 2 omega_max^2, lie below it, so it
+    must be finite.
+    """
     mt = np.asarray(mu_tilde, dtype=float).reshape(-1)
     if mt.size < 1:
         raise InvalidDimensionError("mu_tilde must have at least one entry")
     if not np.all(np.isfinite(mt)) or np.any(mt <= 0.0):
         raise InvalidParameterError("all coupling strengths must be positive and finite")
     omega = np.empty_like(mt)
-    omega[:-1] = mt[:-1] + mt[1:]
     omega[-1] = mt[-1]
+    with np.errstate(over="ignore"):
+        omega[:-1] = mt[:-1] + mt[1:]
+        squares = 8.0 * (omega @ omega + mt @ mt)
+    if not np.isfinite(squares):
+        raise InvalidParameterError(
+            f"coupling strengths up to {mt.max():.6e} overflow float64: "
+            f"||A_a||_F^2 = 8 (|omega|^2 + |mu~|^2) is not finite"
+        )
     return omega
 
 

@@ -122,7 +122,8 @@ class TimeGrid:
             raise InvalidParameterError(f"max_step must be positive, got {max_step!r}")
         intervals = max(1, math.ceil(_interval_count(t_end, max_step)))
         while t_end / intervals > max_step:
-            intervals += 1
+            # past 2^52 intervals a step of one no longer moves the quotient
+            intervals += 1 + (intervals >> 52)
         return cls(t_end=t_end, step=t_end / intervals)
 
     @classmethod
@@ -314,8 +315,10 @@ def default_step(modes: NormalModes) -> float:
 
 def _one_minus_sinc(x: np.ndarray) -> np.ndarray:
     """1 - sin(x)/x for x > 0, by its Taylor series below x = 1 where the
-    direct form cancels (terms through x^18 leave < 1e-16 relative)."""
-    x2 = x * x
+    direct form cancels (terms through x^18 leave < 1e-16 relative). The
+    series is summed at min(x, 1), so that no large x overflows its powers."""
+    small = np.minimum(x, 1.0)
+    x2 = small * small
     series = np.zeros_like(x)
     for k in range(9, 0, -1):
         series = (-1.0) ** (k + 1) / math.factorial(2 * k + 1) + x2 * series
@@ -326,11 +329,11 @@ def _average_weights(modes: NormalModes, horizon: float) -> tuple[np.ndarray, ..
     """Per-mode weights of the average over [0, T] on q(0), p(0) and q_0."""
     nu = modes.nu
     x = nu * horizon
-    return (
-        np.sin(x) / x,
-        -4.0 * np.sin(0.5 * x) ** 2 / (nu * nu * horizon),
-        _one_minus_sinc(x) / modes.lam,
-    )
+    # where nu^2 T passes the largest double, the p(0) weight is below
+    # 4 / 1.8e308 and rounds to -0.0
+    with np.errstate(over="ignore"):
+        p_weight = -4.0 * np.sin(0.5 * x) ** 2 / (nu * nu * horizon)
+    return np.sin(x) / x, p_weight, _one_minus_sinc(x) / modes.lam
 
 
 def _derivative_weights(modes: NormalModes, t: float) -> tuple[np.ndarray, ...]:

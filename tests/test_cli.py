@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -1030,6 +1031,56 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: all coupling strengths must be positive and finite\n"
         )
+
+    @pytest.mark.parametrize("command", ["build", "check", "timeavg", "simulate"])
+    @pytest.mark.parametrize("scheme, omega0, largest", [
+        ("uniform", 1e154, 1e154),
+        ("uniform", 1.3e154, 1.3e154),
+        ("uniform", 1e300, 1e300),
+        ("uniform", 8.9e307, 8.9e307),
+        ("uniform", 1e308, 1e308),
+        ("odd-harmonics", 1e154, 3e154),
+        ("odd-harmonics", 1e300, 3e300),
+    ])
+    def test_overflowing_scale_exits_two(self, tmp_path, capsys, command, scheme, omega0,
+                                         largest):
+        """Couplings whose squares overflow float64 are rejected with one
+        error line and exit 2, before any RuntimeWarning. On N = 3 they once
+        exited 3 (eigh of an infinite K did not converge, or the lineup
+        mu~_i + mu~_(i+1) overflowed), or 1 with lambda_min = nan or
+        lambda_max = inf, after RuntimeWarnings."""
+        config = write_config(tmp_path, scheme=scheme, omega0=omega0, horizon=8.0,
+                              output_dir=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: coupling strengths up to {largest:.6e} overflow float64: "
+            f"||A_a||_F^2 = 8 (|omega|^2 + |mu~|^2) is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_scale_runs_without_warnings(self, tmp_path):
+        """Uniform N = 3 has ||A_a||_F^2 = 96 omega0^2, so omega0 = 1.3e153
+        is accepted and 1.4e153 is not; just below the limit every command
+        passes with no RuntimeWarning (simulate over 2 / omega0)."""
+        for omega0, code in ((1.3e153, 0), (1.4e153, 2)):
+            for command in ("build", "check", "timeavg", "simulate"):
+                config = write_config(tmp_path, omega0=omega0, horizon=2.0 / omega0, step=OMIT,
+                                      output_dir=str(tmp_path / "out"))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert cli.main([command, "--config", str(config)]) == code, command
+
+    def test_huge_grid_count_is_rejected_without_looping(self, tmp_path, capsys):
+        """A horizon of 1e20 at the auto step is about 8e23 intervals, where
+        adding one interval no longer moves the float quotient that
+        TimeGrid.covering compares with the step; it once looped forever, and
+        now the memory preflight rejects the grid."""
+        config = write_config(tmp_path, scheme="odd-harmonics", n_elements=50, horizon=1e20,
+                              step=OMIT, output_dir=str(tmp_path / "out"))
+        assert cli.main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: simulate would hold 8.36e+23 samples")
 
     @pytest.mark.parametrize("step", [1e-10, 1e-300, 5e-324])
     def test_uncountable_grid_exits_two(self, tmp_path, capsys, step):
