@@ -388,6 +388,16 @@ class TestExpBound:
             )
             assert samples == 500 and grams <= most and eigensolves <= most, (scheme, n)
 
+    def test_odd_harmonics_n1000_forms_few_propagators(self, caplog):
+        """Odd-harmonics N=1000, the largest chain whose count is pinned: the
+        128 samples of the first chunk get a bound, and one propagator is
+        formed (one Gram product, one eigensolve); at most two of each are
+        allowed."""
+        samples, _, grams, eigensolves = self.logged_check(
+            caplog, n_elements=1000, scheme="odd-harmonics"
+        )
+        assert samples == 500 and grams <= 2 and eigensolves <= 2
+
     def test_non_symplectic_step_is_a_tolerance_failure(self, example_system, monkeypatch):
         """Cosine weights scaled by 1 + 1e-5 break the symplectic identity of
         every formed propagator, and the sweep aborts before any norm is
