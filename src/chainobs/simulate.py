@@ -50,7 +50,7 @@ TRAJECTORY_CHUNK = 512
 TRAJECTORY_CHUNK_BYTES = 32 << 20
 # How far a stored trajectory may stray from the identities verify_trajectory
 # holds it to, relative to ||rows||_inf times ||x*||_inf or ||A_a||_inf.
-# Rounding leaves at most 6.1e-13 (x*) and 2.4e-15 (derivative) on every
+# The tests hold rounding below 2e-12 (x*) and 1e-14 (derivative) on every
 # scheme up to N = 200 and T = 12800.
 TRAJECTORY_REL_TOL = 1e-10
 # Largest chain length N whose dense work runs on one BLAS thread: the

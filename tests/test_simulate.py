@@ -336,13 +336,25 @@ class TestOneThreadEigensolve:
 class TestTrajectory:
     def test_first_sample_is_the_output_matrix(self, example_system):
         """At t = 0 the closed form is Omega^(1/2) V V^T Omega^(-1/2), the
-        identity to rounding: within 3.3e-16 here, 6.2e-15 on every scheme
-        up to N = 200 with ||c_p|| = 2."""
+        identity to rounding: within 1e-15 of C_a on the README config."""
         chain = example_system
         grid = co.TimeGrid(1.0, 0.01)
         trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
         assert trajectory.coefficient_rows.shape == (101, 6, 12)
         assert np.abs(trajectory.coefficient_rows[0] - output_matrix(chain)).max() <= 1e-15
+
+    @pytest.mark.parametrize("variant", builder.SCHEMES)
+    def test_first_sample_on_every_scheme(self, variant):
+        """The first row is within 1e-14 of C_a on every scheme up to N = 200
+        with ||c_p|| = 2 (worst seen 4.7e-15, random N=200)."""
+        c_p = 2.0 * np.array([np.cos(0.7), np.sin(0.7)])
+        for n in (1, 2, 12, 50, 199, 200):
+            if variant == builder.SCHEME_ALL_HARMONICS and n % 2:
+                continue
+            seed = 5 if variant == builder.SCHEME_RANDOM else None
+            chain = build_system(c_p, variant, 1.0, n, seed=seed)
+            rows = co.coefficient_trajectory(co.normal_modes(chain), co.TimeGrid(1.0, 1.0))
+            assert np.abs(rows.coefficient_rows[0] - output_matrix(chain)).max() <= 1e-14, n
 
     def test_last_sample_is_end_rows_bit_for_bit(self, example_system):
         """Rows evaluated in chunks take the arithmetic of a single end_rows call."""
@@ -357,9 +369,12 @@ class TestTrajectory:
             assert np.array_equal(rows[k], simulate.end_rows(modes, times[k]))
 
     def test_chunk_temporaries_are_bounded_in_bytes(self):
-        """At N = 200 a row takes 631 KiB, so a chunk holds 51 times, not 512:
-        beyond the stored rows, the peak stays within a few chunk budgets
-        (about 3 here, where 101 times in one chunk took about 6)."""
+        """Up to N = 63 a chunk holds 512 times. At N = 200 a row takes
+        631 KiB, so a chunk holds 51 times: beyond the stored rows, the peak
+        stays within four chunk budgets, 128 MiB (about 3 here, where 101
+        times in one chunk took about 6)."""
+        assert simulate._chunk_times(63) == 512 > simulate._chunk_times(64)
+        assert simulate._chunk_times(200) == 51
         chain = build_system([0.6, -1.3], "odd-harmonics", 1.0, 200)
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.from_count(0.5, 101)
@@ -413,6 +428,31 @@ class TestVerifyTrajectory:
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.covering(3.0, co.default_step(modes))
         co.verify_trajectory(modes, co.coefficient_trajectory(modes, grid))
+
+    @pytest.mark.parametrize("variant", builder.SCHEMES)
+    def test_rounding_stays_far_below_the_tolerance(self, variant):
+        """Measured as verify_trajectory measures them, rounding leaves at
+        most 2e-12 on (i) and 1e-14 on (ii), relative, on every scheme up to
+        N = 200 and T = 12,800 with ||c_p|| = 2 (worst seen 8.2e-13 and
+        2.5e-15), far inside TRAJECTORY_REL_TOL."""
+        c_p = 2.0 * np.array([np.cos(0.7), np.sin(0.7)])
+        for n in (1, 2, 12, 50, 199, 200):
+            if variant == builder.SCHEME_ALL_HARMONICS and n % 2:
+                continue
+            chain = build_system(c_p, variant, 1.0, n,
+                                 seed=5 if variant == builder.SCHEME_RANDOM else None)
+            modes = co.normal_modes(chain)
+            x_star, a_a = chain.x_star, chain.dynamics.dense()
+            for horizon in (8.0, 800.0, 12800.0):
+                grid = co.TimeGrid.from_count(horizon, 9)
+                rows = co.coefficient_trajectory(modes, grid).coefficient_rows
+                scale = np.abs(rows).sum(axis=2).max(axis=1)
+                x_star_residual = np.abs(rows @ x_star - 1.0).max(axis=1) / scale
+                assert x_star_residual.max() <= 2e-12 * np.abs(x_star).max(), (n, horizon)
+                for t, row, row_scale in zip(grid.times(), rows, scale):
+                    derivative = simulate._rows(modes, *simulate._derivative_weights(modes, t))
+                    drift = np.abs(derivative[1:] - row[1:] @ a_a).sum(axis=1).max()
+                    assert drift <= 1e-14 * row_scale * np.abs(a_a).sum(axis=1).max(), (n, t)
 
     @pytest.mark.parametrize(
         "mutant,message",
