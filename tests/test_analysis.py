@@ -279,23 +279,9 @@ class TestExpBound:
         assert check["bound"] == 0.999 * maximum * (1.0 + cli.EXP_BOUND_REL_TOL)
         assert captured.err == "FAILED checks: exp_norm_observed\n"
 
-    def test_sweep_forms_no_sample_twice(self, example_system, monkeypatch):
-        """The one sorted pass forms no sample's propagator twice and returns
-        the unscreened sweep's maximum."""
-        modes = co.normal_modes(example_system)
-        grid = co.TimeGrid.from_count(50.0, 500)
-        formed = []
-        true_propagator = analysis.ObserverFlow.propagator
-        monkeypatch.setattr(analysis.ObserverFlow, "propagator",
-                            lambda flow, k: formed.append(int(k)) or true_propagator(flow, k))
-        observed = analysis.verify_exp_bound(modes, grid)
-        monkeypatch.undo()
-        assert observed == exp_bound_unscreened(modes, grid)
-        assert formed and len(formed) == len(set(formed))
-
     @pytest.mark.parametrize("scheme, n, seed", [
-        ("uniform", 26, None), ("uniform", 100, None), ("uniform", 128, None),
-        ("random", 50, 1),
+        ("odd-harmonics", 5, None), ("uniform", 26, None), ("uniform", 100, None),
+        ("uniform", 128, None), ("random", 50, 1),
     ])
     def test_screened_order_matches_the_unscreened_sweep(self, monkeypatch, scheme, n, seed):
         """Taking the samples by screen, a chunk at a time, and bounding only
