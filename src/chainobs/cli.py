@@ -2,7 +2,7 @@
 
 All subcommands read a JSON config (see parse_config); --output-dir,
 --horizon and --step replace that field of the config before it is
-validated, exactly as if the file had said so.
+checked, exactly as if the file had said so.
 
 Exit codes:
 
@@ -38,9 +38,6 @@ from .analysis import (
     verify_mode_generator,
 )
 from .builder import (
-    SCHEME_ALL_HARMONICS,
-    SCHEME_RANDOM,
-    SCHEMES,
     ChainObserverParams,
     ParameterScheme,
     build_chain,
@@ -87,7 +84,7 @@ EXP_BOUND_SPAN = 50.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, as read from a JSON config file."""
+    """Experiment description, as read from a JSON config file (parse_config)."""
 
     n_elements: int
     scheme: str
@@ -150,12 +147,15 @@ def _number(raw: object, path: str) -> float:
 
 
 def parse_config(text: str, **overrides: object) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config.
+    """Parse a JSON experiment config and check its shape.
 
     Each override replaces (or supplies) that field of the parsed object
-    before validation. Schema problems (anything from invalid JSON to a
-    missing or mistyped field) raise a schema error naming the field;
-    semantically inconsistent values raise a validation error.
+    before it is checked. Shape problems (anything from invalid JSON to a
+    missing, unknown, mistyped or non-finite field) raise a schema error
+    naming the field; a horizon or step that is not positive raises a
+    validation error, since check and build consume neither. Every other
+    value rule (n_elements, scheme, omega0, c_p, seed) is the library's,
+    checked by the call that consumes the value when the chain is built.
     """
     try:
         raw = json.loads(text)
@@ -175,9 +175,7 @@ def parse_config(text: str, **overrides: object) -> ExperimentConfig:
         ConfigSchemaError,
         f"n_elements: expected an integer, got {raw['n_elements']!r}",
     )
-    n_elements = raw["n_elements"]
     _expect(isinstance(raw["scheme"], str), ConfigSchemaError, "scheme: expected a string")
-    scheme = raw["scheme"]
     omega0 = _number(raw["omega0"], "omega0")
     _expect(
         isinstance(raw["c_p"], list) and len(raw["c_p"]) == 2,
@@ -188,50 +186,23 @@ def parse_config(text: str, **overrides: object) -> ExperimentConfig:
     horizon = _number(raw["horizon"], "horizon")
 
     seed = raw.get("seed")
-    if seed is not None:
-        _expect(
-            isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-            ConfigSchemaError,
-            f"seed: expected a nonnegative integer, got {seed!r}",
-        )
+    _expect(
+        isinstance(seed, (int, type(None))) and not isinstance(seed, bool),
+        ConfigSchemaError,
+        f"seed: expected a nonnegative integer, got {seed!r}",
+    )
     step: float | str = raw.get("step", "auto")
     if step != "auto":
         step = _number(step, "step")
     output_dir = raw.get("output_dir", ".")
     _expect(isinstance(output_dir, str), ConfigSchemaError, "output_dir: expected a string")
 
-    _expect(n_elements >= 1, ConfigValidationError, f"n_elements must be >= 1, got {n_elements}")
-    _expect(
-        scheme in SCHEMES,
-        ConfigValidationError,
-        f"scheme must be one of {', '.join(SCHEMES)}; got {scheme!r}",
-    )
-    _expect(omega0 > 0, ConfigValidationError, f"omega0 must be positive, got {omega0}")
     _expect(horizon > 0, ConfigValidationError, f"horizon must be positive, got {horizon}")
     if step != "auto":
         _expect(step > 0, ConfigValidationError, f"step must be positive, got {step}")
-    _expect(
-        c_p != (0.0, 0.0),
-        ConfigValidationError,
-        "c_p must not be the zero vector (degenerate output: nothing to observe)",
-    )
-    if scheme == SCHEME_RANDOM:
-        _expect(seed is not None, ConfigValidationError, "scheme 'random' requires a seed")
-    else:
-        _expect(
-            seed is None,
-            ConfigValidationError,
-            f"seed is only meaningful for the random scheme, not {scheme!r}",
-        )
-    if scheme == SCHEME_ALL_HARMONICS:
-        _expect(
-            n_elements % 2 == 0,
-            ConfigValidationError,
-            f"the all-harmonics scheme needs an even n_elements, got {n_elements}",
-        )
     return ExperimentConfig(
-        n_elements=n_elements,
-        scheme=scheme,
+        n_elements=raw["n_elements"],
+        scheme=raw["scheme"],
         omega0=omega0,
         c_p=c_p,
         horizon=horizon,
@@ -323,9 +294,15 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
 
 
 def _construct(config: ExperimentConfig, command: str = "") -> ChainObserverParams:
-    """The config's chain, once command's arrays are known to fit (_check_fits)."""
-    _check_fits(config.n_elements, command)
+    """The config's chain, once command's arrays are known to fit (_check_fits).
+
+    Each value is checked by the library call that consumes it: the scheme,
+    omega0 and seed by ParameterScheme, n_elements by make_mu_schedule, c_p
+    by build_chain. A count below one holds no arrays, so the preflight
+    leaves it to make_mu_schedule.
+    """
     scheme = ParameterScheme(variant=config.scheme, omega0=config.omega0, seed=config.seed)
+    _check_fits(max(config.n_elements, 0), command)
     return build_chain(config.c_p, make_mu_schedule(scheme, config.n_elements))
 
 

@@ -91,8 +91,8 @@ class TestParseConfig:
             (config_text(c_p=[1.0]), "exactly 2"),
             (config_text(c_p=[1.0, "x"]), "expected a number"),
             (config_text(horizon=True), "expected a number"),
-            (config_text(seed=-1), "nonnegative integer"),
             (config_text(seed=1.5), "nonnegative integer"),
+            (config_text(seed=True), "nonnegative integer"),
             (config_text(step="fast"), "expected a number"),
             (config_text(output_dir=5), "expected a string"),
         ],
@@ -104,20 +104,40 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "text,fragment",
         [
-            (config_text(n_elements=0), "must be >= 1"),
-            (config_text(scheme="fibonacci"), "scheme must be one of"),
-            (config_text(omega0=-1.0), "omega0 must be positive"),
             (config_text(horizon=0.0), "horizon must be positive"),
             (config_text(step=-0.5), "step must be positive"),
-            (config_text(c_p=[0.0, 0.0]), "degenerate output"),
-            (config_text(scheme="random"), "requires a seed"),
-            (config_text(seed=3), "only meaningful for the random scheme"),
-            (config_text(scheme="all-harmonics"), "even n_elements"),
         ],
     )
     def test_validation_errors(self, text, fragment):
         with pytest.raises(co.ConfigValidationError, match=fragment):
             cli.parse_config(text)
+
+    @pytest.mark.parametrize("command", ["build", "check", "timeavg", "simulate"])
+    @pytest.mark.parametrize(
+        "overrides,err",
+        [
+            ({"n_elements": 0}, "n_elements must be a positive integer, got 0"),
+            ({"scheme": "fibonacci"}, "unknown scheme 'fibonacci', expected one of uniform, "
+                                      "odd-harmonics, all-harmonics, random"),
+            ({"omega0": -1.0}, "omega0 must be positive, got -1.0"),
+            ({"c_p": [0.0, 0.0]}, "plant output c_p is zero; the chain cannot observe it"),
+            ({"scheme": "random"}, "the random scheme requires a seed"),
+            ({"seed": 3}, "seed is only meaningful for the random scheme, not 'uniform'"),
+            ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+            ({"scheme": "all-harmonics"},
+             "the all-harmonics schedule is defined for even chain lengths only, got N=3"),
+        ],
+    )
+    def test_values_are_checked_by_the_library(self, tmp_path, capsys, command, overrides, err):
+        """parse_config checks the config's shape; each value rule is the
+        library's (ParameterScheme, make_mu_schedule, build_chain), and its
+        one error line exits 2 before output_dir is made."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, output_dir=str(out), **overrides)
+        cli.load_config(config)  # its shape is accepted
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(co.ConfigSchemaError, match="cannot read"):

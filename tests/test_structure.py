@@ -312,3 +312,39 @@ def test_one_judge_for_the_exponential_bound():
     assert readers == {"cli.run_check"}
     assert [f.name for f in dataclasses.fields(analysis.ObserverFlow)] == [
         "modes", "cos", "up", "down", "g", "h", "screen"]
+
+
+VALUE_FIELDS = ("n_elements", "scheme", "omega0", "c_p", "seed")
+
+
+def _config_values(node: ast.AST):
+    """The config fields node reads outside any call: a bare name, config.<field>
+    or raw["<field>"], through arithmetic and containers."""
+    if isinstance(node, ast.Call):
+        return
+    if isinstance(node, ast.Name) and node.id in VALUE_FIELDS:
+        yield node.id
+    elif (isinstance(node, ast.Attribute) and node.attr in VALUE_FIELDS
+          and isinstance(node.value, ast.Name) and node.value.id == "config"):
+        yield node.attr
+    elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+          and node.slice.value in VALUE_FIELDS):
+        yield node.slice.value
+    for child in ast.iter_child_nodes(node):
+        yield from _config_values(child)
+
+
+def test_one_home_for_each_input_rule():
+    """The config parser checks the JSON's shape and the library checks the
+    values: cli.py imports no scheme name and compares no value of
+    n_elements, scheme, omega0, c_p or seed; ParameterScheme,
+    make_mu_schedule and build_chain hold those rules."""
+    tree = ast.parse((Path(co.__file__).parent / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not {name for name in imported if name.startswith("SCHEME")}
+    compared = {(field, ast.unparse(node)) for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators)
+                for field in _config_values(operand)}
+    assert compared == set()
