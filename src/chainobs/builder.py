@@ -270,16 +270,34 @@ def omegas_from_mu(mu_tilde: np.ndarray) -> np.ndarray:
 
 
 def build_chain(c_p: np.ndarray, mu_tilde: np.ndarray) -> ChainObserverParams:
-    """Construct the observer chain for a plant output row and coupling strengths."""
+    """Construct the observer chain for a plant output row and coupling strengths.
+
+    c_p must be finite and nonzero, with ||c_p||^2 a normal double and
+    mu = mu~ / ||c_p||^2 finite, so that mu and x* = alpha / ||alpha||^2
+    can be formed; the couplings are checked by omegas_from_mu.
+    """
     alpha = np.array(c_p, dtype=float).reshape(-1)
     if alpha.shape != (2,):
         raise InvalidDimensionError(f"plant output must have exactly 2 entries, got {alpha.shape}")
     if not np.all(np.isfinite(alpha)):
         raise InvalidParameterError("plant output c_p must be finite")
-    if float(alpha @ alpha) == 0.0:
+    if not np.any(alpha):
         raise DegenerateOutputError("plant output c_p is zero; the chain cannot observe it")
+    with np.errstate(over="ignore"):
+        norm2 = float(alpha @ alpha)
+    if not np.finfo(float).tiny <= norm2 < np.inf:
+        flow = "overflows float64" if norm2 == np.inf else "is below float64's normal range"
+        raise InvalidParameterError(
+            f"plant output c_p = ({alpha[0]:.6e}, {alpha[1]:.6e}) is out of scale: "
+            f"||c_p||^2 = {norm2:.6e} {flow}"
+        )
     mt = np.asarray(mu_tilde, dtype=float).reshape(-1)
     omega = omegas_from_mu(mt)
+    if not np.isfinite(float(mt.max()) / norm2):
+        raise InvalidParameterError(
+            f"plant output c_p = ({alpha[0]:.6e}, {alpha[1]:.6e}) is too small for coupling "
+            f"strengths up to {mt.max():.6e}: mu = mu~ / ||c_p||^2 overflows float64"
+        )
     return ChainObserverParams(alpha=alpha, mu_tilde=mt.copy(), omega=omega)
 
 

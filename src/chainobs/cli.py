@@ -8,7 +8,8 @@ Exit codes:
 
   0  every certificate and tolerance in the run passed
   1  a certificate or tolerance failed
-  2  the command line or config was rejected, or the run would not fit in physical memory
+  2  the command line or config was rejected, the run would not fit in physical
+     memory, or its arithmetic would leave float64 at the config's scales
   3  unexpected error, or standard output closed before the results were
      written (a broken pipe)
 
@@ -452,7 +453,8 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
     horizons = [config.horizon / 16, config.horizon / 8, config.horizon / 4,
                 config.horizon / 2, config.horizon]
     modes = normal_modes(chain)
-    averages = [time_average_spectral(modes, t) for t in horizons]
+    # longest first, so that a horizon beyond the phases' range is rejected as T
+    averages = [time_average_spectral(modes, t) for t in reversed(horizons)][::-1]
     distances = [row_distances(avg) for avg in averages]
     report.consensus_error_curve = [(avg.horizon, float(d.max()))
                                     for avg, d in zip(averages, distances)]
@@ -574,10 +576,16 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(config_path, **overrides)
-        report = runs[command](config)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = runs[command](config)
     except ChainobsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, _EXIT_TOLERANCE) else 2
+    except FloatingPointError as exc:
+        # an overflow or a nan the library's range checks let through
+        print(f"error: {command}'s arithmetic leaves float64 at this config's scales ({exc})",
+              file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 3

@@ -293,7 +293,18 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def normal_modes(chain: ChainObserverParams) -> NormalModes:
-    """The chain's normal modes, by one tridiagonal eigensolve of K."""
+    """The chain's normal modes, by one tridiagonal eigensolve of K.
+
+    K's diagonal is omega^2 and check's sweep holds 1 / omega^2 (the
+    entries of H o H), so couplings whose 1 / omega_min^2 overflows are
+    rejected: K would have lost its diagonal to underflow.
+    """
+    squared = float(chain.omega.min()) ** 2
+    if squared == 0.0 or not math.isfinite(1.0 / squared):
+        raise InvalidParameterError(
+            f"coupling strengths down to {chain.mu_tilde.min():.6e} underflow float64: "
+            f"omega_min^2 = {squared:.6e} has no finite reciprocal"
+        )
     root = np.sqrt(chain.omega)
     lam, v = _eigh_tridiagonal(chain.omega**2, -chain.mu_tilde[1:] * root[:-1] * root[1:])
     if not lam[0] > 0.0:
@@ -310,7 +321,7 @@ def normal_modes(chain: ChainObserverParams) -> NormalModes:
 
 def default_step(modes: NormalModes) -> float:
     """Default sampling step: 0.005 of the period of the fastest normal mode."""
-    return DEFAULT_STEP_FACTOR * (2.0 * math.pi / modes.nu[-1])
+    return DEFAULT_STEP_FACTOR * (2.0 * math.pi / float(modes.nu[-1]))
 
 
 def _one_minus_sinc(x: np.ndarray) -> np.ndarray:
@@ -372,9 +383,17 @@ def _rows(
     return rows
 
 
-def _positive_time(t: float) -> float:
+def _phase_time(modes: NormalModes, t: float) -> float:
+    """t, once it is positive and the fastest mode's phase nu_max t at it
+    is finite: past the largest double, sin and cos of a phase are nan."""
     if not (np.isfinite(t) and t > 0.0):
         raise InvalidParameterError(f"horizon must be positive, got {t!r}")
+    nu_max = float(modes.nu[-1])
+    if not math.isfinite(nu_max * float(t)):
+        raise InvalidParameterError(
+            f"horizon {t!r} is too long for the fastest normal mode: its phase "
+            f"nu_max T = {nu_max:.6e} * {t!r} overflows float64"
+        )
     return float(t)
 
 
@@ -382,16 +401,23 @@ def time_average_spectral(modes: NormalModes, horizon: float) -> TimeAverage:
     """Time average of the coefficient rows over [0, T], in closed form.
 
     With x = nu T, q(0) is weighted by sin(x)/x, p(0) by
-    -4 sin^2(x/2)/(nu^2 T) and q_0 by (1 - sin(x)/x)/lambda.
+    -4 sin^2(x/2)/(nu^2 T) and q_0 by (1 - sin(x)/x)/lambda, so the slowest
+    mode's nu_min T and nu_min^2 T must not underflow.
     """
-    horizon = _positive_time(horizon)
+    horizon = _phase_time(modes, horizon)
+    nu_min = float(modes.nu[0])
+    if min(nu_min * horizon, nu_min * nu_min * horizon) < np.finfo(float).tiny:
+        raise InvalidParameterError(
+            f"horizon {horizon!r} is too short for the slowest normal mode: its phase "
+            f"nu_min T = {nu_min:.6e} * {horizon!r} or nu_min^2 T is below float64's normal range"
+        )
     rows = _rows(modes, *_average_weights(modes, horizon))
     return TimeAverage(horizon=horizon, averaged_rows=rows)
 
 
 def end_rows(modes: NormalModes, t: float) -> np.ndarray:
     """C_a Phi(t) in closed form (NormalModes.weights and NormalModes.drive)."""
-    t = _positive_time(t)
+    t = _phase_time(modes, t)
     cos, up, _ = modes.weights(t)
     return _rows(modes, cos, up, modes.drive(t))
 
@@ -408,6 +434,7 @@ def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
     Each sample is end_rows at its time, evaluated _chunk_times(N) times at
     a time; the row at a time t equals end_rows(modes, t) bit for bit.
     """
+    _phase_time(modes, grid.t_end)
     times = grid.times()
     n = modes.chain.n_elements
     rows = np.empty((grid.samples, n + 1, 2 * n + 2))

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -1080,6 +1084,147 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["build", "check", "timeavg", "simulate"])
+    @pytest.mark.parametrize("c_p, omega0, err", [
+        ((1e155, 0.0), 1.0, "is out of scale: ||c_p||^2 = inf overflows float64"),
+        ((1e-160, 0.0), 1.0,
+         "is out of scale: ||c_p||^2 = 9.999889e-321 is below float64's normal range"),
+        ((1e-170, 0.0), 1.0,
+         "is out of scale: ||c_p||^2 = 0.000000e+00 is below float64's normal range"),
+        ((1e-150, 0.0), 1e10, "is too small for coupling strengths up to 1.000000e+10: "
+                              "mu = mu~ / ||c_p||^2 overflows float64"),
+    ])
+    def test_plant_row_out_of_scale_exits_two(self, tmp_path, capsys, command, c_p, omega0, err):
+        """A c_p whose ||c_p||^2 overflows, is subnormal or underflows to 0,
+        or whose mu = mu~ / ||c_p||^2 overflows, is rejected by build_chain
+        with one line naming c_p, before any RuntimeWarning. They once exited
+        2 as "Hamiltonian matrix contains non-finite entries" after
+        RuntimeWarnings, or (1e-170) as a zero c_p."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, c_p=list(c_p), omega0=omega0, n_elements=5,
+                              output_dir=str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: plant output c_p = ({c_p[0]:.6e}, 0.000000e+00) {err}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, horizon, step", [
+        ("timeavg", 1e307, OMIT),
+        ("timeavg", 1.7e308, OMIT),
+        ("simulate", 1e307, 1e306),
+    ])
+    def test_horizon_past_the_phases_exits_two(self, tmp_path, capsys, command, horizon, step):
+        """On odd-harmonics N = 5 the fastest mode has nu_max = 21.1, so a
+        horizon of 1e307 takes its phase nu_max T past the largest double. It
+        once printed a nan consensus error with exit 0 (timeavg at 1e307), or
+        exited 1 on a nan residual (timeavg at 1.7e308, simulate at sample 9),
+        after RuntimeWarnings; now the horizon is rejected before any row."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, scheme="odd-harmonics", n_elements=5, horizon=horizon,
+                              step=step, output_dir=str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: horizon {horizon!r} is too long for the fastest normal mode: its phase "
+            f"nu_max T = 2.109521e+01 * {horizon!r} overflows float64\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, omega0, c_p, horizon, shortest", [
+        (2, 0.5, (0.0, 1.0), 5e-324, 5e-324),
+        (1, 5.540707513715364, (0.0, 2.1618951892459603e75), 2.2250738585072014e-308,
+         2.2250738585072014e-308 / 16),
+    ])
+    def test_horizon_short_of_the_phases_exits_two(self, tmp_path, capsys, n, omega0, c_p,
+                                                   horizon, shortest):
+        """timeavg divides by the slowest phase nu_min T and by nu_min^2 T, so
+        a horizon at which either leaves float64's normal range is rejected,
+        naming the shortest horizon of the ladder T/16 ... T that does. At
+        the parent the first exited 2 only because T/16 rounded to 0, after
+        a nan from sin(0)/0 at T; the second exited 3 on an overflow in the
+        cross-check's (C_a Phi(T) - C_a) / T."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, n_elements=n, omega0=omega0, c_p=list(c_p),
+                              horizon=horizon, step=OMIT, output_dir=str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["timeavg", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: horizon {shortest!r} is too short for the slowest normal "
+                              f"mode: its phase nu_min T = "), err
+        assert err.endswith(" or nu_min^2 T is below float64's normal range\n"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build", "check", "timeavg", "simulate"])
+    @pytest.mark.parametrize("omega0, squared", [(7.4e-155, "5.476000e-309"),
+                                                 (1e-160, "9.999889e-321"),
+                                                 (1e-300, "0.000000e+00")])
+    def test_underflowing_scale_exits_two(self, tmp_path, capsys, command, omega0, squared):
+        """The twin of the overflow rule: the normal-mode matrix K holds
+        omega^2 on its diagonal and check's sweep 1 / omega^2, so couplings
+        whose 1 / omega_min^2 overflows are rejected by normal_modes, and
+        build, which solves no normal modes, still runs. On uniform N = 3,
+        omega0 = 1e-160 once exited 3 on an overflow (check's sweep, or
+        1 / lambda in timeavg and simulate) and 1e-300 exited 1 as an
+        indefinite K."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, omega0=omega0, output_dir=str(out))
+        code = 0 if command == "build" else 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(config)]) == code
+        assert capsys.readouterr().err == ("" if code == 0 else (
+            f"error: coupling strengths down to {omega0:.6e} underflow float64: "
+            f"omega_min^2 = {squared} has no finite reciprocal\n"))
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("command, n, scheme, omega0, c_p, horizon, reason", [
+        ("build", 1, "uniform", 1e100, (1.3e154, 0.0), 8.0, "overflow encountered in dot"),
+        ("check", 1, "uniform", 1e100, (1.3e154, 0.0), 8.0, "overflow encountered in dot"),
+        ("timeavg", 6, "odd-harmonics", 1.0, (1.3e154, 0.0), 8.0,
+         "overflow encountered in multiply"),
+        ("timeavg", 2, "uniform", 1.0, (1e100, -1e100), 1e-300, "overflow encountered in divide"),
+        ("simulate", 3, "uniform", 1.5e-154, (1.0, 0.0), 2.0 / 1.5e-154,
+         "overflow encountered in divide"),
+    ])
+    def test_overflow_past_the_range_checks_exits_two(self, tmp_path, capsys, command, n,
+                                                      scheme, omega0, c_p, horizon, reason):
+        """Scales that pass every range check can still overflow a run's
+        arithmetic: the fixed point's residual A_o (alpha; ...; alpha) at
+        ||c_p|| omega0 = 1.3e254, the row distances of a chain whose rows
+        scale with c_p = 1.3e154, the cross-check's (C_a Phi(T) - C_a) / T at
+        c_p = 1e100 and T = 1e-300, or simulate's plant drive
+        2 sin^2(nu t / 2) / lambda at lambda_min = 5.7e-309. Each once exited
+        3; the run now stops at the first overflow with one error line and
+        exit 2."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, n_elements=n, scheme=scheme, omega0=omega0,
+                              c_p=list(c_p), horizon=horizon, step=OMIT, output_dir=str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command}'s arithmetic leaves float64 at this config's scales ({reason})\n"
+        )
+        assert not out.exists()
+
+    def test_longest_horizon_at_the_auto_step_exits_two(self, tmp_path, capsys):
+        """The largest double over the auto step is infinitely many
+        intervals; the count once overflowed a numpy division (exit 3)."""
+        config = write_config(tmp_path, n_elements=1, c_p=[0.0, 1.0],
+                              horizon=1.7976931348623157e308, step=OMIT,
+                              output_dir=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: span 1.7976931348623157e+308 over step 0.015707963267948967 is not a "
+            "finite number of intervals\n"
+        )
+
     def test_largest_scale_runs_without_warnings(self, tmp_path):
         """Uniform N = 3 has ||A_a||_F^2 = 96 omega0^2, so omega0 = 1.3e153
         is accepted and 1.4e153 is not; just below the limit every command
@@ -1133,6 +1278,79 @@ class TestExitCodes:
         config = write_config(tmp_path)
         assert cli.main(["check", "--config", str(config)]) == 3
         assert "unexpected error" in capsys.readouterr().err
+
+
+def _scaled(low: int, high: int) -> st.SearchStrategy[float]:
+    """Positive doubles of every decade from 10^low to 10^high."""
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.999), st.integers(low, high))
+
+
+# The extremes a config can carry: subnormal, smallest normal, largest double.
+_FLOAT_EDGES = st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+_SIGN = st.sampled_from([1.0, -1.0])
+_PART = (st.floats(-9.0, 9.0) | st.builds(float.__mul__, _SIGN, _FLOAT_EDGES | _scaled(-323, 307))
+         | st.sampled_from([0.0, -0.0]))
+
+
+_EXTREMES = {
+    "n_elements": st.integers(1, 80) | st.booleans() | st.integers(-2**70, 2**70),
+    "scheme": st.just("fibonacci"),
+    "omega0": _FLOAT_EDGES | _scaled(-323, 307) | st.sampled_from([0.0, -1.0]),
+    "c_p": st.lists(_PART, min_size=2, max_size=2),
+    "horizon": _FLOAT_EDGES | _scaled(-300, 300),
+    "step": _FLOAT_EDGES | _scaled(-300, 300) | st.sampled_from(["0.1", "fast"]),
+    "seed": st.integers(2**64, 2**200) | st.booleans() | st.integers(-3, 2**32),
+}
+
+
+@st.composite
+def raw_configs(draw) -> dict:
+    """A JSON config as a user may write it: a valid config of any scheme,
+    with up to three of its fields replaced by an extreme value (_EXTREMES)."""
+    scheme = draw(st.sampled_from(builder.SCHEMES))
+    n = draw(st.integers(1, 12))
+    raw = {
+        "n_elements": n + n % 2 if scheme == builder.SCHEME_ALL_HARMONICS else n,
+        "scheme": scheme,
+        "omega0": draw(st.floats(0.1, 10.0)),
+        "c_p": [draw(st.floats(-9.0, 9.0)), draw(st.floats(0.1, 9.0))],
+        "horizon": draw(st.floats(0.1, 20.0)),
+    }
+    if scheme == builder.SCHEME_RANDOM:
+        raw["seed"] = draw(st.integers(0, 2**32))
+    step = draw(st.none() | st.just("auto") | st.floats(0.01, 1.0))
+    if step is not None:
+        raw["step"] = step
+    for name in sorted(draw(st.sets(st.sampled_from(sorted(_EXTREMES)), max_size=3))):
+        raw[name] = draw(_EXTREMES[name])
+    return raw
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(raw=raw_configs(), command=st.sampled_from(["build", "check", "timeavg", "simulate"]))
+def test_every_raw_config_exits_with_a_documented_code(raw, command):
+    """Any JSON config, down to subnormal and up to the largest doubles and
+    counts, exits 0, 1 or 2 through cli.main with no traceback and no
+    warning (which would end as an unexpected error, exit 3); a run that
+    passes prints only finite numbers. Physical memory is taken as 4 MiB,
+    which admits chains up to N = 74 for check."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_physical_memory", lambda: 4 << 20), \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({**raw, "output_dir": str(Path(tmp) / "out")}))
+        code = cli.main([command, "--config", str(config)])
+    printed, errors = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), errors
+    assert "Traceback" not in errors and "unexpected error" not in errors, errors
+    if code == 2:
+        assert printed == "" and errors.startswith("error: ") and errors.count("\n") == 1, errors
+    if code == 0:
+        numbers = re.findall(r"[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf|NaN|Infinity)", printed)
+        assert numbers and all(np.isfinite(float(x)) for x in numbers), printed
 
 
 class TestCommandLine:
