@@ -130,6 +130,9 @@ class TestParseConfig:
             ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
             ({"scheme": "all-harmonics"},
              "the all-harmonics schedule is defined for even chain lengths only, got N=3"),
+            # the preflight counts no bytes below one element, so make_mu_schedule names it
+            ({"n_elements": -2**70},
+             "n_elements must be a positive integer, got -1180591620717411303424"),
         ],
     )
     def test_values_are_checked_by_the_library(self, tmp_path, capsys, command, overrides, err):
@@ -1142,9 +1145,9 @@ class TestExitCodes:
                                                    horizon, shortest):
         """timeavg divides by the slowest phase nu_min T and by nu_min^2 T, so
         a horizon at which either leaves float64's normal range is rejected,
-        naming the shortest horizon of the ladder T/16 ... T that does. At
-        the parent the first exited 2 only because T/16 rounded to 0, after
-        a nan from sin(0)/0 at T; the second exited 3 on an overflow in the
+        naming the shortest horizon of the ladder T/16 ... T that does. The
+        first once exited 2 only because T/16 rounded to 0, after a nan from
+        sin(0)/0 at T; the second exited 3 on an overflow in the
         cross-check's (C_a Phi(T) - C_a) / T."""
         out = tmp_path / "out"
         config = write_config(tmp_path, n_elements=n, omega0=omega0, c_p=list(c_p),
@@ -1333,7 +1336,7 @@ def test_every_raw_config_exits_with_a_documented_code(raw, command):
     counts, exits 0, 1 or 2 through cli.main with no traceback and no
     warning (which would end as an unexpected error, exit 3); a run that
     passes prints only finite numbers. Physical memory is taken as 4 MiB,
-    which admits chains up to N = 74 for check."""
+    which admits chains up to N = 73 for check."""
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "_physical_memory", lambda: 4 << 20), \
             contextlib.redirect_stdout(io.StringIO()) as out, \
