@@ -48,7 +48,6 @@ is stored.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -62,6 +61,7 @@ from .errors import (
     NumericalFailureError,
     ToleranceExceededError,
 )
+from .logs import Logger
 from .lqs import SYMPLECTIC_UNIT, symplectic_drift, tridiagonal
 from .simulate import NormalModes, TimeGrid, _blas_threads_text, _block, _one_blas_thread
 
@@ -91,7 +91,7 @@ POWER_STEPS = 3
 # every scheme from N = 1 to 1000.
 GENERATOR_REL_TOL = 1e-12
 
-log = logging.getLogger(__name__)
+log = Logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -188,15 +188,15 @@ def _check_symplectic(phi: np.ndarray, k: int) -> None:
 class ObserverFlow:
     """The observer propagator P(t) = S D(t) S^-1 on a time grid, in closed form.
 
-    cos, up and down hold D(t_k)'s entries for every sample
-    (NormalModes.weights), and g and h the Gram factors G = L1^T L1 and
+    cos and sin hold the phases' cosines and sines for every sample
+    (NormalModes.weights), from which D(t_k)'s entries up and down are formed
+    for the samples in use; g and h hold the Gram factors G = L1^T L1 and
     H = L2^T L2. screen is ||P(t_k)||_F for every sample, from them alone.
     """
 
     modes: NormalModes
     cos: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
+    sin: np.ndarray
     g: np.ndarray
     h: np.ndarray
     screen: np.ndarray
@@ -217,8 +217,9 @@ class ObserverFlow:
         cost twelve len(rows) x N x N products (S^-1 x_0 is shared by every
         row), and P is never formed.
         """
-        c, u, d = self.cos[rows], self.up[rows], self.down[rows]
-        left, right, g, h = self.modes.left, self.modes.right, self.g, self.h
+        modes, g, h = self.modes, self.g, self.h
+        c, (u, d) = self.cos[rows], _up_down(modes, self.sin[rows])
+        left, right = modes.left, modes.right
 
         def gram_step(yq: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """S^T P^T P x, row by row, for the rows x with S^-1 x = (yq, yp)."""
@@ -253,12 +254,13 @@ class ObserverFlow:
         never forms. A failure of either raises a tolerance-exceeded error;
         a non-finite P raises a numerical failure.
         """
-        left, right = self.modes.left, self.modes.right
+        modes = self.modes
+        left, right = modes.left, modes.right
         n = left.shape[0]
         phi = np.empty((2 * n, 2 * n))
         phi[0::2, 0::2] = _block(left, self.cos[k], right)
-        phi[0::2, 1::2] = _block(left, self.up[k], left)
-        phi[1::2, 0::2] = _block(right, self.down[k], right)
+        phi[0::2, 1::2] = _block(left, modes.up(self.sin[k]), left)
+        phi[1::2, 0::2] = _block(right, modes.down(self.sin[k]), right)
         phi[1::2, 1::2] = _block(right, self.cos[k], left)
         _check_symplectic(phi, k)
         frobenius = float(np.linalg.norm(phi))
@@ -320,18 +322,24 @@ def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
     a quadratic form in its weights, so ||P||_F^2 = cos (2 G o H) cos +
     up (G o G) up + down (H o H) down (o the entrywise product): three
     BOUND_CHUNK x N x N products per chunk of samples give every screen.
-    No norm bound is computed yet (ObserverFlow.norm_bounds).
+    Only cos and sin are held for the grid; up and down are formed a chunk
+    at a time. No norm bound is computed yet (ObserverFlow.norm_bounds).
     """
-    cos, up, down = modes.weights(grid.times())
+    cos, sin = modes.weights(grid.times())
     left, right = modes.left, modes.right
     g, h = left.T @ left, right.T @ right
     cross, gg, hh = 2.0 * g * h, g * g, h * h
     screen = np.empty(cos.shape[0])
     for lo in range(0, cos.shape[0], BOUND_CHUNK):
         batch = slice(lo, lo + BOUND_CHUNK)
-        c, u, d = cos[batch], up[batch], down[batch]
+        c, (u, d) = cos[batch], _up_down(modes, sin[batch])
         screen[batch] = np.sqrt(_rowdot(c @ cross, c) + _rowdot(u @ gg, u) + _rowdot(d @ hh, d))
-    return ObserverFlow(modes=modes, cos=cos, up=up, down=down, g=g, h=h, screen=screen)
+    return ObserverFlow(modes=modes, cos=cos, sin=sin, g=g, h=h, screen=screen)
+
+
+def _up_down(modes: NormalModes, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D(t)'s entries up and down for the rows of sin (NormalModes.up and down)."""
+    return modes.up(sin), modes.down(sin)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -401,6 +409,7 @@ def verify_exp_bound(modes: NormalModes, grid: TimeGrid) -> float:
                 k = chunk[i]
                 phi = flow.propagator(k)
                 gram = phi.T @ phi
+                del phi  # the norm needs the Gram matrix alone
                 grams += 1
                 if np.sqrt(np.linalg.norm(gram)) <= worst:
                     continue

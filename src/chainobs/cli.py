@@ -14,13 +14,14 @@ Exit codes:
      written (a broken pipe)
 
 The CHAINOBS_LOG environment variable (a logging level name such as INFO or
-DEBUG; any other value leaves WARNING) controls log verbosity.
+DEBUG; any other value leaves WARNING) controls log verbosity. Unless it is
+set, or the host program has imported logging, logging is never loaded
+(chainobs.logs).
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialize
+from . import logs, serialize
 from .analysis import (
     BOUND_CHUNK,
     SpectralCertificate,
@@ -68,7 +69,7 @@ from .simulate import (
     verify_trajectory,
 )
 
-log = logging.getLogger("chainobs")
+log = logs.Logger("chainobs")
 
 REALIZABILITY_REL_TOL = 1e-12
 FIXED_POINT_REL_TOL = 1e-12
@@ -239,12 +240,12 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
     temporary. build also holds its dense (2N+2)-square R_a and A_a. check
     holds eight N x N arrays (its normal modes' V, Omega^(1/2) V and
     Omega^(-1/2) V, the sweep's G and H, and the screens' 2 G o H, G o G and
-    H o H), one formed propagator's four 2N x 2N arrays (P, its Gram, and
-    the symplectic product and its difference), seven samples x N arrays
-    (D(t)'s three entries and, while NormalModes.weights forms them, at most
-    four temporaries) and thirteen BOUND_CHUNK x N temporaries of the norm
-    bounds (a chunk's three rows of D(t), two iterates and at most six
-    arrays inside a power step). timeavg holds seven more N x N arrays (the
+    H o H), one formed propagator's three 2N x 2N arrays (P with the
+    symplectic check's product M and M - M^T; P is freed once its Gram is
+    formed), two samples x N arrays (the phases' cos and sin, which
+    NormalModes.weights forms with no other) and thirteen BOUND_CHUNK x N
+    temporaries of the norm bounds (a chunk's three rows of D(t), two
+    iterates and at most six arrays inside a power step). timeavg holds seven more N x N arrays (the
     normal modes' V, Omega^(1/2) V and Omega^(-1/2) V, and four temporaries
     of the rows), nine arrays of (N+1) x (2N+2) rows (the five averages and
     four of the cross-check's temporaries) and the writer's text for one
@@ -261,10 +262,10 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
             needed += 2 * (2 * n + 2) ** 2
             arrays += " and its dense R_a and A_a"
         elif command == "check":
-            vectors = 7 * EXP_BOUND_SAMPLES + 13 * BOUND_CHUNK
-            needed += 8 * n * n + 4 * (2 * n) ** 2 + vectors * n
+            vectors = 2 * EXP_BOUND_SAMPLES + 13 * BOUND_CHUNK
+            needed += 8 * n * n + 3 * (2 * n) ** 2 + vectors * n
             arrays += (f", eight more N x N arrays of its normal modes and screens, one "
-                       f"propagator's four 2N x 2N arrays and {vectors} N-vectors of the "
+                       f"propagator's three 2N x 2N arrays and {vectors} N-vectors of the "
                        f"sweep's weights and bounds")
         elif command == "timeavg":
             needed += 7 * n * n + 9 * (n + 1) * (2 * n + 2) + 32 * serialize.CHUNK
@@ -570,9 +571,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if _print_out(HELP) else 3
     command, config_path, overrides = parsed
 
-    level = logging.getLevelName(os.environ.get("CHAINOBS_LOG", "WARNING").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging = logs.loaded()
+    if logging is not None:
+        level = logging.getLevelName(os.environ.get("CHAINOBS_LOG", "WARNING").upper())
+        logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
 
     try:
         config = load_config(config_path, **overrides)

@@ -168,7 +168,8 @@ def symplectic_drift(phi: np.ndarray) -> float:
 
     Theta is diag(J, ..., J) of Phi's size, so Phi Theta Phi^T = M - M^T
     with M = Phi[:, 0::2] Phi[:, 1::2]^T: one n x n/2 x n product instead of
-    two dense n x n x n ones.
+    two dense n x n x n ones. The column halves are freed once M is formed,
+    so no more than Phi, M and M - M^T are held at once.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1] or phi.shape[0] % 2:
@@ -178,9 +179,7 @@ def symplectic_drift(phi: np.ndarray) -> float:
     _require_finite(phi, "propagator")
     # BLAS needs a unit stride, and numpy releases differ in whether matmul
     # copies a strided view for it or falls back to its much slower own loop
-    even = np.ascontiguousarray(phi[:, 0::2])
-    odd = np.ascontiguousarray(phi[:, 1::2])
-    m = even @ odd.T
+    m = np.ascontiguousarray(phi[:, 0::2]) @ np.ascontiguousarray(phi[:, 1::2]).T
     # subtract Theta on its nonzeros only: +1 at (2i, 2i+1), -1 at (2i+1, 2i)
     n = phi.shape[0]
     d = m - m.T

@@ -30,7 +30,6 @@ from the modes' own chain.
 from __future__ import annotations
 
 import ctypes
-import logging
 import math
 import threading
 from contextlib import contextmanager
@@ -41,6 +40,7 @@ import numpy as np
 
 from .builder import ChainObserverParams
 from .errors import InvalidParameterError, NotPositiveDefiniteError, ToleranceExceededError
+from .logs import Logger
 from .lqs import SYMPLECTIC_UNIT, tridiagonal
 
 DEFAULT_STEP_FACTOR = 0.005
@@ -77,7 +77,7 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 _BLAS_THREADS_LOCK = threading.Lock()
 
-log = logging.getLogger(__name__)
+log = Logger(__name__)
 
 
 def _interval_count(t_end: float, step: float) -> float:
@@ -176,7 +176,7 @@ class NormalModes:
         """L2 = Omega^(-1/2) V."""
         return self.v / np.sqrt(self.chain.omega)[:, None]
 
-    def weights(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def weights(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The closed form of the observer propagator at the times t: D(t) per mode.
 
         Rotated per mode into (q, p) = (alpha^ . x, J alpha^ . x), the
@@ -188,13 +188,22 @@ class NormalModes:
         S^-1 = diag(L2^T, L1^T), with the blocks [[L1 cos L2^T, L1 up L1^T],
         [L2 down L2^T, L2 cos L1^T]] (each a _block), where, mode by mode,
         cos = cos(nu t), up = -2 sin(nu t) / nu and down = nu sin(nu t) / 2.
-        Returns (cos, up, down), one row per time when t is an array; the
-        plant's share of q is drive(t).
+        Returns (cos, sin) of the phases nu t, one row per time when t is an
+        array, cos taking the phases' own array; up and down are formed from
+        sin where they are used (up, down). The plant's share of q is
+        drive(t).
         """
-        nu = self.nu
-        x = np.multiply.outer(t, nu)
+        x = np.multiply.outer(t, self.nu)
         sin = np.sin(x)
-        return np.cos(x), -2.0 * sin / nu, 0.5 * nu * sin
+        return np.cos(x, out=x), sin
+
+    def up(self, sin: np.ndarray) -> np.ndarray:
+        """D(t)'s weight of p(0) in q, -2 sin(nu t) / nu, from weights' sin."""
+        return -2.0 * sin / self.nu
+
+    def down(self, sin: np.ndarray) -> np.ndarray:
+        """D(t)'s weight of q(0) in p, nu sin(nu t) / 2, from weights' sin."""
+        return 0.5 * self.nu * sin
 
     def drive(self, t: float | np.ndarray) -> np.ndarray:
         """The plant drive at the times t: how q_0 reaches the observer q's.
@@ -418,8 +427,8 @@ def time_average_spectral(modes: NormalModes, horizon: float) -> TimeAverage:
 def end_rows(modes: NormalModes, t: float) -> np.ndarray:
     """C_a Phi(t) in closed form (NormalModes.weights and NormalModes.drive)."""
     t = _phase_time(modes, t)
-    cos, up, _ = modes.weights(t)
-    return _rows(modes, cos, up, modes.drive(t))
+    cos, sin = modes.weights(t)
+    return _rows(modes, cos, modes.up(sin), modes.drive(t))
 
 
 def _chunk_times(n: int) -> int:
@@ -441,8 +450,8 @@ def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
     step = _chunk_times(n)
     for start in range(0, grid.samples, step):
         chunk = times[start : start + step]
-        cos, up, _ = modes.weights(chunk)
-        rows[start : start + chunk.size] = _rows(modes, cos, up, modes.drive(chunk))
+        cos, sin = modes.weights(chunk)
+        rows[start : start + chunk.size] = _rows(modes, cos, modes.up(sin), modes.drive(chunk))
     return Trajectory(grid=grid, coefficient_rows=rows)
 
 

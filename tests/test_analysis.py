@@ -5,6 +5,7 @@ import json
 import logging
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -308,9 +309,9 @@ class TestExpBound:
         true_weights = simulate.NormalModes.weights
 
         def nan_phases(modes, t):
-            cos, up, down = true_weights(modes, t)
+            cos, sin = true_weights(modes, t)
             cos[3, 1] = np.nan
-            return cos, up, down
+            return cos, sin
 
         monkeypatch.setattr(simulate.NormalModes, "weights", nan_phases)
         grid = co.TimeGrid.from_count(1.0, 10)
@@ -392,8 +393,8 @@ class TestExpBound:
         true_weights = simulate.NormalModes.weights
 
         def scaled_cos(modes, t):
-            cos, up, down = true_weights(modes, t)
-            return (1.0 + 1e-5) * cos, up, down
+            cos, sin = true_weights(modes, t)
+            return (1.0 + 1e-5) * cos, sin
 
         monkeypatch.setattr(simulate.NormalModes, "weights", scaled_cos)
         with pytest.raises(co.ToleranceExceededError, match="symplectic drift"):
@@ -486,6 +487,29 @@ class TestExpBound:
         with pytest.raises(co.ToleranceExceededError, match=f"at sample {k} exceeds its bound"):
             analysis.verify_exp_bound(modes, grid)
 
+    def test_each_propagator_is_freed_before_its_eigensolve(self, monkeypatch):
+        """The sweep keeps only P's Gram matrix for eigvalsh: every formed P
+        is gone by then, so a formed sample holds at most three 2N x 2N
+        arrays at once (P with the symplectic check's two)."""
+        chain = build_system([1.0, 0.0], "random", 1.0, 50, seed=1)
+        formed, alive = [], []
+        propagator, eigvalsh = analysis.ObserverFlow.propagator, np.linalg.eigvalsh
+
+        def watched_propagator(flow, k):
+            phi = propagator(flow, k)
+            formed.append(weakref.ref(phi))
+            return phi
+
+        def watched_eigvalsh(gram):
+            alive.append(sum(ref() is not None for ref in formed))
+            return eigvalsh(gram)
+
+        monkeypatch.setattr(analysis.ObserverFlow, "propagator", watched_propagator)
+        monkeypatch.setattr(np.linalg, "eigvalsh", watched_eigvalsh)
+        analysis.verify_exp_bound(co.normal_modes(chain),
+                                  co.TimeGrid.from_count(cli.EXP_BOUND_SPAN, cli.EXP_BOUND_SAMPLES))
+        assert alive and set(alive) == {0}
+
     def test_norm_bound_without_its_residual_fails(self, monkeypatch):
         """A mutant bound without its residual term is sqrt(rho), a lower
         bound: on the check-n50 chain (random N=50, seed 1) it falls below
@@ -546,8 +570,8 @@ class TestOneThreadSweep:
             return eigvalsh(gram)
 
         def scaled(modes, t):
-            cos, up, down = true_weights(modes, t)
-            return scale_cos * cos, up, down
+            cos, sin = true_weights(modes, t)
+            return scale_cos * cos, sin
 
         monkeypatch.setattr(analysis, "symplectic_drift", watched_drift)
         monkeypatch.setattr(np.linalg, "eigvalsh", watched_eigvalsh)

@@ -422,8 +422,8 @@ class TestSimulateCommand:
         true_weights, true_drive = simulate.NormalModes.weights, simulate.NormalModes.drive
 
         def mutated(modes, t):
-            cos, up, down = true_weights(modes, t)
-            return cos, -up, down
+            cos, sin = true_weights(modes, t)
+            return cos, -sin
 
         def mutated_drive(modes, t):
             return true_drive(modes, t) * (1.0 + 1e-6)
@@ -782,7 +782,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         held = {"build": " and its dense R_a and A_a",
                 "check": ", eight more N x N arrays of its normal modes and screens, one "
-                         "propagator's four 2N x 2N arrays and 5164 N-vectors of the sweep's "
+                         "propagator's three 2N x 2N arrays and 2664 N-vectors of the sweep's "
                          "weights and bounds",
                 "timeavg": ", seven more N x N arrays, nine (N+1) x (2N+2) arrays of rows "
                            "(five averages and four cross-check temporaries) and the writer's "
@@ -827,12 +827,12 @@ class TestExitCodes:
 
     # N=3: every run holds two 3 x 3 arrays, 144 bytes; build also its
     # 8 x 8 R_a and A_a, 1,024 more; check also eight 3 x 3 arrays of the
-    # modes and screens and one propagator's four 6 x 6 arrays, 576 + 1,152
-    # more, and 7 x 500 + 13 x 128 = 5,164 rows of 3 for the sweep's weights
-    # and norm bounds, 123,936 more; timeavg also seven more 3 x 3 arrays, nine 4 x 8
+    # modes and screens and one propagator's three 6 x 6 arrays, 576 + 864
+    # more, and 2 x 500 + 13 x 128 = 2,664 rows of 3 for the sweep's weights
+    # and norm bounds, 63,936 more; timeavg also seven more 3 x 3 arrays, nine 4 x 8
     # arrays of rows and the writer's 2,048 values of text at 256 bytes each,
     # 504 + 2,304 + 524,288 more.
-    CHECK_ESTIMATE = 125_808
+    CHECK_ESTIMATE = 65_520
     TIMEAVG_ESTIMATE = 527_240
 
     @pytest.mark.parametrize(
@@ -859,13 +859,13 @@ class TestExitCodes:
             assert drawn and err == ""
         else:
             assert not drawn
-            rounded = {"check": "1.26e+5", "build": "1.17e+3", "timeavg": "5.27e+5"}[command]
+            rounded = {"check": "6.55e+4", "build": "1.17e+3", "timeavg": "5.27e+5"}[command]
             assert f"about {rounded} bytes" in err
             assert f"than the {memory} bytes of physical memory" in err
 
     def test_check_preflight_counts_the_sweep(self, tmp_path, monkeypatch, capsys):
         """check at N=3 with memory between the two-array estimate (144 bytes)
-        and the whole run's (125,808) exits 2 before any propagator is formed."""
+        and the whole run's (65,520) exits 2 before any propagator is formed."""
         memory = 900
         monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
         formed = []
@@ -876,7 +876,7 @@ class TestExitCodes:
         assert cli.main(["check", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert not formed
-        assert "about 1.26e+5 bytes" in err
+        assert "about 6.55e+4 bytes" in err
         assert f"than the {memory} bytes of physical memory" in err
 
     def test_timeavg_preflight_counts_the_averages(self, tmp_path, monkeypatch, capsys):
@@ -902,7 +902,11 @@ class TestExitCodes:
         """The preflight's count is at least the run's array memory: its
         tracemalloc peak less the same subcommand's at N=1, the fixed cost of
         the report and the writer (measured on a second N=1 run, after the
-        first has paid the one-time costs)."""
+        first has paid the one-time costs). It is also at most 1.6 times it
+        (measured: 1.51 for check, 1.35 for timeavg), since it adds up
+        arrays that different stages hold: a count that still held an array
+        the run has dropped, such as check's fourth 2N x 2N array (1.71),
+        fails."""
 
         def peak(size: int, label: str) -> int:
             config = write_config(tmp_path, n_elements=size, scheme="odd-harmonics",
@@ -920,6 +924,8 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_physical_memory", lambda: array_memory - 1)
         with pytest.raises(co.ConfigValidationError):
             cli._check_fits(n, command)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: int(1.6 * array_memory))
+        cli._check_fits(n, command)
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["build", "--config", str(tmp_path / "absent.json")])
@@ -969,8 +975,8 @@ class TestExitCodes:
         true_weights = simulate.NormalModes.weights
 
         def scaled_cos(modes, t):
-            cos, up, down = true_weights(modes, t)
-            return (1.0 + 1e-5) * cos, up, down
+            cos, sin = true_weights(modes, t)
+            return (1.0 + 1e-5) * cos, sin
 
         monkeypatch.setattr(simulate.NormalModes, "weights", scaled_cos)
         config = write_config(tmp_path)
@@ -1575,7 +1581,7 @@ from chainobs import cli
 
 def unneeded_modules():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "scipy" or m.startswith("numpy.random")
+                  if m.split(".")[0] in ("scipy", "logging") or m.startswith("numpy.random")
                   or m in ("argparse", "locale"))
 
 seen = {"import": [0, unneeded_modules()]}
@@ -1586,12 +1592,15 @@ print(json.dumps(seen))
 """
 
 
-def test_cli_import_leaves_scipy_integrate_out(tmp_path):
+def test_cli_import_leaves_scipy_integrate_out(tmp_path, monkeypatch):
     """Neither scipy nor numpy.random is loaded by importing the CLI, nor
     later, lazily, by a run of any subcommand on a random-scheme chain, whose
     draws come from the package's own stream. Nor are argparse and locale:
     the command line is read without argparse, whose help strings went
-    through gettext, and so imported locale, on every run."""
+    through gettext, and so imported locale, on every run. Nor, with
+    CHAINOBS_LOG unset, is logging: the library's loggers load it on
+    demand (chainobs.logs)."""
+    monkeypatch.delenv("CHAINOBS_LOG", raising=False)
     config = {"n_elements": 3, "scheme": "random", "seed": 5, "omega0": 1.0,
               "c_p": [1.0, 0.0], "horizon": 1.0}
     (tmp_path / "config.json").write_text(json.dumps(config))
@@ -1621,3 +1630,24 @@ def test_timeavg_info_log_changes_no_output(tmp_path):
     assert quiet_files == loud_files
     assert "normal modes" not in quiet.stderr
     assert sum("normal modes" in line for line in loud.stderr.splitlines()) == 1
+
+
+def test_check_info_log_changes_no_output(tmp_path):
+    """check under CHAINOBS_LOG=INFO, the one path that loads logging in a
+    fresh process, prints the same report, and its stderr carries the
+    sweep's and the eigensolve's INFO lines once each."""
+    config = {"n_elements": 50, "scheme": "random", "seed": 1, "omega0": 1.0,
+              "c_p": [1.0, 0.0], "horizon": 8.0}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    runs = {}
+    for level in ("WARNING", "INFO"):
+        proc = run_python(["-m", "chainobs.cli", "check", "--config", "config.json"], tmp_path,
+                          CHAINOBS_LOG=level)
+        assert proc.returncode == 0, proc.stderr
+        runs[level] = proc
+    quiet, loud = runs["WARNING"], runs["INFO"]
+    assert quiet.stdout == loud.stdout
+    assert quiet.stderr == ""
+    lines = loud.stderr.splitlines()
+    assert sum(line.startswith("INFO chainobs.analysis: exp bound:") for line in lines) == 1
+    assert sum(line.startswith("INFO chainobs.simulate: normal modes") for line in lines) == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,6 +160,20 @@ def test_symplectic_drift_takes_theta_from_the_propagator(n_modes):
     assert lqs.symplectic_drift(np.kron(np.eye(n_modes), rotation(0.7))) <= 1e-15
     drift = lqs.symplectic_drift(2.0 * np.eye(2 * n_modes))
     assert abs(drift - 3.0 * np.sqrt(2 * n_modes)) <= 1e-14
+
+
+def test_symplectic_drift_holds_two_arrays_beside_phi():
+    """The column halves are freed before M - M^T is formed, so the check
+    holds M and M - M^T beside phi, two arrays of phi's size; with the
+    halves kept it would hold three."""
+    phi = np.kron(np.eye(200), rotation(0.7))
+    tracemalloc.start()
+    try:
+        lqs.symplectic_drift(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * phi.nbytes <= peak < 2.1 * phi.nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -466,12 +466,12 @@ class TestVerifyTrajectory:
         true_weights, true_drive = simulate.NormalModes.weights, simulate.NormalModes.drive
 
         def mutated(modes, t):
-            cos, up, down = true_weights(modes, t)
+            cos, sin = true_weights(modes, t)
             if mutant == "q":
                 cos = cos * (1.0 + 1e-6)
             elif mutant == "p":
-                up = -up
-            return cos, up, down
+                sin = -sin
+            return cos, sin
 
         def mutated_drive(modes, t):
             drive = true_drive(modes, t)

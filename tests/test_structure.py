@@ -311,7 +311,7 @@ def test_one_judge_for_the_exponential_bound():
                for name in _holders(path.read_text(), reads_the_bound)}
     assert readers == {"cli.run_check"}
     assert [f.name for f in dataclasses.fields(analysis.ObserverFlow)] == [
-        "modes", "cos", "up", "down", "g", "h", "screen"]
+        "modes", "cos", "sin", "g", "h", "screen"]
 
 
 VALUE_FIELDS = ("n_elements", "scheme", "omega0", "c_p", "seed")
