@@ -11,6 +11,13 @@ bytes. Lines are formatted in chunks of about CHUNK values, so no file is
 held in memory as text. Matrices are plain comma-separated values with no
 header; trajectory and average files carry the headers the plotting tools
 expect.
+
+Every writer replaces its file rather than rewriting it in place (_create):
+the old file, or a symlink, at the path is removed first. Some filesystems
+(ext4 with its default auto_da_alloc) force a file that was truncated and
+written again to disk when it is closed, which cost about 60 ms for each
+file of a rerun into the same directory; a new file is not forced. A hard
+link to an earlier run's file therefore keeps that run's bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +34,12 @@ from .simulate import TimeAverage, Trajectory
 CHUNK = 2048  # values formatted at a time
 
 
+def _create(path: Path) -> BinaryIO:
+    """path opened for writing as a new file, whatever was there removed first."""
+    path.unlink(missing_ok=True)
+    return open(path, "xb")
+
+
 def _write(out: BinaryIO, n_rows: int, rows: Callable[[int, int], np.ndarray],
            separators: list[bytes], end: bytes = b"\n") -> None:
     """Write the lines of rows(start, stop) of an n_rows-row table, a chunk at a time:
@@ -41,7 +54,7 @@ def _write(out: BinaryIO, n_rows: int, rows: Callable[[int, int], np.ndarray],
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "wb") as out:
+    with _create(path) as out:
         _write(out, len(m), lambda a, b: m[a:b], [b","] * (m.shape[1] - 1))
 
 
@@ -68,7 +81,7 @@ def _write_labeled(out: BinaryIO, first: np.ndarray, values: np.ndarray) -> None
 def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
     """One line per (sample, output row), rows labeled 1..N+1."""
     dim = trajectory.coefficient_rows.shape[2]
-    with open(path, "wb") as out:
+    with _create(path) as out:
         out.write(f"{trajectory_header(dim)}\n".encode())
         _write_labeled(out, trajectory.grid.times(), trajectory.coefficient_rows)
 
@@ -77,7 +90,7 @@ def write_spatial_csv(path: Path, trajectory: Trajectory, spatial: np.ndarray) -
     """Same column layout as the trajectory file, row label 's'."""
     dim = spatial.shape[1]
     times = trajectory.grid.times()
-    with open(path, "wb") as out:
+    with _create(path) as out:
         out.write(f"{trajectory_header(dim)}\n".encode())
         _write(out, len(spatial), lambda a, b: np.column_stack([times[a:b], spatial[a:b]]),
                [b",s,"] + [b","] * (dim - 1))
@@ -97,7 +110,7 @@ def write_averages_csv(
     errors = np.asarray(row_errors, dtype=float)
     summary = np.column_stack([np.full(len(errors), float(averages[-1].horizon)),
                                np.arange(2.0, len(errors) + 2), errors])
-    with open(path, "wb") as out:
+    with _create(path) as out:
         out.write(f"{average_header(dim)}\n".encode())
         for avg in averages:
             _write_labeled(out, np.array([avg.horizon], dtype=float), avg.averaged_rows[None])
@@ -106,4 +119,5 @@ def write_averages_csv(
 
 
 def write_report_json(path: Path, report: dict) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _create(path) as out:
+        out.write((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())

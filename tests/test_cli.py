@@ -1575,6 +1575,36 @@ def run_python(args: list[str], cwd: Path, **env: str) -> subprocess.CompletedPr
     )
 
 
+@pytest.mark.parametrize("command", ["build", "simulate", "timeavg"])
+def test_rerun_replaces_its_outputs(tmp_path, capsys, command):
+    """Each output is replaced by a new file, not rewritten in place: a rerun
+    into the same output_dir writes the same bytes again, a hard link to an
+    earlier run's file keeps that run's bytes, and a symlink at an output
+    path is replaced while its target stays as it was."""
+    out, links = tmp_path / "out", tmp_path / "links"
+    target = tmp_path / "target.txt"
+    target.write_text("not an output\n")
+
+    def run(n: int) -> dict[str, bytes]:
+        config = write_config(tmp_path, n_elements=n, output_dir=str(out))
+        assert cli.main([command, "--config", str(config)]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    first = run(3)
+    links.mkdir()
+    for name in first:
+        os.link(out / name, links / name)
+    (out / "report.json").unlink()
+    (out / "report.json").symlink_to(target)
+    second = run(4)
+    assert second["report.json"] != first["report.json"]
+    assert {name: (links / name).read_bytes() for name in first} == first
+    assert not (out / "report.json").is_symlink()
+    assert target.read_text() == "not an output\n"
+    assert run(3) == first
+    capsys.readouterr()
+
+
 MODULES_AFTER_EACH_COMMAND = """
 import json, sys
 from chainobs import cli
