@@ -22,6 +22,7 @@ set, or the host program has imported logging, logging is never loaded
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -323,8 +324,13 @@ def _base_report(chain: ChainObserverParams) -> RunReport:
     )
     a_norm = chain.dynamics.frobenius_norm()
     report.add("realizability_residual", report.realizability_residual, REALIZABILITY_REL_TOL * a_norm)
+    # A_o and A_a do not scale with c_p (mu alpha alpha^T = mu~ alpha alpha^T /
+    # ||alpha||^2), but the two residuals below apply them to alpha, so their
+    # bounds carry ||c_p|| too: a chain and its rescaled c_p pass alike
+    alpha_norm = math.sqrt(float(chain.alpha @ chain.alpha))
     o_norm = chain.observer_dynamics.frobenius_norm()
-    report.add("fixed_point_residual", report.fixed_point_residual, FIXED_POINT_REL_TOL * o_norm)
+    report.add("fixed_point_residual", report.fixed_point_residual,
+               FIXED_POINT_REL_TOL * o_norm * alpha_norm)
 
     if chain.n_elements > 1:
         # the path Laplacian L = R_red - mu~_1 e_1 e_1^T, formed in R_red's
@@ -346,7 +352,7 @@ def _base_report(chain: ChainObserverParams) -> RunReport:
     plant = np.zeros(2 * chain.n_elements + 2)
     plant[:2] = chain.alpha
     plant_row = float(np.abs(plant @ chain.dynamics).max())
-    report.add("plant_row_of_c_a_a_a", plant_row, PLANT_ROW_REL_TOL * a_norm)
+    report.add("plant_row_of_c_a_a_a", plant_row, PLANT_ROW_REL_TOL * a_norm * alpha_norm)
 
     # every observer output row C_o is alpha on its own element
     outputs = chain.x_star[2:].reshape(-1, 2) @ chain.alpha

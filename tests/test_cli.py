@@ -21,7 +21,7 @@ from unittest import mock
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chainobs as co
 from chainobs import analysis, builder, cli, lqs, serialize, simulate
@@ -1360,6 +1360,33 @@ def test_every_raw_config_exits_with_a_documented_code(raw, command):
     if code == 0:
         numbers = re.findall(r"[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf|NaN|Infinity)", printed)
         assert numbers and all(np.isfinite(float(x)) for x in numbers), printed
+
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scheme=st.sampled_from(builder.SCHEMES), n=st.integers(1, 12),
+       c_p=st.tuples(st.floats(-9.0, 9.0), st.floats(0.1, 9.0)),
+       exponent=st.floats(-70.0, 70.0), command=st.sampled_from(["build", "check"]))
+@example(scheme="odd-harmonics", n=5, c_p=(1.0, 0.7), exponent=5.0, command="build")
+@example(scheme="odd-harmonics", n=5, c_p=(1.0, 0.7), exponent=6.0, command="check")
+def test_rescaled_plant_row_passes_alike(scheme, n, c_p, exponent, command):
+    """The base report's fixed_point_residual and plant_row_of_c_a_a_a
+    residuals apply A_o and A_a to alpha, and their bounds carry ||c_p||,
+    so every scheme passes build and check with c_p scaled anywhere from
+    1e-70 to 1e70. Bounds without ||c_p|| failed odd-harmonics N=5 at
+    c_p (1e5, 7e4), and also on the plant row at (1e6, 7e5)."""
+    config = {"n_elements": n + n % 2 if scheme == builder.SCHEME_ALL_HARMONICS else n,
+              "scheme": scheme, "omega0": 1.0, "horizon": 8.0,
+              "c_p": [c_p[0] * 10.0**exponent, c_p[1] * 10.0**exponent]}
+    if scheme == builder.SCHEME_RANDOM:
+        config["seed"] = 3
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**config, "output_dir": str(Path(tmp) / "out")}))
+        code = cli.main([command, "--config", str(path)])
+    assert code == 0, err.getvalue()
 
 
 class TestCommandLine:
