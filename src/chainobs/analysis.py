@@ -218,7 +218,8 @@ class ObserverFlow:
         row), and P is never formed.
         """
         modes, g, h = self.modes, self.g, self.h
-        c, (u, d) = self.cos[rows], _up_down(modes, self.sin[rows])
+        sin = self.sin[rows]
+        c, u, d = self.cos[rows], modes.up(sin), modes.down(sin)
         left, right = modes.left, modes.right
 
         def gram_step(yq: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,14 +333,10 @@ def observer_flow(modes: NormalModes, grid: TimeGrid) -> ObserverFlow:
     screen = np.empty(cos.shape[0])
     for lo in range(0, cos.shape[0], BOUND_CHUNK):
         batch = slice(lo, lo + BOUND_CHUNK)
-        c, (u, d) = cos[batch], _up_down(modes, sin[batch])
+        s = sin[batch]
+        c, u, d = cos[batch], modes.up(s), modes.down(s)
         screen[batch] = np.sqrt(_rowdot(c @ cross, c) + _rowdot(u @ gg, u) + _rowdot(d @ hh, d))
     return ObserverFlow(modes=modes, cos=cos, sin=sin, g=g, h=h, screen=screen)
-
-
-def _up_down(modes: NormalModes, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D(t)'s entries up and down for the rows of sin (NormalModes.up and down)."""
-    return modes.up(sin), modes.down(sin)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -246,12 +246,12 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
     formed), two samples x N arrays (the phases' cos and sin, which
     NormalModes.weights forms with no other) and thirteen BOUND_CHUNK x N
     temporaries of the norm bounds (a chunk's three rows of D(t), two
-    iterates and at most six arrays inside a power step). timeavg holds seven more N x N arrays (the
-    normal modes' V, Omega^(1/2) V and Omega^(-1/2) V, and four temporaries
-    of the rows), nine arrays of (N+1) x (2N+2) rows (the five averages and
-    four of the cross-check's temporaries) and the writer's text for one
-    chunk of serialize.CHUNK values, counted at 256 bytes a value (about 205
-    are used). With simulate's grid it is the trajectory: samples x (N+1)
+    iterates and at most six arrays inside a power step). timeavg holds
+    seven more N x N arrays (the normal modes' V, Omega^(1/2) V and
+    Omega^(-1/2) V, and four temporaries of the rows), nine arrays of
+    (N+1) x (2N+2) rows (the five averages and four of the cross-check's
+    temporaries) and the writer's text for one chunk of serialize.CHUNK
+    values, counted at 256 bytes a value (about 205 are used). With simulate's grid it is the trajectory: samples x (N+1)
     rows of 2N+2 doubles, two samples x (2N+2) arrays (the plant rows and
     the spatial average) and one chunk of rows' temporaries (at most
     simulate.TRAJECTORY_CHUNK_BYTES); the writers format the rows a few
