@@ -236,32 +236,40 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
 
     Counted in Python ints, so no chain length overflows, and as if every
     array the run forms were held at once, so the count bounds its peak.
-    Without a grid, that is the chain's set-up, checked before the couplings
-    are drawn: every run holds the N x N reduced matrix and one N x N
-    temporary. build also holds its dense (2N+2)-square R_a and A_a. check
-    holds eight N x N arrays (its normal modes' V, Omega^(1/2) V and
-    Omega^(-1/2) V, the sweep's G and H, and the screens' 2 G o H, G o G and
-    H o H), one formed propagator's three 2N x 2N arrays (P with the
-    symplectic check's product M and M - M^T; P is freed once its Gram is
-    formed), two samples x N arrays (the phases' cos and sin, which
-    NormalModes.weights forms with no other) and thirteen BOUND_CHUNK x N
-    temporaries of the norm bounds (a chunk's three rows of D(t), two
-    iterates and at most six arrays inside a power step). timeavg holds
-    seven more N x N arrays (the normal modes' V, Omega^(1/2) V and
-    Omega^(-1/2) V, and four temporaries of the rows), nine arrays of
-    (N+1) x (2N+2) rows (the five averages and four of the cross-check's
-    temporaries) and the writer's text for one chunk of serialize.CHUNK
-    values, counted at 256 bytes a value (about 205 are used). With simulate's grid it is the trajectory: samples x (N+1)
-    rows of 2N+2 doubles, two samples x (2N+2) arrays (the plant rows and
-    the spatial average) and one chunk of rows' temporaries (at most
-    simulate.TRAJECTORY_CHUNK_BYTES); the writers format the rows a few
-    thousand values at a time and copy none of them whole.
+    Without a grid, that is the chain's set-up, checked before the
+    couplings are drawn: every run holds the N x N reduced matrix and one
+    N x N temporary. build also holds its dense (2N+2)-square R_a and A_a,
+    C_a's (N+1) x (2N+2) and a second reduced matrix, the four files it
+    writes. check holds eight N x N arrays (its normal modes' V,
+    Omega^(1/2) V and Omega^(-1/2) V, the sweep's G and H, and the screens'
+    2 G o H, G o G and H o H), one formed propagator's three 2N x 2N arrays
+    (P with the symplectic check's product M and M - M^T; P is freed once
+    its Gram is formed), two samples x N arrays (the phases' cos and sin,
+    which NormalModes.weights forms with no other) and thirteen BOUND_CHUNK
+    x N temporaries of the norm bounds (a chunk's three rows of D(t), two
+    iterates and at most six arrays inside a power step); it writes
+    nothing. timeavg holds seven more N x N arrays (the normal modes' V,
+    Omega^(1/2) V and Omega^(-1/2) V, and four temporaries of the rows) and
+    nine arrays of (N+1) x (2N+2) rows (the five averages and four of the
+    cross-check's temporaries). With simulate's grid it is the whole run:
+    the set-up's two N x N arrays and the normal modes' three, samples x
+    (N+1) rows of 2N+2 doubles, two samples x (2N+2) arrays (the plant rows
+    and the spatial average) and one chunk of temporaries (at most
+    simulate.TRAJECTORY_CHUNK_BYTES of rows, with four chunk x N x N arrays
+    of their observer blocks). Every run that writes also holds the
+    writer's text for one chunk of serialize.CHUNK values, counted at 256
+    bytes a value (about 205 are used); the writers copy no array whole.
+    Measured in tracemalloc, less an N = 1 run, the count is 1.20 (N = 300)
+    and 1.32 (N = 100) times build's peak and 1.11 (N = 50, 33 samples) and
+    1.03 (N = 200, 17 samples) times simulate's.
     """
+    text = 32 * serialize.CHUNK
     if grid is None:
         needed, arrays = 2 * n * n, "two N x N arrays"
         if command == "build":
-            needed += 2 * (2 * n + 2) ** 2
-            arrays += " and its dense R_a and A_a"
+            needed += 2 * (2 * n + 2) ** 2 + (n + 1) * (2 * n + 2) + n * n + text
+            arrays += (", its dense R_a, A_a and C_a, a second reduced matrix and the "
+                       "writer's chunk of text")
         elif command == "check":
             vectors = 2 * EXP_BOUND_SAMPLES + 13 * BOUND_CHUNK
             needed += 8 * n * n + 3 * (2 * n) ** 2 + vectors * n
@@ -269,14 +277,15 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
                        f"propagator's three 2N x 2N arrays and {vectors} N-vectors of the "
                        f"sweep's weights and bounds")
         elif command == "timeavg":
-            needed += 7 * n * n + 9 * (n + 1) * (2 * n + 2) + 32 * serialize.CHUNK
+            needed += 7 * n * n + 9 * (n + 1) * (2 * n + 2) + text
             arrays += (", seven more N x N arrays, nine (N+1) x (2N+2) arrays of rows "
                        "(five averages and four cross-check temporaries) and the writer's "
                        "chunk of text")
-        needed *= 8
     else:
         chunk = min(grid.samples, _chunk_times(n))
-        needed = (grid.samples * (n + 3) + chunk * (n + 1)) * (2 * n + 2) * 8
+        needed = ((grid.samples * (n + 3) + chunk * (n + 1)) * (2 * n + 2)
+                  + (5 + 4 * chunk) * n * n + text)
+    needed *= 8
     memory = _physical_memory()
     if memory is None or needed <= memory:
         return
@@ -289,7 +298,8 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
     else:
         held = (f"simulate would hold {Decimal(grid.samples):.3g} samples of {n + 1} x "
                 f"{2 * n + 2} rows, about {Decimal(needed):.3g} bytes with the plant rows, the "
-                f"spatial average and one chunk of temporaries")
+                f"spatial average, five N x N arrays, one chunk of temporaries and the writer's "
+                f"chunk of text")
         remedy = "shorten the horizon or lengthen the step"
     raise ConfigValidationError(
         f"{held}, more than the {memory} bytes of physical memory; {remedy}"
@@ -364,10 +374,12 @@ def _out_dir(config: ExperimentConfig) -> Path:
     """The config's output_dir, once it is a directory or can be made one; creates nothing.
 
     Checked before the chain is built, so a path that cannot be a directory
-    is a rejected config (exit 2), not an error after the whole run.
+    is a rejected config (exit 2), not an error after the whole run. The
+    walk up stops at a symlink too: exists() reads a dangling one, or one
+    in a loop, as absent, and mkdir cannot make a directory through either.
     """
     out = Path(config.output_dir)
-    nearest = next(path for path in (out, *out.parents) if path.exists())
+    nearest = next(path for path in (out, *out.parents) if path.exists() or path.is_symlink())
     if not nearest.is_dir():
         beneath = "" if nearest == out else f"{out} cannot be made, since "
         raise ConfigValidationError(f"output_dir: {beneath}{nearest} is not a directory")
@@ -425,20 +437,19 @@ def run_simulate(config: ExperimentConfig) -> RunReport:
     step = default_step(modes) if config.step == "auto" else float(config.step)
     grid = TimeGrid.covering(config.horizon, step)
     _check_fits(chain.n_elements, grid=grid)
-    trajectory = coefficient_trajectory(modes, grid)
-    verify_trajectory(modes, trajectory)
+    times = grid.times()
+    rows = coefficient_trajectory(modes, grid)
+    verify_trajectory(modes, times, rows)
 
     # C_a's plant row is (alpha, 0, ..., 0)
-    plant_rows = trajectory.coefficient_rows[:, 0, :].copy()
+    plant_rows = rows[:, 0, :].copy()
     plant_rows[:, :2] -= chain.alpha
     plant_row_drift = float(np.linalg.norm(plant_rows, axis=1).max())
     report.add("plant_row_drift", plant_row_drift, PLANT_ROW_DRIFT_TOL)
 
     out.mkdir(parents=True, exist_ok=True)
-    serialize.write_trajectory_csv(out / "trajectory.csv", trajectory)
-    serialize.write_spatial_csv(
-        out / "spatial_average.csv", trajectory, spatial_average(trajectory)
-    )
+    serialize.write_trajectory_csv(out / "trajectory.csv", times, rows)
+    serialize.write_spatial_csv(out / "spatial_average.csv", times, spatial_average(rows))
     report.outputs["trajectory"] = "trajectory.csv"
     report.outputs["spatial_average"] = "spatial_average.csv"
     log.info("wrote trajectory with %d samples", grid.samples)
@@ -463,15 +474,14 @@ def run_timeavg(config: ExperimentConfig) -> RunReport:
     # longest first, so that a horizon beyond the phases' range is rejected as T
     averages = [time_average_spectral(modes, t) for t in reversed(horizons)][::-1]
     distances = [row_distances(avg) for avg in averages]
-    report.consensus_error_curve = [(avg.horizon, float(d.max()))
-                                    for avg, d in zip(averages, distances)]
+    report.consensus_error_curve = [(t, float(d.max())) for t, d in zip(horizons, distances)]
 
-    residual = sum(identity_residuals(modes, averages[0]))
-    scale = float(np.linalg.norm(averages[0].averaged_rows, ord="fro"))
+    residual = sum(identity_residuals(modes, averages[0], horizons[0]))
+    scale = float(np.linalg.norm(averages[0], ord="fro"))
     report.add("time_average_oracle_disagreement", residual, ORACLE_REL_TOL * scale)
 
     out.mkdir(parents=True, exist_ok=True)
-    serialize.write_averages_csv(out / "time_averages.csv", averages, distances[-1])
+    serialize.write_averages_csv(out / "time_averages.csv", horizons, averages, distances[-1])
     report.outputs["time_averages"] = "time_averages.csv"
     return _finish(out, report)
 

@@ -29,8 +29,6 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .simulate import TimeAverage, Trajectory
-
 CHUNK = 2048  # values formatted at a time
 
 
@@ -78,42 +76,40 @@ def _write_labeled(out: BinaryIO, first: np.ndarray, values: np.ndarray) -> None
     _write(out, len(flat), rows, [b","] * (dim + 1))
 
 
-def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
-    """One line per (sample, output row), rows labeled 1..N+1."""
-    dim = trajectory.coefficient_rows.shape[2]
+def write_trajectory_csv(path: Path, times: np.ndarray, rows: np.ndarray) -> None:
+    """One line per (sample, output row) of rows at the times, rows labeled 1..N+1."""
     with _create(path) as out:
-        out.write(f"{trajectory_header(dim)}\n".encode())
-        _write_labeled(out, trajectory.grid.times(), trajectory.coefficient_rows)
+        out.write(f"{trajectory_header(rows.shape[2])}\n".encode())
+        _write_labeled(out, times, rows)
 
 
-def write_spatial_csv(path: Path, trajectory: Trajectory, spatial: np.ndarray) -> None:
+def write_spatial_csv(path: Path, times: np.ndarray, spatial: np.ndarray) -> None:
     """Same column layout as the trajectory file, row label 's'."""
     dim = spatial.shape[1]
-    times = trajectory.grid.times()
     with _create(path) as out:
         out.write(f"{trajectory_header(dim)}\n".encode())
         _write(out, len(spatial), lambda a, b: np.column_stack([times[a:b], spatial[a:b]]),
                [b",s,"] + [b","] * (dim - 1))
 
 
-def write_averages_csv(
-    path: Path, averages: list[TimeAverage], row_errors: np.ndarray | list[float]
-) -> None:
+def write_averages_csv(path: Path, horizons: list[float], averages: list[np.ndarray],
+                       row_errors: np.ndarray | list[float]) -> None:
     """Averaged rows per horizon, then one consensus summary line per row.
 
-    Data lines carry row labels 1..N+1 for each horizon in order. Summary
-    lines (row label err_i for observer row i) repeat the final horizon,
-    put the row's distance to the plant row in the first value column, and
-    leave the rest empty.
+    averages[k] holds the rows averaged up to horizons[k]. Data lines carry
+    row labels 1..N+1 for each horizon in order. Summary lines (row label
+    err_i for observer row i) repeat the final horizon, put the row's
+    distance to the plant row in the first value column, and leave the rest
+    empty.
     """
-    dim = averages[0].averaged_rows.shape[1]
+    dim = averages[0].shape[1]
     errors = np.asarray(row_errors, dtype=float)
-    summary = np.column_stack([np.full(len(errors), float(averages[-1].horizon)),
+    summary = np.column_stack([np.full(len(errors), float(horizons[-1])),
                                np.arange(2.0, len(errors) + 2), errors])
     with _create(path) as out:
         out.write(f"{average_header(dim)}\n".encode())
-        for avg in averages:
-            _write_labeled(out, np.array([avg.horizon], dtype=float), avg.averaged_rows[None])
+        for horizon, rows in zip(horizons, averages):
+            _write_labeled(out, np.array([horizon], dtype=float), rows[None])
         _write(out, len(summary), lambda a, b: summary[a:b], [b",err_", b","],
                b"," * (dim - 1) + b"\n")
 

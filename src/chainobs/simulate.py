@@ -19,8 +19,8 @@ Stored trajectories evaluate the rows on the grid in chunks of at most
 TRAJECTORY_CHUNK times and TRAJECTORY_CHUNK_BYTES of rows (_chunk_times),
 so temporaries stay small beside the stored rows at every N, and every
 sample is independent of the others: no error accumulates with the number
-of steps. verify_trajectory holds a trajectory against the
-assembled A_a, and identity_residuals an average, each through identities
+of steps. verify_trajectory holds a trajectory's rows against the
+assembled A_a, and identity_residuals an average's, each through identities
 that every true solution satisfies; both multiply rows by A_a block by
 block (ChainObserverParams.dynamics, the only form the library holds it
 in), O(N) per row, and take x* from ChainObserverParams.x_star, both read
@@ -131,22 +131,6 @@ class TimeGrid:
         if samples < 2:
             raise InvalidParameterError(f"a grid needs at least 2 samples, got {samples}")
         return cls(t_end=t_end, step=t_end / (samples - 1))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled coefficient rows C_a Phi(t), one (N+1) x (2N+2) matrix per time."""
-
-    grid: TimeGrid
-    coefficient_rows: np.ndarray
-
-
-@dataclass(frozen=True)
-class TimeAverage:
-    """Averaged coefficient rows (1/T) int_0^T C_a Phi(t) dt up to horizon T."""
-
-    horizon: float
-    averaged_rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -406,8 +390,8 @@ def _phase_time(modes: NormalModes, t: float) -> float:
     return float(t)
 
 
-def time_average_spectral(modes: NormalModes, horizon: float) -> TimeAverage:
-    """Time average of the coefficient rows over [0, T], in closed form.
+def time_average_spectral(modes: NormalModes, horizon: float) -> np.ndarray:
+    """The averaged rows (1/T) int_0^T C_a Phi(t) dt over [0, T], in closed form.
 
     With x = nu T, q(0) is weighted by sin(x)/x, p(0) by
     -4 sin^2(x/2)/(nu^2 T) and q_0 by (1 - sin(x)/x)/lambda, so the slowest
@@ -420,8 +404,7 @@ def time_average_spectral(modes: NormalModes, horizon: float) -> TimeAverage:
             f"horizon {horizon!r} is too short for the slowest normal mode: its phase "
             f"nu_min T = {nu_min:.6e} * {horizon!r} or nu_min^2 T is below float64's normal range"
         )
-    rows = _rows(modes, *_average_weights(modes, horizon))
-    return TimeAverage(horizon=horizon, averaged_rows=rows)
+    return _rows(modes, *_average_weights(modes, horizon))
 
 
 def end_rows(modes: NormalModes, t: float) -> np.ndarray:
@@ -437,8 +420,9 @@ def _chunk_times(n: int) -> int:
     return min(TRAJECTORY_CHUNK, max(1, TRAJECTORY_CHUNK_BYTES // row_bytes))
 
 
-def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
-    """Sample and store C_a Phi(t) on the grid (O(samples * N^2) memory).
+def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> np.ndarray:
+    """C_a Phi(t) at the grid's times, one (N+1) x (2N+2) matrix per sample
+    (O(samples * N^2) memory).
 
     Each sample is end_rows at its time, evaluated _chunk_times(N) times at
     a time; the row at a time t equals end_rows(modes, t) bit for bit.
@@ -452,11 +436,11 @@ def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
         chunk = times[start : start + step]
         cos, sin = modes.weights(chunk)
         rows[start : start + chunk.size] = _rows(modes, cos, modes.up(sin), modes.drive(chunk))
-    return Trajectory(grid=grid, coefficient_rows=rows)
+    return rows
 
 
-def verify_trajectory(modes: NormalModes, trajectory: Trajectory) -> None:
-    """Hold a stored trajectory against the dynamics A_a of the modes' chain.
+def verify_trajectory(modes: NormalModes, times: np.ndarray, rows: np.ndarray) -> None:
+    """Hold stored rows at the given times against the dynamics A_a of the modes' chain.
 
     (i) rows(t) x* = 1 at every sample, with x* = ChainObserverParams.x_star,
     within TRAJECTORY_REL_TOL ||rows(t)||_inf ||x*||_inf: O(N^2) per sample.
@@ -470,7 +454,6 @@ def verify_trajectory(modes: NormalModes, trajectory: Trajectory) -> None:
     first failing sample.
     """
     chain = modes.chain
-    rows, times = trajectory.coefficient_rows, trajectory.grid.times()
     x_star = chain.x_star
     x_scale = float(np.linalg.norm(x_star, np.inf))
     a_scale = chain.dynamics.inf_norm()
@@ -497,8 +480,9 @@ def verify_trajectory(modes: NormalModes, trajectory: Trajectory) -> None:
             )
 
 
-def identity_residuals(modes: NormalModes, avg: TimeAverage) -> tuple[float, float]:
-    """Residuals of two identities every average R = R(T) satisfies, in units of R.
+def identity_residuals(modes: NormalModes, rows: np.ndarray, horizon: float) -> tuple[float, float]:
+    """Residuals of two identities the average R = rows over [0, T = horizon]
+    satisfies, in units of R.
 
     (i) R A_a = (C_a Phi(T) - C_a) / T, with A_a the assembled dynamics and
     C_a Phi(T) from end_rows: ||R A_a - (C_a Phi(T) - C_a) / T||_inf /
@@ -510,7 +494,6 @@ def identity_residuals(modes: NormalModes, avg: TimeAverage) -> tuple[float, flo
     in turn cannot see an error in the p(0) weights, which (i) does.
     """
     chain = modes.chain
-    rows, horizon = avg.averaged_rows, avg.horizon
     change = end_rows(modes, horizon)
     # C_a Phi(T) - C_a: C_a is alpha in every mode's own block
     diagonal = np.arange(change.shape[0])
@@ -523,17 +506,16 @@ def identity_residuals(modes: NormalModes, avg: TimeAverage) -> tuple[float, flo
     )
 
 
-def spatial_average(trajectory: Trajectory) -> np.ndarray:
-    """Per-sample mean of the observer rows (rows 2..N+1) of the trajectory."""
-    return trajectory.coefficient_rows[:, 1:, :].mean(axis=1)
+def spatial_average(rows: np.ndarray) -> np.ndarray:
+    """Per-sample mean of a trajectory's observer rows (rows 2..N+1)."""
+    return rows[:, 1:, :].mean(axis=1)
 
 
-def row_distances(avg: TimeAverage) -> np.ndarray:
-    """Each observer row's distance from its average to the plant row's."""
-    rows = avg.averaged_rows
+def row_distances(rows: np.ndarray) -> np.ndarray:
+    """Each observer row's distance, in averaged rows, from the plant row."""
     return np.linalg.norm(rows[1:] - rows[0], axis=1)
 
 
-def consensus_error(avg: TimeAverage) -> float:
-    """Largest distance from an observer row's average to the plant row's."""
-    return float(row_distances(avg).max())
+def consensus_error(rows: np.ndarray) -> float:
+    """Largest distance, in averaged rows, from an observer row to the plant row."""
+    return float(row_distances(rows).max())

@@ -60,7 +60,7 @@ from chainobs.errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from chainobs.simulate import NormalModes, TimeAverage, TimeGrid
+from chainobs.simulate import NormalModes, TimeGrid
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -269,11 +269,10 @@ def integral_of_propagator(a: np.ndarray, horizon: float) -> np.ndarray:
     return block
 
 
-def time_average_exact(chain: ChainObserverParams, horizon: float) -> TimeAverage:
+def time_average_exact(chain: ChainObserverParams, horizon: float) -> np.ndarray:
     """Time average of the coefficient rows by the doubled-block exponential."""
     integral = integral_of_propagator(chain.dynamics.dense(), horizon)
-    rows = output_matrix(chain) @ integral / float(horizon)
-    return TimeAverage(horizon=float(horizon), averaged_rows=rows)
+    return output_matrix(chain) @ integral / float(horizon)
 
 
 def _csv_line(*fields) -> str:
@@ -301,15 +300,14 @@ def spatial_csv_text(times: np.ndarray, spatial: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def averages_csv_text(averages: list[TimeAverage], row_errors: list[float]) -> str:
-    dim = averages[0].averaged_rows.shape[1]
+def averages_csv_text(
+    horizons: list[float], averages: list[np.ndarray], row_errors: list[float]
+) -> str:
+    dim = averages[0].shape[1]
     lines = ["T,row," + ",".join(f"avg_c_{j}" for j in range(1, dim + 1))]
-    for avg in averages:
-        lines += [
-            _csv_line(avg.horizon, str(i), *row)
-            for i, row in enumerate(avg.averaged_rows, start=1)
-        ]
-    final = averages[-1].horizon
+    for horizon, avg in zip(horizons, averages):
+        lines += [_csv_line(horizon, str(i), *row) for i, row in enumerate(avg, start=1)]
+    final = horizons[-1]
     lines += [
         _csv_line(final, f"err_{i}", err) + "," * (dim - 1)
         for i, err in enumerate(row_errors, start=2)

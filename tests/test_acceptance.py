@@ -48,10 +48,10 @@ def systems():
 def test_criterion_1_plant_output_invariance(example_system):
     chain = example_system
     grid = co.TimeGrid.from_count(50.0, 10_000)
-    trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
+    rows = co.coefficient_trajectory(co.normal_modes(chain), grid)
     target = np.zeros(12)
     target[0] = 1.0
-    deviation = float(np.abs(trajectory.coefficient_rows[:, 0, :] - target).max())
+    deviation = float(np.abs(rows[:, 0, :] - target).max())
     ok = deviation <= 1e-9
     verdict(1, "plant-output-invariance", ok)
     assert ok, f"plant output row drifted by {deviation:.3e} (tolerance 1e-09)"
@@ -142,7 +142,7 @@ def test_criterion_4_time_averaged_consensus(example_system):
 
     target = np.zeros(12)
     target[0] = 1.0
-    final = averages[800.0].averaged_rows
+    final = averages[800.0]
     for i in range(1, final.shape[0]):
         row_error = float(np.linalg.norm(final[i] - target))
         if row_error > 2.0 * envelope / 800.0:
@@ -219,10 +219,10 @@ def test_criterion_7_oracle_equivalence():
         n = k % 8 + 1
         chain = build_system([1.0, 0.0], "random", 1.0, n, seed=100 + k)
         horizon = 10.0
-        library = co.time_average_spectral(co.normal_modes(chain), horizon).averaged_rows
+        library = co.time_average_spectral(co.normal_modes(chain), horizon)
         label = f"random seed {100 + k} n={n}"
         compare(f"{label}: averages and doubled block", library,
-                time_average_exact(chain, horizon).averaged_rows, 1e-8)
+                time_average_exact(chain, horizon), 1e-8)
 
     for label, chain in systems():
         modes = co.normal_modes(chain)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 import chainobs as co
-from chainobs import serialize, simulate
+from chainobs import serialize
 from chainobs.float17 import RowFormat
 
 MAX = 1.7976931348623157e308
@@ -110,15 +110,15 @@ def test_writers_do_not_depend_on_the_chunk(tmp_path, monkeypatch, chunk):
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(4, 3, 6)) * 10.0 ** rng.integers(-8, 8, size=(4, 3, 6))
     rows[rng.random(rows.shape) < 0.3] = 0.0
-    trajectory = simulate.Trajectory(grid=co.TimeGrid(t_end=0.75, step=0.25), coefficient_rows=rows)
-    averages = [simulate.TimeAverage(horizon, rows[i]) for i, horizon in enumerate([0.5, 1.0, 2.0])]
+    times = np.array([0.0, 0.25, 0.5, 0.75])
 
     def write_all(directory):
         directory.mkdir()
         serialize.write_matrix_csv(directory / "matrix.csv", rows[0])
-        serialize.write_trajectory_csv(directory / "trajectory.csv", trajectory)
-        serialize.write_spatial_csv(directory / "spatial.csv", trajectory, rows[:, 0])
-        serialize.write_averages_csv(directory / "averages.csv", averages, [0.25, -1e-300])
+        serialize.write_trajectory_csv(directory / "trajectory.csv", times, rows)
+        serialize.write_spatial_csv(directory / "spatial.csv", times, rows[:, 0])
+        serialize.write_averages_csv(directory / "averages.csv", [0.5, 1.0, 2.0], list(rows[:3]),
+                                     [0.25, -1e-300])
         return {path.name: path.read_bytes() for path in directory.iterdir()}
 
     default = write_all(tmp_path / "default")

@@ -79,11 +79,11 @@ def mpmath_exponential(m: np.ndarray) -> np.ndarray:
 
 
 def trajectory_case(c_p, variant, omega0, n, seed, horizon):
-    """A chain, its normal modes and its trajectory on the default-step grid."""
+    """A chain, and the times and rows of its trajectory on the default-step grid."""
     chain = build_system(c_p, variant, omega0, n, seed=seed)
     modes = co.normal_modes(chain)
     grid = co.TimeGrid.covering(horizon, co.default_step(modes))
-    return chain, co.coefficient_trajectory(modes, grid)
+    return chain, grid.times(), co.coefficient_trajectory(modes, grid)
 
 
 class TestTimeGrid:
@@ -339,9 +339,9 @@ class TestTrajectory:
         identity to rounding: within 1e-15 of C_a on the README config."""
         chain = example_system
         grid = co.TimeGrid(1.0, 0.01)
-        trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
-        assert trajectory.coefficient_rows.shape == (101, 6, 12)
-        assert np.abs(trajectory.coefficient_rows[0] - output_matrix(chain)).max() <= 1e-15
+        rows = co.coefficient_trajectory(co.normal_modes(chain), grid)
+        assert rows.shape == (101, 6, 12)
+        assert np.abs(rows[0] - output_matrix(chain)).max() <= 1e-15
 
     @pytest.mark.parametrize("variant", builder.SCHEMES)
     def test_first_sample_on_every_scheme(self, variant):
@@ -354,7 +354,7 @@ class TestTrajectory:
             seed = 5 if variant == builder.SCHEME_RANDOM else None
             chain = build_system(c_p, variant, 1.0, n, seed=seed)
             rows = co.coefficient_trajectory(co.normal_modes(chain), co.TimeGrid(1.0, 1.0))
-            assert np.abs(rows.coefficient_rows[0] - output_matrix(chain)).max() <= 1e-14, n
+            assert np.abs(rows[0] - output_matrix(chain)).max() <= 1e-14, n
 
     def test_last_sample_is_end_rows_bit_for_bit(self, example_system):
         """Rows evaluated in chunks take the arithmetic of a single end_rows call."""
@@ -364,7 +364,7 @@ class TestTrajectory:
         assert grid.samples > 2 * simulate.TRAJECTORY_CHUNK
         times = grid.times()
         assert times[-1] == 20.0
-        rows = co.coefficient_trajectory(modes, grid).coefficient_rows
+        rows = co.coefficient_trajectory(modes, grid)
         for k in (1, simulate.TRAJECTORY_CHUNK, grid.samples - 1):
             assert np.array_equal(rows[k], simulate.end_rows(modes, times[k]))
 
@@ -380,22 +380,22 @@ class TestTrajectory:
         grid = co.TimeGrid.from_count(0.5, 101)
         tracemalloc.start()
         try:
-            rows = co.coefficient_trajectory(modes, grid).coefficient_rows
+            rows = co.coefficient_trajectory(modes, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - rows.nbytes < 4 * simulate.TRAJECTORY_CHUNK_BYTES
-        simulate.verify_trajectory(modes, simulate.Trajectory(grid, rows))
+        simulate.verify_trajectory(modes, grid.times(), rows)
 
     @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS_AND_REFERENCE)
     def test_rows_match_direct_exponentials(self, c_p, variant, omega0, n, seed, horizon):
         """At the second, middle and last sample. Worst gap seen 2.4e-13 (T = 20)."""
-        chain, trajectory = trajectory_case(c_p, variant, omega0, n, seed, horizon)
-        c_a, a_a, times = output_matrix(chain), chain.dynamics.dense(), trajectory.grid.times()
+        chain, times, rows = trajectory_case(c_p, variant, omega0, n, seed, horizon)
+        c_a, a_a = output_matrix(chain), chain.dynamics.dense()
         scale = np.linalg.norm(c_a, ord="fro")
         for k in (1, times.size // 2, times.size - 1):
             direct = c_a @ propagator(a_a, times[k])
-            drift = np.linalg.norm(trajectory.coefficient_rows[k] - direct, ord="fro")
+            drift = np.linalg.norm(rows[k] - direct, ord="fro")
             assert drift <= 1e-11 * scale
 
     def test_plant_row_is_constant(self, example_system):
@@ -403,10 +403,10 @@ class TestTrajectory:
         sample is the initial output functional, exactly."""
         chain = example_system
         grid = co.TimeGrid(50.0, 0.5)
-        trajectory = co.coefficient_trajectory(co.normal_modes(chain), grid)
+        rows = co.coefficient_trajectory(co.normal_modes(chain), grid)
         plant_row = output_matrix(chain)[0]
         assert np.array_equal(
-            trajectory.coefficient_rows[:, 0, :],
+            rows[:, 0, :],
             np.broadcast_to(plant_row, (grid.samples, plant_row.size)),
         )
 
@@ -427,7 +427,7 @@ class TestVerifyTrajectory:
         chain = build_system(c_p, variant, 1.0, n, seed=seed)
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.covering(3.0, co.default_step(modes))
-        co.verify_trajectory(modes, co.coefficient_trajectory(modes, grid))
+        co.verify_trajectory(modes, grid.times(), co.coefficient_trajectory(modes, grid))
 
     @pytest.mark.parametrize("variant", builder.SCHEMES)
     def test_rounding_stays_far_below_the_tolerance(self, variant):
@@ -445,7 +445,7 @@ class TestVerifyTrajectory:
             x_star, a_a = chain.x_star, chain.dynamics.dense()
             for horizon in (8.0, 800.0, 12800.0):
                 grid = co.TimeGrid.from_count(horizon, 9)
-                rows = co.coefficient_trajectory(modes, grid).coefficient_rows
+                rows = co.coefficient_trajectory(modes, grid)
                 scale = np.abs(rows).sum(axis=2).max(axis=1)
                 x_star_residual = np.abs(rows @ x_star - 1.0).max(axis=1) / scale
                 assert x_star_residual.max() <= 2e-12 * np.abs(x_star).max(), (n, horizon)
@@ -480,9 +480,9 @@ class TestVerifyTrajectory:
         monkeypatch.setattr(simulate.NormalModes, "weights", mutated)
         monkeypatch.setattr(simulate.NormalModes, "drive", mutated_drive)
         grid = co.TimeGrid(50.0, 0.05)
-        trajectory = co.coefficient_trajectory(modes, grid)
+        rows = co.coefficient_trajectory(modes, grid)
         with pytest.raises(co.ToleranceExceededError, match=rf"^{re.escape(message)} .* at sample \d+$"):
-            co.verify_trajectory(modes, trajectory)
+            co.verify_trajectory(modes, grid.times(), rows)
 
 
 class TestIntegralOfPropagator:
@@ -532,13 +532,12 @@ class TestTimeAverages:
     def test_static_average_is_the_output_matrix(self):
         chain = static_chain(2)
         avg = time_average_exact(chain, 8.0)
-        assert avg.horizon == 8.0
-        assert np.allclose(avg.averaged_rows, output_matrix(chain), rtol=0.0, atol=1e-14)
+        assert np.allclose(avg, output_matrix(chain), rtol=0.0, atol=1e-14)
 
     def test_plant_row_average_stays_put(self, example_system):
         chain = example_system
         avg = co.time_average_spectral(co.normal_modes(chain), 800.0)
-        assert np.abs(avg.averaged_rows[0] - output_matrix(chain)[0]).max() <= 1e-9
+        assert np.abs(avg[0] - output_matrix(chain)[0]).max() <= 1e-9
 
     @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS_AND_REFERENCE)
     def test_closed_form_matches_the_exact_route(self, c_p, variant, omega0, n, seed, horizon):
@@ -547,7 +546,7 @@ class TestTimeAverages:
         chain = build_system(c_p, variant, omega0, n, seed=seed)
         spectral = co.time_average_spectral(co.normal_modes(chain), horizon)
         exact = time_average_exact(chain, horizon)
-        assert relative_gap(spectral.averaged_rows, exact.averaged_rows) <= EXACT_REL_TOL
+        assert relative_gap(spectral, exact) <= EXACT_REL_TOL
 
     @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS_AND_REFERENCE)
     def test_exact_route_satisfies_the_identities(self, c_p, variant, omega0, n, seed, horizon):
@@ -556,8 +555,8 @@ class TestTimeAverages:
         by a second route. Worst residual seen 3.2e-15."""
         chain = build_system(c_p, variant, omega0, n, seed=seed)
         avg = time_average_exact(chain, horizon)
-        bound = ORACLE_REL_TOL * np.linalg.norm(avg.averaged_rows, ord="fro")
-        drift, consensus = co.identity_residuals(co.normal_modes(chain), avg)
+        bound = ORACLE_REL_TOL * np.linalg.norm(avg, ord="fro")
+        drift, consensus = co.identity_residuals(co.normal_modes(chain), avg, horizon)
         assert drift <= bound and consensus <= bound
 
     def test_reference_consensus_error(self, example_system):
@@ -570,7 +569,7 @@ class TestSpatialAverage:
     def test_initial_sample_pattern(self, example_system):
         chain = example_system
         rows = np.stack([output_matrix(chain)] * 3)
-        spatial = simulate.spatial_average(simulate.Trajectory(co.TimeGrid(1.0, 0.5), rows))
+        spatial = simulate.spatial_average(rows)
         expected = np.zeros(12)
         expected[2::2] = 0.2
         assert spatial.shape == (3, 12)
@@ -580,9 +579,9 @@ class TestSpatialAverage:
     @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS)
     def test_is_the_mean_of_direct_observer_rows(self, c_p, variant, omega0, n, seed, horizon):
         """At the second, middle and last sample. Worst gap seen 9.2e-14 (T = 20)."""
-        chain, trajectory = trajectory_case(c_p, variant, omega0, n, seed, horizon)
-        spatial = simulate.spatial_average(trajectory)
-        c_a, a_a, times = output_matrix(chain), chain.dynamics.dense(), trajectory.grid.times()
+        chain, times, rows = trajectory_case(c_p, variant, omega0, n, seed, horizon)
+        spatial = simulate.spatial_average(rows)
+        c_a, a_a = output_matrix(chain), chain.dynamics.dense()
         for k in (1, times.size // 2, times.size - 1):
             want = (c_a @ propagator(a_a, times[k]))[1:].mean(axis=0)
             assert np.linalg.norm(spatial[k] - want) <= 1e-11 * np.linalg.norm(want)
@@ -590,8 +589,7 @@ class TestSpatialAverage:
 
 class TestConsensusError:
     def test_hand_value(self):
-        avg = simulate.TimeAverage(horizon=1.0, averaged_rows=np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert co.consensus_error(avg) == 5.0
+        assert co.consensus_error(np.array([[0.0, 0.0], [3.0, 4.0]])) == 5.0
 
 
 class TestBrokenFixedPointGrowsLinearly:
@@ -620,11 +618,10 @@ class TestBrokenFixedPointGrowsLinearly:
         a_broken = self.broken_dynamics(c_a, chain.alpha)
         for horizon in (10.0, 20.0, 40.0):
             rows = c_a @ integral_of_propagator(a_broken, horizon) / horizon
-            avg = simulate.TimeAverage(horizon=horizon, averaged_rows=rows)
             expected_rows = c_a + (horizon / 2.0) * c_a @ a_broken
-            assert np.allclose(avg.averaged_rows, expected_rows, rtol=1e-10, atol=1e-12)
+            assert np.allclose(rows, expected_rows, rtol=1e-10, atol=1e-12)
             expected_error = math.hypot(horizon / 2.0 - 1.0, 1.0)
-            assert np.isclose(co.consensus_error(avg), expected_error, rtol=1e-10)
+            assert np.isclose(co.consensus_error(rows), expected_error, rtol=1e-10)
 
     def test_healthy_system_does_not_grow(self, example_system):
         chain = example_system

@@ -348,3 +348,20 @@ def test_one_home_for_each_input_rule():
                 for operand in (node.left, *node.comparators)
                 for field in _config_values(operand)}
     assert compared == set()
+
+
+def test_layers_pass_plain_arrays():
+    """simulate hands its rows to the CLI and the writers as plain arrays,
+    with the times or horizons beside them, so serialize imports nothing of
+    chainobs but its lazily loaded formatter, float17, and simulate defines
+    no Trajectory or TimeAverage wrapper."""
+    package = Path(co.__file__).parent
+    tree = ast.parse((package / "serialize.py").read_text())
+    imported = {("." * node.level + (node.module or "")) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert {name for name in imported if name.startswith((".", "chainobs"))} == {".float17"}
+    classes = {node.name for node in ast.walk(ast.parse((package / "simulate.py").read_text()))
+               if isinstance(node, ast.ClassDef)}
+    assert not classes & {"Trajectory", "TimeAverage"}
