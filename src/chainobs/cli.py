@@ -259,9 +259,6 @@ def _check_fits(n: int, command: str = "", grid: TimeGrid | None = None) -> None
     of their observer blocks). Every run that writes also holds the
     writer's text for one chunk of serialize.CHUNK values, counted at 256
     bytes a value (about 205 are used); the writers copy no array whole.
-    Measured in tracemalloc, less an N = 1 run, the count is 1.20 (N = 300)
-    and 1.32 (N = 100) times build's peak and 1.11 (N = 50, 33 samples) and
-    1.03 (N = 200, 17 samples) times simulate's.
     """
     text = 32 * serialize.CHUNK
     if grid is None:
@@ -437,8 +434,7 @@ def run_simulate(config: ExperimentConfig) -> RunReport:
     step = default_step(modes) if config.step == "auto" else float(config.step)
     grid = TimeGrid.covering(config.horizon, step)
     _check_fits(chain.n_elements, grid=grid)
-    times = grid.times()
-    rows = coefficient_trajectory(modes, grid)
+    times, rows = coefficient_trajectory(modes, grid)
     verify_trajectory(modes, times, rows)
 
     # C_a's plant row is (alpha, 0, ..., 0)

@@ -35,6 +35,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,6 +132,13 @@ class TimeGrid:
         if samples < 2:
             raise InvalidParameterError(f"a grid needs at least 2 samples, got {samples}")
         return cls(t_end=t_end, step=t_end / (samples - 1))
+
+
+class Trajectory(NamedTuple):
+    """A grid's times and the coefficient rows C_a Phi(t) at each of them."""
+
+    times: np.ndarray
+    coefficient_rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -420,9 +428,9 @@ def _chunk_times(n: int) -> int:
     return min(TRAJECTORY_CHUNK, max(1, TRAJECTORY_CHUNK_BYTES // row_bytes))
 
 
-def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> np.ndarray:
-    """C_a Phi(t) at the grid's times, one (N+1) x (2N+2) matrix per sample
-    (O(samples * N^2) memory).
+def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> Trajectory:
+    """The grid's times and C_a Phi(t) at each, one (N+1) x (2N+2) matrix
+    per sample (O(samples * N^2) memory).
 
     Each sample is end_rows at its time, evaluated _chunk_times(N) times at
     a time; the row at a time t equals end_rows(modes, t) bit for bit.
@@ -436,7 +444,7 @@ def coefficient_trajectory(modes: NormalModes, grid: TimeGrid) -> np.ndarray:
         chunk = times[start : start + step]
         cos, sin = modes.weights(chunk)
         rows[start : start + chunk.size] = _rows(modes, cos, modes.up(sin), modes.drive(chunk))
-    return rows
+    return Trajectory(times, rows)
 
 
 def verify_trajectory(modes: NormalModes, times: np.ndarray, rows: np.ndarray) -> None:

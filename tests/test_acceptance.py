@@ -48,7 +48,7 @@ def systems():
 def test_criterion_1_plant_output_invariance(example_system):
     chain = example_system
     grid = co.TimeGrid.from_count(50.0, 10_000)
-    rows = co.coefficient_trajectory(co.normal_modes(chain), grid)
+    _, rows = co.coefficient_trajectory(co.normal_modes(chain), grid)
     target = np.zeros(12)
     target[0] = 1.0
     deviation = float(np.abs(rows[:, 0, :] - target).max())

@@ -225,7 +225,7 @@ class TestSerialize:
         chain = example_system
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.covering(5.0, co.default_step(modes))
-        times, rows = grid.times(), simulate.coefficient_trajectory(modes, grid)
+        times, rows = simulate.coefficient_trajectory(modes, grid)
         tracemalloc.start()
         try:
             serialize.write_trajectory_csv(tmp_path / "trajectory.csv", times, rows)

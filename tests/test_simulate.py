@@ -83,7 +83,7 @@ def trajectory_case(c_p, variant, omega0, n, seed, horizon):
     chain = build_system(c_p, variant, omega0, n, seed=seed)
     modes = co.normal_modes(chain)
     grid = co.TimeGrid.covering(horizon, co.default_step(modes))
-    return chain, grid.times(), co.coefficient_trajectory(modes, grid)
+    return chain, *co.coefficient_trajectory(modes, grid)
 
 
 class TestTimeGrid:
@@ -339,7 +339,7 @@ class TestTrajectory:
         identity to rounding: within 1e-15 of C_a on the README config."""
         chain = example_system
         grid = co.TimeGrid(1.0, 0.01)
-        rows = co.coefficient_trajectory(co.normal_modes(chain), grid)
+        _, rows = co.coefficient_trajectory(co.normal_modes(chain), grid)
         assert rows.shape == (101, 6, 12)
         assert np.abs(rows[0] - output_matrix(chain)).max() <= 1e-15
 
@@ -353,7 +353,7 @@ class TestTrajectory:
                 continue
             seed = 5 if variant == builder.SCHEME_RANDOM else None
             chain = build_system(c_p, variant, 1.0, n, seed=seed)
-            rows = co.coefficient_trajectory(co.normal_modes(chain), co.TimeGrid(1.0, 1.0))
+            _, rows = co.coefficient_trajectory(co.normal_modes(chain), co.TimeGrid(1.0, 1.0))
             assert np.abs(rows[0] - output_matrix(chain)).max() <= 1e-14, n
 
     def test_last_sample_is_end_rows_bit_for_bit(self, example_system):
@@ -362,9 +362,8 @@ class TestTrajectory:
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.covering(20.0, co.default_step(modes))
         assert grid.samples > 2 * simulate.TRAJECTORY_CHUNK
-        times = grid.times()
+        times, rows = co.coefficient_trajectory(modes, grid)
         assert times[-1] == 20.0
-        rows = co.coefficient_trajectory(modes, grid)
         for k in (1, simulate.TRAJECTORY_CHUNK, grid.samples - 1):
             assert np.array_equal(rows[k], simulate.end_rows(modes, times[k]))
 
@@ -380,12 +379,12 @@ class TestTrajectory:
         grid = co.TimeGrid.from_count(0.5, 101)
         tracemalloc.start()
         try:
-            rows = co.coefficient_trajectory(modes, grid)
+            times, rows = co.coefficient_trajectory(modes, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - rows.nbytes < 4 * simulate.TRAJECTORY_CHUNK_BYTES
-        simulate.verify_trajectory(modes, grid.times(), rows)
+        simulate.verify_trajectory(modes, times, rows)
 
     @pytest.mark.parametrize("c_p,variant,omega0,n,seed,horizon", CHAINS_AND_REFERENCE)
     def test_rows_match_direct_exponentials(self, c_p, variant, omega0, n, seed, horizon):
@@ -403,7 +402,7 @@ class TestTrajectory:
         sample is the initial output functional, exactly."""
         chain = example_system
         grid = co.TimeGrid(50.0, 0.5)
-        rows = co.coefficient_trajectory(co.normal_modes(chain), grid)
+        _, rows = co.coefficient_trajectory(co.normal_modes(chain), grid)
         plant_row = output_matrix(chain)[0]
         assert np.array_equal(
             rows[:, 0, :],
@@ -427,7 +426,7 @@ class TestVerifyTrajectory:
         chain = build_system(c_p, variant, 1.0, n, seed=seed)
         modes = co.normal_modes(chain)
         grid = co.TimeGrid.covering(3.0, co.default_step(modes))
-        co.verify_trajectory(modes, grid.times(), co.coefficient_trajectory(modes, grid))
+        co.verify_trajectory(modes, *co.coefficient_trajectory(modes, grid))
 
     @pytest.mark.parametrize("variant", builder.SCHEMES)
     def test_rounding_stays_far_below_the_tolerance(self, variant):
@@ -445,11 +444,11 @@ class TestVerifyTrajectory:
             x_star, a_a = chain.x_star, chain.dynamics.dense()
             for horizon in (8.0, 800.0, 12800.0):
                 grid = co.TimeGrid.from_count(horizon, 9)
-                rows = co.coefficient_trajectory(modes, grid)
+                times, rows = co.coefficient_trajectory(modes, grid)
                 scale = np.abs(rows).sum(axis=2).max(axis=1)
                 x_star_residual = np.abs(rows @ x_star - 1.0).max(axis=1) / scale
                 assert x_star_residual.max() <= 2e-12 * np.abs(x_star).max(), (n, horizon)
-                for t, row, row_scale in zip(grid.times(), rows, scale):
+                for t, row, row_scale in zip(times, rows, scale):
                     derivative = simulate._rows(modes, *simulate._derivative_weights(modes, t))
                     drift = np.abs(derivative[1:] - row[1:] @ a_a).sum(axis=1).max()
                     assert drift <= 1e-14 * row_scale * np.abs(a_a).sum(axis=1).max(), (n, t)
@@ -480,9 +479,9 @@ class TestVerifyTrajectory:
         monkeypatch.setattr(simulate.NormalModes, "weights", mutated)
         monkeypatch.setattr(simulate.NormalModes, "drive", mutated_drive)
         grid = co.TimeGrid(50.0, 0.05)
-        rows = co.coefficient_trajectory(modes, grid)
+        times, rows = co.coefficient_trajectory(modes, grid)
         with pytest.raises(co.ToleranceExceededError, match=rf"^{re.escape(message)} .* at sample \d+$"):
-            co.verify_trajectory(modes, grid.times(), rows)
+            co.verify_trajectory(modes, times, rows)
 
 
 class TestIntegralOfPropagator:
